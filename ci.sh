@@ -24,6 +24,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 cargo build --release --workspace --all-targets
 cargo test -q --release --workspace
 
+# The repo benchmark's own check (benchmark/ is a package of its own, not
+# a workspace member): it runs every workload in `--quick` mode and
+# compares every golden digest in benchmark/golden/digests.txt, so "every
+# VCD digest unchanged" is part of the gate. It measures nothing here.
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+echo "ci.sh: benchmark package check OK (golden digests match)"
+
+# Paper-scale gate: every design built for 1 M testbench cycles
+# (`Design::build_for`) runs to the end on both engines with equal
+# statistics — the cycle counts of the paper's Table 2 are reachable
+# because a testbench `repeat` is a loop in the IR. #[ignore]d because it
+# is release-weight (about a minute); this is its one canonical
+# invocation.
+cargo test -q --release -p llhd-designs --lib -- \
+    --ignored --exact tests::million_cycle_runs_agree_across_engines
+echo "ci.sh: paper-scale (1 M cycles) gate OK"
+
 # Parallel differential gate: island-parallel vs. serial execution on
 # the largest generated designs (32-lane FIR bank, 16-row NoC mesh),
 # both engines, threads 2/4/8 — traces and statistics must be

@@ -229,16 +229,20 @@ fn main() {
         }
         i += 1;
     }
+    // Serialization first: its microsecond-scale parse/decode loops are
+    // allocator-bound, and measured after the simulation suite's servers
+    // and thread pools have churned the heap they read ~15% slower than
+    // the standalone `cargo bench` run that records their baseline.
     let suites = [
-        Suite {
-            name: "simulation",
-            run: simulation_suite,
-            baseline_path: baseline_path.unwrap_or_else(|| default_json_path("simulation")),
-        },
         Suite {
             name: "serialization",
             run: serialization_suite,
             baseline_path: default_json_path("serialization"),
+        },
+        Suite {
+            name: "simulation",
+            run: simulation_suite,
+            baseline_path: baseline_path.unwrap_or_else(|| default_json_path("simulation")),
         },
     ];
     let mut regressions = vec![];

@@ -3,24 +3,28 @@
 //! simulator (LLHD-Blaze), and the baseline (compiled simulation of the
 //! optimized module, standing in for the commercial simulator).
 //!
-//! Usage: `table2 [cycles]` (default: 100 clock cycles per design;
-//! `--paper-cycles` uses the per-design cycle counts of the paper, which can
-//! take a very long time with the interpreter).
+//! Usage: `table2 [cycles]` (default: 100 clock cycles per design),
+//! `table2 --paper-cycles` (the per-design cycle counts of the paper,
+//! 1 M–12.6 M: several minutes), or `table2 --scale N` (the paper's counts
+//! divided by `N`). Every testbench is built for the cycles it is timed
+//! over. The output starts with a line naming the host.
 
-use llhd_bench::report::render_table2;
-use llhd_bench::table2_rows;
-use llhd_designs::all_designs;
+use llhd_bench::report::{host_stamp, render_table2};
+use llhd_bench::{table2_rows, table2_rows_scaled};
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    let rows = if arg.as_deref() == Some("--paper-cycles") {
-        all_designs()
-            .iter()
-            .map(|d| llhd_bench::measure_design(d, d.paper_cycles))
-            .collect()
-    } else {
-        let cycles: u64 = arg.and_then(|s| s.parse().ok()).unwrap_or(100);
-        table2_rows(cycles)
+    let mut args = std::env::args().skip(1);
+    let rows = match args.next().as_deref() {
+        Some("--paper-cycles") => table2_rows_scaled(1),
+        Some("--scale") => match args.next().and_then(|s| s.parse().ok()) {
+            Some(scale) => table2_rows_scaled(scale),
+            None => {
+                eprintln!("table2: --scale takes a positive integer");
+                std::process::exit(2);
+            }
+        },
+        arg => table2_rows(arg.and_then(|s| s.parse().ok()).unwrap_or(100)),
     };
+    println!("{}", host_stamp());
     print!("{}", render_table2(&rows));
 }

@@ -53,7 +53,8 @@ impl Table2Row {
     }
 }
 
-/// Run the Table 2 measurement for one design with the given cycle count.
+/// Run the Table 2 measurement for one design with the given cycle count:
+/// the testbench is built to run that many cycles, so all of them are live.
 ///
 /// # Panics
 ///
@@ -61,7 +62,7 @@ impl Table2Row {
 /// the design suite rather than a measurement outcome.
 pub fn measure_design(design: &Design, cycles: u64) -> Table2Row {
     llhd_blaze::register();
-    let module = design.build().expect("design must build");
+    let module = design.build_for(cycles).expect("design must build");
     let config = SimConfig::until_nanos(design.sim_time_ns(cycles))
         .with_trace_filter(&[design.probe_signal]);
     let run = |module: &llhd::ir::Module, engine: EngineKind| {
@@ -117,6 +118,15 @@ pub fn table2_rows(cycles: u64) -> Vec<Table2Row> {
     all_designs()
         .iter()
         .map(|d| measure_design(d, cycles))
+        .collect()
+}
+
+/// The rows of Table 2 at the paper's per-design cycle counts divided by
+/// `scale` (1 = the paper's 1 M–12.6 M cycles).
+pub fn table2_rows_scaled(scale: u64) -> Vec<Table2Row> {
+    all_designs()
+        .iter()
+        .map(|d| measure_design(d, (d.paper_cycles / scale.max(1)).max(1)))
         .collect()
 }
 

@@ -8,6 +8,27 @@ use crate::{fmt_duration, Table2Row, Table4Row};
 use llhd::capabilities::IrCapabilities;
 use std::fmt::Write;
 
+/// One line naming the host a table was measured on: CPU model, core
+/// count and compiler. Wall-clock columns mean nothing without it.
+pub fn host_stamp() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            let line = text.lines().find(|l| l.starts_with("model name"))?;
+            Some(line.split(':').nth(1)?.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let rustc = std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown rustc".to_string());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("Host: {}, {} core(s), {}", cpu, cores, rustc)
+}
+
 /// Render the Table 2 reproduction (simulation performance).
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut out = String::new();

@@ -555,9 +555,9 @@ pub fn compile_unit_with(
     }
 
     let block_list = unit.blocks();
-    // Count the constants up front: unrolled testbenches materialize
-    // thousands, and growing `const_regs` through doublings would memcpy
-    // the accumulated `ConstValue`s over and over.
+    // Count the constants up front: a long straight-line stimulus can
+    // hold thousands, and growing `const_regs` through doublings would
+    // memcpy the accumulated `ConstValue`s over and over.
     let num_consts = block_list
         .iter()
         .flat_map(|&b| unit.insts_slice(b))
@@ -775,11 +775,11 @@ pub fn compile_unit_with(
     // the generic ops (they never touch signals and are cold next to the
     // activation loop). Of the rest, only *re-executing* bodies are worth
     // lowering: entities (activated on every sensitivity hit) and
-    // processes whose CFG has a back edge. A loop-free process — e.g. a
-    // testbench `initial` block that a frontend unrolled into thousands
-    // of straight-line ops — runs every op at most once, so specializing
-    // it can never repay the per-op lowering cost it would add to
-    // `compile_design`.
+    // processes whose CFG has a back edge (a frontend's counted testbench
+    // loop included). A loop-free process — e.g. an `initial` block that
+    // is one straight line of stimulus — runs every op at most once, so
+    // specializing it can never repay the per-op lowering cost it would
+    // add to `compile_design`.
     if options.specialize && compiled.kind != UnitKind::Function && compiled.reexecutes() {
         compiled.lowered = Some(crate::superop::lower_unit(
             &compiled,

@@ -101,8 +101,8 @@ pub fn register() {
 ///     }",
 /// )
 /// .unwrap();
-/// // Engine selection defaults to Auto: small modules run on the
-/// // interpreter, large ones on the registered blaze backend.
+/// // Engine selection defaults to Auto, which compiles on the
+/// // registered blaze backend.
 /// let result = llhd_blaze::session(&module, "pulse")
 ///     .until_nanos(10)
 ///     .build()

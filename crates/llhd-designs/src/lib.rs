@@ -39,6 +39,15 @@ pub enum Frontend {
     Assembly,
 }
 
+/// The clock cycles a Moore testbench runs as written in its source.
+pub const TESTBENCH_CYCLES: u64 = 200;
+
+/// The loop header of a Moore testbench running `cycles` clock cycles;
+/// every Moore source holds the one for [`TESTBENCH_CYCLES`] exactly once.
+fn testbench_repeat(cycles: u64) -> String {
+    format!("repeat ({})", cycles)
+}
+
 /// One benchmark design plus its testbench.
 #[derive(Clone, Debug)]
 pub struct Design {
@@ -63,15 +72,33 @@ pub struct Design {
 }
 
 impl Design {
-    /// Build the Behavioural LLHD module for this design.
+    /// Build the Behavioural LLHD module for this design, with the
+    /// testbench running [`TESTBENCH_CYCLES`] clock cycles.
     ///
     /// # Errors
     ///
     /// Returns an error string if the frontend or the assembler rejects the
     /// source (which would indicate a bug in this crate).
     pub fn build(&self) -> Result<Module, String> {
+        self.build_for(TESTBENCH_CYCLES)
+    }
+
+    /// Build the module with a testbench that runs `cycles` clock cycles:
+    /// the `repeat` count of a Moore testbench is substituted in the source
+    /// text. The hand-written Assembly testbenches free-run and ignore it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Design::build`].
+    pub fn build_for(&self, cycles: u64) -> Result<Module, String> {
         match self.frontend {
-            Frontend::Moore => moore::compile(self.sv_source).map_err(|e| e.to_string()),
+            Frontend::Moore => {
+                let source = self.sv_source.replace(
+                    &testbench_repeat(TESTBENCH_CYCLES),
+                    &testbench_repeat(cycles),
+                );
+                moore::compile(&source).map_err(|e| e.to_string())
+            }
             Frontend::Assembly => parse_module(self.llhd_source).map_err(|e| e.to_string()),
         }
     }
@@ -185,6 +212,82 @@ mod tests {
                 "{}: traces diverge",
                 design.name
             );
+        }
+    }
+
+    fn module_insts(module: &Module) -> usize {
+        module
+            .units()
+            .into_iter()
+            .map(|id| module.unit(id).num_total_insts())
+            .sum()
+    }
+
+    /// Size pin: a testbench loop is a loop. An unrolled `repeat (200)`
+    /// would put every one of these in the thousands.
+    #[test]
+    fn moore_designs_stay_small() {
+        for design in all_designs() {
+            if design.frontend != Frontend::Moore {
+                continue;
+            }
+            let insts = module_insts(&design.build().unwrap());
+            assert!(insts < 400, "{}: {} instructions", design.name, insts);
+            // The cycle count is data, not code.
+            assert_eq!(insts, module_insts(&design.build_for(1_000_000).unwrap()));
+        }
+    }
+
+    #[test]
+    fn build_for_sets_the_testbench_length() {
+        for design in all_designs() {
+            let changes = |cycles: u64| {
+                let module = design.build_for(cycles).unwrap();
+                let config = SimConfig::until_nanos(design.sim_time_ns(400)).without_trace();
+                run(&module, design.top, &config, EngineKind::Compile).signal_changes
+            };
+            match design.frontend {
+                Frontend::Moore => {
+                    let header = testbench_repeat(TESTBENCH_CYCLES);
+                    assert_eq!(design.sv_source.matches(&header).count(), 1);
+                    assert!(changes(300) > changes(TESTBENCH_CYCLES), "{}", design.name);
+                    // Also pins that compiling one source twice gives
+                    // one text (design keys hash the module's content).
+                    let default = design.build().unwrap();
+                    let explicit = design.build_for(TESTBENCH_CYCLES).unwrap();
+                    assert_eq!(
+                        llhd::assembly::write_module(&default),
+                        llhd::assembly::write_module(&explicit)
+                    );
+                }
+                Frontend::Assembly => assert_eq!(changes(300), changes(TESTBENCH_CYCLES)),
+            }
+        }
+    }
+
+    /// The paper's Table 2 runs 1 M–12.6 M cycles per design; a looped
+    /// testbench reaches that. Release-weight, so `ci.sh` runs it.
+    #[test]
+    #[ignore]
+    fn million_cycle_runs_agree_across_engines() {
+        let cycles = 1_000_000;
+        for design in all_designs() {
+            let module = design.build_for(cycles).unwrap();
+            let config = SimConfig::until_nanos(design.sim_time_ns(cycles)).without_trace();
+            let reference = run(&module, design.top, &config, EngineKind::Interpret);
+            let blaze = run(&module, design.top, &config, EngineKind::Compile);
+            assert!(
+                reference.signal_changes as u64 > cycles,
+                "{}: stopped early with {} changes",
+                design.name,
+                reference.signal_changes
+            );
+            assert_eq!(
+                reference.signal_changes, blaze.signal_changes,
+                "{}",
+                design.name
+            );
+            assert_eq!(reference.end_time, blaze.end_time, "{}", design.name);
         }
     }
 

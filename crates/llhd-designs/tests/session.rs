@@ -311,15 +311,29 @@ fn eviction_mid_batch_leaves_traces_unchanged() {
     }
 }
 
-/// `EngineKind::Auto` picks the compiled engine for real (large) designs
-/// once the backend is registered, and reports the resolved kind.
+/// `EngineKind::Auto` picks the compiled engine whenever the backend is
+/// registered, whatever the module's size, and reports the resolved kind.
 #[test]
-fn auto_engine_resolves_by_design_size() {
+fn auto_engine_compiles_whenever_a_backend_is_registered() {
     llhd_blaze::register();
     let module = accumulator_example().unwrap();
     let session = SimSession::builder(&module, "acc_tb").build().unwrap();
     assert_eq!(session.engine_kind(), EngineKind::Compile);
     assert_eq!(session.engine_name(), "blaze");
+    // Four instructions: the size rule this replaced sent it to the
+    // interpreter.
+    let tiny = llhd::assembly::parse_module(
+        "proc @pulse () -> (i1$ %q) {
+        entry:
+            %on = const i1 1
+            %t = const time 2ns
+            drv i1$ %q, %on after %t
+            halt
+        }",
+    )
+    .unwrap();
+    let session = SimSession::builder(&tiny, "pulse").build().unwrap();
+    assert_eq!(session.engine_kind(), EngineKind::Compile);
 }
 
 /// `Auto` promises a working selection: when the backend rejects the
@@ -329,11 +343,9 @@ fn auto_engine_resolves_by_design_size() {
 #[test]
 fn auto_falls_back_to_interpreter_when_compile_rejects() {
     llhd_blaze::register();
-    // A large-enough blinker (clears the Auto size threshold) plus an
-    // unrelated function containing a phi, which blaze refuses to compile
-    // even though nothing instantiates it.
-    let mut src = String::from(
-        r#"
+    // A blinker plus an unrelated function containing a phi, which blaze
+    // refuses to compile even though nothing instantiates it.
+    let src = r#"
         func @phi_having (i1 %c) i8 {
         entry:
             br %c, %a, %b
@@ -352,22 +364,14 @@ fn auto_falls_back_to_interpreter_when_compile_rejects() {
             %on = const i1 1
             %off = const i1 0
             %delay = const time 5ns
-        "#,
-    );
-    for i in 0..120 {
-        src.push_str(&format!("    %pad{} = const i8 {}\n", i, i % 100));
-    }
-    src.push_str(
-        r#"
             drv i1$ %led, %on after %delay
             wait %next for %delay
         next:
             drv i1$ %led, %off after %delay
             wait %entry for %delay
         }
-        "#,
-    );
-    let module = llhd::assembly::parse_module(&src).unwrap();
+        "#;
+    let module = llhd::assembly::parse_module(src).unwrap();
     let session = SimSession::builder(&module, "blink")
         .until_nanos(50)
         .build()

@@ -29,7 +29,12 @@
 //!   physical instant, exercising the scheduler's documented
 //!   last-writer-wins resolution;
 //! * **nested instantiation** — a cluster's datapath is optionally wrapped
-//!   in an inner entity, so hierarchy flattening gets fuzzed too.
+//!   in an inner entity, so hierarchy flattening gets fuzzed too;
+//! * **counted testbench loops** — a cluster's stimulus is either a
+//!   free-running wait loop or the shape the Moore frontend emits for
+//!   `repeat (n)`: a `var` counter, `ld`, `ult` against the count, a
+//!   conditional branch, the `wait … for` inside the body, a back edge,
+//!   optionally nested, and a `halt` once the count runs out.
 
 use crate::rng::FuzzRng;
 use llhd::ir::Module;
@@ -82,6 +87,17 @@ pub enum UnitPlan {
     Pipe { taps: usize, weights: Vec<u64> },
 }
 
+/// How a cluster's stimulus process loops.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum StimPlan {
+    /// One unconditional `wait` loop, free-running.
+    Free,
+    /// A counted loop of `outer` iterations, each either one clock cycle
+    /// or an inner counted loop of `inner` cycles, then `halt`. The counts
+    /// straddle the run horizon: some stimuli halt mid-run, some are cut.
+    Counted { outer: u64, inner: Option<u64> },
+}
+
 /// One independent cluster: a stimulus process, optional racer processes
 /// on the shared `race` signal, and a chain of datapath units. Clusters
 /// share nothing, so each is one sensitivity island.
@@ -97,6 +113,8 @@ pub struct ClusterPlan {
     pub clock_half_ns: u64,
     /// The stimulus counter increment.
     pub stim_inc: u64,
+    /// The stimulus process's loop shape.
+    pub stim: StimPlan,
     /// Counter decrements of the extra same-timestamp racers (0..=2).
     pub racers: Vec<u64>,
     /// Wrap the datapath units in an inner entity (nested instantiation).
@@ -177,9 +195,22 @@ impl ClusterPlan {
             width,
             clock_half_ns: rng.range(1, 3),
             stim_inc: rng.range(1, 250),
+            stim: StimPlan::generate(rng),
             racers: (0..rng.range_usize(0, 2)).map(|_| rng.range(1, 250)).collect(),
             nested: rng.chance(40),
             units,
+        }
+    }
+}
+
+impl StimPlan {
+    fn generate(rng: &mut FuzzRng) -> StimPlan {
+        if rng.chance(50) {
+            return StimPlan::Free;
+        }
+        StimPlan::Counted {
+            outer: rng.range(0, 8),
+            inner: rng.chance(40).then(|| rng.range(0, 6)),
         }
     }
 }
@@ -239,9 +270,9 @@ fn emit_design(plan: &DesignPlan) -> FuzzDesign {
 /// optional wrapper entity.
 fn emit_cluster_units(src: &mut String, c: &ClusterPlan) {
     let (id, w) = (c.id, c.width);
-    // Stimulus: a free-running clock, a counter on link 0, and the first
-    // drive of the race signal — all landing in the same instants the
-    // racers target.
+    // Stimulus: a clock (free-running or counted, per `c.stim`), a
+    // counter on link 0, and the first drive of the race signal — all
+    // landing in the same instants the racers target.
     writeln!(src, "proc @c{id}_stim () -> (i1$ %clk, i{w}$ %l0, i{w}$ %race) {{").unwrap();
     writeln!(src, "entry:").unwrap();
     writeln!(src, "    %one = const i1 1").unwrap();
@@ -251,16 +282,57 @@ fn emit_cluster_units(src: &mut String, c: &ClusterPlan) {
     writeln!(src, "    %zw = const i{w} 0").unwrap();
     writeln!(src, "    %inc = const i{w} {}", c.stim_inc).unwrap();
     writeln!(src, "    %i = var i{w} %zw").unwrap();
-    writeln!(src, "    br %loop").unwrap();
-    writeln!(src, "loop:").unwrap();
-    writeln!(src, "    %ip = ld i{w}* %i").unwrap();
-    writeln!(src, "    %next = add i{w} %ip, %inc").unwrap();
-    writeln!(src, "    st i{w}* %i, %next").unwrap();
-    writeln!(src, "    drv i{w}$ %l0, %next after %d1").unwrap();
-    writeln!(src, "    drv i{w}$ %race, %next after %d1").unwrap();
-    writeln!(src, "    drv i1$ %clk, %one after %d1").unwrap();
-    writeln!(src, "    drv i1$ %clk, %zero after %d2").unwrap();
-    writeln!(src, "    wait %loop for %d2").unwrap();
+    // The clock cycle every loop shape wraps; `back` is where the wait
+    // resumes.
+    let cycle = |src: &mut String, back: &str| {
+        writeln!(src, "    %ip = ld i{w}* %i").unwrap();
+        writeln!(src, "    %next = add i{w} %ip, %inc").unwrap();
+        writeln!(src, "    st i{w}* %i, %next").unwrap();
+        writeln!(src, "    drv i{w}$ %l0, %next after %d1").unwrap();
+        writeln!(src, "    drv i{w}$ %race, %next after %d1").unwrap();
+        writeln!(src, "    drv i1$ %clk, %one after %d1").unwrap();
+        writeln!(src, "    drv i1$ %clk, %zero after %d2").unwrap();
+        writeln!(src, "    wait %{back} for %d2").unwrap();
+    };
+    // A loop head as the Moore frontend emits it: the counter's `var` in
+    // the preheader, then `ld`, `ult` against the count, exit-or-body, and
+    // the increment stored first thing in the body.
+    let head = |src: &mut String, p: &str, count: u64, exit: &str| {
+        writeln!(src, "    %{p}c = var i64 %c0").unwrap();
+        writeln!(src, "    br %{p}head").unwrap();
+        writeln!(src, "{p}head:").unwrap();
+        writeln!(src, "    %{p}v = ld i64* %{p}c").unwrap();
+        writeln!(src, "    %{p}n = const i64 {count}").unwrap();
+        writeln!(src, "    %{p}more = ult i64 %{p}v, %{p}n").unwrap();
+        writeln!(src, "    br %{p}more, %{exit}, %{p}body").unwrap();
+        writeln!(src, "{p}body:").unwrap();
+        writeln!(src, "    %{p}next = add i64 %{p}v, %c1").unwrap();
+        writeln!(src, "    st i64* %{p}c, %{p}next").unwrap();
+    };
+    match c.stim {
+        StimPlan::Free => {
+            writeln!(src, "    br %loop").unwrap();
+            writeln!(src, "loop:").unwrap();
+            cycle(src, "loop");
+        }
+        StimPlan::Counted { outer, inner } => {
+            writeln!(src, "    %c0 = const i64 0").unwrap();
+            writeln!(src, "    %c1 = const i64 1").unwrap();
+            head(src, "o", outer, "done");
+            if let Some(inner) = inner {
+                head(src, "i", inner, "oback");
+                cycle(src, "iback");
+                writeln!(src, "iback:").unwrap();
+                writeln!(src, "    br %ihead").unwrap();
+            } else {
+                cycle(src, "oback");
+            }
+            writeln!(src, "oback:").unwrap();
+            writeln!(src, "    br %ohead").unwrap();
+            writeln!(src, "done:").unwrap();
+            writeln!(src, "    halt").unwrap();
+        }
+    }
     writeln!(src, "}}").unwrap();
     writeln!(src).unwrap();
     // Racers: same cadence, same delay — their drives land in the same
@@ -512,8 +584,17 @@ mod tests {
     /// times over.
     #[test]
     fn every_seed_builds_verifies_and_elaborates() {
+        // Stimulus shapes seen: free-running, counted, nested counted.
+        let mut shapes = [0usize; 3];
         for seed in 0..256u64 {
             let plan = DesignPlan::generate(seed);
+            for c in &plan.clusters {
+                shapes[match c.stim {
+                    StimPlan::Free => 0,
+                    StimPlan::Counted { inner: None, .. } => 1,
+                    StimPlan::Counted { inner: Some(_), .. } => 2,
+                }] += 1;
+            }
             let (design, module) = plan
                 .build()
                 .unwrap_or_else(|e| panic!("seed {seed}: emitted source rejected: {e}"));
@@ -538,6 +619,46 @@ mod tests {
                 plan_islands,
                 design.min_islands
             );
+        }
+        assert!(
+            shapes.iter().all(|&n| n >= 32),
+            "stimulus shapes {shapes:?}"
+        );
+    }
+
+    /// A counted stimulus runs outer × inner clock cycles, then halts, on
+    /// both engines.
+    #[test]
+    fn counted_stimulus_runs_its_count_then_halts() {
+        let mut plan = DesignPlan::generate(0);
+        plan.clusters.truncate(1);
+        let clk = format!("c{}_clk", plan.clusters[0].id);
+        for (outer, inner, cycles) in [
+            (3, None, 3),
+            (3, Some(2), 6),
+            (0, Some(5), 0),
+            (2, Some(0), 0),
+            (1, Some(1), 1),
+        ] {
+            plan.clusters[0].stim = StimPlan::Counted { outer, inner };
+            let (design, module) = plan.build().unwrap();
+            for engine in [
+                llhd_sim::EngineKind::Interpret,
+                llhd_sim::EngineKind::Compile,
+            ] {
+                let result = llhd_blaze::session(&module, &design.top)
+                    .engine(engine)
+                    .until_nanos(design.until_ns)
+                    .build()
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    result.trace.changes_of(&clk).count(),
+                    2 * cycles,
+                    "{engine:?}: repeat ({outer}) of {inner:?}"
+                );
+            }
         }
     }
 

@@ -1,8 +1,8 @@
 //! Divergence minimization.
 //!
 //! Shrinking operates on the *plan*, not on the emitted text: every
-//! mutation (drop a cluster, clear the racers, un-nest, trim a unit,
-//! shorten the schedule) re-emits through the generator, so each
+//! mutation (drop a cluster, clear the racers, un-nest, flatten a counted
+//! stimulus, trim a unit, shorten the schedule) re-emits through the generator, so each
 //! candidate is a valid design by the same construction argument as the
 //! original. The caller supplies the reproduction predicate — usually
 //! "the differential matrix still diverges", but the pin workflow uses a
@@ -10,7 +10,7 @@
 //! first accepted mutation until a whole pass over all mutations yields
 //! nothing, or the attempt budget runs out.
 
-use crate::gen::{DesignPlan, UnitPlan};
+use crate::gen::{DesignPlan, StimPlan, UnitPlan};
 use crate::stim::{Schedule, StimOp};
 
 /// Bookkeeping from one shrink run.
@@ -59,6 +59,14 @@ fn plan_candidates(plan: &DesignPlan) -> Vec<DesignPlan> {
         if c.nested {
             let mut p = plan.clone();
             p.clusters[i].nested = false;
+            out.push(p);
+        }
+        if let StimPlan::Counted { outer, inner } = c.stim {
+            let mut p = plan.clone();
+            p.clusters[i].stim = match inner {
+                Some(_) => StimPlan::Counted { outer, inner: None },
+                None => StimPlan::Free,
+            };
             out.push(p);
         }
         if c.units.len() > 1 {

@@ -518,14 +518,11 @@ pub fn compile_backend() -> Option<&'static CompileBackend> {
 /// Which engine a session runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// Pick automatically: the compiled engine when a backend is
-    /// registered and the module holds at least
-    /// [`AUTO_COMPILE_MIN_INSTS`] instructions, the interpreter otherwise.
-    /// The threshold reflects the measured break-even point: ahead-of-time
-    /// compilation costs roughly a fixed amount per instruction, so on
-    /// tiny modules the interpreter finishes before blaze finishes
-    /// compiling, while on everything larger blaze's end-to-end time
-    /// (compile included) is at or below the interpreter's.
+    /// Pick automatically: the compiled engine whenever a backend is
+    /// registered, the interpreter when none is or when the backend
+    /// rejects the module. Compilation repays itself within a few
+    /// simulated cycles on every design measured (the benchmark's
+    /// `blaze.breakeven_cycles`), so module size predicts nothing.
     #[default]
     Auto,
     /// The reference interpreter (`llhd-sim`).
@@ -534,17 +531,11 @@ pub enum EngineKind {
     Compile,
 }
 
-/// Module size (total instruction count) from which [`EngineKind::Auto`]
-/// prefers the compiled engine.
-pub const AUTO_COMPILE_MIN_INSTS: usize = 120;
-
-fn module_insts(module: &Module) -> usize {
-    module
-        .units()
-        .into_iter()
-        .map(|id| module.unit(id).num_total_insts())
-        .sum()
-}
+/// Module size from which [`EngineKind::Auto`] compiles: zero, that is,
+/// every module. `Auto` itself does not read it; it is exported for
+/// callers that mirror `Auto`'s rule by hand as `insts >= this`, which at
+/// zero says what `Auto` does.
+pub const AUTO_COMPILE_MIN_INSTS: usize = 0;
 
 // ---------------------------------------------------------------------------
 // Trace sinks
@@ -1500,12 +1491,8 @@ impl<'m> SessionBuilder<'m> {
         }
         let auto = self.kind == EngineKind::Auto;
         let mut kind = match self.kind {
-            EngineKind::Auto => match compile_backend() {
-                Some(_) if module_insts(self.module) >= AUTO_COMPILE_MIN_INSTS => {
-                    EngineKind::Compile
-                }
-                _ => EngineKind::Interpret,
-            },
+            EngineKind::Auto if compile_backend().is_some() => EngineKind::Compile,
+            EngineKind::Auto => EngineKind::Interpret,
             k => k,
         };
         let key = match self.cache {

@@ -6,7 +6,7 @@ use crate::ir::{
 };
 use crate::ty::{self, Type};
 use crate::value::{parse_time, ApInt, ConstValue, LogicVector};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// An error produced while parsing LLHD assembly.
@@ -263,6 +263,8 @@ struct Parser<'a> {
 struct UnitContext {
     values: HashMap<String, Value>,
     blocks: HashMap<String, Block>,
+    /// Blocks whose label has been reached.
+    labelled: HashSet<Block>,
 }
 
 impl<'a> Parser<'a> {
@@ -441,6 +443,7 @@ impl<'a> Parser<'a> {
         let mut ctx = UnitContext {
             values: HashMap::new(),
             blocks: HashMap::new(),
+            labelled: HashSet::new(),
         };
         for (i, &name) in arg_names.iter().enumerate() {
             let value = unit.arg_value(i);
@@ -498,6 +501,11 @@ impl<'a> Parser<'a> {
                         return Err(self.error("entities may not contain block labels"));
                     }
                     let block = Self::lookup_block(&mut builder, ctx, label);
+                    // Layout follows label order: a block created at an
+                    // earlier branch to it takes its position here.
+                    if ctx.labelled.insert(block) {
+                        builder.unit_mut().move_block_to_end(block);
+                    }
                     builder.append_to(block);
                 }
                 _ => {
@@ -1073,6 +1081,45 @@ mod tests {
         let reparsed = parse_module(&printed).unwrap_or_else(|e| panic!("{}\n{}", e, printed));
         assert_eq!(write_module(&reparsed), printed);
         assert!(verify_module(&reparsed).is_ok());
+    }
+
+    #[test]
+    fn forward_referenced_blocks_keep_label_order() {
+        // The loop head names `exit` before `body`, and both before their
+        // labels: layout must follow the labels, not the mentions.
+        let src = r#"
+        proc @count () -> (i8$ %q) {
+        entry:
+            %zero = const i8 0
+            %one = const i8 1
+            %three = const i8 3
+            %t = const time 1ns
+            %i = var i8 %zero
+            br %head
+        head:
+            %iv = ld i8* %i
+            %more = ult i8 %iv, %three
+            br %more, %exit, %body
+        body:
+            %next = add i8 %iv, %one
+            st i8* %i, %next
+            drv i8$ %q, %next after %t
+            wait %head for %t
+        exit:
+            halt
+        }
+        "#;
+        let module = parse_module(src).unwrap();
+        verify_module(&module).unwrap();
+        let unit = module.unit(module.units()[0]);
+        let names: Vec<_> = unit
+            .blocks()
+            .into_iter()
+            .map(|bb| unit.block_name(bb).unwrap().to_string())
+            .collect();
+        assert_eq!(names, ["entry", "head", "body", "exit"]);
+        let printed = write_module(&module);
+        assert_eq!(write_module(&parse_module(&printed).unwrap()), printed);
     }
 
     #[test]

@@ -312,6 +312,12 @@ impl UnitData {
         bb
     }
 
+    /// Move `block` to the end of the layout order.
+    pub fn move_block_to_end(&mut self, block: Block) {
+        self.block_order.retain(|&b| b != block);
+        self.block_order.push(block);
+    }
+
     /// The blocks of the unit in layout order.
     pub fn blocks(&self) -> Vec<Block> {
         self.block_order.clone()
@@ -824,6 +830,8 @@ mod tests {
         unit.remove_block(bb1);
         assert_eq!(unit.blocks(), vec![bb0, bb2]);
         assert!(!unit.has_block(bb1));
+        unit.move_block_to_end(bb0);
+        assert_eq!(unit.blocks(), vec![bb2, bb0]);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::CompileError;
 use llhd::ir::{Module, Signature, UnitBuilder, UnitData, UnitKind, UnitName, Value};
 use llhd::ty::{int_ty, signal_ty};
 use llhd::value::{ConstValue, TimeValue};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Compile a parsed source file into an LLHD module.
 ///
@@ -337,7 +337,10 @@ fn gen_always_comb(
         }
         // Blocking semantics: fold the statements into final values per
         // written net, then drive them.
-        let mut values: HashMap<String, Value> = writes
+        // A `BTreeMap`: the merge loop in `fold_blocking` emits one mux per
+        // net in iteration order, and the output must not vary from one
+        // compile of the same source to the next.
+        let mut values: BTreeMap<String, Value> = writes
             .iter()
             .map(|n| (n.clone(), env[n].0))
             .collect();
@@ -366,73 +369,97 @@ fn gen_initial(
         let mut b = UnitBuilder::new(&mut unit);
         let entry = b.block("entry");
         b.append_to(entry);
-        // Unroll repeat loops, splitting blocks at every delay.
-        let flattened = flatten_initial(body);
-        for stmt in &flattened {
-            match stmt {
-                Stmt::Delay { delay_fs } => {
-                    if *delay_fs == 0 {
-                        continue;
-                    }
-                    let next = b.anonymous_block();
-                    let delay = b.const_time(TimeValue::from_femtos(*delay_fs));
-                    b.wait_time(next, delay, vec![]);
-                    b.append_to(next);
-                }
-                Stmt::Assign {
-                    target,
-                    value,
-                    delay_fs,
-                    ..
-                } => {
-                    let (signal, width) = *args
-                        .get(target)
-                        .ok_or_else(|| err(format!("assignment to undeclared net '{}'", target)))?;
-                    let mut env = HashMap::new();
-                    let mut read_names = vec![];
-                    value.reads(&mut read_names);
-                    for net in read_names {
-                        if let Some(&(sig, w)) = args.get(&net) {
-                            let probed = b.prb(sig);
-                            env.insert(net, (probed, w));
-                        }
-                    }
-                    let result = gen_expr(&mut b, &env, value, width)?;
-                    let delay = b.const_time(TimeValue::from_femtos(delay_fs.unwrap_or(0)));
-                    b.drv(signal, result, delay);
-                }
-                Stmt::If { .. } => {
-                    let mut env = HashMap::new();
-                    for net in reads.iter().chain(writes.iter()) {
-                        let (signal, width) = args[net];
-                        let probed = b.prb(signal);
-                        env.insert(net.clone(), (probed, width));
-                    }
-                    gen_conditional_drives(&mut b, &args, &env, std::slice::from_ref(stmt), None)?;
-                }
-                Stmt::Repeat { .. } => unreachable!("repeat loops are unrolled"),
-            }
-        }
+        let order: Vec<&String> = reads.iter().chain(writes.iter()).collect();
+        gen_initial_stmts(&mut b, &args, &order, body)?;
         b.halt();
     }
     Ok((unit, reads, writes))
 }
 
-/// Unroll `repeat` loops into a flat statement list.
-fn flatten_initial(body: &[Stmt]) -> Vec<Stmt> {
-    let mut out = vec![];
+/// Width of a `repeat` loop counter: every count the lexer accepts fits.
+const REPEAT_COUNTER_BITS: usize = 64;
+
+/// Emit the statements of an `initial` block at the builder's position,
+/// splitting blocks at every delay; `order` lists the process's nets in
+/// argument order. On return the builder appends to the block where
+/// execution continues.
+fn gen_initial_stmts(
+    b: &mut UnitBuilder,
+    args: &HashMap<String, (Value, usize)>,
+    order: &[&String],
+    body: &[Stmt],
+) -> Result<(), CompileError> {
     for stmt in body {
         match stmt {
-            Stmt::Repeat { count, body } => {
-                let inner = flatten_initial(body);
-                for _ in 0..*count {
-                    out.extend(inner.iter().cloned());
+            Stmt::Delay { delay_fs } => {
+                if *delay_fs == 0 {
+                    continue;
                 }
+                let next = b.anonymous_block();
+                let delay = b.const_time(TimeValue::from_femtos(*delay_fs));
+                b.wait_time(next, delay, vec![]);
+                b.append_to(next);
             }
-            other => out.push(other.clone()),
+            Stmt::Assign {
+                target,
+                value,
+                delay_fs,
+                ..
+            } => {
+                let (signal, width) = *args
+                    .get(target)
+                    .ok_or_else(|| err(format!("assignment to undeclared net '{}'", target)))?;
+                let mut env = HashMap::new();
+                let mut read_names = vec![];
+                value.reads(&mut read_names);
+                for net in read_names {
+                    if let Some(&(sig, w)) = args.get(&net) {
+                        let probed = b.prb(sig);
+                        env.insert(net, (probed, w));
+                    }
+                }
+                let result = gen_expr(b, &env, value, width)?;
+                let delay = b.const_time(TimeValue::from_femtos(delay_fs.unwrap_or(0)));
+                b.drv(signal, result, delay);
+            }
+            Stmt::If { .. } => {
+                let mut env = HashMap::new();
+                for &net in order {
+                    let (signal, width) = args[net];
+                    let probed = b.prb(signal);
+                    env.insert(net.clone(), (probed, width));
+                }
+                gen_conditional_drives(b, args, &env, std::slice::from_ref(stmt), None)?;
+            }
+            Stmt::Repeat { count, body } => {
+                // A counted loop: `head` tests the counter, the body (with
+                // its own delay splits and nested loops) runs between
+                // `head` and the back edge, and emission continues in the
+                // exit block. The `var` sits in the preheader, so an inner
+                // loop's counter restarts on every outer iteration.
+                let zero = b.const_int(REPEAT_COUNTER_BITS, 0);
+                let counter = b.var(zero);
+                let head = b.anonymous_block();
+                b.br(head);
+                b.append_to(head);
+                let index = b.ld(counter);
+                let limit = b.const_int(REPEAT_COUNTER_BITS, *count);
+                let more = b.ult(index, limit);
+                let first = b.anonymous_block();
+                b.append_to(first);
+                let one = b.const_int(REPEAT_COUNTER_BITS, 1);
+                let next = b.add(index, one);
+                b.st(counter, next);
+                gen_initial_stmts(b, args, order, body)?;
+                b.br(head);
+                let exit = b.anonymous_block();
+                b.append_to(head);
+                b.br_cond(more, exit, first);
+                b.append_to(exit);
+            }
         }
     }
-    out
+    Ok(())
 }
 
 /// Emit conditional drives for non-blocking assignments: each assignment
@@ -501,7 +528,7 @@ fn fold_blocking(
     b: &mut UnitBuilder,
     env: &HashMap<String, (Value, usize)>,
     body: &[Stmt],
-    values: &mut HashMap<String, Value>,
+    values: &mut BTreeMap<String, Value>,
     max_delay: &mut u128,
 ) -> Result<(), CompileError> {
     for stmt in body {
@@ -692,7 +719,9 @@ fn gen_expr_raw(
 #[cfg(test)]
 mod tests {
     use crate::compile;
+    use llhd::value::ConstValue;
     use llhd::verifier::verify_module;
+    use llhd_sim::api::EngineKind;
     use llhd_sim::{SimConfig, SimSession};
 
     /// Figure 3 of the paper: the accumulator plus its testbench, reduced to
@@ -752,6 +781,170 @@ mod tests {
         assert!(q_values.len() >= 4, "q changes: {:?}", q_values);
         for window in q_values.windows(2) {
             assert_eq!(window[1], window[0] + 1, "q must accumulate: {:?}", q_values);
+        }
+    }
+
+    /// `repeat (n) begin body end` as source text, or with `unrolled` the
+    /// body written out `n` times: the reference the loop codegen is
+    /// checked against.
+    fn repeat_sv(n: usize, body: &str, unrolled: bool) -> String {
+        if unrolled {
+            body.repeat(n)
+        } else {
+            format!("repeat ({}) begin {} end ", n, body)
+        }
+    }
+
+    /// A testbench around `stimulus(unrolled)`: an 8-bit counter `q`, a
+    /// second net `r`, and a combinational follower so the stimulus drives
+    /// something that reacts.
+    fn loop_tb(stimulus: &str) -> String {
+        format!(
+            "module tb (output [7:0] q, output [7:0] r, output [7:0] s);
+               assign s = q + r;
+               initial begin {} end
+             endmodule",
+            stimulus
+        )
+    }
+
+    type Canonical = Vec<(u128, String, ConstValue)>;
+
+    fn canonical_on(source: &str, engine: EngineKind) -> Canonical {
+        llhd_blaze::register();
+        let module = compile(source).unwrap();
+        verify_module(&module).unwrap();
+        SimSession::builder(&module, "tb")
+            .engine(engine)
+            .config(SimConfig::until_nanos(1_000))
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+            .trace
+            .canonical()
+    }
+
+    /// The looped and the source-unrolled form of one stimulus agree on
+    /// both engines; returns the trace they agree on.
+    fn looped_equals_unrolled(stimulus: impl Fn(bool) -> String) -> Canonical {
+        let looped = loop_tb(&stimulus(false));
+        let unrolled = loop_tb(&stimulus(true));
+        let reference = canonical_on(&unrolled, EngineKind::Interpret);
+        for engine in [EngineKind::Interpret, EngineKind::Compile] {
+            assert_eq!(
+                canonical_on(&looped, engine),
+                reference,
+                "{:?} diverges from the unrolled source:\n{}",
+                engine,
+                looped
+            );
+        }
+        assert_eq!(canonical_on(&unrolled, EngineKind::Compile), reference);
+        reference
+    }
+
+    fn values_of(trace: &Canonical, signal: &str) -> Vec<u64> {
+        trace
+            .iter()
+            .filter(|(_, name, _)| name.ends_with(signal))
+            .filter_map(|(_, _, value)| value.to_u64())
+            .collect()
+    }
+
+    const COUNT_UP: &str = "q <= #1ns q + 1; #2ns; ";
+
+    #[test]
+    fn repeat_is_a_loop_not_a_copy() {
+        let size = |n| {
+            let module = compile(&loop_tb(&repeat_sv(n, COUNT_UP, false))).unwrap();
+            let unit = module.unit(module.unit_by_ident("tb_initial_1").unwrap());
+            (unit.num_total_insts(), unit.blocks().len())
+        };
+        assert_eq!(size(2), size(2_000_000));
+        assert_eq!(size(2).1, 5, "entry, head, body, after-delay, exit");
+    }
+
+    #[test]
+    fn repeat_zero_skips_the_body() {
+        let trace = looped_equals_unrolled(|u| {
+            format!(
+                "r <= #1ns 5; {} q <= #1ns 7;",
+                repeat_sv(0, "q <= #1ns 9; #2ns; ", u)
+            )
+        });
+        assert_eq!(values_of(&trace, "q"), [7]);
+        assert_eq!(values_of(&trace, "r"), [5]);
+    }
+
+    #[test]
+    fn repeat_one_runs_the_body_once() {
+        let trace = looped_equals_unrolled(|u| repeat_sv(1, COUNT_UP, u));
+        assert_eq!(values_of(&trace, "q"), [1]);
+    }
+
+    #[test]
+    fn nested_repeat_restarts_the_inner_counter() {
+        let trace = looped_equals_unrolled(|u| {
+            let inner = repeat_sv(4, COUNT_UP, u);
+            repeat_sv(3, &format!("r <= #1ns r + 1; {} #1ns; ", inner), u)
+        });
+        assert_eq!(values_of(&trace, "q"), (1..=12).collect::<Vec<u64>>());
+        assert_eq!(values_of(&trace, "r"), [1, 2, 3]);
+    }
+
+    #[test]
+    fn repeat_without_a_delay_runs_in_one_instant() {
+        // Every iteration probes q before any drive lands: q ends at 1.
+        let trace = looped_equals_unrolled(|u| repeat_sv(5, "q <= #1ns q + 1; ", u));
+        assert_eq!(values_of(&trace, "q"), [1]);
+    }
+
+    #[test]
+    fn statements_around_a_repeat_run_before_and_after_it() {
+        let trace = looped_equals_unrolled(|u| {
+            format!(
+                "q <= #1ns 100; #2ns; {} r <= #1ns q; #2ns; q <= #1ns 0;",
+                repeat_sv(3, COUNT_UP, u)
+            )
+        });
+        assert_eq!(values_of(&trace, "q"), [100, 101, 102, 103, 0]);
+        assert_eq!(values_of(&trace, "r"), [103]);
+    }
+
+    #[test]
+    fn if_inside_a_repeat_sees_each_iteration() {
+        let trace = looped_equals_unrolled(|u| {
+            repeat_sv(6, &format!("if (q[0]) r <= #1ns r + 1; {}", COUNT_UP), u)
+        });
+        assert_eq!(values_of(&trace, "q"), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(values_of(&trace, "r"), [1, 2, 3]);
+    }
+
+    /// `repeat (n) body` ≡ `body` written out `n` times in the source, over
+    /// a grid of counts, bodies and nestings.
+    #[test]
+    fn repeat_equals_the_unrolled_source() {
+        let bodies = [
+            COUNT_UP,
+            "q <= #1ns q + 3; r <= #2ns q ^ r; #3ns; ",
+            "q <= #1ns q + 1; #1ns; r <= #1ns s; #1ns; ",
+            "if (q[1]) r <= #1ns r + q; else r <= #1ns r + 1; q <= #1ns q + 1; #2ns; ",
+            "q <= #1ns q + 1; ",
+        ];
+        for outer in [0, 1, 2, 7] {
+            for inner in [0, 1, 3] {
+                for (i, body) in bodies.iter().enumerate() {
+                    let tail = bodies[(i + 1) % bodies.len()];
+                    looped_equals_unrolled(|u| {
+                        let nested = format!("{} {}", body, repeat_sv(inner, tail, u));
+                        format!(
+                            "r <= #1ns 2; #1ns; {} q <= #1ns s;",
+                            repeat_sv(outer, &nested, u)
+                        )
+                    });
+                }
+            }
         }
     }
 

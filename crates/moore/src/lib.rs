@@ -11,7 +11,10 @@
 //! * `always_ff @(posedge clk)` blocks with non-blocking assignments and
 //!   `if`/`else`,
 //! * `always_comb` blocks with blocking assignments and `if`/`else`,
-//! * `initial` blocks with delays (`#5ns`) and assignments (testbenches),
+//! * `initial` blocks with delays (`#5ns`), assignments and `repeat (n)`
+//!   loops (testbenches); a `repeat` becomes a counted loop in the process's
+//!   CFG, nested for nested loops, so the output's size does not depend on
+//!   the count,
 //! * module instantiation with named or positional connections,
 //! * the usual expression operators, literals (`8'hff`, `'b1010`, decimal),
 //!   and the conditional operator.
