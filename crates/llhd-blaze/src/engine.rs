@@ -11,18 +11,21 @@
 
 use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic, Op};
 use crate::superop::{eval_bin, Delay, SpecializedCode, SuperOp};
+use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::{
     eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice, eval_mux,
     eval_pure, eval_unary,
 };
-use llhd::bitcode::{decode_const_value, encode_const_value, read_varint, write_varint};
-use llhd::ir::{Opcode, RegMode, UnitId, UnitKind};
+use llhd::ir::{Opcode, UnitId, UnitKind};
 use llhd::value::{ConstValue, TimeValue};
-use llhd_sim::api::EngineState;
 use llhd_sim::design::{InstanceKind, SignalId};
-use llhd_sim::engine::{PARALLEL_MIN_BATCH, PARALLEL_MIN_ISLAND_OPS};
-use llhd_sim::sched::{run_instant_parallel, CoreSink, SchedCore};
-use llhd_sim::{SimConfig, SimError, SimResult, Trace};
+use llhd_sim::driver::{
+    call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
+    Scratch, MAX_CALL_DEPTH,
+};
+use llhd_sim::sched::{read_byte, read_const, read_usize, CoreSink, SchedCore};
+use llhd_sim::{ElaboratedDesign, IslandPlan, SimConfig, SimError};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 enum Status {
@@ -31,7 +34,8 @@ enum Status {
     Halted,
 }
 
-struct InstanceState {
+/// Dense execution state of one unit instance under the compiled engine.
+pub struct InstanceState {
     status: Status,
     regs: Vec<ConstValue>,
     mems: Vec<ConstValue>,
@@ -51,68 +55,72 @@ struct InstanceState {
     code: Option<Arc<SpecializedCode>>,
 }
 
-/// The immutable context an activation executes against: the compiled
-/// design plus the step limit. Shared read-only across the parallel
-/// instant loop's worker threads.
-struct ExecCx<'c> {
-    compiled: &'c CompiledDesign,
+/// The compiled engine as an [`Executor`]: the compiled design plus the
+/// step limit. Shared read-only across the parallel instant loop's
+/// worker threads.
+pub struct BlazeExec {
+    compiled: Arc<CompiledDesign>,
     max_steps: usize,
 }
 
-/// Per-worker mutable scratch: reusable hot-path buffers plus the run
-/// counters an activation may bump. Parallel instants give every worker
-/// its own, and folding is an order-independent sum, so counter totals
-/// match the serial loop exactly.
-#[derive(Default)]
-struct Scratch {
-    /// Reusable wait-list buffer, so suspending performs no allocation.
-    observed: Vec<SignalId>,
-    /// Reusable argument buffer for pure-op evaluation, so the per-op
-    /// hot path performs no allocation.
-    args: Vec<ConstValue>,
-    activations: usize,
-    assertions_checked: usize,
-    assertion_failures: usize,
-}
-
-/// The accelerated simulator.
-pub struct BlazeSimulator {
-    compiled: Arc<CompiledDesign>,
-    config: SimConfig,
-    core: SchedCore,
-    states: Vec<InstanceState>,
-    assertions_checked: usize,
-    assertion_failures: usize,
-    activations: usize,
-    scratch: Scratch,
-    initialized: bool,
-    /// A failure during initialization or a step poisons the simulator:
-    /// the instances after the failing one never ran, so continuing would
-    /// silently produce a wrong trace. Replayed by every later
-    /// `initialize`/`step`.
-    poisoned: Option<SimError>,
-    to_run_buf: Vec<u32>,
-    /// Whether the design + config make island-parallel instants
-    /// worthwhile at all, decided once at construction.
-    parallel_ready: bool,
-    /// Set when restoring a version-1 checkpoint (predates island
-    /// plans): the engine then runs serial for the rest of its life so
-    /// the resumed run replays the path the checkpoint was taken on.
-    force_serial: bool,
-}
+/// The accelerated simulator: the shared [`Driver`] run loop (reached
+/// through `Deref`) over the [`BlazeExec`] executor.
+pub struct BlazeSimulator(Driver<BlazeExec>);
 
 impl BlazeSimulator {
     /// Create a simulator for a compiled design. The design is shared
     /// (`Arc`), so repeated simulations served from a design cache reuse
     /// one compilation; a plain [`CompiledDesign`] converts implicitly.
     pub fn new(compiled: impl Into<Arc<CompiledDesign>>, config: SimConfig) -> Self {
-        let compiled = compiled.into();
-        let mut core = SchedCore::new(
-            &config,
-            &compiled.design.signals,
-            compiled.instances.len(),
-            compiled.allow_drive_drop,
-        );
+        let exec = BlazeExec {
+            compiled: compiled.into(),
+            max_steps: config.max_steps_per_activation,
+        };
+        BlazeSimulator(Driver::with_executor(exec, config))
+    }
+
+    /// Unwrap the driver, e.g. to box it as a
+    /// [`dyn Engine`](llhd_sim::api::Engine).
+    pub fn into_driver(self) -> Driver<BlazeExec> {
+        self.0
+    }
+}
+
+impl Deref for BlazeSimulator {
+    type Target = Driver<BlazeExec>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for BlazeSimulator {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Executor for BlazeExec {
+    const NAME: &'static str = "blaze";
+    type State = InstanceState;
+
+    fn design(&self) -> &ElaboratedDesign {
+        &self.compiled.design
+    }
+
+    fn allow_drive_drop(&self) -> bool {
+        self.compiled.allow_drive_drop
+    }
+
+    fn island_plan(&self) -> &IslandPlan {
+        &self.compiled.island_plan
+    }
+
+    fn islands_enabled(&self) -> bool {
+        self.compiled.options.islands
+    }
+
+    fn build_states(&self, core: &mut SchedCore) -> Vec<InstanceState> {
+        let compiled = &*self.compiled;
         let mut states = Vec::with_capacity(compiled.instances.len());
         for (idx, instance) in compiled.instances.iter().enumerate() {
             let unit = Arc::clone(&compiled.units[&instance.unit]);
@@ -123,19 +131,9 @@ impl BlazeSimulator {
                 (Some(_), Some(lowered)) => lowered.init_regs.clone(),
                 _ => unit.new_regs(),
             };
-            states.push(InstanceState {
-                status: Status::Ready,
-                regs,
-                mems: vec![ConstValue::Void; unit.num_mems],
-                states: vec![None; unit.num_states],
-                unit,
-                signal_table: instance.signal_table.clone(),
-                code: instance.code.clone(),
-            });
             if instance.kind == InstanceKind::Entity {
                 // Static sensitivity: every probed or delayed signal slot
                 // (the table is pre-resolved at compile time).
-                let unit = &states[idx].unit;
                 for op in &unit.ops {
                     let slot = match op {
                         Op::Prb { sig, .. } => Some(*sig),
@@ -147,405 +145,98 @@ impl BlazeSimulator {
                     }
                 }
             }
+            states.push(InstanceState {
+                status: Status::Ready,
+                regs,
+                mems: vec![ConstValue::Void; unit.num_mems],
+                states: vec![None; unit.num_states],
+                unit,
+                signal_table: instance.signal_table.clone(),
+                code: instance.code.clone(),
+            });
         }
-        let parallel_ready = config.threads > 1
-            && compiled.options.islands
-            && compiled.island_plan.parallel_worthy(PARALLEL_MIN_ISLAND_OPS);
-        BlazeSimulator {
-            compiled,
-            config,
-            core,
-            states,
-            assertions_checked: 0,
-            assertion_failures: 0,
-            activations: 0,
-            scratch: Scratch::default(),
-            initialized: false,
-            poisoned: None,
-            to_run_buf: Vec::new(),
-            parallel_ready,
-            force_serial: false,
-        }
+        states
     }
 
-    /// Run the initialization phase: every instance executes once.
-    /// Idempotent — later calls are no-ops, and [`BlazeSimulator::step`]
-    /// calls it automatically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on unsupported constructs.
-    pub fn initialize(&mut self) -> Result<(), SimError> {
-        if self.initialized {
-            return match &self.poisoned {
-                None => Ok(()),
-                Some(e) => Err(e.clone()),
-            };
+    fn activate<S: CoreSink>(
+        &self,
+        st: &mut InstanceState,
+        scr: &mut Scratch,
+        idx: usize,
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        run_instance(self, st, scr, idx, sink)
+    }
+
+    fn is_halted(st: &InstanceState) -> bool {
+        matches!(st.status, Status::Halted)
+    }
+
+    /// Control state, register file, memory cells, `reg` histories.
+    fn encode_state(&self, st: &InstanceState, out: &mut Vec<u8>) {
+        match &st.status {
+            Status::Ready => out.push(0),
+            Status::Suspended { resume } => {
+                out.push(1);
+                write_varint(out, *resume as u128);
+            }
+            Status::Halted => out.push(2),
         }
-        self.initialized = true;
-        let mut result = Ok(());
-        {
-            let cx = ExecCx {
-                compiled: &self.compiled,
-                max_steps: self.config.max_steps_per_activation,
-            };
-            for idx in 0..cx.compiled.instances.len() {
-                if let Err(e) = run_instance(
-                    &cx,
-                    &mut self.states[idx],
-                    &mut self.scratch,
-                    idx,
-                    &mut self.core,
-                ) {
-                    result = Err(e);
-                    break;
-                }
+        for cells in [&st.regs, &st.mems] {
+            write_varint(out, cells.len() as u128);
+            for cell in cells {
+                encode_const_value(out, cell);
             }
         }
-        self.fold_scratch();
-        if let Err(e) = &result {
-            self.poisoned = Some(e.clone());
-        }
-        result
+        encode_reg_history(out, &st.states);
     }
 
-    /// Fold the per-step [`Scratch`] counters into the run totals. Called
-    /// on every exit path of `initialize`/`step` (including errors) so
-    /// the totals stay exact.
-    fn fold_scratch(&mut self) {
-        self.activations += self.scratch.activations;
-        self.assertions_checked += self.scratch.assertions_checked;
-        self.assertion_failures += self.scratch.assertion_failures;
-        self.scratch.activations = 0;
-        self.scratch.assertions_checked = 0;
-        self.scratch.assertion_failures = 0;
-    }
-
-    /// Activate one instant's woken instances: the serial loop, or — when
-    /// the design partitions into islands and the batch is large enough —
-    /// the island-parallel loop. Both produce byte-identical core state
-    /// (see [`llhd_sim::sched::run_instant_parallel`]).
-    fn run_activations(&mut self, to_run: &[u32]) -> Result<(), SimError> {
-        let cx = ExecCx {
-            compiled: &self.compiled,
-            max_steps: self.config.max_steps_per_activation,
-        };
-        if self.parallel_ready && !self.force_serial && to_run.len() >= PARALLEL_MIN_BATCH {
-            let parallel = run_instant_parallel(
-                &mut self.core,
-                to_run,
-                &mut self.states,
-                cx.compiled.island_plan.island_of_instances(),
-                self.config.threads,
-                Scratch::default,
-                |st, scr, inst, sink| run_instance(&cx, st, scr, inst as usize, sink),
-            );
-            if let Some(outcome) = parallel {
-                for scr in outcome.scratches {
-                    self.scratch.activations += scr.activations;
-                    self.scratch.assertions_checked += scr.assertions_checked;
-                    self.scratch.assertion_failures += scr.assertion_failures;
-                }
-                self.fold_scratch();
-                return outcome.result;
-            }
-        }
-        let mut result = Ok(());
-        for &inst in to_run {
-            let idx = inst as usize;
-            if let Err(e) = run_instance(
-                &cx,
-                &mut self.states[idx],
-                &mut self.scratch,
-                idx,
-                &mut self.core,
-            ) {
-                result = Err(e);
-                break;
-            }
-        }
-        self.fold_scratch();
-        result
-    }
-
-    /// Advance the simulation by exactly one scheduler cycle. Returns
-    /// `false` once the event queue is exhausted or the configured end
-    /// time is reached. Stepping is deterministic: a run advanced in
-    /// arbitrary chunks produces the identical trace to an uninterrupted
-    /// [`BlazeSimulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on unsupported constructs or runaway
-    /// delta cycles.
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        self.initialize()?;
-        if self.config.control.is_active() {
-            // Checked before the cycle starts: state is consistent, so a
-            // deadline abort leaves the engine resumable (no poisoning).
-            self.config.control.check()?;
-        }
-        let mut to_run = std::mem::take(&mut self.to_run_buf);
-        let mut outcome = self.core.next_cycle(&mut to_run);
-        if let Ok(true) = outcome {
-            // `to_run` is detached from `self` here, so iterating it while
-            // activating instances borrows cleanly.
-            if let Err(e) = self.run_activations(&to_run) {
-                outcome = Err(e);
-            }
-        }
-        self.to_run_buf = to_run;
-        if let Err(e) = &outcome {
-            // A failed cycle leaves half-applied state (the remaining
-            // instances of the instant never ran); poison the simulator
-            // so later steps replay the error instead of silently
-            // diverging.
-            self.poisoned = Some(e.clone());
-        }
-        outcome
-    }
-
-    /// Assemble the result of the run so far, taking the recorded trace
-    /// out of the scheduler core. After a failed `initialize`/`step` the
-    /// state is half-applied (the failing cycle never completed); the
-    /// session layer refuses to assemble a result in that case, and
-    /// callers driving the engine directly should do the same.
-    pub fn finish(&mut self) -> SimResult {
-        let halted = self
-            .states
-            .iter()
-            .filter(|s| matches!(s.status, Status::Halted))
-            .count();
-        SimResult {
-            end_time: self.core.time(),
-            signal_changes: self.core.signal_changes(),
-            assertions_checked: self.assertions_checked,
-            assertion_failures: self.assertion_failures,
-            halted_processes: halted,
-            activations: self.activations,
-            trace: self.take_trace(),
-        }
-    }
-
-    /// Run the simulation to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on unsupported constructs or runaway
-    /// delta cycles.
-    pub fn run(&mut self) -> Result<SimResult, SimError> {
-        while self.step()? {}
-        Ok(self.finish())
-    }
-
-    /// The current simulation time.
-    pub fn time(&self) -> TimeValue {
-        self.core.time()
-    }
-
-    /// The elaborated design behind the compiled one.
-    pub fn design(&self) -> &llhd_sim::ElaboratedDesign {
-        &self.compiled.design
-    }
-
-    /// The current value of a signal.
-    pub fn signal_value(&self, signal: SignalId) -> &ConstValue {
-        self.core.value(self.compiled.design.resolve(signal))
-    }
-
-    /// Schedule an external drive of `signal` to `value`, taking effect at
-    /// the next delta step (the session-level "poke").
-    pub fn poke(&mut self, signal: SignalId, value: ConstValue) {
-        let signal = self.compiled.design.resolve(signal);
-        self.core.schedule_drive(signal, value, &TimeValue::ZERO);
-    }
-
-    /// Drain the trace events recorded since the last drain into `buf`
-    /// (streaming sinks pull these after every step).
-    pub fn drain_trace_into(&mut self, buf: &mut Vec<llhd_sim::trace::TraceEvent>) {
-        self.core.drain_trace_into(buf);
-    }
-
-    fn take_trace(&mut self) -> Trace {
-        self.core.take_trace()
-    }
-
-    /// Serialize the simulator's complete execution state: the shared
-    /// scheduler core plus every instance's control state, register file,
-    /// memory cells, and `reg` histories. See
-    /// [`Engine::checkpoint`](llhd_sim::api::Engine::checkpoint) for the
-    /// resume guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on a poisoned engine.
-    pub fn checkpoint(&self) -> Result<EngineState, SimError> {
-        if let Some(e) = &self.poisoned {
-            return Err(SimError::Runtime(format!(
-                "cannot checkpoint a poisoned engine: {}",
-                e
-            )));
-        }
-        let design = &self.compiled.design;
-        Ok(EngineState::encode(
-            "blaze",
-            design.num_signals(),
-            design.num_instances(),
-            self.compiled.island_plan.hash(),
-            |out| {
-                self.core.snapshot(out);
-                out.push(self.initialized as u8);
-                write_varint(out, self.assertions_checked as u128);
-                write_varint(out, self.assertion_failures as u128);
-                write_varint(out, self.activations as u128);
-                for st in &self.states {
-                    match &st.status {
-                        Status::Ready => out.push(0),
-                        Status::Suspended { resume } => {
-                            out.push(1);
-                            write_varint(out, *resume as u128);
-                        }
-                        Status::Halted => out.push(2),
-                    }
-                    write_varint(out, st.regs.len() as u128);
-                    for reg in &st.regs {
-                        encode_const_value(out, reg);
-                    }
-                    write_varint(out, st.mems.len() as u128);
-                    for mem in &st.mems {
-                        encode_const_value(out, mem);
-                    }
-                    write_varint(out, st.states.len() as u128);
-                    for prev in &st.states {
-                        match prev {
-                            Some(v) => {
-                                out.push(1);
-                                encode_const_value(out, v);
-                            }
-                            None => out.push(0),
-                        }
-                    }
-                }
-            },
-        ))
-    }
-
-    /// Restore a checkpoint taken by another blaze simulator over the
-    /// same design into this (freshly constructed) simulator. See
-    /// [`Engine::restore`](llhd_sim::api::Engine::restore).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on an engine/design mismatch or
-    /// corrupt bytes.
-    pub fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
-        fn truncated() -> SimError {
-            SimError::Runtime("truncated engine checkpoint".to_string())
-        }
-        fn read_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
-            Ok(read_varint(bytes, pos).ok_or_else(truncated)? as usize)
-        }
-        fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, SimError> {
-            let b = *bytes.get(*pos).ok_or_else(truncated)?;
-            *pos += 1;
-            Ok(b)
-        }
-        fn read_const(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, SimError> {
-            decode_const_value(bytes, pos)
-                .map_err(|e| SimError::Runtime(format!("corrupt engine checkpoint: {}", e)))
-        }
-        let design = &self.compiled.design;
-        let bytes = state.as_bytes();
-        let (mut pos, plan_hash) =
-            state.validate("blaze", design.num_signals(), design.num_instances())?;
-        match plan_hash {
-            // Version-1 checkpoints predate island partitioning: they
-            // restore fine, but the engine stays serial for the rest of
-            // its life so cross-version runs replay the proven path.
-            None => self.force_serial = true,
-            Some(h) if h != self.compiled.island_plan.hash() => {
-                return Err(SimError::Runtime(
-                    "engine checkpoint was taken with a different island plan \
-                     (design or partitioner version mismatch)"
-                        .to_string(),
-                ));
-            }
-            Some(_) => {}
-        }
-        let pos = &mut pos;
-        self.core.restore_snapshot(bytes, pos)?;
-        self.initialized = read_byte(bytes, pos)? != 0;
-        self.poisoned = None;
-        self.assertions_checked = read_usize(bytes, pos)?;
-        self.assertion_failures = read_usize(bytes, pos)?;
-        self.activations = read_usize(bytes, pos)?;
-        for st in &mut self.states {
-            st.status = match read_byte(bytes, pos)? {
-                0 => Status::Ready,
-                1 => {
-                    let resume = read_usize(bytes, pos)?;
-                    // Both dispatch modes resume at a block index;
-                    // bound-check against whichever stream this instance
-                    // executes.
-                    let limit = match &st.code {
-                        Some(code) => code.block_ranges.len(),
-                        None => st.unit.block_ranges.len(),
-                    };
-                    if resume >= limit {
-                        return Err(SimError::Runtime(
-                            "corrupt engine checkpoint: resume target out of range".to_string(),
-                        ));
-                    }
-                    Status::Suspended { resume }
-                }
-                2 => Status::Halted,
-                other => {
-                    return Err(SimError::Runtime(format!(
-                        "corrupt engine checkpoint: unknown instance status {}",
-                        other
-                    )))
-                }
-            };
-            let num_regs = read_usize(bytes, pos)?;
-            if num_regs != st.regs.len() {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: register count mismatch".to_string(),
-                ));
-            }
-            for reg in st.regs.iter_mut() {
-                *reg = read_const(bytes, pos)?;
-            }
-            let num_mems = read_usize(bytes, pos)?;
-            if num_mems != st.mems.len() {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: memory count mismatch".to_string(),
-                ));
-            }
-            for mem in st.mems.iter_mut() {
-                *mem = read_const(bytes, pos)?;
-            }
-            let num_states = read_usize(bytes, pos)?;
-            if num_states != st.states.len() {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: reg history count mismatch".to_string(),
-                ));
-            }
-            for prev in st.states.iter_mut() {
-                *prev = match read_byte(bytes, pos)? {
-                    0 => None,
-                    1 => Some(read_const(bytes, pos)?),
-                    other => {
-                        return Err(SimError::Runtime(format!(
-                            "corrupt engine checkpoint: unknown reg history tag {}",
-                            other
-                        )))
-                    }
+    fn decode_state(
+        &self,
+        st: &mut InstanceState,
+        _idx: usize,
+        bytes: &[u8],
+        pos: &mut usize,
+    ) -> Result<(), SimError> {
+        st.status = match read_byte(bytes, pos)? {
+            0 => Status::Ready,
+            1 => {
+                let resume = read_usize(bytes, pos)?;
+                // Both dispatch modes resume at a block index;
+                // bound-check against whichever stream this instance
+                // executes.
+                let limit = match &st.code {
+                    Some(code) => code.block_ranges.len(),
+                    None => st.unit.block_ranges.len(),
                 };
+                if resume >= limit {
+                    return Err(SimError::Runtime(
+                        "corrupt engine checkpoint: resume target out of range".to_string(),
+                    ));
+                }
+                Status::Suspended { resume }
+            }
+            2 => Status::Halted,
+            other => {
+                return Err(SimError::Runtime(format!(
+                    "corrupt engine checkpoint: unknown instance status {}",
+                    other
+                )))
+            }
+        };
+        for (cells, what) in [(&mut st.regs, "register"), (&mut st.mems, "memory")] {
+            if read_usize(bytes, pos)? != cells.len() {
+                return Err(SimError::Runtime(format!(
+                    "corrupt engine checkpoint: {} count mismatch",
+                    what
+                )));
+            }
+            for cell in cells.iter_mut() {
+                *cell = read_const(bytes, pos)?;
             }
         }
-        Ok(())
+        decode_reg_history(&mut st.states, bytes, pos)
     }
-
 }
 
 // ---------------------------------------------------------------------------
@@ -554,22 +245,18 @@ impl BlazeSimulator {
 //
 // The execution core is a set of free functions generic over
 // [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation, same code the old methods
-// compiled to), the island-parallel loop with a
+// [`SchedCore`] itself (direct mutation), the island-parallel loop with a
 // [`DeferredSink`](llhd_sim::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread). An activation touches
-// exactly three things: the immutable [`ExecCx`], its own instance's
-// [`InstanceState`], and a per-worker [`Scratch`] — which is what makes
-// handing each island's activations to a worker thread sound.
+// replayed in serial order on the main thread).
 
 fn run_instance<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &BlazeExec,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
     sink: &mut S,
 ) -> Result<(), SimError> {
-    scr.activations += 1;
+    scr.counters.activations += 1;
     if let Some(code) = &st.code {
         let code = Arc::clone(code);
         return run_instance_spec(cx, st, scr, idx, &code, sink);
@@ -645,21 +332,7 @@ fn run_instance<S: CoreSink>(
                     for trigger in triggers {
                         let current = st.regs[trigger.trigger].clone();
                         let previous = st.states[trigger.state].take();
-                        let fire = match trigger.mode {
-                            RegMode::High => current.is_truthy(),
-                            RegMode::Low => !current.is_truthy(),
-                            RegMode::Rise => {
-                                previous.as_ref().map(|p| !p.is_truthy()).unwrap_or(false)
-                                    && current.is_truthy()
-                            }
-                            RegMode::Fall => {
-                                previous.as_ref().map(|p| p.is_truthy()).unwrap_or(false)
-                                    && !current.is_truthy()
-                            }
-                            RegMode::Both => {
-                                previous.as_ref().map(|p| p != &current).unwrap_or(false)
-                            }
-                        };
+                        let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                         st.states[trigger.state] = Some(current);
                         if !fire {
                             continue;
@@ -688,22 +361,8 @@ fn run_instance<S: CoreSink>(
                     dst,
                     args,
                 } => {
-                    let arg_values: Vec<ConstValue> = unit
-                        .args(*args)
-                        .iter()
-                        .map(|&a| st.regs[a as usize].clone())
-                        .collect();
-                    let result = match intrinsic {
-                        Some(Intrinsic::Assert) => {
-                            scr.assertions_checked += 1;
-                            if !arg_values.first().map(|a| a.is_truthy()).unwrap_or(false) {
-                                scr.assertion_failures += 1;
-                            }
-                            None
-                        }
-                        Some(Intrinsic::Ignore) => None,
-                        None => call_function(cx, scr, callee.unwrap(), &arg_values)?,
-                    };
+                    let result =
+                        call_op(cx, scr, *callee, *intrinsic, unit.args(*args), &st.regs, 0)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
                         st.regs[*dst] = value;
                     }
@@ -770,7 +429,7 @@ fn run_instance<S: CoreSink>(
 /// [`run_instance`]'s generic loop exactly; the differential and
 /// propcheck suites enforce byte-identical traces.
 fn run_instance_spec<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &BlazeExec,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
@@ -974,21 +633,7 @@ fn run_instance_spec<S: CoreSink>(
                     for trigger in triggers {
                         let current = st.regs[trigger.trigger].clone();
                         let previous = st.states[trigger.state].take();
-                        let fire = match trigger.mode {
-                            RegMode::High => current.is_truthy(),
-                            RegMode::Low => !current.is_truthy(),
-                            RegMode::Rise => {
-                                previous.as_ref().map(|p| !p.is_truthy()).unwrap_or(false)
-                                    && current.is_truthy()
-                            }
-                            RegMode::Fall => {
-                                previous.as_ref().map(|p| p.is_truthy()).unwrap_or(false)
-                                    && !current.is_truthy()
-                            }
-                            RegMode::Both => {
-                                previous.as_ref().map(|p| p != &current).unwrap_or(false)
-                            }
-                        };
+                        let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                         st.states[trigger.state] = Some(current);
                         if !fire {
                             continue;
@@ -1017,22 +662,8 @@ fn run_instance_spec<S: CoreSink>(
                     dst,
                     args,
                 } => {
-                    let arg_values: Vec<ConstValue> = code
-                        .args(*args)
-                        .iter()
-                        .map(|&a| st.regs[a as usize].clone())
-                        .collect();
-                    let result = match intrinsic {
-                        Some(Intrinsic::Assert) => {
-                            scr.assertions_checked += 1;
-                            if !arg_values.first().map(|a| a.is_truthy()).unwrap_or(false) {
-                                scr.assertion_failures += 1;
-                            }
-                            None
-                        }
-                        Some(Intrinsic::Ignore) => None,
-                        None => call_function(cx, scr, callee.unwrap(), &arg_values)?,
-                    };
+                    let result =
+                        call_op(cx, scr, *callee, *intrinsic, code.args(*args), &st.regs, 0)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
                         st.regs[*dst as usize] = value;
                     }
@@ -1107,11 +738,39 @@ fn time_reg(st: &InstanceState, slot: usize) -> Result<TimeValue, SimError> {
         .ok_or_else(|| SimError::Runtime("expected a time value".to_string()))
 }
 
+/// Execute a call op over the caller's register file: an intrinsic, or a
+/// compiled function one frame deeper than the `depth` already active.
+fn call_op(
+    cx: &BlazeExec,
+    scr: &mut Scratch,
+    callee: Option<UnitId>,
+    intrinsic: Option<Intrinsic>,
+    args: &[u32],
+    regs: &[ConstValue],
+    depth: usize,
+) -> Result<Option<ConstValue>, SimError> {
+    let arg_values: Vec<ConstValue> = args.iter().map(|&a| regs[a as usize].clone()).collect();
+    Ok(match intrinsic {
+        Some(Intrinsic::Assert) => {
+            scr.counters.assertions_checked += 1;
+            if !arg_values.first().map(|a| a.is_truthy()).unwrap_or(false) {
+                scr.counters.assertion_failures += 1;
+            }
+            None
+        }
+        Some(Intrinsic::Ignore) => None,
+        None => call_function(cx, scr, callee.unwrap(), &arg_values, depth + 1)?,
+    })
+}
+
+/// Execute a compiled function. `depth` counts the function frames
+/// active including this one (1 when called from an instance body).
 fn call_function(
-    cx: &ExecCx,
+    cx: &BlazeExec,
     scr: &mut Scratch,
     callee: UnitId,
     args: &[ConstValue],
+    depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
     let unit = Arc::clone(&cx.compiled.units[&callee]);
     if unit.kind != UnitKind::Function {
@@ -1119,6 +778,9 @@ fn call_function(
             "call target {} is not a function",
             unit.name
         )));
+    }
+    if depth > MAX_CALL_DEPTH {
+        return Err(call_depth_exceeded(&unit.name));
     }
     let mut regs = unit.new_regs();
     let mut mems = vec![ConstValue::Void; unit.num_mems];
@@ -1163,22 +825,8 @@ fn call_function(
                     dst,
                     args,
                 } => {
-                    let arg_values: Vec<ConstValue> = unit
-                        .args(*args)
-                        .iter()
-                        .map(|&a| regs[a as usize].clone())
-                        .collect();
-                    let result = match intrinsic {
-                        Some(Intrinsic::Assert) => {
-                            scr.assertions_checked += 1;
-                            if !arg_values.first().map(|a| a.is_truthy()).unwrap_or(false) {
-                                scr.assertion_failures += 1;
-                            }
-                            None
-                        }
-                        Some(Intrinsic::Ignore) => None,
-                        None => call_function(cx, scr, callee.unwrap(), &arg_values)?,
-                    };
+                    let result =
+                        call_op(cx, scr, *callee, *intrinsic, unit.args(*args), &regs, depth)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
                         regs[*dst] = value;
                     }
@@ -1213,43 +861,6 @@ fn call_function(
             Some(b) => block = b,
             None => return Ok(None),
         }
-    }
-}
-
-impl llhd_sim::api::Engine for BlazeSimulator {
-    fn engine_name(&self) -> &'static str {
-        "blaze"
-    }
-    fn initialize(&mut self) -> Result<(), SimError> {
-        BlazeSimulator::initialize(self)
-    }
-    fn step(&mut self) -> Result<bool, SimError> {
-        BlazeSimulator::step(self)
-    }
-    fn time(&self) -> TimeValue {
-        BlazeSimulator::time(self)
-    }
-    fn peek(&self, signal: SignalId) -> ConstValue {
-        self.signal_value(signal).clone()
-    }
-    fn poke(&mut self, signal: SignalId, value: ConstValue) {
-        BlazeSimulator::poke(self, signal, value)
-    }
-    fn drain_trace_into(&mut self, buf: &mut Vec<llhd_sim::trace::TraceEvent>) {
-        BlazeSimulator::drain_trace_into(self, buf)
-    }
-    fn finish(&mut self) -> SimResult {
-        BlazeSimulator::finish(self)
-    }
-    fn checkpoint(&self) -> Result<EngineState, SimError> {
-        BlazeSimulator::checkpoint(self)
-    }
-    fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
-        BlazeSimulator::restore(self, state)
-    }
-    fn set_control(&mut self, control: llhd_sim::RunControl) -> bool {
-        self.config.control = control;
-        true
     }
 }
 
@@ -1425,7 +1036,7 @@ mod tests {
         // half-applied cycle, and so does a fresh initialize.
         assert_eq!(sim.step().unwrap_err(), first);
         assert_eq!(sim.step().unwrap_err(), first);
-        BlazeSimulator::initialize(&mut sim).unwrap_err();
+        sim.initialize().unwrap_err();
     }
 
     /// The specialized loop hits the same error points as the generic
@@ -1467,10 +1078,10 @@ mod tests {
             "the looping process must execute the specialized stream"
         );
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
-        let first = BlazeSimulator::initialize(&mut sim).unwrap_err();
+        let first = sim.initialize().unwrap_err();
         assert!(matches!(first, SimError::Runtime(_)));
         assert_eq!(first.to_string(), "runtime error: ret outside of a function");
-        assert_eq!(BlazeSimulator::initialize(&mut sim).unwrap_err(), first);
+        assert_eq!(sim.initialize().unwrap_err(), first);
         assert_eq!(sim.step().unwrap_err(), first);
     }
 

@@ -24,7 +24,7 @@ pub mod superop;
 pub use compile::{
     compile_design, compile_design_with, BlazeOptions, CompileError, CompiledDesign,
 };
-pub use engine::BlazeSimulator;
+pub use engine::{BlazeExec, BlazeSimulator};
 
 use llhd::ir::Module;
 use llhd_sim::api::{
@@ -69,7 +69,7 @@ pub fn register() {
                 .map_err(|_| {
                     Error::Compile("cached artifact is not a blaze CompiledDesign".to_string())
                 })?;
-            Ok(Box::new(BlazeSimulator::new(compiled, config.clone())) as Box<dyn Engine>)
+            Ok(Box::new(BlazeSimulator::new(compiled, config.clone()).into_driver()) as Box<dyn Engine>)
         },
         artifact_bytes: |artifact| {
             artifact

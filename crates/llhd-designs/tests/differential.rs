@@ -248,3 +248,75 @@ fn repeated_runs_are_deterministic() {
         );
     }
 }
+
+/// A chain of `depth` functions, each calling the next, under a process
+/// that calls the first and drives the result; with `depth == 0` the one
+/// function calls itself instead.
+fn call_chain(depth: usize) -> Module {
+    let mut source = String::new();
+    for i in 0..depth.max(1) {
+        let callee = if depth == 0 { 0 } else { i + 1 };
+        if depth != 0 && callee == depth {
+            source += &format!("func @f{} (i8 %x) i8 {{\nentry:\n    ret i8 %x\n}}\n", i);
+        } else {
+            source += &format!(
+                "func @f{} (i8 %x) i8 {{\nentry:\n    %r = call i8 @f{} (%x)\n    ret i8 %r\n}}\n",
+                i, callee
+            );
+        }
+    }
+    source += "proc @top () -> (i8$ %q) {\nentry:\n    %v = const i8 7\n    %d = const time 1ns\n    \
+               %r = call i8 @f0 (%v)\n    drv i8$ %q, %r after %d\n    halt\n}\n";
+    llhd::assembly::parse_module(&source).expect("call chain parses")
+}
+
+/// Unbounded recursion is a step error — the same one on both engines —
+/// not a stack overflow (which would abort the process, past any
+/// `catch_unwind`).
+#[test]
+fn unbounded_recursion_is_the_same_runtime_error_on_both_engines() {
+    llhd_blaze::register();
+    let module = call_chain(0);
+    let errors: Vec<String> = [EngineKind::Interpret, EngineKind::Compile]
+        .into_iter()
+        .map(|engine| {
+            SimSession::builder(&module, "top")
+                .engine(engine)
+                .until_nanos(10)
+                .build()
+                .unwrap()
+                .run()
+                .unwrap_err()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(errors[0], "runtime error: call depth limit (256) exceeded in @f0");
+    assert_eq!(errors[0], errors[1]);
+}
+
+/// The limit itself is reachable: a chain exactly `MAX_CALL_DEPTH` deep
+/// runs to completion on a default-sized (2 MiB) spawned-thread stack —
+/// what a server worker has — on both engines, and one frame more fails.
+#[test]
+fn call_chain_at_the_depth_limit_fits_a_default_thread_stack() {
+    llhd_blaze::register();
+    let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let config = SimConfig::until_nanos(10);
+        let at_limit = call_chain(llhd_sim::MAX_CALL_DEPTH);
+        let over_limit = call_chain(llhd_sim::MAX_CALL_DEPTH + 1);
+        for engine in [EngineKind::Interpret, EngineKind::Compile] {
+            let result = run(&at_limit, "top", &config, engine);
+            let q = result.trace.changes_of("q").last().cloned().unwrap();
+            assert_eq!(q.value, llhd::value::ConstValue::int(8, 7));
+            let err = SimSession::builder(&over_limit, "top")
+                .engine(engine)
+                .config(config.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap_err();
+            assert!(err.to_string().contains("call depth limit (256)"), "{}", err);
+        }
+    });
+    worker.unwrap().join().expect("ran within a 2 MiB stack");
+}

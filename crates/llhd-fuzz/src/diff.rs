@@ -226,7 +226,7 @@ pub fn run_spec(
     };
     let make_engine = || -> Box<dyn Engine + '_> {
         match &compiled {
-            Some(c) => Box::new(BlazeSimulator::new(c.clone(), config())),
+            Some(c) => Box::new(BlazeSimulator::new(c.clone(), config()).into_driver()),
             None => Box::new(Simulator::new(module, elaborated.clone(), config())),
         }
     };

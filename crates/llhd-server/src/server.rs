@@ -1033,9 +1033,8 @@ fn step_session(
             break Ok(());
         }
         // Belt and braces: the engine checks the deadline at the top of
-        // each cycle too, but a `steps`-loop over a control-less engine
-        // (e.g. after a future engine ignores `set_control`) must still
-        // terminate.
+        // each cycle too; this check keeps the `steps` loop bounded on
+        // its own.
         if let Some(deadline) = deadline {
             if Instant::now() >= deadline {
                 break Err(llhd_sim::api::Error::DeadlineExceeded {

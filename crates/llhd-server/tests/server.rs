@@ -1318,3 +1318,50 @@ fn idle_expiry_racing_an_in_flight_command_is_clean() {
     shutdown(&mut client);
     running.join().unwrap();
 }
+
+/// A self-recursive function would overflow the host stack — an abort,
+/// which no `catch_unwind` survives. Both engines instead fail the run
+/// with the call-depth error, and the server answers the next request.
+#[test]
+fn unbounded_recursion_is_an_error_response_not_a_dead_server() {
+    const RECURSIVE: &str = "
+        func @f (i8 %x) i8 {
+        entry:
+            %r = call i8 @f (%x)
+            ret i8 %r
+        }
+        proc @p () -> () {
+        entry:
+            %v = const i8 1
+            %r = call i8 @f (%v)
+            halt
+        }";
+    let running = spawn(ServerConfig::default());
+    let mut client = Client::connect(running.addr()).unwrap();
+    for engine in ["interpret", "compile"] {
+        let response = client
+            .request(&sim_request(vec![
+                ("source", Json::str(RECURSIVE)),
+                ("top", Json::str("p")),
+                ("engine", Json::str(engine)),
+                ("until_ns", Json::Int(10)),
+            ]))
+            .unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{}", response);
+        let message = response
+            .get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .unwrap_or_default();
+        assert!(
+            message.contains("call depth limit (256) exceeded in @f"),
+            "{}: {}",
+            engine,
+            response
+        );
+    }
+    let pong = client.request(&Json::obj([("type", Json::str("ping"))])).unwrap();
+    assert_eq!(pong.get("ok"), Some(&Json::Bool(true)));
+    shutdown(&mut client);
+    running.join().unwrap();
+}

@@ -36,9 +36,10 @@
 //!
 //! The pieces:
 //!
-//! * [`Engine`] — the trait both engines implement: prepare once, then
-//!   `step`/`peek`/`poke` with deterministic resume (a run advanced in
-//!   chunks is byte-identical to an uninterrupted one).
+//! * [`Engine`] — the object-safe engine surface, implemented once by
+//!   [`Driver`](crate::driver::Driver) for every executor: prepare once,
+//!   then `step`/`peek`/`poke` with deterministic resume (a run advanced
+//!   in chunks is byte-identical to an uninterrupted one).
 //! * [`EngineKind`] — `Interpret`, `Compile`, or `Auto`. The compiled
 //!   engine lives in `llhd-blaze`, which cannot be a dependency of this
 //!   crate (it already depends on us), so it plugs itself in through
@@ -239,11 +240,7 @@ pub trait Engine {
     fn restore(&mut self, state: &EngineState) -> Result<(), SimError>;
     /// Replace the cooperative [`RunControl`] (wall-clock deadline,
     /// instrumentation probe) consulted between scheduler cycles.
-    /// Returns `false` for engines without run-control support; the
-    /// default implementation ignores the control.
-    fn set_control(&mut self, _control: RunControl) -> bool {
-        false
-    }
+    fn set_control(&mut self, control: RunControl);
 }
 
 // ---------------------------------------------------------------------------
@@ -254,12 +251,11 @@ pub trait Engine {
 pub const ENGINE_STATE_MAGIC: &[u8; 4] = b"LHCK";
 /// The checkpoint format version produced by [`Engine::checkpoint`].
 ///
-/// Version 2 extends the version-1 header with the design's island-plan
-/// digest ([`IslandPlan::hash`](crate::islands::IslandPlan::hash)), so a
-/// restore onto a differently-partitioned build fails cleanly instead of
-/// replaying events under a different merge order. Version-1 checkpoints
-/// (no digest) still load; the engines then force the serial instant
-/// loop for the restored run, whose merge order is partition-independent.
+/// The header carries the design's island-plan digest
+/// ([`IslandPlan::hash`](crate::islands::IslandPlan::hash)), so a restore
+/// onto a differently-partitioned build fails cleanly instead of
+/// replaying events under a different merge order. It is the only
+/// version [`Engine::restore`] accepts.
 pub const ENGINE_STATE_VERSION: u8 = 2;
 
 /// A serialized engine execution state, produced by [`Engine::checkpoint`]
@@ -327,7 +323,7 @@ impl EngineState {
         Ok(self.header()?.0)
     }
 
-    fn header(&self) -> Result<(&str, usize, usize, Option<u64>, usize), SimError> {
+    fn header(&self) -> Result<(&str, usize, usize, u64, usize), SimError> {
         use llhd::bitcode::read_varint;
         let bytes = &self.0;
         let corrupt = || SimError::Runtime("corrupt engine checkpoint header".to_string());
@@ -337,7 +333,7 @@ impl EngineState {
             ));
         }
         let version = bytes[4];
-        if !(1..=ENGINE_STATE_VERSION).contains(&version) {
+        if version != ENGINE_STATE_VERSION {
             return Err(SimError::Runtime(format!(
                 "unsupported engine checkpoint version {}",
                 version
@@ -350,20 +346,12 @@ impl EngineState {
         pos = name_end;
         let num_signals = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as usize;
         let num_instances = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as usize;
-        // The island-plan digest arrived with version 2; a version-1
-        // checkpoint simply has none.
-        let plan_hash = if version >= 2 {
-            Some(read_varint(bytes, &mut pos).ok_or_else(corrupt)? as u64)
-        } else {
-            None
-        };
+        let plan_hash = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as u64;
         Ok((name, num_signals, num_instances, plan_hash, pos))
     }
 
     /// Validate the header against the restoring engine and design and
-    /// return the offset of the body plus the recorded island-plan digest
-    /// (`None` for version-1 checkpoints, which predate the digest — the
-    /// engines then force serial execution for the restored run).
+    /// return the offset of the body plus the recorded island-plan digest.
     ///
     /// # Errors
     ///
@@ -374,7 +362,7 @@ impl EngineState {
         engine: &str,
         num_signals: usize,
         num_instances: usize,
-    ) -> Result<(usize, Option<u64>), SimError> {
+    ) -> Result<(usize, u64), SimError> {
         let (name, signals, instances, plan_hash, body) = self.header()?;
         if name != engine {
             return Err(SimError::Runtime(format!(
@@ -392,51 +380,13 @@ impl EngineState {
         Ok((body, plan_hash))
     }
 
-    /// The island-plan digest recorded in the header, or `None` for a
-    /// version-1 checkpoint.
+    /// The island-plan digest recorded in the header.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Runtime`] on a corrupt header.
-    pub fn island_plan_hash(&self) -> Result<Option<u64>, SimError> {
+    pub fn island_plan_hash(&self) -> Result<u64, SimError> {
         Ok(self.header()?.3)
-    }
-}
-
-impl<'a> Engine for Simulator<'a> {
-    fn engine_name(&self) -> &'static str {
-        "interp"
-    }
-    fn initialize(&mut self) -> Result<(), SimError> {
-        Simulator::initialize(self)
-    }
-    fn step(&mut self) -> Result<bool, SimError> {
-        Simulator::step(self)
-    }
-    fn time(&self) -> TimeValue {
-        Simulator::time(self)
-    }
-    fn peek(&self, signal: SignalId) -> ConstValue {
-        self.signal_value(signal).clone()
-    }
-    fn poke(&mut self, signal: SignalId, value: ConstValue) {
-        Simulator::poke(self, signal, value)
-    }
-    fn drain_trace_into(&mut self, buf: &mut Vec<TraceEvent>) {
-        Simulator::drain_trace_into(self, buf)
-    }
-    fn finish(&mut self) -> SimResult {
-        Simulator::finish(self)
-    }
-    fn checkpoint(&self) -> Result<EngineState, SimError> {
-        Simulator::checkpoint(self)
-    }
-    fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
-        Simulator::restore(self, state)
-    }
-    fn set_control(&mut self, control: RunControl) -> bool {
-        self.config_mut().control = control;
-        true
     }
 }
 
@@ -1686,10 +1636,8 @@ impl<'m> SimSession<'m> {
     /// instrumentation probe, checked between scheduler cycles. This is
     /// how a server grants a fresh budget per command on a long-lived
     /// session — a deadline abort does not poison the session (see
-    /// [`SimSession::step`]). Returns `false` when the underlying engine
-    /// does not support run control; the driver then has to enforce
-    /// budgets between its own `step` calls.
-    pub fn set_control(&mut self, control: RunControl) -> bool {
+    /// [`SimSession::step`]).
+    pub fn set_control(&mut self, control: RunControl) {
         self.engine.set_control(control)
     }
 

@@ -15,14 +15,17 @@
 //! epoch for their whole life, entities bump it per evaluation to get
 //! fresh scratch without clearing).
 
-use crate::api::EngineState;
 use crate::design::{ElaborateError, ElaboratedDesign, InstanceKind, SignalId};
+use crate::driver::{
+    call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
+    Scratch, MAX_CALL_DEPTH,
+};
 use crate::islands::IslandPlan;
-use crate::sched::{read_byte, read_const, read_usize, run_instant_parallel, CoreSink, SchedCore};
+use crate::sched::{read_byte, read_const, read_usize, CoreSink, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
-use llhd::ir::{Block, InstData, Module, Opcode, RegMode, UnitData, UnitId, UnitKind, Value};
+use llhd::ir::{Block, InstData, Module, Opcode, UnitData, UnitId, UnitKind, Value};
 use llhd::value::{ConstValue, TimeValue};
 use std::collections::HashMap;
 use std::fmt;
@@ -271,8 +274,8 @@ impl UnitExec {
     }
 }
 
-/// Dense execution state of one unit instance.
-struct InstState {
+/// Dense execution state of one unit instance under the interpreter.
+pub struct InstState {
     status: ProcStatus,
     /// SSA value slots, indexed by `Value::index()`; a slot is live when
     /// its stamp equals `epoch`.
@@ -288,72 +291,27 @@ struct InstState {
     /// Slot validity epoch: constant for processes (state persists),
     /// bumped per evaluation for entities (fresh scratch, no clearing).
     epoch: u32,
-    /// Index into the simulator's `UnitExec` table.
-    exec: usize,
 }
 
-/// An island must carry at least this many IR instructions before it
-/// counts towards parallelizing a design (see
-/// [`IslandPlan::parallel_worthy`]): below that, the per-instant worker
-/// handoff costs more than the island's activations are worth.
-pub const PARALLEL_MIN_ISLAND_OPS: usize = 16;
-/// An instant must wake at least this many instances before the engines
-/// try the parallel path (fewer can never fill two workers usefully).
-pub const PARALLEL_MIN_BATCH: usize = 4;
-
-/// The event-driven simulator.
-pub struct Simulator<'a> {
+/// The reference interpreter as an [`Executor`]: everything an activation
+/// reads that is not its own instance state or the scheduling core.
+pub struct Interp<'a> {
     module: &'a Module,
     design: Arc<ElaboratedDesign>,
-    config: SimConfig,
-    core: SchedCore,
     execs: Vec<UnitExec>,
-    states: Vec<InstState>,
-    assertions_checked: usize,
-    assertion_failures: usize,
-    activations: usize,
-    scratch: Scratch,
-    initialized: bool,
-    /// A failure during initialization or a step poisons the simulator:
-    /// the instances after the failing one never ran, so continuing would
-    /// silently produce a wrong trace. Replayed by every later
-    /// `initialize`/`step`.
-    poisoned: Option<SimError>,
-    to_run_buf: Vec<u32>,
+    /// By instance: index into `execs`.
+    exec_of: Vec<usize>,
     /// The sensitivity-island partition, computed at construction (a
-    /// linear scan). Its digest goes into every checkpoint; its
-    /// assignment feeds the parallel instant loop.
+    /// linear scan).
     plan: IslandPlan,
-    /// Static go/no-go for the parallel path: enough worthwhile islands
-    /// and a thread budget above one.
-    parallel_ready: bool,
-    /// Set when restoring a version-1 checkpoint (no island digest): the
-    /// restored run stays on the serial loop.
-    force_serial: bool,
-}
-
-/// Immutable per-activation context: everything an activation reads that
-/// is not its own instance state or the scheduling core.
-struct ExecCx<'m> {
-    module: &'m Module,
-    design: &'m ElaboratedDesign,
-    execs: &'m [UnitExec],
     max_steps: usize,
 }
 
-/// Mutable per-worker scratch: the wait-list buffer and the statistics
-/// counters an activation bumps. Parallel instants give each worker its
-/// own and fold the counters afterwards — plain sums, so the fold order
-/// cannot matter and the totals match a serial run exactly.
-#[derive(Default)]
-struct Scratch {
-    observed: Vec<SignalId>,
-    activations: usize,
-    assertions_checked: usize,
-    assertion_failures: usize,
-}
+/// The event-driven reference simulator: the shared [`Driver`] run loop
+/// over the [`Interp`] executor.
+pub type Simulator<'a> = Driver<Interp<'a>>;
 
-impl<'a> Simulator<'a> {
+impl<'a> Driver<Interp<'a>> {
     /// Create a simulator for an elaborated design. The design is shared
     /// (`Arc`), so sessions served from a [`DesignCache`](crate::api::DesignCache)
     /// reuse one elaboration; a plain [`ElaboratedDesign`] converts
@@ -364,25 +322,59 @@ impl<'a> Simulator<'a> {
         config: SimConfig,
     ) -> Self {
         let design = design.into();
-        let mut core = SchedCore::new(
-            &config,
-            &design.signals,
-            design.instances.len(),
-            crate::sched::module_allows_drive_dropping(module),
-        );
         let mut execs: Vec<UnitExec> = Vec::new();
-        let mut exec_of: HashMap<UnitId, usize> = HashMap::new();
-        let mut states = Vec::with_capacity(design.instances.len());
-        for (idx, instance) in design.instances.iter().enumerate() {
-            let unit = module.unit(instance.unit);
-            let exec = *exec_of.entry(instance.unit).or_insert_with(|| {
-                execs.push(UnitExec::build(unit));
-                execs.len() - 1
-            });
-            let info = &execs[exec];
+        let mut index: HashMap<UnitId, usize> = HashMap::new();
+        let exec_of = design
+            .instances
+            .iter()
+            .map(|instance| {
+                *index.entry(instance.unit).or_insert_with(|| {
+                    execs.push(UnitExec::build(module.unit(instance.unit)));
+                    execs.len() - 1
+                })
+            })
+            .collect();
+        let plan = IslandPlan::build(module, &design);
+        let interp = Interp {
+            module,
+            design,
+            execs,
+            exec_of,
+            plan,
+            max_steps: config.max_steps_per_activation,
+        };
+        Driver::with_executor(interp, config)
+    }
+}
+
+impl Executor for Interp<'_> {
+    const NAME: &'static str = "interp";
+    type State = InstState;
+
+    fn design(&self) -> &ElaboratedDesign {
+        &self.design
+    }
+
+    fn allow_drive_drop(&self) -> bool {
+        crate::sched::module_allows_drive_dropping(self.module)
+    }
+
+    fn island_plan(&self) -> &IslandPlan {
+        &self.plan
+    }
+
+    fn islands_enabled(&self) -> bool {
+        true
+    }
+
+    fn build_states(&self, core: &mut SchedCore) -> Vec<InstState> {
+        let mut states = Vec::with_capacity(self.design.instances.len());
+        for (idx, instance) in self.design.instances.iter().enumerate() {
+            let unit = self.module.unit(instance.unit);
+            let info = &self.execs[self.exec_of[idx]];
             let mut sig_of = vec![NO_SIGNAL; info.num_values];
             for (value, &sig) in &instance.signal_map {
-                sig_of[value.index()] = design.resolve(sig);
+                sig_of[value.index()] = self.design.resolve(sig);
             }
             // Static entity sensitivity: every signal probed (or delayed)
             // by the entity body, pre-resolved.
@@ -408,425 +400,121 @@ impl<'a> Simulator<'a> {
                 reg_prev: vec![None; info.num_reg_states],
                 sig_of,
                 epoch: 1,
-                exec,
             });
         }
-        let plan = IslandPlan::build(module, &design);
-        let parallel_ready = config.threads > 1 && plan.parallel_worthy(PARALLEL_MIN_ISLAND_OPS);
-        Simulator {
-            module,
-            design,
-            config,
-            core,
-            execs,
-            states,
-            assertions_checked: 0,
-            assertion_failures: 0,
-            activations: 0,
-            scratch: Scratch::default(),
-            initialized: false,
-            poisoned: None,
-            to_run_buf: Vec::new(),
-            plan,
-            parallel_ready,
-            force_serial: false,
+        states
+    }
+
+    fn activate<S: CoreSink>(
+        &self,
+        st: &mut InstState,
+        scr: &mut Scratch,
+        idx: usize,
+        sink: &mut S,
+    ) -> Result<(), SimError> {
+        match self.design.instances[idx].kind {
+            InstanceKind::Process => run_process(self, st, scr, idx, sink),
+            InstanceKind::Entity => eval_entity(self, st, scr, idx, sink),
         }
     }
 
-    /// Run the initialization phase: every process runs once and every
-    /// entity is evaluated once. Idempotent — later calls are no-ops, and
-    /// [`Simulator::step`] calls it automatically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] for unsupported constructs.
-    pub fn initialize(&mut self) -> Result<(), SimError> {
-        if self.initialized {
-            return match &self.poisoned {
-                None => Ok(()),
-                Some(e) => Err(e.clone()),
-            };
+    fn is_halted(st: &InstState) -> bool {
+        matches!(st.status, ProcStatus::Halted)
+    }
+
+    /// Control state, epoch, live SSA slots, live process memory, `reg`
+    /// histories. Only live slots (stamp == epoch) carry state; dead ones
+    /// are unreadable and skipped.
+    fn encode_state(&self, st: &InstState, out: &mut Vec<u8>) {
+        match &st.status {
+            ProcStatus::Ready => out.push(0),
+            ProcStatus::Suspended { resume } => {
+                out.push(1);
+                write_varint(out, resume.index() as u128);
+            }
+            ProcStatus::Halted => out.push(2),
         }
-        self.initialized = true;
-        let mut result = Ok(());
-        {
-            let cx = ExecCx {
-                module: self.module,
-                design: &self.design,
-                execs: &self.execs,
-                max_steps: self.config.max_steps_per_activation,
-            };
-            for idx in 0..cx.design.instances.len() {
-                if let Err(e) = activate_inst(
-                    &cx,
-                    &mut self.states[idx],
-                    &mut self.scratch,
-                    idx,
-                    &mut self.core,
-                ) {
-                    result = Err(e);
-                    break;
+        write_varint(out, st.epoch as u128);
+        write_varint(out, st.slots.len() as u128);
+        encode_live(out, &st.slots, &st.stamps, st.epoch);
+        encode_live(out, &st.mem, &st.mem_stamps, st.epoch);
+        encode_reg_history(out, &st.reg_prev);
+    }
+
+    fn decode_state(
+        &self,
+        st: &mut InstState,
+        idx: usize,
+        bytes: &[u8],
+        pos: &mut usize,
+    ) -> Result<(), SimError> {
+        st.status = match read_byte(bytes, pos)? {
+            0 => ProcStatus::Ready,
+            1 => {
+                let resume = read_usize(bytes, pos)?;
+                let unit = self.module.unit(self.design.instances[idx].unit);
+                if !unit.blocks().iter().any(|b| b.index() == resume) {
+                    return Err(SimError::Runtime(
+                        "corrupt engine checkpoint: resume block out of range".to_string(),
+                    ));
+                }
+                ProcStatus::Suspended {
+                    resume: Block::from_index(resume),
                 }
             }
-        }
-        self.fold_scratch();
-        if let Err(e) = &result {
-            self.poisoned = Some(e.clone());
-        }
-        result
-    }
-
-    /// Fold the per-step [`Scratch`] counters into the run totals. Called
-    /// on every exit path of `initialize`/`step` (including errors) so
-    /// the totals stay exact.
-    fn fold_scratch(&mut self) {
-        self.activations += self.scratch.activations;
-        self.assertions_checked += self.scratch.assertions_checked;
-        self.assertion_failures += self.scratch.assertion_failures;
-        self.scratch.activations = 0;
-        self.scratch.assertions_checked = 0;
-        self.scratch.assertion_failures = 0;
-    }
-
-    /// Activate one instant's woken instances: the serial loop, or — when
-    /// the design partitions into islands and the batch is large enough —
-    /// the island-parallel loop. Both produce byte-identical core state
-    /// (see [`crate::sched::run_instant_parallel`]).
-    fn run_activations(&mut self, to_run: &[u32]) -> Result<(), SimError> {
-        let cx = ExecCx {
-            module: self.module,
-            design: &self.design,
-            execs: &self.execs,
-            max_steps: self.config.max_steps_per_activation,
+            2 => ProcStatus::Halted,
+            other => {
+                return Err(SimError::Runtime(format!(
+                    "corrupt engine checkpoint: unknown process status {}",
+                    other
+                )))
+            }
         };
-        if self.parallel_ready && !self.force_serial && to_run.len() >= PARALLEL_MIN_BATCH {
-            let parallel = run_instant_parallel(
-                &mut self.core,
-                to_run,
-                &mut self.states,
-                self.plan.island_of_instances(),
-                self.config.threads,
-                Scratch::default,
-                |st, scr, inst, sink| activate_inst(&cx, st, scr, inst as usize, sink),
-            );
-            if let Some(outcome) = parallel {
-                for scr in outcome.scratches {
-                    self.scratch.activations += scr.activations;
-                    self.scratch.assertions_checked += scr.assertions_checked;
-                    self.scratch.assertion_failures += scr.assertion_failures;
-                }
-                self.fold_scratch();
-                return outcome.result;
-            }
+        st.epoch = read_usize(bytes, pos)? as u32;
+        if read_usize(bytes, pos)? != st.slots.len() {
+            return Err(SimError::Runtime(
+                "corrupt engine checkpoint: slot count mismatch".to_string(),
+            ));
         }
-        let mut result = Ok(());
-        for &inst in to_run {
-            let idx = inst as usize;
-            if let Err(e) = activate_inst(
-                &cx,
-                &mut self.states[idx],
-                &mut self.scratch,
-                idx,
-                &mut self.core,
-            ) {
-                result = Err(e);
-                break;
-            }
+        decode_live(&mut st.slots, &mut st.stamps, st.epoch, bytes, pos)?;
+        decode_live(&mut st.mem, &mut st.mem_stamps, st.epoch, bytes, pos)?;
+        decode_reg_history(&mut st.reg_prev, bytes, pos)
+    }
+}
+
+/// Append the live cells of a stamped slot vector as `(index, value)`
+/// pairs, preceded by their count.
+fn encode_live(out: &mut Vec<u8>, cells: &[ConstValue], stamps: &[u32], epoch: u32) {
+    let live = (0..cells.len()).filter(|&i| stamps[i] == epoch);
+    write_varint(out, live.clone().count() as u128);
+    for i in live {
+        write_varint(out, i as u128);
+        encode_const_value(out, &cells[i]);
+    }
+}
+
+/// Restore a slot vector written by [`encode_live`]: every cell dead
+/// except the listed ones, which are stamped with `epoch`.
+fn decode_live(
+    cells: &mut [ConstValue],
+    stamps: &mut [u32],
+    epoch: u32,
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<(), SimError> {
+    stamps.iter_mut().for_each(|s| *s = 0);
+    cells.iter_mut().for_each(|c| *c = ConstValue::Void);
+    for _ in 0..read_usize(bytes, pos)? {
+        let i = read_usize(bytes, pos)?;
+        if i >= cells.len() {
+            return Err(SimError::Runtime(
+                "corrupt engine checkpoint: slot index out of range".to_string(),
+            ));
         }
-        self.fold_scratch();
-        result
+        cells[i] = read_const(bytes, pos)?;
+        stamps[i] = epoch;
     }
-
-    /// Advance the simulation by exactly one scheduler cycle (one instant:
-    /// apply its drives, activate the woken instances). Returns `false`
-    /// once the event queue is exhausted or the configured end time is
-    /// reached. Stepping is deterministic: a run advanced in arbitrary
-    /// chunks produces the identical trace to an uninterrupted
-    /// [`Simulator::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] for unsupported constructs, runaway
-    /// delta cycles, or processes that fail to suspend.
-    pub fn step(&mut self) -> Result<bool, SimError> {
-        self.initialize()?;
-        if self.config.control.is_active() {
-            // Checked before the cycle starts: state is consistent, so a
-            // deadline abort leaves the engine resumable (no poisoning).
-            self.config.control.check()?;
-        }
-        let mut to_run = std::mem::take(&mut self.to_run_buf);
-        let mut outcome = self.core.next_cycle(&mut to_run);
-        if let Ok(true) = outcome {
-            // `to_run` is detached from `self` here, so iterating it while
-            // activating instances borrows cleanly.
-            if let Err(e) = self.run_activations(&to_run) {
-                outcome = Err(e);
-            }
-        }
-        self.to_run_buf = to_run;
-        if let Err(e) = &outcome {
-            // A failed cycle leaves half-applied state (the remaining
-            // instances of the instant never ran); poison the simulator
-            // so later steps replay the error instead of silently
-            // diverging.
-            self.poisoned = Some(e.clone());
-        }
-        outcome
-    }
-
-    /// Assemble the result of the run so far, taking the recorded trace
-    /// out of the scheduler core. After a failed `initialize`/`step` the
-    /// state is half-applied (the failing cycle never completed); the
-    /// session layer refuses to assemble a result in that case, and
-    /// callers driving the engine directly should do the same.
-    pub fn finish(&mut self) -> SimResult {
-        let halted_processes = self
-            .states
-            .iter()
-            .filter(|s| matches!(s.status, ProcStatus::Halted))
-            .count();
-        SimResult {
-            end_time: self.core.time(),
-            signal_changes: self.core.signal_changes(),
-            assertions_checked: self.assertions_checked,
-            assertion_failures: self.assertion_failures,
-            halted_processes,
-            activations: self.activations,
-            trace: self.core.take_trace(),
-        }
-    }
-
-    /// Run the simulation to completion and return the result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] for unsupported constructs, runaway
-    /// delta cycles, or processes that fail to suspend.
-    pub fn run(&mut self) -> Result<SimResult, SimError> {
-        while self.step()? {}
-        Ok(self.finish())
-    }
-
-    /// The current simulation time.
-    pub fn time(&self) -> TimeValue {
-        self.core.time()
-    }
-
-    /// Mutable access to the run configuration, used to re-arm
-    /// [`RunControl`] between commands on a live engine. Changing the
-    /// scheduling-relevant fields mid-run is not supported.
-    pub fn config_mut(&mut self) -> &mut SimConfig {
-        &mut self.config
-    }
-
-    /// The elaborated design this simulator executes.
-    pub fn design(&self) -> &ElaboratedDesign {
-        &self.design
-    }
-
-    /// The current value of a signal.
-    pub fn signal_value(&self, signal: SignalId) -> &ConstValue {
-        self.core.value(self.design.resolve(signal))
-    }
-
-    /// Schedule an external drive of `signal` to `value`, taking effect at
-    /// the next delta step (the session-level "poke").
-    pub fn poke(&mut self, signal: SignalId, value: ConstValue) {
-        let signal = self.design.resolve(signal);
-        self.core.schedule_drive(signal, value, &TimeValue::ZERO);
-    }
-
-    /// Drain the trace events recorded since the last drain into `buf`
-    /// (streaming sinks pull these after every step).
-    pub fn drain_trace_into(&mut self, buf: &mut Vec<crate::trace::TraceEvent>) {
-        self.core.drain_trace_into(buf);
-    }
-
-    /// Serialize the simulator's complete execution state: the shared
-    /// scheduler core plus every instance's control state, live SSA
-    /// slots, process memory, and `reg` histories. See
-    /// [`Engine::checkpoint`](crate::api::Engine::checkpoint) for the
-    /// resume guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on a poisoned engine.
-    pub fn checkpoint(&self) -> Result<EngineState, SimError> {
-        if let Some(e) = &self.poisoned {
-            return Err(SimError::Runtime(format!(
-                "cannot checkpoint a poisoned engine: {}",
-                e
-            )));
-        }
-        Ok(EngineState::encode(
-            "interp",
-            self.design.num_signals(),
-            self.design.num_instances(),
-            self.plan.hash(),
-            |out| {
-                self.core.snapshot(out);
-                out.push(self.initialized as u8);
-                write_varint(out, self.assertions_checked as u128);
-                write_varint(out, self.assertion_failures as u128);
-                write_varint(out, self.activations as u128);
-                for st in &self.states {
-                    match &st.status {
-                        ProcStatus::Ready => out.push(0),
-                        ProcStatus::Suspended { resume } => {
-                            out.push(1);
-                            write_varint(out, resume.index() as u128);
-                        }
-                        ProcStatus::Halted => out.push(2),
-                    }
-                    write_varint(out, st.epoch as u128);
-                    // Only live slots (stamp == epoch) carry state; dead
-                    // ones are unreadable and skipped.
-                    write_varint(out, st.slots.len() as u128);
-                    let live = (0..st.slots.len()).filter(|&i| st.stamps[i] == st.epoch);
-                    write_varint(out, live.clone().count() as u128);
-                    for i in live {
-                        write_varint(out, i as u128);
-                        encode_const_value(out, &st.slots[i]);
-                    }
-                    let live_mem = (0..st.mem.len()).filter(|&i| st.mem_stamps[i] == st.epoch);
-                    write_varint(out, live_mem.clone().count() as u128);
-                    for i in live_mem {
-                        write_varint(out, i as u128);
-                        encode_const_value(out, &st.mem[i]);
-                    }
-                    write_varint(out, st.reg_prev.len() as u128);
-                    for prev in &st.reg_prev {
-                        match prev {
-                            Some(v) => {
-                                out.push(1);
-                                encode_const_value(out, v);
-                            }
-                            None => out.push(0),
-                        }
-                    }
-                }
-            },
-        ))
-    }
-
-    /// Restore a checkpoint taken by another interpreter over the same
-    /// design into this (freshly constructed) simulator. See
-    /// [`Engine::restore`](crate::api::Engine::restore).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Runtime`] on an engine/design mismatch or
-    /// corrupt bytes.
-    pub fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
-        let bytes = state.as_bytes();
-        let (mut pos, plan_hash) = state.validate(
-            "interp",
-            self.design.num_signals(),
-            self.design.num_instances(),
-        )?;
-        match plan_hash {
-            // Version-1 checkpoints predate island partitioning: they
-            // restore fine, but the engine stays serial for the rest of
-            // its life so cross-version runs replay the proven path.
-            None => self.force_serial = true,
-            Some(h) if h != self.plan.hash() => {
-                return Err(SimError::Runtime(
-                    "engine checkpoint was taken with a different island plan \
-                     (design or partitioner version mismatch)"
-                        .to_string(),
-                ));
-            }
-            Some(_) => {}
-        }
-        let pos = &mut pos;
-        self.core.restore_snapshot(bytes, pos)?;
-        self.initialized = read_byte(bytes, pos)? != 0;
-        self.poisoned = None;
-        self.assertions_checked = read_usize(bytes, pos)?;
-        self.assertion_failures = read_usize(bytes, pos)?;
-        self.activations = read_usize(bytes, pos)?;
-        let module = self.module;
-        for idx in 0..self.states.len() {
-            let status = match read_byte(bytes, pos)? {
-                0 => ProcStatus::Ready,
-                1 => {
-                    let resume = read_usize(bytes, pos)?;
-                    let unit = module.unit(self.design.instances[idx].unit);
-                    if !unit.blocks().iter().any(|b| b.index() == resume) {
-                        return Err(SimError::Runtime(
-                            "corrupt engine checkpoint: resume block out of range".to_string(),
-                        ));
-                    }
-                    ProcStatus::Suspended {
-                        resume: Block::from_index(resume),
-                    }
-                }
-                2 => ProcStatus::Halted,
-                other => {
-                    return Err(SimError::Runtime(format!(
-                        "corrupt engine checkpoint: unknown process status {}",
-                        other
-                    )))
-                }
-            };
-            let st = &mut self.states[idx];
-            st.status = status;
-            st.epoch = read_usize(bytes, pos)? as u32;
-            let num_slots = read_usize(bytes, pos)?;
-            if num_slots != st.slots.len() {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: slot count mismatch".to_string(),
-                ));
-            }
-            st.stamps.iter_mut().for_each(|s| *s = 0);
-            st.slots.iter_mut().for_each(|s| *s = ConstValue::Void);
-            let live = read_usize(bytes, pos)?;
-            for _ in 0..live {
-                let i = read_usize(bytes, pos)?;
-                if i >= num_slots {
-                    return Err(SimError::Runtime(
-                        "corrupt engine checkpoint: slot index out of range".to_string(),
-                    ));
-                }
-                st.slots[i] = read_const(bytes, pos)?;
-                st.stamps[i] = st.epoch;
-            }
-            st.mem_stamps.iter_mut().for_each(|s| *s = 0);
-            st.mem.iter_mut().for_each(|s| *s = ConstValue::Void);
-            let live_mem = read_usize(bytes, pos)?;
-            for _ in 0..live_mem {
-                let i = read_usize(bytes, pos)?;
-                if i >= st.mem.len() {
-                    return Err(SimError::Runtime(
-                        "corrupt engine checkpoint: memory index out of range".to_string(),
-                    ));
-                }
-                st.mem[i] = read_const(bytes, pos)?;
-                st.mem_stamps[i] = st.epoch;
-            }
-            let num_reg = read_usize(bytes, pos)?;
-            if num_reg != st.reg_prev.len() {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: reg history count mismatch".to_string(),
-                ));
-            }
-            for prev in st.reg_prev.iter_mut() {
-                *prev = match read_byte(bytes, pos)? {
-                    0 => None,
-                    1 => Some(read_const(bytes, pos)?),
-                    other => {
-                        return Err(SimError::Runtime(format!(
-                            "corrupt engine checkpoint: unknown reg history tag {}",
-                            other
-                        )))
-                    }
-                };
-            }
-        }
-        Ok(())
-    }
-
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -835,33 +523,15 @@ impl<'a> Simulator<'a> {
 //
 // The execution core is a set of free functions generic over
 // [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation, same code the old methods
-// compiled to), the island-parallel loop with a
+// [`SchedCore`] itself (direct mutation), the island-parallel loop with a
 // [`DeferredSink`](crate::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread). An activation touches
-// exactly three things: the immutable [`ExecCx`], its own instance's
-// [`InstState`], and a per-worker [`Scratch`] — which is what makes
-// handing each island's activations to a worker thread sound.
-
-/// Activate one instance: resume a process or evaluate an entity.
-fn activate_inst<S: CoreSink>(
-    cx: &ExecCx,
-    st: &mut InstState,
-    scr: &mut Scratch,
-    idx: usize,
-    sink: &mut S,
-) -> Result<(), SimError> {
-    match cx.design.instances[idx].kind {
-        InstanceKind::Process => run_process(cx, st, scr, idx, sink),
-        InstanceKind::Entity => eval_entity(cx, st, scr, idx, sink),
-    }
-}
+// replayed in serial order on the main thread).
 
 // ----- dense state access ----------------------------------------------
 
 /// Look up the runtime value of an SSA value within an instance.
 fn value_of<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &Interp,
     st: &InstState,
     sink: &S,
     idx: usize,
@@ -892,7 +562,7 @@ fn set_value(st: &mut InstState, value: Value, v: ConstValue) {
     st.stamps[i] = st.epoch;
 }
 
-fn signal_of(cx: &ExecCx, st: &InstState, idx: usize, value: Value) -> Result<SignalId, SimError> {
+fn signal_of(cx: &Interp, st: &InstState, idx: usize, value: Value) -> Result<SignalId, SimError> {
     let sig = st.sig_of[value.index()];
     if sig != NO_SIGNAL {
         Ok(sig)
@@ -905,7 +575,7 @@ fn signal_of(cx: &ExecCx, st: &InstState, idx: usize, value: Value) -> Result<Si
 }
 
 fn time_value<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &Interp,
     st: &InstState,
     sink: &S,
     idx: usize,
@@ -922,13 +592,13 @@ fn time_value<S: CoreSink>(
 // ----- process execution ------------------------------------------------
 
 fn run_process<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
     sink: &mut S,
 ) -> Result<(), SimError> {
-    scr.activations += 1;
+    scr.counters.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
     let mut block = match &st.status {
         ProcStatus::Ready => match unit.entry_block() {
@@ -1020,10 +690,11 @@ fn run_process<S: CoreSink>(
     }
 }
 
-/// Execute a non-control-flow instruction within a process activation.
+/// Execute an instruction that means the same in process and entity
+/// bodies: constants, probes, drives, memory, calls, pure ops.
 #[allow(clippy::too_many_arguments)]
 fn execute_simple_inst<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
@@ -1085,7 +756,7 @@ fn execute_simple_inst<S: CoreSink>(
             for &a in &data.args {
                 args.push(value_of(cx, st, sink, idx, unit, a)?);
             }
-            let result = call(cx, scr, unit, data, &args)?;
+            let result = call(cx, scr, unit, data, &args, 0)?;
             if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
                 set_value(st, result_value, value);
             }
@@ -1102,8 +773,8 @@ fn execute_simple_inst<S: CoreSink>(
         }
         op => {
             return Err(SimError::Runtime(format!(
-                "unsupported instruction {} in process",
-                op
+                "unsupported instruction {} in {}",
+                op, cx.design.instances[idx].name
             )));
         }
     }
@@ -1112,12 +783,15 @@ fn execute_simple_inst<S: CoreSink>(
 
 // ----- function calls ---------------------------------------------------
 
+/// Execute a `call`. `depth` is the number of function frames already
+/// active (0 from a process or entity body).
 fn call(
-    cx: &ExecCx,
+    cx: &Interp,
     scr: &mut Scratch,
     caller: &UnitData,
     data: &InstData,
     args: &[ConstValue],
+    depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
     let ext = data
         .ext_unit
@@ -1140,7 +814,10 @@ fn call(
             name
         )));
     }
-    call_function(cx, scr, callee, args)
+    if depth >= MAX_CALL_DEPTH {
+        return Err(call_depth_exceeded(&name));
+    }
+    call_function(cx, scr, callee, args, depth + 1)
 }
 
 fn intrinsic(
@@ -1150,9 +827,9 @@ fn intrinsic(
 ) -> Result<Option<ConstValue>, SimError> {
     match name {
         "assert" => {
-            scr.assertions_checked += 1;
+            scr.counters.assertions_checked += 1;
             if !args.first().map(|a| a.is_truthy()).unwrap_or(false) {
-                scr.assertion_failures += 1;
+                scr.counters.assertion_failures += 1;
             }
             Ok(None)
         }
@@ -1162,20 +839,48 @@ fn intrinsic(
     }
 }
 
+/// Where a function body goes after one instruction.
+enum Flow {
+    Next,
+    Jump(Block),
+    Return(Option<ConstValue>),
+}
+
+/// A function activation's frame: the same dense slot layout as
+/// instances, indexed by `Value::index()`.
+struct Frame {
+    slots: Vec<Option<ConstValue>>,
+    memory: Vec<Option<ConstValue>>,
+}
+
+impl Frame {
+    fn lookup(&self, unit: &UnitData, v: Value) -> Result<ConstValue, SimError> {
+        self.slots[v.index()]
+            .clone()
+            .or_else(|| unit.get_const(v).cloned())
+            .ok_or_else(|| SimError::Runtime(format!("use of undefined value {:?}", v)))
+    }
+}
+
 /// Interpret a function call. Functions execute immediately and may not
-/// interact with signals or time. The frame uses the same dense slot
-/// layout as instances, indexed by `Value::index()`.
+/// interact with signals or time. Only `call` recurses from here; every
+/// other instruction runs in [`function_inst`], which keeps the host
+/// stack frame per nested call small enough that [`MAX_CALL_DEPTH`]
+/// levels fit a default thread stack in an unoptimized build.
 fn call_function(
-    cx: &ExecCx,
+    cx: &Interp,
     scr: &mut Scratch,
     unit: &UnitData,
     args: &[ConstValue],
+    depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
     let n = unit.num_value_slots();
-    let mut slots: Vec<Option<ConstValue>> = vec![None; n];
-    let mut memory: Vec<Option<ConstValue>> = vec![None; n];
+    let mut frame = Frame {
+        slots: vec![None; n],
+        memory: vec![None; n],
+    };
     for (arg, value) in unit.args().into_iter().zip(args.iter()) {
-        slots[arg.index()] = Some(value.clone());
+        frame.slots[arg.index()] = Some(value.clone());
     }
     let mut block = unit
         .entry_block()
@@ -1192,77 +897,24 @@ fn call_function(
                 )));
             }
             let data = unit.inst_data(inst);
-            let lookup = |slots: &[Option<ConstValue>], v: Value| {
-                slots[v.index()]
-                    .clone()
-                    .or_else(|| unit.get_const(v).cloned())
-                    .ok_or_else(|| SimError::Runtime(format!("use of undefined value {:?}", v)))
-            };
-            match data.opcode {
-                Opcode::Const => {
-                    slots[unit.inst_result(inst).index()] = Some(data.konst.clone().unwrap());
+            if data.opcode == Opcode::Call {
+                let mut call_args = Vec::with_capacity(data.args.len());
+                for &a in &data.args {
+                    call_args.push(frame.lookup(unit, a)?);
                 }
-                Opcode::Ret => return Ok(None),
-                Opcode::RetValue => {
-                    return Ok(Some(lookup(&slots, data.args[0])?));
+                let result = call(cx, scr, unit, data, &call_args, depth)?;
+                if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
+                    frame.slots[result_value.index()] = Some(value);
                 }
-                Opcode::Br => {
-                    next_block = Some(data.blocks[0]);
+                continue;
+            }
+            match function_inst(&mut frame, unit, inst, data)? {
+                Flow::Next => {}
+                Flow::Jump(target) => {
+                    next_block = Some(target);
                     break;
                 }
-                Opcode::BrCond => {
-                    let cond = lookup(&slots, data.args[0])?;
-                    next_block = Some(if cond.is_truthy() {
-                        data.blocks[1]
-                    } else {
-                        data.blocks[0]
-                    });
-                    break;
-                }
-                Opcode::Var | Opcode::Halloc => {
-                    let init = lookup(&slots, data.args[0])?;
-                    memory[unit.inst_result(inst).index()] = Some(init);
-                }
-                Opcode::Ld => {
-                    let value = memory[data.args[0].index()].clone().ok_or_else(|| {
-                        SimError::Runtime("load from unallocated memory".to_string())
-                    })?;
-                    slots[unit.inst_result(inst).index()] = Some(value);
-                }
-                Opcode::St => {
-                    let value = lookup(&slots, data.args[1])?;
-                    memory[data.args[0].index()] = Some(value);
-                }
-                Opcode::Free => {
-                    memory[data.args[0].index()] = None;
-                }
-                Opcode::Call => {
-                    let mut call_args = Vec::with_capacity(data.args.len());
-                    for &a in &data.args {
-                        call_args.push(lookup(&slots, a)?);
-                    }
-                    let result = call(cx, scr, unit, data, &call_args)?;
-                    if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result)
-                    {
-                        slots[result_value.index()] = Some(value);
-                    }
-                }
-                op if op.is_pure() => {
-                    let mut eval_args = Vec::with_capacity(data.args.len());
-                    for &a in &data.args {
-                        eval_args.push(lookup(&slots, a)?);
-                    }
-                    let value = eval_pure(op, &eval_args, &data.imms).ok_or_else(|| {
-                        SimError::Runtime(format!("cannot evaluate instruction {}", op))
-                    })?;
-                    slots[unit.inst_result(inst).index()] = Some(value);
-                }
-                op => {
-                    return Err(SimError::Runtime(format!(
-                        "unsupported instruction {} in function",
-                        op
-                    )));
-                }
+                Flow::Return(value) => return Ok(value),
             }
         }
         match next_block {
@@ -1272,16 +924,70 @@ fn call_function(
     }
 }
 
+/// Execute one non-`call` instruction of a function body.
+fn function_inst(
+    frame: &mut Frame,
+    unit: &UnitData,
+    inst: llhd::ir::Inst,
+    data: &InstData,
+) -> Result<Flow, SimError> {
+    match data.opcode {
+        Opcode::Const => {
+            frame.slots[unit.inst_result(inst).index()] = Some(data.konst.clone().unwrap());
+        }
+        Opcode::Ret => return Ok(Flow::Return(None)),
+        Opcode::RetValue => return Ok(Flow::Return(Some(frame.lookup(unit, data.args[0])?))),
+        Opcode::Br => return Ok(Flow::Jump(data.blocks[0])),
+        Opcode::BrCond => {
+            let cond = frame.lookup(unit, data.args[0])?;
+            return Ok(Flow::Jump(data.blocks[cond.is_truthy() as usize]));
+        }
+        Opcode::Var | Opcode::Halloc => {
+            let init = frame.lookup(unit, data.args[0])?;
+            frame.memory[unit.inst_result(inst).index()] = Some(init);
+        }
+        Opcode::Ld => {
+            let value = frame.memory[data.args[0].index()]
+                .clone()
+                .ok_or_else(|| SimError::Runtime("load from unallocated memory".to_string()))?;
+            frame.slots[unit.inst_result(inst).index()] = Some(value);
+        }
+        Opcode::St => {
+            let value = frame.lookup(unit, data.args[1])?;
+            frame.memory[data.args[0].index()] = Some(value);
+        }
+        Opcode::Free => {
+            frame.memory[data.args[0].index()] = None;
+        }
+        op if op.is_pure() => {
+            let mut eval_args = Vec::with_capacity(data.args.len());
+            for &a in &data.args {
+                eval_args.push(frame.lookup(unit, a)?);
+            }
+            let value = eval_pure(op, &eval_args, &data.imms)
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
+            frame.slots[unit.inst_result(inst).index()] = Some(value);
+        }
+        op => {
+            return Err(SimError::Runtime(format!(
+                "unsupported instruction {} in function",
+                op
+            )));
+        }
+    }
+    Ok(Flow::Next)
+}
+
 // ----- entity evaluation --------------------------------------------------
 
 fn eval_entity<S: CoreSink>(
-    cx: &ExecCx,
+    cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
     sink: &mut S,
 ) -> Result<(), SimError> {
-    scr.activations += 1;
+    scr.counters.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
     let body = match unit.entry_block() {
         Some(b) => b,
@@ -1298,29 +1004,8 @@ fn eval_entity<S: CoreSink>(
     for &inst in unit.insts_slice(body) {
         let data = unit.inst_data(inst);
         match data.opcode {
-            Opcode::Const => {
-                let result = unit.inst_result(inst);
-                set_value(st, result, data.konst.clone().unwrap());
-            }
             Opcode::Sig | Opcode::Inst | Opcode::Con => {
                 // Elaboration-time constructs.
-            }
-            Opcode::Prb => {
-                let signal = signal_of(cx, st, idx, data.args[0])?;
-                let value = sink.value(signal).clone();
-                set_value(st, unit.inst_result(inst), value);
-            }
-            Opcode::Drv | Opcode::DrvCond => {
-                if data.opcode == Opcode::DrvCond {
-                    let cond = value_of(cx, st, sink, idx, unit, data.args[3])?;
-                    if !cond.is_truthy() {
-                        continue;
-                    }
-                }
-                let signal = signal_of(cx, st, idx, data.args[0])?;
-                let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
-                let delay = time_value(cx, st, sink, idx, unit, data.args[2], "drive delay")?;
-                sink.schedule_drive(signal, value, &delay);
             }
             Opcode::Del => {
                 let source = signal_of(cx, st, idx, data.args[0])?;
@@ -1331,25 +1016,11 @@ fn eval_entity<S: CoreSink>(
             }
             Opcode::Reg => {
                 let signal = signal_of(cx, st, idx, data.args[0])?;
-                let base = cx.execs[st.exec].reg_base[inst.index()] as usize;
+                let base = cx.execs[cx.exec_of[idx]].reg_base[inst.index()] as usize;
                 for (trigger_index, trigger) in data.triggers.iter().enumerate() {
                     let current = value_of(cx, st, sink, idx, unit, trigger.trigger)?;
                     let previous = st.reg_prev[base + trigger_index].take();
-                    let fire = match trigger.mode {
-                        RegMode::High => current.is_truthy(),
-                        RegMode::Low => !current.is_truthy(),
-                        RegMode::Rise => {
-                            previous.as_ref().map(|p| !p.is_truthy()).unwrap_or(false)
-                                && current.is_truthy()
-                        }
-                        RegMode::Fall => {
-                            previous.as_ref().map(|p| p.is_truthy()).unwrap_or(false)
-                                && !current.is_truthy()
-                        }
-                        RegMode::Both => {
-                            previous.as_ref().map(|p| p != &current).unwrap_or(false)
-                        }
-                    };
+                    let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                     st.reg_prev[base + trigger_index] = Some(current);
                     if !fire {
                         continue;
@@ -1363,31 +1034,8 @@ fn eval_entity<S: CoreSink>(
                     sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
                 }
             }
-            Opcode::Call => {
-                let mut args = Vec::with_capacity(data.args.len());
-                for &a in &data.args {
-                    args.push(value_of(cx, st, sink, idx, unit, a)?);
-                }
-                let result = call(cx, scr, unit, data, &args)?;
-                if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
-                    set_value(st, result_value, value);
-                }
-            }
-            op if op.is_pure() => {
-                let mut args = Vec::with_capacity(data.args.len());
-                for &a in &data.args {
-                    args.push(value_of(cx, st, sink, idx, unit, a)?);
-                }
-                let value = eval_pure(op, &args, &data.imms)
-                    .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
-                set_value(st, unit.inst_result(inst), value);
-            }
-            op => {
-                return Err(SimError::Runtime(format!(
-                    "unsupported instruction {} in entity",
-                    op
-                )));
-            }
+            // Everything else means the same in a process body.
+            _ => execute_simple_inst(cx, st, scr, idx, unit, inst, data, sink)?,
         }
     }
     Ok(())

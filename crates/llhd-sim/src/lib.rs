@@ -37,11 +37,13 @@
 //! ```
 //!
 //! Underneath, [`design::elaborate`] flattens a [`llhd::ir::Module`]
-//! into signals + unit instances, and an [`engine::Simulator`]
-//! interprets it.
+//! into signals + unit instances, and an [`engine::Simulator`] — the
+//! shared [`driver::Driver`] run loop over the interpreter's
+//! [`engine::Interp`] executor — interprets it.
 
 pub mod api;
 pub mod design;
+pub mod driver;
 pub mod engine;
 pub mod islands;
 pub mod query;
@@ -50,6 +52,7 @@ pub mod trace;
 
 pub use api::{BatchJob, DesignCache, EngineKind, EngineState, SimSession, TraceSink};
 pub use design::{elaborate, ElaborateError, ElaboratedDesign, SignalId};
+pub use driver::{Driver, Executor, MAX_CALL_DEPTH};
 pub use islands::{IslandInfo, IslandPlan};
 pub use query::DesignQuery;
 pub use engine::{RunControl, SimConfig, SimError, SimResult, Simulator};

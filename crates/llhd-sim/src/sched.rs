@@ -51,7 +51,9 @@ use std::collections::BinaryHeap;
 //
 // The checkpoint format (see `api::EngineState`) reuses the bitcode
 // varint + constant codec; these helpers add the few shapes the scheduler
-// needs on top.
+// needs on top. The readers turn truncated or undecodable input into a
+// `SimError`, never a panic; executors decode their per-instance sections
+// with the same ones.
 
 pub(crate) fn write_time(out: &mut Vec<u8>, t: &TimeValue) {
     write_varint(out, t.as_femtos());
@@ -71,21 +73,54 @@ pub(crate) fn read_u128(bytes: &[u8], pos: &mut usize) -> Result<u128, SimError>
         .ok_or_else(|| SimError::Runtime("truncated engine checkpoint".to_string()))
 }
 
-pub(crate) fn read_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
+/// Read a varint as a `usize`.
+///
+/// # Errors
+///
+/// Returns [`SimError::Runtime`] on truncated input.
+pub fn read_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
     Ok(read_u128(bytes, pos)? as usize)
 }
 
-pub(crate) fn read_const(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, SimError> {
+/// Read one constant in the bitcode constant encoding.
+///
+/// # Errors
+///
+/// Returns [`SimError::Runtime`] on truncated or malformed input.
+pub fn read_const(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, SimError> {
     decode_const_value(bytes, pos)
         .map_err(|e| SimError::Runtime(format!("corrupt engine checkpoint: {}", e)))
 }
 
-pub(crate) fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, SimError> {
+/// Read one byte.
+///
+/// # Errors
+///
+/// Returns [`SimError::Runtime`] on truncated input.
+pub fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, SimError> {
     let b = *bytes
         .get(*pos)
         .ok_or_else(|| SimError::Runtime("truncated engine checkpoint".to_string()))?;
     *pos += 1;
     Ok(b)
+}
+
+/// Whether two values have the same type structure: variant, widths and
+/// lengths, recursively. A signal's value keeps one shape for its whole
+/// life, so a checkpointed value of any other shape is corrupt (and
+/// would panic the width-checked `ApInt` operators a step later).
+fn same_shape(a: &ConstValue, b: &ConstValue) -> bool {
+    use ConstValue::*;
+    match (a, b) {
+        (Void, Void) | (Time(_), Time(_)) => true,
+        (Int(x), Int(y)) => x.width() == y.width(),
+        (Enum { states: x, .. }, Enum { states: y, .. }) => x == y,
+        (Logic(x), Logic(y)) => x.width() == y.width(),
+        (Array(x), Array(y)) | (Struct(x), Struct(y)) => {
+            x.len() == y.len() && x.iter().zip(y).all(|(p, q)| same_shape(p, q))
+        }
+        _ => false,
+    }
 }
 
 /// The events scheduled for one simulation instant.
@@ -696,6 +731,9 @@ impl SchedCore {
     ///
     /// Returns [`SimError::Runtime`] on truncated or mismatching input.
     pub fn restore_snapshot(&mut self, bytes: &[u8], pos: &mut usize) -> Result<(), SimError> {
+        fn corrupt(what: &str) -> SimError {
+            SimError::Runtime(format!("corrupt engine checkpoint: {}", what))
+        }
         let time = read_time(bytes, pos)?;
         let num_signals = read_usize(bytes, pos)?;
         if num_signals != self.values.len() {
@@ -705,9 +743,19 @@ impl SchedCore {
                 self.values.len()
             )));
         }
+        let num_instances = self.waiting.len();
+        // Every id and value below comes from outside the program: ids
+        // are bound-checked and values must keep their signal's shape.
+        let read_signal_value = |values: &[ConstValue], signal: usize, pos: &mut usize| {
+            let value = read_const(bytes, pos)?;
+            if !same_shape(&value, &values[signal]) {
+                return Err(corrupt("value does not match its signal's type"));
+            }
+            Ok(value)
+        };
         self.time = time;
-        for value in &mut self.values {
-            *value = read_const(bytes, pos)?;
+        for s in 0..num_signals {
+            self.values[s] = read_signal_value(&self.values, s, pos)?;
         }
         for pending in &mut self.pending {
             *pending = read_usize(bytes, pos)? as u32;
@@ -717,17 +765,19 @@ impl SchedCore {
             list.clear();
             list.reserve(n.min(4096));
             for _ in 0..n {
-                let inst = read_usize(bytes, pos)? as u32;
+                let inst = read_usize(bytes, pos)?;
+                if inst >= num_instances {
+                    return Err(corrupt("watcher instance out of range"));
+                }
                 let token = read_u128(bytes, pos)? as u64;
-                list.push((inst, token));
+                list.push((inst as u32, token));
             }
         }
-        let num_instances = read_usize(bytes, pos)?;
-        if num_instances != self.waiting.len() {
+        let stored_instances = read_usize(bytes, pos)?;
+        if stored_instances != num_instances {
             return Err(SimError::Runtime(format!(
                 "checkpoint is for a design with {} instances, this design has {}",
-                num_instances,
-                self.waiting.len()
+                stored_instances, num_instances
             )));
         }
         for waiting in &mut self.waiting {
@@ -749,20 +799,22 @@ impl SchedCore {
         self.trace = Trace::with_shared_names(self.trace.shared_names());
         for _ in 0..num_events {
             let time = read_time(bytes, pos)?;
-            let signal = read_usize(bytes, pos)? as u32;
-            let value = read_const(bytes, pos)?;
-            if (signal as usize) >= num_signals {
-                return Err(SimError::Runtime(
-                    "corrupt engine checkpoint: trace signal out of range".to_string(),
-                ));
+            let signal = read_usize(bytes, pos)?;
+            if signal >= num_signals {
+                return Err(corrupt("trace signal out of range"));
             }
-            self.trace.record_id(time, signal, value);
+            let value = read_signal_value(&self.values, signal, pos)?;
+            self.trace.record_id(time, signal as u32, value);
         }
         let queue_seq = read_u128(bytes, pos)? as u64;
         let num_entries = read_usize(bytes, pos)?;
         self.queue = EventQueue::new();
         self.queue.seq = queue_seq;
         self.queue.near_femtos = self.time.as_femtos();
+        // `next_cycle` decrements a signal's pending counter once per
+        // popped drive, so the restored counters must equal the queued
+        // drives exactly.
+        let mut queued = vec![0u32; num_signals];
         for _ in 0..num_entries {
             let near = read_byte(bytes, pos)? != 0;
             let entry_time = read_time(bytes, pos)?;
@@ -772,20 +824,17 @@ impl SchedCore {
             for _ in 0..num_drives {
                 let signal = read_usize(bytes, pos)?;
                 if signal >= num_signals {
-                    return Err(SimError::Runtime(
-                        "corrupt engine checkpoint: drive signal out of range".to_string(),
-                    ));
+                    return Err(corrupt("drive signal out of range"));
                 }
-                let value = read_const(bytes, pos)?;
+                let value = read_signal_value(&self.values, signal, pos)?;
+                queued[signal] += 1;
                 bucket.drives.push((SignalId(signal), value));
             }
             let num_wakes = read_usize(bytes, pos)?;
             for _ in 0..num_wakes {
                 let inst = read_usize(bytes, pos)?;
                 if inst >= num_instances {
-                    return Err(SimError::Runtime(
-                        "corrupt engine checkpoint: wake instance out of range".to_string(),
-                    ));
+                    return Err(corrupt("wake instance out of range"));
                 }
                 let token = read_u128(bytes, pos)? as u64;
                 bucket.wakes.push((inst as u32, token));
@@ -798,6 +847,9 @@ impl SchedCore {
             } else {
                 self.queue.heap.push(Reverse((entry_time, seq, b)));
             }
+        }
+        if queued != self.pending {
+            return Err(corrupt("pending-drive counters do not match the event queue"));
         }
         Ok(())
     }

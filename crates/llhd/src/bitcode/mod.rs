@@ -107,7 +107,8 @@ pub fn encode_const_value(out: &mut Vec<u8>, value: &ConstValue) {
 ///
 /// # Errors
 ///
-/// Returns a [`DecodeError`] on truncated input or an unknown tag.
+/// Returns a [`DecodeError`] on truncated input, an unknown tag, or an
+/// integer record whose limb count does not fit its width.
 pub fn decode_const_value(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, DecodeError> {
     fn fail(message: &str) -> DecodeError {
         DecodeError {
@@ -134,6 +135,12 @@ pub fn decode_const_value(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, D
         2 => {
             let width = varint(bytes, pos)? as usize;
             let n = varint(bytes, pos)? as usize;
+            // The writer emits exactly `ceil(width / 64)` limbs; anything
+            // else is hostile (zero width panics in `ApInt`, a huge width
+            // with few limbs makes it allocate the difference).
+            if width == 0 || n != width.div_ceil(64) {
+                return Err(fail("integer constant width and limb count disagree"));
+            }
             let mut limbs = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 limbs.push(varint(bytes, pos)? as u64);
@@ -200,6 +207,32 @@ mod tests {
         buf.clear();
         write_varint(&mut buf, 300);
         assert_eq!(buf.len(), 2);
+    }
+
+    #[test]
+    fn integer_constants_roundtrip_across_limb_boundaries() {
+        for width in [1usize, 63, 64, 65, 128, 129] {
+            let value = ConstValue::Int(ApInt::all_ones(width));
+            let mut buf = Vec::new();
+            encode_const_value(&mut buf, &value);
+            let mut pos = 0;
+            assert_eq!(decode_const_value(&buf, &mut pos).unwrap(), value);
+            assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn hostile_integer_records_are_decode_errors() {
+        // Width 0 (panicked in `ApInt::from_limb_vec`).
+        let mut pos = 0;
+        assert!(decode_const_value(&[2, 0, 0], &mut pos).is_err());
+        // Width 2^42 with zero limbs (made `limbs.resize` request 512 GiB).
+        let mut record = vec![2];
+        write_varint(&mut record, 1 << 42);
+        record.push(0);
+        assert_eq!(record.len(), 9);
+        let mut pos = 0;
+        assert!(decode_const_value(&record, &mut pos).is_err());
     }
 
     #[test]

@@ -611,13 +611,12 @@ fn parallel_checkpoint_restore_matches_serial_run_at_any_cut() {
     });
 }
 
-/// Checkpoint version compatibility: a synthesized version-1 header (no
-/// island-plan digest) still restores — the engines just fall back to the
-/// serial instant loop — while a version-2 header whose digest does not
-/// match the live partition is rejected with a clear message instead of
-/// replaying events under the wrong merge order.
+/// Checkpoint header rejection: a version-1 header (the pre-island format,
+/// no digest) and a version-2 header whose digest does not match the live
+/// partition are both refused with a clear message — never restored under
+/// the wrong merge order — and the refusal leaves a fresh session usable.
 #[test]
-fn checkpoint_v1_loads_and_mismatched_plan_hash_is_rejected() {
+fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
     use llhd::bitcode::{read_varint, write_varint};
     use llhd_designs::fir_bank;
     use llhd_sim::api::{EngineKind, EngineState, SimSession};
@@ -628,8 +627,23 @@ fn checkpoint_v1_loads_and_mismatched_plan_hash_is_rejected() {
     let module = design.build().unwrap();
     let config = SimConfig::until_nanos(60);
 
-    // Split a v2 checkpoint into (header-before-digest, digest, body).
-    let split = |bytes: &[u8]| -> (usize, usize) {
+    for engine in [EngineKind::Interpret, EngineKind::Compile] {
+        let build = || {
+            SimSession::builder(&module, &design.top)
+                .engine(engine)
+                .config(config.clone())
+                .threads(4)
+                .build()
+                .unwrap()
+        };
+        let serial = build().run().unwrap();
+        let mut session = build();
+        for _ in 0..5 {
+            session.step().unwrap();
+        }
+        let v2 = session.checkpoint().unwrap();
+        drop(session);
+        let bytes = v2.as_bytes();
         assert_eq!(&bytes[..4], b"LHCK");
         assert_eq!(bytes[4], 2, "checkpoints are version 2");
         let mut pos = 5;
@@ -638,72 +652,40 @@ fn checkpoint_v1_loads_and_mismatched_plan_hash_is_rejected() {
         read_varint(bytes, &mut pos).unwrap(); // num_signals
         read_varint(bytes, &mut pos).unwrap(); // num_instances
         let digest_start = pos;
-        read_varint(bytes, &mut pos).unwrap(); // island-plan digest
-        (digest_start, pos)
-    };
+        let hash = read_varint(bytes, &mut pos).unwrap();
+        let digest_end = pos;
+        assert_eq!(v2.island_plan_hash().unwrap() as u128, hash);
 
-    for engine in [EngineKind::Interpret, EngineKind::Compile] {
-        let serial = SimSession::builder(&module, &design.top)
-            .engine(engine)
-            .config(config.clone())
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        let mut session = SimSession::builder(&module, &design.top)
-            .engine(engine)
-            .config(config.clone())
-            .threads(4)
-            .build()
-            .unwrap();
-        for _ in 0..5 {
-            session.step().unwrap();
-        }
-        let v2 = session.checkpoint().unwrap();
-        drop(session);
-        let (digest_start, digest_end) = split(v2.as_bytes());
-
-        // Downgrade to version 1: drop the digest varint. The restored
-        // run must still finish byte-identical (it runs serially, and
-        // serial == parallel by the differential above).
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&v2.as_bytes()[..4]);
+        // Version 1: same header without the digest varint. Refused at
+        // the door, before any engine sees it.
+        let mut v1 = bytes[..4].to_vec();
         v1.push(1);
-        v1.extend_from_slice(&v2.as_bytes()[5..digest_start]);
-        v1.extend_from_slice(&v2.as_bytes()[digest_end..]);
-        let v1 = EngineState::from_bytes(v1).expect("synthesized v1 header parses");
-        assert_eq!(v1.island_plan_hash().unwrap(), None);
-        let mut resumed = SimSession::builder(&module, &design.top)
-            .engine(engine)
-            .config(config.clone())
-            .threads(4)
-            .build()
-            .unwrap();
-        resumed.restore(&v1).expect("v1 checkpoint restores");
-        while resumed.step().unwrap() {}
-        let result = resumed.finish().unwrap();
-        assert_eq!(serial.trace.events(), result.trace.events());
+        v1.extend_from_slice(&bytes[5..digest_start]);
+        v1.extend_from_slice(&bytes[digest_end..]);
+        let err = EngineState::from_bytes(v1).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported engine checkpoint version 1"),
+            "unexpected error: {}",
+            err
+        );
 
-        // Tamper with the digest: same design shape, different partition
+        // Foreign digest: same design shape, different partition
         // fingerprint. Restore must fail, and say why.
-        let hash = {
-            let mut pos = digest_start;
-            read_varint(v2.as_bytes(), &mut pos).unwrap()
-        };
-        let mut tampered = v2.as_bytes()[..digest_start].to_vec();
+        let mut tampered = bytes[..digest_start].to_vec();
         write_varint(&mut tampered, hash ^ 1);
-        tampered.extend_from_slice(&v2.as_bytes()[digest_end..]);
+        tampered.extend_from_slice(&bytes[digest_end..]);
         let tampered = EngineState::from_bytes(tampered).expect("tampered header still parses");
-        let mut victim = SimSession::builder(&module, &design.top)
-            .engine(engine)
-            .config(config.clone())
-            .build()
-            .unwrap();
-        let err = victim.restore(&tampered).unwrap_err();
+        let err = build().restore(&tampered).unwrap_err();
         assert!(
             err.to_string().contains("island plan"),
             "unexpected error: {}",
             err
         );
+
+        // The untampered blob still resumes byte-identically.
+        let mut resumed = build();
+        resumed.restore(&v2).unwrap();
+        while resumed.step().unwrap() {}
+        assert_eq!(serial.trace.events(), resumed.finish().unwrap().trace.events());
     }
 }
