@@ -1,6 +1,9 @@
 #!/bin/sh
 # The canonical verification gate for this repository. Keep in sync with
 # ROADMAP.md's "Tier-1 verify" line; CI and local pre-merge checks run this.
+# It checks correctness only, so it passes or fails the same way on every
+# machine: timing is compared by `benchmark ... compare A.json B.json`
+# between two commits on one host, never against a committed file.
 set -eu
 cd "$(dirname "$0")"
 
@@ -202,15 +205,3 @@ kill $W0_PID $W1_PID 2>/dev/null
 wait $W0_PID $W1_PID 2>/dev/null || true
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "ci.sh: router stdio smoke test OK"
-
-# Benchmark regression gate: re-measure the simulation and serialization
-# suites in quick mode and fail if any median regressed more than 20%
-# against the committed BENCH_simulation.json / BENCH_serialization.json
-# baselines (quick-mode regressions are re-measured at full length before
-# the gate fails). Prints the comparison tables either way. The baselines
-# are machine-specific wall-clock data, so on hardware unlike the one
-# that produced them (or on a loaded CI runner), skip the gate with
-# LLHD_SKIP_BENCH_GATE=1 — the build and tests above are unaffected.
-if [ "${LLHD_SKIP_BENCH_GATE:-0}" != "1" ]; then
-    cargo run --release -q -p llhd-bench --bin bench_gate -- --quick
-fi

@@ -6,8 +6,9 @@
 //! Usage: `table2 [cycles]` (default: 100 clock cycles per design),
 //! `table2 --paper-cycles` (the per-design cycle counts of the paper,
 //! 1 M–12.6 M: several minutes), or `table2 --scale N` (the paper's counts
-//! divided by `N`). Every testbench is built for the cycles it is timed
-//! over. The output starts with a line naming the host.
+//! divided by `N`); any other argument exits 2 with a usage line. Every
+//! testbench is built for the cycles it is timed over. The output starts
+//! with a line naming the host.
 
 use llhd_bench::report::{host_stamp, render_table2};
 use llhd_bench::{table2_rows, table2_rows_scaled};
@@ -23,7 +24,14 @@ fn main() {
                 std::process::exit(2);
             }
         },
-        arg => table2_rows(arg.and_then(|s| s.parse().ok()).unwrap_or(100)),
+        None => table2_rows(100),
+        Some(arg) => match arg.parse() {
+            Ok(cycles) => table2_rows(cycles),
+            Err(_) => {
+                eprintln!("usage: table2 [cycles | --paper-cycles | --scale N]");
+                std::process::exit(2);
+            }
+        },
     };
     println!("{}", host_stamp());
     print!("{}", render_table2(&rows));

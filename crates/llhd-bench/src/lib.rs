@@ -1,13 +1,11 @@
 //! # llhd-bench — regenerating the paper's tables and figures
 //!
-//! This crate contains the measurement harness behind the `table2`,
-//! `table3`, `table4`, and `figure5` binaries and the Criterion benchmarks.
-//! See `EXPERIMENTS.md` at the repository root for the mapping between the
-//! paper's evaluation artifacts and these entry points.
+//! The rows behind the `table2`, `table3`, `table4`, and `figure5`
+//! binaries, and [`report`], which renders them. Nothing here compares
+//! timings between commits: that is the job of the repo benchmark
+//! (`benchmark/`, see "How to measure anything" in the README).
 
-pub mod harness;
 pub mod report;
-pub mod suites;
 
 use llhd::assembly::write_module;
 use llhd::bitcode::encode_module;
@@ -91,7 +89,7 @@ pub fn measure_design(design: &Design, cycles: u64) -> Table2Row {
     let blaze = start.elapsed();
 
     // Baseline: compiled simulation of the cleaned-up module (the stand-in
-    // for a mature commercial simulator; see DESIGN.md).
+    // for a mature commercial simulator).
     let mut optimized = module.clone();
     optimize_module(&mut optimized);
     run(&optimized, EngineKind::Compile);

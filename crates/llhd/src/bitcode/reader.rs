@@ -71,6 +71,27 @@ impl<'a> Decoder<'a> {
         Ok(self.varint()? as usize)
     }
 
+    /// An element count. Every counted element occupies at least one byte
+    /// of input, so a count larger than the bytes left is hostile; rejecting
+    /// it here keeps `Vec::with_capacity` and the decode loops bounded by
+    /// the input length.
+    fn count(&mut self) -> Result<usize, DecodeError> {
+        let n = self.varint()?;
+        if n > (self.bytes.len() - self.pos) as u128 {
+            return Err(err("count exceeds the remaining input"));
+        }
+        Ok(n as usize)
+    }
+
+    fn ty_list(&mut self) -> Result<Vec<Type>, DecodeError> {
+        let n = self.count()?;
+        let mut tys = Vec::with_capacity(n);
+        for _ in 0..n {
+            tys.push(self.ty()?);
+        }
+        Ok(tys)
+    }
+
     fn string(&mut self) -> Result<String, DecodeError> {
         let idx = self.varint_usize()?;
         self.strings
@@ -98,9 +119,10 @@ impl<'a> Decoder<'a> {
             return Err(err(format!("unsupported bitcode version {}", version)));
         }
         // String table.
-        let num_strings = self.varint_usize()?;
+        let num_strings = self.count()?;
         for _ in 0..num_strings {
-            let len = self.varint_usize()?;
+            // A byte length is a count too, so `pos + len` cannot overflow.
+            let len = self.count()?;
             let end = self.pos + len;
             let s = self
                 .bytes
@@ -112,14 +134,14 @@ impl<'a> Decoder<'a> {
             self.pos = end;
         }
         // Type table.
-        let num_types = self.varint_usize()?;
+        let num_types = self.count()?;
         for _ in 0..num_types {
             let ty = self.decode_type()?;
             self.types.push(ty);
         }
         // Units.
         let mut module = Module::new();
-        let num_units = self.varint_usize()?;
+        let num_units = self.count()?;
         for _ in 0..num_units {
             let unit = self.decode_unit()?;
             module.add_unit(unit);
@@ -141,34 +163,15 @@ impl<'a> Decoder<'a> {
                 let len = self.varint_usize()?;
                 ty::array_ty(len, self.ty()?)
             }
-            8 => {
-                let n = self.varint_usize()?;
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fields.push(self.ty()?);
-                }
-                ty::struct_ty(fields)
-            }
+            8 => ty::struct_ty(self.ty_list()?),
             9 => {
-                let n = self.varint_usize()?;
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    args.push(self.ty()?);
-                }
+                let args = self.ty_list()?;
                 let ret = self.ty()?;
                 ty::func_ty(args, ret)
             }
             10 => {
-                let n_in = self.varint_usize()?;
-                let mut ins = Vec::with_capacity(n_in);
-                for _ in 0..n_in {
-                    ins.push(self.ty()?);
-                }
-                let n_out = self.varint_usize()?;
-                let mut outs = Vec::with_capacity(n_out);
-                for _ in 0..n_out {
-                    outs.push(self.ty()?);
-                }
+                let ins = self.ty_list()?;
+                let outs = self.ty_list()?;
                 ty::entity_ty(ins, outs)
             }
             other => return Err(err(format!("unknown type tag {}", other))),
@@ -186,16 +189,8 @@ impl<'a> Decoder<'a> {
     }
 
     fn decode_sig(&mut self, kind: UnitKind) -> Result<Signature, DecodeError> {
-        let n_in = self.varint_usize()?;
-        let mut inputs = Vec::with_capacity(n_in);
-        for _ in 0..n_in {
-            inputs.push(self.ty()?);
-        }
-        let n_out = self.varint_usize()?;
-        let mut outputs = Vec::with_capacity(n_out);
-        for _ in 0..n_out {
-            outputs.push(self.ty()?);
-        }
+        let inputs = self.ty_list()?;
+        let outputs = self.ty_list()?;
         let ret = self.ty()?;
         Ok(match kind {
             UnitKind::Function => Signature::new_func(inputs, ret),
@@ -221,22 +216,14 @@ impl<'a> Decoder<'a> {
         let mut unit = UnitData::new(kind, name, sig);
 
         // External units.
-        let num_ext = self.varint_usize()?;
+        let num_ext = self.count()?;
         for _ in 0..num_ext {
             let name = self.decode_name()?;
             // External unit signatures always carry inputs/outputs/return; we
             // reconstruct as a function signature if there are no outputs and
             // a non-void return type.
-            let n_in = self.varint_usize()?;
-            let mut inputs = Vec::with_capacity(n_in);
-            for _ in 0..n_in {
-                inputs.push(self.ty()?);
-            }
-            let n_out = self.varint_usize()?;
-            let mut outputs = Vec::with_capacity(n_out);
-            for _ in 0..n_out {
-                outputs.push(self.ty()?);
-            }
+            let inputs = self.ty_list()?;
+            let outputs = self.ty_list()?;
             let ret = self.ty()?;
             let sig = if outputs.is_empty() && (!ret.is_void() || inputs.iter().all(|t| !t.is_signal())) {
                 Signature::new_func(inputs, ret)
@@ -247,7 +234,7 @@ impl<'a> Decoder<'a> {
         }
 
         // Blocks. The first block of an entity already exists (its body).
-        let num_blocks = self.varint_usize()?;
+        let num_blocks = self.count()?;
         let mut blocks: Vec<Block> = Vec::with_capacity(num_blocks);
         for i in 0..num_blocks {
             let has_name = self.byte()? == 1;
@@ -265,6 +252,9 @@ impl<'a> Decoder<'a> {
 
         // Argument name hints.
         let num_args = self.varint_usize()?;
+        if num_args != unit.sig().num_args() {
+            return Err(err("argument count disagrees with the signature"));
+        }
         let mut values: Vec<Value> = Vec::new();
         for i in 0..num_args {
             let arg = unit.arg_value(i);
@@ -276,7 +266,7 @@ impl<'a> Decoder<'a> {
         }
 
         // Instructions.
-        let num_insts = self.varint_usize()?;
+        let num_insts = self.count()?;
         for _ in 0..num_insts {
             let opcode_idx = self.byte()? as usize;
             let opcode = *Opcode::ALL
@@ -286,7 +276,7 @@ impl<'a> Decoder<'a> {
             let block = *blocks
                 .get(block_idx)
                 .ok_or_else(|| err("block index out of range"))?;
-            let num_args = self.varint_usize()?;
+            let num_args = self.count()?;
             let mut args = Vec::with_capacity(num_args);
             for _ in 0..num_args {
                 let idx = self.varint_usize()?;
@@ -296,7 +286,7 @@ impl<'a> Decoder<'a> {
                         .ok_or_else(|| err("value index out of range"))?,
                 );
             }
-            let num_blocks = self.varint_usize()?;
+            let num_blocks = self.count()?;
             let mut inst_blocks = Vec::with_capacity(num_blocks);
             for _ in 0..num_blocks {
                 let idx = self.varint_usize()?;
@@ -306,7 +296,7 @@ impl<'a> Decoder<'a> {
                         .ok_or_else(|| err("block index out of range"))?,
                 );
             }
-            let num_imms = self.varint_usize()?;
+            let num_imms = self.count()?;
             let mut imms = Vec::with_capacity(num_imms);
             for _ in 0..num_imms {
                 imms.push(self.varint_usize()?);
@@ -323,7 +313,7 @@ impl<'a> Decoder<'a> {
                 None
             };
             let num_inputs = self.varint_usize()?;
-            let num_triggers = self.varint_usize()?;
+            let num_triggers = self.count()?;
             let mut triggers = Vec::with_capacity(num_triggers);
             for _ in 0..num_triggers {
                 let value_idx = self.varint_usize()?;
