@@ -7,6 +7,11 @@
 set -eu
 cd "$(dirname "$0")"
 
+# Wire-write guard: a `write!`/`writeln!` onto a stream sends one segment
+# per formatted token on a TCP_NODELAY socket; every line goes out through
+# `llhd_server::wire::write_line` (one encode, one `write_all`) instead.
+if grep -rnE '\bwriteln?!\(' crates/llhd-server/src crates/llhd-router/src --exclude=wire.rs --exclude=json.rs; then echo "ci.sh: write!/writeln! outside wire.rs/json.rs; use wire::write_line" >&2; exit 1; fi
+
 # Lint gate: the workspace is clippy-clean and stays that way. Runs first
 # (dev profile) so style/correctness lints fail fast, before the release
 # build. Skippable only where clippy is genuinely unavailable.

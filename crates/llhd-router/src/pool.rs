@@ -12,9 +12,9 @@
 //! and forwarded verbatim).
 
 use llhd_server::json::Json;
-use llhd_server::wire::LineReader;
+use llhd_server::wire::{write_line, LineReader};
 use std::collections::VecDeque;
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -41,6 +41,8 @@ type Waiter = mpsc::Sender<io::Result<Json>>;
 /// FIFO reply pairing rests on.
 struct PipeShared {
     stream: TcpStream,
+    /// The request-line encode buffer, reused across calls.
+    out: Vec<u8>,
     waiters: VecDeque<Waiter>,
     dead: bool,
 }
@@ -74,6 +76,7 @@ impl Pipeline {
         reader.set_read_timeout(Some(READ_TICK))?;
         let shared = Arc::new(Mutex::new(PipeShared {
             stream,
+            out: Vec::new(),
             waiters: VecDeque::new(),
             dead: false,
         }));
@@ -98,7 +101,8 @@ impl Pipeline {
     /// response line.
     pub fn call(&self, line: &str, timeout: Duration) -> io::Result<Json> {
         let rx = {
-            let mut shared = plock(&self.shared);
+            let mut guard = plock(&self.shared);
+            let shared = &mut *guard;
             if shared.dead {
                 return Err(io::Error::new(
                     io::ErrorKind::BrokenPipe,
@@ -110,8 +114,7 @@ impl Pipeline {
             // A failed or partial write desynchronizes the line framing:
             // nothing sent after it can be trusted, so the whole pipeline
             // dies (callers reconnect).
-            if let Err(e) = writeln!(shared.stream, "{}", line).and_then(|_| shared.stream.flush())
-            {
+            if let Err(e) = write_line(&mut shared.stream, &mut shared.out, line) {
                 shared.fail_all("worker connection failed while writing a request");
                 return Err(e);
             }

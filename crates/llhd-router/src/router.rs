@@ -27,7 +27,7 @@ use llhd_server::json::Json;
 use llhd_server::protocol::{
     error_response, ok_response, request_id, ErrorKind, ProtoError, Request, SimJobSpec,
 };
-use llhd_server::wire::LineReader;
+use llhd_server::wire::{write_line, LineReader};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -830,6 +830,7 @@ fn handle_connection(
     mut writer: impl Write,
 ) -> io::Result<()> {
     let mut lines = LineReader::new(reader);
+    let mut out = Vec::new();
     loop {
         let line = match lines.next_line() {
             Ok(Some(line)) => line,
@@ -845,8 +846,7 @@ fn handle_connection(
             }
             Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 let error = ProtoError::new(ErrorKind::Protocol, e.to_string());
-                writeln!(writer, "{}", error_response(None, &error))?;
-                writer.flush()?;
+                write_line(&mut writer, &mut out, &error_response(None, &error))?;
                 continue;
             }
             Err(e) => return Err(e),
@@ -855,8 +855,7 @@ fn handle_connection(
             continue;
         }
         let (response, close) = state.handle_line(&line);
-        writeln!(writer, "{}", response)?;
-        writer.flush()?;
+        write_line(&mut writer, &mut out, &response)?;
         if close {
             return Ok(());
         }
@@ -1015,5 +1014,81 @@ impl RunningRouter {
         self.thread
             .join()
             .unwrap_or_else(|_| Err(io::Error::other("router thread panicked")))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use llhd_server::{Client, Server, ServerConfig, MAX_LINE_BYTES};
+    use std::io::Cursor;
+
+    /// Counts `write` calls: on a `TCP_NODELAY` socket each is a segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const BLINK: &str = "proc @blink () -> (i1$ %led) { entry: %on = const i1 1 %off = const i1 0 \
+        %t = const time 5ns drv i1$ %led, %on after %t wait %next for %t next: \
+        drv i1$ %led, %off after %t wait %entry for %t }";
+
+    /// A `ping`, a `trace:"vcd"` sim routed to a real worker, and an
+    /// over-limit line — each answer leaves in exactly one `write`.
+    #[test]
+    fn every_response_line_is_one_write() {
+        let worker = Server::spawn_tcp(ServerConfig::default(), "127.0.0.1:0").unwrap();
+        let state = Arc::new(RouterState::new(&RouterConfig {
+            workers: vec![WorkerSpec {
+                id: "w0".to_string(),
+                addr: worker.addr(),
+            }],
+            ..RouterConfig::default()
+        }));
+        let sim = Json::obj([
+            ("type", Json::str("sim")),
+            ("id", Json::Int(2)),
+            ("source", Json::str(BLINK)),
+            ("top", Json::str("blink")),
+            ("until_ns", Json::Int(1000)),
+            ("trace", Json::str("vcd")),
+        ]);
+        let input = Cursor::new(format!("{{\"type\":\"ping\",\"id\":1}}\n{}\n", sim))
+            .chain(io::repeat(b'x').take(MAX_LINE_BYTES as u64 + 1))
+            .chain(Cursor::new("\n"));
+        let mut writer = CountingWriter::default();
+        handle_connection(&state, input, &mut writer).unwrap();
+        drop(state);
+        let mut client = Client::connect(worker.addr()).unwrap();
+        let shutdown = Json::obj([("type", Json::str("shutdown"))]);
+        client.request(&shutdown).unwrap();
+        worker.join().unwrap();
+
+        let text = String::from_utf8(writer.bytes).unwrap();
+        let lines: Vec<Json> = text
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 3, "{}", text);
+        assert_eq!(writer.writes, lines.len(), "one write per response line");
+        assert_eq!(lines[0].get("id"), Some(&Json::Int(1)), "{}", lines[0]);
+        let vcd = lines[1].get("result").and_then(|r| r.get("trace_vcd"));
+        let vcd = vcd.and_then(Json::as_str).unwrap_or_default();
+        assert!(vcd.contains("$enddefinitions"), "{}", lines[1]);
+        let kind = lines[2].get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("protocol"));
     }
 }

@@ -341,20 +341,31 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// Quote and escape `s`. Every run of characters that needs no escape goes
+/// out as one `write_str`: a VCD trace is kilobytes of such runs broken
+/// only by newlines. Scanning bytes is sound because every escaped
+/// character is ASCII and no byte of a multi-byte UTF-8 sequence is, so
+/// each split point is a character boundary.
 fn escape_into(out: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(out, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(out, "\\\"")?,
-            '\\' => write!(out, "\\\\")?,
-            '\n' => write!(out, "\\n")?,
-            '\r' => write!(out, "\\r")?,
-            '\t' => write!(out, "\\t")?,
-            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
-            c => write!(out, "{}", c)?,
+    out.write_str("\"")?;
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
         }
+        out.write_str(&s[run..i])?;
+        match byte {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            _ => write!(out, "\\u{:04x}", byte)?,
+        }
+        run = i + 1;
     }
-    write!(out, "\"")
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 /// Compact (single-line) JSON — the wire format of the protocol.

@@ -44,7 +44,7 @@ use crate::protocol::{
     error_response, hex_decode, hex_encode, ok_response, request_id, sim_result_json, stats_json,
     ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec,
 };
-use crate::wire::LineReader;
+use crate::wire::{write_line, LineReader};
 use llhd::assembly::parse_module;
 use llhd::ir::Module;
 use llhd::value::ConstValue;
@@ -827,16 +827,25 @@ impl ServerState {
     }
 }
 
-/// The dispatcher: drains the queue in micro-batches and runs each batch
-/// on its own thread through [`SimSession::run_batch`] with the shared
-/// cache. All jobs pending at drain time execute concurrently (one
-/// worker per core inside the batch), and because batches themselves run
-/// detached from the drain loop, a long-running batch never blocks newer
-/// short requests behind it (no head-of-line blocking across batches).
-/// In-flight batch count is bounded by the number of connections — each
-/// connection has at most one outstanding request.
+/// The dispatcher: drains the queue in micro-batches and hands each batch
+/// to a runner thread, which executes it through [`SimSession::run_batch`]
+/// with the shared cache. All jobs pending at drain time execute
+/// concurrently (one worker per core inside the batch), and because a
+/// batch goes to an *idle* runner — a new one is started when none is —
+/// a long-running batch never blocks newer short requests behind it (no
+/// head-of-line blocking across batches). Runners are kept for the
+/// server's lifetime: spawning a thread per batch made every request pay
+/// a thread start, and under load spread its allocations over ever more
+/// malloc arenas. In-flight batches are bounded by the number of
+/// connections — each has at most one outstanding request — and runners
+/// by twice that: a runner that has answered but not yet counted itself
+/// idle can miss one batch, which then starts another runner.
 fn dispatch_loop(state: Arc<ServerState>) {
-    let mut batches: Vec<JoinHandle<()>> = Vec::new();
+    let (batch_tx, batch_rx) = mpsc::channel::<Vec<PendingJob>>();
+    let batch_rx = Arc::new(Mutex::new(batch_rx));
+    // Runners blocked on `batch_rx` that no sent batch has claimed yet.
+    let idle = Arc::new(AtomicUsize::new(0));
+    let mut runners: Vec<JoinHandle<()>> = Vec::new();
     loop {
         let batch = {
             let mut queue = plock(&state.queue);
@@ -857,26 +866,41 @@ fn dispatch_loop(state: Arc<ServerState>) {
             Some(batch) => batch,
             None => break,
         };
-        batches.retain(|handle| !handle.is_finished());
-        let batch_state = Arc::clone(&state);
-        batches.push(std::thread::spawn(move || {
-            run_micro_batch(&batch_state, batch)
-        }));
+        let claimed = idle
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok();
+        if !claimed {
+            runners.retain(|handle| !handle.is_finished());
+            let (state, batch_rx, idle) =
+                (Arc::clone(&state), Arc::clone(&batch_rx), Arc::clone(&idle));
+            runners.push(std::thread::spawn(move || loop {
+                let Ok(batch) = plock(&batch_rx).recv() else {
+                    return;
+                };
+                run_micro_batch(&state, batch);
+                idle.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        // The receiving side lives as long as any runner does, and a
+        // runner was just counted or started for this batch.
+        let _ = batch_tx.send(batch);
     }
     // Graceful drain: every accepted job is answered before the
     // dispatcher (and with it the server) exits — bounded by the drain
     // deadline, after which stuck batches are abandoned (their waiters
     // are answered with `shutdown` by `await_reply`'s own deadline).
+    // Closing the channel lets each runner exit once it is idle.
+    drop(batch_tx);
     let until = plock(&state.drain_until)
         .unwrap_or_else(|| Instant::now() + state.drain_deadline);
-    while !batches.is_empty() && Instant::now() < until {
-        batches.retain(|handle| !handle.is_finished());
-        if batches.is_empty() {
+    while !runners.is_empty() && Instant::now() < until {
+        runners.retain(|handle| !handle.is_finished());
+        if runners.is_empty() {
             break;
         }
         std::thread::sleep(DRAIN_TICK);
     }
-    for handle in batches.into_iter().filter(|h| h.is_finished()) {
+    for handle in runners.into_iter().filter(|h| h.is_finished()) {
         let _ = handle.join();
     }
 }
@@ -1253,6 +1277,7 @@ fn handle_connection(
     mut writer: impl Write,
 ) -> io::Result<()> {
     let mut lines = LineReader::new(reader);
+    let mut out = Vec::new();
     loop {
         let line = match lines.next_line() {
             Ok(Some(line)) => line,
@@ -1270,8 +1295,7 @@ fn handle_connection(
                 // Oversized line: the reader has switched to discarding
                 // its tail, so answer and keep serving this connection.
                 let error = ProtoError::new(ErrorKind::Protocol, e.to_string());
-                writeln!(writer, "{}", error_response(None, &error))?;
-                writer.flush()?;
+                write_line(&mut writer, &mut out, &error_response(None, &error))?;
                 continue;
             }
             Err(e) => return Err(e),
@@ -1294,8 +1318,7 @@ fn handle_connection(
                     (error_response(id, &error), false)
                 }
             };
-        writeln!(writer, "{}", response)?;
-        writer.flush()?;
+        write_line(&mut writer, &mut out, &response)?;
         if close {
             return Ok(());
         }
@@ -1486,6 +1509,7 @@ impl RunningServer {
 /// same shape (`docs/PROTOCOL.md`).
 pub struct Client {
     writer: TcpStream,
+    out: Vec<u8>,
     lines: LineReader<TcpStream>,
 }
 
@@ -1502,6 +1526,7 @@ impl Client {
         let reader = writer.try_clone()?;
         Ok(Client {
             writer,
+            out: Vec::new(),
             lines: LineReader::new(reader),
         })
     }
@@ -1513,8 +1538,7 @@ impl Client {
     ///
     /// I/O failures, or `InvalidData` if the response is not JSON.
     pub fn request(&mut self, request: &Json) -> io::Result<Json> {
-        writeln!(self.writer, "{}", request)?;
-        self.writer.flush()?;
+        write_line(&mut self.writer, &mut self.out, request)?;
         match self.lines.next_line()? {
             Some(line) => Json::parse(&line)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
@@ -1523,5 +1547,73 @@ impl Client {
                 "server closed the connection",
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::MAX_LINE_BYTES;
+    use std::io::Cursor;
+
+    /// Counts `write` calls: on a `TCP_NODELAY` socket each is a segment.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const BLINK: &str = "proc @blink () -> (i1$ %led) { entry: %on = const i1 1 %off = const i1 0 \
+        %t = const time 5ns drv i1$ %led, %on after %t wait %next for %t next: \
+        drv i1$ %led, %off after %t wait %entry for %t }";
+
+    /// A `ping`, a `trace:"vcd"` sim, and an over-limit line — each answer
+    /// leaves in exactly one `write`.
+    #[test]
+    fn every_response_line_is_one_write() {
+        let server = Server::new(ServerConfig::default());
+        let state = server.state();
+        let dispatcher = server.spawn_dispatcher();
+        let sim = Json::obj([
+            ("type", Json::str("sim")),
+            ("id", Json::Int(2)),
+            ("source", Json::str(BLINK)),
+            ("top", Json::str("blink")),
+            ("until_ns", Json::Int(1000)),
+            ("trace", Json::str("vcd")),
+        ]);
+        let input = Cursor::new(format!("{{\"type\":\"ping\",\"id\":1}}\n{}\n", sim))
+            .chain(io::repeat(b'x').take(MAX_LINE_BYTES as u64 + 1))
+            .chain(Cursor::new("\n"));
+        let mut writer = CountingWriter::default();
+        handle_connection(&state, input, &mut writer).unwrap();
+        state.begin_shutdown();
+        dispatcher.join().unwrap();
+
+        let text = String::from_utf8(writer.bytes).unwrap();
+        let lines: Vec<Json> = text
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .collect();
+        assert_eq!(lines.len(), 3, "{}", text);
+        assert_eq!(writer.writes, lines.len(), "one write per response line");
+        assert_eq!(lines[0].get("id"), Some(&Json::Int(1)), "{}", lines[0]);
+        let vcd = lines[1].get("result").and_then(|r| r.get("trace_vcd"));
+        let vcd = vcd.and_then(Json::as_str).unwrap_or_default();
+        assert!(vcd.contains("$enddefinitions"), "{}", lines[1]);
+        let kind = lines[2].get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("protocol"));
     }
 }

@@ -1,15 +1,46 @@
 //! Line-level transport shared by the server, the [`Client`], and the
 //! fleet router: an incremental reader for the protocol's one-line
-//! framing that tolerates read timeouts and survives oversized lines.
+//! framing that tolerates read timeouts and survives oversized lines, and
+//! [`write_line`], the one way a line goes out.
 //!
 //! [`Client`]: crate::server::Client
 
-use std::io::{self, Read};
+use std::fmt;
+use std::io::{self, Read, Write};
 
 /// Reject lines longer than this (64 MiB): a missing newline must not
 /// buffer unbounded garbage. The largest benchmark design's assembly is
 /// three orders of magnitude smaller.
 pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// A line buffer that grew past this after one huge response is dropped
+/// rather than kept for the connection's lifetime.
+const RETAINED_LINE_BYTES: usize = 1 << 20;
+
+/// Send `line` plus `\n` with a single `write_all` and `flush`.
+///
+/// The line is encoded into `buf` first (cleared here; keep one per
+/// connection so the steady state allocates nothing). Encoding straight
+/// onto the writer would be one `write` per `Display` token — `Json`
+/// writes per token and per escaped character — and on a `TCP_NODELAY`
+/// socket every `write` is its own segment.
+///
+/// # Errors
+///
+/// Propagates the writer's I/O errors.
+pub fn write_line<W, T>(out: &mut W, buf: &mut Vec<u8>, line: &T) -> io::Result<()>
+where
+    W: Write + ?Sized,
+    T: fmt::Display + ?Sized,
+{
+    buf.clear();
+    writeln!(buf, "{}", line)?;
+    let sent = out.write_all(buf).and_then(|()| out.flush());
+    if buf.capacity() > RETAINED_LINE_BYTES {
+        *buf = Vec::new();
+    }
+    sent
+}
 
 /// Incremental line reader that tolerates read timeouts (propagated to
 /// the caller as `WouldBlock`/`TimedOut`, with all buffered bytes kept).

@@ -1833,9 +1833,10 @@ impl<'m> SimSession<'m> {
     }
 
     /// Run a batch of simulation jobs across std threads, one worker per
-    /// core (bounded by the job count), returning the per-job results in
-    /// order. Jobs are independent sessions; pass a shared [`DesignCache`]
-    /// to elaborate/compile each distinct design once for the whole batch.
+    /// core (bounded by the job count; the calling thread is one of
+    /// them), returning the per-job results in order. Jobs are
+    /// independent sessions; pass a shared [`DesignCache`] to
+    /// elaborate/compile each distinct design once for the whole batch.
     ///
     /// ```
     /// use llhd_sim::api::{BatchJob, DesignCache, SimSession};
@@ -1892,40 +1893,44 @@ impl<'m> SimSession<'m> {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<SimResult, Error>>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= jobs.len() {
-                        break;
-                    }
-                    let job = &jobs[i];
-                    let mut builder = SimSession::builder(job.module, job.top)
-                        .engine(job.engine)
-                        .config(job.config.clone());
-                    if let (Some(cache), Some(key)) = (cache, keys[i]) {
-                        builder = builder.cache(cache).cache_key(key);
-                    }
-                    // Panic isolation: a panicking engine must cost its
-                    // own job an `Error::Panic`, not unwind through the
-                    // scope and take the sibling jobs (and the caller)
-                    // down with it.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || builder.build().and_then(|session| session.run()),
-                    ))
-                    .unwrap_or_else(|payload| {
-                        // A panic mid-build may have poisoned the job's
-                        // cache slot; evict poisoned entries so the next
-                        // request for the same design recompiles instead
-                        // of wedging on the poison forever.
-                        if let Some(cache) = cache {
-                            cache.sweep_poisoned();
-                        }
-                        Err(Error::Panic(panic_message(&*payload)))
-                    });
-                    *lock_recover(&slots[i]) = Some(result);
-                });
+        let worker = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= jobs.len() {
+                break;
             }
+            let job = &jobs[i];
+            let mut builder = SimSession::builder(job.module, job.top)
+                .engine(job.engine)
+                .config(job.config.clone());
+            if let (Some(cache), Some(key)) = (cache, keys[i]) {
+                builder = builder.cache(cache).cache_key(key);
+            }
+            // Panic isolation: a panicking engine must cost its own job an
+            // `Error::Panic`, not unwind through the scope (or, on the
+            // inline worker, into the caller) and take the sibling jobs
+            // down with it.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                builder.build().and_then(|session| session.run())
+            }))
+            .unwrap_or_else(|payload| {
+                // A panic mid-build may have poisoned the job's cache
+                // slot; evict poisoned entries so the next request for the
+                // same design recompiles instead of wedging on the poison
+                // forever.
+                if let Some(cache) = cache {
+                    cache.sweep_poisoned();
+                }
+                Err(Error::Panic(panic_message(&*payload)))
+            });
+            *lock_recover(&slots[i]) = Some(result);
+        };
+        // The caller is one of the workers: a one-job batch (the server's
+        // common case) spawns nothing.
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(worker);
+            }
+            worker();
         });
         slots
             .into_iter()
@@ -2452,6 +2457,30 @@ mod tests {
         // All four jobs share one design: one miss, three hits.
         assert_eq!(cache.elaborate_misses(), 1);
         assert_eq!(cache.elaborate_hits(), 3);
+    }
+
+    /// A one-job batch runs on the calling thread, so its panic isolation
+    /// is what stands between a panicking engine and the caller.
+    #[test]
+    fn a_panicking_job_in_a_one_job_batch_stays_in_its_slot() {
+        let module = parse_module(BLINK).unwrap();
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(Mutex::new(None));
+        let mut config = SimConfig::until_nanos(100);
+        config.control.probe = Some({
+            let ran_on = Arc::clone(&ran_on);
+            Arc::new(move || {
+                *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                panic!("injected probe panic");
+            })
+        });
+        let jobs = [BatchJob::new(&module, "blink", config)];
+        let results = SimSession::run_batch(&jobs, None);
+        assert_eq!(*ran_on.lock().unwrap(), Some(caller), "one job spawns no thread");
+        match &results[..] {
+            [Err(Error::Panic(message))] => assert!(message.contains("injected probe panic")),
+            other => panic!("expected one Error::Panic, got {:?}", other),
+        }
     }
 
     #[test]

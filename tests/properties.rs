@@ -689,3 +689,51 @@ fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
         assert_eq!(serial.trace.events(), resumed.finish().unwrap().trace.events());
     }
 }
+
+/// The wire's JSON string encoder (one `write_str` per unescaped run)
+/// emits exactly what the original per-character encoder did, for object
+/// keys and string values alike, and the output parses back to the input.
+#[test]
+fn json_string_encoding_matches_per_char_reference() {
+    use llhd_server::json::Json;
+
+    /// The per-`char` encoder the run-based one replaced, kept as the
+    /// reference.
+    fn reference(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    // Quote, backslash, the ASCII edges, and 2-, 3- and 4-byte UTF-8.
+    let special: Vec<char> = "\"\\a \u{7f}é→\u{2028}😀\u{10ffff}".chars().collect();
+    forall("json string encoding matches per-char reference", |rng| {
+        let s: String = rng
+            .vec(0, 40, |r| match r.range_usize(0, 3) {
+                0 => char::from_u32(r.range_u64(0, 0x1f) as u32).unwrap(),
+                1 => special[r.range_usize(0, special.len() - 1)],
+                2 => char::from_u32(r.range_u64(0x20, 0x7e) as u32).unwrap(),
+                _ => char::from_u32(r.range_u64(0, 0x10ffff) as u32).unwrap_or('\u{fffd}'),
+            })
+            .into_iter()
+            .collect();
+        let encoded = Json::str(s.clone()).to_string();
+        prop_assert_eq!(encoded, reference(&s));
+        let object = Json::Obj(vec![(s.clone(), Json::Bool(true))]).to_string();
+        prop_assert_eq!(object, format!("{{{}:true}}", reference(&s)));
+        let decoded = Json::parse(&encoded).unwrap();
+        prop_assert_eq!(decoded.as_str(), Some(s.as_str()));
+        Ok(())
+    });
+}
