@@ -85,7 +85,7 @@ impl ArgRange {
 /// let compiled = compile_design_with(
 ///     &module,
 ///     Arc::clone(&design),
-///     BlazeOptions { fuse: false, specialize: false, islands: true },
+///     BlazeOptions { fuse: false, specialize: false, ..BlazeOptions::default() },
 /// )
 /// .unwrap();
 /// assert_eq!(compiled.options.fuse, false);
@@ -100,11 +100,10 @@ pub struct BlazeOptions {
     /// delays, and cross-block constant folding. With `false`, instances
     /// execute the generic per-op stream through their signal tables.
     pub specialize: bool,
-    /// Island-parallel execution: let the engine activate disjoint
-    /// sensitivity islands on worker threads when
-    /// [`SimConfig::threads`](llhd_sim::SimConfig) asks for more than one.
-    /// Purely a speed knob — traces are byte-identical either way. With
-    /// `false` the engine always runs the serial activation loop.
+    /// Selects nothing: every run is serial. Kept only because the
+    /// `benchmark/` package still sets it; it goes with that caller in
+    /// ROADMAP item 1.
+    #[doc(hidden)]
     pub islands: bool,
 }
 
@@ -332,9 +331,8 @@ pub struct CompiledDesign {
     /// The lowering knobs this design was compiled with.
     pub options: BlazeOptions,
     /// The sensitivity-island partition of the design, computed once at
-    /// compile time. Drives the engine's island-parallel instant loop and
-    /// stamps its digest into checkpoints (see
-    /// [`llhd_sim::IslandPlan`]).
+    /// compile time. Its digest is stamped into checkpoints as a design
+    /// fingerprint (see [`llhd_sim::IslandPlan`]).
     pub island_plan: IslandPlan,
 }
 

@@ -23,7 +23,7 @@ use llhd_sim::driver::{
     call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
     Scratch, MAX_CALL_DEPTH,
 };
-use llhd_sim::sched::{read_byte, read_const, read_usize, CoreSink, SchedCore};
+use llhd_sim::sched::{read_byte, read_const, read_usize, SchedCore};
 use llhd_sim::{ElaboratedDesign, IslandPlan, SimConfig, SimError};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -56,8 +56,7 @@ pub struct InstanceState {
 }
 
 /// The compiled engine as an [`Executor`]: the compiled design plus the
-/// step limit. Shared read-only across the parallel instant loop's
-/// worker threads.
+/// step limit.
 pub struct BlazeExec {
     compiled: Arc<CompiledDesign>,
     max_steps: usize,
@@ -115,10 +114,6 @@ impl Executor for BlazeExec {
         &self.compiled.island_plan
     }
 
-    fn islands_enabled(&self) -> bool {
-        self.compiled.options.islands
-    }
-
     fn build_states(&self, core: &mut SchedCore) -> Vec<InstanceState> {
         let compiled = &*self.compiled;
         let mut states = Vec::with_capacity(compiled.instances.len());
@@ -158,14 +153,14 @@ impl Executor for BlazeExec {
         states
     }
 
-    fn activate<S: CoreSink>(
+    fn activate(
         &self,
         st: &mut InstanceState,
         scr: &mut Scratch,
         idx: usize,
-        sink: &mut S,
+        core: &mut SchedCore,
     ) -> Result<(), SimError> {
-        run_instance(self, st, scr, idx, sink)
+        run_instance(self, st, scr, idx, core)
     }
 
     fn is_halted(st: &InstanceState) -> bool {
@@ -243,23 +238,21 @@ impl Executor for BlazeExec {
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions generic over
-// [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation), the island-parallel loop with a
-// [`DeferredSink`](llhd_sim::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread).
+// The execution core is a set of free functions over the instance state
+// and the [`SchedCore`], which they read signals from and schedule drives
+// and suspensions into.
 
-fn run_instance<S: CoreSink>(
+fn run_instance(
     cx: &BlazeExec,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.counters.activations += 1;
     if let Some(code) = &st.code {
         let code = Arc::clone(code);
-        return run_instance_spec(cx, st, scr, idx, &code, sink);
+        return run_instance_spec(cx, st, scr, idx, &code, core);
     }
     let unit = Arc::clone(&st.unit);
     let mut block = match &st.status {
@@ -298,7 +291,7 @@ fn run_instance<S: CoreSink>(
                 }
                 Op::Prb { dst, sig } => {
                     let signal = st.signal_table[*sig];
-                    st.regs[*dst] = sink.value(signal).clone();
+                    st.regs[*dst] = core.value(signal).clone();
                 }
                 Op::Drv {
                     sig,
@@ -314,7 +307,7 @@ fn run_instance<S: CoreSink>(
                     let signal = st.signal_table[*sig];
                     let value = st.regs[*value].clone();
                     let delay = time_reg(st, *delay)?;
-                    sink.schedule_drive(signal, value, &delay);
+                    core.schedule_drive(signal, value, &delay);
                 }
                 Op::Del {
                     target,
@@ -324,8 +317,8 @@ fn run_instance<S: CoreSink>(
                     let target = st.signal_table[*target];
                     let source = st.signal_table[*source];
                     let delay = time_reg(st, *delay)?;
-                    let value = sink.value(source).clone();
-                    sink.schedule_drive(target, value, &delay);
+                    let value = core.value(source).clone();
+                    core.schedule_drive(target, value, &delay);
                 }
                 Op::Reg { sig, triggers } => {
                     let signal = st.signal_table[*sig];
@@ -343,7 +336,7 @@ fn run_instance<S: CoreSink>(
                             }
                         }
                         let value = st.regs[trigger.value].clone();
-                        sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
                 Op::Var { mem, init } => {
@@ -381,7 +374,7 @@ fn run_instance<S: CoreSink>(
                         None => None,
                     };
                     st.status = Status::Suspended { resume: *resume };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 Op::Halt => {
@@ -428,13 +421,13 @@ fn run_instance<S: CoreSink>(
 /// Semantics — drive order, suspension, error points — mirror
 /// [`run_instance`]'s generic loop exactly; the differential and
 /// propcheck suites enforce byte-identical traces.
-fn run_instance_spec<S: CoreSink>(
+fn run_instance_spec(
     cx: &BlazeExec,
     st: &mut InstanceState,
     scr: &mut Scratch,
     idx: usize,
     code: &SpecializedCode,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     let mut block = match &st.status {
         Status::Halted => return Ok(()),
@@ -598,10 +591,10 @@ fn run_instance_spec<S: CoreSink>(
                         }
                     }
                     let delay = delay_value(st, delay)?;
-                    sink.schedule_drive(SignalId(*sig as usize), value, &delay);
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
                 SuperOp::Prb { dst, sig } => {
-                    let value = sink.value(SignalId(*sig as usize)).clone();
+                    let value = core.value(SignalId(*sig as usize)).clone();
                     st.regs[*dst as usize] = value;
                 }
                 SuperOp::Drv {
@@ -617,7 +610,7 @@ fn run_instance_spec<S: CoreSink>(
                     }
                     let value = st.regs[*value as usize].clone();
                     let delay = delay_value(st, delay)?;
-                    sink.schedule_drive(SignalId(*sig as usize), value, &delay);
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
                 SuperOp::Del {
                     target,
@@ -625,8 +618,8 @@ fn run_instance_spec<S: CoreSink>(
                     delay,
                 } => {
                     let delay = delay_value(st, delay)?;
-                    let value = sink.value(SignalId(*source as usize)).clone();
-                    sink.schedule_drive(SignalId(*target as usize), value, &delay);
+                    let value = core.value(SignalId(*source as usize)).clone();
+                    core.schedule_drive(SignalId(*target as usize), value, &delay);
                 }
                 SuperOp::Reg { sig, triggers } => {
                     let signal = SignalId(*sig as usize);
@@ -644,7 +637,7 @@ fn run_instance_spec<S: CoreSink>(
                             }
                         }
                         let value = st.regs[trigger.value].clone();
-                        sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
                 SuperOp::Var { mem, init } => {
@@ -684,7 +677,7 @@ fn run_instance_spec<S: CoreSink>(
                     st.status = Status::Suspended {
                         resume: *resume as usize,
                     };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 SuperOp::Halt => {

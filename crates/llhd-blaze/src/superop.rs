@@ -1388,8 +1388,7 @@ mod tests {
             "top",
             BlazeOptions {
                 fuse: false,
-                specialize: true,
-                islands: true,
+                ..BlazeOptions::default()
             },
         );
         assert_eq!(count_ops(&unfused, |op| matches!(op, SuperOp::Sel { .. })), 0);

@@ -2,13 +2,10 @@
 //!
 //! The hand-written corpus ([`crate::all_designs`]) matches the paper's
 //! Table 2 designs, which are small: two or three instances each, one
-//! sensitivity island. That is the wrong shape for measuring
-//! *intra*-simulation parallelism — a partition with one island has
-//! nothing to run concurrently. The generators here produce designs that
-//! are 10×–100× the instance count of the base corpus with a **known**
-//! island structure, so the `sim-parallel/*` benchmarks and the
-//! parallel-vs-serial differential tests can assert the partition they
-//! think they are measuring.
+//! sensitivity island. The generators here produce designs that are
+//! 10×–100× the instance count of the base corpus with a **known**
+//! island structure, so the benchmark and the island analysis can assert
+//! the partition they think they are measuring.
 //!
 //! Two families, both emitted as Behavioural LLHD assembly:
 //!
@@ -44,7 +41,7 @@ pub struct GeneratedDesign {
     /// alive.
     pub probe_signal: String,
     /// The exact number of islands the partitioner must find: the
-    /// parallel islands plus one for the top-entity shell (an instance
+    /// independent islands plus one for the top-entity shell (an instance
     /// with no sensitivity of its own).
     pub expected_islands: usize,
     /// The exact number of elaborated instances (including the top
@@ -103,8 +100,9 @@ impl Rng {
 /// filter itself — connected only to each other, so the partition is
 /// exactly `lanes` islands of real work plus the top shell. A lane's
 /// activation cost scales linearly with `taps` (load, shift, and a
-/// weighted-sum chain per tick), which is the knob for making islands
-/// heavy enough to clear the engines' `PARALLEL_MIN_ISLAND_OPS` floor.
+/// weighted-sum chain per tick), which is the knob for making every
+/// lane's island carry at least 16 IR instructions (the floor the
+/// structure test checks).
 pub fn fir_bank(lanes: usize, taps: usize, seed: u64) -> GeneratedDesign {
     assert!(lanes >= 1 && taps >= 1, "fir_bank needs lanes >= 1, taps >= 1");
     let mut rng = Rng::new(seed ^ (lanes as u64) << 32 ^ taps as u64);
@@ -208,8 +206,7 @@ pub fn fir_bank(lanes: usize, taps: usize, seed: u64) -> GeneratedDesign {
 /// Tiles within a row share the row clock and hand data down a chain of
 /// link signals, so a whole row is one island; rows share nothing. The
 /// partition is exactly `rows` islands (plus the top shell), each holding
-/// `cols + 1` instances — the shape where the parallel instant loop has
-/// to batch several instances per worker rather than one.
+/// `cols + 1` instances.
 pub fn noc_mesh(rows: usize, cols: usize, seed: u64) -> GeneratedDesign {
     assert!(rows >= 1 && cols >= 1, "noc_mesh needs rows >= 1, cols >= 1");
     let mut rng = Rng::new(seed ^ (rows as u64) << 32 ^ cols as u64);
@@ -305,11 +302,10 @@ pub fn noc_mesh(rows: usize, cols: usize, seed: u64) -> GeneratedDesign {
     }
 }
 
-/// The scaled corpus the `sim-parallel/*` benchmarks and the CI
-/// differential run over: both families at a small, a medium, and a
-/// large scale (roughly 10×, 30×, and 100× the instance count of the
-/// hand-written Table 2 designs). Fixed seeds keep baselines meaningful.
-pub fn parallel_corpus() -> Vec<GeneratedDesign> {
+/// The scaled corpus the structure tests run over: both families at a
+/// small, a medium, and a large scale (roughly 10×, 30×, and 100× the
+/// instance count of the hand-written Table 2 designs). Fixed seeds keep baselines meaningful.
+pub fn scaled_corpus() -> Vec<GeneratedDesign> {
     vec![
         fir_bank(8, 16, 7),
         fir_bank(16, 32, 7),
@@ -327,7 +323,7 @@ mod tests {
 
     #[test]
     fn generated_designs_build_and_verify() {
-        for design in parallel_corpus() {
+        for design in scaled_corpus() {
             let module = design
                 .build()
                 .unwrap_or_else(|e| panic!("{} failed to build: {}", design.name, e));
@@ -434,9 +430,8 @@ mod tests {
         }
     }
 
-    /// The degenerate scales also *run* — on both engines, serial and
-    /// parallel — and agree byte for byte. A 1x1 mesh under 4 threads is
-    /// the pathological parallel case: more workers than islands.
+    /// The degenerate scales also *run* — on both engines — and agree
+    /// byte for byte.
     #[test]
     fn degenerate_scales_agree_across_engines_and_threads() {
         use llhd_sim::api::EngineKind;
@@ -445,35 +440,30 @@ mod tests {
             let module = design.build().unwrap();
             let mut reference = None;
             for engine in [EngineKind::Interpret, EngineKind::Compile] {
-                for threads in [1, 2, 4] {
-                    let result = llhd_blaze::session(&module, &design.top)
-                        .engine(engine)
-                        .until_nanos(design.sim_time_ns(24))
-                        .threads(threads)
-                        .build()
-                        .unwrap()
-                        .run()
-                        .unwrap();
-                    assert!(
-                        result.trace.changes_of(&design.probe_signal).count() > 0,
-                        "{} ({:?}, t{}): probe {} never changed",
+                let result = llhd_blaze::session(&module, &design.top)
+                    .engine(engine)
+                    .until_nanos(design.sim_time_ns(24))
+                    .build()
+                    .unwrap()
+                    .run()
+                    .unwrap();
+                assert!(
+                    result.trace.changes_of(&design.probe_signal).count() > 0,
+                    "{} ({:?}): probe {} never changed",
+                    design.name,
+                    engine,
+                    design.probe_signal
+                );
+                let events = result.trace.events().to_vec();
+                match &reference {
+                    None => reference = Some(events),
+                    Some(expected) => assert_eq!(
+                        expected,
+                        &events,
+                        "{} ({:?}): trace diverges",
                         design.name,
-                        engine,
-                        threads,
-                        design.probe_signal
-                    );
-                    let events = result.trace.events().to_vec();
-                    match &reference {
-                        None => reference = Some(events),
-                        Some(expected) => assert_eq!(
-                            expected,
-                            &events,
-                            "{} ({:?}, t{}): trace diverges",
-                            design.name,
-                            engine,
-                            threads
-                        ),
-                    }
+                        engine
+                    ),
                 }
             }
         }

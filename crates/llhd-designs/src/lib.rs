@@ -27,7 +27,7 @@ use llhd::ir::Module;
 mod sources;
 
 pub mod generate;
-pub use generate::{fir_bank, noc_mesh, parallel_corpus, GeneratedDesign};
+pub use generate::{fir_bank, noc_mesh, scaled_corpus, GeneratedDesign};
 
 /// How the LLHD for a design is produced.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -90,17 +90,17 @@ fn blaze_lowering_knobs_do_not_change_traces() {
             BlazeOptions {
                 fuse: false,
                 specialize: false,
-                islands: true,
+                ..BlazeOptions::default()
             },
             BlazeOptions {
                 fuse: false,
                 specialize: true,
-                islands: true,
+                ..BlazeOptions::default()
             },
             BlazeOptions {
                 fuse: true,
                 specialize: false,
-                islands: true,
+                ..BlazeOptions::default()
             },
             BlazeOptions::default(),
         ] {
@@ -122,103 +122,6 @@ fn blaze_lowering_knobs_do_not_change_traces() {
                 design.name,
                 options
             );
-        }
-    }
-}
-
-/// Island-parallel instants against the serial loop, on the generated
-/// corpus that actually *has* islands, at several scales and thread
-/// counts, on both engines: the traces, statistics, and end times must be
-/// byte-identical. This is the correctness contract of the `threads` knob
-/// — parallelism may only change speed, never a single observable byte.
-#[test]
-fn parallel_and_serial_runs_are_byte_identical_on_generated_designs() {
-    use llhd_designs::{fir_bank, noc_mesh};
-
-    for design in [fir_bank(4, 8, 3), fir_bank(16, 32, 3), noc_mesh(4, 4, 5), noc_mesh(8, 8, 5)] {
-        let module = design.build().unwrap();
-        for engine in [EngineKind::Interpret, EngineKind::Compile] {
-            let serial_config = SimConfig::until_nanos(design.sim_time_ns(40));
-            let serial = run(&module, &design.top, &serial_config, engine);
-            assert!(
-                serial.trace.changes_of(&design.probe_signal).count() > 0,
-                "{}: no activity on probe signal {}",
-                design.name,
-                design.probe_signal
-            );
-            for threads in [2, 4, 8] {
-                let config = serial_config.clone().with_threads(threads);
-                let parallel = run(&module, &design.top, &config, engine);
-                assert_eq!(
-                    serial.trace.events(),
-                    parallel.trace.events(),
-                    "{} ({:?}, {} threads): trace diverges from serial",
-                    design.name,
-                    engine,
-                    threads
-                );
-                assert_eq!(
-                    serial.trace.to_vcd("1fs"),
-                    parallel.trace.to_vcd("1fs"),
-                    "{} ({:?}, {} threads): VCD output diverges",
-                    design.name,
-                    engine,
-                    threads
-                );
-                assert_eq!(
-                    (serial.signal_changes, serial.activations, serial.end_time),
-                    (parallel.signal_changes, parallel.activations, parallel.end_time),
-                    "{} ({:?}, {} threads): statistics diverge",
-                    design.name,
-                    engine,
-                    threads
-                );
-            }
-        }
-    }
-}
-
-/// The same contract at the top of the corpus: the largest generated
-/// designs (32-lane FIR bank, 16-row NoC mesh — the scales the
-/// `sim-parallel` benchmarks measure), both engines, threads 2/4/8.
-/// Ignored by default because it is release-weight; `ci.sh` runs it
-/// explicitly under `--release` as the parallel-differential gate.
-#[test]
-#[ignore = "release-weight; run explicitly by ci.sh"]
-fn largest_generated_design_parallel_differential() {
-    use llhd_designs::{fir_bank, noc_mesh};
-
-    for design in [fir_bank(32, 64, 7), noc_mesh(16, 8, 11)] {
-        let module = design.build().unwrap();
-        for engine in [EngineKind::Interpret, EngineKind::Compile] {
-            let serial_config = SimConfig::until_nanos(design.sim_time_ns(30));
-            let serial = run(&module, &design.top, &serial_config, engine);
-            assert!(
-                serial.trace.changes_of(&design.probe_signal).count() > 0,
-                "{}: no activity on probe signal {}",
-                design.name,
-                design.probe_signal
-            );
-            for threads in [2, 4, 8] {
-                let config = serial_config.clone().with_threads(threads);
-                let parallel = run(&module, &design.top, &config, engine);
-                assert_eq!(
-                    serial.trace.events(),
-                    parallel.trace.events(),
-                    "{} ({:?}, {} threads): trace diverges from serial",
-                    design.name,
-                    engine,
-                    threads
-                );
-                assert_eq!(
-                    (serial.signal_changes, serial.activations, serial.end_time),
-                    (parallel.signal_changes, parallel.activations, parallel.end_time),
-                    "{} ({:?}, {} threads): statistics diverge",
-                    design.name,
-                    engine,
-                    threads
-                );
-            }
         }
     }
 }

@@ -11,7 +11,7 @@
 //! format 1
 //! seed 0x000000000000002a
 //! case 17
-//! spec blaze:fsi:t4
+//! spec blaze:fs
 //! reason trace mismatch at event 5
 //! until_ns 154
 //! top fuzz_top
@@ -268,8 +268,6 @@ mod tests {
             Some(EngineSpec::Blaze {
                 fuse: true,
                 specialize: true,
-                islands: true,
-                threads: 4,
             }),
             "trace mismatch\nat event 5",
             &design,

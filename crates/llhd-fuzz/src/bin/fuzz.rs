@@ -46,7 +46,7 @@ fn usage() -> &'static str {
     \x20      fuzz --replay FILE...\n\
     \x20      fuzz --pin SEED --out FILE\n\
     \x20      fuzz --promote FILE [--corpus-dir DIR]\n\
-    specs: interp:tN | blaze:KKK:tN with KKK over f/s/i knobs, e.g. blaze:fsi:t4, blaze:f--:t1"
+    specs: interp | blaze:KK with KK over f/s knobs, e.g. blaze:fs, blaze:f-"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {

@@ -1,10 +1,9 @@
 //! The differential driver: run one case on every engine variant in
 //! lockstep and demand byte-identical observations.
 //!
-//! The reference is the interpreter at one thread. Every other variant —
-//! interpreter at higher thread counts, blaze under each
-//! [`BlazeOptions`] knob combination and thread count — must match it on
-//! four channels at once:
+//! The reference is the interpreter. Every other variant — blaze under
+//! each [`BlazeOptions`] knob combination — must match it on four
+//! channels at once:
 //!
 //! * the interned trace event stream
 //!   ([`Trace::events`](llhd_sim::Trace::events)),
@@ -34,33 +33,21 @@ use std::sync::Arc;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineSpec {
     /// The reference interpreter.
-    Interp { threads: usize },
+    Interp,
     /// The blaze compiled engine under explicit lowering knobs.
-    Blaze {
-        fuse: bool,
-        specialize: bool,
-        islands: bool,
-        threads: usize,
-    },
+    Blaze { fuse: bool, specialize: bool },
 }
 
 impl EngineSpec {
-    /// A stable, parseable label: `interp:t1`, `blaze:fsi:t4`,
-    /// `blaze:f--:t1` (one letter per enabled knob, `-` when off).
+    /// A stable, parseable label: `interp`, `blaze:fs`, `blaze:f-` (one
+    /// letter per enabled knob, `-` when off).
     pub fn label(&self) -> String {
         match self {
-            EngineSpec::Interp { threads } => format!("interp:t{threads}"),
-            EngineSpec::Blaze {
-                fuse,
-                specialize,
-                islands,
-                threads,
-            } => format!(
-                "blaze:{}{}{}:t{}",
+            EngineSpec::Interp => "interp".to_string(),
+            EngineSpec::Blaze { fuse, specialize } => format!(
+                "blaze:{}{}",
                 if *fuse { 'f' } else { '-' },
                 if *specialize { 's' } else { '-' },
-                if *islands { 'i' } else { '-' },
-                threads
             ),
         }
     }
@@ -68,73 +55,41 @@ impl EngineSpec {
     /// Parse a [`label`](EngineSpec::label) back into a spec.
     pub fn parse(label: &str) -> Option<EngineSpec> {
         let mut parts = label.split(':');
-        match (parts.next()?, parts.next()?, parts.next()) {
-            ("interp", t, None) => Some(EngineSpec::Interp {
-                threads: t.strip_prefix('t')?.parse().ok()?,
-            }),
-            ("blaze", knobs, Some(t)) => {
-                let bytes = knobs.as_bytes();
-                if bytes.len() != 3 {
-                    return None;
-                }
-                Some(EngineSpec::Blaze {
-                    fuse: bytes[0] == b'f',
-                    specialize: bytes[1] == b's',
-                    islands: bytes[2] == b'i',
-                    threads: t.strip_prefix('t')?.parse().ok()?,
-                })
-            }
+        match (parts.next()?, parts.next(), parts.next()) {
+            ("interp", None, None) => Some(EngineSpec::Interp),
+            ("blaze", Some(knobs), None) => match knobs.as_bytes() {
+                &[fuse, specialize] => Some(EngineSpec::Blaze {
+                    fuse: fuse == b'f',
+                    specialize: specialize == b's',
+                }),
+                _ => None,
+            },
             _ => None,
         }
     }
 
     fn blaze_options(&self) -> Option<BlazeOptions> {
-        match self {
-            EngineSpec::Interp { .. } => None,
-            EngineSpec::Blaze {
+        match *self {
+            EngineSpec::Interp => None,
+            EngineSpec::Blaze { fuse, specialize } => Some(BlazeOptions {
                 fuse,
                 specialize,
-                islands,
-                ..
-            } => Some(BlazeOptions {
-                fuse: *fuse,
-                specialize: *specialize,
-                islands: *islands,
+                ..BlazeOptions::default()
             }),
-        }
-    }
-
-    fn threads(&self) -> usize {
-        match self {
-            EngineSpec::Interp { threads } | EngineSpec::Blaze { threads, .. } => *threads,
         }
     }
 }
 
 /// The reference variant every other spec is compared against.
-pub const REFERENCE: EngineSpec = EngineSpec::Interp { threads: 1 };
+pub const REFERENCE: EngineSpec = EngineSpec::Interp;
 
-/// The default comparison matrix (beyond [`REFERENCE`]): interpreter
-/// parallelism, the full blaze pipeline at three thread counts, and each
-/// lowering knob ablated on one thread — ten runs per case in total.
+/// The default comparison matrix (beyond [`REFERENCE`]): blaze under
+/// every `fuse` × `specialize` combination — five runs per case in total.
 pub fn default_matrix() -> Vec<EngineSpec> {
-    let blaze = |fuse, specialize, islands, threads| EngineSpec::Blaze {
-        fuse,
-        specialize,
-        islands,
-        threads,
-    };
-    vec![
-        EngineSpec::Interp { threads: 2 },
-        EngineSpec::Interp { threads: 4 },
-        blaze(true, true, true, 1),
-        blaze(true, true, true, 2),
-        blaze(true, true, true, 4),
-        blaze(false, true, true, 1),
-        blaze(true, false, true, 1),
-        blaze(false, false, false, 1),
-        blaze(true, true, false, 2),
-    ]
+    [(true, true), (false, true), (true, false), (false, false)]
+        .into_iter()
+        .map(|(fuse, specialize)| EngineSpec::Blaze { fuse, specialize })
+        .collect()
 }
 
 /// Everything observed while running one variant.
@@ -198,18 +153,15 @@ pub fn run_spec(
     module: &Module,
     design: &FuzzDesign,
     elaborated: &Arc<ElaboratedDesign>,
-    compiled_cache: &mut HashMap<(bool, bool, bool), Arc<CompiledDesign>>,
+    compiled_cache: &mut HashMap<(bool, bool), Arc<CompiledDesign>>,
     schedule: &Schedule,
 ) -> Result<RunRecord, String> {
-    let config = || {
-        SimConfig::until_nanos(design.until_ns)
-            .with_threads(spec.threads())
-    };
+    let config = || SimConfig::until_nanos(design.until_ns);
     // The factory is how checkpoint cuts rebuild a fresh engine of the
     // same kind mid-run.
     let compiled = match spec.blaze_options() {
         Some(options) => {
-            let key = (options.fuse, options.specialize, options.islands);
+            let key = (options.fuse, options.specialize);
             Some(match compiled_cache.get(&key) {
                 Some(c) => c.clone(),
                 None => {
@@ -423,7 +375,8 @@ mod tests {
             assert_eq!(EngineSpec::parse(&spec.label()), Some(spec));
         }
         assert_eq!(EngineSpec::parse("nonsense"), None);
-        assert_eq!(EngineSpec::parse("blaze:xx:t1"), None);
+        assert_eq!(EngineSpec::parse("blaze:fs:t1"), None);
+        assert_eq!(EngineSpec::parse("blaze:fsi"), None);
     }
 
     /// A handful of full cases through the complete default matrix: the

@@ -22,8 +22,8 @@
 //!   detection compiles to the compare+branch shape, combinational tails
 //!   to array+mux, and every unit output to compute+drive;
 //! * **multi-island topologies** — clusters share nothing, so a plan with
-//!   *k* clusters partitions into *k* islands (plus the top shell), the
-//!   shape the island-parallel instant loop keys on;
+//!   *k* clusters partitions into *k* islands (plus the top shell), which
+//!   exercises the island analysis and its checkpoint fingerprint;
 //! * **same-timestamp drive races** — each cluster's `race` signal is
 //!   driven by the stimulus process *and* 0–2 racer processes in the same
 //!   physical instant, exercising the scheduler's documented

@@ -56,11 +56,6 @@ pub struct SimJobSpec {
     /// moment the server received the request. The run is cut off with a
     /// `deadline_exceeded` error once the budget is used up.
     pub deadline_ms: Option<u64>,
-    /// How many threads may activate independent sensitivity islands
-    /// within each simulation instant (`None`/1: serial). Purely a
-    /// speed knob — traces and checkpoints are byte-identical at any
-    /// thread count.
-    pub threads: Option<usize>,
 }
 
 impl SimJobSpec {
@@ -81,9 +76,6 @@ impl SimJobSpec {
         }
         if let Some(n) = self.max_steps_per_activation {
             config.max_steps_per_activation = n;
-        }
-        if let Some(n) = self.threads {
-            config.threads = n.max(1);
         }
         config
     }
@@ -438,16 +430,8 @@ fn parse_job(obj: &Json) -> Result<SimJobSpec, ProtoError> {
         )?
         .map(|n| n as usize),
         deadline_ms: field_deadline(obj)?,
-        // Capped far above any plausible core count; the engine treats
-        // the value as an upper bound, not a reservation.
-        threads: field_uint(obj, "threads", MAX_THREADS)?.map(|n| n as usize),
     })
 }
-
-/// The largest accepted `threads`: generous headroom over real machines
-/// while keeping absurd values (which would each try to spawn a scoped
-/// worker per instant) out of the engine.
-const MAX_THREADS: u128 = 64;
 
 /// The optional `"deadline_ms"` field (sim jobs and `session.step`).
 /// A zero budget is legal: it means "fail fast with partial progress".
@@ -1047,36 +1031,13 @@ mod tests {
     }
 
     #[test]
-    fn threads_parses_and_is_capped() {
-        // Absent: the engine default (serial) applies.
-        match parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap() {
-            Request::Sim(job) => {
-                assert_eq!(job.threads, None);
-                assert_eq!(job.sim_config().threads, 1);
-            }
-            other => panic!("not a sim request: {:?}", other),
-        }
-        match parse(r#"{"type":"sim","source":"x","top":"p","threads":4}"#).unwrap() {
-            Request::Sim(job) => {
-                assert_eq!(job.threads, Some(4));
-                assert_eq!(job.sim_config().threads, 4);
-            }
-            other => panic!("not a sim request: {:?}", other),
-        }
-        // Zero clamps to serial rather than erroring: "no parallelism"
-        // is a sensible reading, not a malformed request.
-        match parse(r#"{"type":"sim","source":"x","top":"p","threads":0}"#).unwrap() {
-            Request::Sim(job) => assert_eq!(job.sim_config().threads, 1),
-            other => panic!("not a sim request: {:?}", other),
-        }
-        for text in [
-            r#"{"type":"sim","source":"x","top":"p","threads":65}"#,
-            r#"{"type":"sim","source":"x","top":"p","threads":-2}"#,
-            r#"{"type":"sim","source":"x","top":"p","threads":"all"}"#,
-        ] {
-            let err = parse(text).unwrap_err();
-            assert_eq!(err.kind, ErrorKind::Protocol, "{}", text);
-            assert!(err.message.contains("threads"), "{}", err.message);
+    fn retired_threads_field_is_ignored() {
+        // Old clients may still send `threads`; it selects nothing, in any
+        // form, and parses like the same request without it.
+        let plain = format!("{:?}", parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap());
+        for value in ["4", "65", r#""all""#] {
+            let text = format!(r#"{{"type":"sim","source":"x","top":"p","threads":{}}}"#, value);
+            assert_eq!(format!("{:?}", parse(&text).unwrap()), plain, "{}", text);
         }
     }
 

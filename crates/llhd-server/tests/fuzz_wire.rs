@@ -2,8 +2,8 @@
 //!
 //! The differential fuzzer normally drives the engines in-process; this
 //! test closes the remaining gap by shipping generated designs through
-//! the server's JSON protocol — inline source, both engines, explicit
-//! `threads` — and demanding the same cross-engine agreement at the
+//! the server's JSON protocol — inline source, both engines — and
+//! demanding the same cross-engine agreement at the
 //! protocol surface that the in-process driver demands of the APIs: the
 //! rendered VCD coming back over TCP must be byte-identical between the
 //! interpreter and the compiled engine, and must match an in-process
@@ -35,9 +35,8 @@ fn vcd_of(response: &Json) -> &str {
         .unwrap_or_else(|| panic!("response lacks result.trace_vcd: {}", response))
 }
 
-/// Generated designs, inline source, both engines, several thread
-/// counts: every combination must return the byte-identical VCD, and it
-/// must equal the in-process reference.
+/// Generated designs, inline source, both engines: each must return the
+/// byte-identical VCD, and it must equal the in-process reference.
 #[test]
 fn generated_designs_return_identical_vcd_across_engines_and_threads() {
     let running = Server::spawn_tcp(ServerConfig::default(), "127.0.0.1:0").unwrap();
@@ -50,7 +49,7 @@ fn generated_designs_return_identical_vcd_across_engines_and_threads() {
         let plan = DesignPlan::generate(seed);
         let (design, module) = plan.build().unwrap();
 
-        // In-process reference: interpreter, serial.
+        // In-process reference: the interpreter.
         let reference = llhd_blaze::session(&module, &design.top)
             .engine(EngineKind::Interpret)
             .config(SimConfig::until_nanos(design.until_ns))
@@ -61,27 +60,21 @@ fn generated_designs_return_identical_vcd_across_engines_and_threads() {
             .trace
             .to_vcd("1fs");
 
-        let mut wire_vcds = Vec::new();
         for engine in ["interpret", "compile"] {
-            for threads in [1i128, 2, 4] {
-                let response = client
-                    .request(&sim_request(vec![
-                        ("source", Json::str(&design.source)),
-                        ("top", Json::str(&design.top)),
-                        ("engine", Json::str(engine)),
-                        ("threads", Json::Int(threads)),
-                        ("until_ns", Json::Int(design.until_ns as i128)),
-                        ("trace", Json::str("vcd")),
-                        ("id", Json::Int(case as i128)),
-                    ]))
-                    .unwrap();
-                wire_vcds.push((engine, threads, vcd_of(&response).to_string()));
-            }
-        }
-        for (engine, threads, vcd) in &wire_vcds {
+            let response = client
+                .request(&sim_request(vec![
+                    ("source", Json::str(&design.source)),
+                    ("top", Json::str(&design.top)),
+                    ("engine", Json::str(engine)),
+                    ("until_ns", Json::Int(design.until_ns as i128)),
+                    ("trace", Json::str("vcd")),
+                    ("id", Json::Int(case as i128)),
+                ]))
+                .unwrap();
             assert_eq!(
-                vcd, &reference,
-                "seed {seed:#018x}: wire VCD ({engine}, t{threads}) != in-process reference",
+                vcd_of(&response),
+                reference,
+                "seed {seed:#018x}: wire VCD ({engine}) != in-process reference",
             );
         }
     }

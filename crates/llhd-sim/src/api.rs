@@ -252,9 +252,9 @@ pub const ENGINE_STATE_MAGIC: &[u8; 4] = b"LHCK";
 /// The checkpoint format version produced by [`Engine::checkpoint`].
 ///
 /// The header carries the design's island-plan digest
-/// ([`IslandPlan::hash`](crate::islands::IslandPlan::hash)), so a restore
-/// onto a differently-partitioned build fails cleanly instead of
-/// replaying events under a different merge order. It is the only
+/// ([`IslandPlan::hash`](crate::islands::IslandPlan::hash)) as a design
+/// fingerprint, so a restore of a blob taken over a different design
+/// fails cleanly instead of resuming foreign state. It is the only
 /// version [`Engine::restore`] accepts.
 pub const ENGINE_STATE_VERSION: u8 = 2;
 
@@ -1358,16 +1358,6 @@ impl<'m> SessionBuilder<'m> {
     /// given suffixes.
     pub fn trace_filter(mut self, names: &[&str]) -> Self {
         self.config.trace_filter = Some(names.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    /// Activate independent sensitivity islands on up to `n` threads
-    /// within each instant (default 1: serial). Purely a speed knob —
-    /// traces are byte-identical at any thread count — and inert on
-    /// designs that do not partition into enough substantial islands
-    /// (see [`crate::IslandPlan`]).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = n.max(1);
         self
     }
 

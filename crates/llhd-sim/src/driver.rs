@@ -2,33 +2,24 @@
 //!
 //! A [`Driver`] owns everything about a run that does not depend on *how*
 //! a unit body executes — the [`SchedCore`], the per-instance state
-//! table, the run counters, initialization, the poison-on-error rule, the
-//! serial-vs-island-parallel choice per instant, and the checkpoint
-//! framing (header, scheduler-core section, counters). What differs
-//! between the reference interpreter and the compiled `llhd-blaze` engine
-//! is an [`Executor`]: how to build one instance's state, how to activate
-//! it against a [`CoreSink`], and how that state is laid out in a
-//! checkpoint. The driver is monomorphized per executor, so the
-//! activation loop dispatches statically.
+//! table, the run counters, initialization, the poison-on-error rule and
+//! the checkpoint framing (header, scheduler-core section, counters).
+//! What differs between the reference interpreter and the compiled
+//! `llhd-blaze` engine is an [`Executor`]: how to build one instance's
+//! state, how to activate it against the [`SchedCore`], and how that
+//! state is laid out in a checkpoint. The driver is monomorphized per
+//! executor, so the activation loop dispatches statically.
 
 use crate::api::{Engine, EngineState};
 use crate::design::{ElaboratedDesign, SignalId};
 use crate::engine::{RunControl, SimConfig, SimError, SimResult};
 use crate::islands::IslandPlan;
-use crate::sched::{read_byte, read_const, read_usize, run_instant_parallel, CoreSink, SchedCore};
+use crate::sched::{read_byte, read_const, read_usize, SchedCore};
 use crate::trace::TraceEvent;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::ir::RegMode;
 use llhd::value::{ConstValue, TimeValue};
 
-/// An island must carry at least this many IR instructions before it
-/// counts towards parallelizing a design (see
-/// [`IslandPlan::parallel_worthy`]): below that, the per-instant worker
-/// handoff costs more than the island's activations are worth.
-pub const PARALLEL_MIN_ISLAND_OPS: usize = 16;
-/// An instant must wake at least this many instances before the driver
-/// tries the parallel path (fewer can never fill two workers usefully).
-pub const PARALLEL_MIN_BATCH: usize = 4;
 /// The deepest chain of nested function calls either engine executes.
 /// Function frames live on the host stack, and a stack overflow aborts
 /// the process instead of unwinding, so unbounded recursion must fail as
@@ -56,10 +47,9 @@ pub struct Counters {
     pub assertion_failures: usize,
 }
 
-/// Mutable per-worker scratch handed to every activation: reusable
-/// hot-path buffers plus the [`Counters`] the activation bumps. The
-/// serial loop reuses one; parallel instants give each worker its own and
-/// the driver folds the counters afterwards.
+/// Mutable scratch handed to every activation: reusable hot-path buffers
+/// plus the [`Counters`] the activation bumps, which the driver folds
+/// into the run totals.
 #[derive(Default)]
 pub struct Scratch {
     /// Reusable wait-list buffer, so suspending performs no allocation.
@@ -70,10 +60,9 @@ pub struct Scratch {
     pub counters: Counters,
 }
 
-/// Fold a scratch's counters into the run totals and zero them. Plain
-/// sums, so folding the parallel workers' scratches in any order matches
-/// a serial run. Called on every exit path of `initialize`/`step`,
-/// errors included, so the totals stay exact.
+/// Fold a scratch's counters into the run totals and zero them. Called
+/// on every exit path of `initialize`/`step`, errors included, so the
+/// totals stay exact.
 fn fold_scratch(totals: &mut Counters, scratch: &mut Scratch) {
     let bumped = std::mem::take(&mut scratch.counters);
     totals.activations += bumped.activations;
@@ -84,16 +73,15 @@ fn fold_scratch(totals: &mut Counters, scratch: &mut Scratch) {
 /// What differs between simulation engines: per-instance state and how
 /// to execute one activation of it.
 ///
-/// An activation may touch exactly three things — the executor itself
-/// (immutable, shared across worker threads), its own instance's
-/// [`Executor::State`], and a per-worker [`Scratch`] — which is what
-/// makes handing each island's activations to a worker thread sound.
-pub trait Executor: Sync {
+/// An activation touches the executor itself (immutable), its own
+/// instance's [`Executor::State`], the driver's [`Scratch`] and the
+/// scheduler core.
+pub trait Executor {
     /// The engine name stamped into checkpoints and reported by
     /// [`Engine::engine_name`].
     const NAME: &'static str;
     /// The execution state of one unit instance.
-    type State: Send;
+    type State;
 
     /// The elaborated design being executed.
     fn design(&self) -> &ElaboratedDesign;
@@ -101,10 +89,9 @@ pub trait Executor: Sync {
     /// (see [`crate::sched::module_allows_drive_dropping`]).
     fn allow_drive_drop(&self) -> bool;
     /// The design's sensitivity-island partition. Its digest goes into
-    /// every checkpoint; its assignment feeds the parallel instant loop.
+    /// every checkpoint as a design fingerprint, so a blob from another
+    /// design is rejected on restore.
     fn island_plan(&self) -> &IslandPlan;
-    /// Whether this executor permits island-parallel instants at all.
-    fn islands_enabled(&self) -> bool;
     /// Build the initial state of every instance, in instance order, and
     /// register each entity's static sensitivity with `core`.
     fn build_states(&self, core: &mut SchedCore) -> Vec<Self::State>;
@@ -113,12 +100,12 @@ pub trait Executor: Sync {
     /// # Errors
     ///
     /// Any error fails the cycle and poisons the driver.
-    fn activate<S: CoreSink>(
+    fn activate(
         &self,
         state: &mut Self::State,
         scratch: &mut Scratch,
         idx: usize,
-        sink: &mut S,
+        core: &mut SchedCore,
     ) -> Result<(), SimError>;
     /// Whether the instance is a process that reached `halt`.
     fn is_halted(state: &Self::State) -> bool;
@@ -215,9 +202,6 @@ pub struct Driver<X: Executor> {
     /// `initialize`/`step`.
     poisoned: Option<SimError>,
     to_run_buf: Vec<u32>,
-    /// Static go/no-go for the parallel path: a thread budget above one
-    /// and enough worthwhile islands.
-    parallel_ready: bool,
 }
 
 impl<X: Executor> Driver<X> {
@@ -232,9 +216,6 @@ impl<X: Executor> Driver<X> {
             exec.allow_drive_drop(),
         );
         let states = exec.build_states(&mut core);
-        let parallel_ready = config.threads > 1
-            && exec.islands_enabled()
-            && exec.island_plan().parallel_worthy(PARALLEL_MIN_ISLAND_OPS);
         Driver {
             exec,
             config,
@@ -245,7 +226,6 @@ impl<X: Executor> Driver<X> {
             initialized: false,
             poisoned: None,
             to_run_buf: Vec::new(),
-            parallel_ready,
         }
     }
 
@@ -265,43 +245,17 @@ impl<X: Executor> Driver<X> {
             };
         }
         self.initialized = true;
-        let result = self.activate_serial(0..self.states.len());
+        let result = self.run_activations(0..self.states.len());
         if let Err(e) = &result {
             self.poisoned = Some(e.clone());
         }
         result
     }
 
-    /// Activate one instant's woken instances: the serial loop, or — when
-    /// the design partitions into islands and the batch is large enough —
-    /// the island-parallel loop. Both produce byte-identical core state
-    /// (see [`run_instant_parallel`]). The counters are folded on every
-    /// exit path, so the totals stay exact across errors.
-    fn run_activations(&mut self, to_run: &[u32]) -> Result<(), SimError> {
-        let exec = &self.exec;
-        if self.parallel_ready && to_run.len() >= PARALLEL_MIN_BATCH {
-            let parallel = run_instant_parallel(
-                &mut self.core,
-                to_run,
-                &mut self.states,
-                exec.island_plan().island_of_instances(),
-                self.config.threads,
-                Scratch::default,
-                |st, scr, inst, sink| exec.activate(st, scr, inst as usize, sink),
-            );
-            if let Some(mut outcome) = parallel {
-                for scr in &mut outcome.scratches {
-                    fold_scratch(&mut self.totals, scr);
-                }
-                return outcome.result;
-            }
-        }
-        self.activate_serial(to_run.iter().map(|&inst| inst as usize))
-    }
-
-    /// The serial loop: activate `insts` in order against the core itself,
-    /// stopping at the first error, then fold the counters.
-    fn activate_serial(&mut self, insts: impl Iterator<Item = usize>) -> Result<(), SimError> {
+    /// Activate `insts` in order against the core, stopping at the first
+    /// error, then fold the counters (on every exit path, so the totals
+    /// stay exact across errors).
+    fn run_activations(&mut self, insts: impl Iterator<Item = usize>) -> Result<(), SimError> {
         let mut result = Ok(());
         for idx in insts {
             let st = &mut self.states[idx];
@@ -342,7 +296,7 @@ impl<X: Executor> Driver<X> {
         if let Ok(true) = outcome {
             // `to_run` is detached from `self` here, so iterating it while
             // activating instances borrows cleanly.
-            if let Err(e) = self.run_activations(&to_run) {
+            if let Err(e) = self.run_activations(to_run.iter().map(|&inst| inst as usize)) {
                 outcome = Err(e);
             }
         }
@@ -545,25 +499,22 @@ mod tests {
         fn island_plan(&self) -> &IslandPlan {
             &self.plan
         }
-        fn islands_enabled(&self) -> bool {
-            false
-        }
         fn build_states(&self, _: &mut SchedCore) -> Vec<usize> {
             vec![0; self.design.num_instances()]
         }
-        fn activate<S: CoreSink>(
+        fn activate(
             &self,
             count: &mut usize,
             scr: &mut Scratch,
             idx: usize,
-            sink: &mut S,
+            core: &mut SchedCore,
         ) -> Result<(), SimError> {
             scr.counters.activations += 1;
             *count += 1;
             if self.seen.fetch_add(1, Ordering::Relaxed) + 1 == self.fail_at {
                 return Err(SimError::Runtime("boom".to_string()));
             }
-            sink.suspend(idx, &[], Some(&TimeValue::from_nanos(1)));
+            core.suspend(idx, &[], Some(&TimeValue::from_nanos(1)));
             Ok(())
         }
         fn is_halted(_: &usize) -> bool {

@@ -21,7 +21,7 @@ use crate::driver::{
     Scratch, MAX_CALL_DEPTH,
 };
 use crate::islands::IslandPlan;
-use crate::sched::{read_byte, read_const, read_usize, CoreSink, SchedCore};
+use crate::sched::{read_byte, read_const, read_usize, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
@@ -49,13 +49,6 @@ pub struct SimConfig {
     /// Cooperative run control: wall-clock deadline and instrumentation
     /// probe, checked between scheduler cycles.
     pub control: RunControl,
-    /// Worker threads for island-parallel instants (see
-    /// [`crate::islands`]). `1` (the default) keeps the serial loop;
-    /// larger values activate each sensitivity island's share of an
-    /// instant on its own scoped worker when the design partitions well
-    /// enough to pay for the handoff. Purely a speed knob: traces are
-    /// byte-identical at any thread count.
-    pub threads: usize,
 }
 
 impl Default for SimConfig {
@@ -67,7 +60,6 @@ impl Default for SimConfig {
             trace: true,
             trace_filter: None,
             control: RunControl::default(),
-            threads: 1,
         }
     }
 }
@@ -172,9 +164,11 @@ impl SimConfig {
         self
     }
 
-    /// Use up to `threads` workers for island-parallel instants.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+    /// Selects nothing: every run is serial. Kept only because the
+    /// `benchmark/` package still calls it; it goes with that caller in
+    /// ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -363,10 +357,6 @@ impl Executor for Interp<'_> {
         &self.plan
     }
 
-    fn islands_enabled(&self) -> bool {
-        true
-    }
-
     fn build_states(&self, core: &mut SchedCore) -> Vec<InstState> {
         let mut states = Vec::with_capacity(self.design.instances.len());
         for (idx, instance) in self.design.instances.iter().enumerate() {
@@ -405,16 +395,16 @@ impl Executor for Interp<'_> {
         states
     }
 
-    fn activate<S: CoreSink>(
+    fn activate(
         &self,
         st: &mut InstState,
         scr: &mut Scratch,
         idx: usize,
-        sink: &mut S,
+        core: &mut SchedCore,
     ) -> Result<(), SimError> {
         match self.design.instances[idx].kind {
-            InstanceKind::Process => run_process(self, st, scr, idx, sink),
-            InstanceKind::Entity => eval_entity(self, st, scr, idx, sink),
+            InstanceKind::Process => run_process(self, st, scr, idx, core),
+            InstanceKind::Entity => eval_entity(self, st, scr, idx, core),
         }
     }
 
@@ -521,19 +511,17 @@ fn decode_live(
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions generic over
-// [`CoreSink`]: the serial loop instantiates them with the
-// [`SchedCore`] itself (direct mutation), the island-parallel loop with a
-// [`DeferredSink`](crate::sched::DeferredSink) (mutations logged and
-// replayed in serial order on the main thread).
+// The execution core is a set of free functions over the instance state
+// and the [`SchedCore`], which they read signals from and schedule drives
+// and suspensions into.
 
 // ----- dense state access ----------------------------------------------
 
 /// Look up the runtime value of an SSA value within an instance.
-fn value_of<S: CoreSink>(
+fn value_of(
     cx: &Interp,
     st: &InstState,
-    sink: &S,
+    core: &SchedCore,
     idx: usize,
     unit: &UnitData,
     value: Value,
@@ -548,7 +536,7 @@ fn value_of<S: CoreSink>(
     // Signal-typed arguments read their current value when used as data.
     let sig = st.sig_of[i];
     if sig != NO_SIGNAL {
-        return Ok(sink.value(sig).clone());
+        return Ok(core.value(sig).clone());
     }
     Err(SimError::Runtime(format!(
         "use of a value before definition ({:?} in {})",
@@ -574,16 +562,16 @@ fn signal_of(cx: &Interp, st: &InstState, idx: usize, value: Value) -> Result<Si
     }
 }
 
-fn time_value<S: CoreSink>(
+fn time_value(
     cx: &Interp,
     st: &InstState,
-    sink: &S,
+    core: &SchedCore,
     idx: usize,
     unit: &UnitData,
     value: Value,
     what: &str,
 ) -> Result<TimeValue, SimError> {
-    value_of(cx, st, sink, idx, unit, value)?
+    value_of(cx, st, core, idx, unit, value)?
         .as_time()
         .copied()
         .ok_or_else(|| SimError::Runtime(format!("{} is not a time value", what)))
@@ -591,12 +579,12 @@ fn time_value<S: CoreSink>(
 
 // ----- process execution ------------------------------------------------
 
-fn run_process<S: CoreSink>(
+fn run_process(
     cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.counters.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
@@ -637,13 +625,13 @@ fn run_process<S: CoreSink>(
                         }
                     }
                     let timeout = match time_arg {
-                        Some(arg) => Some(time_value(cx, st, sink, idx, unit, arg, "wait delay")?),
+                        Some(arg) => Some(time_value(cx, st, core, idx, unit, arg, "wait delay")?),
                         None => None,
                     };
                     st.status = ProcStatus::Suspended {
                         resume: data.blocks[0],
                     };
-                    sink.suspend(idx, &scr.observed, timeout.as_ref());
+                    core.suspend(idx, &scr.observed, timeout.as_ref());
                     return Ok(());
                 }
                 Opcode::Halt => {
@@ -655,7 +643,7 @@ fn run_process<S: CoreSink>(
                     break;
                 }
                 Opcode::BrCond => {
-                    let cond = value_of(cx, st, sink, idx, unit, data.args[0])?;
+                    let cond = value_of(cx, st, core, idx, unit, data.args[0])?;
                     let target = if cond.is_truthy() {
                         data.blocks[1]
                     } else {
@@ -670,7 +658,7 @@ fn run_process<S: CoreSink>(
                     ));
                 }
                 _ => {
-                    execute_simple_inst(cx, st, scr, idx, unit, inst, data, sink)?;
+                    execute_simple_inst(cx, st, scr, idx, unit, inst, data, core)?;
                 }
             }
         }
@@ -693,7 +681,7 @@ fn run_process<S: CoreSink>(
 /// Execute an instruction that means the same in process and entity
 /// bodies: constants, probes, drives, memory, calls, pure ops.
 #[allow(clippy::too_many_arguments)]
-fn execute_simple_inst<S: CoreSink>(
+fn execute_simple_inst(
     cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
@@ -701,7 +689,7 @@ fn execute_simple_inst<S: CoreSink>(
     unit: &UnitData,
     inst: llhd::ir::Inst,
     data: &InstData,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     match data.opcode {
         Opcode::Const => {
@@ -710,24 +698,24 @@ fn execute_simple_inst<S: CoreSink>(
         }
         Opcode::Prb => {
             let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = sink.value(signal).clone();
+            let value = core.value(signal).clone();
             let result = unit.inst_result(inst);
             set_value(st, result, value);
         }
         Opcode::Drv | Opcode::DrvCond => {
             if data.opcode == Opcode::DrvCond {
-                let cond = value_of(cx, st, sink, idx, unit, data.args[3])?;
+                let cond = value_of(cx, st, core, idx, unit, data.args[3])?;
                 if !cond.is_truthy() {
                     return Ok(());
                 }
             }
             let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
-            let delay = time_value(cx, st, sink, idx, unit, data.args[2], "drive delay")?;
-            sink.schedule_drive(signal, value, &delay);
+            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
+            let delay = time_value(cx, st, core, idx, unit, data.args[2], "drive delay")?;
+            core.schedule_drive(signal, value, &delay);
         }
         Opcode::Var | Opcode::Halloc => {
-            let init = value_of(cx, st, sink, idx, unit, data.args[0])?;
+            let init = value_of(cx, st, core, idx, unit, data.args[0])?;
             let result = unit.inst_result(inst);
             st.mem[result.index()] = init;
             st.mem_stamps[result.index()] = st.epoch;
@@ -744,7 +732,7 @@ fn execute_simple_inst<S: CoreSink>(
             set_value(st, result, value);
         }
         Opcode::St => {
-            let value = value_of(cx, st, sink, idx, unit, data.args[1])?;
+            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
             st.mem[data.args[0].index()] = value;
             st.mem_stamps[data.args[0].index()] = st.epoch;
         }
@@ -754,7 +742,7 @@ fn execute_simple_inst<S: CoreSink>(
         Opcode::Call => {
             let mut args = Vec::with_capacity(data.args.len());
             for &a in &data.args {
-                args.push(value_of(cx, st, sink, idx, unit, a)?);
+                args.push(value_of(cx, st, core, idx, unit, a)?);
             }
             let result = call(cx, scr, unit, data, &args, 0)?;
             if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
@@ -764,7 +752,7 @@ fn execute_simple_inst<S: CoreSink>(
         op if op.is_pure() => {
             let mut args = Vec::with_capacity(data.args.len());
             for &a in &data.args {
-                args.push(value_of(cx, st, sink, idx, unit, a)?);
+                args.push(value_of(cx, st, core, idx, unit, a)?);
             }
             let value = eval_pure(op, &args, &data.imms)
                 .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
@@ -980,12 +968,12 @@ fn function_inst(
 
 // ----- entity evaluation --------------------------------------------------
 
-fn eval_entity<S: CoreSink>(
+fn eval_entity(
     cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
-    sink: &mut S,
+    core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.counters.activations += 1;
     let unit = cx.module.unit(cx.design.instances[idx].unit);
@@ -1010,15 +998,15 @@ fn eval_entity<S: CoreSink>(
             Opcode::Del => {
                 let source = signal_of(cx, st, idx, data.args[0])?;
                 let target = signal_of(cx, st, idx, unit.inst_result(inst))?;
-                let delay = time_value(cx, st, sink, idx, unit, data.args[1], "del delay")?;
-                let value = sink.value(source).clone();
-                sink.schedule_drive(target, value, &delay);
+                let delay = time_value(cx, st, core, idx, unit, data.args[1], "del delay")?;
+                let value = core.value(source).clone();
+                core.schedule_drive(target, value, &delay);
             }
             Opcode::Reg => {
                 let signal = signal_of(cx, st, idx, data.args[0])?;
                 let base = cx.execs[cx.exec_of[idx]].reg_base[inst.index()] as usize;
                 for (trigger_index, trigger) in data.triggers.iter().enumerate() {
-                    let current = value_of(cx, st, sink, idx, unit, trigger.trigger)?;
+                    let current = value_of(cx, st, core, idx, unit, trigger.trigger)?;
                     let previous = st.reg_prev[base + trigger_index].take();
                     let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                     st.reg_prev[base + trigger_index] = Some(current);
@@ -1026,16 +1014,16 @@ fn eval_entity<S: CoreSink>(
                         continue;
                     }
                     if let Some(gate) = trigger.gate {
-                        if !value_of(cx, st, sink, idx, unit, gate)?.is_truthy() {
+                        if !value_of(cx, st, core, idx, unit, gate)?.is_truthy() {
                             continue;
                         }
                     }
-                    let value = value_of(cx, st, sink, idx, unit, trigger.value)?;
-                    sink.schedule_drive(signal, value, &TimeValue::from_delta(1));
+                    let value = value_of(cx, st, core, idx, unit, trigger.value)?;
+                    core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                 }
             }
             // Everything else means the same in a process body.
-            _ => execute_simple_inst(cx, st, scr, idx, unit, inst, data, sink)?,
+            _ => execute_simple_inst(cx, st, scr, idx, unit, inst, data, core)?,
         }
     }
     Ok(())

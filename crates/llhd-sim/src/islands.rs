@@ -5,28 +5,26 @@
 //! other observes — it drives a signal the other is sensitive to (entity
 //! sensitivity or a process `wait`), or they drive the same signal (their
 //! drives must merge last-writer-wins in one queue bucket). Instances in
-//! different islands never wake each other within an instant, which is
-//! what makes islands the unit of intra-simulation parallelism: the
-//! engines activate each island's share of an instant on its own worker
-//! thread (see [`run_instant_parallel`](crate::sched::run_instant_parallel)).
+//! different islands never wake each other within an instant. The plan
+//! is an analysis of the design's structure; the engines run every
+//! activation on one thread.
 //!
 //! The edges are exactly the scan [`DesignQuery`](crate::query::DesignQuery)
 //! performs, with one deliberate exception: a **process probe** (`prb`
 //! outside the wait sensitivity list) is a plain value *read* and does not
-//! merge islands. Reads are safe across islands because signal values are
-//! frozen during an instant's activation phase — drives apply only at the
-//! next `next_cycle` — so a cross-island read observes the same value
-//! serially and in parallel. Signals read across island lines this way
-//! are reported as [`IslandPlan::boundary_signals`], the seams a client
-//! inspecting the partition cares about. (Entity probes *do* merge: an
+//! merge islands: signal values are frozen during an instant's activation
+//! phase — drives apply only at the next `next_cycle` — so such a read
+//! cannot wake anything within the instant. Signals read across island
+//! lines this way are reported as [`IslandPlan::boundary_signals`], the
+//! seams a client inspecting the partition cares about. (Entity probes *do* merge: an
 //! entity re-runs whenever a probed signal changes, so its probes are
 //! sensitivity, not just reads.)
 //!
 //! The plan is deterministic for a given module + top: islands are
 //! numbered by first appearance in instance order, and the whole
 //! assignment is digested into [`IslandPlan::hash`], which checkpoints
-//! embed so a restore onto a differently-partitioned build fails cleanly
-//! instead of replaying under a different merge order.
+//! embed as a design fingerprint so a restore of a blob taken over a
+//! different design fails cleanly.
 
 use crate::design::{ElaboratedDesign, InstanceId, InstanceKind, SignalId};
 use llhd::ir::{Module, Opcode, Value};
@@ -47,9 +45,9 @@ pub struct IslandInfo {
 /// The island assignment of one elaborated design.
 ///
 /// Built by [`IslandPlan::build`] as a union-find over the same static
-/// scan that powers [`DesignQuery`](crate::query::DesignQuery); exposed
-/// through that query type and consumed by both engines' parallel
-/// instant loops.
+/// scan that powers [`DesignQuery`](crate::query::DesignQuery) and
+/// exposed through that query type; both engines embed its
+/// [`hash`](IslandPlan::hash) in their checkpoints.
 #[derive(Clone, Debug, Default)]
 pub struct IslandPlan {
     /// Island id per instance, by `InstanceId.0`.
@@ -265,13 +263,6 @@ impl IslandPlan {
         &self.islands
     }
 
-    /// The island id of every instance, by `InstanceId.0` — the worker
-    /// assignment the engines feed to
-    /// [`run_instant_parallel`](crate::sched::run_instant_parallel).
-    pub fn island_of_instances(&self) -> &[u32] {
-        &self.island_of_instance
-    }
-
     /// The island id of `instance`.
     pub fn instance_island(&self, instance: InstanceId) -> u32 {
         self.island_of_instance[instance.0]
@@ -292,19 +283,12 @@ impl IslandPlan {
         &self.boundary_signals
     }
 
-    /// FNV-1a digest of the complete assignment, embedded in checkpoint
-    /// headers so a restore onto a differently-partitioned build is
-    /// rejected instead of replaying under a different merge order.
+    /// FNV-1a digest of the complete assignment. Checkpoint headers
+    /// embed it as a design fingerprint, so a restore of a blob taken
+    /// over a different design (or partitioner version) is rejected
+    /// instead of resuming foreign state.
     pub fn hash(&self) -> u64 {
         self.hash
-    }
-
-    /// Whether the partition justifies parallel instants: at least two
-    /// islands each carry `min_ops` worth of unit body. Below that, the
-    /// per-instant worker handoff costs more than it buys and the
-    /// engines stay on their serial loop.
-    pub fn parallel_worthy(&self, min_ops: usize) -> bool {
-        self.islands.iter().filter(|i| i.ops >= min_ops).count() >= 2
     }
 }
 
@@ -376,7 +360,7 @@ mod tests {
         assert_eq!(plan.signal_island(led1), blink1);
         // Deterministic numbering by first appearance.
         let plan2 = IslandPlan::build(&module, &design);
-        assert_eq!(plan.island_of_instances(), plan2.island_of_instances());
+        assert_eq!(plan.island_of_instance, plan2.island_of_instance);
         assert_eq!(plan.hash(), plan2.hash());
     }
 
@@ -482,9 +466,8 @@ mod tests {
         let module = parse_module(TWO_ISLANDS).unwrap();
         let design = elaborate(&module, "top").unwrap();
         let plan = IslandPlan::build(&module, &design);
-        // Each blink body has 5 instructions; the watcher 4.
-        assert!(plan.parallel_worthy(4));
-        assert!(!plan.parallel_worthy(1_000));
+        // The two disconnected components each carry real work.
+        assert!(plan.islands().iter().filter(|i| i.ops > 0).count() >= 2);
         let total_ops: usize = plan.islands().iter().map(|i| i.ops).sum();
         assert!(total_ops > 0);
         // Every instance and canonical signal is accounted for exactly once.

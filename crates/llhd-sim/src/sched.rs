@@ -855,304 +855,6 @@ impl SchedCore {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deferred core access: the island-parallel activation path
-// ---------------------------------------------------------------------------
-
-/// How a running activation talks to the scheduling core.
-///
-/// Both engines' activation paths are generic over this trait and
-/// monomorphize twice: once over [`SchedCore`] itself (the serial loop —
-/// identical code to calling the core directly) and once over
-/// [`DeferredSink`] (the island-parallel loop, which logs the mutations
-/// and replays them on the main thread; see [`run_instant_parallel`]).
-pub trait CoreSink {
-    /// The current value of a (resolved) signal.
-    fn value(&self, signal: SignalId) -> &ConstValue;
-    /// Schedule a drive of `signal` to `value` after `delay`.
-    fn schedule_drive(&mut self, signal: SignalId, value: ConstValue, delay: &TimeValue);
-    /// Suspend `instance` until one of the `observed` signals changes or
-    /// the optional `timeout` expires.
-    fn suspend(&mut self, instance: usize, observed: &[SignalId], timeout: Option<&TimeValue>);
-}
-
-impl CoreSink for SchedCore {
-    #[inline]
-    fn value(&self, signal: SignalId) -> &ConstValue {
-        SchedCore::value(self, signal)
-    }
-    #[inline]
-    fn schedule_drive(&mut self, signal: SignalId, value: ConstValue, delay: &TimeValue) {
-        SchedCore::schedule_drive(self, signal, value, delay)
-    }
-    #[inline]
-    fn suspend(&mut self, instance: usize, observed: &[SignalId], timeout: Option<&TimeValue>) {
-        SchedCore::suspend(self, instance, observed, timeout)
-    }
-}
-
-/// One core mutation recorded by a [`DeferredSink`].
-enum CoreOp {
-    Drive(SignalId, ConstValue, TimeValue),
-    Suspend(u32, Vec<SignalId>, Option<TimeValue>),
-}
-
-/// The core mutations of one deferred activation, in program order.
-#[derive(Default)]
-pub struct CoreLog {
-    ops: Vec<CoreOp>,
-}
-
-impl CoreLog {
-    /// Apply the logged mutations to `core`, in the order they were made.
-    pub fn replay(self, core: &mut SchedCore) {
-        for op in self.ops {
-            match op {
-                CoreOp::Drive(signal, value, delay) => core.schedule_drive(signal, value, &delay),
-                CoreOp::Suspend(inst, observed, timeout) => {
-                    core.suspend(inst as usize, &observed, timeout.as_ref())
-                }
-            }
-        }
-    }
-}
-
-/// A [`CoreSink`] that reads from a shared core but *logs* mutations
-/// instead of applying them.
-///
-/// This is what makes island-parallel instants byte-identical to serial
-/// execution: during an instant's activation phase the core's signal
-/// values never change (drives apply only at the next
-/// [`SchedCore::next_cycle`], which also does all trace recording), so
-/// concurrent readers observe exactly what serial activations would. The
-/// only mutations an activation performs — drive scheduling and wait
-/// registration — are logged per-activation and replayed on the main
-/// thread in the exact position order of the serial loop, which
-/// reproduces the serial queue state (bucket sequence numbers,
-/// drop-short-circuit decisions, last-writer-wins order) bit for bit.
-pub struct DeferredSink<'a> {
-    core: &'a SchedCore,
-    log: CoreLog,
-}
-
-impl<'a> DeferredSink<'a> {
-    /// A sink reading from `core`, starting with an empty log.
-    pub fn new(core: &'a SchedCore) -> Self {
-        DeferredSink {
-            core,
-            log: CoreLog::default(),
-        }
-    }
-
-    /// The recorded mutations.
-    pub fn into_log(self) -> CoreLog {
-        self.log
-    }
-}
-
-impl CoreSink for DeferredSink<'_> {
-    fn value(&self, signal: SignalId) -> &ConstValue {
-        self.core.value(signal)
-    }
-    fn schedule_drive(&mut self, signal: SignalId, value: ConstValue, delay: &TimeValue) {
-        self.log.ops.push(CoreOp::Drive(signal, value, *delay));
-    }
-    fn suspend(&mut self, instance: usize, observed: &[SignalId], timeout: Option<&TimeValue>) {
-        self.log
-            .ops
-            .push(CoreOp::Suspend(instance as u32, observed.to_vec(), timeout.copied()));
-    }
-}
-
-/// The outcome of one island-parallel instant: the per-worker scratch
-/// values (for the caller to fold into its counters) and the first error
-/// in serial position order, if any.
-pub struct ParallelInstant<Scr> {
-    /// One scratch per worker that ran, in no particular order. Callers
-    /// fold these into their counters; the fold must therefore be
-    /// order-independent (plain sums are).
-    pub scratches: Vec<Scr>,
-    /// `Ok`, or the error of the earliest erroring activation in serial
-    /// position order — the same error the serial loop would surface.
-    pub result: Result<(), SimError>,
-}
-
-/// What one worker brings back from its share of an instant.
-struct WorkerOut<Scr> {
-    /// `(serial position, log)` per activation the worker ran.
-    logs: Vec<(u32, CoreLog)>,
-    scratch: Scr,
-    err: Option<(u32, SimError)>,
-}
-
-fn run_bucket<St, Scr, F>(
-    core: &SchedCore,
-    list: Vec<(u32, u32, &mut St)>,
-    mut scratch: Scr,
-    activate: &F,
-) -> WorkerOut<Scr>
-where
-    F: Fn(&mut St, &mut Scr, u32, &mut DeferredSink) -> Result<(), SimError>,
-{
-    let mut logs = Vec::with_capacity(list.len());
-    let mut err = None;
-    for (pos, inst, st) in list {
-        let mut sink = DeferredSink::new(core);
-        let result = activate(st, &mut scratch, inst, &mut sink);
-        logs.push((pos, sink.into_log()));
-        if let Err(e) = result {
-            // Stop at the first error, exactly like the serial loop; the
-            // merge discards every position after the earliest error
-            // anyway.
-            err = Some((pos, e));
-            break;
-        }
-    }
-    WorkerOut { logs, scratch, err }
-}
-
-/// Run one instant's activations on a scoped worker pool, bucketed by
-/// sensitivity island, and replay their logged core mutations in serial
-/// position order (see [`DeferredSink`] for why that reproduces serial
-/// execution byte for byte).
-///
-/// `to_run` is the batch produced by [`SchedCore::next_cycle`] (each
-/// instance appears at most once), `states` the caller's per-instance
-/// state table, `island_of` the per-instance island assignment, and
-/// `threads` the worker budget (capped at 64). Buckets are formed as
-/// `island % threads`, the calling thread runs the first non-empty bucket
-/// itself, and each worker processes its activations in serial position
-/// order with a fresh scratch from `make_scratch`.
-///
-/// Returns `None` — *without having run anything* — when the instant is
-/// not worth parallelizing (fewer than two occupied buckets or fewer than
-/// two threads); the caller then runs its serial loop. On `Some`, all
-/// completed activations' mutations have been replayed into `core`.
-///
-/// # Errors
-///
-/// An erroring activation terminates its bucket. The merge replays every
-/// position before the earliest error, then the erroring activation's
-/// partial log (serial execution applies an activation's mutations as it
-/// goes, so the ops preceding the error did land), and discards the
-/// rest; the error is returned in [`ParallelInstant::result`]. Buckets
-/// past the error may already have run activations the serial loop never
-/// reached — their `states` mutations and scratch counts survive — so an
-/// erroring parallel instant is *not* bit-identical to an erroring
-/// serial one. That divergence is unobservable: both engines poison
-/// themselves on a step error, and a poisoned engine refuses `finish`
-/// and `checkpoint`.
-///
-/// # Panics
-///
-/// A panicking activation propagates to the caller once all workers have
-/// been joined, same as a panic in the serial loop (the server's
-/// catch-unwind isolation applies either way).
-pub fn run_instant_parallel<St, Scr, F>(
-    core: &mut SchedCore,
-    to_run: &[u32],
-    states: &mut [St],
-    island_of: &[u32],
-    threads: usize,
-    make_scratch: impl Fn() -> Scr,
-    activate: F,
-) -> Option<ParallelInstant<Scr>>
-where
-    St: Send,
-    Scr: Send,
-    F: Fn(&mut St, &mut Scr, u32, &mut DeferredSink) -> Result<(), SimError> + Sync,
-{
-    let threads = threads.clamp(1, 64);
-    if threads < 2 || to_run.len() < 2 {
-        return None;
-    }
-    // Bucket the instant's activations by island, preserving serial
-    // position order within each bucket.
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); threads];
-    for (pos, &inst) in to_run.iter().enumerate() {
-        let island = island_of.get(inst as usize).copied().unwrap_or(0);
-        buckets[island as usize % threads].push((pos as u32, inst));
-    }
-    if buckets.iter().filter(|b| !b.is_empty()).count() < 2 {
-        return None;
-    }
-    // Hand each bucket exclusive `&mut` access to its instances' states.
-    // `next_cycle` dedups `to_run` (run stamps), so every instance slot
-    // is taken at most once.
-    let mut slots: Vec<Option<&mut St>> = states.iter_mut().map(Some).collect();
-    // One worker job: the bucket's (serial position, instance, state)
-    // triples plus that worker's private scratch.
-    type Job<'s, St, Scr> = (Vec<(u32, u32, &'s mut St)>, Scr);
-    let mut jobs: Vec<Job<'_, St, Scr>> = Vec::new();
-    for bucket in buckets {
-        if bucket.is_empty() {
-            continue;
-        }
-        let mut list = Vec::with_capacity(bucket.len());
-        for (pos, inst) in bucket {
-            let st = slots[inst as usize]
-                .take()
-                .expect("instance appears twice in one to_run batch");
-            list.push((pos, inst, st));
-        }
-        jobs.push((list, make_scratch()));
-    }
-    let activate = &activate;
-    let shared: &SchedCore = core;
-    let outs: Vec<WorkerOut<Scr>> = std::thread::scope(|scope| {
-        let mut jobs = jobs.into_iter();
-        let (first_list, first_scratch) = jobs.next().expect("at least two occupied buckets");
-        let handles: Vec<_> = jobs
-            .map(|(list, scratch)| scope.spawn(move || run_bucket(shared, list, scratch, activate)))
-            .collect();
-        // The calling thread is worker zero: with W occupied buckets only
-        // W - 1 threads are spawned.
-        let mut outs = Vec::with_capacity(handles.len() + 1);
-        outs.push(run_bucket(shared, first_list, first_scratch, activate));
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => outs.push(out),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        outs
-    });
-    // Merge: replay logs in serial position order.
-    let mut merged: Vec<Option<CoreLog>> = Vec::with_capacity(to_run.len());
-    merged.resize_with(to_run.len(), || None);
-    let mut first_err: Option<(u32, SimError)> = None;
-    let mut scratches = Vec::with_capacity(outs.len());
-    for out in outs {
-        for (pos, log) in out.logs {
-            merged[pos as usize] = Some(log);
-        }
-        if let Some((pos, e)) = out.err {
-            let earlier = match &first_err {
-                None => true,
-                Some((p, _)) => pos < *p,
-            };
-            if earlier {
-                first_err = Some((pos, e));
-            }
-        }
-        scratches.push(out.scratch);
-    }
-    let limit = match &first_err {
-        None => to_run.len(),
-        Some((p, _)) => *p as usize + 1,
-    };
-    for log in merged.into_iter().take(limit).flatten() {
-        log.replay(core);
-    }
-    Some(ParallelInstant {
-        scratches,
-        result: match first_err {
-            None => Ok(()),
-            Some((_, e)) => Err(e),
-        },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1272,74 +974,5 @@ mod tests {
         assert_eq!(q.pop_next(&mut drives, &mut wakes), Some(t));
         let order: Vec<_> = drives.iter().map(|(_, val)| val.clone()).collect();
         assert_eq!(order, (0..6).map(v).collect::<Vec<_>>());
-    }
-
-    fn test_core(num_signals: usize, num_instances: usize) -> SchedCore {
-        let signals: Vec<SignalInfo> = (0..num_signals)
-            .map(|i| SignalInfo {
-                name: format!("s{}", i),
-                ty: llhd::ty::signal_ty(llhd::ty::int_ty(16)),
-                init: v(0),
-            })
-            .collect();
-        SchedCore::new(&SimConfig::default(), &signals, num_instances, false)
-    }
-
-    /// The same synthetic workload driven serially through the core and
-    /// in parallel through `run_instant_parallel` must leave both cores
-    /// with identical snapshots: every instance drives its own signal
-    /// with a value derived from a shared read, and odd instances also
-    /// suspend on a neighbour's signal.
-    #[test]
-    fn parallel_instant_replay_matches_serial() {
-        let n = 8usize;
-        // Serial reference.
-        let mut serial = test_core(n, n);
-        let mut serial_states: Vec<u64> = (0..n as u64).collect();
-        let to_run: Vec<u32> = (0..n as u32).collect();
-        for &inst in &to_run {
-            let st = &mut serial_states[inst as usize];
-            body(&mut serial, st, inst);
-        }
-        // Parallel run: islands = instance parity, 4 threads.
-        let mut par = test_core(n, n);
-        let mut par_states: Vec<u64> = (0..n as u64).collect();
-        let island_of: Vec<u32> = (0..n as u32).map(|i| i % 4).collect();
-        let outcome = run_instant_parallel(
-            &mut par,
-            &to_run,
-            &mut par_states,
-            &island_of,
-            4,
-            || (),
-            |st, _scr, inst, sink| {
-                body_sink(sink, st, inst);
-                Ok(())
-            },
-        )
-        .expect("4 islands over 4 threads must parallelize");
-        outcome.result.unwrap();
-        assert_eq!(serial_states, par_states);
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        serial.snapshot(&mut a);
-        par.snapshot(&mut b);
-        assert_eq!(a, b, "parallel replay must reproduce the serial core");
-    }
-
-    fn body(core: &mut SchedCore, st: &mut u64, inst: u32) {
-        body_sink(core, st, inst);
-    }
-
-    /// One synthetic activation: read a shared signal, drive your own,
-    /// and (odd instances) suspend on a neighbour with a timeout.
-    fn body_sink<S: CoreSink>(sink: &mut S, st: &mut u64, inst: u32) {
-        let shared = (sink.value(sig(0)) == &v(0)) as u64;
-        *st = st.wrapping_mul(31).wrapping_add(shared + inst as u64);
-        let delay = TimeValue::new(1_000 * (1 + inst as u128 % 3), 0, 0);
-        sink.schedule_drive(sig(inst as usize), v(*st), &delay);
-        if inst % 2 == 1 {
-            let observed = [sig((inst as usize + 1) % 8)];
-            sink.suspend(inst as usize, &observed, Some(&delay));
-        }
     }
 }

@@ -327,7 +327,7 @@ fn fused_and_unfused_blaze_agree_under_random_schedules() {
             BlazeOptions {
                 fuse: false,
                 specialize: false,
-                islands: true,
+                ..BlazeOptions::default()
             },
         )
         .unwrap();
@@ -465,156 +465,10 @@ fn checkpoint_restore_is_invisible_at_any_cut_point() {
     });
 }
 
-/// Island-parallel instants against the serial loop, in lockstep, under
-/// seeded random interactive schedules (step / peek / poke) on a seeded
-/// random generated design — both engines. Every intermediate peek, the
-/// time after every step, and the final trace must be byte-identical:
-/// the `threads` knob may change speed, never a single observable value.
-#[test]
-fn island_parallel_matches_serial_under_random_schedules() {
-    use llhd::value::ConstValue;
-    use llhd_designs::{fir_bank, noc_mesh};
-    use llhd_sim::api::{EngineKind, SimSession};
-    use llhd_sim::SimConfig;
-
-    llhd_blaze::register();
-    forall("island parallel matches serial under schedules", |rng| {
-        // A fresh seeded design each iteration: lanes/rows vary the
-        // island count, the generator seed varies weights and rates.
-        let design = if rng.range_u64(0, 1) == 0 {
-            fir_bank(rng.range_usize(2, 5), rng.range_usize(4, 10), rng.u64())
-        } else {
-            noc_mesh(rng.range_usize(2, 4), rng.range_usize(2, 4), rng.u64())
-        };
-        let module = design.build().unwrap();
-        let config = SimConfig::until_nanos(rng.range_u64(20, 120) as u128);
-        let threads = rng.range_usize(2, 8);
-        // Poke targets: lane 0/1 data inputs exist in both families
-        // (fir `x{lane}`, noc link heads `l{row}_0`).
-        let pokeable: [String; 2] = if design.name.starts_with("fir-bank") {
-            [format!("{}.x0", design.top), format!("{}.x1", design.top)]
-        } else {
-            [format!("{}.l0_0", design.top), format!("{}.l1_0", design.top)]
-        };
-        let probe = format!("{}.{}", design.top, design.probe_signal);
-        for engine in [EngineKind::Interpret, EngineKind::Compile] {
-            let mut serial = SimSession::builder(&module, &design.top)
-                .engine(engine)
-                .config(config.clone())
-                .build()
-                .unwrap();
-            let mut parallel = SimSession::builder(&module, &design.top)
-                .engine(engine)
-                .config(config.clone())
-                .threads(threads)
-                .build()
-                .unwrap();
-            let actions = rng.range_usize(1, 30);
-            for _ in 0..actions {
-                match rng.range_u64(0, 3) {
-                    0 | 1 => {
-                        let a = serial.step().unwrap();
-                        let b = parallel.step().unwrap();
-                        prop_assert_eq!(a, b);
-                    }
-                    2 => {
-                        let name = &pokeable[rng.range_usize(0, 1)];
-                        let value = ConstValue::int(16, rng.range_u64(0, 0xffff));
-                        serial.poke(name, value.clone()).unwrap();
-                        parallel.poke(name, value).unwrap();
-                    }
-                    _ => {
-                        prop_assert_eq!(
-                            serial.peek(&probe).unwrap(),
-                            parallel.peek(&probe).unwrap()
-                        );
-                        for name in &pokeable {
-                            prop_assert_eq!(
-                                serial.peek(name).unwrap(),
-                                parallel.peek(name).unwrap()
-                            );
-                        }
-                    }
-                }
-                prop_assert_eq!(serial.time(), parallel.time());
-            }
-            while serial.step().unwrap() {
-                prop_assert!(parallel.step().unwrap());
-            }
-            prop_assert!(!parallel.step().unwrap());
-            let serial = serial.finish().unwrap();
-            let parallel = parallel.finish().unwrap();
-            prop_assert_eq!(serial.trace.events(), parallel.trace.events());
-            prop_assert_eq!(serial.signal_changes, parallel.signal_changes);
-            prop_assert_eq!(serial.activations, parallel.activations);
-            prop_assert_eq!(serial.end_time, parallel.end_time);
-        }
-        Ok(())
-    });
-}
-
-/// A checkpoint cut at a seeded random step of a *parallel* run, restored
-/// into a fresh parallel session, continues to the byte-identical trace
-/// of an uninterrupted *serial* run — both engines. This pins down the
-/// v2 header round-trip (the island-plan digest must accept itself) and
-/// that the parallel instant loop replays drives in serial order even
-/// across a mid-run state transplant.
-#[test]
-fn parallel_checkpoint_restore_matches_serial_run_at_any_cut() {
-    use llhd_designs::fir_bank;
-    use llhd_sim::api::{EngineKind, SimSession};
-    use llhd_sim::SimConfig;
-
-    llhd_blaze::register();
-    let design = fir_bank(4, 8, 21);
-    let module = design.build().unwrap();
-
-    forall("parallel checkpoint restore matches serial", |rng| {
-        let config = SimConfig::until_nanos(rng.range_u64(10, 80) as u128);
-        let cut = rng.range_usize(0, 30);
-        let threads = rng.range_usize(2, 6);
-        for engine in [EngineKind::Interpret, EngineKind::Compile] {
-            let serial = SimSession::builder(&module, &design.top)
-                .engine(engine)
-                .config(config.clone())
-                .build()
-                .unwrap()
-                .run()
-                .unwrap();
-            let mut first = SimSession::builder(&module, &design.top)
-                .engine(engine)
-                .config(config.clone())
-                .threads(threads)
-                .build()
-                .unwrap();
-            for _ in 0..cut {
-                if !first.step().unwrap() {
-                    break;
-                }
-            }
-            let state = first.checkpoint().unwrap();
-            drop(first);
-            let mut resumed = SimSession::builder(&module, &design.top)
-                .engine(engine)
-                .config(config.clone())
-                .threads(threads)
-                .build()
-                .unwrap();
-            resumed.restore(&state).unwrap();
-            while resumed.step().unwrap() {}
-            let result = resumed.finish().unwrap();
-            prop_assert_eq!(serial.trace.events(), result.trace.events());
-            prop_assert_eq!(serial.end_time, result.end_time.clone());
-            prop_assert_eq!(serial.signal_changes, result.signal_changes);
-        }
-        Ok(())
-    });
-}
-
 /// Checkpoint header rejection: a version-1 header (the pre-island format,
 /// no digest) and a version-2 header whose digest does not match the live
-/// partition are both refused with a clear message — never restored under
-/// the wrong merge order — and the refusal leaves a fresh session usable.
+/// partition are both refused with a clear message — never restored over
+/// a different design — and the refusal leaves a fresh session usable.
 #[test]
 fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
     use llhd::bitcode::{read_varint, write_varint};
@@ -632,7 +486,6 @@ fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
             SimSession::builder(&module, &design.top)
                 .engine(engine)
                 .config(config.clone())
-                .threads(4)
                 .build()
                 .unwrap()
         };
