@@ -1,6 +1,7 @@
 //! Compilation of LLHD units into the pre-resolved execution form.
 
 use llhd::ir::{Module, Opcode, RegMode, UnitId, UnitKind, Value};
+use llhd::ty::{void_ty, Type, TypeKind};
 use llhd::value::ConstValue;
 use llhd_sim::design::{ElaboratedDesign, InstanceKind, SignalId};
 use llhd_sim::IslandPlan;
@@ -229,6 +230,15 @@ pub struct CompiledUnit {
     pub const_regs: Vec<(u32, ConstValue)>,
     /// Operand-slot arena referenced by the [`ArgRange`]s in the ops.
     pub arg_pool: Vec<u32>,
+    /// The IR type of each register slot. It decides the slot's storage
+    /// class in the lowered form (see
+    /// [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)), and a
+    /// restored checkpoint must give the slot a value of this type.
+    pub reg_types: Vec<Type>,
+    /// The type of each memory slot's contents (its `var`'s pointee).
+    pub mem_types: Vec<Type>,
+    /// The type of each register-state slot: its trigger's type.
+    pub state_types: Vec<Type>,
     /// The superinstruction stream (processes and entities only; functions
     /// execute the generic ops). Instance binding specializes it per
     /// instance; see [`crate::superop`].
@@ -535,7 +545,7 @@ pub fn compile_unit_with(
     let mut reg_of = SlotMap::new(num_values);
     let mut sig_of = SlotMap::new(num_values);
     let mut mem_of = SlotMap::new(num_values);
-    let mut num_states = 0usize;
+    let mut state_types: Vec<Type> = Vec::new();
 
     let reg = |map: &mut SlotMap, v: Value| -> usize { map.get(v) };
 
@@ -629,12 +639,9 @@ pub fn compile_unit_with(
                             mode: t.mode,
                             trigger: reg(&mut reg_of, t.trigger),
                             gate: t.gate.map(|g| reg(&mut reg_of, g)),
-                            state: {
-                                let s = num_states;
-                                num_states += 1;
-                                s
-                            },
+                            state: state_types.len(),
                         });
+                        state_types.push(unit.value_type(t.trigger));
                     }
                     Op::Reg {
                         sig: reg(&mut sig_of, data.args[0]),
@@ -750,6 +757,25 @@ pub fn compile_unit_with(
         block_ranges.push((start, ops.len() as u32));
     }
 
+    // Each slot's IR type, found through the value it was assigned to.
+    let slot_types = |map: &SlotMap| {
+        let mut types = vec![void_ty(); map.len()];
+        for (index, &slot) in map.of.iter().enumerate() {
+            if slot != u32::MAX {
+                types[slot as usize] = unit.value_type(Value::from_index(index));
+            }
+        }
+        types
+    };
+    let reg_types = slot_types(&reg_of);
+    let mem_types = slot_types(&mem_of)
+        .into_iter()
+        .map(|ty| match ty.kind() {
+            TypeKind::Pointer(pointee) => pointee.clone(),
+            _ => ty.clone(),
+        })
+        .collect();
+
     let mut compiled = CompiledUnit {
         kind: unit.kind(),
         name: unit.name().to_string(),
@@ -758,13 +784,16 @@ pub fn compile_unit_with(
         entry: 0,
         num_regs: reg_of.len(),
         num_mems: mem_of.len(),
-        num_states,
+        num_states: state_types.len(),
         num_signals: sig_of.len(),
         arg_regs,
         arg_signals,
         signal_slot_of_value: sig_of.of,
         const_regs,
         arg_pool,
+        reg_types,
+        mem_types,
+        state_types,
         lowered: None,
         has_epsilon_time_const,
     };

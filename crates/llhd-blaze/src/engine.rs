@@ -7,17 +7,22 @@
 //! dense register files with pre-resolved operand indices instead of
 //! interpreting the IR data structures: SSA values, memory cells, signal
 //! references, and `reg` histories are all flat-array accesses whose
-//! indices were computed ahead of time by [`crate::compile`].
+//! indices were computed ahead of time by [`crate::compile`]. Under the
+//! specialized dispatch every narrow integer is a machine word (see
+//! [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)).
 
 use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic, Op};
-use crate::superop::{eval_bin, Delay, SpecializedCode, SuperOp};
+use crate::superop::{
+    eval_bin, eval_cast_word, eval_un_word, word_mask, Delay, SpecializedCode, SuperOp,
+};
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::{
     eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice, eval_mux,
     eval_pure, eval_unary,
 };
 use llhd::ir::{Opcode, UnitId, UnitKind};
-use llhd::value::{ConstValue, TimeValue};
+use llhd::ty::Type;
+use llhd::value::{ApInt, ConstValue, TimeValue};
 use llhd_sim::design::{InstanceKind, SignalId};
 use llhd_sim::driver::{
     call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
@@ -25,6 +30,7 @@ use llhd_sim::driver::{
 };
 use llhd_sim::sched::{read_byte, read_const, read_usize, SchedCore};
 use llhd_sim::{ElaboratedDesign, IslandPlan, SimConfig, SimError};
+use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -34,11 +40,55 @@ enum Status {
     Halted,
 }
 
+/// One instance's register or memory file. Both vectors span every slot,
+/// so one slot index addresses either: a slot of width `w > 0` in the
+/// dispatch's width table keeps its value as a masked `w`-bit word in
+/// `words`, every other slot a [`ConstValue`] in `values`. The generic
+/// dispatch has no width table and keeps every slot in `values`.
+struct Cells {
+    words: Vec<u64>,
+    values: Vec<ConstValue>,
+}
+
+impl Cells {
+    /// Slot `slot` as a value, a word slot boxed at its width.
+    #[inline]
+    fn get(&self, widths: &[u8], slot: u32) -> Cow<'_, ConstValue> {
+        let slot = slot as usize;
+        match widths[slot] {
+            0 => Cow::Borrowed(&self.values[slot]),
+            width => Cow::Owned(ConstValue::int(usize::from(width), self.words[slot])),
+        }
+    }
+
+    /// Store `value` into slot `slot`, a word slot keeping its low bits.
+    #[inline]
+    fn set(&mut self, widths: &[u8], slot: u32, value: ConstValue) {
+        let slot = slot as usize;
+        match widths[slot] {
+            0 => self.values[slot] = value,
+            width => {
+                self.words[slot] = value.as_int().map_or(0, ApInt::to_u64) & word_mask(width)
+            }
+        }
+    }
+
+    /// Whether slot `slot` holds a truthy value.
+    #[inline]
+    fn truthy(&self, widths: &[u8], slot: u32) -> bool {
+        let slot = slot as usize;
+        match widths[slot] {
+            0 => self.values[slot].is_truthy(),
+            _ => self.words[slot] != 0,
+        }
+    }
+}
+
 /// Dense execution state of one unit instance under the compiled engine.
 pub struct InstanceState {
     status: Status,
-    regs: Vec<ConstValue>,
-    mems: Vec<ConstValue>,
+    regs: Cells,
+    mems: Cells,
     states: Vec<Option<ConstValue>>,
     /// The compiled unit this instance executes, held directly so each
     /// activation costs a reference-count bump instead of a map probe.
@@ -53,6 +103,16 @@ pub struct InstanceState {
     /// [`crate::compile::BlazeOptions::specialize`] off, which falls back
     /// to the generic per-op dispatch over `unit`.
     code: Option<Arc<SpecializedCode>>,
+}
+
+/// The register and memory width tables of an instance's dispatch: the
+/// specialized stream's, or none — every slot a value — for the generic
+/// one.
+fn widths_of(code: Option<&SpecializedCode>) -> (&[u8], &[u8]) {
+    match code {
+        Some(code) => (&code.widths, &code.mem_widths),
+        None => (&[], &[]),
+    }
 }
 
 /// The compiled engine as an [`Executor`]: the compiled design plus the
@@ -120,11 +180,13 @@ impl Executor for BlazeExec {
         for (idx, instance) in compiled.instances.iter().enumerate() {
             let unit = Arc::clone(&compiled.units[&instance.unit]);
             // Specialized instances start from the unit's pre-folded
-            // register file; the generic fallback materializes the unit's
-            // constants only.
-            let regs = match (&instance.code, &unit.lowered) {
-                (Some(_), Some(lowered)) => lowered.init_regs.clone(),
-                _ => unit.new_regs(),
+            // register file, narrow slots in words; the generic fallback
+            // materializes the unit's constants only, every slot a value.
+            let (values, words) = match (&instance.code, &unit.lowered) {
+                (Some(_), Some(lowered)) => {
+                    (lowered.init_regs.clone(), lowered.init_words.clone())
+                }
+                _ => (unit.new_regs(), Vec::new()),
             };
             if instance.kind == InstanceKind::Entity {
                 // Static sensitivity: every probed or delayed signal slot
@@ -142,8 +204,11 @@ impl Executor for BlazeExec {
             }
             states.push(InstanceState {
                 status: Status::Ready,
-                regs,
-                mems: vec![ConstValue::Void; unit.num_mems],
+                regs: Cells { words, values },
+                mems: Cells {
+                    words: vec![0; unit.num_mems],
+                    values: vec![ConstValue::Void; unit.num_mems],
+                },
                 states: vec![None; unit.num_states],
                 unit,
                 signal_table: instance.signal_table.clone(),
@@ -177,12 +242,9 @@ impl Executor for BlazeExec {
             }
             Status::Halted => out.push(2),
         }
-        for cells in [&st.regs, &st.mems] {
-            write_varint(out, cells.len() as u128);
-            for cell in cells {
-                encode_const_value(out, cell);
-            }
-        }
+        let (widths, mem_widths) = widths_of(st.code.as_deref());
+        encode_cells(out, &st.regs, widths);
+        encode_cells(out, &st.mems, mem_widths);
         encode_reg_history(out, &st.states);
     }
 
@@ -219,19 +281,63 @@ impl Executor for BlazeExec {
                 )))
             }
         };
-        for (cells, what) in [(&mut st.regs, "register"), (&mut st.mems, "memory")] {
-            if read_usize(bytes, pos)? != cells.len() {
-                return Err(SimError::Runtime(format!(
-                    "corrupt engine checkpoint: {} count mismatch",
-                    what
-                )));
-            }
-            for cell in cells.iter_mut() {
-                *cell = read_const(bytes, pos)?;
-            }
-        }
-        decode_reg_history(&mut st.states, bytes, pos)
+        let (code, unit) = (st.code.clone(), Arc::clone(&st.unit));
+        let (widths, mem_widths) = widths_of(code.as_deref());
+        decode_cells(&mut st.regs, widths, &unit.reg_types, "register", bytes, pos)?;
+        decode_cells(&mut st.mems, mem_widths, &unit.mem_types, "memory", bytes, pos)?;
+        decode_reg_history(&mut st.states, &unit.state_types, bytes, pos)
     }
+}
+
+/// Append a cell file to a checkpoint: its slot count, then every slot as
+/// a constant — a word slot boxed at its width, so the bytes do not
+/// depend on which slots are words.
+fn encode_cells(out: &mut Vec<u8>, cells: &Cells, widths: &[u8]) {
+    write_varint(out, cells.values.len() as u128);
+    for (slot, value) in cells.values.iter().enumerate() {
+        match widths.get(slot) {
+            Some(&width) if width != 0 => encode_const_value(
+                out,
+                &ConstValue::int(usize::from(width), cells.words[slot]),
+            ),
+            _ => encode_const_value(out, value),
+        }
+    }
+}
+
+/// Restore a cell file written by [`encode_cells`]. Every value must be
+/// void (a slot not yet written) or of its slot's IR type in `types`: a
+/// wrongly typed value would panic a width-checked operator a step later.
+fn decode_cells(
+    cells: &mut Cells,
+    widths: &[u8],
+    types: &[Type],
+    what: &str,
+    bytes: &[u8],
+    pos: &mut usize,
+) -> Result<(), SimError> {
+    if read_usize(bytes, pos)? != cells.values.len() {
+        return Err(SimError::Runtime(format!(
+            "corrupt engine checkpoint: {} count mismatch",
+            what
+        )));
+    }
+    for (slot, ty) in types.iter().enumerate() {
+        let value = read_const(bytes, pos)?;
+        if !matches!(value, ConstValue::Void) && !value.has_type(ty) {
+            return Err(SimError::Runtime(format!(
+                "corrupt engine checkpoint: {} {} holds a value of the wrong type",
+                what, slot
+            )));
+        }
+        match widths.get(slot) {
+            Some(&width) if width != 0 => {
+                cells.words[slot] = value.as_int().map_or(0, ApInt::to_u64)
+            }
+            _ => cells.values[slot] = value,
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -283,15 +389,15 @@ fn run_instance(
                     scr.args.extend(
                         unit.args(*args)
                             .iter()
-                            .map(|&a| st.regs[a as usize].clone()),
+                            .map(|&a| st.regs.values[a as usize].clone()),
                     );
                     let value = eval_pure(*opcode, &scr.args, imms)
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs[*dst] = value;
+                    st.regs.values[*dst] = value;
                 }
                 Op::Prb { dst, sig } => {
                     let signal = st.signal_table[*sig];
-                    st.regs[*dst] = core.value(signal).clone();
+                    st.regs.values[*dst] = core.value(signal).clone();
                 }
                 Op::Drv {
                     sig,
@@ -300,12 +406,12 @@ fn run_instance(
                     cond,
                 } => {
                     if let Some(cond) = cond {
-                        if !st.regs[*cond].is_truthy() {
+                        if !st.regs.values[*cond].is_truthy() {
                             continue;
                         }
                     }
                     let signal = st.signal_table[*sig];
-                    let value = st.regs[*value].clone();
+                    let value = st.regs.values[*value].clone();
                     let delay = time_reg(st, *delay)?;
                     core.schedule_drive(signal, value, &delay);
                 }
@@ -323,7 +429,7 @@ fn run_instance(
                 Op::Reg { sig, triggers } => {
                     let signal = st.signal_table[*sig];
                     for trigger in triggers {
-                        let current = st.regs[trigger.trigger].clone();
+                        let current = st.regs.values[trigger.trigger].clone();
                         let previous = st.states[trigger.state].take();
                         let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                         st.states[trigger.state] = Some(current);
@@ -331,22 +437,22 @@ fn run_instance(
                             continue;
                         }
                         if let Some(gate) = trigger.gate {
-                            if !st.regs[gate].is_truthy() {
+                            if !st.regs.values[gate].is_truthy() {
                                 continue;
                             }
                         }
-                        let value = st.regs[trigger.value].clone();
+                        let value = st.regs.values[trigger.value].clone();
                         core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
                 Op::Var { mem, init } => {
-                    st.mems[*mem] = st.regs[*init].clone();
+                    st.mems.values[*mem] = st.regs.values[*init].clone();
                 }
                 Op::Ld { dst, mem } => {
-                    st.regs[*dst] = st.mems[*mem].clone();
+                    st.regs.values[*dst] = st.mems.values[*mem].clone();
                 }
                 Op::St { mem, value } => {
-                    st.mems[*mem] = st.regs[*value].clone();
+                    st.mems.values[*mem] = st.regs.values[*value].clone();
                 }
                 Op::Call {
                     callee,
@@ -354,10 +460,14 @@ fn run_instance(
                     dst,
                     args,
                 } => {
-                    let result =
-                        call_op(cx, scr, *callee, *intrinsic, unit.args(*args), &st.regs, 0)?;
+                    let args = unit
+                        .args(*args)
+                        .iter()
+                        .map(|&a| st.regs.values[a as usize].clone())
+                        .collect();
+                    let result = call_op(cx, scr, *callee, *intrinsic, args, 0)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
-                        st.regs[*dst] = value;
+                        st.regs.values[*dst] = value;
                     }
                 }
                 Op::Wait {
@@ -390,7 +500,7 @@ fn run_instance(
                     if_false,
                     if_true,
                 } => {
-                    next_block = Some(if st.regs[*cond].is_truthy() {
+                    next_block = Some(if st.regs.values[*cond].is_truthy() {
                         *if_true
                     } else {
                         *if_false
@@ -415,12 +525,12 @@ fn run_instance(
 
 /// The specialized dispatch loop: executes an instance's baked
 /// superinstruction stream. Signal operands are resolved
-/// [`SignalId`]s (no table chase), pure ops evaluate by reference
-/// (no operand cloning), and the fused records
-/// (`CmpBr`/`Sel`/`BinDrv`) retire two source ops per dispatch.
-/// Semantics — drive order, suspension, error points — mirror
-/// [`run_instance`]'s generic loop exactly; the differential and
-/// propcheck suites enforce byte-identical traces.
+/// [`SignalId`]s (no table chase), narrow integers compute as machine
+/// words, other values evaluate by reference (no operand cloning), and
+/// the fused records (`CmpBr`/`Sel`/`BinDrv` and their word forms) retire
+/// two source ops per dispatch. Semantics — drive order, suspension,
+/// error points — mirror [`run_instance`]'s generic loop exactly; the
+/// differential and propcheck suites enforce byte-identical traces.
 fn run_instance_spec(
     cx: &BlazeExec,
     st: &mut InstanceState,
@@ -429,6 +539,7 @@ fn run_instance_spec(
     code: &SpecializedCode,
     core: &mut SchedCore,
 ) -> Result<(), SimError> {
+    let (widths, mem_widths) = (&*code.widths, &*code.mem_widths);
     let mut block = match &st.status {
         Status::Halted => return Ok(()),
         Status::Suspended { resume } => *resume,
@@ -443,7 +554,12 @@ fn run_instance_spec(
             // count as two toward the activation guard so the limit
             // fires at the same executed-op count as the generic loop.
             steps += match op {
-                SuperOp::CmpBr { .. } | SuperOp::BinDrv { .. } | SuperOp::Sel { .. } => 2,
+                SuperOp::CmpBr { .. }
+                | SuperOp::BinDrv { .. }
+                | SuperOp::Sel { .. }
+                | SuperOp::WCmpBr { .. }
+                | SuperOp::WBinDrv { .. }
+                | SuperOp::WSel { .. } => 2,
                 _ => 1,
             };
             if steps > cx.max_steps {
@@ -453,6 +569,128 @@ fn run_instance_spec(
                 )));
             }
             match op {
+                // Word slots: narrow integers as masked machine words.
+                SuperOp::WBin {
+                    kind,
+                    width,
+                    dst,
+                    a,
+                    b,
+                } => {
+                    let words = &mut st.regs.words;
+                    words[*dst as usize] =
+                        kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+                }
+                SuperOp::WUn {
+                    opcode,
+                    width,
+                    dst,
+                    a,
+                } => {
+                    let words = &mut st.regs.words;
+                    words[*dst as usize] = eval_un_word(*opcode, *width, words[*a as usize]);
+                }
+                SuperOp::WCast {
+                    opcode,
+                    from,
+                    to,
+                    dst,
+                    a,
+                } => {
+                    let words = &mut st.regs.words;
+                    words[*dst as usize] = eval_cast_word(*opcode, *from, *to, words[*a as usize]);
+                }
+                SuperOp::WExtS {
+                    dst,
+                    a,
+                    offset,
+                    width,
+                } => {
+                    let words = &mut st.regs.words;
+                    words[*dst as usize] = (words[*a as usize] >> offset) & word_mask(*width);
+                }
+                SuperOp::WSel { dst, sel, elems } => {
+                    let elems = code.args(*elems);
+                    let words = &mut st.regs.words;
+                    let index = words[*sel as usize] as usize;
+                    words[*dst as usize] = words[elems[index.min(elems.len() - 1)] as usize];
+                }
+                SuperOp::WCmpBr {
+                    kind,
+                    width,
+                    a,
+                    b,
+                    if_false,
+                    if_true,
+                } => {
+                    let words = &st.regs.words;
+                    let taken = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+                    let target = if taken != 0 { if_true } else { if_false };
+                    next_block = Some(*target as usize);
+                    break;
+                }
+                SuperOp::WBinDrv {
+                    kind,
+                    width,
+                    out,
+                    a,
+                    b,
+                    sig,
+                    delay,
+                    cond,
+                } => {
+                    // The compute happens unconditionally, exactly like
+                    // the unfused pure op preceding the drive.
+                    let words = &st.regs.words;
+                    let value = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+                    if cond.is_some_and(|c| words[c as usize] == 0) {
+                        continue;
+                    }
+                    let delay = delay_value(st, delay)?;
+                    let value = ConstValue::int(usize::from(*out), value);
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
+                }
+                SuperOp::WPrb { dst, sig, width } => {
+                    let value = core.value(SignalId(*sig as usize));
+                    st.regs.words[*dst as usize] =
+                        value.as_int().map_or(0, ApInt::to_u64) & word_mask(*width);
+                }
+                SuperOp::WDrv {
+                    sig,
+                    value,
+                    width,
+                    delay,
+                    cond,
+                } => {
+                    let words = &st.regs.words;
+                    if cond.is_some_and(|c| words[c as usize] == 0) {
+                        continue;
+                    }
+                    let value = ConstValue::int(usize::from(*width), words[*value as usize]);
+                    let delay = delay_value(st, delay)?;
+                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
+                }
+                SuperOp::WLd { dst, mem } => {
+                    st.regs.words[*dst as usize] = st.mems.words[*mem as usize];
+                }
+                SuperOp::WSt { mem, value } => {
+                    st.mems.words[*mem as usize] = st.regs.words[*value as usize];
+                }
+                SuperOp::WBrCond {
+                    cond,
+                    if_false,
+                    if_true,
+                } => {
+                    let target = if st.regs.words[*cond as usize] != 0 {
+                        if_true
+                    } else {
+                        if_false
+                    };
+                    next_block = Some(*target as usize);
+                    break;
+                }
+                // Value slots: word operands are boxed on the way in and
+                // a word result is unboxed on the way out.
                 SuperOp::Bin {
                     kind,
                     opcode,
@@ -461,14 +699,14 @@ fn run_instance_spec(
                     b,
                 } => {
                     let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs[*a as usize], &regs[*b as usize])
+                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Un { opcode, dst, a } => {
-                    let value = eval_unary(*opcode, &st.regs[*a as usize])
+                    let value = eval_unary(*opcode, &st.regs.get(widths, *a))
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Cast {
                     opcode,
@@ -476,16 +714,16 @@ fn run_instance_spec(
                     a,
                     width,
                 } => {
-                    let value = eval_cast(*opcode, &st.regs[*a as usize], *width as usize)
+                    let value = eval_cast(*opcode, &st.regs.get(widths, *a), *width as usize)
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::ExtF { dst, a, index } => {
-                    let value = eval_ext_field(&st.regs[*a as usize], *index as usize)
+                    let value = eval_ext_field(&st.regs.get(widths, *a), *index as usize)
                         .ok_or_else(|| {
                             SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtField))
                         })?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::ExtS {
                     dst,
@@ -493,48 +731,54 @@ fn run_instance_spec(
                     offset,
                     length,
                 } => {
-                    let value =
-                        eval_ext_slice(&st.regs[*a as usize], *offset as usize, *length as usize)
-                            .ok_or_else(|| {
-                            SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice))
-                        })?;
-                    st.regs[*dst as usize] = value;
+                    let value = eval_ext_slice(
+                        &st.regs.get(widths, *a),
+                        *offset as usize,
+                        *length as usize,
+                    )
+                    .ok_or_else(|| {
+                        SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice))
+                    })?;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::InsF { dst, a, b, index } => {
                     let regs = &st.regs;
                     let value =
-                        eval_ins_field(&regs[*a as usize], &regs[*b as usize], *index as usize)
+                        eval_ins_field(&regs.get(widths, *a), &regs.get(widths, *b), *index as usize)
                             .ok_or_else(|| {
                                 SimError::Runtime(format!("cannot evaluate {}", Opcode::InsField))
                             })?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::InsS { dst, a, b, offset } => {
                     let regs = &st.regs;
-                    let value =
-                        eval_ins_slice(&regs[*a as usize], &regs[*b as usize], *offset as usize, 0)
-                            .ok_or_else(|| {
-                                SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice))
-                            })?;
-                    st.regs[*dst as usize] = value;
+                    let value = eval_ins_slice(
+                        &regs.get(widths, *a),
+                        &regs.get(widths, *b),
+                        *offset as usize,
+                        0,
+                    )
+                    .ok_or_else(|| {
+                        SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice))
+                    })?;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Mux { dst, choices, sel } => {
                     let regs = &st.regs;
-                    let value = eval_mux(&regs[*choices as usize], &regs[*sel as usize])
+                    let value = eval_mux(&regs.get(widths, *choices), &regs.get(widths, *sel))
                         .ok_or_else(|| {
                             SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
                         })?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Sel { dst, sel, elems } => {
                     let elems = code.args(*elems);
-                    let regs = &st.regs;
-                    let index = regs[*sel as usize].to_u64().ok_or_else(|| {
+                    let index = st.regs.get(widths, *sel).to_u64().ok_or_else(|| {
                         SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
                     })? as usize;
-                    let pick = elems[index.min(elems.len() - 1)] as usize;
-                    let value = regs[pick].clone();
-                    st.regs[*dst as usize] = value;
+                    let pick = elems[index.min(elems.len() - 1)];
+                    let value = st.regs.get(widths, pick).into_owned();
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Pure {
                     opcode,
@@ -546,11 +790,11 @@ fn run_instance_spec(
                     scr.args.extend(
                         code.args(*args)
                             .iter()
-                            .map(|&a| st.regs[a as usize].clone()),
+                            .map(|&a| st.regs.get(widths, a).into_owned()),
                     );
                     let value = eval_pure(*opcode, &scr.args, imms)
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::CmpBr {
                     kind,
@@ -561,13 +805,10 @@ fn run_instance_spec(
                     if_true,
                 } => {
                     let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs[*a as usize], &regs[*b as usize])
+                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    next_block = Some(if value.is_truthy() {
-                        *if_true as usize
-                    } else {
-                        *if_false as usize
-                    });
+                    let target = if value.is_truthy() { if_true } else { if_false };
+                    next_block = Some(*target as usize);
                     break;
                 }
                 SuperOp::BinDrv {
@@ -583,19 +824,17 @@ fn run_instance_spec(
                     // The compute happens unconditionally, exactly like
                     // the unfused pure op preceding the drive.
                     let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs[*a as usize], &regs[*b as usize])
+                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
                         .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    if let Some(cond) = cond {
-                        if !st.regs[*cond as usize].is_truthy() {
-                            continue;
-                        }
+                    if cond.is_some_and(|c| !st.regs.truthy(widths, c)) {
+                        continue;
                     }
                     let delay = delay_value(st, delay)?;
                     core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
                 SuperOp::Prb { dst, sig } => {
                     let value = core.value(SignalId(*sig as usize)).clone();
-                    st.regs[*dst as usize] = value;
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Drv {
                     sig,
@@ -603,12 +842,10 @@ fn run_instance_spec(
                     delay,
                     cond,
                 } => {
-                    if let Some(cond) = cond {
-                        if !st.regs[*cond as usize].is_truthy() {
-                            continue;
-                        }
+                    if cond.is_some_and(|c| !st.regs.truthy(widths, c)) {
+                        continue;
                     }
-                    let value = st.regs[*value as usize].clone();
+                    let value = st.regs.get(widths, *value).into_owned();
                     let delay = delay_value(st, delay)?;
                     core.schedule_drive(SignalId(*sig as usize), value, &delay);
                 }
@@ -624,30 +861,30 @@ fn run_instance_spec(
                 SuperOp::Reg { sig, triggers } => {
                     let signal = SignalId(*sig as usize);
                     for trigger in triggers {
-                        let current = st.regs[trigger.trigger].clone();
+                        let current = st.regs.get(widths, trigger.trigger as u32).into_owned();
                         let previous = st.states[trigger.state].take();
                         let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                         st.states[trigger.state] = Some(current);
                         if !fire {
                             continue;
                         }
-                        if let Some(gate) = trigger.gate {
-                            if !st.regs[gate].is_truthy() {
-                                continue;
-                            }
+                        if trigger
+                            .gate
+                            .is_some_and(|gate| !st.regs.truthy(widths, gate as u32))
+                        {
+                            continue;
                         }
-                        let value = st.regs[trigger.value].clone();
+                        let value = st.regs.get(widths, trigger.value as u32).into_owned();
                         core.schedule_drive(signal, value, &TimeValue::from_delta(1));
                     }
                 }
-                SuperOp::Var { mem, init } => {
-                    st.mems[*mem as usize] = st.regs[*init as usize].clone();
+                SuperOp::Var { mem, init: value } | SuperOp::St { mem, value } => {
+                    let value = st.regs.get(widths, *value).into_owned();
+                    st.mems.set(mem_widths, *mem, value);
                 }
                 SuperOp::Ld { dst, mem } => {
-                    st.regs[*dst as usize] = st.mems[*mem as usize].clone();
-                }
-                SuperOp::St { mem, value } => {
-                    st.mems[*mem as usize] = st.regs[*value as usize].clone();
+                    let value = st.mems.get(mem_widths, *mem).into_owned();
+                    st.regs.set(widths, *dst, value);
                 }
                 SuperOp::Call {
                     callee,
@@ -655,10 +892,14 @@ fn run_instance_spec(
                     dst,
                     args,
                 } => {
-                    let result =
-                        call_op(cx, scr, *callee, *intrinsic, code.args(*args), &st.regs, 0)?;
+                    let args = code
+                        .args(*args)
+                        .iter()
+                        .map(|&a| st.regs.get(widths, a).into_owned())
+                        .collect();
+                    let result = call_op(cx, scr, *callee, *intrinsic, args, 0)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
-                        st.regs[*dst as usize] = value;
+                        st.regs.set(widths, *dst, value);
                     }
                 }
                 SuperOp::Wait {
@@ -693,11 +934,12 @@ fn run_instance_spec(
                     if_false,
                     if_true,
                 } => {
-                    next_block = Some(if st.regs[*cond as usize].is_truthy() {
-                        *if_true as usize
+                    let target = if st.regs.truthy(widths, *cond) {
+                        if_true
                     } else {
-                        *if_false as usize
-                    });
+                        if_false
+                    };
+                    next_block = Some(*target as usize);
                     break;
                 }
                 SuperOp::Ret => {
@@ -725,34 +967,32 @@ fn delay_value(st: &InstanceState, delay: &Delay) -> Result<TimeValue, SimError>
 }
 
 fn time_reg(st: &InstanceState, slot: usize) -> Result<TimeValue, SimError> {
-    st.regs[slot]
+    st.regs.values[slot]
         .as_time()
         .copied()
         .ok_or_else(|| SimError::Runtime("expected a time value".to_string()))
 }
 
-/// Execute a call op over the caller's register file: an intrinsic, or a
-/// compiled function one frame deeper than the `depth` already active.
+/// Execute a call op: an intrinsic, or a compiled function one frame
+/// deeper than the `depth` already active.
 fn call_op(
     cx: &BlazeExec,
     scr: &mut Scratch,
     callee: Option<UnitId>,
     intrinsic: Option<Intrinsic>,
-    args: &[u32],
-    regs: &[ConstValue],
+    args: Vec<ConstValue>,
     depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
-    let arg_values: Vec<ConstValue> = args.iter().map(|&a| regs[a as usize].clone()).collect();
     Ok(match intrinsic {
         Some(Intrinsic::Assert) => {
             scr.counters.assertions_checked += 1;
-            if !arg_values.first().map(|a| a.is_truthy()).unwrap_or(false) {
+            if !args.first().map(|a| a.is_truthy()).unwrap_or(false) {
                 scr.counters.assertion_failures += 1;
             }
             None
         }
         Some(Intrinsic::Ignore) => None,
-        None => call_function(cx, scr, callee.unwrap(), &arg_values, depth + 1)?,
+        None => call_function(cx, scr, callee.unwrap(), &args, depth + 1)?,
     })
 }
 
@@ -818,8 +1058,8 @@ fn call_function(
                     dst,
                     args,
                 } => {
-                    let result =
-                        call_op(cx, scr, *callee, *intrinsic, unit.args(*args), &regs, depth)?;
+                    let args = unit.args(*args).iter().map(|&a| regs[a as usize].clone()).collect();
+                    let result = call_op(cx, scr, *callee, *intrinsic, args, depth)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
                         regs[*dst] = value;
                     }
@@ -978,6 +1218,114 @@ mod tests {
             .build()
             .unwrap();
         assert!(interp.restore(&state).is_err());
+    }
+
+    /// Narrow integers compute in the word file and everything else as
+    /// values; ops that cross between the two box and unbox. `i8` signed
+    /// division by negative and zero divisors, shifts past the width,
+    /// `i80` arithmetic fed by and feeding `i8` words, and a selection
+    /// over words must trace exactly like the interpreter, also when
+    /// resumed from a checkpoint cut through both files.
+    #[test]
+    fn word_and_value_slots_match_the_interpreter() {
+        let module = parse_module(
+            r#"
+            proc @mix (i8$ %a, i8$ %b) -> (i8$ %q, i80$ %w, i64$ %s) {
+            entry:
+                %one = const i8 1
+                %t = const time 1ns
+                %i = var i8 %one
+                br %loop
+            loop:
+                %ap = prb i8$ %a
+                %bp = prb i8$ %b
+                %cur = ld i8* %i
+                %sum = add i8 %ap, %cur
+                %quo = sdiv i8 %sum, %bp
+                %rem = smod i8 %sum, %bp
+                %mix = xor i8 %quo, %rem
+                %sh = shl i8 %mix, %cur
+                %wide = zext i80 %sum
+                %sq = umul i80 %wide, %wide
+                %w2 = shl i80 %sq, %cur
+                %back = trunc i8 %w2
+                %hi = exts i8 %w2, 70, 8
+                %s64 = sext i64 %back
+                %neg = neg i64 %s64
+                %opts = array [%sum, %back, %hi]
+                %pick = mux [3 x i8] %opts, %cur
+                %q0 = xor i8 %pick, %sh
+                %next = add i8 %cur, %one
+                st i8* %i, %next
+                drv i8$ %q, %q0 after %t
+                drv i80$ %w, %w2 after %t
+                drv i64$ %s, %neg after %t
+                wait %loop for %t
+            }
+            proc @stim () -> (i8$ %a, i8$ %b) {
+            entry:
+                %t = const time 1ns
+                %z = const i8 0
+                %k = const i8 37
+                %i = var i8 %z
+                br %loop
+            loop:
+                %v = ld i8* %i
+                %n = add i8 %v, %k
+                st i8* %i, %n
+                %m = sub i8 %z, %v
+                drv i8$ %a, %n after %t
+                drv i8$ %b, %m after %t
+                wait %loop for %t
+            }
+            entity @top () -> () {
+                %z8 = const i8 0
+                %z64 = const i64 0
+                %z80 = const i80 0
+                %a = sig i8 %z8
+                %b = sig i8 %z8
+                %q = sig i8 %z8
+                %w = sig i80 %z80
+                %s = sig i64 %z64
+                inst @mix (%a, %b) -> (%q, %w, %s)
+                inst @stim () -> (%a, %b)
+            }
+            "#,
+        )
+        .unwrap();
+        let config = SimConfig::until_nanos(80);
+        let reference = simulate_reference(&module, "top", &config).unwrap();
+        let blaze = simulate(&module, "top", &config).unwrap();
+        assert_eq!(reference.trace.events(), blaze.trace.events());
+        assert_eq!(reference.signal_changes, blaze.signal_changes);
+        // The loop really runs both kinds of code.
+        let design = llhd_sim::elaborate(&module, "top").unwrap();
+        let compiled = crate::compile_design(&module, design).unwrap();
+        let mix = compiled
+            .instances
+            .iter()
+            .find(|i| i.name.contains("mix"))
+            .unwrap();
+        let ops = &mix.code.as_ref().expect("the looping process specializes").ops;
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::WBin { .. })));
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::Bin { .. })));
+        // A checkpoint cut through both files resumes byte-identically.
+        let build = || {
+            session(&module, "top")
+                .engine(EngineKind::Compile)
+                .config(config.clone())
+                .build()
+                .unwrap()
+        };
+        let mut first = build();
+        for _ in 0..9 {
+            first.step().unwrap();
+        }
+        let state = first.checkpoint().unwrap();
+        let mut resumed = build();
+        resumed.restore(&state).unwrap();
+        while resumed.step().unwrap() {}
+        assert_eq!(resumed.finish().unwrap().trace.events(), blaze.trace.events());
     }
 
     /// A failed step poisons the engine under the *specialized* dispatch

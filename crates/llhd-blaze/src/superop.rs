@@ -21,7 +21,14 @@
 //!    unit — their results land in the unit's initial register file
 //!    ([`LoweredUnit::init_regs`]) and the ops are marked dropped. The
 //!    analysis depends only on the unit's materialized constants, never on
-//!    an instance, so it runs exactly once per unit.
+//!    an instance, so it runs exactly once per unit. Last, `select_words`
+//!    gives every narrow integer slot (`iN`, N ≤ 64) a machine word
+//!    ([`LoweredUnit::widths`]) and rewrites each op whose operands and
+//!    result are all word slots into its word form ([`SuperOp::WBin`] and
+//!    the other `W…` variants): masked `u64` arithmetic, with no
+//!    [`ConstValue`] tag match and no `ApInt` width check. Ops that touch a
+//!    wider or non-integer value keep their value form; the engine boxes
+//!    their word operands.
 //! 2. **Instance specialization** (per instance, at instance-bind time):
 //!    every [`CompiledInstance`](crate::compile::CompiledInstance) gets its
 //!    own copy of the lowered stream with its bindings baked in — signal
@@ -46,9 +53,11 @@ use llhd::eval::{
     eval_mux, eval_pure, eval_unary,
 };
 use llhd::ir::{Opcode, UnitId};
+use llhd::ty::{Type, TypeKind};
 use llhd::value::{ApInt, ConstValue, TimeValue};
 use llhd_sim::design::SignalId;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A pre-decoded binary operation on integer operands. Selected at
 /// lowering time from the IR types, so the dispatch loop goes straight to
@@ -166,6 +175,107 @@ impl IntBin {
             IntBin::Sle => ConstValue::bool(a.scmp(b) != Ordering::Greater),
             IntBin::Sge => ConstValue::bool(a.scmp(b) != Ordering::Less),
         }
+    }
+
+    /// Whether the result is a boolean rather than an operand-width value.
+    fn is_comparison(self) -> bool {
+        matches!(
+            self,
+            IntBin::Eq
+                | IntBin::Neq
+                | IntBin::Ult
+                | IntBin::Ugt
+                | IntBin::Ule
+                | IntBin::Uge
+                | IntBin::Slt
+                | IntBin::Sgt
+                | IntBin::Sle
+                | IntBin::Sge
+        )
+    }
+
+    /// Evaluate on `width`-bit operands held in machine words, each masked
+    /// to `width` bits (a shift amount to its own width). Must agree
+    /// exactly with [`IntBin::eval`] on `ApInt`s of that width —
+    /// `int_fast_path_matches_evaluator` below and a property in
+    /// `tests/properties.rs` enforce it per kind.
+    #[inline]
+    pub fn eval_word(self, width: u8, a: u64, b: u64) -> u64 {
+        let mask = word_mask(width);
+        let signed = |v: u64| i128::from(sign_extend(v, width));
+        match self {
+            IntBin::Add => a.wrapping_add(b) & mask,
+            IntBin::Sub => a.wrapping_sub(b) & mask,
+            IntBin::And => a & b,
+            IntBin::Or => a | b,
+            IntBin::Xor => a ^ b,
+            IntBin::Mul => a.wrapping_mul(b) & mask,
+            // Division by zero yields all ones and remainder by zero the
+            // dividend, `ApInt`'s hardware convention.
+            IntBin::Udiv => a.checked_div(b).unwrap_or(mask),
+            IntBin::Urem => a.checked_rem(b).unwrap_or(a),
+            IntBin::Sdiv if b == 0 => mask,
+            IntBin::Srem | IntBin::Smod if b == 0 => a,
+            // i128: `i64::MIN / -1` must wrap, not trap.
+            IntBin::Sdiv => (signed(a) / signed(b)) as u64 & mask,
+            IntBin::Srem => (signed(a) % signed(b)) as u64 & mask,
+            IntBin::Smod => {
+                let r = (signed(a) % signed(b)) as u64 & mask;
+                let sign = |v: u64| (v >> (width - 1)) & 1;
+                if r == 0 || sign(r) == sign(b) {
+                    r
+                } else {
+                    r.wrapping_add(b) & mask
+                }
+            }
+            IntBin::Shl if b < u64::from(width) => (a << b) & mask,
+            IntBin::Shr if b < u64::from(width) => a >> b,
+            IntBin::Shl | IntBin::Shr => 0,
+            IntBin::Eq => u64::from(a == b),
+            IntBin::Neq => u64::from(a != b),
+            IntBin::Ult => u64::from(a < b),
+            IntBin::Ugt => u64::from(a > b),
+            IntBin::Ule => u64::from(a <= b),
+            IntBin::Uge => u64::from(a >= b),
+            IntBin::Slt => u64::from(signed(a) < signed(b)),
+            IntBin::Sgt => u64::from(signed(a) > signed(b)),
+            IntBin::Sle => u64::from(signed(a) <= signed(b)),
+            IntBin::Sge => u64::from(signed(a) >= signed(b)),
+        }
+    }
+}
+
+/// The value mask of a `width`-bit word slot, `1 <= width <= 64`.
+#[inline]
+pub(crate) fn word_mask(width: u8) -> u64 {
+    u64::MAX >> (64 - u32::from(width))
+}
+
+/// A `width`-bit word read as a two's complement number.
+#[inline]
+fn sign_extend(v: u64, width: u8) -> i64 {
+    let shift = 64 - u32::from(width);
+    ((v << shift) as i64) >> shift
+}
+
+/// Evaluate [`SuperOp::WUn`]: `not`, `neg` or `alias` of a `width`-bit
+/// word.
+#[inline]
+pub(crate) fn eval_un_word(opcode: Opcode, width: u8, v: u64) -> u64 {
+    match opcode {
+        Opcode::Not => !v & word_mask(width),
+        Opcode::Neg => v.wrapping_neg() & word_mask(width),
+        _ => v,
+    }
+}
+
+/// Evaluate [`SuperOp::WCast`]: a widening `sext` replicates bit
+/// `from - 1`; every other cast keeps the low `to` bits.
+#[inline]
+pub(crate) fn eval_cast_word(opcode: Opcode, from: u8, to: u8, v: u64) -> u64 {
+    match opcode {
+        Opcode::Sext if to > from => sign_extend(v, from) as u64 & word_mask(to),
+        _ => v & word_mask(to),
     }
 }
 
@@ -435,6 +545,144 @@ pub enum SuperOp {
     /// Return — illegal outside functions; kept so the runtime error (and
     /// engine poisoning) replays identically to the generic path.
     Ret,
+    /// [`SuperOp::Bin`] over word slots: operands and result are words of
+    /// the instance's word file (see [`LoweredUnit::widths`]).
+    WBin {
+        /// The operation.
+        kind: IntBin,
+        /// The operand width.
+        width: u8,
+        /// Destination word slot.
+        dst: u32,
+        /// Left operand word slot.
+        a: u32,
+        /// Right operand word slot.
+        b: u32,
+    },
+    /// [`SuperOp::Un`] over word slots.
+    WUn {
+        /// `not`, `neg` or `alias`.
+        opcode: Opcode,
+        /// The operand and result width.
+        width: u8,
+        /// Destination word slot.
+        dst: u32,
+        /// Operand word slot.
+        a: u32,
+    },
+    /// [`SuperOp::Cast`] between word slots.
+    WCast {
+        /// `zext`, `sext` or `trunc`.
+        opcode: Opcode,
+        /// The operand width.
+        from: u8,
+        /// The result width.
+        to: u8,
+        /// Destination word slot.
+        dst: u32,
+        /// Operand word slot.
+        a: u32,
+    },
+    /// `exts` from a word slot, or `extf` of one of its bits.
+    WExtS {
+        /// Destination word slot.
+        dst: u32,
+        /// Operand word slot.
+        a: u32,
+        /// The lowest extracted bit.
+        offset: u8,
+        /// The number of extracted bits: the result width.
+        width: u8,
+    },
+    /// [`SuperOp::Sel`] over word slots.
+    WSel {
+        /// Destination word slot.
+        dst: u32,
+        /// Selector word slot.
+        sel: u32,
+        /// Element word slots in the pool.
+        elems: ArgRange,
+    },
+    /// [`SuperOp::CmpBr`] over word slots.
+    WCmpBr {
+        /// The comparison.
+        kind: IntBin,
+        /// The operand width.
+        width: u8,
+        /// Left operand word slot.
+        a: u32,
+        /// Right operand word slot.
+        b: u32,
+        /// Block index when the comparison is false.
+        if_false: u32,
+        /// Block index when the comparison is true.
+        if_true: u32,
+    },
+    /// [`SuperOp::BinDrv`] over word slots.
+    WBinDrv {
+        /// The operation.
+        kind: IntBin,
+        /// The operand width.
+        width: u8,
+        /// The result width, which is the driven width.
+        out: u8,
+        /// Left operand word slot.
+        a: u32,
+        /// Right operand word slot.
+        b: u32,
+        /// The driven signal.
+        sig: u32,
+        /// The drive delay.
+        delay: Delay,
+        /// Optional condition word slot.
+        cond: Option<u32>,
+    },
+    /// [`SuperOp::Prb`] into a word slot.
+    WPrb {
+        /// Destination word slot.
+        dst: u32,
+        /// The probed signal.
+        sig: u32,
+        /// The probed width.
+        width: u8,
+    },
+    /// [`SuperOp::Drv`] of a word slot.
+    WDrv {
+        /// The driven signal.
+        sig: u32,
+        /// Value word slot.
+        value: u32,
+        /// The driven width.
+        width: u8,
+        /// The drive delay.
+        delay: Delay,
+        /// Optional condition word slot.
+        cond: Option<u32>,
+    },
+    /// [`SuperOp::Ld`] of a word memory cell.
+    WLd {
+        /// Destination word slot.
+        dst: u32,
+        /// Memory word slot.
+        mem: u32,
+    },
+    /// [`SuperOp::St`] (or [`SuperOp::Var`]) of a word slot into a word
+    /// memory cell.
+    WSt {
+        /// Memory word slot.
+        mem: u32,
+        /// Value word slot.
+        value: u32,
+    },
+    /// [`SuperOp::BrCond`] on a word slot.
+    WBrCond {
+        /// Condition word slot.
+        cond: u32,
+        /// Block index when false.
+        if_false: u32,
+        /// Block index when true.
+        if_true: u32,
+    },
 }
 
 /// The per-unit lowered superinstruction stream, in slot space, with the
@@ -457,8 +705,19 @@ pub struct LoweredUnit {
     /// constants plus every folded result.
     pub consts: Vec<Option<ConstValue>>,
     /// The initial register file with the folded constants applied.
-    /// Engines clone this per instance instead of re-materializing.
+    /// Engines clone this per instance instead of re-materializing. A word
+    /// slot's entry is `Void`: its constant is in
+    /// [`LoweredUnit::init_words`].
     pub init_regs: Vec<ConstValue>,
+    /// Per register slot: the width of a narrow integer slot (`iN`,
+    /// N ≤ 64), whose value lives in the instance's word file as a `u64`
+    /// masked to that width, or 0 for a slot whose value is a
+    /// [`ConstValue`].
+    pub widths: Arc<[u8]>,
+    /// The same split for the memory slots (`var` cells).
+    pub mem_widths: Arc<[u8]>,
+    /// The initial word file: every constant word slot's value.
+    pub init_words: Vec<u64>,
 }
 
 impl LoweredUnit {
@@ -536,10 +795,7 @@ pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool], fuse: bool) -> Lowere
     let mut out = LoweredUnit {
         ops: Vec::with_capacity(unit.ops.len()),
         block_ranges: Vec::with_capacity(unit.block_ranges.len()),
-        pool: Vec::new(),
-        dropped: Vec::new(),
-        consts: Vec::new(),
-        init_regs: Vec::new(),
+        ..LoweredUnit::default()
     };
     for block in 0..unit.block_ranges.len() {
         let (start, end) = unit.block_ranges[block];
@@ -564,7 +820,212 @@ pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool], fuse: bool) -> Lowere
         out.block_ranges.push((block_start, out.ops.len() as u32));
     }
     fold_unit(&mut out, unit);
+    select_words(&mut out, unit);
     out
+}
+
+/// The width of a word slot for values of type `ty`: `N` for an `iN` with
+/// `N <= 64`, 0 for a type whose values stay [`ConstValue`]s.
+fn word_width(ty: &Type) -> u8 {
+    match ty.kind() {
+        TypeKind::Int(width @ 1..=64) => *width as u8,
+        _ => 0,
+    }
+}
+
+/// Give every narrow integer slot a machine word: pick each register and
+/// memory slot's storage class from its IR type, seed the initial word
+/// file from the unit's constants, and rewrite every op whose operands and
+/// result all live in words into its word form. Ops that touch a value
+/// slot keep their [`ConstValue`] form; the engine boxes their word
+/// operands on the way in and unboxes a word result on the way out.
+fn select_words(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
+    let widths: Vec<u8> = unit
+        .reg_types
+        .iter()
+        .zip(&lowered.consts)
+        .map(|(ty, konst)| match (word_width(ty), konst) {
+            (width, None) => width,
+            (width, Some(ConstValue::Int(v))) if v.width() == usize::from(width) => width,
+            // A constant of another type, which a verified module never
+            // holds, keeps its slot a value.
+            (_, Some(_)) => 0,
+        })
+        .collect();
+    let mem_widths: Vec<u8> = unit.mem_types.iter().map(word_width).collect();
+    let mut init_words = vec![0; widths.len()];
+    for (slot, &width) in widths.iter().enumerate() {
+        if width != 0 {
+            init_words[slot] = lowered.consts[slot]
+                .as_ref()
+                .and_then(ConstValue::to_u64)
+                .unwrap_or(0);
+            lowered.init_regs[slot] = ConstValue::Void;
+        }
+    }
+    for op in &mut lowered.ops {
+        if let Some(word) = word_op(op, &lowered.pool, &widths, &mem_widths) {
+            *op = word;
+        }
+    }
+    lowered.widths = widths.into();
+    lowered.mem_widths = mem_widths.into();
+    lowered.init_words = init_words;
+}
+
+/// The word form of `op`, if every operand and result of it lives in a
+/// word slot of the width its evaluation assumes.
+fn word_op(op: &SuperOp, pool: &[u32], widths: &[u8], mem_widths: &[u8]) -> Option<SuperOp> {
+    let w = |slot: u32| widths[slot as usize];
+    let mw = |slot: u32| mem_widths[slot as usize];
+    let word_cond = |cond: Option<u32>| cond.is_none_or(|c| w(c) != 0);
+    Some(match *op {
+        SuperOp::Bin {
+            kind: Some(kind),
+            dst,
+            a,
+            b,
+            ..
+        } => SuperOp::WBin {
+            kind,
+            width: bin_width(kind, w(a), w(b), w(dst))?,
+            dst,
+            a,
+            b,
+        },
+        SuperOp::CmpBr {
+            kind: Some(kind),
+            a,
+            b,
+            if_false,
+            if_true,
+            ..
+        } => SuperOp::WCmpBr {
+            kind,
+            width: bin_width(kind, w(a), w(b), 1)?,
+            a,
+            b,
+            if_false,
+            if_true,
+        },
+        SuperOp::BinDrv {
+            kind: Some(kind),
+            dst,
+            a,
+            b,
+            sig,
+            ref delay,
+            cond,
+            ..
+        } if word_cond(cond) => SuperOp::WBinDrv {
+            kind,
+            width: bin_width(kind, w(a), w(b), w(dst))?,
+            out: w(dst),
+            a,
+            b,
+            sig,
+            delay: delay.clone(),
+            cond,
+        },
+        SuperOp::Un { opcode, dst, a } if w(a) != 0 && w(a) == w(dst) => SuperOp::WUn {
+            opcode,
+            width: w(a),
+            dst,
+            a,
+        },
+        SuperOp::Cast {
+            opcode,
+            dst,
+            a,
+            width,
+        } if w(a) != 0
+            && w(dst) != 0
+            && u32::from(w(dst)) == width
+            && (opcode != Opcode::Trunc || w(dst) <= w(a)) =>
+        {
+            SuperOp::WCast {
+                opcode,
+                from: w(a),
+                to: w(dst),
+                dst,
+                a,
+            }
+        }
+        SuperOp::ExtS {
+            dst,
+            a,
+            offset,
+            length,
+        } if w(a) != 0
+            && length > 0
+            && u64::from(offset) + u64::from(length) <= u64::from(w(a))
+            && u32::from(w(dst)) == length =>
+        {
+            SuperOp::WExtS {
+                dst,
+                a,
+                offset: offset as u8,
+                width: w(dst),
+            }
+        }
+        SuperOp::ExtF { dst, a, index } if index < u32::from(w(a)) && w(dst) == 1 => {
+            SuperOp::WExtS {
+                dst,
+                a,
+                offset: index as u8,
+                width: 1,
+            }
+        }
+        SuperOp::Sel { dst, sel, elems }
+            if w(sel) != 0 && w(dst) != 0 && elems.slice(pool).iter().all(|&e| w(e) == w(dst)) =>
+        {
+            SuperOp::WSel { dst, sel, elems }
+        }
+        SuperOp::Prb { dst, sig } if w(dst) != 0 => SuperOp::WPrb {
+            dst,
+            sig,
+            width: w(dst),
+        },
+        SuperOp::Drv {
+            sig,
+            value,
+            ref delay,
+            cond,
+        } if w(value) != 0 && word_cond(cond) => SuperOp::WDrv {
+            sig,
+            value,
+            width: w(value),
+            delay: delay.clone(),
+            cond,
+        },
+        SuperOp::Var { mem, init: value } | SuperOp::St { mem, value }
+            if mw(mem) != 0 && mw(mem) == w(value) =>
+        {
+            SuperOp::WSt { mem, value }
+        }
+        SuperOp::Ld { dst, mem } if mw(mem) != 0 && mw(mem) == w(dst) => SuperOp::WLd { dst, mem },
+        SuperOp::BrCond {
+            cond,
+            if_false,
+            if_true,
+        } if w(cond) != 0 => SuperOp::WBrCond {
+            cond,
+            if_false,
+            if_true,
+        },
+        _ => return None,
+    })
+}
+
+/// The operand width of a word form of binary op `kind` whose operand and
+/// result slots have word widths `a`, `b` and `dst` (0: a value slot), if
+/// they are the widths its evaluation assumes: equal operands (a shift
+/// amount may have any width), and a result of the operand width, or
+/// `i1` for a comparison.
+fn bin_width(kind: IntBin, a: u8, b: u8, dst: u8) -> Option<u8> {
+    let shift = matches!(kind, IntBin::Shl | IntBin::Shr);
+    let result = if kind.is_comparison() { 1 } else { a };
+    (a != 0 && b != 0 && (shift || a == b) && dst == result).then_some(a)
 }
 
 /// Constant-fold the lowered stream to fixpoint. Register slots are
@@ -897,6 +1358,10 @@ pub struct SpecializedCode {
     /// Operand pool; `Wait` observed entries hold resolved [`SignalId`]s,
     /// everything else register slots.
     pub pool: Vec<u32>,
+    /// The unit's register word widths ([`LoweredUnit::widths`]).
+    pub widths: Arc<[u8]>,
+    /// The unit's memory word widths ([`LoweredUnit::mem_widths`]).
+    pub mem_widths: Arc<[u8]>,
 }
 
 impl SpecializedCode {
@@ -935,6 +1400,8 @@ pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> Specializ
         ops: Vec::with_capacity(lowered.ops.len()),
         block_ranges: Vec::with_capacity(lowered.block_ranges.len()),
         pool: Vec::new(),
+        widths: Arc::clone(&lowered.widths),
+        mem_widths: Arc::clone(&lowered.mem_widths),
     };
     for &(start, end) in &lowered.block_ranges {
         let block_start = out.ops.len() as u32;
@@ -946,6 +1413,48 @@ pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> Specializ
                 SuperOp::Prb { dst, sig } => SuperOp::Prb {
                     dst: *dst,
                     sig: resolve(*sig),
+                },
+                SuperOp::WPrb { dst, sig, width } => SuperOp::WPrb {
+                    dst: *dst,
+                    sig: resolve(*sig),
+                    width: *width,
+                },
+                SuperOp::WDrv {
+                    sig,
+                    value,
+                    width,
+                    delay,
+                    cond,
+                } => SuperOp::WDrv {
+                    sig: resolve(*sig),
+                    value: *value,
+                    width: *width,
+                    delay: bake_delay(delay),
+                    cond: *cond,
+                },
+                SuperOp::WBinDrv {
+                    kind,
+                    width,
+                    out,
+                    a,
+                    b,
+                    sig,
+                    delay,
+                    cond,
+                } => SuperOp::WBinDrv {
+                    kind: *kind,
+                    width: *width,
+                    out: *out,
+                    a: *a,
+                    b: *b,
+                    sig: resolve(*sig),
+                    delay: bake_delay(delay),
+                    cond: *cond,
+                },
+                SuperOp::WSel { dst, sel, elems } => SuperOp::WSel {
+                    dst: *dst,
+                    sel: *sel,
+                    elems: ArgRange::copy_into(&mut out.pool, lowered.args(*elems)),
                 },
                 SuperOp::Drv {
                     sig,
@@ -1253,9 +1762,9 @@ mod tests {
     use llhd::assembly::parse_module;
     use llhd_sim::elaborate;
 
-    /// Every pre-decoded integer fast path computes exactly what the
-    /// shared evaluator computes, across widths that cross the inline
-    /// limb boundary.
+    /// Every pre-decoded integer fast path — on `ApInt`s and, up to 64
+    /// bits, on machine words — computes exactly what the shared evaluator
+    /// computes, across widths that cross the inline limb boundary.
     #[test]
     fn int_fast_path_matches_evaluator() {
         let opcodes = [
@@ -1295,23 +1804,126 @@ mod tests {
         ];
         for &opcode in &opcodes {
             let kind = IntBin::from_opcode(opcode).expect("every opcode maps");
-            for &width in &[1usize, 8, 64, 80] {
+            for &width in &[1usize, 8, 63, 64, 80] {
                 for &(a, b) in &samples {
                     let av = ConstValue::Int(ApInt::from_u64(width, a));
                     let bv = ConstValue::Int(ApInt::from_u64(width, b));
-                    let fast = match (&av, &bv) {
-                        (ConstValue::Int(x), ConstValue::Int(y)) => kind.eval(x, y),
-                        _ => unreachable!(),
-                    };
+                    let (x, y) = (av.as_int().unwrap(), bv.as_int().unwrap());
                     let reference = eval_binary(opcode, &av, &bv).unwrap();
                     assert_eq!(
-                        fast, reference,
+                        kind.eval(x, y),
+                        reference,
                         "{:?} i{} {} {}",
-                        opcode, width, a, b
+                        opcode,
+                        width,
+                        a,
+                        b
                     );
+                    if width <= 64 {
+                        assert_eq!(
+                            kind.eval_word(width as u8, x.to_u64(), y.to_u64()),
+                            reference.as_int().unwrap().to_u64(),
+                            "word {:?} i{} {} {}",
+                            opcode,
+                            width,
+                            a,
+                            b
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// The word forms of the casts and of `not`/`neg`/`alias` agree with
+    /// the shared evaluator at every width pair a word holds.
+    #[test]
+    fn word_casts_and_unary_ops_match_evaluator() {
+        let widths = [1u8, 7, 8, 33, 63, 64];
+        let samples = [0u64, 1, 0x55, 0x80, u64::MAX, 1 << 62];
+        for &from in &widths {
+            for &sample in &samples {
+                let v = sample & word_mask(from);
+                let value = ConstValue::int(usize::from(from), v);
+                for opcode in [Opcode::Not, Opcode::Neg, Opcode::Alias] {
+                    assert_eq!(
+                        ConstValue::int(usize::from(from), eval_un_word(opcode, from, v)),
+                        eval_unary(opcode, &value).unwrap(),
+                        "{:?} i{} {}",
+                        opcode,
+                        from,
+                        v
+                    );
+                }
+                for &to in &widths {
+                    for opcode in [Opcode::Zext, Opcode::Sext, Opcode::Trunc] {
+                        if opcode == Opcode::Trunc && to > from {
+                            continue;
+                        }
+                        assert_eq!(
+                            ConstValue::int(usize::from(to), eval_cast_word(opcode, from, to, v)),
+                            eval_cast(opcode, &value, usize::from(to)).unwrap(),
+                            "{:?} i{} -> i{} {}",
+                            opcode,
+                            from,
+                            to,
+                            v
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every `iN` slot with N ≤ 64 moves into the word file and its ops
+    /// take their word form; an `i80` computation beside it keeps the
+    /// value form, and its constant stays in the value file.
+    #[test]
+    fn narrow_slots_compute_in_words_wide_ones_as_values() {
+        let design = compiled_for(
+            r#"
+            entity @both (i8$ %a, i80$ %w) -> (i8$ %y, i80$ %v) {
+                %delay = const time 1ns
+                %one8 = const i8 1
+                %one80 = const i80 1
+                %ap = prb i8$ %a
+                %wp = prb i80$ %w
+                %a1 = add i8 %ap, %one8
+                drv i8$ %y, %a1 after %delay
+                %w1 = add i80 %wp, %one80
+                drv i80$ %v, %w1 after %delay
+            }
+            entity @top () -> () {
+                %z8 = const i8 0
+                %z80 = const i80 0
+                %a = sig i8 %z8
+                %w = sig i80 %z80
+                %y = sig i8 %z8
+                %v = sig i80 %z80
+                inst @both (%a, %w) -> (%y, %v)
+            }
+            "#,
+            "top",
+            BlazeOptions::default(),
+        );
+        let both = design
+            .instances
+            .iter()
+            .find(|i| i.name.contains("both"))
+            .unwrap();
+        let ops = &both.code.as_ref().unwrap().ops;
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::WPrb { width: 8, .. })));
+        assert!(ops
+            .iter()
+            .any(|op| matches!(op, SuperOp::WBinDrv { kind: IntBin::Add, .. })));
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::Prb { .. })));
+        assert!(ops
+            .iter()
+            .any(|op| matches!(op, SuperOp::BinDrv { opcode: Opcode::Add, .. })));
+        let lowered = design.units[&both.unit].lowered.as_ref().unwrap();
+        assert!(lowered.init_words.contains(&1));
+        assert!(lowered.init_regs.contains(&ConstValue::int(80, 1)));
+        assert!(!lowered.init_regs.contains(&ConstValue::int(8, 1)));
     }
 
     fn compiled_for(src: &str, top: &str, options: BlazeOptions) -> crate::CompiledDesign {
@@ -1381,8 +1993,10 @@ mod tests {
                 .filter(|op| pred(op))
                 .count()
         };
-        assert!(count_ops(&fused, |op| matches!(op, SuperOp::Sel { .. })) > 0);
-        assert!(count_ops(&fused, |op| matches!(op, SuperOp::CmpBr { .. })) > 0);
+        let sel = |op: &SuperOp| matches!(op, SuperOp::Sel { .. } | SuperOp::WSel { .. });
+        let cmp_br = |op: &SuperOp| matches!(op, SuperOp::CmpBr { .. } | SuperOp::WCmpBr { .. });
+        assert!(count_ops(&fused, sel) > 0);
+        assert!(count_ops(&fused, cmp_br) > 0);
         let unfused = compiled_for(
             FUSIBLE,
             "top",
@@ -1391,11 +2005,8 @@ mod tests {
                 ..BlazeOptions::default()
             },
         );
-        assert_eq!(count_ops(&unfused, |op| matches!(op, SuperOp::Sel { .. })), 0);
-        assert_eq!(
-            count_ops(&unfused, |op| matches!(op, SuperOp::CmpBr { .. })),
-            0
-        );
+        assert_eq!(count_ops(&unfused, sel), 0);
+        assert_eq!(count_ops(&unfused, cmp_br), 0);
     }
 
     /// Specialization folds constant chains out of the stream (`add
@@ -1414,21 +2025,32 @@ mod tests {
         let adds = code
             .ops
             .iter()
-            .filter(|op| matches!(op, SuperOp::Bin { opcode: Opcode::Add, .. }))
+            .filter(|op| {
+                matches!(
+                    op,
+                    SuperOp::Bin {
+                        opcode: Opcode::Add,
+                        ..
+                    } | SuperOp::WBin {
+                        kind: IntBin::Add,
+                        ..
+                    }
+                )
+            })
             .count();
         assert_eq!(adds, 1, "the constant add must fold out of the stream");
-        // Its result landed in the unit's initial register file: some
-        // register holds the folded value 3.
+        // Its result landed in the unit's initial word file: some `i8`
+        // word slot holds the folded value 3.
         let lowered = design.units[&count.unit].lowered.as_ref().unwrap();
-        assert!(lowered
-            .init_regs
-            .iter()
-            .any(|v| v == &ConstValue::int(8, 3)));
+        assert!(lowered.init_words.contains(&3));
         // Every drive and wait in the stream carries an inline constant
         // delay (all delays in this design are `const time`).
         for op in &code.ops {
             match op {
-                SuperOp::Drv { delay, .. } | SuperOp::BinDrv { delay, .. } => {
+                SuperOp::Drv { delay, .. }
+                | SuperOp::BinDrv { delay, .. }
+                | SuperOp::WDrv { delay, .. }
+                | SuperOp::WBinDrv { delay, .. } => {
                     assert!(matches!(delay, Delay::Const(_)), "unbaked drive delay");
                 }
                 SuperOp::Wait { time: Some(t), .. } => {

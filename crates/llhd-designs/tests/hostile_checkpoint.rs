@@ -4,9 +4,11 @@
 //! `Err` — never as a panic. A checkpoint arrives over the wire
 //! (`session.restore`), so a panic here is a remote crash.
 //!
-//! Blobs that restore successfully are stepped a little further; panics
-//! there (state that is well-formed but wrongly typed for its slot) are
-//! counted and reported, not yet asserted — see ROADMAP item 7c.
+//! Blobs that restore successfully are stepped a little further, and must
+//! not panic there either: both engines check every restored register,
+//! memory cell and `reg` sample against its slot's type, so state that is
+//! well-formed but wrongly typed is refused by `restore` instead of
+//! panicking a width-checked operator later.
 
 use llhd_blaze::{compile_design, BlazeSimulator};
 use llhd_designs::all_designs;
@@ -94,6 +96,11 @@ fn corrupt_checkpoints_never_panic_inside_restore() {
     for (engine, tally) in ["interp", "blaze"].iter().zip(&tallies) {
         println!("hostile checkpoints, {}: {:?}", engine, tally);
         assert_eq!(tally.restore_panics, 0, "{}: restore panicked", engine);
+        assert_eq!(
+            tally.step_panics, 0,
+            "{}: a restored blob panicked a later step",
+            engine
+        );
         assert!(
             tally.rejected > 0 && tally.restored > 0,
             "{}: {:?}",
@@ -101,8 +108,4 @@ fn corrupt_checkpoints_never_panic_inside_restore() {
             tally
         );
     }
-    println!(
-        "post-restore step-phase panics: {}",
-        tallies.iter().map(|t| t.step_panics).sum::<usize>()
-    );
 }

@@ -18,6 +18,7 @@ use crate::sched::{read_byte, read_const, read_usize, SchedCore};
 use crate::trace::TraceEvent;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::ir::RegMode;
+use llhd::ty::Type;
 use llhd::value::{ConstValue, TimeValue};
 
 /// The deepest chain of nested function calls either engine executes.
@@ -154,13 +155,16 @@ pub fn encode_reg_history(out: &mut Vec<u8>, history: &[Option<ConstValue>]) {
 }
 
 /// Restore a history written by [`encode_reg_history`] into `history`,
-/// whose length the executor sized from the design.
+/// whose length the executor sized from the design; `types` gives each
+/// entry's trigger type, which a restored sample must have.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Runtime`] on a length mismatch or corrupt bytes.
+/// Returns [`SimError::Runtime`] on a length mismatch, corrupt bytes or a
+/// sample of the wrong type.
 pub fn decode_reg_history(
     history: &mut [Option<ConstValue>],
+    types: &[Type],
     bytes: &[u8],
     pos: &mut usize,
 ) -> Result<(), SimError> {
@@ -169,7 +173,7 @@ pub fn decode_reg_history(
             "corrupt engine checkpoint: reg history count mismatch".to_string(),
         ));
     }
-    for prev in history {
+    for (prev, ty) in history.iter_mut().zip(types) {
         *prev = match read_byte(bytes, pos)? {
             0 => None,
             1 => Some(read_const(bytes, pos)?),
@@ -180,6 +184,11 @@ pub fn decode_reg_history(
                 )))
             }
         };
+        if prev.as_ref().is_some_and(|sample| !sample.has_type(ty)) {
+            return Err(SimError::Runtime(
+                "corrupt engine checkpoint: reg history sample of the wrong type".to_string(),
+            ));
+        }
     }
     Ok(())
 }

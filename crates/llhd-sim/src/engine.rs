@@ -26,6 +26,7 @@ use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
 use llhd::ir::{Block, InstData, Module, Opcode, UnitData, UnitId, UnitKind, Value};
+use llhd::ty::{Type, TypeKind};
 use llhd::value::{ConstValue, TimeValue};
 use std::collections::HashMap;
 use std::fmt;
@@ -243,27 +244,27 @@ struct UnitExec {
     /// By instruction index: the first `reg`-history slot of a `reg`
     /// instruction, or `u32::MAX`.
     reg_base: Vec<u32>,
-    /// Total number of `reg`-history slots.
-    num_reg_states: usize,
+    /// By `reg`-history slot: its trigger's type.
+    trigger_types: Vec<Type>,
 }
 
 impl UnitExec {
     fn build(unit: &UnitData) -> Self {
         let mut reg_base = vec![u32::MAX; unit.num_inst_slots()];
-        let mut num_reg_states = 0usize;
+        let mut trigger_types = Vec::new();
         for block in unit.blocks() {
             for inst in unit.insts(block) {
                 let data = unit.inst_data(inst);
                 if data.opcode == Opcode::Reg {
-                    reg_base[inst.index()] = num_reg_states as u32;
-                    num_reg_states += data.triggers.len();
+                    reg_base[inst.index()] = trigger_types.len() as u32;
+                    trigger_types.extend(data.triggers.iter().map(|t| unit.value_type(t.trigger)));
                 }
             }
         }
         UnitExec {
             num_values: unit.num_value_slots(),
             reg_base,
-            num_reg_states,
+            trigger_types,
         }
     }
 }
@@ -387,7 +388,7 @@ impl Executor for Interp<'_> {
                 stamps: vec![0; info.num_values],
                 mem: vec![ConstValue::Void; info.num_values],
                 mem_stamps: vec![0; info.num_values],
-                reg_prev: vec![None; info.num_reg_states],
+                reg_prev: vec![None; info.trigger_types.len()],
                 sig_of,
                 epoch: 1,
             });
@@ -466,9 +467,24 @@ impl Executor for Interp<'_> {
                 "corrupt engine checkpoint: slot count mismatch".to_string(),
             ));
         }
-        decode_live(&mut st.slots, &mut st.stamps, st.epoch, bytes, pos)?;
-        decode_live(&mut st.mem, &mut st.mem_stamps, st.epoch, bytes, pos)?;
-        decode_reg_history(&mut st.reg_prev, bytes, pos)
+        // A live cell must hold a value of its SSA value's type (a memory
+        // cell: of the pointer's pointee), or a width-checked operator
+        // panics on it a step later.
+        let unit = self.module.unit(self.design.instances[idx].unit);
+        let type_of = |i: usize| {
+            let value = Value::from_index(i);
+            unit.has_value(value).then(|| unit.value_type(value))
+        };
+        decode_live(&mut st.slots, &mut st.stamps, st.epoch, bytes, pos, |i, v| {
+            type_of(i).is_some_and(|ty| v.has_type(&ty))
+        })?;
+        decode_live(&mut st.mem, &mut st.mem_stamps, st.epoch, bytes, pos, |i, v| {
+            type_of(i).is_some_and(
+                |ty| matches!(ty.kind(), TypeKind::Pointer(pointee) if v.has_type(pointee)),
+            )
+        })?;
+        let info = &self.execs[self.exec_of[idx]];
+        decode_reg_history(&mut st.reg_prev, &info.trigger_types, bytes, pos)
     }
 }
 
@@ -484,13 +500,15 @@ fn encode_live(out: &mut Vec<u8>, cells: &[ConstValue], stamps: &[u32], epoch: u
 }
 
 /// Restore a slot vector written by [`encode_live`]: every cell dead
-/// except the listed ones, which are stamped with `epoch`.
+/// except the listed ones, which are stamped with `epoch`. `fits(i, v)`
+/// says whether cell `i` may hold `v`.
 fn decode_live(
     cells: &mut [ConstValue],
     stamps: &mut [u32],
     epoch: u32,
     bytes: &[u8],
     pos: &mut usize,
+    fits: impl Fn(usize, &ConstValue) -> bool,
 ) -> Result<(), SimError> {
     stamps.iter_mut().for_each(|s| *s = 0);
     cells.iter_mut().for_each(|c| *c = ConstValue::Void);
@@ -501,7 +519,14 @@ fn decode_live(
                 "corrupt engine checkpoint: slot index out of range".to_string(),
             ));
         }
-        cells[i] = read_const(bytes, pos)?;
+        let value = read_const(bytes, pos)?;
+        if !fits(i, &value) {
+            return Err(SimError::Runtime(format!(
+                "corrupt engine checkpoint: slot {} holds a value of the wrong type",
+                i
+            )));
+        }
+        cells[i] = value;
         stamps[i] = epoch;
     }
     Ok(())

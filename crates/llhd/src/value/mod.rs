@@ -126,6 +126,25 @@ impl ConstValue {
         }
     }
 
+    /// Whether this is a value of type `ty`: same variant, widths, lengths
+    /// and enum state count, recursively. Signal, pointer, function and
+    /// entity types have no constant values, so nothing matches them.
+    pub fn has_type(&self, ty: &Type) -> bool {
+        match (self, ty.kind()) {
+            (ConstValue::Void, TypeKind::Void) | (ConstValue::Time(_), TypeKind::Time) => true,
+            (ConstValue::Int(v), TypeKind::Int(w)) => v.width() == *w,
+            (ConstValue::Logic(v), TypeKind::Logic(w)) => v.width() == *w,
+            (ConstValue::Enum { states, .. }, TypeKind::Enum(n)) => states == n,
+            (ConstValue::Array(elems), TypeKind::Array(len, inner)) => {
+                elems.len() == *len && elems.iter().all(|e| e.has_type(inner))
+            }
+            (ConstValue::Struct(fields), TypeKind::Struct(types)) => {
+                fields.len() == types.len() && fields.iter().zip(types).all(|(f, t)| f.has_type(t))
+            }
+            _ => false,
+        }
+    }
+
     /// Get the integer payload, if this is an integer constant.
     pub fn as_int(&self) -> Option<&ApInt> {
         match self {
