@@ -1,5 +1,6 @@
 //! Compilation of LLHD units into the pre-resolved execution form.
 
+use crate::superop::{specialize, SpecializedCode};
 use llhd::ir::{Module, Opcode, RegMode, UnitId, UnitKind, Value};
 use llhd::ty::{void_ty, Type, TypeKind};
 use llhd::value::ConstValue;
@@ -63,15 +64,13 @@ impl ArgRange {
     }
 }
 
-/// Compile-time knobs for the blaze lowering pipeline, exposed for the
-/// ablation benchmarks (and anyone who wants the PR-2-era generic
-/// dispatch back). The knobs may only change speed, never behaviour —
-/// the differential tests assert byte-identical traces across every
-/// combination.
+/// Selects nothing: every unit lowers, fuses and specializes. The type,
+/// its fields, [`compile_design_with`] and [`compile_unit_with`] are kept
+/// only because the `benchmark/` package still names them; they go with
+/// that caller in ROADMAP item 1.
 ///
 /// ```
-/// use llhd_blaze::{compile_design_with, BlazeOptions};
-/// use llhd_sim::{elaborate, SimConfig};
+/// use llhd_blaze::{compile_design, compile_design_with, BlazeOptions};
 /// use std::sync::Arc;
 ///
 /// let module = llhd::assembly::parse_module(
@@ -81,30 +80,20 @@ impl ArgRange {
 ///     }",
 /// )
 /// .unwrap();
-/// let design = Arc::new(elaborate(&module, "top").unwrap());
-/// // Generic dispatch only: no fusion, no per-instance specialization.
-/// let compiled = compile_design_with(
-///     &module,
-///     Arc::clone(&design),
-///     BlazeOptions { fuse: false, specialize: false, ..BlazeOptions::default() },
-/// )
-/// .unwrap();
-/// assert_eq!(compiled.options.fuse, false);
+/// let design = Arc::new(llhd_sim::elaborate(&module, "top").unwrap());
+/// let off = BlazeOptions { fuse: false, specialize: false, islands: false };
+/// let ignored = compile_design_with(&module, Arc::clone(&design), off).unwrap();
+/// let default = compile_design(&module, design).unwrap();
+/// assert_eq!(ignored.unit_stats(), default.unit_stats());
 /// ```
+#[doc(hidden)]
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BlazeOptions {
-    /// Superinstruction fusion: pre-decoded fast-path variants plus the
-    /// compare+branch, array+mux, and compute+drive pair fusions. With
-    /// `false`, each generic op lowers to exactly one superop.
+    /// Ignored.
     pub fuse: bool,
-    /// Per-instance specialization: baked signal bindings, inline constant
-    /// delays, and cross-block constant folding. With `false`, instances
-    /// execute the generic per-op stream through their signal tables.
+    /// Ignored.
     pub specialize: bool,
-    /// Selects nothing: every run is serial. Kept only because the
-    /// `benchmark/` package still sets it; it goes with that caller in
-    /// ROADMAP item 1.
-    #[doc(hidden)]
+    /// Ignored.
     pub islands: bool,
 }
 
@@ -117,7 +106,6 @@ impl Default for BlazeOptions {
         }
     }
 }
-
 
 /// Recognised intrinsic calls.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -219,8 +207,6 @@ pub struct CompiledUnit {
     pub num_signals: usize,
     /// Register slots of the unit arguments (functions only).
     pub arg_regs: Vec<usize>,
-    /// For each unit argument: its signal slot, if it is a signal.
-    pub arg_signals: Vec<Option<usize>>,
     /// Dense map from the unit's values (by [`Value::index`]) to signal
     /// slots (`u32::MAX` for non-signal values), used to bind instances.
     pub signal_slot_of_value: Vec<u32>,
@@ -239,12 +225,13 @@ pub struct CompiledUnit {
     pub mem_types: Vec<Type>,
     /// The type of each register-state slot: its trigger's type.
     pub state_types: Vec<Type>,
-    /// The superinstruction stream (processes and entities only; functions
-    /// execute the generic ops). Instance binding specializes it per
-    /// instance; see [`crate::superop`].
+    /// The superinstruction stream, which [`compile_unit`] builds for every
+    /// unit (the `Option` stays only for the `benchmark/` package, which
+    /// matches on it). [`compile_design`] specializes it per instance and
+    /// once per function; see [`crate::superop`].
     pub lowered: Option<crate::superop::LoweredUnit>,
     /// Whether any `const time` in this unit carries an epsilon component.
-    /// Collected during the one compile walk so [`compile_design_with`]
+    /// Collected during the one compile walk so [`compile_design`]
     /// can decide enqueue-time drive dropping without re-walking the
     /// module (see [`llhd_sim::sched::module_allows_drive_dropping`] for
     /// the soundness argument).
@@ -252,54 +239,15 @@ pub struct CompiledUnit {
 }
 
 impl CompiledUnit {
-    /// A fresh register file with the unit's constants materialized.
-    pub fn new_regs(&self) -> Vec<ConstValue> {
-        let mut regs = vec![ConstValue::Void; self.num_regs];
-        for (slot, value) in &self.const_regs {
-            regs[*slot as usize] = value.clone();
-        }
-        regs
-    }
-
     /// The operand slots referenced by `range`.
     #[inline]
     pub fn args(&self, range: ArgRange) -> &[u32] {
         range.slice(&self.arg_pool)
     }
 
-    /// The operations of block `index`, in execution order.
-    #[inline]
-    pub fn block_ops(&self, index: usize) -> &[Op] {
-        let (start, end) = self.block_ranges[index];
-        &self.ops[start as usize..end as usize]
-    }
-
-    /// Whether any part of this unit can execute more than once per run:
-    /// entities re-run on every sensitivity hit, and a process re-runs
-    /// blocks iff its CFG has a back edge (a branch or wait resuming at
-    /// its own block or an earlier one). Straight-line processes execute
-    /// each op at most once.
-    pub fn reexecutes(&self) -> bool {
-        if self.kind == UnitKind::Entity {
-            return true;
-        }
-        for (block, &(start, end)) in self.block_ranges.iter().enumerate() {
-            for op in &self.ops[start as usize..end as usize] {
-                let back = |target: usize| target <= block;
-                let has_back_edge = match op {
-                    Op::Br { target } => back(*target),
-                    Op::BrCond {
-                        if_false, if_true, ..
-                    } => back(*if_false) || back(*if_true),
-                    Op::Wait { resume, .. } => back(*resume),
-                    _ => false,
-                };
-                if has_back_edge {
-                    return true;
-                }
-            }
-        }
-        false
+    /// The superinstruction stream, which every compiled unit has.
+    pub fn lowered(&self) -> &crate::superop::LoweredUnit {
+        self.lowered.as_ref().expect("compile_unit lowers every unit")
     }
 }
 
@@ -315,11 +263,10 @@ pub struct CompiledInstance {
     /// The global signal bound to each signal slot, pre-resolved through
     /// any `con` aliases so the engine never chases them at run time.
     pub signal_table: Vec<SignalId>,
-    /// The specialized superinstruction stream this instance executes
-    /// (`None` with [`BlazeOptions::specialize`] off, in which case the
-    /// engine falls back to the generic per-op dispatch). Shared so engine
-    /// instantiation over a cached design costs a reference-count bump.
-    pub code: Option<Arc<crate::superop::SpecializedCode>>,
+    /// The specialized superinstruction stream this instance executes.
+    /// Shared so engine instantiation over a cached design costs a
+    /// reference-count bump.
+    pub code: Arc<SpecializedCode>,
 }
 
 /// A fully compiled design ready for execution by
@@ -331,6 +278,10 @@ pub struct CompiledDesign {
     pub units: HashMap<UnitId, Arc<CompiledUnit>>,
     /// Compiled instances.
     pub instances: Vec<CompiledInstance>,
+    /// Every function's stream, specialized once with an empty signal
+    /// table: a function reads no signal, and the engine fails a signal
+    /// or time op in a function body before it could index one.
+    pub functions: HashMap<UnitId, SpecializedCode>,
     /// The elaborated design (signal table, aliases), shared with whoever
     /// elaborated it — typically a session or a design cache.
     pub design: Arc<ElaboratedDesign>,
@@ -338,8 +289,6 @@ pub struct CompiledDesign {
     /// (see [`llhd_sim::sched::module_allows_drive_dropping`]), decided
     /// once at compile time.
     pub allow_drive_drop: bool,
-    /// The lowering knobs this design was compiled with.
-    pub options: BlazeOptions,
     /// The sensitivity-island partition of the design, computed once at
     /// compile time. Its digest is stamped into checkpoints as a design
     /// fingerprint (see [`llhd_sim::IslandPlan`]).
@@ -370,6 +319,9 @@ impl CompiledDesign {
                     })
             })
             .sum();
+        let code = |c: &SpecializedCode| {
+            c.ops.len() * size_of::<crate::superop::SuperOp>() + c.pool.len() * size_of::<u32>()
+        };
         let instances: usize = self
             .instances
             .iter()
@@ -377,29 +329,23 @@ impl CompiledDesign {
                 size_of::<CompiledInstance>()
                     + i.name.len()
                     + i.signal_table.len() * size_of::<usize>()
-                    + i.code.as_ref().map_or(0, |c| {
-                        c.ops.len() * size_of::<crate::superop::SuperOp>()
-                            + c.pool.len() * size_of::<u32>()
-                    })
+                    + code(&i.code)
             })
             .sum();
-        units + instances
+        units + instances + self.functions.values().map(code).sum::<usize>()
     }
 
     /// Per-unit compilation statistics — base op counts, superinstruction
-    /// counts after lowering, and how many instances run specialized code.
-    /// Feeds the introspection surface through the backend's
-    /// `artifact_stats` hook; sorted by unit name for a stable listing.
+    /// counts after lowering, and how many instances run specialized code
+    /// (all of them). Feeds the introspection surface through the
+    /// backend's `artifact_stats` hook; sorted by unit name for a stable
+    /// listing.
     pub fn unit_stats(&self) -> Vec<llhd_sim::api::UnitArtifactStats> {
         let mut stats: Vec<_> = self
             .units
             .iter()
             .map(|(&id, unit)| {
-                let (instances, specialized) = self
-                    .instances
-                    .iter()
-                    .filter(|i| i.unit == id)
-                    .fold((0, 0), |(n, s), i| (n + 1, s + i.code.is_some() as usize));
+                let instances = self.instances.iter().filter(|i| i.unit == id).count();
                 llhd_sim::api::UnitArtifactStats {
                     name: unit.name.clone(),
                     kind: match unit.kind {
@@ -410,7 +356,7 @@ impl CompiledDesign {
                     base_ops: unit.ops.len(),
                     superops: unit.lowered.as_ref().map_or(0, |l| l.ops.len()),
                     instances,
-                    specialized_instances: specialized,
+                    specialized_instances: instances,
                 }
             })
             .collect();
@@ -419,8 +365,9 @@ impl CompiledDesign {
     }
 }
 
-/// Compile all units of a module and bind the elaborated instances, with
-/// the default [`BlazeOptions`] (fusion and specialization on).
+/// Compile all units of a module and bind the elaborated instances: every
+/// unit lowers, every instance specializes, and every function
+/// specializes once.
 ///
 /// # Errors
 ///
@@ -429,29 +376,20 @@ pub fn compile_design(
     module: &Module,
     design: impl Into<Arc<ElaboratedDesign>>,
 ) -> Result<CompiledDesign, CompileError> {
-    compile_design_with(module, design, BlazeOptions::default())
-}
-
-/// [`compile_design`] with explicit lowering knobs (the ablation surface).
-///
-/// # Errors
-///
-/// Returns a [`CompileError`] for constructs outside the supported subset.
-pub fn compile_design_with(
-    module: &Module,
-    design: impl Into<Arc<ElaboratedDesign>>,
-    options: BlazeOptions,
-) -> Result<CompiledDesign, CompileError> {
     let design = design.into();
     let mut units = HashMap::new();
+    let mut functions = HashMap::new();
     // Drive dropping is sound iff no time constant anywhere carries an
     // epsilon component; the per-unit compile walk collects that, so no
     // second walk over the module is needed (the criterion matches
     // `llhd_sim::sched::module_allows_drive_dropping`, asserted below).
     let mut allow_drive_drop = true;
     for id in module.units() {
-        let compiled = compile_unit_with(module, id, options)?;
+        let compiled = compile_unit(module, id)?;
         allow_drive_drop &= !compiled.has_epsilon_time_const;
+        if compiled.kind == UnitKind::Function {
+            functions.insert(id, specialize(compiled.lowered(), &[]));
+        }
         units.insert(id, Arc::new(compiled));
     }
     debug_assert_eq!(
@@ -470,11 +408,8 @@ pub fn compile_design_with(
         }
         // Instance-bind-time specialization: bake this instance's signal
         // bindings into its own copy of the (already folded) superop
-        // stream. `lowered` is only built when specialization is on.
-        let code = unit
-            .lowered
-            .as_ref()
-            .map(|lowered| Arc::new(crate::superop::specialize(lowered, &signal_table)));
+        // stream.
+        let code = Arc::new(specialize(unit.lowered(), &signal_table));
         instances.push(CompiledInstance {
             unit: instance.unit,
             kind: instance.kind,
@@ -487,11 +422,25 @@ pub fn compile_design_with(
     Ok(CompiledDesign {
         units,
         instances,
+        functions,
         design,
         allow_drive_drop,
-        options,
         island_plan,
     })
+}
+
+/// [`compile_design`]; the options are ignored (see [`BlazeOptions`]).
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] for constructs outside the supported subset.
+#[doc(hidden)]
+pub fn compile_design_with(
+    module: &Module,
+    design: impl Into<Arc<ElaboratedDesign>>,
+    _options: BlazeOptions,
+) -> Result<CompiledDesign, CompileError> {
+    compile_design(module, design)
 }
 
 /// Dense slot allocator: maps `Value::index()` to a compact slot index,
@@ -525,21 +474,26 @@ impl SlotMap {
     }
 }
 
-/// Compile a single unit with the default [`BlazeOptions`].
+/// [`compile_unit`]; the options are ignored (see [`BlazeOptions`]).
+///
+/// # Errors
+///
+/// Returns a [`CompileError`] for constructs outside the supported subset.
+#[doc(hidden)]
+pub fn compile_unit_with(
+    module: &Module,
+    id: UnitId,
+    _options: BlazeOptions,
+) -> Result<CompiledUnit, CompileError> {
+    compile_unit(module, id)
+}
+
+/// Compile a single unit and lower it to superinstructions.
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] for constructs outside the supported subset.
 pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, CompileError> {
-    compile_unit_with(module, id, BlazeOptions::default())
-}
-
-/// Compile a single unit.
-pub fn compile_unit_with(
-    module: &Module,
-    id: UnitId,
-    options: BlazeOptions,
-) -> Result<CompiledUnit, CompileError> {
     let unit = module.unit(id);
     let num_values = unit.num_value_slots();
     let mut reg_of = SlotMap::new(num_values);
@@ -552,13 +506,10 @@ pub fn compile_unit_with(
     // Arguments: signal-typed arguments get signal slots, all arguments get
     // register slots (functions read them as values).
     let mut arg_regs = vec![];
-    let mut arg_signals = vec![];
     for arg in unit.args() {
         arg_regs.push(reg(&mut reg_of, arg));
         if unit.value_type(arg).is_signal() {
-            arg_signals.push(Some(reg(&mut sig_of, arg)));
-        } else {
-            arg_signals.push(None);
+            reg(&mut sig_of, arg);
         }
     }
 
@@ -787,7 +738,6 @@ pub fn compile_unit_with(
         num_states: state_types.len(),
         num_signals: sig_of.len(),
         arg_regs,
-        arg_signals,
         signal_slot_of_value: sig_of.of,
         const_regs,
         arg_pool,
@@ -797,23 +747,7 @@ pub fn compile_unit_with(
         lowered: None,
         has_epsilon_time_const,
     };
-    // The lowered stream is only consumed by instance specialization, so
-    // it is only built when that knob is on. Functions execute through
-    // the generic ops (they never touch signals and are cold next to the
-    // activation loop). Of the rest, only *re-executing* bodies are worth
-    // lowering: entities (activated on every sensitivity hit) and
-    // processes whose CFG has a back edge (a frontend's counted testbench
-    // loop included). A loop-free process — e.g. an `initial` block that
-    // is one straight line of stimulus — runs every op at most once, so
-    // specializing it can never repay the per-op lowering cost it would
-    // add to `compile_design`.
-    if options.specialize && compiled.kind != UnitKind::Function && compiled.reexecutes() {
-        compiled.lowered = Some(crate::superop::lower_unit(
-            &compiled,
-            &int_typed,
-            options.fuse,
-        ));
-    }
+    compiled.lowered = Some(crate::superop::lower_unit(&compiled, &int_typed));
     Ok(compiled)
 }
 

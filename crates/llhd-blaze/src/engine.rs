@@ -3,13 +3,15 @@
 //! Scheduling (event queue, delta cycles, sensitivity) comes from the
 //! shared hot-path core in [`llhd_sim::sched`] — exactly the code the
 //! reference interpreter runs on, which is what makes the two engines'
-//! traces byte-identical. The difference is that unit bodies execute over
-//! dense register files with pre-resolved operand indices instead of
-//! interpreting the IR data structures: SSA values, memory cells, signal
-//! references, and `reg` histories are all flat-array accesses whose
-//! indices were computed ahead of time by [`crate::compile`]. Under the
-//! specialized dispatch every narrow integer is a machine word (see
-//! [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)).
+//! traces byte-identical. The difference is that unit bodies execute a
+//! specialized superinstruction stream over dense register files with
+//! pre-resolved operand indices instead of interpreting the IR data
+//! structures: SSA values, memory cells, signal references, and `reg`
+//! histories are all flat-array accesses whose indices were computed ahead
+//! of time by [`crate::compile`] and [`crate::superop`]. Every narrow
+//! integer is a machine word (see
+//! [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)). One
+//! dispatch loop runs instance bodies and function calls alike.
 
 use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic, Op};
 use crate::superop::{
@@ -18,9 +20,9 @@ use crate::superop::{
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::{
     eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice, eval_mux,
-    eval_pure, eval_unary,
+    eval_pure, eval_unary, mux_index,
 };
-use llhd::ir::{Opcode, UnitId, UnitKind};
+use llhd::ir::{Opcode, UnitId};
 use llhd::ty::Type;
 use llhd::value::{ApInt, ConstValue, TimeValue};
 use llhd_sim::design::{InstanceKind, SignalId};
@@ -40,11 +42,10 @@ enum Status {
     Halted,
 }
 
-/// One instance's register or memory file. Both vectors span every slot,
-/// so one slot index addresses either: a slot of width `w > 0` in the
-/// dispatch's width table keeps its value as a masked `w`-bit word in
-/// `words`, every other slot a [`ConstValue`] in `values`. The generic
-/// dispatch has no width table and keeps every slot in `values`.
+/// One frame's register or memory file. Both vectors span every slot, so
+/// one slot index addresses either: a slot of width `w > 0` in the
+/// stream's width table keeps its value as a masked `w`-bit word in
+/// `words`, every other slot a [`ConstValue`] in `values`.
 struct Cells {
     words: Vec<u64>,
     values: Vec<ConstValue>,
@@ -84,35 +85,44 @@ impl Cells {
     }
 }
 
+/// The storage of one activation record: an instance's, which lives from
+/// one activation to the next, or one function call's.
+struct Frame {
+    regs: Cells,
+    mems: Cells,
+    /// The `reg` trigger histories (a function body fails on a `reg`).
+    states: Vec<Option<ConstValue>>,
+}
+
+impl Frame {
+    /// A fresh frame for `unit`: its pre-folded register file, narrow
+    /// slots in words, and unwritten memory cells.
+    fn new(unit: &CompiledUnit) -> Frame {
+        let lowered = unit.lowered();
+        Frame {
+            regs: Cells {
+                words: lowered.init_words.clone(),
+                values: lowered.init_regs.clone(),
+            },
+            mems: Cells {
+                words: vec![0; unit.num_mems],
+                values: vec![ConstValue::Void; unit.num_mems],
+            },
+            states: vec![None; unit.num_states],
+        }
+    }
+}
+
 /// Dense execution state of one unit instance under the compiled engine.
 pub struct InstanceState {
     status: Status,
-    regs: Cells,
-    mems: Cells,
-    states: Vec<Option<ConstValue>>,
+    frame: Frame,
     /// The compiled unit this instance executes, held directly so each
     /// activation costs a reference-count bump instead of a map probe.
     unit: Arc<CompiledUnit>,
-    /// This instance's signal bindings, copied out of the shared
-    /// `CompiledDesign` at construction: `signal()` is on the per-op hot
-    /// path (every probe, drive, and wait), and reading it here skips the
-    /// `Arc` indirection into the shared design.
-    signal_table: Vec<SignalId>,
     /// The specialized superinstruction stream (signal bindings and
-    /// constants baked in at instance-bind time). `None` only with
-    /// [`crate::compile::BlazeOptions::specialize`] off, which falls back
-    /// to the generic per-op dispatch over `unit`.
-    code: Option<Arc<SpecializedCode>>,
-}
-
-/// The register and memory width tables of an instance's dispatch: the
-/// specialized stream's, or none — every slot a value — for the generic
-/// one.
-fn widths_of(code: Option<&SpecializedCode>) -> (&[u8], &[u8]) {
-    match code {
-        Some(code) => (&code.widths, &code.mem_widths),
-        None => (&[], &[]),
-    }
+    /// constants baked in at instance-bind time).
+    code: Arc<SpecializedCode>,
 }
 
 /// The compiled engine as an [`Executor`]: the compiled design plus the
@@ -179,15 +189,6 @@ impl Executor for BlazeExec {
         let mut states = Vec::with_capacity(compiled.instances.len());
         for (idx, instance) in compiled.instances.iter().enumerate() {
             let unit = Arc::clone(&compiled.units[&instance.unit]);
-            // Specialized instances start from the unit's pre-folded
-            // register file, narrow slots in words; the generic fallback
-            // materializes the unit's constants only, every slot a value.
-            let (values, words) = match (&instance.code, &unit.lowered) {
-                (Some(_), Some(lowered)) => {
-                    (lowered.init_regs.clone(), lowered.init_words.clone())
-                }
-                _ => (unit.new_regs(), Vec::new()),
-            };
             if instance.kind == InstanceKind::Entity {
                 // Static sensitivity: every probed or delayed signal slot
                 // (the table is pre-resolved at compile time).
@@ -204,15 +205,9 @@ impl Executor for BlazeExec {
             }
             states.push(InstanceState {
                 status: Status::Ready,
-                regs: Cells { words, values },
-                mems: Cells {
-                    words: vec![0; unit.num_mems],
-                    values: vec![ConstValue::Void; unit.num_mems],
-                },
-                states: vec![None; unit.num_states],
+                frame: Frame::new(&unit),
                 unit,
-                signal_table: instance.signal_table.clone(),
-                code: instance.code.clone(),
+                code: Arc::clone(&instance.code),
             });
         }
         states
@@ -242,10 +237,9 @@ impl Executor for BlazeExec {
             }
             Status::Halted => out.push(2),
         }
-        let (widths, mem_widths) = widths_of(st.code.as_deref());
-        encode_cells(out, &st.regs, widths);
-        encode_cells(out, &st.mems, mem_widths);
-        encode_reg_history(out, &st.states);
+        encode_cells(out, &st.frame.regs, &st.code.widths);
+        encode_cells(out, &st.frame.mems, &st.code.mem_widths);
+        encode_reg_history(out, &st.frame.states);
     }
 
     fn decode_state(
@@ -259,14 +253,7 @@ impl Executor for BlazeExec {
             0 => Status::Ready,
             1 => {
                 let resume = read_usize(bytes, pos)?;
-                // Both dispatch modes resume at a block index;
-                // bound-check against whichever stream this instance
-                // executes.
-                let limit = match &st.code {
-                    Some(code) => code.block_ranges.len(),
-                    None => st.unit.block_ranges.len(),
-                };
-                if resume >= limit {
+                if resume >= st.code.block_ranges.len() {
                     return Err(SimError::Runtime(
                         "corrupt engine checkpoint: resume target out of range".to_string(),
                     ));
@@ -281,11 +268,10 @@ impl Executor for BlazeExec {
                 )))
             }
         };
-        let (code, unit) = (st.code.clone(), Arc::clone(&st.unit));
-        let (widths, mem_widths) = widths_of(code.as_deref());
-        decode_cells(&mut st.regs, widths, &unit.reg_types, "register", bytes, pos)?;
-        decode_cells(&mut st.mems, mem_widths, &unit.mem_types, "memory", bytes, pos)?;
-        decode_reg_history(&mut st.states, &unit.state_types, bytes, pos)
+        let (code, unit, frame) = (&st.code, &st.unit, &mut st.frame);
+        decode_cells(&mut frame.regs, &code.widths, &unit.reg_types, "register", bytes, pos)?;
+        decode_cells(&mut frame.mems, &code.mem_widths, &unit.mem_types, "memory", bytes, pos)?;
+        decode_reg_history(&mut frame.states, &unit.state_types, bytes, pos)
     }
 }
 
@@ -294,14 +280,8 @@ impl Executor for BlazeExec {
 /// depend on which slots are words.
 fn encode_cells(out: &mut Vec<u8>, cells: &Cells, widths: &[u8]) {
     write_varint(out, cells.values.len() as u128);
-    for (slot, value) in cells.values.iter().enumerate() {
-        match widths.get(slot) {
-            Some(&width) if width != 0 => encode_const_value(
-                out,
-                &ConstValue::int(usize::from(width), cells.words[slot]),
-            ),
-            _ => encode_const_value(out, value),
-        }
+    for slot in 0..cells.values.len() {
+        encode_const_value(out, &cells.get(widths, slot as u32));
     }
 }
 
@@ -330,12 +310,7 @@ fn decode_cells(
                 what, slot
             )));
         }
-        match widths.get(slot) {
-            Some(&width) if width != 0 => {
-                cells.words[slot] = value.as_int().map_or(0, ApInt::to_u64)
-            }
-            _ => cells.values[slot] = value,
-        }
+        cells.set(widths, slot as u32, value);
     }
     Ok(())
 }
@@ -344,9 +319,76 @@ fn decode_cells(
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions over the instance state
-// and the [`SchedCore`], which they read signals from and schedule drives
-// and suspensions into.
+// The execution core is a set of free functions over a frame and an
+// environment: an instance body reads signals from the [`SchedCore`] and
+// schedules drives and suspensions into it; a function call reaches
+// nothing beyond its own frame.
+
+/// What a run of the dispatch loop reaches beyond its frame.
+trait Env {
+    /// The scheduler, or the error a signal or time op raises where there
+    /// is none.
+    fn core(&mut self) -> Result<&mut SchedCore, SimError>;
+    /// The error for a run past the per-activation step limit.
+    fn step_limit(&self, cx: &BlazeExec) -> SimError;
+}
+
+/// An instance body's environment: the scheduler and the instance index.
+struct InstanceEnv<'a> {
+    core: &'a mut SchedCore,
+    idx: usize,
+}
+
+impl Env for InstanceEnv<'_> {
+    #[inline]
+    fn core(&mut self) -> Result<&mut SchedCore, SimError> {
+        Ok(self.core)
+    }
+
+    fn step_limit(&self, cx: &BlazeExec) -> SimError {
+        SimError::Runtime(format!(
+            "instance {} exceeded the step limit",
+            cx.compiled.instances[self.idx].name
+        ))
+    }
+}
+
+/// A function call's environment: no scheduler, so a signal or time op —
+/// which the verifier rejects, but `compile_design` does not require a
+/// verified module — fails instead of touching a signal.
+struct FunctionEnv<'a> {
+    name: &'a str,
+}
+
+impl Env for FunctionEnv<'_> {
+    fn core(&mut self) -> Result<&mut SchedCore, SimError> {
+        Err(unsupported_in_function())
+    }
+
+    fn step_limit(&self, _cx: &BlazeExec) -> SimError {
+        SimError::Runtime(format!("function {} exceeded the step limit", self.name))
+    }
+}
+
+fn unsupported_in_function() -> SimError {
+    SimError::Runtime("unsupported operation in function".to_string())
+}
+
+/// How a run of the dispatch loop ended.
+enum Flow {
+    /// Control ran off the end of a block: an entity's pass is done.
+    End,
+    /// A `wait`: resume at block `resume` after `timeout` or a change of
+    /// a signal the loop left in [`Scratch::observed`].
+    Wait {
+        resume: usize,
+        timeout: Option<TimeValue>,
+    },
+    /// A `halt`.
+    Halt,
+    /// A `ret`, with the returned value.
+    Return(Option<ConstValue>),
+}
 
 fn run_instance(
     cx: &BlazeExec,
@@ -356,203 +398,52 @@ fn run_instance(
     core: &mut SchedCore,
 ) -> Result<(), SimError> {
     scr.counters.activations += 1;
-    if let Some(code) = &st.code {
-        let code = Arc::clone(code);
-        return run_instance_spec(cx, st, scr, idx, &code, core);
-    }
-    let unit = Arc::clone(&st.unit);
-    let mut block = match &st.status {
-        Status::Halted => return Ok(()),
-        Status::Suspended { resume } => *resume,
-        Status::Ready => unit.entry,
-    };
-    st.status = Status::Ready;
-    let mut steps = 0usize;
-    loop {
-        let mut next_block = None;
-        for op in unit.block_ops(block) {
-            steps += 1;
-            if steps > cx.max_steps {
-                return Err(SimError::Runtime(format!(
-                    "instance {} exceeded the step limit",
-                    cx.compiled.instances[idx].name
-                )));
-            }
-            match op {
-                Op::Pure {
-                    opcode,
-                    dst,
-                    args,
-                    imms,
-                } => {
-                    scr.args.clear();
-                    scr.args.extend(
-                        unit.args(*args)
-                            .iter()
-                            .map(|&a| st.regs.values[a as usize].clone()),
-                    );
-                    let value = eval_pure(*opcode, &scr.args, imms)
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs.values[*dst] = value;
-                }
-                Op::Prb { dst, sig } => {
-                    let signal = st.signal_table[*sig];
-                    st.regs.values[*dst] = core.value(signal).clone();
-                }
-                Op::Drv {
-                    sig,
-                    value,
-                    delay,
-                    cond,
-                } => {
-                    if let Some(cond) = cond {
-                        if !st.regs.values[*cond].is_truthy() {
-                            continue;
-                        }
-                    }
-                    let signal = st.signal_table[*sig];
-                    let value = st.regs.values[*value].clone();
-                    let delay = time_reg(st, *delay)?;
-                    core.schedule_drive(signal, value, &delay);
-                }
-                Op::Del {
-                    target,
-                    source,
-                    delay,
-                } => {
-                    let target = st.signal_table[*target];
-                    let source = st.signal_table[*source];
-                    let delay = time_reg(st, *delay)?;
-                    let value = core.value(source).clone();
-                    core.schedule_drive(target, value, &delay);
-                }
-                Op::Reg { sig, triggers } => {
-                    let signal = st.signal_table[*sig];
-                    for trigger in triggers {
-                        let current = st.regs.values[trigger.trigger].clone();
-                        let previous = st.states[trigger.state].take();
-                        let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
-                        st.states[trigger.state] = Some(current);
-                        if !fire {
-                            continue;
-                        }
-                        if let Some(gate) = trigger.gate {
-                            if !st.regs.values[gate].is_truthy() {
-                                continue;
-                            }
-                        }
-                        let value = st.regs.values[trigger.value].clone();
-                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
-                    }
-                }
-                Op::Var { mem, init } => {
-                    st.mems.values[*mem] = st.regs.values[*init].clone();
-                }
-                Op::Ld { dst, mem } => {
-                    st.regs.values[*dst] = st.mems.values[*mem].clone();
-                }
-                Op::St { mem, value } => {
-                    st.mems.values[*mem] = st.regs.values[*value].clone();
-                }
-                Op::Call {
-                    callee,
-                    intrinsic,
-                    dst,
-                    args,
-                } => {
-                    let args = unit
-                        .args(*args)
-                        .iter()
-                        .map(|&a| st.regs.values[a as usize].clone())
-                        .collect();
-                    let result = call_op(cx, scr, *callee, *intrinsic, args, 0)?;
-                    if let (Some(dst), Some(value)) = (dst, result) {
-                        st.regs.values[*dst] = value;
-                    }
-                }
-                Op::Wait {
-                    resume,
-                    time,
-                    observed,
-                } => {
-                    scr.observed.clear();
-                    for &slot in unit.args(*observed) {
-                        scr.observed.push(st.signal_table[slot as usize]);
-                    }
-                    let timeout = match time {
-                        Some(t) => Some(time_reg(st, *t)?),
-                        None => None,
-                    };
-                    st.status = Status::Suspended { resume: *resume };
-                    core.suspend(idx, &scr.observed, timeout.as_ref());
-                    return Ok(());
-                }
-                Op::Halt => {
-                    st.status = Status::Halted;
-                    return Ok(());
-                }
-                Op::Br { target } => {
-                    next_block = Some(*target);
-                    break;
-                }
-                Op::BrCond {
-                    cond,
-                    if_false,
-                    if_true,
-                } => {
-                    next_block = Some(if st.regs.values[*cond].is_truthy() {
-                        *if_true
-                    } else {
-                        *if_false
-                    });
-                    break;
-                }
-                Op::Ret { .. } => {
-                    return Err(SimError::Runtime("ret outside of a function".to_string()));
-                }
-            }
-        }
-        match next_block {
-            Some(b) => block = b,
-            None => {
-                // Entities simply finish their single pass; processes
-                // must end in a terminator, which the verifier enforces.
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// The specialized dispatch loop: executes an instance's baked
-/// superinstruction stream. Signal operands are resolved
-/// [`SignalId`]s (no table chase), narrow integers compute as machine
-/// words, other values evaluate by reference (no operand cloning), and
-/// the fused records (`CmpBr`/`Sel`/`BinDrv` and their word forms) retire
-/// two source ops per dispatch. Semantics — drive order, suspension,
-/// error points — mirror [`run_instance`]'s generic loop exactly; the
-/// differential and propcheck suites enforce byte-identical traces.
-fn run_instance_spec(
-    cx: &BlazeExec,
-    st: &mut InstanceState,
-    scr: &mut Scratch,
-    idx: usize,
-    code: &SpecializedCode,
-    core: &mut SchedCore,
-) -> Result<(), SimError> {
-    let (widths, mem_widths) = (&*code.widths, &*code.mem_widths);
-    let mut block = match &st.status {
+    let block = match &st.status {
         Status::Halted => return Ok(()),
         Status::Suspended { resume } => *resume,
         Status::Ready => st.unit.entry,
     };
     st.status = Status::Ready;
+    let mut env = InstanceEnv { core, idx };
+    match exec(cx, &st.code, &mut st.frame, &mut env, scr, block, 0)? {
+        Flow::End => {}
+        Flow::Wait { resume, timeout } => {
+            st.status = Status::Suspended { resume };
+            env.core.suspend(idx, &scr.observed, timeout.as_ref());
+        }
+        Flow::Halt => st.status = Status::Halted,
+        Flow::Return(_) => {
+            return Err(SimError::Runtime("ret outside of a function".to_string()));
+        }
+    }
+    Ok(())
+}
+
+/// The dispatch loop: runs `code` over `frame` from block `block` until a
+/// `wait`, `halt` or `ret`, or until control runs off the end of a block.
+/// `depth` counts the function frames active, this one included (0 in an
+/// instance body).
+///
+/// A call recurses through here, so this loop holds only the step guard,
+/// the calls and the block transitions, and [`step`] runs every other op:
+/// in an unoptimized build each nested call then costs the host stack
+/// this small frame, and [`MAX_CALL_DEPTH`] of them fit a 2 MiB thread
+/// stack.
+fn exec<E: Env>(
+    cx: &BlazeExec,
+    code: &SpecializedCode,
+    frame: &mut Frame,
+    env: &mut E,
+    scr: &mut Scratch,
+    mut block: usize,
+    depth: usize,
+) -> Result<Flow, SimError> {
     let mut steps = 0usize;
     loop {
         let mut next_block = None;
         for op in code.block_ops(block) {
-            // Fused records retire two source ops per dispatch; they
-            // count as two toward the activation guard so the limit
-            // fires at the same executed-op count as the generic loop.
+            // Fused records count as the two source ops they retire
+            // toward the activation guard.
             steps += match op {
                 SuperOp::CmpBr { .. }
                 | SuperOp::BinDrv { .. }
@@ -563,414 +454,449 @@ fn run_instance_spec(
                 _ => 1,
             };
             if steps > cx.max_steps {
-                return Err(SimError::Runtime(format!(
-                    "instance {} exceeded the step limit",
-                    cx.compiled.instances[idx].name
-                )));
+                return Err(env.step_limit(cx));
             }
-            match op {
-                // Word slots: narrow integers as masked machine words.
-                SuperOp::WBin {
-                    kind,
-                    width,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let words = &mut st.regs.words;
-                    words[*dst as usize] =
-                        kind.eval_word(*width, words[*a as usize], words[*b as usize]);
-                }
-                SuperOp::WUn {
-                    opcode,
-                    width,
-                    dst,
-                    a,
-                } => {
-                    let words = &mut st.regs.words;
-                    words[*dst as usize] = eval_un_word(*opcode, *width, words[*a as usize]);
-                }
-                SuperOp::WCast {
-                    opcode,
-                    from,
-                    to,
-                    dst,
-                    a,
-                } => {
-                    let words = &mut st.regs.words;
-                    words[*dst as usize] = eval_cast_word(*opcode, *from, *to, words[*a as usize]);
-                }
-                SuperOp::WExtS {
-                    dst,
-                    a,
-                    offset,
-                    width,
-                } => {
-                    let words = &mut st.regs.words;
-                    words[*dst as usize] = (words[*a as usize] >> offset) & word_mask(*width);
-                }
-                SuperOp::WSel { dst, sel, elems } => {
-                    let elems = code.args(*elems);
-                    let words = &mut st.regs.words;
-                    let index = words[*sel as usize] as usize;
-                    words[*dst as usize] = words[elems[index.min(elems.len() - 1)] as usize];
-                }
-                SuperOp::WCmpBr {
-                    kind,
-                    width,
-                    a,
-                    b,
-                    if_false,
-                    if_true,
-                } => {
-                    let words = &st.regs.words;
-                    let taken = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
-                    let target = if taken != 0 { if_true } else { if_false };
-                    next_block = Some(*target as usize);
-                    break;
-                }
-                SuperOp::WBinDrv {
-                    kind,
-                    width,
-                    out,
-                    a,
-                    b,
-                    sig,
-                    delay,
-                    cond,
-                } => {
-                    // The compute happens unconditionally, exactly like
-                    // the unfused pure op preceding the drive.
-                    let words = &st.regs.words;
-                    let value = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
-                    if cond.is_some_and(|c| words[c as usize] == 0) {
-                        continue;
-                    }
-                    let delay = delay_value(st, delay)?;
-                    let value = ConstValue::int(usize::from(*out), value);
-                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
-                }
-                SuperOp::WPrb { dst, sig, width } => {
-                    let value = core.value(SignalId(*sig as usize));
-                    st.regs.words[*dst as usize] =
-                        value.as_int().map_or(0, ApInt::to_u64) & word_mask(*width);
-                }
-                SuperOp::WDrv {
-                    sig,
-                    value,
-                    width,
-                    delay,
-                    cond,
-                } => {
-                    let words = &st.regs.words;
-                    if cond.is_some_and(|c| words[c as usize] == 0) {
-                        continue;
-                    }
-                    let value = ConstValue::int(usize::from(*width), words[*value as usize]);
-                    let delay = delay_value(st, delay)?;
-                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
-                }
-                SuperOp::WLd { dst, mem } => {
-                    st.regs.words[*dst as usize] = st.mems.words[*mem as usize];
-                }
-                SuperOp::WSt { mem, value } => {
-                    st.mems.words[*mem as usize] = st.regs.words[*value as usize];
-                }
-                SuperOp::WBrCond {
-                    cond,
-                    if_false,
-                    if_true,
-                } => {
-                    let target = if st.regs.words[*cond as usize] != 0 {
-                        if_true
-                    } else {
-                        if_false
-                    };
-                    next_block = Some(*target as usize);
-                    break;
-                }
-                // Value slots: word operands are boxed on the way in and
-                // a word result is unboxed on the way out.
-                SuperOp::Bin {
-                    kind,
-                    opcode,
-                    dst,
-                    a,
-                    b,
-                } => {
-                    let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Un { opcode, dst, a } => {
-                    let value = eval_unary(*opcode, &st.regs.get(widths, *a))
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Cast {
-                    opcode,
-                    dst,
-                    a,
-                    width,
-                } => {
-                    let value = eval_cast(*opcode, &st.regs.get(widths, *a), *width as usize)
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::ExtF { dst, a, index } => {
-                    let value = eval_ext_field(&st.regs.get(widths, *a), *index as usize)
-                        .ok_or_else(|| {
-                            SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtField))
-                        })?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::ExtS {
-                    dst,
-                    a,
-                    offset,
-                    length,
-                } => {
-                    let value = eval_ext_slice(
-                        &st.regs.get(widths, *a),
-                        *offset as usize,
-                        *length as usize,
-                    )
-                    .ok_or_else(|| {
-                        SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice))
-                    })?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::InsF { dst, a, b, index } => {
-                    let regs = &st.regs;
-                    let value =
-                        eval_ins_field(&regs.get(widths, *a), &regs.get(widths, *b), *index as usize)
-                            .ok_or_else(|| {
-                                SimError::Runtime(format!("cannot evaluate {}", Opcode::InsField))
-                            })?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::InsS { dst, a, b, offset } => {
-                    let regs = &st.regs;
-                    let value = eval_ins_slice(
-                        &regs.get(widths, *a),
-                        &regs.get(widths, *b),
-                        *offset as usize,
-                        0,
-                    )
-                    .ok_or_else(|| {
-                        SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice))
-                    })?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Mux { dst, choices, sel } => {
-                    let regs = &st.regs;
-                    let value = eval_mux(&regs.get(widths, *choices), &regs.get(widths, *sel))
-                        .ok_or_else(|| {
-                            SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
-                        })?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Sel { dst, sel, elems } => {
-                    let elems = code.args(*elems);
-                    let index = st.regs.get(widths, *sel).to_u64().ok_or_else(|| {
-                        SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
-                    })? as usize;
-                    let pick = elems[index.min(elems.len() - 1)];
-                    let value = st.regs.get(widths, pick).into_owned();
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Pure {
-                    opcode,
-                    dst,
-                    args,
-                    imms,
-                } => {
-                    scr.args.clear();
-                    scr.args.extend(
-                        code.args(*args)
-                            .iter()
-                            .map(|&a| st.regs.get(widths, a).into_owned()),
-                    );
-                    let value = eval_pure(*opcode, &scr.args, imms)
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::CmpBr {
-                    kind,
-                    opcode,
-                    a,
-                    b,
-                    if_false,
-                    if_true,
-                } => {
-                    let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    let target = if value.is_truthy() { if_true } else { if_false };
-                    next_block = Some(*target as usize);
-                    break;
-                }
-                SuperOp::BinDrv {
-                    kind,
-                    opcode,
-                    a,
-                    b,
-                    sig,
-                    delay,
-                    cond,
-                    ..
-                } => {
-                    // The compute happens unconditionally, exactly like
-                    // the unfused pure op preceding the drive.
-                    let regs = &st.regs;
-                    let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    if cond.is_some_and(|c| !st.regs.truthy(widths, c)) {
-                        continue;
-                    }
-                    let delay = delay_value(st, delay)?;
-                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
-                }
-                SuperOp::Prb { dst, sig } => {
-                    let value = core.value(SignalId(*sig as usize)).clone();
-                    st.regs.set(widths, *dst, value);
-                }
-                SuperOp::Drv {
-                    sig,
-                    value,
-                    delay,
-                    cond,
-                } => {
-                    if cond.is_some_and(|c| !st.regs.truthy(widths, c)) {
-                        continue;
-                    }
-                    let value = st.regs.get(widths, *value).into_owned();
-                    let delay = delay_value(st, delay)?;
-                    core.schedule_drive(SignalId(*sig as usize), value, &delay);
-                }
-                SuperOp::Del {
-                    target,
-                    source,
-                    delay,
-                } => {
-                    let delay = delay_value(st, delay)?;
-                    let value = core.value(SignalId(*source as usize)).clone();
-                    core.schedule_drive(SignalId(*target as usize), value, &delay);
-                }
-                SuperOp::Reg { sig, triggers } => {
-                    let signal = SignalId(*sig as usize);
-                    for trigger in triggers {
-                        let current = st.regs.get(widths, trigger.trigger as u32).into_owned();
-                        let previous = st.states[trigger.state].take();
-                        let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
-                        st.states[trigger.state] = Some(current);
-                        if !fire {
-                            continue;
-                        }
-                        if trigger
-                            .gate
-                            .is_some_and(|gate| !st.regs.truthy(widths, gate as u32))
-                        {
-                            continue;
-                        }
-                        let value = st.regs.get(widths, trigger.value as u32).into_owned();
-                        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
-                    }
-                }
-                SuperOp::Var { mem, init: value } | SuperOp::St { mem, value } => {
-                    let value = st.regs.get(widths, *value).into_owned();
-                    st.mems.set(mem_widths, *mem, value);
-                }
-                SuperOp::Ld { dst, mem } => {
-                    let value = st.mems.get(mem_widths, *mem).into_owned();
-                    st.regs.set(widths, *dst, value);
-                }
+            let next = match op {
                 SuperOp::Call {
                     callee,
                     intrinsic,
                     dst,
                     args,
                 } => {
+                    let widths = &*code.widths;
                     let args = code
                         .args(*args)
                         .iter()
-                        .map(|&a| st.regs.get(widths, a).into_owned())
+                        .map(|&a| frame.regs.get(widths, a).into_owned())
                         .collect();
-                    let result = call_op(cx, scr, *callee, *intrinsic, args, 0)?;
+                    let result = call_op(cx, scr, *callee, *intrinsic, args, depth)?;
                     if let (Some(dst), Some(value)) = (dst, result) {
-                        st.regs.set(widths, *dst, value);
+                        frame.regs.set(widths, *dst, value);
                     }
+                    Next::Op
                 }
-                SuperOp::Wait {
-                    resume,
-                    time,
-                    observed,
-                } => {
-                    scr.observed.clear();
-                    for &sig in code.args(*observed) {
-                        scr.observed.push(SignalId(sig as usize));
-                    }
-                    let timeout = match time {
-                        Some(t) => Some(delay_value(st, t)?),
-                        None => None,
-                    };
-                    st.status = Status::Suspended {
-                        resume: *resume as usize,
-                    };
-                    core.suspend(idx, &scr.observed, timeout.as_ref());
-                    return Ok(());
-                }
-                SuperOp::Halt => {
-                    st.status = Status::Halted;
-                    return Ok(());
-                }
-                SuperOp::Br { target } => {
-                    next_block = Some(*target as usize);
+                _ => step(code, op, frame, env, scr)?,
+            };
+            match next {
+                Next::Op => {}
+                Next::Block(target) => {
+                    next_block = Some(target);
                     break;
                 }
-                SuperOp::BrCond {
-                    cond,
-                    if_false,
-                    if_true,
-                } => {
-                    let target = if st.regs.truthy(widths, *cond) {
-                        if_true
-                    } else {
-                        if_false
-                    };
-                    next_block = Some(*target as usize);
-                    break;
-                }
-                SuperOp::Ret => {
-                    return Err(SimError::Runtime("ret outside of a function".to_string()));
-                }
+                Next::Exit(flow) => return Ok(flow),
             }
         }
         match next_block {
             Some(b) => block = b,
-            None => {
-                // Entities simply finish their single pass; processes
-                // must end in a terminator, which the verifier enforces.
-                return Ok(());
-            }
+            // Entities simply finish their single pass; processes must end
+            // in a terminator, which the verifier enforces.
+            None => return Ok(Flow::End),
         }
     }
 }
 
-/// Resolve a (possibly baked) delay operand to its time value.
-fn delay_value(st: &InstanceState, delay: &Delay) -> Result<TimeValue, SimError> {
-    match delay {
-        Delay::Const(t) => Ok(*t),
-        Delay::Reg(slot) => time_reg(st, *slot as usize),
-    }
+/// Where control goes after one op.
+enum Next {
+    /// On to the following op of the block.
+    Op,
+    /// To the start of a block.
+    Block(usize),
+    /// Out of the dispatch loop.
+    Exit(Flow),
 }
 
-fn time_reg(st: &InstanceState, slot: usize) -> Result<TimeValue, SimError> {
-    st.regs.values[slot]
-        .as_time()
-        .copied()
-        .ok_or_else(|| SimError::Runtime("expected a time value".to_string()))
+/// Execute one op other than a call. Signal operands are resolved
+/// [`SignalId`]s (no table chase), narrow integers compute as machine
+/// words, other values evaluate by reference (no operand cloning), and
+/// the fused records (`CmpBr`/`Sel`/`BinDrv` and their word forms) retire
+/// two source ops per dispatch.
+///
+/// Optimized builds inline it into [`exec`], the only caller, so an op
+/// costs no call; unoptimized builds keep it out of line, so its large
+/// frame stays off the recursion of nested calls.
+#[cfg_attr(not(debug_assertions), inline(always))]
+fn step<E: Env>(
+    code: &SpecializedCode,
+    op: &SuperOp,
+    frame: &mut Frame,
+    env: &mut E,
+    scr: &mut Scratch,
+) -> Result<Next, SimError> {
+    let (widths, mem_widths) = (&*code.widths, &*code.mem_widths);
+    match op {
+        // Word slots: narrow integers as masked machine words.
+        SuperOp::WBin {
+            kind,
+            width,
+            dst,
+            a,
+            b,
+        } => {
+            let words = &mut frame.regs.words;
+            words[*dst as usize] =
+                kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+        }
+        SuperOp::WUn {
+            opcode,
+            width,
+            dst,
+            a,
+        } => {
+            let words = &mut frame.regs.words;
+            words[*dst as usize] = eval_un_word(*opcode, *width, words[*a as usize]);
+        }
+        SuperOp::WCast {
+            opcode,
+            from,
+            to,
+            dst,
+            a,
+        } => {
+            let words = &mut frame.regs.words;
+            words[*dst as usize] = eval_cast_word(*opcode, *from, *to, words[*a as usize]);
+        }
+        SuperOp::WExtS {
+            dst,
+            a,
+            offset,
+            width,
+        } => {
+            let words = &mut frame.regs.words;
+            words[*dst as usize] = (words[*a as usize] >> offset) & word_mask(*width);
+        }
+        SuperOp::WSel { dst, sel, elems } => {
+            let elems = code.args(*elems);
+            let words = &mut frame.regs.words;
+            let index = words[*sel as usize] as usize;
+            words[*dst as usize] = words[elems[index.min(elems.len() - 1)] as usize];
+        }
+        SuperOp::WCmpBr {
+            kind,
+            width,
+            a,
+            b,
+            if_false,
+            if_true,
+        } => {
+            let words = &frame.regs.words;
+            let taken = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+            let target = if taken != 0 { if_true } else { if_false };
+            return Ok(Next::Block(*target as usize));
+        }
+        SuperOp::WBinDrv {
+            kind,
+            width,
+            out,
+            a,
+            b,
+            sig,
+            delay,
+            cond,
+        } => {
+            let core = env.core()?;
+            // The compute happens unconditionally, exactly like
+            // the unfused pure op preceding the drive.
+            let words = &frame.regs.words;
+            let value = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+            if cond.is_some_and(|c| words[c as usize] == 0) {
+                return Ok(Next::Op);
+            }
+            let delay = delay_value(&frame.regs, delay)?;
+            let value = ConstValue::int(usize::from(*out), value);
+            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+        }
+        SuperOp::WPrb { dst, sig, width } => {
+            let value = env.core()?.value(SignalId(*sig as usize));
+            frame.regs.words[*dst as usize] =
+                value.as_int().map_or(0, ApInt::to_u64) & word_mask(*width);
+        }
+        SuperOp::WDrv {
+            sig,
+            value,
+            width,
+            delay,
+            cond,
+        } => {
+            let core = env.core()?;
+            let words = &frame.regs.words;
+            if cond.is_some_and(|c| words[c as usize] == 0) {
+                return Ok(Next::Op);
+            }
+            let value = ConstValue::int(usize::from(*width), words[*value as usize]);
+            let delay = delay_value(&frame.regs, delay)?;
+            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+        }
+        SuperOp::WLd { dst, mem } => {
+            frame.regs.words[*dst as usize] = frame.mems.words[*mem as usize];
+        }
+        SuperOp::WSt { mem, value } => {
+            frame.mems.words[*mem as usize] = frame.regs.words[*value as usize];
+        }
+        SuperOp::WBrCond {
+            cond,
+            if_false,
+            if_true,
+        } => {
+            let target = if frame.regs.words[*cond as usize] != 0 {
+                if_true
+            } else {
+                if_false
+            };
+            return Ok(Next::Block(*target as usize));
+        }
+        // Value slots: word operands are boxed on the way in and
+        // a word result is unboxed on the way out.
+        SuperOp::Bin {
+            kind,
+            opcode,
+            dst,
+            a,
+            b,
+        } => {
+            let regs = &frame.regs;
+            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Un { opcode, dst, a } => {
+            let value = eval_unary(*opcode, &frame.regs.get(widths, *a))
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Cast {
+            opcode,
+            dst,
+            a,
+            width,
+        } => {
+            let value = eval_cast(*opcode, &frame.regs.get(widths, *a), *width as usize)
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::ExtF { dst, a, index } => {
+            let value = eval_ext_field(&frame.regs.get(widths, *a), *index as usize)
+                .ok_or_else(|| {
+                    SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtField))
+                })?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::ExtS {
+            dst,
+            a,
+            offset,
+            length,
+        } => {
+            let value = eval_ext_slice(
+                &frame.regs.get(widths, *a),
+                *offset as usize,
+                *length as usize,
+            )
+            .ok_or_else(|| {
+                SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice))
+            })?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::InsF { dst, a, b, index } => {
+            let regs = &frame.regs;
+            let value =
+                eval_ins_field(&regs.get(widths, *a), &regs.get(widths, *b), *index as usize)
+                    .ok_or_else(|| {
+                        SimError::Runtime(format!("cannot evaluate {}", Opcode::InsField))
+                    })?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::InsS { dst, a, b, offset } => {
+            let regs = &frame.regs;
+            let value = eval_ins_slice(
+                &regs.get(widths, *a),
+                &regs.get(widths, *b),
+                *offset as usize,
+                0,
+            )
+            .ok_or_else(|| {
+                SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice))
+            })?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Mux { dst, choices, sel } => {
+            let regs = &frame.regs;
+            let value = eval_mux(&regs.get(widths, *choices), &regs.get(widths, *sel))
+                .ok_or_else(|| {
+                    SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
+                })?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Sel { dst, sel, elems } => {
+            let elems = code.args(*elems);
+            let index = mux_index(&frame.regs.get(widths, *sel), elems.len())
+                .ok_or_else(|| {
+                    SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
+                })?;
+            let value = frame.regs.get(widths, elems[index]).into_owned();
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Pure {
+            opcode,
+            dst,
+            args,
+            imms,
+        } => {
+            // Sharing `scr.args` across call frames is fine: the
+            // buffer only lives across one `eval_pure`, which
+            // never enters another frame.
+            scr.args.clear();
+            scr.args.extend(
+                code.args(*args)
+                    .iter()
+                    .map(|&a| frame.regs.get(widths, a).into_owned()),
+            );
+            let value = eval_pure(*opcode, &scr.args, imms)
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::CmpBr {
+            kind,
+            opcode,
+            a,
+            b,
+            if_false,
+            if_true,
+        } => {
+            let regs = &frame.regs;
+            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            let target = if value.is_truthy() { if_true } else { if_false };
+            return Ok(Next::Block(*target as usize));
+        }
+        SuperOp::BinDrv {
+            kind,
+            opcode,
+            a,
+            b,
+            sig,
+            delay,
+            cond,
+            ..
+        } => {
+            let core = env.core()?;
+            // The compute happens unconditionally, exactly like
+            // the unfused pure op preceding the drive.
+            let regs = &frame.regs;
+            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
+            if cond.is_some_and(|c| !regs.truthy(widths, c)) {
+                return Ok(Next::Op);
+            }
+            let delay = delay_value(regs, delay)?;
+            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+        }
+        SuperOp::Prb { dst, sig } => {
+            let value = env.core()?.value(SignalId(*sig as usize)).clone();
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Drv {
+            sig,
+            value,
+            delay,
+            cond,
+        } => {
+            let core = env.core()?;
+            if cond.is_some_and(|c| !frame.regs.truthy(widths, c)) {
+                return Ok(Next::Op);
+            }
+            let value = frame.regs.get(widths, *value).into_owned();
+            let delay = delay_value(&frame.regs, delay)?;
+            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+        }
+        SuperOp::Del {
+            target,
+            source,
+            delay,
+        } => {
+            let core = env.core()?;
+            let delay = delay_value(&frame.regs, delay)?;
+            let value = core.value(SignalId(*source as usize)).clone();
+            core.schedule_drive(SignalId(*target as usize), value, &delay);
+        }
+        SuperOp::Reg { sig, triggers } => {
+            let core = env.core()?;
+            let signal = SignalId(*sig as usize);
+            for trigger in triggers {
+                let current = frame.regs.get(widths, trigger.trigger as u32).into_owned();
+                let previous = frame.states[trigger.state].take();
+                let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
+                frame.states[trigger.state] = Some(current);
+                if !fire {
+                    continue;
+                }
+                if trigger
+                    .gate
+                    .is_some_and(|gate| !frame.regs.truthy(widths, gate as u32))
+                {
+                    continue;
+                }
+                let value = frame.regs.get(widths, trigger.value as u32).into_owned();
+                core.schedule_drive(signal, value, &TimeValue::from_delta(1));
+            }
+        }
+        SuperOp::Var { mem, init: value } | SuperOp::St { mem, value } => {
+            let value = frame.regs.get(widths, *value).into_owned();
+            frame.mems.set(mem_widths, *mem, value);
+        }
+        SuperOp::Ld { dst, mem } => {
+            let value = frame.mems.get(mem_widths, *mem).into_owned();
+            frame.regs.set(widths, *dst, value);
+        }
+        SuperOp::Call { .. } => unreachable!("exec runs the calls"),
+        SuperOp::Wait {
+            resume,
+            time,
+            observed,
+        } => {
+            scr.observed.clear();
+            for &sig in code.args(*observed) {
+                scr.observed.push(SignalId(sig as usize));
+            }
+            let timeout = match time {
+                Some(t) => Some(delay_value(&frame.regs, t)?),
+                None => None,
+            };
+            return Ok(Next::Exit(Flow::Wait {
+                resume: *resume as usize,
+                timeout,
+            }));
+        }
+        SuperOp::Halt => return Ok(Next::Exit(Flow::Halt)),
+        SuperOp::Br { target } => return Ok(Next::Block(*target as usize)),
+        SuperOp::BrCond {
+            cond,
+            if_false,
+            if_true,
+        } => {
+            let target = if frame.regs.truthy(widths, *cond) {
+                if_true
+            } else {
+                if_false
+            };
+            return Ok(Next::Block(*target as usize));
+        }
+        SuperOp::Ret { value } => {
+            let value = value.map(|v| frame.regs.get(widths, v).into_owned());
+            return Ok(Next::Exit(Flow::Return(value)));
+        }
+    }
+    Ok(Next::Op)
+}
+
+/// Resolve a (possibly baked) delay operand to its time value.
+fn delay_value(regs: &Cells, delay: &Delay) -> Result<TimeValue, SimError> {
+    match delay {
+        Delay::Const(t) => Ok(*t),
+        Delay::Reg(slot) => regs.values[*slot as usize]
+            .as_time()
+            .copied()
+            .ok_or_else(|| SimError::Runtime("expected a time value".to_string())),
+    }
 }
 
 /// Execute a call op: an intrinsic, or a compiled function one frame
@@ -992,108 +918,39 @@ fn call_op(
             None
         }
         Some(Intrinsic::Ignore) => None,
-        None => call_function(cx, scr, callee.unwrap(), &args, depth + 1)?,
+        None => call_function(cx, scr, callee.unwrap(), args, depth + 1)?,
     })
 }
 
-/// Execute a compiled function. `depth` counts the function frames
-/// active including this one (1 when called from an instance body).
+/// Execute a compiled function in a fresh frame, its arguments stored
+/// into its argument slots. `depth` counts the function frames active
+/// including this one (1 when called from an instance body).
 fn call_function(
     cx: &BlazeExec,
     scr: &mut Scratch,
     callee: UnitId,
-    args: &[ConstValue],
+    args: Vec<ConstValue>,
     depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
-    let unit = Arc::clone(&cx.compiled.units[&callee]);
-    if unit.kind != UnitKind::Function {
+    let unit = &cx.compiled.units[&callee];
+    let Some(code) = cx.compiled.functions.get(&callee) else {
         return Err(SimError::Runtime(format!(
             "call target {} is not a function",
             unit.name
         )));
-    }
+    };
     if depth > MAX_CALL_DEPTH {
         return Err(call_depth_exceeded(&unit.name));
     }
-    let mut regs = unit.new_regs();
-    let mut mems = vec![ConstValue::Void; unit.num_mems];
-    for (slot, value) in unit.arg_regs.iter().zip(args.iter()) {
-        regs[*slot] = value.clone();
+    let mut frame = Frame::new(unit);
+    for (&slot, value) in unit.arg_regs.iter().zip(args) {
+        frame.regs.set(&code.widths, slot as u32, value);
     }
-    let mut block = unit.entry;
-    let mut steps = 0usize;
-    loop {
-        let mut next_block = None;
-        for op in unit.block_ops(block) {
-            steps += 1;
-            if steps > cx.max_steps {
-                return Err(SimError::Runtime(format!(
-                    "function {} exceeded the step limit",
-                    unit.name
-                )));
-            }
-            match op {
-                Op::Pure {
-                    opcode,
-                    dst,
-                    args,
-                    imms,
-                } => {
-                    // Sharing `scr.args` across call frames is fine: the
-                    // buffer only lives across one eval_pure, and pure
-                    // ops never recurse into another frame.
-                    scr.args.clear();
-                    scr.args
-                        .extend(unit.args(*args).iter().map(|&a| regs[a as usize].clone()));
-                    let value = eval_pure(*opcode, &scr.args, imms)
-                        .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-                    regs[*dst] = value;
-                }
-                Op::Var { mem, init } => mems[*mem] = regs[*init].clone(),
-                Op::Ld { dst, mem } => regs[*dst] = mems[*mem].clone(),
-                Op::St { mem, value } => mems[*mem] = regs[*value].clone(),
-                Op::Call {
-                    callee,
-                    intrinsic,
-                    dst,
-                    args,
-                } => {
-                    let args = unit.args(*args).iter().map(|&a| regs[a as usize].clone()).collect();
-                    let result = call_op(cx, scr, *callee, *intrinsic, args, depth)?;
-                    if let (Some(dst), Some(value)) = (dst, result) {
-                        regs[*dst] = value;
-                    }
-                }
-                Op::Br { target } => {
-                    next_block = Some(*target);
-                    break;
-                }
-                Op::BrCond {
-                    cond,
-                    if_false,
-                    if_true,
-                } => {
-                    next_block = Some(if regs[*cond].is_truthy() {
-                        *if_true
-                    } else {
-                        *if_false
-                    });
-                    break;
-                }
-                Op::Ret { value } => {
-                    return Ok(value.map(|v| regs[v].clone()));
-                }
-                _ => {
-                    return Err(SimError::Runtime(
-                        "unsupported operation in function".to_string(),
-                    ))
-                }
-            }
-        }
-        match next_block {
-            Some(b) => block = b,
-            None => return Ok(None),
-        }
+    let mut env = FunctionEnv { name: &unit.name };
+    match exec(cx, code, &mut frame, &mut env, scr, unit.entry, depth)? {
+        Flow::Return(value) => Ok(value),
+        Flow::End => Ok(None),
+        Flow::Wait { .. } | Flow::Halt => Err(unsupported_in_function()),
     }
 }
 
@@ -1306,7 +1163,7 @@ mod tests {
             .iter()
             .find(|i| i.name.contains("mix"))
             .unwrap();
-        let ops = &mix.code.as_ref().expect("the looping process specializes").ops;
+        let ops = &mix.code.ops;
         assert!(ops.iter().any(|op| matches!(op, SuperOp::WBin { .. })));
         assert!(ops.iter().any(|op| matches!(op, SuperOp::Bin { .. })));
         // A checkpoint cut through both files resumes byte-identically.
@@ -1328,15 +1185,179 @@ mod tests {
         assert_eq!(resumed.finish().unwrap().trace.events(), blaze.trace.events());
     }
 
-    /// A failed step poisons the engine under the *specialized* dispatch
-    /// loop exactly like it did under the generic one: the error replays
-    /// on every later step instead of silently resuming the half-applied
-    /// cycle.
+    /// An `i80` selector of 2^64 or 2^64 + 1 is past the last element, so
+    /// both a fused `Sel` and a plain `mux` pick the last element on both
+    /// engines — not the element its low limb (0, then 1) names.
+    #[test]
+    fn wide_mux_selectors_clamp_on_both_engines() {
+        let module = parse_module(
+            r#"
+            proc @pick () -> (i8$ %q, i8$ %r) {
+            entry:
+                %t = const time 1ns
+                %one = const i80 1
+                %sh = const i8 64
+                %base = shl i80 %one, %sh
+                %i = var i80 %base
+                %a = const i8 10
+                %b = const i8 20
+                %c = const i8 30
+                br %loop
+            loop:
+                %s = ld i80* %i
+                %fused = array [%a, %b, %c]
+                %p = mux [3 x i8] %fused, %s
+                %plain = array [%a, %b, %c]
+                %first = extf i8 %plain, 0
+                %p2 = mux [3 x i8] %plain, %s
+                drv i8$ %q, %p after %t
+                drv i8$ %r, %p2 after %t
+                %n = add i80 %s, %one
+                st i80* %i, %n
+                wait %loop for %t
+            }
+            "#,
+        )
+        .unwrap();
+        let config = SimConfig::until_nanos(3);
+        let design = llhd_sim::elaborate(&module, "pick").unwrap();
+        let compiled = crate::compile_design(&module, design).unwrap();
+        let ops = &compiled.instances[0].code.ops;
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::Sel { .. })));
+        assert!(ops.iter().any(|op| matches!(op, SuperOp::Mux { .. })));
+        let reference = simulate_reference(&module, "pick", &config).unwrap();
+        let blaze = simulate(&module, "pick", &config).unwrap();
+        assert_eq!(reference.trace.events(), blaze.trace.events());
+        for signal in ["q", "r"] {
+            let values: Vec<_> = blaze.trace.changes_of(signal).map(|c| c.value.clone()).collect();
+            assert_eq!(values.last(), Some(&ConstValue::int(8, 30)), "{signal}");
+            for low_limb in [10, 20] {
+                assert!(!values.contains(&ConstValue::int(8, low_limb)), "{signal}");
+            }
+        }
+    }
+
+    /// Functions run through the same dispatch loop as instance bodies:
+    /// `i8`, `i64` and `i80` arguments and results, a counted loop over
+    /// `var` cells, nested calls and an `llhd.assert` in a callee must
+    /// trace and count exactly like the interpreter.
+    #[test]
+    fn functions_match_the_interpreter() {
+        let module = parse_module(
+            r#"
+            func @sum8 (i8 %n) i8 {
+            entry:
+                %zero = const i8 0
+                %one = const i8 1
+                %acc = var i8 %zero
+                %i = var i8 %zero
+                br %head
+            head:
+                %iv = ld i8* %i
+                %done = uge i8 %iv, %n
+                br %done, %body, %exit
+            body:
+                %next = add i8 %iv, %one
+                st i8* %i, %next
+                %av = ld i8* %acc
+                %a2 = add i8 %av, %next
+                st i8* %acc, %a2
+                br %head
+            exit:
+                %r = ld i8* %acc
+                ret i8 %r
+            }
+            func @scale (i64 %x, i8 %n) i64 {
+            entry:
+                %s = call i8 @sum8 (%n)
+                %w = zext i64 %s
+                %r = umul i64 %x, %w
+                %limit = const i64 200
+                %ok = ult i64 %r, %limit
+                call void @llhd.assert (%ok)
+                ret i64 %r
+            }
+            func @widen (i80 %x, i64 %y, i8 %n) i80 {
+            entry:
+                %z = call i64 @scale (%y, %n)
+                %y80 = zext i80 %z
+                %r = add i80 %x, %y80
+                ret i80 %r
+            }
+            proc @tb () -> (i8$ %a, i64$ %b, i80$ %c) {
+            entry:
+                %t = const time 1ns
+                %z8 = const i8 0
+                %one80 = const i80 1
+                %seventy = const i8 70
+                %big = shl i80 %one80, %seventy
+                %i = var i8 %z8
+                br %loop
+            loop:
+                %n = ld i8* %i
+                %s = call i8 @sum8 (%n)
+                %x = zext i64 %n
+                %m = call i64 @scale (%x, %n)
+                %w = call i80 @widen (%big, %m, %n)
+                drv i8$ %a, %s after %t
+                drv i64$ %b, %m after %t
+                drv i80$ %c, %w after %t
+                %one = const i8 1
+                %n2 = add i8 %n, %one
+                st i8* %i, %n2
+                wait %loop for %t
+            }
+            "#,
+        )
+        .unwrap();
+        let config = SimConfig::until_nanos(30);
+        let reference = simulate_reference(&module, "tb", &config).unwrap();
+        let blaze = simulate(&module, "tb", &config).unwrap();
+        assert_eq!(reference.trace.events(), blaze.trace.events());
+        assert_eq!(reference.signal_changes, blaze.signal_changes);
+        assert_eq!(reference.assertions_checked, blaze.assertions_checked);
+        assert_eq!(reference.assertion_failures, blaze.assertion_failures);
+        assert!(blaze.assertion_failures > 0 && blaze.assertion_failures < blaze.assertions_checked);
+        assert!(blaze.trace.changes_of("c").count() > 20);
+    }
+
+    /// A signal op in a function body, which the verifier would reject,
+    /// fails the activation instead of reading an unbound signal.
+    #[test]
+    fn signal_op_in_a_function_is_an_error() {
+        let module = parse_module(
+            r#"
+            func @peek (i1$ %s) i1 {
+            entry:
+                %v = prb i1$ %s
+                ret i1 %v
+            }
+            proc @tb (i1$ %s) -> () {
+            entry:
+                %v = call i1 @peek (%s)
+                halt
+            }
+            entity @top () -> () {
+                %zero = const i1 0
+                %s = sig i1 %zero
+                inst @tb (%s) -> ()
+            }
+            "#,
+        )
+        .unwrap();
+        let design = llhd_sim::elaborate(&module, "top").unwrap();
+        let compiled = crate::compile_design(&module, design).unwrap();
+        let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
+        let err = sim.initialize().unwrap_err();
+        assert_eq!(err.to_string(), "runtime error: unsupported operation in function");
+    }
+
+    /// A failed step poisons the engine: the error replays on every later
+    /// step instead of silently resuming the half-applied cycle.
     #[test]
     fn poisoned_engine_replays_error_under_specialized_dispatch() {
         // A zero-delay inverter pair oscillates forever within one
-        // instant; the delta-cycle guard fails the step mid-run. Entities
-        // always take the specialized stream, which the test asserts.
+        // instant; the delta-cycle guard fails the step mid-run.
         let module = parse_module(
             r#"
             entity @inv (i1$ %a) -> (i1$ %q) {
@@ -1357,14 +1378,6 @@ mod tests {
         .unwrap();
         let design = llhd_sim::elaborate(&module, "top").unwrap();
         let compiled = crate::compile_design(&module, design).unwrap();
-        assert!(
-            compiled
-                .instances
-                .iter()
-                .filter(|i| i.kind == llhd_sim::design::InstanceKind::Entity)
-                .all(|i| i.code.is_some()),
-            "entities must execute the specialized stream"
-        );
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
         let first = loop {
             match sim.step() {
@@ -1380,14 +1393,12 @@ mod tests {
         sim.initialize().unwrap_err();
     }
 
-    /// The specialized loop hits the same error points as the generic
-    /// one: a `ret` outside a function fails the activation, and the
-    /// session replays it.
+    /// A `ret` outside a function fails the activation, and the session
+    /// replays it.
     #[test]
     fn ret_in_specialized_process_poisons_and_replays() {
-        // The wait's back edge makes the process eligible for
-        // specialization; the false branch of the entry compare reaches
-        // the illegal `ret` on the very first activation.
+        // The false branch of the entry compare reaches the illegal `ret`
+        // on the very first activation.
         let module = parse_module(
             r#"
             proc @bad (i1$ %c) -> () {
@@ -1410,14 +1421,6 @@ mod tests {
         .unwrap();
         let design = llhd_sim::elaborate(&module, "top").unwrap();
         let compiled = crate::compile_design(&module, design).unwrap();
-        assert!(
-            compiled
-                .instances
-                .iter()
-                .filter(|i| i.kind == InstanceKind::Process)
-                .all(|i| i.code.is_some()),
-            "the looping process must execute the specialized stream"
-        );
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
         let first = sim.initialize().unwrap_err();
         assert!(matches!(first, SimError::Runtime(_)));

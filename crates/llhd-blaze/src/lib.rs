@@ -7,11 +7,13 @@
 //! internal form:
 //!
 //! * SSA values become numbered **register slots** instead of hash-map
-//!   entries,
-//! * signal references become per-instance **signal slot tables**,
-//! * constants are materialised once at compile time,
-//! * opcode dispatch happens over a compact [`Op`](compile::Op) enum with
-//!   all operand indices pre-computed.
+//!   entries, narrow integers among them machine words,
+//! * constants are materialised and folded once at compile time,
+//! * every unit lowers to pre-decoded, partly fused
+//!   [`SuperOp`](superop::SuperOp)s, and every instance gets its own copy
+//!   with its signal bindings baked in (functions get one copy each),
+//! * one dispatch loop over those superops runs instance bodies and
+//!   function calls alike.
 //!
 //! The scheduler (event queue, delta cycles, process suspension) is the same
 //! event-driven model as the reference interpreter, so the two simulators
@@ -21,9 +23,9 @@ pub mod compile;
 pub mod engine;
 pub mod superop;
 
-pub use compile::{
-    compile_design, compile_design_with, BlazeOptions, CompileError, CompiledDesign,
-};
+pub use compile::{compile_design, CompileError, CompiledDesign};
+#[doc(hidden)]
+pub use compile::{compile_design_with, BlazeOptions};
 pub use engine::{BlazeExec, BlazeSimulator};
 
 use llhd::ir::Module;
@@ -33,8 +35,8 @@ use llhd_sim::api::{
 use std::sync::Arc;
 
 /// Install this crate as the compile backend of the unified session API,
-/// so [`llhd_sim::api::EngineKind::Compile`] (and `Auto` on large designs)
-/// resolves to the blaze engine. Idempotent and cheap — call it once at
+/// so [`llhd_sim::api::EngineKind::Compile`] (and `Auto`) resolves to the
+/// blaze engine. Idempotent and cheap — call it once at
 /// startup, or go through [`session`], which calls it for you.
 ///
 /// ```

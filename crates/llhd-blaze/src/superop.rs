@@ -1,9 +1,8 @@
 //! Superinstruction lowering and per-instance specialization.
 //!
-//! The generic [`Op`] stream keeps one record per IR
-//! instruction and resolves everything through per-instance tables at run
-//! time. This module adds the two lowering stages that turn it into the
-//! form the hot dispatch loop actually executes:
+//! The [`Op`] stream that [`crate::compile`] builds keeps one record per IR
+//! instruction and names signals by per-unit slot. This module adds the two
+//! lowering stages that turn it into the only form the engine executes:
 //!
 //! 1. **Superinstruction lowering** (per unit, at `compile_design` time):
 //!    each block's contiguous op stream is re-encoded into pre-decoded
@@ -34,23 +33,21 @@
 //!    own copy of the lowered stream with its bindings baked in — signal
 //!    slots become resolved [`SignalId`]s (no table chase per probe/drive),
 //!    constant delays become inline [`TimeValue`]s, and the folded ops are
-//!    dropped from the emitted stream.
+//!    dropped from the emitted stream. A function specializes once, with
+//!    no signal bindings.
 //!
-//! Both stages are behind the [`BlazeOptions`](crate::compile::BlazeOptions)
-//! knobs so the ablation benchmarks can price them separately, and the
-//! differential tests assert byte-identical traces across every knob
-//! combination — same value changes, same instants, same statistics, same
-//! error points. The one intentional exception is the
-//! `max_steps_per_activation` *guard*: fused records count as two executed
-//! ops (exact parity with the generic loop), but constant-folded ops no
+//! Every unit goes through both stages; the differential tests hold the
+//! result byte-identical to the interpreter — same value changes, same
+//! instants, same statistics, same error points. The one intentional
+//! exception is the `max_steps_per_activation` *guard*: fused records
+//! count as the two source ops they retire, but constant-folded ops no
 //! longer execute and therefore no longer count — exactly like the
-//! materialized `const` instructions, which stopped counting when they
-//! left the op stream.
+//! materialized `const` instructions, which never enter the op stream.
 
 use crate::compile::{ArgRange, CompiledTrigger, CompiledUnit, Intrinsic, Op};
 use llhd::eval::{
     eval_binary, eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice,
-    eval_mux, eval_pure, eval_unary,
+    eval_mux, eval_pure, eval_unary, mux_index,
 };
 use llhd::ir::{Opcode, UnitId};
 use llhd::ty::{Type, TypeKind};
@@ -542,9 +539,12 @@ pub enum SuperOp {
         /// Block index when true.
         if_true: u32,
     },
-    /// Return — illegal outside functions; kept so the runtime error (and
-    /// engine poisoning) replays identically to the generic path.
-    Ret,
+    /// Return from a function, with the value in a register slot; an
+    /// instance body fails on it.
+    Ret {
+        /// The returned value's register slot.
+        value: Option<u32>,
+    },
     /// [`SuperOp::Bin`] over word slots: operands and result are words of
     /// the instance's word file (see [`LoweredUnit::widths`]).
     WBin {
@@ -784,13 +784,11 @@ fn reg_read_counts(unit: &CompiledUnit) -> Vec<u32> {
     reads
 }
 
-/// Lower a compiled unit's generic op stream into superinstructions.
+/// Lower a compiled unit's op stream into superinstructions.
 ///
 /// `int_typed` is parallel to `unit.ops` and marks pure ops whose operands
-/// are all integer-typed (computed from the IR types during compilation);
-/// `fuse` enables pair fusion and is threaded through from
-/// [`BlazeOptions::fuse`](crate::compile::BlazeOptions).
-pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool], fuse: bool) -> LoweredUnit {
+/// are all integer-typed (computed from the IR types during compilation).
+pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool]) -> LoweredUnit {
     let reads = reg_read_counts(unit);
     let mut out = LoweredUnit {
         ops: Vec::with_capacity(unit.ops.len()),
@@ -806,7 +804,7 @@ pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool], fuse: bool) -> Lowere
             let op = &unit.ops[i];
             // Pair fusion: a pure compute whose single reader is the
             // immediately following op.
-            if fuse && i + 1 < end {
+            if i + 1 < end {
                 if let Some(fused) = try_fuse(unit, int_typed, &reads, i, &mut out.pool) {
                     out.ops.push(fused);
                     i += 2;
@@ -1035,7 +1033,7 @@ fn bin_width(kind: IntBin, a: u8, b: u8, dst: u8) -> Option<u8> {
 /// laid out in definition order, so a forward pass folds whole chains at
 /// once and the loop almost always converges on the second (no-change)
 /// pass. Folding uses the same evaluation functions the runtime would, so
-/// a fold can never produce a value the generic path would not have
+/// a fold can never produce a value the unfolded op would not have
 /// produced; ops whose evaluation fails are kept so runtime errors (and
 /// engine poisoning) replay identically.
 fn fold_unit(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
@@ -1076,15 +1074,9 @@ fn fold_unit(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
             break;
         }
     }
-    let mut init_regs = unit.new_regs();
-    for (slot, value) in consts.iter().enumerate() {
-        if let Some(value) = value {
-            init_regs[slot] = value.clone();
-        }
-    }
+    lowered.init_regs = consts.iter().map(|c| c.clone().unwrap_or(ConstValue::Void)).collect();
     lowered.dropped = dropped;
     lowered.consts = consts;
-    lowered.init_regs = init_regs;
 }
 
 /// Try to fuse `unit.ops[i]` with its successor. Returns the fused
@@ -1341,7 +1333,9 @@ fn lower_op(
             if_false: *if_false as u32,
             if_true: *if_true as u32,
         },
-        Op::Ret { .. } => SuperOp::Ret,
+        Op::Ret { value } => SuperOp::Ret {
+            value: value.map(|v| v as u32),
+        },
     }
 }
 
@@ -1355,8 +1349,8 @@ pub struct SpecializedCode {
     pub ops: Vec<SuperOp>,
     /// Half-open `ops` range of each block.
     pub block_ranges: Vec<(u32, u32)>,
-    /// Operand pool; `Wait` observed entries hold resolved [`SignalId`]s,
-    /// everything else register slots.
+    /// Operand pool: the lowered unit's, then every `Wait`'s observed
+    /// list as resolved [`SignalId`]s.
     pub pool: Vec<u32>,
     /// The unit's register word widths ([`LoweredUnit::widths`]).
     pub widths: Arc<[u8]>,
@@ -1383,23 +1377,27 @@ impl SpecializedCode {
 /// the folded ops, bakes the signal bindings from `signal_table` into the
 /// stream, and inlines constant delays (the constant analysis itself is
 /// unit-level and already done by [`lower_unit`]). See the module docs
-/// for the invariants this preserves.
+/// for the invariants this preserves. A slot the table does not bind —
+/// every slot of a function, which is specialized with an empty table —
+/// becomes `u32::MAX`, which the engine never reads.
 pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> SpecializedCode {
     let consts = &lowered.consts;
-    let resolve = |slot: u32| signal_table[slot as usize].0 as u32;
-    let bake_delay = |delay: &Delay| match delay {
-        Delay::Reg(slot) => match &consts[*slot as usize] {
-            Some(ConstValue::Time(t)) => Delay::Const(*t),
-            // Non-time constants keep the register path so the runtime
-            // error ("expected a time value") replays identically.
-            _ => Delay::Reg(*slot),
-        },
-        Delay::Const(t) => Delay::Const(*t),
+    let resolve = |slot: u32| signal_table.get(slot as usize).map_or(u32::MAX, |s| s.0 as u32);
+    let bake = |delay: &mut Delay| {
+        // Non-time constants keep the register path so the runtime error
+        // ("expected a time value") replays identically.
+        if let Delay::Reg(slot) = *delay {
+            if let Some(ConstValue::Time(t)) = &consts[slot as usize] {
+                *delay = Delay::Const(*t);
+            }
+        }
     };
+    // The lowered pool carries over whole, so every operand range stays
+    // valid; a `wait`'s observed list is appended again, resolved.
     let mut out = SpecializedCode {
         ops: Vec::with_capacity(lowered.ops.len()),
         block_ranges: Vec::with_capacity(lowered.block_ranges.len()),
-        pool: Vec::new(),
+        pool: lowered.pool.clone(),
         widths: Arc::clone(&lowered.widths),
         mem_widths: Arc::clone(&lowered.mem_widths),
     };
@@ -1409,141 +1407,37 @@ pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> Specializ
             if lowered.dropped[i] {
                 continue;
             }
-            let op = match &lowered.ops[i] {
-                SuperOp::Prb { dst, sig } => SuperOp::Prb {
-                    dst: *dst,
-                    sig: resolve(*sig),
-                },
-                SuperOp::WPrb { dst, sig, width } => SuperOp::WPrb {
-                    dst: *dst,
-                    sig: resolve(*sig),
-                    width: *width,
-                },
-                SuperOp::WDrv {
-                    sig,
-                    value,
-                    width,
-                    delay,
-                    cond,
-                } => SuperOp::WDrv {
-                    sig: resolve(*sig),
-                    value: *value,
-                    width: *width,
-                    delay: bake_delay(delay),
-                    cond: *cond,
-                },
-                SuperOp::WBinDrv {
-                    kind,
-                    width,
-                    out,
-                    a,
-                    b,
-                    sig,
-                    delay,
-                    cond,
-                } => SuperOp::WBinDrv {
-                    kind: *kind,
-                    width: *width,
-                    out: *out,
-                    a: *a,
-                    b: *b,
-                    sig: resolve(*sig),
-                    delay: bake_delay(delay),
-                    cond: *cond,
-                },
-                SuperOp::WSel { dst, sel, elems } => SuperOp::WSel {
-                    dst: *dst,
-                    sel: *sel,
-                    elems: ArgRange::copy_into(&mut out.pool, lowered.args(*elems)),
-                },
-                SuperOp::Drv {
-                    sig,
-                    value,
-                    delay,
-                    cond,
-                } => SuperOp::Drv {
-                    sig: resolve(*sig),
-                    value: *value,
-                    delay: bake_delay(delay),
-                    cond: *cond,
-                },
-                SuperOp::BinDrv {
-                    kind,
-                    opcode,
-                    dst,
-                    a,
-                    b,
-                    sig,
-                    delay,
-                    cond,
-                } => SuperOp::BinDrv {
-                    kind: *kind,
-                    opcode: *opcode,
-                    dst: *dst,
-                    a: *a,
-                    b: *b,
-                    sig: resolve(*sig),
-                    delay: bake_delay(delay),
-                    cond: *cond,
-                },
+            let mut op = lowered.ops[i].clone();
+            match &mut op {
+                SuperOp::Prb { sig, .. } | SuperOp::WPrb { sig, .. } | SuperOp::Reg { sig, .. } => {
+                    *sig = resolve(*sig)
+                }
+                SuperOp::Drv { sig, delay, .. }
+                | SuperOp::WDrv { sig, delay, .. }
+                | SuperOp::BinDrv { sig, delay, .. }
+                | SuperOp::WBinDrv { sig, delay, .. } => {
+                    *sig = resolve(*sig);
+                    bake(delay);
+                }
                 SuperOp::Del {
                     target,
                     source,
                     delay,
-                } => SuperOp::Del {
-                    target: resolve(*target),
-                    source: resolve(*source),
-                    delay: bake_delay(delay),
-                },
-                SuperOp::Reg { sig, triggers } => SuperOp::Reg {
-                    sig: resolve(*sig),
-                    triggers: triggers.clone(),
-                },
-                SuperOp::Wait {
-                    resume,
-                    time,
-                    observed,
                 } => {
-                    let resolved: Vec<u32> = lowered
-                        .args(*observed)
-                        .iter()
-                        .map(|&slot| resolve(slot))
-                        .collect();
-                    SuperOp::Wait {
-                        resume: *resume,
-                        time: time.as_ref().map(bake_delay),
-                        observed: ArgRange::copy_into(&mut out.pool, &resolved),
-                    }
+                    *target = resolve(*target);
+                    *source = resolve(*source);
+                    bake(delay);
                 }
-                SuperOp::Pure {
-                    opcode,
-                    dst,
-                    args,
-                    imms,
-                } => SuperOp::Pure {
-                    opcode: *opcode,
-                    dst: *dst,
-                    args: ArgRange::copy_into(&mut out.pool, lowered.args(*args)),
-                    imms: imms.clone(),
-                },
-                SuperOp::Sel { dst, sel, elems } => SuperOp::Sel {
-                    dst: *dst,
-                    sel: *sel,
-                    elems: ArgRange::copy_into(&mut out.pool, lowered.args(*elems)),
-                },
-                SuperOp::Call {
-                    callee,
-                    intrinsic,
-                    dst,
-                    args,
-                } => SuperOp::Call {
-                    callee: *callee,
-                    intrinsic: *intrinsic,
-                    dst: *dst,
-                    args: ArgRange::copy_into(&mut out.pool, lowered.args(*args)),
-                },
-                other => other.clone(),
-            };
+                SuperOp::Wait { time, observed, .. } => {
+                    if let Some(time) = time {
+                        bake(time);
+                    }
+                    let signals: Vec<u32> =
+                        lowered.args(*observed).iter().map(|&slot| resolve(slot)).collect();
+                    *observed = ArgRange::copy_into(&mut out.pool, &signals);
+                }
+                _ => {}
+            }
             out.ops.push(op);
         }
         out.block_ranges.push((block_start, out.ops.len() as u32));
@@ -1654,13 +1548,13 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
         }
         SuperOp::Sel { dst, sel, elems } => {
             let slots = elems.slice(pool);
-            if let Some(idx) = konst(*sel).and_then(|s| s.to_u64()) {
-                if !slots.is_empty() && slots.iter().all(|&e| konst(e).is_some()) {
-                    let pick = slots[(idx as usize).min(slots.len() - 1)];
-                    return Fold::Value(*dst, konst(pick).unwrap().clone());
-                }
+            if slots.is_empty() || !slots.iter().all(|&e| konst(e).is_some()) {
+                return Fold::None;
             }
-            Fold::None
+            match konst(*sel).and_then(|s| mux_index(s, slots.len())) {
+                Some(index) => Fold::Value(*dst, konst(slots[index]).unwrap().clone()),
+                None => Fold::None,
+            }
         }
         SuperOp::Pure {
             opcode,
@@ -1758,7 +1652,7 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile_design_with, BlazeOptions};
+    use crate::compile::compile_design;
     use llhd::assembly::parse_module;
     use llhd_sim::elaborate;
 
@@ -1904,14 +1798,13 @@ mod tests {
             }
             "#,
             "top",
-            BlazeOptions::default(),
         );
         let both = design
             .instances
             .iter()
             .find(|i| i.name.contains("both"))
             .unwrap();
-        let ops = &both.code.as_ref().unwrap().ops;
+        let ops = &both.code.ops;
         assert!(ops.iter().any(|op| matches!(op, SuperOp::WPrb { width: 8, .. })));
         assert!(ops
             .iter()
@@ -1926,10 +1819,10 @@ mod tests {
         assert!(!lowered.init_regs.contains(&ConstValue::int(8, 1)));
     }
 
-    fn compiled_for(src: &str, top: &str, options: BlazeOptions) -> crate::CompiledDesign {
+    fn compiled_for(src: &str, top: &str) -> crate::CompiledDesign {
         let module = parse_module(src).unwrap();
         let design = elaborate(&module, top).unwrap();
-        compile_design_with(&module, design, options).unwrap()
+        compile_design(&module, design).unwrap()
     }
 
     const FUSIBLE: &str = r#"
@@ -1980,46 +1873,33 @@ mod tests {
 
     /// Fusion produces the promised superinstructions: the entity's
     /// array+mux collapses into a `Sel`, and the process's compare+branch
-    /// into a `CmpBr`. With the knob off, neither appears.
+    /// into a `CmpBr`.
     #[test]
     fn fusion_forms_sel_and_cmp_br() {
-        let fused = compiled_for(FUSIBLE, "top", BlazeOptions::default());
-        let count_ops = |design: &crate::CompiledDesign, pred: fn(&SuperOp) -> bool| {
-            design
+        let fused = compiled_for(FUSIBLE, "top");
+        let count_ops = |pred: fn(&SuperOp) -> bool| {
+            fused
                 .instances
                 .iter()
-                .filter_map(|i| i.code.as_ref())
-                .flat_map(|c| c.ops.iter())
+                .flat_map(|i| i.code.ops.iter())
                 .filter(|op| pred(op))
                 .count()
         };
-        let sel = |op: &SuperOp| matches!(op, SuperOp::Sel { .. } | SuperOp::WSel { .. });
-        let cmp_br = |op: &SuperOp| matches!(op, SuperOp::CmpBr { .. } | SuperOp::WCmpBr { .. });
-        assert!(count_ops(&fused, sel) > 0);
-        assert!(count_ops(&fused, cmp_br) > 0);
-        let unfused = compiled_for(
-            FUSIBLE,
-            "top",
-            BlazeOptions {
-                fuse: false,
-                ..BlazeOptions::default()
-            },
-        );
-        assert_eq!(count_ops(&unfused, sel), 0);
-        assert_eq!(count_ops(&unfused, cmp_br), 0);
+        assert!(count_ops(|op| matches!(op, SuperOp::Sel { .. } | SuperOp::WSel { .. })) > 0);
+        assert!(count_ops(|op| matches!(op, SuperOp::CmpBr { .. } | SuperOp::WCmpBr { .. })) > 0);
     }
 
     /// Specialization folds constant chains out of the stream (`add
     /// %one, %two` never executes) and bakes constant delays inline.
     #[test]
     fn specialization_folds_constants_and_bakes_delays() {
-        let design = compiled_for(FUSIBLE, "top", BlazeOptions::default());
+        let design = compiled_for(FUSIBLE, "top");
         let count = design
             .instances
             .iter()
             .find(|i| i.name.contains("count"))
             .unwrap();
-        let code = count.code.as_ref().expect("looping process specializes");
+        let code = &count.code;
         // The `%three = add %one, %two` fold removed one of the two adds;
         // only the loop's `%next = add %cur, %three` survives.
         let adds = code
@@ -2093,17 +1973,16 @@ mod tests {
             }
             "#,
             "top",
-            BlazeOptions::default(),
         );
         for instance in &design.instances {
-            if let Some(code) = &instance.code {
-                assert!(
-                    code.ops
-                        .iter()
-                        .all(|op| !matches!(op, SuperOp::BinDrv { opcode: Opcode::Mux, .. })),
-                    "mux must never fuse into a BinDrv"
-                );
-            }
+            assert!(
+                instance
+                    .code
+                    .ops
+                    .iter()
+                    .all(|op| !matches!(op, SuperOp::BinDrv { opcode: Opcode::Mux, .. })),
+                "mux must never fuse into a BinDrv"
+            );
         }
         // And the design actually runs under the specialized dispatch.
         crate::BlazeSimulator::new(design, llhd_sim::SimConfig::until_nanos(10))
@@ -2111,16 +1990,23 @@ mod tests {
             .unwrap();
     }
 
-    /// The re-execution heuristic: straight-line processes stay on the
-    /// generic dispatch, looping processes and entities specialize.
+    /// Every unit lowers and specializes: a straight-line process, the
+    /// entity above it, and a function, which no instance binds.
     #[test]
-    fn straight_line_processes_are_not_specialized() {
-        let design = compiled_for(
+    fn every_instance_and_function_is_specialized() {
+        let module = parse_module(
             r#"
-            proc @once () -> (i1$ %out) {
+            func @inc (i1 %x) i1 {
             entry:
                 %one = const i1 1
+                %r = xor i1 %x, %one
+                ret i1 %r
+            }
+            proc @once () -> (i1$ %out) {
+            entry:
+                %zero = const i1 0
                 %t = const time 1ns
+                %one = call i1 @inc (%zero)
                 drv i1$ %out, %one after %t
                 halt
             }
@@ -2130,14 +2016,16 @@ mod tests {
                 inst @once () -> (%out)
             }
             "#,
-            "top",
-            BlazeOptions::default(),
-        );
-        let once = design
-            .instances
-            .iter()
-            .find(|i| i.name.contains("once"))
-            .unwrap();
-        assert!(once.code.is_none(), "straight-line process must stay generic");
+        )
+        .unwrap();
+        let design = compile_design(&module, elaborate(&module, "top").unwrap()).unwrap();
+        assert!(design.units.values().all(|unit| unit.lowered.is_some()));
+        for instance in &design.instances {
+            assert!(!instance.code.block_ranges.is_empty(), "{}", instance.name);
+        }
+        let inc = module.unit_by_ident("inc").unwrap();
+        let code = &design.functions[&inc];
+        assert!(code.ops.iter().any(|op| matches!(op, SuperOp::Ret { value: Some(_) })));
+        assert!(design.unit_stats().iter().all(|s| s.specialized_instances == s.instances));
     }
 }

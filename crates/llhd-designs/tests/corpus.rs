@@ -4,10 +4,9 @@
 //! artifact — a (shrunk) generated design plus its stimulus schedule —
 //! promoted here by `fuzz --promote` after a finding was fixed, or
 //! pinned by `fuzz --pin` to lock in coverage. This test replays each
-//! one across the full differential matrix (reference interpreter vs.
-//! interpreter parallelism vs. every blaze knob combination and thread
-//! count) and fails on any divergence: once a fuzz finding lands here,
-//! it can never regress silently.
+//! one across the differential matrix (reference interpreter vs. blaze)
+//! and fails on any divergence: once a fuzz finding lands here, it can
+//! never regress silently.
 
 use llhd_fuzz::{default_matrix, Artifact, CaseFailure};
 use std::path::PathBuf;

@@ -70,62 +70,6 @@ fn interpreter_and_blaze_traces_are_byte_identical() {
     }
 }
 
-/// Every blaze lowering configuration — generic dispatch, specialization
-/// without fusion, and the full superinstruction pipeline — produces the
-/// identical trace on every design. This is the ablation surface's
-/// correctness guarantee: the knobs may only change speed, never a single
-/// byte of observable behaviour.
-#[test]
-fn blaze_lowering_knobs_do_not_change_traces() {
-    use llhd_blaze::{compile_design_with, BlazeOptions, BlazeSimulator};
-    use llhd_sim::elaborate;
-    use std::sync::Arc;
-
-    for design in all_designs() {
-        let module = design.build().unwrap();
-        let config = SimConfig::until_nanos(design.sim_time_ns(20));
-        let elaborated = Arc::new(elaborate(&module, design.top).unwrap());
-        let reference = run(&module, design.top, &config, EngineKind::Interpret);
-        for options in [
-            BlazeOptions {
-                fuse: false,
-                specialize: false,
-                ..BlazeOptions::default()
-            },
-            BlazeOptions {
-                fuse: false,
-                specialize: true,
-                ..BlazeOptions::default()
-            },
-            BlazeOptions {
-                fuse: true,
-                specialize: false,
-                ..BlazeOptions::default()
-            },
-            BlazeOptions::default(),
-        ] {
-            let compiled =
-                compile_design_with(&module, Arc::clone(&elaborated), options).unwrap();
-            let result = BlazeSimulator::new(compiled, config.clone())
-                .run()
-                .unwrap();
-            assert_eq!(
-                reference.trace.events(),
-                result.trace.events(),
-                "{} ({:?}): trace diverges from the interpreter",
-                design.name,
-                options
-            );
-            assert_eq!(
-                reference.signal_changes, result.signal_changes,
-                "{} ({:?}): signal change counts diverge",
-                design.name,
-                options
-            );
-        }
-    }
-}
-
 /// Determinism within one engine: two runs of the same design produce the
 /// identical trace (no hash-iteration or allocation-order dependence).
 #[test]

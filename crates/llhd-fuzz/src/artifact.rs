@@ -11,7 +11,7 @@
 //! format 1
 //! seed 0x000000000000002a
 //! case 17
-//! spec blaze:fs
+//! spec blaze
 //! reason trace mismatch at event 5
 //! until_ns 154
 //! top fuzz_top
@@ -265,10 +265,7 @@ mod tests {
         Artifact::new(
             7,
             3,
-            Some(EngineSpec::Blaze {
-                fuse: true,
-                specialize: true,
-            }),
+            Some(EngineSpec::Blaze),
             "trace mismatch\nat event 5",
             &design,
             &schedule,

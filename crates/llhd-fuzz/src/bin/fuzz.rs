@@ -46,7 +46,7 @@ fn usage() -> &'static str {
     \x20      fuzz --replay FILE...\n\
     \x20      fuzz --pin SEED --out FILE\n\
     \x20      fuzz --promote FILE [--corpus-dir DIR]\n\
-    specs: interp | blaze:KK with KK over f/s knobs, e.g. blaze:fs, blaze:f-"
+    specs: interp | blaze"
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -168,7 +168,7 @@ fn fuzz_loop(opts: &Options) -> ExitCode {
         }
     }
     println!(
-        "clean: {ran} cases x {} engine variants (base seed {:#018x}, {:.1}s)",
+        "clean: {ran} cases x {} engines (base seed {:#018x}, {:.1}s)",
         opts.matrix.len() + 1,
         opts.seed,
         start.elapsed().as_secs_f64()

@@ -1,9 +1,8 @@
-//! The differential driver: run one case on every engine variant in
-//! lockstep and demand byte-identical observations.
+//! The differential driver: run one case on both engines in lockstep and
+//! demand byte-identical observations.
 //!
-//! The reference is the interpreter. Every other variant — blaze under
-//! each [`BlazeOptions`] knob combination — must match it on four
-//! channels at once:
+//! The reference is the interpreter. Blaze must match it on four channels
+//! at once:
 //!
 //! * the interned trace event stream
 //!   ([`Trace::events`](llhd_sim::Trace::events)),
@@ -14,82 +13,59 @@
 //!   strategies legitimately count entity evaluations differently),
 //! * the mid-run peek log produced by the stimulus schedule.
 //!
-//! Checkpoint cuts are executed *per variant*: the engine serializes,
-//! a fresh engine of the same kind is built, restored into, and the run
-//! continues there — so restore correctness is fuzzed on every variant
-//! that draws a `Checkpoint` op.
+//! Checkpoint cuts are executed *per engine*: the engine serializes, a
+//! fresh engine of the same kind is built, restored into, and the run
+//! continues there — so restore correctness is fuzzed on both engines
+//! whenever the schedule draws a `Checkpoint` op.
 
 use crate::gen::FuzzDesign;
 use crate::stim::{mask, Schedule, StimOp};
 use llhd::ir::Module;
 use llhd::value::ConstValue;
-use llhd_blaze::{compile_design_with, BlazeOptions, BlazeSimulator, CompiledDesign};
+use llhd_blaze::{compile_design, BlazeSimulator};
 use llhd_sim::api::Engine;
 use llhd_sim::{elaborate, ElaboratedDesign, SimConfig, Simulator};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One engine variant in the comparison matrix.
+/// One engine in the comparison matrix.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum EngineSpec {
     /// The reference interpreter.
     Interp,
-    /// The blaze compiled engine under explicit lowering knobs.
-    Blaze { fuse: bool, specialize: bool },
+    /// The blaze compiled engine.
+    Blaze,
 }
 
 impl EngineSpec {
-    /// A stable, parseable label: `interp`, `blaze:fs`, `blaze:f-` (one
-    /// letter per enabled knob, `-` when off).
+    /// A stable, parseable label: `interp` or `blaze`.
     pub fn label(&self) -> String {
         match self {
-            EngineSpec::Interp => "interp".to_string(),
-            EngineSpec::Blaze { fuse, specialize } => format!(
-                "blaze:{}{}",
-                if *fuse { 'f' } else { '-' },
-                if *specialize { 's' } else { '-' },
-            ),
+            EngineSpec::Interp => "interp",
+            EngineSpec::Blaze => "blaze",
         }
+        .to_string()
     }
 
-    /// Parse a [`label`](EngineSpec::label) back into a spec.
+    /// Parse a [`label`](EngineSpec::label) back into a spec. The labels
+    /// of the retired blaze knob variants (`blaze:fs`, `blaze:f-`,
+    /// `blaze:-s`, `blaze:--`), which committed artifacts and old
+    /// `--matrix` arguments still name, all parse as [`EngineSpec::Blaze`].
     pub fn parse(label: &str) -> Option<EngineSpec> {
-        let mut parts = label.split(':');
-        match (parts.next()?, parts.next(), parts.next()) {
-            ("interp", None, None) => Some(EngineSpec::Interp),
-            ("blaze", Some(knobs), None) => match knobs.as_bytes() {
-                &[fuse, specialize] => Some(EngineSpec::Blaze {
-                    fuse: fuse == b'f',
-                    specialize: specialize == b's',
-                }),
-                _ => None,
-            },
+        match label {
+            "interp" => Some(EngineSpec::Interp),
+            "blaze" | "blaze:fs" | "blaze:f-" | "blaze:-s" | "blaze:--" => Some(EngineSpec::Blaze),
             _ => None,
-        }
-    }
-
-    fn blaze_options(&self) -> Option<BlazeOptions> {
-        match *self {
-            EngineSpec::Interp => None,
-            EngineSpec::Blaze { fuse, specialize } => Some(BlazeOptions {
-                fuse,
-                specialize,
-                ..BlazeOptions::default()
-            }),
         }
     }
 }
 
-/// The reference variant every other spec is compared against.
+/// The reference engine every other spec is compared against.
 pub const REFERENCE: EngineSpec = EngineSpec::Interp;
 
-/// The default comparison matrix (beyond [`REFERENCE`]): blaze under
-/// every `fuse` × `specialize` combination — five runs per case in total.
+/// The default comparison matrix (beyond [`REFERENCE`]): blaze — two runs
+/// per case in total.
 pub fn default_matrix() -> Vec<EngineSpec> {
-    [(true, true), (false, true), (true, false), (false, false)]
-        .into_iter()
-        .map(|(fuse, specialize)| EngineSpec::Blaze { fuse, specialize })
-        .collect()
+    vec![EngineSpec::Blaze]
 }
 
 /// Everything observed while running one variant.
@@ -142,7 +118,7 @@ impl std::fmt::Display for CaseFailure {
     }
 }
 
-/// Run `schedule` against one engine variant of `(module, design)`.
+/// Run `schedule` against one engine of `(module, design)`.
 ///
 /// # Errors
 ///
@@ -153,28 +129,17 @@ pub fn run_spec(
     module: &Module,
     design: &FuzzDesign,
     elaborated: &Arc<ElaboratedDesign>,
-    compiled_cache: &mut HashMap<(bool, bool), Arc<CompiledDesign>>,
     schedule: &Schedule,
 ) -> Result<RunRecord, String> {
     let config = || SimConfig::until_nanos(design.until_ns);
     // The factory is how checkpoint cuts rebuild a fresh engine of the
     // same kind mid-run.
-    let compiled = match spec.blaze_options() {
-        Some(options) => {
-            let key = (options.fuse, options.specialize);
-            Some(match compiled_cache.get(&key) {
-                Some(c) => c.clone(),
-                None => {
-                    let c = Arc::new(
-                        compile_design_with(module, elaborated.clone(), options)
-                            .map_err(|e| format!("compile ({}): {e:?}", spec.label()))?,
-                    );
-                    compiled_cache.insert(key, c.clone());
-                    c
-                }
-            })
-        }
-        None => None,
+    let compiled = match spec {
+        EngineSpec::Blaze => Some(Arc::new(
+            compile_design(module, elaborated.clone())
+                .map_err(|e| format!("compile ({}): {e:?}", spec.label()))?,
+        )),
+        EngineSpec::Interp => None,
     };
     let make_engine = || -> Box<dyn Engine + '_> {
         match &compiled {
@@ -334,11 +299,10 @@ pub fn run_case(
         elaborate(module, &design.top)
             .map_err(|e| CaseFailure::Generator(format!("elaborate: {e:?}")))?,
     );
-    let mut cache = HashMap::new();
-    let reference = run_spec(REFERENCE, module, design, &elaborated, &mut cache, schedule)
+    let reference = run_spec(REFERENCE, module, design, &elaborated, schedule)
         .map_err(CaseFailure::Generator)?;
     for &spec in matrix {
-        let record = run_spec(spec, module, design, &elaborated, &mut cache, schedule)
+        let record = run_spec(spec, module, design, &elaborated, schedule)
             .map_err(CaseFailure::Generator)?;
         if let Some(divergence) = compare(spec, &reference, &record) {
             return Err(CaseFailure::Divergence(divergence));
@@ -373,6 +337,9 @@ mod tests {
     fn labels_round_trip() {
         for spec in default_matrix().into_iter().chain([REFERENCE]) {
             assert_eq!(EngineSpec::parse(&spec.label()), Some(spec));
+        }
+        for old in ["blaze:fs", "blaze:f-", "blaze:-s", "blaze:--"] {
+            assert_eq!(EngineSpec::parse(old), Some(EngineSpec::Blaze), "{old}");
         }
         assert_eq!(EngineSpec::parse("nonsense"), None);
         assert_eq!(EngineSpec::parse("blaze:fs:t1"), None);

@@ -98,6 +98,11 @@ pub enum StimPlan {
     Counted { outer: u64, inner: Option<u64> },
 }
 
+/// The cluster data widths. Blaze keeps an `iN` with N ≤ 64 in a machine
+/// word and a wider one as a value, so 64 and 80 put a cluster on each
+/// side of that boundary.
+pub const WIDTHS: [usize; 5] = [8, 16, 32, 64, 80];
+
 /// One independent cluster: a stimulus process, optional racer processes
 /// on the shared `race` signal, and a chain of datapath units. Clusters
 /// share nothing, so each is one sensitivity island.
@@ -107,7 +112,8 @@ pub struct ClusterPlan {
     /// cluster 1 must not rename cluster 2's signals, or a shrunk
     /// schedule would stop resolving).
     pub id: usize,
-    /// Data width of the cluster's links and race signal (8/16/32).
+    /// Data width of the cluster's links and race signal, one of
+    /// [`WIDTHS`].
     pub width: usize,
     /// Half-period of the cluster's clock in nanoseconds (1..=3).
     pub clock_half_ns: u64,
@@ -186,7 +192,7 @@ impl DesignPlan {
 
 impl ClusterPlan {
     fn generate(id: usize, rng: &mut FuzzRng) -> ClusterPlan {
-        let width = *rng.pick(&[8usize, 16, 32]);
+        let width = *rng.pick(&WIDTHS);
         let units = (0..rng.range_usize(1, 3))
             .map(|_| UnitPlan::generate(rng))
             .collect();
@@ -586,6 +592,7 @@ mod tests {
     fn every_seed_builds_verifies_and_elaborates() {
         // Stimulus shapes seen: free-running, counted, nested counted.
         let mut shapes = [0usize; 3];
+        let mut widths = [0usize; WIDTHS.len()];
         for seed in 0..256u64 {
             let plan = DesignPlan::generate(seed);
             for c in &plan.clusters {
@@ -594,6 +601,7 @@ mod tests {
                     StimPlan::Counted { inner: None, .. } => 1,
                     StimPlan::Counted { inner: Some(_), .. } => 2,
                 }] += 1;
+                widths[WIDTHS.iter().position(|&w| w == c.width).unwrap()] += 1;
             }
             let (design, module) = plan
                 .build()
@@ -624,6 +632,7 @@ mod tests {
             shapes.iter().all(|&n| n >= 32),
             "stimulus shapes {shapes:?}"
         );
+        assert!(widths.iter().all(|&n| n >= 32), "cluster widths {widths:?}");
     }
 
     /// A counted stimulus runs outer × inner clock cycles, then halts, on

@@ -1,10 +1,9 @@
 //! # llhd-fuzz — differential fuzzing of the LLHD simulation engines
 //!
-//! The repository's core correctness claim is that every execution
-//! strategy over the same design — the reference interpreter, the blaze
-//! compiled engine under any [`BlazeOptions`](llhd_blaze::BlazeOptions)
-//! knob combination, at any thread count, across any checkpoint/restore
-//! cut — produces the **byte-identical** trace. The curated benchmark
+//! The repository's core correctness claim is that both engines over the
+//! same design — the reference interpreter and the blaze compiled engine,
+//! across any checkpoint/restore cut — produce the **byte-identical**
+//! trace. The curated benchmark
 //! corpus pins that claim on ten designs; this crate pins it on an
 //! unbounded stream of generated ones.
 //!
@@ -14,15 +13,15 @@
 //!   elaboratable LLHD modules *by construction*: random mixes of
 //!   processes, combinational and register entities, nested
 //!   instantiation, wait sensitivities, multi-driver same-timestamp
-//!   drive races, and the exact op shapes the blaze superinstruction
-//!   fuser targets (compare+branch, array+mux, compute+drive).
+//!   drive races, the exact op shapes the blaze superinstruction fuser
+//!   targets (compare+branch, array+mux, compute+drive), and data widths
+//!   on both sides of blaze's 64-bit machine-word boundary.
 //! * [`stim`] — a constrained-random stimulus schedule over the
 //!   engines' step/peek/poke surface, including checkpoint/restore at
 //!   random cut points.
 //! * [`diff`] — the differential driver: one case runs the reference
-//!   interpreter and a configurable matrix of engine variants in
-//!   lockstep and compares traces, VCD serializations, statistics, and
-//!   peek logs byte for byte.
+//!   interpreter and blaze in lockstep and compares traces, VCD
+//!   serializations, statistics, and peek logs byte for byte.
 //! * [`shrink`] + [`artifact`] — on divergence, minimize the design and
 //!   the schedule while the mismatch reproduces, then emit a
 //!   self-contained replay artifact that can be promoted into the

@@ -154,17 +154,16 @@ fn simplify_inst(unit: &mut UnitData, inst: llhd::ir::Inst) -> bool {
             // mux with a constant selector: pick the element directly if the
             // choices are an `array` construction.
             let (choices, sel) = (data.args[0], data.args[1]);
-            let index = match unit.get_const(sel) {
-                Some(c) => match c.to_u64() {
-                    Some(v) => v as usize,
-                    None => return false,
-                },
-                None => return false,
+            let Some(sel) = unit.get_const(sel) else {
+                return false;
             };
             if let llhd::ir::ValueDef::Inst(def) = unit.value_def(choices) {
                 let def_data = unit.inst_data(def);
                 if def_data.opcode == Opcode::Array && !def_data.args.is_empty() {
-                    let chosen = def_data.args[index.min(def_data.args.len() - 1)];
+                    let Some(index) = llhd::eval::mux_index(sel, def_data.args.len()) else {
+                        return false;
+                    };
+                    let chosen = def_data.args[index];
                     return replace_with_value(unit, inst, chosen);
                 }
             }

@@ -140,8 +140,20 @@ pub fn eval_mux(choices: &ConstValue, selector: &ConstValue) -> Option<ConstValu
     if elems.is_empty() {
         return None;
     }
-    let idx = selector.to_u64()? as usize;
-    Some(elems[idx.min(elems.len() - 1)].clone())
+    Some(elems[mux_index(selector, elems.len())?].clone())
+}
+
+/// The element a `mux` over `len > 0` elements picks for `selector`: the
+/// selector's unsigned value, clamped to the last element — also when the
+/// value does not fit in a `u64`, whose low limb alone would wrap around.
+pub fn mux_index(selector: &ConstValue, len: usize) -> Option<usize> {
+    let clamp = |v: &ApInt| if v.fits_u64() { v.to_u64() } else { u64::MAX };
+    let index = match selector {
+        ConstValue::Int(v) => clamp(v),
+        ConstValue::Logic(v) => clamp(&v.to_apint()?),
+        _ => selector.to_u64()?,
+    };
+    Some(usize::try_from(index).unwrap_or(usize::MAX).min(len - 1))
 }
 
 /// Evaluate an `extf` field extraction.
@@ -301,6 +313,24 @@ mod tests {
             eval_mux(&choices, &ConstValue::int(8, 200)),
             Some(ConstValue::int(8, 30))
         );
+    }
+
+    /// A selector wider than 64 bits clamps on its whole value: 2^64 and
+    /// 2^64 + 1 have low limbs 0 and 1, yet both pick the last element.
+    #[test]
+    fn wide_mux_selector_clamps() {
+        let choices = ConstValue::Array(vec![
+            ConstValue::int(8, 10),
+            ConstValue::int(8, 20),
+            ConstValue::int(8, 30),
+        ]);
+        let two_64 = ApInt::from_u64(80, 1).shl_bits(64);
+        for selector in [two_64.clone(), two_64.add(&ApInt::from_u64(80, 1))] {
+            let selector = ConstValue::Int(selector);
+            assert_eq!(mux_index(&selector, 3), Some(2));
+            assert_eq!(eval_mux(&choices, &selector), Some(ConstValue::int(8, 30)));
+        }
+        assert_eq!(mux_index(&ConstValue::int(80, 1), 3), Some(1));
     }
 
     #[test]

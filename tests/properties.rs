@@ -298,17 +298,17 @@ fn event_queue_pops_in_nondecreasing_time_order() {
     });
 }
 
-/// Superinstruction-fused execution is observably identical to the
-/// unfused/unspecialized path: both engines are driven through seeded
-/// random step/peek/poke schedules in lockstep, and every intermediate
-/// signal value, the simulation clock, and the final trace must agree
-/// byte for byte.
+/// Blaze's fused, specialized execution is observably identical to the
+/// interpreter: both engines are driven through seeded random
+/// step/peek/poke schedules in lockstep, and every intermediate signal
+/// value, the simulation clock, and the final trace must agree byte for
+/// byte.
 #[test]
-fn fused_and_unfused_blaze_agree_under_random_schedules() {
+fn blaze_and_interpreter_agree_under_random_schedules() {
     use llhd::assembly::parse_module;
     use llhd::value::ConstValue;
-    use llhd_blaze::{compile_design_with, BlazeOptions, BlazeSimulator};
-    use llhd_sim::{elaborate, SimConfig};
+    use llhd_blaze::{compile_design, BlazeSimulator};
+    use llhd_sim::{elaborate, SimConfig, Simulator};
     use std::sync::Arc;
 
     // A design that exercises the fusion patterns: array+mux selection,
@@ -371,33 +371,18 @@ fn fused_and_unfused_blaze_agree_under_random_schedules() {
         .map(|name| elaborated.signal_by_name(name).unwrap())
         .collect();
 
-    forall("fused blaze matches unfused under schedules", |rng| {
+    forall("blaze matches the interpreter under schedules", |rng| {
         let config = SimConfig::until_nanos(rng.range_u64(20, 200) as u128);
-        let fused = compile_design_with(
-            &module,
-            Arc::clone(&elaborated),
-            BlazeOptions::default(),
-        )
-        .unwrap();
-        let generic = compile_design_with(
-            &module,
-            Arc::clone(&elaborated),
-            BlazeOptions {
-                fuse: false,
-                specialize: false,
-                ..BlazeOptions::default()
-            },
-        )
-        .unwrap();
-        let mut fused = BlazeSimulator::new(fused, config.clone());
-        let mut generic = BlazeSimulator::new(generic, config);
+        let compiled = compile_design(&module, Arc::clone(&elaborated)).unwrap();
+        let mut blaze = BlazeSimulator::new(compiled, config.clone());
+        let mut interp = Simulator::new(&module, Arc::clone(&elaborated), config);
         let actions = rng.range_usize(1, 40);
         for _ in 0..actions {
             match rng.range_u64(0, 3) {
                 // Advance both engines one scheduler cycle.
                 0 | 1 => {
-                    let a = fused.step().unwrap();
-                    let b = generic.step().unwrap();
+                    let a = blaze.step().unwrap();
+                    let b = interp.step().unwrap();
                     prop_assert_eq!(a, b);
                 }
                 // Poke the same random value into both.
@@ -409,28 +394,28 @@ fn fused_and_unfused_blaze_agree_under_random_schedules() {
                     } else {
                         ConstValue::int(8, rng.range_u64(0, 255))
                     };
-                    fused.poke(sig, value.clone());
-                    generic.poke(sig, value);
+                    blaze.poke(sig, value.clone());
+                    interp.poke(sig, value);
                 }
                 // Peek every observable signal; values must agree.
                 _ => {
                     for &sig in &signals {
-                        prop_assert_eq!(fused.signal_value(sig), generic.signal_value(sig));
+                        prop_assert_eq!(blaze.signal_value(sig), interp.signal_value(sig));
                     }
                 }
             }
-            prop_assert_eq!(fused.time(), generic.time());
+            prop_assert_eq!(blaze.time(), interp.time());
         }
         // Run both out and require byte-identical traces and statistics.
-        while fused.step().unwrap() {
-            prop_assert!(generic.step().unwrap());
+        while blaze.step().unwrap() {
+            prop_assert!(interp.step().unwrap());
         }
-        prop_assert!(!generic.step().unwrap());
-        let fused = fused.finish();
-        let generic = generic.finish();
-        prop_assert_eq!(fused.trace.events(), generic.trace.events());
-        prop_assert_eq!(fused.signal_changes, generic.signal_changes);
-        prop_assert_eq!(fused.end_time, generic.end_time);
+        prop_assert!(!interp.step().unwrap());
+        let blaze = blaze.finish();
+        let interp = interp.finish();
+        prop_assert_eq!(blaze.trace.events(), interp.trace.events());
+        prop_assert_eq!(blaze.signal_changes, interp.signal_changes);
+        prop_assert_eq!(blaze.end_time, interp.end_time);
         Ok(())
     });
 }
