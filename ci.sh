@@ -103,19 +103,22 @@ echo "ci.sh: differential fuzz smoke gate OK (seed 0x11d4)"
 
 # Server smoke test: a request → response → shutdown round-trip through
 # the real llhd-server binary over stdio (the same protocol the TCP mode
-# speaks; see docs/PROTOCOL.md). Four requests in — the third a
+# speaks; see docs/PROTOCOL.md). Five requests in — the third a
 # self-recursive design, which must come back as a `call depth limit`
-# error instead of overflowing the stack and killing the process — three
-# ok-responses and that one error out, clean exit, under a hard timeout
-# so a server that stops reading or never exits fails the gate instead
-# of hanging it.
+# error instead of overflowing the stack and killing the process, the
+# fourth a time literal past the end of representable time, which must
+# come back as a source error naming the literal instead of wrapping
+# around — three ok-responses and those two errors out, clean exit,
+# under a hard timeout so a server that stops reading or never exits
+# fails the gate instead of hanging it.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/requests" <<'EOF'
 {"type":"ping","id":1}
 {"type":"sim","id":2,"source":"proc @blink () -> (i1$ %led) { entry: %on = const i1 1 %off = const i1 0 %t = const time 5ns drv i1$ %led, %on after %t wait %next for %t next: drv i1$ %led, %off after %t wait %entry for %t }","top":"blink","until_ns":100}
 {"type":"sim","id":3,"source":"func @f (i8 %x) i8 { entry: %r = call i8 @f (%x) ret i8 %r } proc @p () -> () { entry: %v = const i8 1 %r = call i8 @f (%v) halt }","top":"p","until_ns":10}
-{"type":"shutdown","id":4}
+{"type":"sim","id":4,"source":"proc @p () -> (i1$ %s) { entry: %t = const time 340282366920938463463374607431768211455s wait %entry for %t }","top":"p","until_ns":10}
+{"type":"shutdown","id":5}
 EOF
 timeout 60 ./target/release/llhd-server --stdio --stats-interval 0 \
     < "$SMOKE_DIR/requests" > "$SMOKE_DIR/responses" || {
@@ -131,9 +134,15 @@ if [ "$OK_COUNT" != "3" ]; then
     cat "$SMOKE_DIR/responses" >&2
     exit 1
 fi
-if [ "$(grep -c '"ok":false' "$SMOKE_DIR/responses" || true)" != "1" ] ||
+if [ "$(grep -c '"ok":false' "$SMOKE_DIR/responses" || true)" != "2" ] ||
     ! grep '"ok":false' "$SMOKE_DIR/responses" | grep -q 'call depth limit'; then
     echo "ci.sh: server smoke test: the recursive design did not get a call-depth error:" >&2
+    cat "$SMOKE_DIR/responses" >&2
+    exit 1
+fi
+if ! grep '"ok":false' "$SMOKE_DIR/responses" |
+    grep -q "invalid time literal '340282366920938463463374607431768211455s'"; then
+    echo "ci.sh: server smoke test: the overflowing time literal was not rejected:" >&2
     cat "$SMOKE_DIR/responses" >&2
     exit 1
 fi

@@ -602,13 +602,11 @@ fn step<E: Env>(
                 return Ok(Next::Op);
             }
             let delay = delay_value(&frame.regs, delay)?;
-            let value = ConstValue::int(usize::from(*out), value);
-            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+            core.schedule_word(SignalId(*sig as usize), *out, value, &delay);
         }
         SuperOp::WPrb { dst, sig, width } => {
-            let value = env.core()?.value(SignalId(*sig as usize));
-            frame.regs.words[*dst as usize] =
-                value.as_int().map_or(0, ApInt::to_u64) & word_mask(*width);
+            let word = env.core()?.word(SignalId(*sig as usize));
+            frame.regs.words[*dst as usize] = word & word_mask(*width);
         }
         SuperOp::WDrv {
             sig,
@@ -622,9 +620,9 @@ fn step<E: Env>(
             if cond.is_some_and(|c| words[c as usize] == 0) {
                 return Ok(Next::Op);
             }
-            let value = ConstValue::int(usize::from(*width), words[*value as usize]);
+            let word = words[*value as usize];
             let delay = delay_value(&frame.regs, delay)?;
-            core.schedule_drive(SignalId(*sig as usize), value, &delay);
+            core.schedule_word(SignalId(*sig as usize), *width, word, &delay);
         }
         SuperOp::WLd { dst, mem } => {
             frame.regs.words[*dst as usize] = frame.mems.words[*mem as usize];
@@ -791,7 +789,7 @@ fn step<E: Env>(
             core.schedule_drive(SignalId(*sig as usize), value, &delay);
         }
         SuperOp::Prb { dst, sig } => {
-            let value = env.core()?.value(SignalId(*sig as usize)).clone();
+            let value = env.core()?.value(SignalId(*sig as usize));
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::Drv {
@@ -815,7 +813,7 @@ fn step<E: Env>(
         } => {
             let core = env.core()?;
             let delay = delay_value(&frame.regs, delay)?;
-            let value = core.value(SignalId(*source as usize)).clone();
+            let value = core.value(SignalId(*source as usize));
             core.schedule_drive(SignalId(*target as usize), value, &delay);
         }
         SuperOp::Reg { sig, triggers } => {

@@ -427,3 +427,43 @@ fn peek_and_poke_are_engine_agnostic() {
         );
     }
 }
+
+/// A drive whose delay carries it past the end of representable time
+/// never fires: the event time saturates instead of wrapping around to
+/// the near future, where the scheduler would have clamped it to the
+/// next delta step.
+#[test]
+fn a_delay_past_the_end_of_time_never_fires() {
+    llhd_blaze::register();
+    let module = llhd::assembly::parse_module(
+        r#"
+        proc @p () -> (i8$ %s) {
+        entry:
+            %early = const time 10fs
+            %far = const time 340282366920938463463374607431768211450fs
+            %v = const i8 1
+            wait %late for %early
+        late:
+            drv i8$ %s, %v after %far
+            halt
+        }
+        entity @top () -> () {
+            %zero = const i8 0
+            %s = sig i8 %zero
+            inst @p () -> (%s)
+        }
+        "#,
+    )
+    .unwrap();
+    for engine in [EngineKind::Interpret, EngineKind::Compile] {
+        let result = SimSession::builder(&module, "top")
+            .engine(engine)
+            .until_nanos(1_000)
+            .build()
+            .unwrap()
+            .run()
+            .unwrap();
+        assert_eq!(result.signal_changes, 0, "{:?}", engine);
+        assert_eq!(result.trace.events(), &[], "{:?}", engine);
+    }
+}

@@ -34,7 +34,11 @@
 //!   free-running wait loop or the shape the Moore frontend emits for
 //!   `repeat (n)`: a `var` counter, `ld`, `ult` against the count, a
 //!   conditional branch, the `wait … for` inside the body, a back edge,
-//!   optionally nested, and a `halt` once the count runs out.
+//!   optionally nested, and a `halt` once the count runs out;
+//! * **delta and epsilon delays** — a cluster's datapath drives land
+//!   after `0s`, `2d` or `0s 1e` ([`DataDelay`]), so drives that do not
+//!   target the next delta step, and designs where the scheduler may not
+//!   drop a redundant drive, both occur.
 
 use crate::rng::FuzzRng;
 use llhd::ir::Module;
@@ -72,8 +76,8 @@ pub enum UnitPlan {
     /// A combinational entity: probe the input link, fold a chain of
     /// binary ops over seeded constants (optionally mixing in the race
     /// signal), optionally select the result through an array+mux tail
-    /// (the blaze `Sel` fusion shape), and drive the output with zero
-    /// delay (the compute+drive fusion shape).
+    /// (the blaze `Sel` fusion shape), and drive the output after the
+    /// cluster's data delay (the compute+drive fusion shape).
     Comb {
         ops: Vec<(BinOp, u64)>,
         mix_race: bool,
@@ -96,6 +100,30 @@ pub enum StimPlan {
     /// or an inner counted loop of `inner` cycles, then `halt`. The counts
     /// straddle the run horizon: some stimuli halt mid-run, some are cut.
     Counted { outer: u64, inner: Option<u64> },
+}
+
+/// The delay of a cluster's datapath drives: zero (the next delta step,
+/// where the scheduler may drop a redundant drive before it is queued),
+/// two delta steps, or one epsilon step (which makes drive dropping
+/// unsound for the whole design, so the scheduler keeps every drive).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DataDelay {
+    Zero,
+    TwoDeltas,
+    OneEpsilon,
+}
+
+impl DataDelay {
+    /// The delay as an LLHD time literal.
+    pub fn literal(self) -> &'static str {
+        match self {
+            DataDelay::Zero => "0s",
+            DataDelay::TwoDeltas => "2d",
+            DataDelay::OneEpsilon => "0s 1e",
+        }
+    }
+
+    pub const ALL: [DataDelay; 3] = [DataDelay::Zero, DataDelay::TwoDeltas, DataDelay::OneEpsilon];
 }
 
 /// The cluster data widths. Blaze keeps an `iN` with N ≤ 64 in a machine
@@ -127,6 +155,8 @@ pub struct ClusterPlan {
     pub nested: bool,
     /// The datapath chain, in link order.
     pub units: Vec<UnitPlan>,
+    /// The delay of every datapath unit's output drive.
+    pub data_delay: DataDelay,
 }
 
 /// A structured, shrinkable description of one generated design.
@@ -165,9 +195,14 @@ impl DesignPlan {
     /// seeded widths, clocks, racers, nesting, and unit internals.
     pub fn generate(seed: u64) -> DesignPlan {
         let mut rng = FuzzRng::new(seed);
-        let clusters = (0..rng.range_usize(1, 4))
+        let mut clusters: Vec<ClusterPlan> = (0..rng.range_usize(1, 4))
             .map(|id| ClusterPlan::generate(id, &mut rng))
             .collect();
+        // Drawn after everything else, so the rest of each plan is the
+        // one the same seed generated before delays were drawn.
+        for c in &mut clusters {
+            c.data_delay = *rng.pick(&DataDelay::ALL);
+        }
         DesignPlan { seed, clusters }
     }
 
@@ -205,6 +240,7 @@ impl ClusterPlan {
             racers: (0..rng.range_usize(0, 2)).map(|_| rng.range(1, 250)).collect(),
             nested: rng.chance(40),
             units,
+            data_delay: DataDelay::Zero,
         }
     }
 }
@@ -408,7 +444,7 @@ fn emit_unit(src: &mut String, c: &ClusterPlan, j: usize, unit: &UnitPlan) {
             if *mix_race {
                 writeln!(src, "    %rp = prb i{w}$ %race").unwrap();
             }
-            writeln!(src, "    %delay = const time 0s").unwrap();
+            writeln!(src, "    %delay = const time {}", c.data_delay.literal()).unwrap();
             let mut cur = "%ap".to_string();
             for (n, (op, konst)) in ops.iter().enumerate() {
                 writeln!(src, "    %k{n} = const i{w} {konst}").unwrap();
@@ -457,7 +493,7 @@ fn emit_unit(src: &mut String, c: &ClusterPlan, j: usize, unit: &UnitPlan) {
             writeln!(src, "    br %pos, %main, %tick").unwrap();
             writeln!(src, "tick:").unwrap();
             writeln!(src, "    %ap = prb i{w}$ %a").unwrap();
-            writeln!(src, "    %delay = const time 0s").unwrap();
+            writeln!(src, "    %delay = const time {}", c.data_delay.literal()).unwrap();
             for t in 0..*taps {
                 writeln!(src, "    %v{t} = ld i{w}* %t{t}p").unwrap();
             }
@@ -593,9 +629,11 @@ mod tests {
         // Stimulus shapes seen: free-running, counted, nested counted.
         let mut shapes = [0usize; 3];
         let mut widths = [0usize; WIDTHS.len()];
+        let mut delays = [0usize; DataDelay::ALL.len()];
         for seed in 0..256u64 {
             let plan = DesignPlan::generate(seed);
             for c in &plan.clusters {
+                delays[DataDelay::ALL.iter().position(|&d| d == c.data_delay).unwrap()] += 1;
                 shapes[match c.stim {
                     StimPlan::Free => 0,
                     StimPlan::Counted { inner: None, .. } => 1,
@@ -633,6 +671,7 @@ mod tests {
             "stimulus shapes {shapes:?}"
         );
         assert!(widths.iter().all(|&n| n >= 32), "cluster widths {widths:?}");
+        assert!(delays.iter().all(|&n| n >= 32), "data delays {delays:?}");
     }
 
     /// A counted stimulus runs outer × inner clock cycles, then halts, on

@@ -357,7 +357,7 @@ impl<X: Executor> Driver<X> {
     }
 
     /// The current value of a signal.
-    pub fn signal_value(&self, signal: SignalId) -> &ConstValue {
+    pub fn signal_value(&self, signal: SignalId) -> ConstValue {
         self.core.value(self.exec.design().resolve(signal))
     }
 
@@ -457,7 +457,7 @@ impl<X: Executor> Engine for Driver<X> {
         Driver::time(self)
     }
     fn peek(&self, signal: SignalId) -> ConstValue {
-        self.signal_value(signal).clone()
+        self.signal_value(signal)
     }
     fn poke(&mut self, signal: SignalId, value: ConstValue) {
         Driver::poke(self, signal, value)

@@ -561,7 +561,7 @@ fn value_of(
     // Signal-typed arguments read their current value when used as data.
     let sig = st.sig_of[i];
     if sig != NO_SIGNAL {
-        return Ok(core.value(sig).clone());
+        return Ok(core.value(sig));
     }
     Err(SimError::Runtime(format!(
         "use of a value before definition ({:?} in {})",
@@ -723,7 +723,7 @@ fn execute_simple_inst(
         }
         Opcode::Prb => {
             let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = core.value(signal).clone();
+            let value = core.value(signal);
             let result = unit.inst_result(inst);
             set_value(st, result, value);
         }
@@ -1024,7 +1024,7 @@ fn eval_entity(
                 let source = signal_of(cx, st, idx, data.args[0])?;
                 let target = signal_of(cx, st, idx, unit.inst_result(inst))?;
                 let delay = time_value(cx, st, core, idx, unit, data.args[1], "del delay")?;
-                let value = core.value(source).clone();
+                let value = core.value(source);
                 core.schedule_drive(target, value, &delay);
             }
             Opcode::Reg => {

@@ -6,8 +6,8 @@
 //! This module implements that model once, tuned for the hot path:
 //!
 //! * **Calendar event queue** ([`EventQueue`]): a binary min-heap over
-//!   pending instants whose event payloads live in free-listed
-//!   [`EventBucket`]s that are reused across pops (no per-instant
+//!   pending instants whose event payloads live in free-listed buckets
+//!   of 16-byte drive records that are reused across pops (no per-instant
 //!   allocation in steady state), plus a *near ring* that keeps the
 //!   delta/epsilon events of the current physical instant out of the heap
 //!   entirely — the overwhelmingly common zero-delay drive costs a small
@@ -15,7 +15,10 @@
 //! * **Dense state** ([`SchedCore`]): signal values, pending-drive
 //!   counters, entity sensitivity, and process watch lists are flat
 //!   vectors indexed by *resolved* [`SignalId`]s; nothing on the
-//!   per-event path hashes.
+//!   per-event path hashes. A signal of an `iN` type with N ≤ 64 keeps
+//!   its value, and its queued drives, as a `u64` machine word (see
+//!   [`SchedCore`]), so the compiled engine's word registers reach it
+//!   without building a [`ConstValue`].
 //! * **Change short-circuiting**: a drive that would re-write a signal's
 //!   current value is dropped before it is enqueued (when provably
 //!   unobservable, see [`SchedCore::schedule_drive`]), and instances are
@@ -41,7 +44,7 @@ use crate::engine::{SimConfig, SimError};
 use crate::trace::{Trace, TraceEvent};
 use llhd::bitcode::{decode_const_value, encode_const_value, read_varint, write_varint};
 use llhd::ir::{Module, Opcode};
-use llhd::value::{ConstValue, TimeValue};
+use llhd::value::{ApInt, ConstValue, TimeValue};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -123,21 +126,78 @@ fn same_shape(a: &ConstValue, b: &ConstValue) -> bool {
     }
 }
 
+/// A popped drive's new value: a machine word for a signal the scheduler
+/// keeps in a word (an `iN`, N ≤ 64, see [`SchedCore`]), a value for any
+/// other.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum Payload {
+    /// The masked bits of an integer of the signal's width.
+    Word(u64),
+    /// Any other value.
+    Value(ConstValue),
+}
+
+/// One queued drive, 16 bytes: the signal plus either the word itself or
+/// the index of the value in its bucket's side list.
+#[derive(Clone, Copy, Debug)]
+struct QueuedDrive {
+    signal: u32,
+    /// [`QueuedDrive::WORD`], or the value's index in [`EventBucket::values`].
+    value: u32,
+    word: u64,
+}
+
+impl QueuedDrive {
+    const WORD: u32 = u32::MAX;
+}
+
 /// The events scheduled for one simulation instant.
 ///
 /// Buckets are owned by the [`EventQueue`] and recycled through a free
 /// list, so their `Vec` capacities survive across instants.
 #[derive(Default, Clone, Debug)]
-pub struct EventBucket {
+struct EventBucket {
     /// Scheduled signal updates, in scheduling order (last writer wins).
-    pub drives: Vec<(SignalId, ConstValue)>,
+    drives: Vec<QueuedDrive>,
+    /// The payloads of the value drives, in scheduling order.
+    values: Vec<ConstValue>,
     /// Timed process wake-ups as `(instance, wait token)`.
-    pub wakes: Vec<(u32, u64)>,
+    wakes: Vec<(u32, u64)>,
 }
 
 impl EventBucket {
-    fn is_empty(&self) -> bool {
-        self.drives.is_empty() && self.wakes.is_empty()
+    fn push_word(&mut self, signal: SignalId, word: u64) {
+        self.drives.push(QueuedDrive {
+            signal: signal.0 as u32,
+            value: QueuedDrive::WORD,
+            word,
+        });
+    }
+
+    fn push_value(&mut self, signal: SignalId, value: ConstValue) {
+        self.drives.push(QueuedDrive {
+            signal: signal.0 as u32,
+            value: self.values.len() as u32,
+            word: 0,
+        });
+        self.values.push(value);
+    }
+
+    /// Move drive `drive`'s payload out of the bucket.
+    fn take(&mut self, drive: QueuedDrive) -> Payload {
+        match drive.value {
+            QueuedDrive::WORD => Payload::Word(drive.word),
+            index => Payload::Value(std::mem::replace(
+                &mut self.values[index as usize],
+                ConstValue::Void,
+            )),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.drives.clear();
+        self.values.clear();
+        self.wakes.clear();
     }
 }
 
@@ -164,8 +224,9 @@ pub struct EventQueue {
     last: Option<(TimeValue, u32)>,
     seq: u64,
     events: usize,
-    /// Scratch for merging same-timestamp buckets at pop time.
-    merge: Vec<(u64, u32)>,
+    /// The buckets of the instant popped last as `(seq, bucket)`, in
+    /// creation order.
+    popped: Vec<(u64, u32)>,
 }
 
 impl EventQueue {
@@ -211,10 +272,11 @@ impl EventQueue {
         }
     }
 
-    fn bucket_at(&mut self, at: TimeValue) -> u32 {
+    fn bucket_at(&mut self, at: TimeValue) -> &mut EventBucket {
+        self.events += 1;
         if let Some((t, b)) = self.last {
             if t == at {
-                return b;
+                return &mut self.buckets[b as usize];
             }
         }
         let bucket = if at.as_femtos() == self.near_femtos {
@@ -234,22 +296,25 @@ impl EventQueue {
             b
         };
         self.last = Some((at, bucket));
-        bucket
+        &mut self.buckets[bucket as usize]
     }
 
     /// Schedule a drive of `signal` to `value` at the absolute time `at`.
     pub fn schedule_drive(&mut self, at: TimeValue, signal: SignalId, value: ConstValue) {
-        let b = self.bucket_at(at);
-        self.buckets[b as usize].drives.push((signal, value));
-        self.events += 1;
+        self.bucket_at(at).push_value(signal, value);
+    }
+
+    /// Schedule a drive of `signal` to the integer whose bits are `word`
+    /// at the absolute time `at`. The queue does not know the signal's
+    /// width: the word pops as [`Payload::Word`].
+    pub fn schedule_word(&mut self, at: TimeValue, signal: SignalId, word: u64) {
+        self.bucket_at(at).push_word(signal, word);
     }
 
     /// Schedule a timed wake-up of `instance` (guarded by `token`) at the
     /// absolute time `at`.
     pub fn schedule_wake(&mut self, at: TimeValue, instance: u32, token: u64) {
-        let b = self.bucket_at(at);
-        self.buckets[b as usize].wakes.push((instance, token));
-        self.events += 1;
+        self.bucket_at(at).wakes.push((instance, token));
     }
 
     /// Pop *all* events of the earliest pending instant, appending them to
@@ -257,23 +322,42 @@ impl EventQueue {
     /// The drained buckets return to the free list.
     pub fn pop_next(
         &mut self,
-        drives: &mut Vec<(SignalId, ConstValue)>,
+        drives: &mut Vec<(SignalId, Payload)>,
         wakes: &mut Vec<(u32, u64)>,
     ) -> Option<TimeValue> {
         let t = self.next_time()?;
+        self.pop_instant(t);
+        for i in 0..self.popped.len() {
+            let bucket = &mut self.buckets[self.popped[i].1 as usize];
+            for j in 0..bucket.drives.len() {
+                let drive = bucket.drives[j];
+                drives.push((SignalId(drive.signal as usize), bucket.take(drive)));
+            }
+            wakes.extend_from_slice(&bucket.wakes);
+        }
+        self.release_popped();
+        Some(t)
+    }
+
+    /// Unlink the buckets of instant `t`, the earliest pending one, and
+    /// list them in [`EventQueue::popped`] in creation order, so
+    /// scheduling order survives the merge of same-timestamp buckets. The
+    /// caller consumes them in place, then calls
+    /// [`EventQueue::release_popped`].
+    fn pop_instant(&mut self, t: TimeValue) {
         if self.last.is_some_and(|(lt, _)| lt == t) {
             self.last = None;
         }
         // Entering a new physical instant: the near ring is necessarily
         // empty (all its entries would precede `t`), so re-key it.
         self.near_femtos = t.as_femtos();
-        let mut merge = std::mem::take(&mut self.merge);
-        merge.clear();
+        let popped = &mut self.popped;
+        popped.clear();
         let mut i = 0;
         while i < self.near.len() {
             if self.near[i].0 == t {
                 let (_, seq, b) = self.near.swap_remove(i);
-                merge.push((seq, b));
+                popped.push((seq, b));
             } else {
                 i += 1;
             }
@@ -283,21 +367,23 @@ impl EventQueue {
                 break;
             }
             self.heap.pop();
-            merge.push((seq, b));
+            popped.push((seq, b));
         }
-        // Replay buckets in creation order so scheduling order survives
-        // the merge of same-timestamp buckets.
-        merge.sort_unstable_by_key(|&(seq, _)| seq);
-        for &(_, b) in &merge {
+        if popped.len() > 1 {
+            popped.sort_unstable_by_key(|&(seq, _)| seq);
+        }
+    }
+
+    /// Empty the buckets [`EventQueue::pop_instant`] listed and return
+    /// them to the free list.
+    fn release_popped(&mut self) {
+        for &(_, b) in &self.popped {
             let bucket = &mut self.buckets[b as usize];
             self.events -= bucket.drives.len() + bucket.wakes.len();
-            drives.append(&mut bucket.drives);
-            wakes.append(&mut bucket.wakes);
-            debug_assert!(bucket.is_empty());
+            bucket.clear();
             self.free.push(b);
         }
-        self.merge = merge;
-        Some(t)
+        self.popped.clear();
     }
 }
 
@@ -337,7 +423,7 @@ pub fn module_allows_drive_dropping(module: &Module) -> bool {
 ///
 /// 1. run every instance once for initialization (processes suspend via
 ///    [`SchedCore::suspend`], drives go through
-///    [`SchedCore::schedule_drive`]),
+///    [`SchedCore::schedule_drive`] or [`SchedCore::schedule_word`]),
 /// 2. call [`SchedCore::next_cycle`] to advance to the next instant; it
 ///    applies the instant's drives, records the trace, and fills `to_run`
 ///    with the instances to activate,
@@ -347,12 +433,32 @@ pub fn module_allows_drive_dropping(module: &Module) -> bool {
 /// [`ElaboratedDesign::resolve`](crate::design::ElaboratedDesign::resolve));
 /// engines pre-resolve their per-instance signal tables at
 /// elaboration/compile time so the runtime never chases aliases.
+///
+/// # Word and value signals
+///
+/// A signal whose initial value is an `iN` with N ≤ 64 is a *word
+/// signal*: its value lives in a `u64` (masked to N bits), and its queued
+/// drives carry that word, so probing, driving, comparing and applying it
+/// builds no [`ConstValue`]. Every other signal keeps a [`ConstValue`].
+/// [`SchedCore::value`] boxes a word at its width, so both kinds read the
+/// same from outside; a traced word change is boxed when recorded. A
+/// drive of a value of another type than the signal's (only an
+/// unverified module can issue one) still applies: the word signal then
+/// holds that value, exactly as a value signal would, until an integer of
+/// its own width is applied again.
 pub struct SchedCore {
     max_time: TimeValue,
     max_deltas_per_instant: u32,
     queue: EventQueue,
     time: TimeValue,
-    /// Current value of every signal, by resolved id.
+    /// Per signal: the width of a word signal, 0 for a value signal.
+    word_width: Vec<u8>,
+    /// Per signal: `word_width` while the value is the word in `words`, 0
+    /// while it is the value in `values`.
+    width: Vec<u8>,
+    /// The current value of every word signal, by resolved id.
+    words: Vec<u64>,
+    /// The current value of every other signal (`Void` for a word signal).
     values: Vec<ConstValue>,
     /// Pending (scheduled but not yet applied) drive count per signal.
     pending: Vec<u32>,
@@ -377,8 +483,15 @@ pub struct SchedCore {
     signal_changes: usize,
     deltas_in_instant: u32,
     last_physical: u128,
-    drives_buf: Vec<(SignalId, ConstValue)>,
-    wakes_buf: Vec<(u32, u64)>,
+}
+
+/// The word width of a signal whose initial value is `init`: N for an
+/// `iN` with N ≤ 64, 0 otherwise.
+fn word_width_of(init: &ConstValue) -> u8 {
+    match init {
+        ConstValue::Int(a) if a.width() <= 64 => a.width() as u8,
+        _ => 0,
+    }
 }
 
 impl SchedCore {
@@ -392,7 +505,16 @@ impl SchedCore {
         num_instances: usize,
         allow_drop: bool,
     ) -> Self {
-        let values: Vec<ConstValue> = signals.iter().map(|s| s.init.clone()).collect();
+        let word_width: Vec<u8> = signals.iter().map(|s| word_width_of(&s.init)).collect();
+        let words = signals
+            .iter()
+            .map(|s| s.init.as_int().map_or(0, ApInt::to_u64))
+            .collect();
+        let values = signals
+            .iter()
+            .zip(&word_width)
+            .map(|(s, &w)| if w == 0 { s.init.clone() } else { ConstValue::Void })
+            .collect();
         let names: Vec<String> = signals.iter().map(|s| s.name.clone()).collect();
         let traced = names
             .iter()
@@ -412,6 +534,9 @@ impl SchedCore {
             max_deltas_per_instant: config.max_deltas_per_instant,
             queue: EventQueue::new(),
             time: TimeValue::ZERO,
+            width: word_width.clone(),
+            word_width,
+            words,
             values,
             pending: vec![0; n],
             allow_drop,
@@ -430,8 +555,6 @@ impl SchedCore {
             signal_changes: 0,
             deltas_in_instant: 0,
             last_physical: 0,
-            drives_buf: Vec::new(),
-            wakes_buf: Vec::new(),
         }
     }
 
@@ -448,9 +571,25 @@ impl SchedCore {
         self.time
     }
 
-    /// The current value of a (resolved) signal.
-    pub fn value(&self, signal: SignalId) -> &ConstValue {
-        &self.values[signal.0]
+    /// The current value of a (resolved) signal, a word signal's boxed at
+    /// its width.
+    pub fn value(&self, signal: SignalId) -> ConstValue {
+        let s = signal.0;
+        match self.width[s] {
+            0 => self.values[s].clone(),
+            width => ConstValue::int(usize::from(width), self.words[s]),
+        }
+    }
+
+    /// The current value of a (resolved) signal as a word: a word signal's
+    /// bits, the low 64 bits of any other integer, 0 for any other value.
+    #[inline]
+    pub fn word(&self, signal: SignalId) -> u64 {
+        let s = signal.0;
+        match self.width[s] {
+            0 => self.values[s].as_int().map_or(0, ApInt::to_u64),
+            _ => self.words[s],
+        }
     }
 
     /// The number of observed signal value changes so far.
@@ -473,7 +612,6 @@ impl SchedCore {
         self.trace.drain_events_into(buf);
     }
 
-
     /// The absolute time `delay` from now, clamped forward to the next
     /// delta step so no event can be scheduled at or before the present.
     fn event_time(&self, delay: &TimeValue) -> TimeValue {
@@ -485,6 +623,17 @@ impl SchedCore {
         }
     }
 
+    /// Whether a drive of `s` at `at` that re-writes its current value may
+    /// be dropped (see [`SchedCore::schedule_drive`]).
+    #[inline]
+    fn may_drop(&self, s: usize, at: TimeValue) -> bool {
+        self.allow_drop
+            && self.pending[s] == 0
+            && at.as_femtos() == self.time.as_femtos()
+            && at.delta() == self.time.delta() + 1
+            && at.epsilon() == 0
+    }
+
     /// Schedule a drive of `signal` to `value` after `delay`.
     ///
     /// Drives that re-write the signal's current value are dropped before
@@ -494,19 +643,46 @@ impl SchedCore {
     /// of the signal may be pending (a pending drive could change the
     /// value first, or — if it targets the same instant — must still lose
     /// to this one under last-writer-wins).
+    ///
+    /// An integer of a word signal's width is queued as a word.
     pub fn schedule_drive(&mut self, signal: SignalId, value: ConstValue, delay: &TimeValue) {
+        let s = signal.0;
+        if let ConstValue::Int(a) = &value {
+            if a.width() == usize::from(self.word_width[s]) {
+                return self.queue_word(signal, a.to_u64(), delay);
+            }
+        }
         let at = self.event_time(delay);
-        if self.allow_drop
-            && self.pending[signal.0] == 0
-            && at.as_femtos() == self.time.as_femtos()
-            && at.delta() == self.time.delta() + 1
-            && at.epsilon() == 0
-            && self.values[signal.0] == value
-        {
+        if self.may_drop(s, at) && self.width[s] == 0 && self.values[s] == value {
             return;
         }
-        self.pending[signal.0] += 1;
+        self.pending[s] += 1;
         self.queue.schedule_drive(at, signal, value);
+    }
+
+    /// Schedule a drive of `signal` to the `width`-bit integer whose low
+    /// bits are `word` after `delay`: [`SchedCore::schedule_drive`]
+    /// without a [`ConstValue`] when `signal` is a word signal of that
+    /// width.
+    #[inline]
+    pub fn schedule_word(&mut self, signal: SignalId, width: u8, word: u64, delay: &TimeValue) {
+        let word = word & (u64::MAX >> (64 - u32::from(width.clamp(1, 64))));
+        if width != self.word_width[signal.0] {
+            return self.schedule_drive(signal, ConstValue::int(usize::from(width), word), delay);
+        }
+        self.queue_word(signal, word, delay);
+    }
+
+    /// Enqueue a word drive of a word signal.
+    #[inline]
+    fn queue_word(&mut self, signal: SignalId, word: u64, delay: &TimeValue) {
+        let s = signal.0;
+        let at = self.event_time(delay);
+        if self.may_drop(s, at) && self.width[s] != 0 && self.words[s] == word {
+            return;
+        }
+        self.pending[s] += 1;
+        self.queue.schedule_word(at, signal, word);
     }
 
     /// Suspend `instance` until one of the `observed` signals changes or
@@ -536,6 +712,38 @@ impl SchedCore {
         }
     }
 
+    /// Store word `word` into word signal `s`; returns whether its value
+    /// changed.
+    #[inline]
+    fn apply_word(&mut self, s: usize, word: u64) -> bool {
+        if self.width[s] == 0 {
+            // The signal held a value of another type: any integer of its
+            // own width differs from it.
+            self.width[s] = self.word_width[s];
+            self.values[s] = ConstValue::Void;
+        } else if self.words[s] == word {
+            return false;
+        }
+        self.words[s] = word;
+        true
+    }
+
+    /// Store `value` into signal `s`; returns whether its value changed.
+    fn apply_value(&mut self, s: usize, value: ConstValue) -> bool {
+        match &value {
+            ConstValue::Int(a) if a.width() == usize::from(self.word_width[s]) => {
+                return self.apply_word(s, a.to_u64());
+            }
+            // A word signal holds an integer of its width, which differs
+            // from this value.
+            _ if self.width[s] != 0 => self.width[s] = 0,
+            _ if self.values[s] == value => return false,
+            _ => {}
+        }
+        self.values[s] = value;
+        true
+    }
+
     /// Advance to the next instant: pop its events, apply the drives
     /// (recording changes into the trace), and fill `to_run` with the
     /// instances to activate, in deterministic order. Returns `false`
@@ -555,11 +763,6 @@ impl SchedCore {
         if event_time > self.max_time {
             return Ok(false);
         }
-        let mut drives = std::mem::take(&mut self.drives_buf);
-        let mut wakes = std::mem::take(&mut self.wakes_buf);
-        drives.clear();
-        wakes.clear();
-        self.queue.pop_next(&mut drives, &mut wakes);
 
         // Guard against unbounded delta cycles within one physical instant.
         if event_time.as_femtos() == self.last_physical {
@@ -574,6 +777,7 @@ impl SchedCore {
             self.last_physical = event_time.as_femtos();
             self.deltas_in_instant = 0;
         }
+        self.queue.pop_instant(event_time);
         self.time = event_time;
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -586,31 +790,55 @@ impl SchedCore {
         }
         let epoch = self.epoch;
 
-        for (signal, value) in drives.drain(..) {
-            let s = signal.0;
-            self.pending[s] -= 1;
-            if self.values[s] == value {
-                continue;
-            }
-            self.values[s] = value.clone();
-            self.signal_changes += 1;
-            if self.traced[s] {
-                self.trace.record_id(event_time, s as u32, value);
-            }
-            if self.change_stamp[s] == epoch {
-                continue;
-            }
-            self.change_stamp[s] = epoch;
-            // Entities statically sensitive to this signal.
-            for &inst in &self.sensitivity[s] {
-                if self.run_stamp[inst as usize] != epoch {
-                    self.run_stamp[inst as usize] = epoch;
-                    to_run.push(inst);
+        // Every drive of the instant, bucket by bucket in creation order,
+        // applied in place; then every wake-up.
+        let popped = std::mem::take(&mut self.queue.popped);
+        for &(_, b) in &popped {
+            let mut bucket = std::mem::take(&mut self.queue.buckets[b as usize]);
+            for i in 0..bucket.drives.len() {
+                let drive = bucket.drives[i];
+                let s = drive.signal as usize;
+                self.pending[s] -= 1;
+                let changed = match bucket.take(drive) {
+                    Payload::Word(word) => self.apply_word(s, word),
+                    Payload::Value(value) => self.apply_value(s, value),
+                };
+                if !changed {
+                    continue;
+                }
+                self.signal_changes += 1;
+                if self.traced[s] {
+                    let value = self.value(SignalId(s));
+                    self.trace.record_id(event_time, s as u32, value);
+                }
+                if self.change_stamp[s] == epoch {
+                    continue;
+                }
+                self.change_stamp[s] = epoch;
+                // Entities statically sensitive to this signal.
+                for &inst in &self.sensitivity[s] {
+                    if self.run_stamp[inst as usize] != epoch {
+                        self.run_stamp[inst as usize] = epoch;
+                        to_run.push(inst);
+                    }
+                }
+                // Processes currently waiting on it. Every live entry wakes,
+                // and dead entries are stale, so the whole list drains.
+                for (inst, token) in self.watchers[s].drain(..) {
+                    let i = inst as usize;
+                    if self.waiting[i] && self.token[i] == token {
+                        self.waiting[i] = false;
+                        if self.run_stamp[i] != epoch {
+                            self.run_stamp[i] = epoch;
+                            to_run.push(inst);
+                        }
+                    }
                 }
             }
-            // Processes currently waiting on it. Every live entry wakes,
-            // and dead entries are stale, so the whole list drains.
-            for (inst, token) in self.watchers[s].drain(..) {
+            self.queue.buckets[b as usize] = bucket;
+        }
+        for &(_, b) in &popped {
+            for &(inst, token) in &self.queue.buckets[b as usize].wakes {
                 let i = inst as usize;
                 if self.waiting[i] && self.token[i] == token {
                     self.waiting[i] = false;
@@ -621,18 +849,8 @@ impl SchedCore {
                 }
             }
         }
-        for (inst, token) in wakes.drain(..) {
-            let i = inst as usize;
-            if self.waiting[i] && self.token[i] == token {
-                self.waiting[i] = false;
-                if self.run_stamp[i] != epoch {
-                    self.run_stamp[i] = epoch;
-                    to_run.push(inst);
-                }
-            }
-        }
-        self.drives_buf = drives;
-        self.wakes_buf = wakes;
+        self.queue.popped = popped;
+        self.queue.release_popped();
         Ok(true)
     }
 
@@ -649,12 +867,14 @@ impl SchedCore {
     /// trace filters, limits) is *not* included: it is a pure function of
     /// design + config and is rebuilt by engine construction, which is
     /// why [`SchedCore::restore_snapshot`] requires a core built over the
-    /// same design with the same config.
+    /// same design with the same config. A word — a word signal's value or
+    /// a queued word drive — is written as a constant of the signal's
+    /// width, so the bytes do not depend on which signals are words.
     pub fn snapshot(&self, out: &mut Vec<u8>) {
         write_time(out, &self.time);
         write_varint(out, self.values.len() as u128);
-        for value in &self.values {
-            encode_const_value(out, value);
+        for s in 0..self.values.len() {
+            encode_const_value(out, &self.value(SignalId(s)));
         }
         for &pending in &self.pending {
             write_varint(out, pending as u128);
@@ -710,9 +930,15 @@ impl SchedCore {
             write_varint(out, seq as u128);
             let bucket = &self.queue.buckets[bucket as usize];
             write_varint(out, bucket.drives.len() as u128);
-            for (signal, value) in &bucket.drives {
-                write_varint(out, signal.0 as u128);
-                encode_const_value(out, value);
+            for drive in &bucket.drives {
+                write_varint(out, drive.signal as u128);
+                match drive.value {
+                    QueuedDrive::WORD => {
+                        let width = self.word_width[drive.signal as usize];
+                        encode_const_value(out, &ConstValue::int(usize::from(width), drive.word));
+                    }
+                    index => encode_const_value(out, &bucket.values[index as usize]),
+                }
             }
             write_varint(out, bucket.wakes.len() as u128);
             for &(inst, token) in &bucket.wakes {
@@ -745,17 +971,23 @@ impl SchedCore {
         }
         let num_instances = self.waiting.len();
         // Every id and value below comes from outside the program: ids
-        // are bound-checked and values must keep their signal's shape.
-        let read_signal_value = |values: &[ConstValue], signal: usize, pos: &mut usize| {
+        // are bound-checked and values must keep their signal's shape: a
+        // word signal's is an integer of its width.
+        let read_signal_value = |core: &SchedCore, signal: usize, pos: &mut usize| {
             let value = read_const(bytes, pos)?;
-            if !same_shape(&value, &values[signal]) {
+            let shaped = match core.word_width[signal] {
+                0 => same_shape(&value, &core.values[signal]),
+                width => value.as_int().is_some_and(|a| a.width() == usize::from(width)),
+            };
+            if !shaped {
                 return Err(corrupt("value does not match its signal's type"));
             }
             Ok(value)
         };
         self.time = time;
         for s in 0..num_signals {
-            self.values[s] = read_signal_value(&self.values, s, pos)?;
+            let value = read_signal_value(self, s, pos)?;
+            self.apply_value(s, value);
         }
         for pending in &mut self.pending {
             *pending = read_usize(bytes, pos)? as u32;
@@ -803,7 +1035,7 @@ impl SchedCore {
             if signal >= num_signals {
                 return Err(corrupt("trace signal out of range"));
             }
-            let value = read_signal_value(&self.values, signal, pos)?;
+            let value = read_signal_value(self, signal, pos)?;
             self.trace.record_id(time, signal as u32, value);
         }
         let queue_seq = read_u128(bytes, pos)? as u64;
@@ -826,9 +1058,14 @@ impl SchedCore {
                 if signal >= num_signals {
                     return Err(corrupt("drive signal out of range"));
                 }
-                let value = read_signal_value(&self.values, signal, pos)?;
+                let value = read_signal_value(self, signal, pos)?;
                 queued[signal] += 1;
-                bucket.drives.push((SignalId(signal), value));
+                match value {
+                    ConstValue::Int(a) if self.word_width[signal] != 0 => {
+                        bucket.push_word(SignalId(signal), a.to_u64())
+                    }
+                    value => bucket.push_value(SignalId(signal), value),
+                }
             }
             let num_wakes = read_usize(bytes, pos)?;
             for _ in 0..num_wakes {
@@ -965,14 +1202,127 @@ mod tests {
         let mut q = EventQueue::new();
         let t = TimeValue::new(4_000, 2, 0);
         // Alternate with another time so the `last` cache misses and `t`
-        // gets several distinct buckets (heap path).
+        // gets several distinct buckets (heap path), and alternate word
+        // and value payloads within them.
+        let payload = |i: u64| match i % 2 {
+            0 => Payload::Word(i),
+            _ => Payload::Value(v(i)),
+        };
         for i in 0..6u64 {
-            q.schedule_drive(t, sig(0), v(i));
+            match payload(i) {
+                Payload::Word(w) => q.schedule_word(t, sig(0), w),
+                Payload::Value(x) => q.schedule_drive(t, sig(0), x),
+            }
             q.schedule_drive(TimeValue::new(8_000, 0, 0), sig(1), v(i));
         }
         let (mut drives, mut wakes) = (vec![], vec![]);
         assert_eq!(q.pop_next(&mut drives, &mut wakes), Some(t));
         let order: Vec<_> = drives.iter().map(|(_, val)| val.clone()).collect();
-        assert_eq!(order, (0..6).map(v).collect::<Vec<_>>());
+        assert_eq!(order, (0..6).map(payload).collect::<Vec<_>>());
+    }
+
+    fn core_over(inits: &[ConstValue], allow_drop: bool) -> SchedCore {
+        let signals: Vec<SignalInfo> = inits
+            .iter()
+            .enumerate()
+            .map(|(i, init)| SignalInfo {
+                name: format!("s{}", i),
+                ty: init.ty(),
+                init: init.clone(),
+            })
+            .collect();
+        let config = SimConfig {
+            trace: true,
+            ..SimConfig::default()
+        };
+        SchedCore::new(&config, &signals, 1, allow_drop)
+    }
+
+    fn run_out(core: &mut SchedCore) {
+        let mut to_run = vec![];
+        while core.next_cycle(&mut to_run).unwrap() {}
+    }
+
+    #[test]
+    fn word_signals_read_and_write_like_values() {
+        let inits = [ConstValue::int(16, 3), ConstValue::int(80, 3)];
+        let mut core = core_over(&inits, true);
+        assert_eq!(core.word(sig(0)), 3);
+        assert_eq!(core.word(sig(1)), 3);
+        let delta = TimeValue::from_delta(1);
+        core.schedule_word(sig(0), 16, 0x1_0007, &delta);
+        core.schedule_drive(sig(1), ConstValue::int(80, 9), &delta);
+        run_out(&mut core);
+        // The word keeps its signal's 16 bits.
+        assert_eq!(core.value(sig(0)), ConstValue::int(16, 7));
+        assert_eq!(core.value(sig(1)), ConstValue::int(80, 9));
+        // A drive of the signal's own value to the next delta is dropped
+        // before it is queued, as a word or as a value.
+        core.schedule_word(sig(0), 16, 7, &delta);
+        core.schedule_drive(sig(0), ConstValue::int(16, 7), &delta);
+        core.schedule_drive(sig(1), ConstValue::int(80, 9), &delta);
+        assert!(core.queue.is_empty());
+        let changes: Vec<_> = core.trace_events().iter().map(|e| e.value.clone()).collect();
+        assert_eq!(changes, vec![ConstValue::int(16, 7), ConstValue::int(80, 9)]);
+    }
+
+    #[test]
+    fn a_word_signal_takes_a_value_of_another_type_and_back() {
+        let mut core = core_over(&[ConstValue::int(8, 1)], true);
+        let delta = TimeValue::from_delta(1);
+        // Another width, as a value and as a word, then the own width.
+        core.schedule_drive(sig(0), ConstValue::int(16, 1), &delta);
+        run_out(&mut core);
+        assert_eq!(core.value(sig(0)), ConstValue::int(16, 1));
+        assert_eq!(core.word(sig(0)), 1);
+        core.schedule_word(sig(0), 4, 2, &delta);
+        run_out(&mut core);
+        assert_eq!(core.value(sig(0)), ConstValue::int(4, 2));
+        core.schedule_word(sig(0), 8, 2, &delta);
+        run_out(&mut core);
+        assert_eq!(core.value(sig(0)), ConstValue::int(8, 2));
+        core.schedule_drive(sig(0), ConstValue::Void, &delta);
+        run_out(&mut core);
+        assert_eq!(core.value(sig(0)), ConstValue::Void);
+        assert_eq!(core.word(sig(0)), 0);
+        assert_eq!(core.signal_changes(), 4);
+        // A checkpoint holding a value of another type does not restore.
+        let mut bytes = vec![];
+        core.snapshot(&mut bytes);
+        let mut fresh = core_over(&[ConstValue::int(8, 1)], true);
+        assert!(fresh.restore_snapshot(&bytes, &mut 0).is_err());
+    }
+
+    #[test]
+    fn snapshots_write_words_as_constants_of_their_width() {
+        let inits = [ConstValue::int(12, 5), ConstValue::Array(vec![v(1), v(2)])];
+        let mut core = core_over(&inits, false);
+        let later = TimeValue::from_nanos(1);
+        core.schedule_word(sig(0), 12, 6, &later);
+        core.schedule_drive(sig(0), ConstValue::int(12, 7), &TimeValue::from_delta(1));
+        core.schedule_drive(sig(1), ConstValue::Array(vec![v(3), v(4)]), &later);
+        let mut to_run = vec![];
+        assert!(core.next_cycle(&mut to_run).unwrap());
+        let mut bytes = vec![];
+        core.snapshot(&mut bytes);
+        // A word and the same constant queued as a value are one byte
+        // string: the blob does not say which signals are words.
+        let mut pos = 0;
+        let mut restored = core_over(&inits, false);
+        restored.restore_snapshot(&bytes, &mut pos).unwrap();
+        assert_eq!(pos, bytes.len());
+        let mut again = vec![];
+        restored.snapshot(&mut again);
+        assert_eq!(again, bytes);
+        let needle = {
+            let mut out = vec![];
+            encode_const_value(&mut out, &ConstValue::int(12, 6));
+            out
+        };
+        assert!(bytes.windows(needle.len()).any(|w| w == needle));
+        run_out(&mut restored);
+        run_out(&mut core);
+        assert_eq!(restored.value(sig(0)), ConstValue::int(12, 6));
+        assert_eq!(restored.trace_events(), core.trace_events());
     }
 }

@@ -114,30 +114,38 @@ impl TimeValue {
     /// Adding a delay with a non-zero physical component resets the delta and
     /// epsilon counters, matching event-queue semantics: a `1ns` delay always
     /// lands at the first delta step of the new time instant.
+    ///
+    /// Every component saturates: a delay past the end of representable
+    /// time lands at its end instead of wrapping around to the near future.
     pub fn advance_by(&self, delay: &TimeValue) -> TimeValue {
         if delay.femtos > 0 {
-            TimeValue::new(self.femtos + delay.femtos, delay.delta, delay.epsilon)
+            TimeValue::new(
+                self.femtos.saturating_add(delay.femtos),
+                delay.delta,
+                delay.epsilon,
+            )
         } else {
             TimeValue::new(
                 self.femtos,
-                self.delta + delay.delta,
+                self.delta.saturating_add(delay.delta),
                 if delay.delta > 0 {
                     delay.epsilon
                 } else {
-                    self.epsilon + delay.epsilon
+                    self.epsilon.saturating_add(delay.epsilon)
                 },
             )
         }
     }
 }
 
+/// Component-wise addition, saturating like [`TimeValue::advance_by`].
 impl Add for TimeValue {
     type Output = TimeValue;
     fn add(self, rhs: TimeValue) -> TimeValue {
         TimeValue::new(
-            self.femtos + rhs.femtos,
-            self.delta + rhs.delta,
-            self.epsilon + rhs.epsilon,
+            self.femtos.saturating_add(rhs.femtos),
+            self.delta.saturating_add(rhs.delta),
+            self.epsilon.saturating_add(rhs.epsilon),
         )
     }
 }
@@ -175,28 +183,38 @@ impl fmt::Debug for TimeValue {
 
 /// Parse a time literal such as `1ns`, `500ps`, `2us`, optionally followed by
 /// delta (`3d`) and epsilon (`4e`) components.
+///
+/// Returns `None` for a malformed literal and for one out of range: a
+/// physical time past `u128::MAX` femtoseconds, or a delta or epsilon
+/// count past `u32::MAX`.
 pub fn parse_time(s: &str) -> Option<TimeValue> {
     let mut femtos = 0u128;
     let mut delta = 0u32;
     let mut epsilon = 0u32;
-    for (i, part) in s.split_whitespace().enumerate() {
+    for part in s.split_whitespace() {
         let digits_end = part
             .find(|c: char| !c.is_ascii_digit())
             .unwrap_or(part.len());
         let (num_str, suffix) = part.split_at(digits_end);
         let num: u128 = num_str.parse().ok()?;
-        match suffix {
-            "s" => femtos += num * FEMTOS_PER_SECOND,
-            "ms" => femtos += num * 1_000_000_000_000,
-            "us" => femtos += num * 1_000_000_000,
-            "ns" => femtos += num * 1_000_000,
-            "ps" => femtos += num * 1_000,
-            "fs" => femtos += num,
-            "d" => delta = num as u32,
-            "e" => epsilon = num as u32,
-            _ if i == 0 => return None,
+        let scale: u128 = match suffix {
+            "s" => FEMTOS_PER_SECOND,
+            "ms" => 1_000_000_000_000,
+            "us" => 1_000_000_000,
+            "ns" => 1_000_000,
+            "ps" => 1_000,
+            "fs" => 1,
+            "d" => {
+                delta = u32::try_from(num).ok()?;
+                continue;
+            }
+            "e" => {
+                epsilon = u32::try_from(num).ok()?;
+                continue;
+            }
             _ => return None,
-        }
+        };
+        femtos = femtos.checked_add(num.checked_mul(scale)?)?;
     }
     Some(TimeValue::new(femtos, delta, epsilon))
 }
@@ -258,9 +276,46 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_literals_are_rejected() {
+        // u128::MAX seconds: the scaling overflows.
+        assert_eq!(parse_time("340282366920938463463374607431768211455s"), None);
+        // Each part fits, their sum does not.
+        assert_eq!(
+            parse_time("340282366920938463463374607431768211455fs 1fs"),
+            None
+        );
+        // Delta and epsilon counts are 32-bit.
+        assert_eq!(parse_time("4294967296d"), None);
+        assert_eq!(parse_time("0s 4294967296e"), None);
+        // The largest representable literals still parse.
+        assert_eq!(
+            parse_time("340282366920938463463374607431768211455fs"),
+            Some(TimeValue::from_femtos(u128::MAX))
+        );
+        assert_eq!(
+            parse_time("0s 4294967295d 4294967295e"),
+            Some(TimeValue::new(0, u32::MAX, u32::MAX))
+        );
+    }
+
+    #[test]
+    fn advancing_past_the_end_of_time_saturates() {
+        let now = TimeValue::from_femtos(10);
+        let far = now.advance_by(&TimeValue::from_femtos(u128::MAX - 5));
+        assert_eq!(far, TimeValue::from_femtos(u128::MAX));
+        assert!(far > now);
+        let last_delta = TimeValue::new(0, u32::MAX - 1, 0).advance_by(&TimeValue::from_delta(5));
+        assert_eq!(last_delta, TimeValue::new(0, u32::MAX, 0));
+        let last_eps = TimeValue::new(0, 0, u32::MAX).advance_by(&TimeValue::from_epsilon(1));
+        assert_eq!(last_eps, TimeValue::new(0, 0, u32::MAX));
+    }
+
+    #[test]
     fn addition() {
         let a = TimeValue::new(10, 1, 2);
         let b = TimeValue::new(20, 3, 4);
         assert_eq!(a + b, TimeValue::new(30, 4, 6));
+        let end = TimeValue::new(u128::MAX, u32::MAX, u32::MAX);
+        assert_eq!(end + b, end);
     }
 }

@@ -215,18 +215,35 @@ fn random_function_roundtrips() {
 }
 
 /// The shared scheduler's calendar event queue pops events in
-/// nondecreasing `TimeValue` order, never loses or invents events, and
-/// recycles its buckets instead of growing without bound.
+/// nondecreasing `TimeValue` order, never loses or invents events,
+/// recycles its buckets instead of growing without bound, and replays
+/// every popped instant's drives — word and value payloads mixed — in
+/// the order they were scheduled, which last-writer-wins relies on.
 #[test]
 fn event_queue_pops_in_nondecreasing_time_order() {
     use llhd_sim::design::SignalId;
-    use llhd_sim::sched::EventQueue;
+    use llhd_sim::sched::{EventQueue, Payload};
+    use std::collections::HashMap;
+
+    type Expected = HashMap<TimeValue, Vec<(SignalId, Payload)>>;
+    fn check_pop(
+        expected: &mut Expected,
+        t: TimeValue,
+        drives: &[(SignalId, Payload)],
+    ) -> Result<(), String> {
+        let want = expected.remove(&t).unwrap_or_default();
+        prop_assert_eq!(drives, &want[..]);
+        Ok(())
+    }
 
     forall("event queue pops in nondecreasing time order", |rng| {
         let mut queue = EventQueue::new();
         let mut scheduled = 0usize;
         let mut popped = 0usize;
         let mut last_popped: Option<TimeValue> = None;
+        // Per instant, the drives scheduled for it, in scheduling order;
+        // each payload carries its drive's sequence number.
+        let mut expected = Expected::new();
         let (mut drives, mut wakes) = (vec![], vec![]);
         // Interleave bursts of schedules (at random, possibly duplicate
         // timestamps) with pops, like a running simulation would.
@@ -246,11 +263,24 @@ fn event_queue_pops_in_nondecreasing_time_order() {
                 if last_popped.is_some_and(|t| time <= t) {
                     continue;
                 }
-                if rng.range_u64(0, 3) == 0 {
-                    queue.schedule_wake(time, rng.u32() % 16, rng.u64());
-                } else {
-                    let sig = SignalId(rng.range_usize(0, 7));
-                    queue.schedule_drive(time, sig, ConstValue::int(8, rng.range_u64(0, 255)));
+                let sig = SignalId(rng.range_usize(0, 7));
+                let payload = match rng.range_u64(0, 5) {
+                    0 | 1 => {
+                        queue.schedule_wake(time, rng.u32() % 16, rng.u64());
+                        None
+                    }
+                    2 | 3 => {
+                        queue.schedule_word(time, sig, scheduled as u64);
+                        Some(Payload::Word(scheduled as u64))
+                    }
+                    _ => {
+                        let value = ConstValue::int(80, scheduled as u64);
+                        queue.schedule_drive(time, sig, value.clone());
+                        Some(Payload::Value(value))
+                    }
+                };
+                if let Some(payload) = payload {
+                    expected.entry(time).or_default().push((sig, payload));
                 }
                 scheduled += 1;
             }
@@ -269,6 +299,7 @@ fn event_queue_pops_in_nondecreasing_time_order() {
                     last_popped = Some(t);
                     popped += drives.len() + wakes.len();
                     prop_assert!(!drives.is_empty() || !wakes.is_empty());
+                    check_pop(&mut expected, t, &drives)?;
                 }
             }
         }
@@ -284,6 +315,7 @@ fn event_queue_pops_in_nondecreasing_time_order() {
                     }
                     last_popped = Some(t);
                     popped += drives.len() + wakes.len();
+                    check_pop(&mut expected, t, &drives)?;
                 }
             }
         }
