@@ -18,15 +18,21 @@ if grep -rnE '\bwriteln?!\(' crates/llhd-server/src crates/llhd-router/src --exc
 # not within one, and is not covered).
 if grep -nE 'std::thread' crates/llhd-sim/src/sched.rs crates/llhd-sim/src/driver.rs crates/llhd-sim/src/engine.rs crates/llhd-blaze/src/engine.rs; then echo "ci.sh: std::thread in a run-loop file; a simulation runs on one thread" >&2; exit 1; fi
 
-# One-executor guard: blaze has no lowering knobs. `BlazeOptions`,
-# `compile_design_with` and `compile_unit_with` are inert shims that only
-# the frozen `benchmark/` package still calls (ROADMAP item 1); nothing in
-# the workspace names them outside their definitions in compile.rs and
-# their one re-export.
+# One-instruction-set guard: blaze has no lowering knobs and one
+# instruction set. `BlazeOptions`, `compile_design_with` and
+# `compile_unit_with` are inert shims that only the frozen `benchmark/`
+# package still calls (ROADMAP item 1); nothing in the workspace names
+# them outside their definitions in compile.rs and their one re-export.
+# The compile walk emits `SuperOp`s directly and fusion happens only in
+# words, so no second op enum (`enum Op`) and no value-form fusion
+# (`SuperOp::Sel`/`CmpBr`/`BinDrv`) may come back.
 if grep -rnE '\b(BlazeOptions|compile_design_with|compile_unit_with)\b' crates tests examples |
     grep -v '^crates/llhd-blaze/src/compile\.rs:' |
     grep -vE '^crates/llhd-blaze/src/lib\.rs:[0-9]+:pub use compile::\{compile_design_with, BlazeOptions\};$'; then
     echo "ci.sh: a blaze knob shim is named outside llhd-blaze; call compile_design" >&2; exit 1
+fi
+if grep -rnE '\benum Op\b|\bSuperOp::(Sel|CmpBr|BinDrv)\b' crates/llhd-blaze/src; then
+    echo "ci.sh: a second blaze instruction set or a value-form fusion is back; emit SuperOps and fuse in words" >&2; exit 1
 fi
 
 # Lint gate: the workspace is clippy-clean and stays that way. Runs first

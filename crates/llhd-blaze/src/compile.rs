@@ -1,6 +1,6 @@
 //! Compilation of LLHD units into the pre-resolved execution form.
 
-use crate::superop::{specialize, SpecializedCode};
+use crate::superop::{specialize, Delay, LoweredUnit, SpecializedCode, SuperOp};
 use llhd::ir::{Module, Opcode, RegMode, UnitId, UnitKind, Value};
 use llhd::ty::{void_ty, Type, TypeKind};
 use llhd::value::ConstValue;
@@ -26,20 +26,20 @@ impl std::error::Error for CompileError {}
 #[derive(Clone, Debug)]
 pub struct CompiledTrigger {
     /// Register slot holding the stored value.
-    pub value: usize,
+    pub value: u32,
     /// Trigger mode.
     pub mode: RegMode,
     /// Register slot holding the trigger sample.
-    pub trigger: usize,
+    pub trigger: u32,
     /// Optional register slot holding the gate condition.
-    pub gate: Option<usize>,
+    pub gate: Option<u32>,
     /// State slot remembering the previous trigger sample.
     pub state: usize,
 }
 
-/// A compact reference to a run of operand slots in
-/// [`CompiledUnit::arg_pool`]. Replaces a per-op `Vec` so compiling an
-/// instruction allocates nothing.
+/// A compact reference to a run of operand slots in a stream's operand
+/// pool ([`LoweredUnit::pool`](crate::superop::LoweredUnit::pool)).
+/// Replaces a per-op `Vec` so compiling an instruction allocates nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct ArgRange {
     offset: u32,
@@ -48,12 +48,12 @@ pub struct ArgRange {
 
 impl ArgRange {
     /// Append `slots` to `pool` and return the range referencing them.
-    pub(crate) fn copy_into(pool: &mut Vec<u32>, slots: &[u32]) -> ArgRange {
+    pub(crate) fn push(pool: &mut Vec<u32>, slots: impl IntoIterator<Item = u32>) -> ArgRange {
         let offset = pool.len() as u32;
-        pool.extend_from_slice(slots);
+        pool.extend(slots);
         ArgRange {
             offset,
-            len: slots.len() as u32,
+            len: pool.len() as u32 - offset,
         }
     }
 
@@ -116,72 +116,6 @@ pub enum Intrinsic {
     Ignore,
 }
 
-/// One pre-resolved operation.
-///
-/// Constants never appear here: they are materialized once per register
-/// file via [`CompiledUnit::const_regs`] and cost nothing at run time.
-#[derive(Clone, Debug)]
-pub enum Op {
-    /// Evaluate a pure operation.
-    Pure {
-        opcode: Opcode,
-        dst: usize,
-        args: ArgRange,
-        imms: Vec<usize>,
-    },
-    /// Probe a signal into a register slot.
-    Prb { dst: usize, sig: usize },
-    /// Drive a signal.
-    Drv {
-        sig: usize,
-        value: usize,
-        delay: usize,
-        cond: Option<usize>,
-    },
-    /// A register storage element.
-    Reg {
-        sig: usize,
-        triggers: Vec<CompiledTrigger>,
-    },
-    /// A delayed copy of a signal.
-    Del {
-        target: usize,
-        source: usize,
-        delay: usize,
-    },
-    /// Allocate process-local memory.
-    Var { mem: usize, init: usize },
-    /// Load from process-local memory.
-    Ld { dst: usize, mem: usize },
-    /// Store to process-local memory.
-    St { mem: usize, value: usize },
-    /// Call a function or intrinsic.
-    Call {
-        callee: Option<UnitId>,
-        intrinsic: Option<Intrinsic>,
-        dst: Option<usize>,
-        args: ArgRange,
-    },
-    /// Suspend until a signal change or timeout.
-    Wait {
-        resume: usize,
-        time: Option<usize>,
-        observed: ArgRange,
-    },
-    /// Suspend forever.
-    Halt,
-    /// Unconditional branch.
-    Br { target: usize },
-    /// Conditional branch (false target first, matching the IR).
-    BrCond {
-        cond: usize,
-        if_false: usize,
-        if_true: usize,
-    },
-    /// Return from a function.
-    Ret { value: Option<usize> },
-}
-
 /// A compiled unit.
 #[derive(Clone, Debug)]
 pub struct CompiledUnit {
@@ -189,12 +123,10 @@ pub struct CompiledUnit {
     pub kind: UnitKind,
     /// The unit name (for diagnostics).
     pub name: String,
-    /// All operations of the unit, blocks laid out back to back (one
-    /// contiguous stream keeps dispatch cache-friendly and compilation
-    /// free of per-block allocations).
-    pub ops: Vec<Op>,
-    /// Half-open `ops` range of each block, indexed densely.
-    pub block_ranges: Vec<(u32, u32)>,
+    /// The number of IR instructions that execute: every instruction but
+    /// the materialized constants and the elaboration-time `sig`, `inst`,
+    /// `con` and `free`. [`compile_unit`] emits one superop for each.
+    pub base_ops: usize,
     /// The entry block index.
     pub entry: usize,
     /// Number of value register slots.
@@ -214,8 +146,6 @@ pub struct CompiledUnit {
     /// written only by their unique SSA definition, so loading these once
     /// per register file replaces every runtime `const` execution.
     pub const_regs: Vec<(u32, ConstValue)>,
-    /// Operand-slot arena referenced by the [`ArgRange`]s in the ops.
-    pub arg_pool: Vec<u32>,
     /// The IR type of each register slot. It decides the slot's storage
     /// class in the lowered form (see
     /// [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)), and a
@@ -239,12 +169,6 @@ pub struct CompiledUnit {
 }
 
 impl CompiledUnit {
-    /// The operand slots referenced by `range`.
-    #[inline]
-    pub fn args(&self, range: ArgRange) -> &[u32] {
-        range.slice(&self.arg_pool)
-    }
-
     /// The superinstruction stream, which every compiled unit has.
     pub fn lowered(&self) -> &crate::superop::LoweredUnit {
         self.lowered.as_ref().expect("compile_unit lowers every unit")
@@ -296,10 +220,11 @@ pub struct CompiledDesign {
 }
 
 impl CompiledDesign {
-    /// A rough retained-size estimate in bytes: op streams, operand pools,
-    /// and specialized instance code, by struct size — intentionally cheap
-    /// rather than allocator-exact. Feeds the `DesignCache` observability
-    /// counters through the backend's `artifact_bytes` hook.
+    /// A rough retained-size estimate in bytes: each unit's lowered stream
+    /// with its constant and word files, and the specialized code of every
+    /// instance and function, by struct size — intentionally cheap rather
+    /// than allocator-exact. Feeds the `DesignCache` observability counters
+    /// through the backend's `artifact_bytes` hook.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let units: usize = self
@@ -307,20 +232,22 @@ impl CompiledDesign {
             .values()
             .map(|u| {
                 u.name.len()
-                    + u.ops.len() * size_of::<Op>()
-                    + u.block_ranges.len() * size_of::<(u32, u32)>()
-                    + u.arg_pool.len() * size_of::<u32>()
                     + u.signal_slot_of_value.len() * size_of::<u32>()
                     + u.const_regs.len() * size_of::<(u32, ConstValue)>()
                     + u.lowered.as_ref().map_or(0, |l| {
-                        l.ops.len() * size_of::<crate::superop::SuperOp>()
+                        l.ops.len() * size_of::<SuperOp>()
+                            + l.block_ranges.len() * size_of::<(u32, u32)>()
                             + l.pool.len() * size_of::<u32>()
+                            + l.dropped.len() * size_of::<bool>()
                             + (l.consts.len() + l.init_regs.len()) * size_of::<ConstValue>()
+                            + l.init_words.len() * size_of::<u64>()
+                            + l.widths.len()
+                            + l.mem_widths.len()
                     })
             })
             .sum();
         let code = |c: &SpecializedCode| {
-            c.ops.len() * size_of::<crate::superop::SuperOp>() + c.pool.len() * size_of::<u32>()
+            c.ops.len() * size_of::<SuperOp>() + c.pool.len() * size_of::<u32>()
         };
         let instances: usize = self
             .instances
@@ -335,8 +262,8 @@ impl CompiledDesign {
         units + instances + self.functions.values().map(code).sum::<usize>()
     }
 
-    /// Per-unit compilation statistics — base op counts, superinstruction
-    /// counts after lowering, and how many instances run specialized code
+    /// Per-unit compilation statistics — executing IR instructions,
+    /// superops after fusion, and how many instances run specialized code
     /// (all of them). Feeds the introspection surface through the
     /// backend's `artifact_stats` hook; sorted by unit name for a stable
     /// listing.
@@ -353,7 +280,7 @@ impl CompiledDesign {
                         UnitKind::Entity => "entity",
                         UnitKind::Function => "function",
                     },
-                    base_ops: unit.ops.len(),
+                    base_ops: unit.base_ops,
                     superops: unit.lowered.as_ref().map_or(0, |l| l.ops.len()),
                     instances,
                     specialized_instances: instances,
@@ -446,10 +373,13 @@ pub fn compile_design_with(
 /// Dense slot allocator: maps `Value::index()` to a compact slot index,
 /// assigning slots on first use. Replaces the former per-operand hash-map
 /// probes — compile time is on the `simulate()` path, so it gets the same
-/// dense-table treatment as the runtime.
+/// dense-table treatment as the runtime. It also counts how often each
+/// slot is read by an executing instruction: fusion requires the fused-away
+/// intermediate to have exactly one reader.
 struct SlotMap {
     of: Vec<u32>,
     next: u32,
+    reads: Vec<u32>,
 }
 
 impl SlotMap {
@@ -457,16 +387,24 @@ impl SlotMap {
         SlotMap {
             of: vec![u32::MAX; num_values],
             next: 0,
+            reads: vec![0; num_values],
         }
     }
 
-    fn get(&mut self, v: Value) -> usize {
+    fn get(&mut self, v: Value) -> u32 {
         let slot = &mut self.of[v.index()];
         if *slot == u32::MAX {
             *slot = self.next;
             self.next += 1;
         }
-        *slot as usize
+        *slot
+    }
+
+    /// The slot of `v`, counted as one read of it.
+    fn read(&mut self, v: Value) -> u32 {
+        let slot = self.get(v);
+        self.reads[slot as usize] += 1;
+        slot
     }
 
     fn len(&self) -> usize {
@@ -488,7 +426,9 @@ pub fn compile_unit_with(
     compile_unit(module, id)
 }
 
-/// Compile a single unit and lower it to superinstructions.
+/// Compile a single unit: one walk over its instructions emits a
+/// [`SuperOp`] for each one that executes, then the unit-level passes of
+/// [`crate::superop`] fold, move narrow integers into words and fuse.
 ///
 /// # Errors
 ///
@@ -501,15 +441,13 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
     let mut mem_of = SlotMap::new(num_values);
     let mut state_types: Vec<Type> = Vec::new();
 
-    let reg = |map: &mut SlotMap, v: Value| -> usize { map.get(v) };
-
     // Arguments: signal-typed arguments get signal slots, all arguments get
     // register slots (functions read them as values).
     let mut arg_regs = vec![];
     for arg in unit.args() {
-        arg_regs.push(reg(&mut reg_of, arg));
+        arg_regs.push(reg_of.get(arg) as usize);
         if unit.value_type(arg).is_signal() {
-            reg(&mut sig_of, arg);
+            sig_of.get(arg);
         }
     }
 
@@ -523,27 +461,23 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
         .filter(|&&inst| unit.inst_data(inst).opcode == Opcode::Const)
         .count();
     let mut const_regs: Vec<(u32, ConstValue)> = Vec::with_capacity(num_consts);
-    let mut arg_pool: Vec<u32> = Vec::with_capacity(unit.num_total_insts());
     let mut block_index = vec![u32::MAX; block_list.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
     for (i, &b) in block_list.iter().enumerate() {
         block_index[b.index()] = i as u32;
     }
-    let block_index = |b: llhd::ir::Block| block_index[b.index()] as usize;
+    let block_index = |b: llhd::ir::Block| block_index[b.index()];
 
     let mut has_epsilon_time_const = false;
-    let mut ops: Vec<Op> = Vec::with_capacity(unit.num_total_insts());
-    // Parallel to `ops`: whether a pure op's operands are all
-    // integer-typed, which lets the superinstruction lowering pick the
-    // pre-decoded `IntBin` fast path (types are gone after this walk).
-    let mut int_typed: Vec<bool> = Vec::with_capacity(unit.num_total_insts());
+    let mut ops: Vec<SuperOp> = Vec::with_capacity(unit.num_total_insts());
+    let mut pool: Vec<u32> = Vec::with_capacity(unit.num_total_insts());
     let mut block_ranges = Vec::with_capacity(block_list.len());
+    // A pure op's operand slots, reused across instructions.
+    let mut args: Vec<u32> = Vec::new();
     for &block in &block_list {
-        let insts = unit.insts_slice(block);
         let start = ops.len() as u32;
-        for &inst in insts {
+        for &inst in unit.insts_slice(block) {
             let data = unit.inst_data(inst);
-            let dst = unit.get_inst_result(inst).map(|r| reg(&mut reg_of, r));
-            let mut int_args = false;
+            let dst = unit.get_inst_result(inst).map(|r| reg_of.get(r));
             let op = match data.opcode {
                 Opcode::Const => {
                     // Materialized once into the register file; nothing to
@@ -551,65 +485,61 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
                     if let Some(ConstValue::Time(t)) = &data.konst {
                         has_epsilon_time_const |= t.epsilon() > 0;
                     }
-                    const_regs.push((dst.unwrap() as u32, data.konst.clone().unwrap()));
+                    const_regs.push((dst.unwrap(), data.konst.clone().unwrap()));
                     continue;
                 }
                 Opcode::Sig | Opcode::Inst | Opcode::Con => {
                     // Elaboration-time: allocate the signal slot so instance
-                    // binding finds it, then emit nothing — the op stream
+                    // binding finds it, then emit nothing — the stream
                     // carries only instructions that execute.
                     if let Some(result) = unit.get_inst_result(inst) {
-                        reg(&mut sig_of, result);
+                        sig_of.get(result);
                     }
                     continue;
                 }
-                Opcode::Prb => Op::Prb {
+                Opcode::Prb => SuperOp::Prb {
                     dst: dst.unwrap(),
-                    sig: reg(&mut sig_of, data.args[0]),
+                    sig: sig_of.get(data.args[0]),
                 },
-                Opcode::Drv | Opcode::DrvCond => Op::Drv {
-                    sig: reg(&mut sig_of, data.args[0]),
-                    value: reg(&mut reg_of, data.args[1]),
-                    delay: reg(&mut reg_of, data.args[2]),
-                    cond: if data.opcode == Opcode::DrvCond {
-                        Some(reg(&mut reg_of, data.args[3]))
-                    } else {
-                        None
-                    },
+                Opcode::Drv | Opcode::DrvCond => SuperOp::Drv {
+                    sig: sig_of.get(data.args[0]),
+                    value: reg_of.read(data.args[1]),
+                    delay: Delay::Reg(reg_of.read(data.args[2])),
+                    cond: (data.opcode == Opcode::DrvCond).then(|| reg_of.read(data.args[3])),
                 },
-                Opcode::Del => Op::Del {
-                    target: reg(&mut sig_of, unit.inst_result(inst)),
-                    source: reg(&mut sig_of, data.args[0]),
-                    delay: reg(&mut reg_of, data.args[1]),
+                Opcode::Del => SuperOp::Del {
+                    target: sig_of.get(unit.inst_result(inst)),
+                    source: sig_of.get(data.args[0]),
+                    delay: Delay::Reg(reg_of.read(data.args[1])),
                 },
                 Opcode::Reg => {
                     let mut triggers = vec![];
                     for t in &data.triggers {
                         triggers.push(CompiledTrigger {
-                            value: reg(&mut reg_of, t.value),
+                            value: reg_of.read(t.value),
                             mode: t.mode,
-                            trigger: reg(&mut reg_of, t.trigger),
-                            gate: t.gate.map(|g| reg(&mut reg_of, g)),
+                            trigger: reg_of.read(t.trigger),
+                            gate: t.gate.map(|g| reg_of.read(g)),
                             state: state_types.len(),
                         });
                         state_types.push(unit.value_type(t.trigger));
                     }
-                    Op::Reg {
-                        sig: reg(&mut sig_of, data.args[0]),
+                    SuperOp::Reg {
+                        sig: sig_of.get(data.args[0]),
                         triggers,
                     }
                 }
-                Opcode::Var | Opcode::Halloc => Op::Var {
-                    mem: reg(&mut mem_of, unit.inst_result(inst)),
-                    init: reg(&mut reg_of, data.args[0]),
+                Opcode::Var | Opcode::Halloc => SuperOp::Var {
+                    mem: mem_of.get(unit.inst_result(inst)),
+                    init: reg_of.read(data.args[0]),
                 },
-                Opcode::Ld => Op::Ld {
+                Opcode::Ld => SuperOp::Ld {
                     dst: dst.unwrap(),
-                    mem: reg(&mut mem_of, data.args[0]),
+                    mem: mem_of.get(data.args[0]),
                 },
-                Opcode::St => Op::St {
-                    mem: reg(&mut mem_of, data.args[0]),
-                    value: reg(&mut reg_of, data.args[1]),
+                Opcode::St => SuperOp::St {
+                    mem: mem_of.get(data.args[0]),
+                    value: reg_of.read(data.args[1]),
                 },
                 Opcode::Free => continue,
                 Opcode::Call => {
@@ -633,66 +563,47 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
                     } else {
                         None
                     };
-                    let offset = arg_pool.len() as u32;
-                    arg_pool.extend(data.args.iter().map(|&a| reg(&mut reg_of, a) as u32));
-                    Op::Call {
+                    SuperOp::Call {
                         callee,
                         intrinsic,
                         dst,
-                        args: ArgRange {
-                            offset,
-                            len: data.args.len() as u32,
-                        },
+                        args: ArgRange::push(&mut pool, data.args.iter().map(|&a| reg_of.read(a))),
                     }
                 }
                 Opcode::Wait | Opcode::WaitTime => {
                     let (time, signals) = if data.opcode == Opcode::WaitTime {
-                        (Some(reg(&mut reg_of, data.args[0])), &data.args[1..])
+                        (Some(Delay::Reg(reg_of.read(data.args[0]))), &data.args[1..])
                     } else {
                         (None, &data.args[..])
                     };
-                    let offset = arg_pool.len() as u32;
-                    arg_pool.extend(signals.iter().map(|&s| reg(&mut sig_of, s) as u32));
-                    Op::Wait {
+                    SuperOp::Wait {
                         resume: block_index(data.blocks[0]),
                         time,
-                        observed: ArgRange {
-                            offset,
-                            len: signals.len() as u32,
-                        },
+                        observed: ArgRange::push(&mut pool, signals.iter().map(|&s| sig_of.get(s))),
                     }
                 }
-                Opcode::Halt => Op::Halt,
-                Opcode::Br => Op::Br {
+                Opcode::Halt => SuperOp::Halt,
+                Opcode::Br => SuperOp::Br {
                     target: block_index(data.blocks[0]),
                 },
-                Opcode::BrCond => Op::BrCond {
-                    cond: reg(&mut reg_of, data.args[0]),
+                Opcode::BrCond => SuperOp::BrCond {
+                    cond: reg_of.read(data.args[0]),
                     if_false: block_index(data.blocks[0]),
                     if_true: block_index(data.blocks[1]),
                 },
-                Opcode::Ret => Op::Ret { value: None },
-                Opcode::RetValue => Op::Ret {
-                    value: Some(reg(&mut reg_of, data.args[0])),
+                Opcode::Ret => SuperOp::Ret { value: None },
+                Opcode::RetValue => SuperOp::Ret {
+                    value: Some(reg_of.read(data.args[0])),
                 },
                 Opcode::Phi => {
                     return Err(CompileError(
                         "phi nodes are not supported by the compiled simulator".to_string(),
                     ))
                 }
-                op if op.is_pure() => {
-                    int_args = data.args.iter().all(|&a| unit.value_type(a).is_int());
-                    let offset = arg_pool.len() as u32;
-                    arg_pool.extend(data.args.iter().map(|&a| reg(&mut reg_of, a) as u32));
-                    Op::Pure {
-                        opcode: op,
-                        dst: dst.unwrap(),
-                        args: ArgRange {
-                            offset,
-                            len: data.args.len() as u32,
-                        },
-                        imms: data.imms.clone(),
-                    }
+                opcode if opcode.is_pure() => {
+                    args.clear();
+                    args.extend(data.args.iter().map(|&a| reg_of.read(a)));
+                    pure_op(opcode, dst.unwrap(), &args, &data.imms, &mut pool)
                 }
                 op => {
                     return Err(CompileError(format!(
@@ -703,7 +614,6 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
                 }
             };
             ops.push(op);
-            int_typed.push(int_args);
         }
         block_ranges.push((start, ops.len() as u32));
     }
@@ -730,8 +640,7 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
     let mut compiled = CompiledUnit {
         kind: unit.kind(),
         name: unit.name().to_string(),
-        ops,
-        block_ranges,
+        base_ops: ops.len(),
         entry: 0,
         num_regs: reg_of.len(),
         num_mems: mem_of.len(),
@@ -740,15 +649,69 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
         arg_regs,
         signal_slot_of_value: sig_of.of,
         const_regs,
-        arg_pool,
         reg_types,
         mem_types,
         state_types,
         lowered: None,
         has_epsilon_time_const,
     };
-    compiled.lowered = Some(crate::superop::lower_unit(&compiled, &int_typed));
+    let mut lowered = LoweredUnit {
+        ops,
+        block_ranges,
+        pool,
+        ..LoweredUnit::default()
+    };
+    crate::superop::optimize(&mut lowered, &compiled, &reg_of.reads);
+    compiled.lowered = Some(lowered);
     Ok(compiled)
+}
+
+/// The superop of a pure instruction with operand slots `args`: a
+/// by-reference variant where the opcode has one (no operand cloning into
+/// a scratch buffer), else the generic [`SuperOp::Pure`].
+fn pure_op(opcode: Opcode, dst: u32, args: &[u32], imms: &[usize], pool: &mut Vec<u32>) -> SuperOp {
+    match (opcode, args, imms) {
+        (Opcode::Alias | Opcode::Not | Opcode::Neg, &[a], _) => SuperOp::Un { opcode, dst, a },
+        (Opcode::Zext | Opcode::Sext | Opcode::Trunc, &[a], &[width, ..]) => SuperOp::Cast {
+            opcode,
+            dst,
+            a,
+            width: width as u32,
+        },
+        (Opcode::Mux, &[choices, sel], []) => SuperOp::Mux { dst, choices, sel },
+        (Opcode::ExtField, &[a], &[index, ..]) => SuperOp::ExtF {
+            dst,
+            a,
+            index: index as u32,
+        },
+        (Opcode::ExtSlice, &[a], &[offset, length, ..]) => SuperOp::ExtS {
+            dst,
+            a,
+            offset: offset as u32,
+            length: length as u32,
+        },
+        (Opcode::InsField, &[a, b], &[index, ..]) => SuperOp::InsF {
+            dst,
+            a,
+            b,
+            index: index as u32,
+        },
+        (Opcode::InsSlice, &[a, b], &[offset, _, ..]) => SuperOp::InsS {
+            dst,
+            a,
+            b,
+            offset: offset as u32,
+        },
+        (_, &[a, b], []) if !matches!(opcode, Opcode::Array | Opcode::Struct | Opcode::Mux) => {
+            SuperOp::Bin { opcode, dst, a, b }
+        }
+        _ => SuperOp::Pure {
+            opcode,
+            dst,
+            args: ArgRange::push(pool, args.iter().copied()),
+            imms: imms.to_vec(),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -797,7 +760,7 @@ mod tests {
         assert_eq!(dff.num_signals, 3);
         assert_eq!(dff.num_states, 1);
         let stim = &compiled.units[&module.unit_by_ident("stim").unwrap()];
-        assert_eq!(stim.block_ranges.len(), 2);
+        assert_eq!(stim.lowered().block_ranges.len(), 2);
         // Every instance's signal table is fully bound.
         for instance in &compiled.instances {
             let unit = &compiled.units[&instance.unit];

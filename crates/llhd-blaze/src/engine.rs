@@ -13,14 +13,12 @@
 //! [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)). One
 //! dispatch loop runs instance bodies and function calls alike.
 
-use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic, Op};
-use crate::superop::{
-    eval_bin, eval_cast_word, eval_un_word, word_mask, Delay, SpecializedCode, SuperOp,
-};
+use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic};
+use crate::superop::{eval_cast_word, eval_un_word, word_mask, Delay, SpecializedCode, SuperOp};
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::{
-    eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice, eval_mux,
-    eval_pure, eval_unary, mux_index,
+    eval_binary, eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice,
+    eval_mux, eval_pure, eval_unary,
 };
 use llhd::ir::{Opcode, UnitId};
 use llhd::ty::Type;
@@ -190,16 +188,14 @@ impl Executor for BlazeExec {
         for (idx, instance) in compiled.instances.iter().enumerate() {
             let unit = Arc::clone(&compiled.units[&instance.unit]);
             if instance.kind == InstanceKind::Entity {
-                // Static sensitivity: every probed or delayed signal slot
-                // (the table is pre-resolved at compile time).
-                for op in &unit.ops {
-                    let slot = match op {
-                        Op::Prb { sig, .. } => Some(*sig),
-                        Op::Del { source, .. } => Some(*source),
-                        _ => None,
-                    };
-                    if let Some(slot) = slot {
-                        core.add_entity_sensitivity(instance.signal_table[slot], idx);
+                // Static sensitivity: every probed or delayed signal, already
+                // resolved in the specialized stream.
+                for op in &instance.code.ops {
+                    if let SuperOp::Prb { sig, .. }
+                    | SuperOp::WPrb { sig, .. }
+                    | SuperOp::Del { source: sig, .. } = op
+                    {
+                        core.add_entity_sensitivity(SignalId(*sig as usize), idx);
                     }
                 }
             }
@@ -445,12 +441,7 @@ fn exec<E: Env>(
             // Fused records count as the two source ops they retire
             // toward the activation guard.
             steps += match op {
-                SuperOp::CmpBr { .. }
-                | SuperOp::BinDrv { .. }
-                | SuperOp::Sel { .. }
-                | SuperOp::WCmpBr { .. }
-                | SuperOp::WBinDrv { .. }
-                | SuperOp::WSel { .. } => 2,
+                SuperOp::WCmpBr { .. } | SuperOp::WBinDrv { .. } | SuperOp::WSel { .. } => 2,
                 _ => 1,
             };
             if steps > cx.max_steps {
@@ -508,8 +499,8 @@ enum Next {
 /// Execute one op other than a call. Signal operands are resolved
 /// [`SignalId`]s (no table chase), narrow integers compute as machine
 /// words, other values evaluate by reference (no operand cloning), and
-/// the fused records (`CmpBr`/`Sel`/`BinDrv` and their word forms) retire
-/// two source ops per dispatch.
+/// the fused word records (`WCmpBr`/`WSel`/`WBinDrv`) retire two source
+/// ops per dispatch.
 ///
 /// Optimized builds inline it into [`exec`], the only caller, so an op
 /// costs no call; unoptimized builds keep it out of line, so its large
@@ -566,9 +557,13 @@ fn step<E: Env>(
         }
         SuperOp::WSel { dst, sel, elems } => {
             let elems = code.args(*elems);
-            let words = &mut frame.regs.words;
-            let index = words[*sel as usize] as usize;
-            words[*dst as usize] = words[elems[index.min(elems.len() - 1)] as usize];
+            let regs = &mut frame.regs;
+            let index = regs.words[*sel as usize] as usize;
+            let (dst, elem) = (*dst as usize, elems[index.min(elems.len() - 1)] as usize);
+            match widths[dst] {
+                0 => regs.values[dst] = regs.values[elem].clone(),
+                _ => regs.words[dst] = regs.words[elem],
+            }
         }
         SuperOp::WCmpBr {
             kind,
@@ -644,15 +639,9 @@ fn step<E: Env>(
         }
         // Value slots: word operands are boxed on the way in and
         // a word result is unboxed on the way out.
-        SuperOp::Bin {
-            kind,
-            opcode,
-            dst,
-            a,
-            b,
-        } => {
+        SuperOp::Bin { opcode, dst, a, b } => {
             let regs = &frame.regs;
-            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
+            let value = eval_binary(*opcode, &regs.get(widths, *a), &regs.get(widths, *b))
                 .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
             frame.regs.set(widths, *dst, value);
         }
@@ -724,15 +713,6 @@ fn step<E: Env>(
                 })?;
             frame.regs.set(widths, *dst, value);
         }
-        SuperOp::Sel { dst, sel, elems } => {
-            let elems = code.args(*elems);
-            let index = mux_index(&frame.regs.get(widths, *sel), elems.len())
-                .ok_or_else(|| {
-                    SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
-                })?;
-            let value = frame.regs.get(widths, elems[index]).into_owned();
-            frame.regs.set(widths, *dst, value);
-        }
         SuperOp::Pure {
             opcode,
             dst,
@@ -751,42 +731,6 @@ fn step<E: Env>(
             let value = eval_pure(*opcode, &scr.args, imms)
                 .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
             frame.regs.set(widths, *dst, value);
-        }
-        SuperOp::CmpBr {
-            kind,
-            opcode,
-            a,
-            b,
-            if_false,
-            if_true,
-        } => {
-            let regs = &frame.regs;
-            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
-                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-            let target = if value.is_truthy() { if_true } else { if_false };
-            return Ok(Next::Block(*target as usize));
-        }
-        SuperOp::BinDrv {
-            kind,
-            opcode,
-            a,
-            b,
-            sig,
-            delay,
-            cond,
-            ..
-        } => {
-            let core = env.core()?;
-            // The compute happens unconditionally, exactly like
-            // the unfused pure op preceding the drive.
-            let regs = &frame.regs;
-            let value = eval_bin(*kind, *opcode, &regs.get(widths, *a), &regs.get(widths, *b))
-                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", opcode)))?;
-            if cond.is_some_and(|c| !regs.truthy(widths, c)) {
-                return Ok(Next::Op);
-            }
-            let delay = delay_value(regs, delay)?;
-            core.schedule_drive(SignalId(*sig as usize), value, &delay);
         }
         SuperOp::Prb { dst, sig } => {
             let value = env.core()?.value(SignalId(*sig as usize));
@@ -820,7 +764,7 @@ fn step<E: Env>(
             let core = env.core()?;
             let signal = SignalId(*sig as usize);
             for trigger in triggers {
-                let current = frame.regs.get(widths, trigger.trigger as u32).into_owned();
+                let current = frame.regs.get(widths, trigger.trigger).into_owned();
                 let previous = frame.states[trigger.state].take();
                 let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
                 frame.states[trigger.state] = Some(current);
@@ -829,11 +773,11 @@ fn step<E: Env>(
                 }
                 if trigger
                     .gate
-                    .is_some_and(|gate| !frame.regs.truthy(widths, gate as u32))
+                    .is_some_and(|gate| !frame.regs.truthy(widths, gate))
                 {
                     continue;
                 }
-                let value = frame.regs.get(widths, trigger.value as u32).into_owned();
+                let value = frame.regs.get(widths, trigger.value).into_owned();
                 core.schedule_drive(signal, value, &TimeValue::from_delta(1));
             }
         }
@@ -1080,7 +1024,10 @@ mod tests {
     /// division by negative and zero divisors, shifts past the width,
     /// `i80` arithmetic fed by and feeding `i8` words, and a selection
     /// over words must trace exactly like the interpreter, also when
-    /// resumed from a checkpoint cut through both files.
+    /// resumed from a checkpoint cut through both files. Two pairs there
+    /// must not fuse, because their intermediate has a second reader: an
+    /// array read by the `mux` right after it and by an `extf`, and a
+    /// compute read by the drive right after it and by a store.
     #[test]
     fn word_and_value_slots_match_the_interpreter() {
         let module = parse_module(
@@ -1109,7 +1056,9 @@ mod tests {
                 %neg = neg i64 %s64
                 %opts = array [%sum, %back, %hi]
                 %pick = mux [3 x i8] %opts, %cur
-                %q0 = xor i8 %pick, %sh
+                %mid = extf i8 %opts, 1
+                %q1 = xor i8 %pick, %sh
+                %q0 = xor i8 %q1, %mid
                 %next = add i8 %cur, %one
                 st i8* %i, %next
                 drv i8$ %q, %q0 after %t
@@ -1127,9 +1076,9 @@ mod tests {
             loop:
                 %v = ld i8* %i
                 %n = add i8 %v, %k
+                drv i8$ %a, %n after %t
                 st i8* %i, %n
                 %m = sub i8 %z, %v
-                drv i8$ %a, %n after %t
                 drv i8$ %b, %m after %t
                 wait %loop for %t
             }
@@ -1184,8 +1133,9 @@ mod tests {
     }
 
     /// An `i80` selector of 2^64 or 2^64 + 1 is past the last element, so
-    /// both a fused `Sel` and a plain `mux` pick the last element on both
-    /// engines — not the element its low limb (0, then 1) names.
+    /// a `mux` over a constant table and one over an array with a second
+    /// reader both pick the last element on both engines — not the element
+    /// its low limb (0, then 1) names.
     #[test]
     fn wide_mux_selectors_clamp_on_both_engines() {
         let module = parse_module(
@@ -1203,8 +1153,8 @@ mod tests {
                 br %loop
             loop:
                 %s = ld i80* %i
-                %fused = array [%a, %b, %c]
-                %p = mux [3 x i8] %fused, %s
+                %table = array [%a, %b, %c]
+                %p = mux [3 x i8] %table, %s
                 %plain = array [%a, %b, %c]
                 %first = extf i8 %plain, 0
                 %p2 = mux [3 x i8] %plain, %s
@@ -1221,8 +1171,8 @@ mod tests {
         let design = llhd_sim::elaborate(&module, "pick").unwrap();
         let compiled = crate::compile_design(&module, design).unwrap();
         let ops = &compiled.instances[0].code.ops;
-        assert!(ops.iter().any(|op| matches!(op, SuperOp::Sel { .. })));
-        assert!(ops.iter().any(|op| matches!(op, SuperOp::Mux { .. })));
+        let muxes = ops.iter().filter(|op| matches!(op, SuperOp::Mux { .. }));
+        assert_eq!(muxes.count(), 2);
         let reference = simulate_reference(&module, "pick", &config).unwrap();
         let blaze = simulate(&module, "pick", &config).unwrap();
         assert_eq!(reference.trace.events(), blaze.trace.events());
@@ -1235,10 +1185,121 @@ mod tests {
         }
     }
 
+    /// The fusion shapes at 80 bits: a compare+branch loop, compute+drive
+    /// under a dynamic, a constant-true and a constant-false condition,
+    /// and `array`+`mux` over a constant table and over dynamic elements.
+    /// Traces and the peek after every step match the interpreter, also
+    /// across a checkpoint cut.
+    #[test]
+    fn wide_fusion_shapes_match_the_interpreter() {
+        let module = parse_module(
+            r#"
+            proc @wide (i80$ %in) -> (i80$ %dyn, i80$ %on, i80$ %off, i80$ %tab, i80$ %pick) {
+            entry:
+                %t = const time 1ns
+                %zero = const i80 0
+                %one = const i80 1
+                %big = const i80 1208925819614629174706001
+                %limit = const i80 1208925819614629174706013
+                %yes = const i1 1
+                %no = const i1 0
+                %i = var i80 %big
+                br %loop
+            loop:
+                %ip = ld i80* %i
+                %inp = prb i80$ %in
+                %odd = exts i1 %ip, 0, 1
+                %s1 = add i80 %ip, %inp
+                drv i80$ %dyn, %s1 after %t if %odd
+                %s2 = xor i80 %ip, %big
+                drv i80$ %on, %s2 after %t if %yes
+                %s3 = sub i80 %ip, %one
+                drv i80$ %off, %s3 after %t if %no
+                %sel = exts i2 %ip, 1, 2
+                %table = array [%zero, %one, %big]
+                %tv = mux [3 x i80] %table, %sel
+                drv i80$ %tab, %tv after %t
+                %elems = array [%ip, %inp, %s1]
+                %pv = mux [3 x i80] %elems, %sel
+                drv i80$ %pick, %pv after %t
+                %n = add i80 %ip, %one
+                st i80* %i, %n
+                %more = ult i80 %n, %limit
+                br %more, %done, %next
+            next:
+                wait %loop for %t
+            done:
+                halt
+            }
+            entity @top () -> () {
+                %z = const i80 0
+                %in = sig i80 %z
+                %dyn = sig i80 %z
+                %on = sig i80 %z
+                %off = sig i80 %z
+                %tab = sig i80 %z
+                %pick = sig i80 %z
+                inst @wide (%in) -> (%dyn, %on, %off, %tab, %pick)
+            }
+            "#,
+        )
+        .unwrap();
+        llhd::verifier::verify_module(&module).unwrap();
+        let design = llhd_sim::elaborate(&module, "top").unwrap();
+        let compiled = crate::compile_design(&module, design).unwrap();
+        let wide = compiled.instances.iter().find(|i| i.name.contains("wide")).unwrap();
+        // The 80-bit computes run unfused; both selections fuse under
+        // their `i2` word selector.
+        let count = |pred: fn(&SuperOp) -> bool| wide.code.ops.iter().filter(|op| pred(op)).count();
+        assert_eq!(count(|op| matches!(op, SuperOp::Bin { .. })), 5);
+        assert_eq!(count(|op| matches!(op, SuperOp::WCmpBr { .. } | SuperOp::WBinDrv { .. })), 0);
+        assert_eq!(count(|op| matches!(op, SuperOp::WSel { .. })), 2);
+        const SIGNALS: [&str; 6] = ["in", "dyn", "on", "off", "tab", "pick"];
+        let run = |engine: EngineKind, cut: Option<usize>| {
+            let build = || {
+                session(&module, "top")
+                    .engine(engine)
+                    .config(SimConfig::until_nanos(30))
+                    .build()
+                    .unwrap()
+            };
+            let mut session = build();
+            session.initialize().unwrap();
+            let mut peeks = vec![];
+            for step in 0.. {
+                if cut == Some(step) {
+                    let state = session.checkpoint().unwrap();
+                    session = build();
+                    session.restore(&state).unwrap();
+                }
+                if step % 3 == 1 {
+                    let value = ApInt::from_limbs(80, vec![3 * step as u64, step as u64]);
+                    session.poke("in", ConstValue::Int(value)).unwrap();
+                }
+                if !session.step().unwrap() {
+                    break;
+                }
+                peeks.push(SIGNALS.map(|s| session.peek(s).unwrap()));
+            }
+            (session.finish().unwrap().trace, peeks)
+        };
+        let (trace, peeks) = run(EngineKind::Interpret, None);
+        for signal in SIGNALS {
+            let changes = trace.changes_of(signal).count();
+            assert_eq!(changes == 0, signal == "off", "{signal}: {changes} changes");
+        }
+        for cut in [None, Some(5)] {
+            let (other_trace, other_peeks) = run(EngineKind::Compile, cut);
+            assert_eq!(other_trace.events(), trace.events(), "cut {cut:?}");
+            assert_eq!(other_peeks, peeks, "cut {cut:?}");
+        }
+    }
+
     /// Functions run through the same dispatch loop as instance bodies:
     /// `i8`, `i64` and `i80` arguments and results, a counted loop over
-    /// `var` cells, nested calls and an `llhd.assert` in a callee must
-    /// trace and count exactly like the interpreter.
+    /// `var` cells (whose exit compare is also read after the loop, so it
+    /// must not fuse with its branch), nested calls and an `llhd.assert`
+    /// in a callee must trace and count exactly like the interpreter.
     #[test]
     fn functions_match_the_interpreter() {
         let module = parse_module(
@@ -1262,7 +1323,9 @@ mod tests {
                 st i8* %acc, %a2
                 br %head
             exit:
-                %r = ld i8* %acc
+                %sum = ld i8* %acc
+                %last = zext i8 %done
+                %r = add i8 %sum, %last
                 ret i8 %r
             }
             func @scale (i64 %x, i8 %n) i64 {

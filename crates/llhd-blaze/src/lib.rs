@@ -8,12 +8,16 @@
 //!
 //! * SSA values become numbered **register slots** instead of hash-map
 //!   entries, narrow integers among them machine words,
-//! * constants are materialised and folded once at compile time,
-//! * every unit lowers to pre-decoded, partly fused
-//!   [`SuperOp`](superop::SuperOp)s, and every instance gets its own copy
-//!   with its signal bindings baked in (functions get one copy each),
-//! * one dispatch loop over those superops runs instance bodies and
-//!   function calls alike.
+//! * one walk over each unit emits a pre-decoded
+//!   [`SuperOp`](superop::SuperOp) per executing instruction — the one
+//!   instruction stream from IR to execution,
+//! * constants are materialised and folded once at compile time, and
+//!   adjacent word ops fuse (compare+branch, compute+drive,
+//!   `array`+`mux`),
+//! * every instance gets its own copy of its unit's stream with its signal
+//!   bindings baked in (functions get one copy each), and one dispatch
+//!   loop over those superops runs instance bodies and function calls
+//!   alike.
 //!
 //! The scheduler (event queue, delta cycles, process suspension) is the same
 //! event-driven model as the reference interpreter, so the two simulators

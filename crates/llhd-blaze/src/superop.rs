@@ -1,33 +1,38 @@
-//! Superinstruction lowering and per-instance specialization.
+//! The superinstruction stream: unit-level passes and per-instance
+//! specialization.
 //!
-//! The [`Op`] stream that [`crate::compile`] builds keeps one record per IR
-//! instruction and names signals by per-unit slot. This module adds the two
-//! lowering stages that turn it into the only form the engine executes:
+//! [`crate::compile`] walks each unit once and emits one [`SuperOp`] per
+//! executing IR instruction, naming signals by per-unit slot. Pure ops are
+//! split there into by-reference evaluation variants (`Bin`, `Un`, `Cast`,
+//! `ExtF`, `ExtS`, `InsF`, `InsS`, `Mux`, and the generic `Pure`), so no
+//! operand is cloned into a scratch buffer. This module turns that stream
+//! into the only form the engine executes, in two stages:
 //!
-//! 1. **Superinstruction lowering** (per unit, at `compile_design` time):
-//!    each block's contiguous op stream is re-encoded into pre-decoded
-//!    [`SuperOp`] records. Operand slots are resolved into variant fields,
-//!    pure ops are split into by-reference evaluation variants (no operand
-//!    cloning into a scratch buffer), integer-typed binary ops select a
-//!    pre-decoded [`IntBin`] fast path (alloc-free for widths ≤ 64 via
-//!    `ApInt`'s inline representation), and common adjacent pairs fuse:
-//!    compare+branch ([`SuperOp::CmpBr`]), `array`+`mux` selection without
-//!    materializing the array ([`SuperOp::Sel`]), and compute+drive
-//!    ([`SuperOp::BinDrv`]). Fusion only fires when the intermediate
-//!    register has exactly one reader, so nothing observable changes.
-//!    Lowering also runs the unit-level constant analysis (`fold_unit`):
-//!    pure ops whose inputs are all constants are folded across the whole
-//!    unit — their results land in the unit's initial register file
-//!    ([`LoweredUnit::init_regs`]) and the ops are marked dropped. The
-//!    analysis depends only on the unit's materialized constants, never on
-//!    an instance, so it runs exactly once per unit. Last, `select_words`
-//!    gives every narrow integer slot (`iN`, N ≤ 64) a machine word
-//!    ([`LoweredUnit::widths`]) and rewrites each op whose operands and
-//!    result are all word slots into its word form ([`SuperOp::WBin`] and
-//!    the other `W…` variants): masked `u64` arithmetic, with no
-//!    [`ConstValue`] tag match and no `ApInt` width check. Ops that touch a
-//!    wider or non-integer value keep their value form; the engine boxes
-//!    their word operands.
+//! 1. **Unit-level passes** (per unit, at `compile_design` time), in
+//!    order:
+//!    - *Constant folding* (`fold_unit`): pure ops whose inputs are all
+//!      constants are folded across the whole unit. Their results land in
+//!      the unit's initial register file ([`LoweredUnit::init_regs`]) and
+//!      the ops are marked dropped. Constant branches and drive conditions
+//!      simplify in place. The analysis depends only on the unit's
+//!      materialized constants, never on an instance, so it runs exactly
+//!      once per unit.
+//!    - *Word selection* (`select_words`): every narrow integer slot
+//!      (`iN`, N ≤ 64) gets a machine word ([`LoweredUnit::widths`]), and
+//!      each op whose operands and result are all word slots takes its
+//!      word form ([`SuperOp::WBin`] and the other `W…` variants): masked
+//!      `u64` arithmetic, with no [`ConstValue`] tag match and no `ApInt`
+//!      width check. Ops that touch a wider or non-integer value keep their
+//!      value form; the engine boxes their word operands.
+//!    - *Fusion* (`fuse`): a peephole over adjacent word ops. Compare and
+//!      branch become [`SuperOp::WCmpBr`], compute and drive
+//!      [`SuperOp::WBinDrv`], and `array`+`mux` under a word selector
+//!      [`SuperOp::WSel`], which copies the selected element register
+//!      without materializing the array (also when the array was folded:
+//!      a constant lookup table). A pair fuses only when the intermediate
+//!      register has exactly one reader, so nothing observable changes.
+//!      Compares and computes wider than 64 bits run as plain, unfused
+//!      value ops.
 //! 2. **Instance specialization** (per instance, at instance-bind time):
 //!    every [`CompiledInstance`](crate::compile::CompiledInstance) gets its
 //!    own copy of the lowered stream with its bindings baked in — signal
@@ -42,24 +47,23 @@
 //! exception is the `max_steps_per_activation` *guard*: fused records
 //! count as the two source ops they retire, but constant-folded ops no
 //! longer execute and therefore no longer count — exactly like the
-//! materialized `const` instructions, which never enter the op stream.
+//! materialized `const` instructions, which never enter the stream.
 
-use crate::compile::{ArgRange, CompiledTrigger, CompiledUnit, Intrinsic, Op};
+use crate::compile::{ArgRange, CompiledTrigger, CompiledUnit, Intrinsic};
 use llhd::eval::{
     eval_binary, eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice,
-    eval_mux, eval_pure, eval_unary, mux_index,
+    eval_mux, eval_pure, eval_unary,
 };
 use llhd::ir::{Opcode, UnitId};
 use llhd::ty::{Type, TypeKind};
-use llhd::value::{ApInt, ConstValue, TimeValue};
+use llhd::value::{ConstValue, TimeValue};
 use llhd_sim::design::SignalId;
-use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A pre-decoded binary operation on integer operands. Selected at
-/// lowering time from the IR types, so the dispatch loop goes straight to
-/// the `ApInt` method (alloc-free for widths ≤ 64) without re-matching the
-/// operand payloads through the generic evaluator.
+/// A pre-decoded binary operation on word operands: the operation of
+/// [`SuperOp::WBin`] and its fusions. `select_words` derives it from a
+/// [`SuperOp::Bin`]'s opcode once both operands are word slots, so the
+/// dispatch loop computes on `u64`s without re-matching the opcode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum IntBin {
     /// Wrapping addition.
@@ -141,39 +145,6 @@ impl IntBin {
         })
     }
 
-    /// Evaluate on integer payloads. Must agree exactly with
-    /// [`eval_binary`] on `(Int, Int)` operands — the differential tests
-    /// enforce this on every design, and `int_fast_path_matches_evaluator`
-    /// below enforces it per kind.
-    #[inline]
-    pub fn eval(self, a: &ApInt, b: &ApInt) -> ConstValue {
-        match self {
-            IntBin::Add => ConstValue::Int(a.add(b)),
-            IntBin::Sub => ConstValue::Int(a.sub(b)),
-            IntBin::And => ConstValue::Int(a.and(b)),
-            IntBin::Or => ConstValue::Int(a.or(b)),
-            IntBin::Xor => ConstValue::Int(a.xor(b)),
-            IntBin::Mul => ConstValue::Int(a.mul(b)),
-            IntBin::Udiv => ConstValue::Int(a.udiv(b)),
-            IntBin::Urem => ConstValue::Int(a.urem(b)),
-            IntBin::Sdiv => ConstValue::Int(a.sdiv(b)),
-            IntBin::Srem => ConstValue::Int(a.srem(b)),
-            IntBin::Smod => ConstValue::Int(a.smod(b)),
-            IntBin::Shl => ConstValue::Int(a.shl_bits(b.to_u64() as usize)),
-            IntBin::Shr => ConstValue::Int(a.lshr_bits(b.to_u64() as usize)),
-            IntBin::Eq => ConstValue::bool(a == b),
-            IntBin::Neq => ConstValue::bool(a != b),
-            IntBin::Ult => ConstValue::bool(a.ucmp(b) == Ordering::Less),
-            IntBin::Ugt => ConstValue::bool(a.ucmp(b) == Ordering::Greater),
-            IntBin::Ule => ConstValue::bool(a.ucmp(b) != Ordering::Greater),
-            IntBin::Uge => ConstValue::bool(a.ucmp(b) != Ordering::Less),
-            IntBin::Slt => ConstValue::bool(a.scmp(b) == Ordering::Less),
-            IntBin::Sgt => ConstValue::bool(a.scmp(b) == Ordering::Greater),
-            IntBin::Sle => ConstValue::bool(a.scmp(b) != Ordering::Greater),
-            IntBin::Sge => ConstValue::bool(a.scmp(b) != Ordering::Less),
-        }
-    }
-
     /// Whether the result is a boolean rather than an operand-width value.
     fn is_comparison(self) -> bool {
         matches!(
@@ -193,7 +164,7 @@ impl IntBin {
 
     /// Evaluate on `width`-bit operands held in machine words, each masked
     /// to `width` bits (a shift amount to its own width). Must agree
-    /// exactly with [`IntBin::eval`] on `ApInt`s of that width —
+    /// exactly with [`eval_binary`] on integers of that width —
     /// `int_fast_path_matches_evaluator` below and a property in
     /// `tests/properties.rs` enforce it per kind.
     #[inline]
@@ -276,16 +247,6 @@ pub(crate) fn eval_cast_word(opcode: Opcode, from: u8, to: u8, v: u64) -> u64 {
     }
 }
 
-/// Evaluate a binary superop: the pre-decoded integer fast path when both
-/// operands are integers, the shared evaluator otherwise.
-#[inline]
-pub fn eval_bin(kind: Option<IntBin>, opcode: Opcode, a: &ConstValue, b: &ConstValue) -> Option<ConstValue> {
-    if let (Some(kind), ConstValue::Int(a), ConstValue::Int(b)) = (kind, a, b) {
-        return Some(kind.eval(a, b));
-    }
-    eval_binary(opcode, a, b)
-}
-
 /// A drive/wait delay operand: a register slot, or a constant baked in by
 /// specialization (saving the per-drive register read and time extraction).
 #[derive(Clone, Debug)]
@@ -318,10 +279,7 @@ pub enum SuperOp {
     },
     /// A binary operation evaluated by reference.
     Bin {
-        /// Pre-decoded integer fast path, when the operand types are
-        /// integers.
-        kind: Option<IntBin>,
-        /// The opcode, for the generic fallback and diagnostics.
+        /// The opcode.
         opcode: Opcode,
         /// Destination register slot.
         dst: u32,
@@ -400,53 +358,6 @@ pub enum SuperOp {
         choices: u32,
         /// Selector register slot.
         sel: u32,
-    },
-    /// Fused `array`+`mux`: select one of the element registers directly,
-    /// without ever materializing the array.
-    Sel {
-        /// Destination register slot.
-        dst: u32,
-        /// Selector register slot.
-        sel: u32,
-        /// Element register slots in the pool.
-        elems: ArgRange,
-    },
-    /// Fused compare+branch: evaluate the comparison and branch on it
-    /// without materializing the boolean.
-    CmpBr {
-        /// Pre-decoded integer fast path.
-        kind: Option<IntBin>,
-        /// The comparison opcode.
-        opcode: Opcode,
-        /// Left operand register slot.
-        a: u32,
-        /// Right operand register slot.
-        b: u32,
-        /// Block index when the comparison is false.
-        if_false: u32,
-        /// Block index when the comparison is true.
-        if_true: u32,
-    },
-    /// Fused compute+drive: evaluate a binary operation and drive the
-    /// result. The (dead) destination slot is kept so specialization can
-    /// fold a constant compute into a plain drive.
-    BinDrv {
-        /// Pre-decoded integer fast path.
-        kind: Option<IntBin>,
-        /// The compute opcode.
-        opcode: Opcode,
-        /// Destination register slot (no remaining readers).
-        dst: u32,
-        /// Left operand register slot.
-        a: u32,
-        /// Right operand register slot.
-        b: u32,
-        /// The driven signal.
-        sig: u32,
-        /// The drive delay.
-        delay: Delay,
-        /// Optional condition register slot.
-        cond: Option<u32>,
     },
     /// Probe a signal into a register slot.
     Prb {
@@ -594,16 +505,20 @@ pub enum SuperOp {
         /// The number of extracted bits: the result width.
         width: u8,
     },
-    /// [`SuperOp::Sel`] over word slots.
+    /// Fused `array`+`mux` under a word selector: copy the selected
+    /// element register, without ever materializing the array. The
+    /// destination and the elements are all words of one width, or all
+    /// values.
     WSel {
-        /// Destination word slot.
+        /// Destination register slot.
         dst: u32,
         /// Selector word slot.
         sel: u32,
-        /// Element word slots in the pool.
+        /// Element register slots in the pool.
         elems: ArgRange,
     },
-    /// [`SuperOp::CmpBr`] over word slots.
+    /// Fused compare+branch over word slots: branch on the comparison
+    /// without materializing the boolean.
     WCmpBr {
         /// The comparison.
         kind: IntBin,
@@ -618,7 +533,8 @@ pub enum SuperOp {
         /// Block index when the comparison is true.
         if_true: u32,
     },
-    /// [`SuperOp::BinDrv`] over word slots.
+    /// Fused compute+drive over word slots: evaluate a binary operation
+    /// and drive the result.
     WBinDrv {
         /// The operation.
         kind: IntBin,
@@ -685,10 +601,10 @@ pub enum SuperOp {
     },
 }
 
-/// The per-unit lowered superinstruction stream, in slot space, with the
-/// unit-level constant analysis already applied (constant folding depends
-/// only on the unit's materialized constants, never on an instance, so it
-/// runs once here rather than once per instance).
+/// A unit's superinstruction stream, in slot space, with the unit-level
+/// passes applied: constants folded, narrow integers in words, word pairs
+/// fused. None of them depends on an instance, so they run once here
+/// rather than once per instance.
 #[derive(Clone, Debug, Default)]
 pub struct LoweredUnit {
     /// All superops, blocks laid out back to back. Constant branches and
@@ -728,98 +644,14 @@ impl LoweredUnit {
     }
 }
 
-/// How often each register slot is read by the generic op stream. Fusion
-/// requires the fused-away intermediate to have exactly one reader.
-fn reg_read_counts(unit: &CompiledUnit) -> Vec<u32> {
-    let mut reads = vec![0u32; unit.num_regs];
-    let mut read = |slot: usize| reads[slot] += 1;
-    for op in &unit.ops {
-        match op {
-            Op::Pure { args, .. } => {
-                for &a in unit.args(*args) {
-                    read(a as usize);
-                }
-            }
-            Op::Prb { .. } | Op::Halt | Op::Br { .. } => {}
-            Op::Drv {
-                value, delay, cond, ..
-            } => {
-                read(*value);
-                read(*delay);
-                if let Some(c) = cond {
-                    read(*c);
-                }
-            }
-            Op::Del { delay, .. } => read(*delay),
-            Op::Reg { triggers, .. } => {
-                for t in triggers {
-                    read(t.value);
-                    read(t.trigger);
-                    if let Some(g) = t.gate {
-                        read(g);
-                    }
-                }
-            }
-            Op::Var { init, .. } => read(*init),
-            Op::Ld { .. } => {}
-            Op::St { value, .. } => read(*value),
-            Op::Call { args, .. } => {
-                for &a in unit.args(*args) {
-                    read(a as usize);
-                }
-            }
-            Op::Wait { time, .. } => {
-                if let Some(t) = time {
-                    read(*t);
-                }
-            }
-            Op::BrCond { cond, .. } => read(*cond),
-            Op::Ret { value } => {
-                if let Some(v) = value {
-                    read(*v);
-                }
-            }
-        }
-    }
-    reads
-}
-
-/// Lower a compiled unit's op stream into superinstructions.
-///
-/// `int_typed` is parallel to `unit.ops` and marks pure ops whose operands
-/// are all integer-typed (computed from the IR types during compilation).
-pub fn lower_unit(unit: &CompiledUnit, int_typed: &[bool]) -> LoweredUnit {
-    let reads = reg_read_counts(unit);
-    let mut out = LoweredUnit {
-        ops: Vec::with_capacity(unit.ops.len()),
-        block_ranges: Vec::with_capacity(unit.block_ranges.len()),
-        ..LoweredUnit::default()
-    };
-    for block in 0..unit.block_ranges.len() {
-        let (start, end) = unit.block_ranges[block];
-        let (start, end) = (start as usize, end as usize);
-        let block_start = out.ops.len() as u32;
-        let mut i = start;
-        while i < end {
-            let op = &unit.ops[i];
-            // Pair fusion: a pure compute whose single reader is the
-            // immediately following op.
-            if i + 1 < end {
-                if let Some(fused) = try_fuse(unit, int_typed, &reads, i, &mut out.pool) {
-                    out.ops.push(fused);
-                    i += 2;
-                    continue;
-                }
-            }
-            let lowered = lower_op(unit, int_typed, op, i, &mut out.pool);
-            out.ops.push(lowered);
-            i += 1;
-        }
-        out.block_ranges.push((block_start, out.ops.len() as u32));
-    }
-    fold_unit(&mut out, unit);
-    select_words(&mut out, unit);
-    out
+/// Run the unit-level passes over the stream
+/// [`compile_unit`](crate::compile::compile_unit) emitted: fold constants,
+/// move narrow integers into words, fuse. `reads` counts the reads of each
+/// register slot by the unit's executing instructions.
+pub(crate) fn optimize(lowered: &mut LoweredUnit, unit: &CompiledUnit, reads: &[u32]) {
+    fold_unit(lowered, unit);
+    select_words(lowered, unit);
+    fuse(lowered, reads);
 }
 
 /// The width of a word slot for values of type `ty`: `N` for an `iN` with
@@ -862,7 +694,7 @@ fn select_words(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
         }
     }
     for op in &mut lowered.ops {
-        if let Some(word) = word_op(op, &lowered.pool, &widths, &mem_widths) {
+        if let Some(word) = word_op(op, &widths, &mem_widths) {
             *op = word;
         }
     }
@@ -873,58 +705,21 @@ fn select_words(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
 
 /// The word form of `op`, if every operand and result of it lives in a
 /// word slot of the width its evaluation assumes.
-fn word_op(op: &SuperOp, pool: &[u32], widths: &[u8], mem_widths: &[u8]) -> Option<SuperOp> {
+fn word_op(op: &SuperOp, widths: &[u8], mem_widths: &[u8]) -> Option<SuperOp> {
     let w = |slot: u32| widths[slot as usize];
     let mw = |slot: u32| mem_widths[slot as usize];
     let word_cond = |cond: Option<u32>| cond.is_none_or(|c| w(c) != 0);
     Some(match *op {
-        SuperOp::Bin {
-            kind: Some(kind),
-            dst,
-            a,
-            b,
-            ..
-        } => SuperOp::WBin {
-            kind,
-            width: bin_width(kind, w(a), w(b), w(dst))?,
-            dst,
-            a,
-            b,
-        },
-        SuperOp::CmpBr {
-            kind: Some(kind),
-            a,
-            b,
-            if_false,
-            if_true,
-            ..
-        } => SuperOp::WCmpBr {
-            kind,
-            width: bin_width(kind, w(a), w(b), 1)?,
-            a,
-            b,
-            if_false,
-            if_true,
-        },
-        SuperOp::BinDrv {
-            kind: Some(kind),
-            dst,
-            a,
-            b,
-            sig,
-            ref delay,
-            cond,
-            ..
-        } if word_cond(cond) => SuperOp::WBinDrv {
-            kind,
-            width: bin_width(kind, w(a), w(b), w(dst))?,
-            out: w(dst),
-            a,
-            b,
-            sig,
-            delay: delay.clone(),
-            cond,
-        },
+        SuperOp::Bin { opcode, dst, a, b } => {
+            let kind = IntBin::from_opcode(opcode)?;
+            SuperOp::WBin {
+                kind,
+                width: bin_width(kind, w(a), w(b), w(dst))?,
+                dst,
+                a,
+                b,
+            }
+        }
         SuperOp::Un { opcode, dst, a } if w(a) != 0 && w(a) == w(dst) => SuperOp::WUn {
             opcode,
             width: w(a),
@@ -973,11 +768,6 @@ fn word_op(op: &SuperOp, pool: &[u32], widths: &[u8], mem_widths: &[u8]) -> Opti
                 offset: index as u8,
                 width: 1,
             }
-        }
-        SuperOp::Sel { dst, sel, elems }
-            if w(sel) != 0 && w(dst) != 0 && elems.slice(pool).iter().all(|&e| w(e) == w(dst)) =>
-        {
-            SuperOp::WSel { dst, sel, elems }
         }
         SuperOp::Prb { dst, sig } if w(dst) != 0 => SuperOp::WPrb {
             dst,
@@ -1063,11 +853,6 @@ fn fold_unit(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
                     lowered.ops[i] = new_op;
                     changed = true;
                 }
-                Fold::ValueAndReplace(dst, value, new_op) => {
-                    consts[dst as usize] = Some(value);
-                    lowered.ops[i] = new_op;
-                    changed = true;
-                }
             }
         }
         if !changed {
@@ -1079,264 +864,142 @@ fn fold_unit(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
     lowered.consts = consts;
 }
 
-/// Try to fuse `unit.ops[i]` with its successor. Returns the fused
-/// superop, or `None` when the pair does not match a fusion pattern. Every
-/// pattern requires the intermediate register to have exactly one reader
-/// (the successor), so dropping its write is unobservable.
-fn try_fuse(
-    unit: &CompiledUnit,
-    int_typed: &[bool],
-    reads: &[u32],
-    i: usize,
-    pool: &mut Vec<u32>,
-) -> Option<SuperOp> {
-    let (first, second) = (&unit.ops[i], &unit.ops[i + 1]);
-    let Op::Pure {
-        opcode,
-        dst,
-        args,
-        imms,
-    } = first
-    else {
-        return None;
-    };
-    if !imms.is_empty() || reads[*dst] != 1 {
-        return None;
-    }
-    let arg_slots = unit.args(*args);
-    // array+mux: select among the element registers directly, never
-    // materializing the array (saves a per-activation heap allocation).
-    if *opcode == Opcode::Array && !arg_slots.is_empty() {
-        if let Op::Pure {
-            opcode: Opcode::Mux,
-            dst: mux_dst,
-            args: mux_args,
-            imms: mux_imms,
-        } = second
-        {
-            let mux_slots = unit.args(*mux_args);
-            if mux_imms.is_empty() && mux_slots.len() == 2 && mux_slots[0] as usize == *dst {
-                let sel = mux_slots[1];
-                return Some(SuperOp::Sel {
-                    dst: *mux_dst as u32,
-                    sel,
-                    elems: ArgRange::copy_into(pool, arg_slots),
-                });
+/// Fuse adjacent ops of a block: compare+branch over words into
+/// [`SuperOp::WCmpBr`], compute+drive over words into
+/// [`SuperOp::WBinDrv`], and `array`+`mux` under a word selector into
+/// [`SuperOp::WSel`]. A pair fuses only when its first op's result has
+/// exactly one reader (`reads`), the second op, so dropping the write is
+/// unobservable. A folded compute stays folded, but a folded `array` still
+/// fuses: the `WSel` then selects among constant elements, and the array
+/// is never materialized — not even in the initial register file, so a
+/// checkpoint shows the slot unwritten.
+fn fuse(lowered: &mut LoweredUnit, reads: &[u32]) {
+    let len = lowered.ops.len();
+    let mut source = std::mem::take(&mut lowered.ops)
+        .into_iter()
+        .zip(std::mem::take(&mut lowered.dropped));
+    let (mut ops, mut dropped) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    let mut unmaterialized = Vec::new();
+    let mut block_ranges = std::mem::take(&mut lowered.block_ranges);
+    for range in &mut block_ranges {
+        let start = ops.len() as u32;
+        let mut block = source.by_ref().take((range.1 - range.0) as usize).peekable();
+        while let Some((op, folded)) = block.next() {
+            let next = block.peek().filter(|(_, next_folded)| !next_folded);
+            if let Some(fused) =
+                next.and_then(|(next, _)| fuse_pair(&op, folded, next, lowered, reads))
+            {
+                if let SuperOp::Pure { dst, .. } = op {
+                    unmaterialized.push(dst);
+                }
+                block.next();
+                ops.push(fused);
+                dropped.push(false);
+            } else {
+                ops.push(op);
+                dropped.push(folded);
             }
         }
+        *range = (start, ops.len() as u32);
     }
-    // Only opcodes the *binary* evaluator handles may fuse: `array`,
-    // `struct`, and `mux` are two-operand pure ops with their own
-    // evaluation rules, and a fused `BinDrv` over them would fail at run
-    // time on a perfectly valid design.
-    if arg_slots.len() != 2 || matches!(opcode, Opcode::Array | Opcode::Struct | Opcode::Mux) {
-        return None;
+    for slot in unmaterialized {
+        lowered.consts[slot as usize] = None;
+        lowered.init_regs[slot as usize] = ConstValue::Void;
     }
-    let (a, b) = (arg_slots[0], arg_slots[1]);
-    let kind = if int_typed[i] {
-        IntBin::from_opcode(*opcode)
-    } else {
-        None
-    };
-    match second {
-        // compare+branch: branch on the comparison without materializing
-        // the boolean.
-        Op::BrCond {
-            cond,
-            if_false,
-            if_true,
-        } if *cond == *dst && opcode.is_comparison() => Some(SuperOp::CmpBr {
-            kind,
-            opcode: *opcode,
-            a,
-            b,
-            if_false: *if_false as u32,
-            if_true: *if_true as u32,
-        }),
-        // compute+drive: evaluate and drive in one record. The compute
-        // still runs unconditionally (matching the generic stream, where
-        // the pure op precedes the drive's condition check).
-        Op::Drv {
-            sig,
-            value,
-            delay,
-            cond,
-        } if *value == *dst => Some(SuperOp::BinDrv {
-            kind,
-            opcode: *opcode,
-            dst: *dst as u32,
-            a,
-            b,
-            sig: *sig as u32,
-            delay: Delay::Reg(*delay as u32),
-            cond: cond.map(|c| c as u32),
-        }),
-        _ => None,
-    }
+    lowered.ops = ops;
+    lowered.dropped = dropped;
+    lowered.block_ranges = block_ranges;
 }
 
-/// Lower one generic op (no fusion) into its superop form.
-fn lower_op(
-    unit: &CompiledUnit,
-    int_typed: &[bool],
-    op: &Op,
-    index: usize,
-    pool: &mut Vec<u32>,
-) -> SuperOp {
-    match op {
-        Op::Pure {
-            opcode,
-            dst,
-            args,
-            imms,
-        } => {
-            let slots = unit.args(*args);
-            let dst = *dst as u32;
-            match opcode {
-                Opcode::Alias | Opcode::Not | Opcode::Neg if slots.len() == 1 => SuperOp::Un {
-                    opcode: *opcode,
-                    dst,
-                    a: slots[0],
-                },
-                Opcode::Zext | Opcode::Sext | Opcode::Trunc
-                    if slots.len() == 1 && !imms.is_empty() =>
-                {
-                    SuperOp::Cast {
-                        opcode: *opcode,
-                        dst,
-                        a: slots[0],
-                        width: imms[0] as u32,
-                    }
-                }
-                Opcode::Mux if slots.len() == 2 && imms.is_empty() => SuperOp::Mux {
-                    dst,
-                    choices: slots[0],
-                    sel: slots[1],
-                },
-                Opcode::ExtField if slots.len() == 1 && !imms.is_empty() => SuperOp::ExtF {
-                    dst,
-                    a: slots[0],
-                    index: imms[0] as u32,
-                },
-                Opcode::ExtSlice if slots.len() == 1 && imms.len() >= 2 => SuperOp::ExtS {
-                    dst,
-                    a: slots[0],
-                    offset: imms[0] as u32,
-                    length: imms[1] as u32,
-                },
-                Opcode::InsField if slots.len() == 2 && !imms.is_empty() => SuperOp::InsF {
-                    dst,
-                    a: slots[0],
-                    b: slots[1],
-                    index: imms[0] as u32,
-                },
-                Opcode::InsSlice if slots.len() == 2 && imms.len() >= 2 => SuperOp::InsS {
-                    dst,
-                    a: slots[0],
-                    b: slots[1],
-                    offset: imms[0] as u32,
-                },
-                op2 if slots.len() == 2
-                    && imms.is_empty()
-                    && !matches!(op2, Opcode::Array | Opcode::Struct | Opcode::Mux) =>
-                {
-                    SuperOp::Bin {
-                        kind: if int_typed[index] {
-                            IntBin::from_opcode(*opcode)
-                        } else {
-                            None
-                        },
-                        opcode: *opcode,
-                        dst,
-                        a: slots[0],
-                        b: slots[1],
-                    }
-                }
-                _ => SuperOp::Pure {
-                    opcode: *opcode,
-                    dst,
-                    args: ArgRange::copy_into(pool, slots),
-                    imms: imms.clone(),
-                },
+/// The fused form of `first` (`folded`: constant-folded out of the
+/// stream) followed by `second`, if the pair has one.
+fn fuse_pair(
+    first: &SuperOp,
+    folded: bool,
+    second: &SuperOp,
+    lowered: &LoweredUnit,
+    reads: &[u32],
+) -> Option<SuperOp> {
+    let w = |slot: u32| lowered.widths[slot as usize];
+    let single_reader = |slot: u32| reads[slot as usize] == 1;
+    Some(match (first, second) {
+        (
+            &SuperOp::WBin {
+                kind,
+                width,
+                dst,
+                a,
+                b,
+            },
+            &SuperOp::WBrCond {
+                cond,
+                if_false,
+                if_true,
+            },
+        ) if !folded && cond == dst && kind.is_comparison() && single_reader(dst) => {
+            SuperOp::WCmpBr {
+                kind,
+                width,
+                a,
+                b,
+                if_false,
+                if_true,
             }
         }
-        Op::Prb { dst, sig } => SuperOp::Prb {
-            dst: *dst as u32,
-            sig: *sig as u32,
+        // The compute still runs unconditionally, like the unfused op
+        // before the drive's condition check.
+        (
+            &SuperOp::WBin {
+                kind,
+                width,
+                dst,
+                a,
+                b,
+            },
+            SuperOp::WDrv {
+                sig,
+                value,
+                width: out,
+                delay,
+                cond,
+            },
+        ) if !folded && *value == dst && single_reader(dst) => SuperOp::WBinDrv {
+            kind,
+            width,
+            out: *out,
+            a,
+            b,
+            sig: *sig,
+            delay: delay.clone(),
+            cond: *cond,
         },
-        Op::Drv {
-            sig,
-            value,
-            delay,
-            cond,
-        } => SuperOp::Drv {
-            sig: *sig as u32,
-            value: *value as u32,
-            delay: Delay::Reg(*delay as u32),
-            cond: cond.map(|c| c as u32),
-        },
-        Op::Del {
-            target,
-            source,
-            delay,
-        } => SuperOp::Del {
-            target: *target as u32,
-            source: *source as u32,
-            delay: Delay::Reg(*delay as u32),
-        },
-        Op::Reg { sig, triggers } => SuperOp::Reg {
-            sig: *sig as u32,
-            triggers: triggers.clone(),
-        },
-        Op::Var { mem, init } => SuperOp::Var {
-            mem: *mem as u32,
-            init: *init as u32,
-        },
-        Op::Ld { dst, mem } => SuperOp::Ld {
-            dst: *dst as u32,
-            mem: *mem as u32,
-        },
-        Op::St { mem, value } => SuperOp::St {
-            mem: *mem as u32,
-            value: *value as u32,
-        },
-        Op::Call {
-            callee,
-            intrinsic,
-            dst,
-            args,
-        } => SuperOp::Call {
-            callee: *callee,
-            intrinsic: *intrinsic,
-            dst: dst.map(|d| d as u32),
-            args: ArgRange::copy_into(pool, unit.args(*args)),
-        },
-        Op::Wait {
-            resume,
-            time,
-            observed,
-        } => SuperOp::Wait {
-            resume: *resume as u32,
-            time: time.map(|t| Delay::Reg(t as u32)),
-            observed: ArgRange::copy_into(pool, unit.args(*observed)),
-        },
-        Op::Halt => SuperOp::Halt,
-        Op::Br { target } => SuperOp::Br {
-            target: *target as u32,
-        },
-        Op::BrCond {
-            cond,
-            if_false,
-            if_true,
-        } => SuperOp::BrCond {
-            cond: *cond as u32,
-            if_false: *if_false as u32,
-            if_true: *if_true as u32,
-        },
-        Op::Ret { value } => SuperOp::Ret {
-            value: value.map(|v| v as u32),
-        },
-    }
+        (
+            SuperOp::Pure {
+                opcode: Opcode::Array,
+                dst,
+                args,
+                imms,
+            },
+            &SuperOp::Mux {
+                dst: out,
+                choices,
+                sel,
+            },
+        ) if choices == *dst
+            && imms.is_empty()
+            && single_reader(choices)
+            && w(sel) != 0
+            && !args.slice(&lowered.pool).is_empty()
+            && args.slice(&lowered.pool).iter().all(|&e| w(e) == w(out)) =>
+        {
+            SuperOp::WSel {
+                dst: out,
+                sel,
+                elems: *args,
+            }
+        }
+        _ => return None,
+    })
 }
 
 /// The per-instance specialized execution form: the unit's superops with
@@ -1376,7 +1039,8 @@ impl SpecializedCode {
 /// Specialize `lowered` for one instance: a single emit pass that skips
 /// the folded ops, bakes the signal bindings from `signal_table` into the
 /// stream, and inlines constant delays (the constant analysis itself is
-/// unit-level and already done by [`lower_unit`]). See the module docs
+/// unit-level and already done by
+/// [`compile_unit`](crate::compile::compile_unit)). See the module docs
 /// for the invariants this preserves. A slot the table does not bind —
 /// every slot of a function, which is specialized with an empty table —
 /// becomes `u32::MAX`, which the engine never reads.
@@ -1414,7 +1078,6 @@ pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> Specializ
                 }
                 SuperOp::Drv { sig, delay, .. }
                 | SuperOp::WDrv { sig, delay, .. }
-                | SuperOp::BinDrv { sig, delay, .. }
                 | SuperOp::WBinDrv { sig, delay, .. } => {
                     *sig = resolve(*sig);
                     bake(delay);
@@ -1432,9 +1095,8 @@ pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> Specializ
                     if let Some(time) = time {
                         bake(time);
                     }
-                    let signals: Vec<u32> =
-                        lowered.args(*observed).iter().map(|&slot| resolve(slot)).collect();
-                    *observed = ArgRange::copy_into(&mut out.pool, &signals);
+                    let signals = lowered.args(*observed).iter().map(|&slot| resolve(slot));
+                    *observed = ArgRange::push(&mut out.pool, signals);
                 }
                 _ => {}
             }
@@ -1455,9 +1117,6 @@ enum Fold {
     Drop,
     /// The op simplifies to another op (const branch, const drive cond).
     Replace(SuperOp),
-    /// The op both produces a constant and simplifies (const compute of a
-    /// fused compute+drive).
-    ValueAndReplace(u32, ConstValue, SuperOp),
 }
 
 /// Attempt to fold one op whose inputs are all constants. All checks are
@@ -1466,15 +1125,9 @@ enum Fold {
 fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
     let konst = |slot: u32| consts[slot as usize].as_ref();
     match op {
-        SuperOp::Bin {
-            kind,
-            opcode,
-            dst,
-            a,
-            b,
-        } => {
+        SuperOp::Bin { opcode, dst, a, b } => {
             if let (Some(a), Some(b)) = (konst(*a), konst(*b)) {
-                if let Some(v) = eval_bin(*kind, *opcode, a, b) {
+                if let Some(v) = eval_binary(*opcode, a, b) {
                     return Fold::Value(*dst, v);
                 }
             }
@@ -1546,16 +1199,6 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
             }
             Fold::None
         }
-        SuperOp::Sel { dst, sel, elems } => {
-            let slots = elems.slice(pool);
-            if slots.is_empty() || !slots.iter().all(|&e| konst(e).is_some()) {
-                return Fold::None;
-            }
-            match konst(*sel).and_then(|s| mux_index(s, slots.len())) {
-                Some(index) => Fold::Value(*dst, konst(slots[index]).unwrap().clone()),
-                None => Fold::None,
-            }
-        }
         SuperOp::Pure {
             opcode,
             dst,
@@ -1573,22 +1216,6 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
             }
             Fold::None
         }
-        SuperOp::CmpBr {
-            kind,
-            opcode,
-            a,
-            b,
-            if_false,
-            if_true,
-        } => {
-            if let (Some(a), Some(b)) = (konst(*a), konst(*b)) {
-                if let Some(v) = eval_bin(*kind, *opcode, a, b) {
-                    let target = if v.is_truthy() { *if_true } else { *if_false };
-                    return Fold::Replace(SuperOp::Br { target });
-                }
-            }
-            Fold::None
-        }
         SuperOp::BrCond {
             cond,
             if_false,
@@ -1597,32 +1224,6 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
             if let Some(c) = konst(*cond) {
                 let target = if c.is_truthy() { *if_true } else { *if_false };
                 return Fold::Replace(SuperOp::Br { target });
-            }
-            Fold::None
-        }
-        SuperOp::BinDrv {
-            kind,
-            opcode,
-            dst,
-            a,
-            b,
-            sig,
-            delay,
-            cond,
-        } => {
-            if let (Some(av), Some(bv)) = (konst(*a), konst(*b)) {
-                if let Some(v) = eval_bin(*kind, *opcode, av, bv) {
-                    return Fold::ValueAndReplace(
-                        *dst,
-                        v,
-                        SuperOp::Drv {
-                            sig: *sig,
-                            value: *dst,
-                            delay: delay.clone(),
-                            cond: *cond,
-                        },
-                    );
-                }
             }
             Fold::None
         }
@@ -1656,9 +1257,8 @@ mod tests {
     use llhd::assembly::parse_module;
     use llhd_sim::elaborate;
 
-    /// Every pre-decoded integer fast path — on `ApInt`s and, up to 64
-    /// bits, on machine words — computes exactly what the shared evaluator
-    /// computes, across widths that cross the inline limb boundary.
+    /// Every word operation computes exactly what the shared evaluator
+    /// computes on integers of its width, up to the 64 bits a word holds.
     #[test]
     fn int_fast_path_matches_evaluator() {
         let opcodes = [
@@ -1698,32 +1298,24 @@ mod tests {
         ];
         for &opcode in &opcodes {
             let kind = IntBin::from_opcode(opcode).expect("every opcode maps");
-            for &width in &[1usize, 8, 63, 64, 80] {
+            for &width in &[1u8, 8, 63, 64] {
                 for &(a, b) in &samples {
-                    let av = ConstValue::Int(ApInt::from_u64(width, a));
-                    let bv = ConstValue::Int(ApInt::from_u64(width, b));
-                    let (x, y) = (av.as_int().unwrap(), bv.as_int().unwrap());
-                    let reference = eval_binary(opcode, &av, &bv).unwrap();
+                    let (a, b) = (a & word_mask(width), b & word_mask(width));
+                    let reference = eval_binary(
+                        opcode,
+                        &ConstValue::int(usize::from(width), a),
+                        &ConstValue::int(usize::from(width), b),
+                    )
+                    .unwrap();
                     assert_eq!(
-                        kind.eval(x, y),
-                        reference,
+                        kind.eval_word(width, a, b),
+                        reference.as_int().unwrap().to_u64(),
                         "{:?} i{} {} {}",
                         opcode,
                         width,
                         a,
                         b
                     );
-                    if width <= 64 {
-                        assert_eq!(
-                            kind.eval_word(width as u8, x.to_u64(), y.to_u64()),
-                            reference.as_int().unwrap().to_u64(),
-                            "word {:?} i{} {} {}",
-                            opcode,
-                            width,
-                            a,
-                            b
-                        );
-                    }
                 }
             }
         }
@@ -1770,8 +1362,9 @@ mod tests {
     }
 
     /// Every `iN` slot with N ≤ 64 moves into the word file and its ops
-    /// take their word form; an `i80` computation beside it keeps the
-    /// value form, and its constant stays in the value file.
+    /// take their word form, fused where a pair fuses; an `i80`
+    /// computation beside it keeps the value form, runs unfused, and its
+    /// constant stays in the value file.
     #[test]
     fn narrow_slots_compute_in_words_wide_ones_as_values() {
         let design = compiled_for(
@@ -1810,9 +1403,18 @@ mod tests {
             .iter()
             .any(|op| matches!(op, SuperOp::WBinDrv { kind: IntBin::Add, .. })));
         assert!(ops.iter().any(|op| matches!(op, SuperOp::Prb { .. })));
-        assert!(ops
-            .iter()
-            .any(|op| matches!(op, SuperOp::BinDrv { opcode: Opcode::Add, .. })));
+        let wide = ops
+            .windows(2)
+            .filter_map(|pair| match pair {
+                [SuperOp::Bin {
+                    opcode: Opcode::Add,
+                    dst,
+                    ..
+                }, SuperOp::Drv { value, .. }] => Some((*dst, *value)),
+                _ => None,
+            })
+            .collect::<Vec<_>>();
+        assert!(matches!(wide[..], [(dst, value)] if dst == value), "{:?}", ops);
         let lowered = design.units[&both.unit].lowered.as_ref().unwrap();
         assert!(lowered.init_words.contains(&1));
         assert!(lowered.init_regs.contains(&ConstValue::int(80, 1)));
@@ -1826,7 +1428,7 @@ mod tests {
     }
 
     const FUSIBLE: &str = r#"
-        entity @alu (i8$ %a, i8$ %b, i1$ %sel) -> (i8$ %y) {
+        entity @alu (i8$ %a, i8$ %b, i1$ %sel) -> (i8$ %y, i8$ %z) {
             %ap = prb i8$ %a
             %bp = prb i8$ %b
             %sp = prb i1$ %sel
@@ -1836,6 +1438,11 @@ mod tests {
             %y0 = mux [2 x i8] %ys, %sp
             %delay = const time 1ns
             drv i8$ %y, %y0 after %delay
+            %k5 = const i8 5
+            %k9 = const i8 9
+            %table = array [%k5, %k9]
+            %z0 = mux [2 x i8] %table, %sp
+            drv i8$ %z, %z0 after %delay
         }
         proc @count (i8$ %y) -> (i8$ %a) {
         entry:
@@ -1866,14 +1473,16 @@ mod tests {
             %b = sig i8 %z8
             %sel = sig i1 %z1
             %y = sig i8 %z8
-            inst @alu (%a, %b, %sel) -> (%y)
+            %z = sig i8 %z8
+            inst @alu (%a, %b, %sel) -> (%y, %z)
             inst @count (%y) -> (%a)
         }
     "#;
 
-    /// Fusion produces the promised superinstructions: the entity's
-    /// array+mux collapses into a `Sel`, and the process's compare+branch
-    /// into a `CmpBr`.
+    /// Fusion produces the promised word superinstructions: the entity's
+    /// two array+mux pairs collapse into `WSel`s — also the one over a
+    /// constant table, whose folded array is never materialized — and the
+    /// process's compare+branch into a `WCmpBr`.
     #[test]
     fn fusion_forms_sel_and_cmp_br() {
         let fused = compiled_for(FUSIBLE, "top");
@@ -1885,8 +1494,12 @@ mod tests {
                 .filter(|op| pred(op))
                 .count()
         };
-        assert!(count_ops(|op| matches!(op, SuperOp::Sel { .. } | SuperOp::WSel { .. })) > 0);
-        assert!(count_ops(|op| matches!(op, SuperOp::CmpBr { .. } | SuperOp::WCmpBr { .. })) > 0);
+        assert_eq!(count_ops(|op| matches!(op, SuperOp::WSel { .. })), 2);
+        assert_eq!(count_ops(|op| matches!(op, SuperOp::Mux { .. })), 0);
+        assert_eq!(count_ops(|op| matches!(op, SuperOp::WCmpBr { .. })), 1);
+        let alu = fused.instances.iter().find(|i| i.name.contains("alu")).unwrap();
+        let lowered = fused.units[&alu.unit].lowered();
+        assert!(lowered.init_regs.iter().all(|v| v.as_array().is_none()));
     }
 
     /// Specialization folds constant chains out of the stream (`add
@@ -1928,7 +1541,6 @@ mod tests {
         for op in &code.ops {
             match op {
                 SuperOp::Drv { delay, .. }
-                | SuperOp::BinDrv { delay, .. }
                 | SuperOp::WDrv { delay, .. }
                 | SuperOp::WBinDrv { delay, .. } => {
                     assert!(matches!(delay, Delay::Const(_)), "unbaked drive delay");
@@ -1942,10 +1554,11 @@ mod tests {
     }
 
     /// A `mux` result driven directly (with the array kept alive by a
-    /// second reader, so `Sel` fusion cannot fire first) must NOT fuse
-    /// into a `BinDrv` — the binary evaluator cannot evaluate `mux`, and
-    /// a fused record would fail at run time on a valid design.
-    /// Regression test for exactly that bug.
+    /// second reader, so `WSel` fusion cannot fire first) runs as a plain
+    /// `mux` and a drive. It once fused into a compute+drive record that
+    /// the binary evaluator could not evaluate, failing at run time on a
+    /// valid design; `WBinDrv` takes an [`IntBin`], so that record can no
+    /// longer be built.
     #[test]
     fn mux_feeding_a_drive_does_not_fuse() {
         let design = compiled_for(
@@ -1974,17 +1587,6 @@ mod tests {
             "#,
             "top",
         );
-        for instance in &design.instances {
-            assert!(
-                instance
-                    .code
-                    .ops
-                    .iter()
-                    .all(|op| !matches!(op, SuperOp::BinDrv { opcode: Opcode::Mux, .. })),
-                "mux must never fuse into a BinDrv"
-            );
-        }
-        // And the design actually runs under the specialized dispatch.
         crate::BlazeSimulator::new(design, llhd_sim::SimConfig::until_nanos(10))
             .run()
             .unwrap();

@@ -76,8 +76,9 @@ pub enum UnitPlan {
     /// A combinational entity: probe the input link, fold a chain of
     /// binary ops over seeded constants (optionally mixing in the race
     /// signal), optionally select the result through an array+mux tail
-    /// (the blaze `Sel` fusion shape), and drive the output after the
-    /// cluster's data delay (the compute+drive fusion shape).
+    /// (blaze's `WSel` fusion shape), and drive the output after the
+    /// cluster's data delay (the compute+drive shape: a `WBinDrv` up to 64
+    /// bits, an unfused value compute and drive at 80).
     Comb {
         ops: Vec<(BinOp, u64)>,
         mix_race: bool,
@@ -86,8 +87,8 @@ pub enum UnitPlan {
     /// A register entity: `reg ... rise clk` — the storage primitive.
     Reg,
     /// A behavioural pipeline process: wait on the clock, detect the
-    /// rising edge (the compare+branch fusion shape), shift a `taps`-deep
-    /// variable delay line, and drive a weighted sum.
+    /// rising edge, shift a `taps`-deep variable delay line, and drive a
+    /// weighted sum.
     Pipe { taps: usize, weights: Vec<u64> },
 }
 
@@ -338,7 +339,8 @@ fn emit_cluster_units(src: &mut String, c: &ClusterPlan) {
     };
     // A loop head as the Moore frontend emits it: the counter's `var` in
     // the preheader, then `ld`, `ult` against the count, exit-or-body, and
-    // the increment stored first thing in the body.
+    // the increment stored first thing in the body. The `ult` feeding the
+    // branch is blaze's compare+branch fusion shape (`WCmpBr`).
     let head = |src: &mut String, p: &str, count: u64, exit: &str| {
         writeln!(src, "    %{p}c = var i64 %c0").unwrap();
         writeln!(src, "    br %{p}head").unwrap();
@@ -456,8 +458,8 @@ fn emit_unit(src: &mut String, c: &ClusterPlan, j: usize, unit: &UnitPlan) {
                 cur = "%vr".to_string();
             }
             if *mux_tail {
-                // The array+mux pair the blaze `Sel` fusion targets,
-                // selected by a comparison (an i1 the mux indexes with).
+                // The array+mux pair blaze fuses into a `WSel`, selected
+                // by a comparison: an i1 word, so it fuses at every width.
                 writeln!(src, "    %cmp = ult i{w} {cur}, %ap").unwrap();
                 writeln!(src, "    %pair = array [{cur}, %ap]").unwrap();
                 writeln!(src, "    %sel = mux [2 x i{w}] %pair, %cmp").unwrap();
@@ -485,8 +487,7 @@ fn emit_unit(src: &mut String, c: &ClusterPlan, j: usize, unit: &UnitPlan) {
             writeln!(src, "    %clk0 = prb i1$ %clk").unwrap();
             writeln!(src, "    wait %sample, %clk").unwrap();
             writeln!(src, "sample:").unwrap();
-            // Posedge detection: the neq feeding a conditional branch is
-            // the compare+branch superop fusion shape.
+            // Posedge detection: a branch on the edge condition.
             writeln!(src, "    %clk1 = prb i1$ %clk").unwrap();
             writeln!(src, "    %chg = neq i1 %clk0, %clk1").unwrap();
             writeln!(src, "    %pos = and i1 %chg, %clk1").unwrap();
