@@ -109,14 +109,16 @@ echo "ci.sh: differential fuzz smoke gate OK (seed 0x11d4)"
 
 # Server smoke test: a request → response → shutdown round-trip through
 # the real llhd-server binary over stdio (the same protocol the TCP mode
-# speaks; see docs/PROTOCOL.md). Five requests in — the third a
+# speaks; see docs/PROTOCOL.md). Seven requests in — the third a
 # self-recursive design, which must come back as a `call depth limit`
 # error instead of overflowing the stack and killing the process, the
 # fourth a time literal past the end of representable time, which must
 # come back as a source error naming the literal instead of wrapping
-# around — three ok-responses and those two errors out, clean exit,
-# under a hard timeout so a server that stops reading or never exits
-# fails the gate instead of hanging it.
+# around, the fifth a two-job batch run on the connection's own thread,
+# which must answer two ok results, and the sixth a final `stats`, which
+# must report no job left in flight — five ok-responses and those two
+# errors out, clean exit, under a hard timeout so a server that stops
+# reading or never exits fails the gate instead of hanging it.
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/requests" <<'EOF'
@@ -124,7 +126,9 @@ cat > "$SMOKE_DIR/requests" <<'EOF'
 {"type":"sim","id":2,"source":"proc @blink () -> (i1$ %led) { entry: %on = const i1 1 %off = const i1 0 %t = const time 5ns drv i1$ %led, %on after %t wait %next for %t next: drv i1$ %led, %off after %t wait %entry for %t }","top":"blink","until_ns":100}
 {"type":"sim","id":3,"source":"func @f (i8 %x) i8 { entry: %r = call i8 @f (%x) ret i8 %r } proc @p () -> () { entry: %v = const i8 1 %r = call i8 @f (%v) halt }","top":"p","until_ns":10}
 {"type":"sim","id":4,"source":"proc @p () -> (i1$ %s) { entry: %t = const time 340282366920938463463374607431768211455s wait %entry for %t }","top":"p","until_ns":10}
-{"type":"shutdown","id":5}
+{"type":"batch","id":5,"jobs":[{"source":"proc @blink () -> (i1$ %led) { entry: %on = const i1 1 %off = const i1 0 %t = const time 5ns drv i1$ %led, %on after %t wait %next for %t next: drv i1$ %led, %off after %t wait %entry for %t }","top":"blink","until_ns":100},{"design":"1ad3ee7740fe7fb7a31948fd806ba3c6","top":"blink","until_ns":100}]}
+{"type":"stats","id":6}
+{"type":"shutdown","id":7}
 EOF
 timeout 60 ./target/release/llhd-server --stdio --stats-interval 0 \
     < "$SMOKE_DIR/requests" > "$SMOKE_DIR/responses" || {
@@ -135,7 +139,7 @@ timeout 60 ./target/release/llhd-server --stdio --stats-interval 0 \
 # (`|| true`: grep -c exits 1 on zero matches, which `set -e` would turn
 # into a silent abort before the diagnostics below could print.)
 OK_COUNT=$(grep -c '"ok":true' "$SMOKE_DIR/responses" || true)
-if [ "$OK_COUNT" != "3" ]; then
+if [ "$OK_COUNT" != "5" ]; then
     echo "ci.sh: server stdio smoke test failed; responses were:" >&2
     cat "$SMOKE_DIR/responses" >&2
     exit 1
@@ -154,6 +158,16 @@ if ! grep '"ok":false' "$SMOKE_DIR/responses" |
 fi
 grep -q '"signal_changes":20' "$SMOKE_DIR/responses" || {
     echo "ci.sh: server smoke test: unexpected sim result:" >&2
+    cat "$SMOKE_DIR/responses" >&2
+    exit 1
+}
+if [ "$(grep '"id":5,' "$SMOKE_DIR/responses" | grep -o '{"ok":true,"result"' | wc -l)" != "2" ]; then
+    echo "ci.sh: server smoke test: the two-job batch did not answer two ok results:" >&2
+    cat "$SMOKE_DIR/responses" >&2
+    exit 1
+fi
+grep '"id":6,' "$SMOKE_DIR/responses" | grep -q '"inflight":0' || {
+    echo "ci.sh: server smoke test: the final stats does not report \"inflight\":0:" >&2
     cat "$SMOKE_DIR/responses" >&2
     exit 1
 }

@@ -336,12 +336,13 @@ fn auto_engine_compiles_whenever_a_backend_is_registered() {
     assert_eq!(session.engine_kind(), EngineKind::Compile);
 }
 
-/// `Auto` promises a working selection: when the backend rejects the
-/// module (blaze compiles *every* unit, and phi nodes are outside its
-/// subset), the session degrades to the interpreter instead of erroring.
-/// An explicit `Compile` request still reports the failure.
+/// With a backend registered, `Auto` is `Compile`: when the backend
+/// rejects the module (blaze compiles *every* unit, and phi nodes are
+/// outside its subset), `Auto` reports the compile error just as an
+/// explicit `Compile` does. The interpreter still runs the module when
+/// asked for by name.
 #[test]
-fn auto_falls_back_to_interpreter_when_compile_rejects() {
+fn auto_reports_a_compile_error_when_blaze_rejects() {
     llhd_blaze::register();
     // A blinker plus an unrelated function containing a phi, which blaze
     // refuses to compile even though nothing instantiates it.
@@ -372,20 +373,19 @@ fn auto_falls_back_to_interpreter_when_compile_rejects() {
         }
         "#;
     let module = llhd::assembly::parse_module(src).unwrap();
+    for kind in [EngineKind::Auto, EngineKind::Compile] {
+        assert!(matches!(
+            SimSession::builder(&module, "blink").engine(kind).build().err(),
+            Some(llhd_sim::api::Error::Compile(_))
+        ));
+    }
     let session = SimSession::builder(&module, "blink")
+        .engine(EngineKind::Interpret)
         .until_nanos(50)
         .build()
         .unwrap();
-    assert_eq!(session.engine_kind(), EngineKind::Interpret);
     let result = session.run().unwrap();
     assert!(result.trace.changes_of("led").count() >= 9);
-    assert!(matches!(
-        SimSession::builder(&module, "blink")
-            .engine(EngineKind::Compile)
-            .build()
-            .err(),
-        Some(llhd_sim::api::Error::Compile(_))
-    ));
 }
 
 /// Peek/poke work identically through both engines.

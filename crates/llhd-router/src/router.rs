@@ -23,6 +23,7 @@
 
 use crate::pool::{Health, Worker};
 use crate::ring::{source_key, Ring};
+use llhd_server::admission::Admission;
 use llhd_server::json::Json;
 use llhd_server::protocol::{
     error_response, ok_response, request_id, ErrorKind, ProtoError, Request, SimJobSpec,
@@ -127,31 +128,16 @@ pub struct RouterState {
     memo: Mutex<Memo>,
     started: Instant,
     server_id: String,
-    queue_cap: Option<usize>,
     call_timeout: Duration,
     shutdown_flag: AtomicBool,
     /// Where a shutdown must connect to unblock the TCP accept loop.
     wake_addr: Mutex<Option<SocketAddr>>,
-    /// Jobs currently being routed (admission control).
-    inflight: AtomicUsize,
+    /// Jobs currently being routed, their cap and the shed count.
+    admission: Admission,
     /// Jobs forwarded to a worker (batch jobs count individually).
     routed: AtomicUsize,
     /// Requests re-sent to a second candidate after a retryable failure.
     retried: AtomicUsize,
-    /// Requests shed by router-level admission control.
-    shed: AtomicUsize,
-}
-
-/// Decrements the in-flight counter when the routed work completes.
-struct InflightGuard<'a> {
-    state: &'a RouterState,
-    jobs: usize,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.state.inflight.fetch_sub(self.jobs, Ordering::Relaxed);
-    }
 }
 
 /// Replace (or append) a field of a JSON object in place.
@@ -220,14 +206,12 @@ impl RouterState {
                 .clone()
                 .filter(|id| !id.is_empty())
                 .unwrap_or_else(default_router_id),
-            queue_cap: config.queue_cap.filter(|&cap| cap > 0),
             call_timeout: config.call_timeout,
             shutdown_flag: AtomicBool::new(false),
             wake_addr: Mutex::new(None),
-            inflight: AtomicUsize::new(0),
+            admission: Admission::new(config.queue_cap),
             routed: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
         }
     }
 
@@ -255,32 +239,6 @@ impl RouterState {
         if let Some(addr) = addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
         }
-    }
-
-    /// Admission control over routed jobs, mirroring the worker-side
-    /// queue-cap semantics (retryable `overloaded`, hint scaled to the
-    /// overshoot).
-    fn admit(&self, jobs: usize) -> Result<InflightGuard<'_>, ProtoError> {
-        if let Some(cap) = self.queue_cap {
-            let depth = self.inflight.load(Ordering::Relaxed);
-            if depth + jobs > cap {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                let overshoot = (depth + jobs - cap) as u128;
-                return Err(ProtoError::new(
-                    ErrorKind::Overloaded,
-                    format!(
-                        "router queue is full ({} in flight, cap {}); retry later",
-                        depth, cap
-                    ),
-                )
-                .with_data(
-                    "retry_after_ms",
-                    Json::uint((10 * overshoot).clamp(10, 1000)),
-                ));
-            }
-        }
-        self.inflight.fetch_add(jobs, Ordering::Relaxed);
-        Ok(InflightGuard { state: self, jobs })
     }
 
     /// The placement key of one job: the design's content fingerprint
@@ -386,7 +344,7 @@ impl RouterState {
             Ok(key) => key,
             Err(e) => return error_response(id, &e),
         };
-        let _guard = match self.admit(1) {
+        let _guard = match self.admission.admit(1, 0) {
             Ok(guard) => guard,
             Err(e) => return error_response(id, &e),
         };
@@ -410,7 +368,7 @@ impl RouterState {
             .get("jobs")
             .and_then(Json::as_arr)
             .expect("parser validated the batch shape");
-        let _guard = match self.admit(specs.len()) {
+        let _guard = match self.admission.admit(specs.len(), 0) {
             Ok(guard) => guard,
             Err(e) => return error_response(id, &e),
         };
@@ -557,7 +515,7 @@ impl RouterState {
             Ok(key) => key,
             Err(e) => return error_response(id, &e),
         };
-        let _guard = match self.admit(1) {
+        let _guard = match self.admission.admit(1, 0) {
             Ok(guard) => guard,
             Err(e) => return error_response(id, &e),
         };
@@ -680,12 +638,12 @@ impl RouterState {
                     ("workers_up", Json::uint(up as u128)),
                     ("routed", Json::uint(self.routed.load(Ordering::Relaxed) as u128)),
                     ("retried", Json::uint(self.retried.load(Ordering::Relaxed) as u128)),
-                    ("shed", Json::uint(self.shed.load(Ordering::Relaxed) as u128)),
+                    ("shed", Json::uint(self.admission.shed() as u128)),
                     ("markdowns", Json::uint(markdowns as u128)),
-                    ("inflight", Json::uint(self.inflight.load(Ordering::Relaxed) as u128)),
+                    ("inflight", Json::uint(self.admission.inflight() as u128)),
                     (
                         "queue_cap",
-                        self.queue_cap.map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),
+                        self.admission.cap().map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),
                     ),
                 ]),
             ),

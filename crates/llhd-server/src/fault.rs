@@ -8,13 +8,13 @@
 //! sequence at each site across runs, regardless of thread interleaving
 //! between sites. Sites:
 //!
-//! | site            | effect                                                |
-//! |-----------------|-------------------------------------------------------|
-//! | `sim.panic`     | a run-control probe panics at a plan-chosen cycle     |
-//! | `io.read.slow`  | the connection read sleeps a few milliseconds         |
-//! | `io.read.short` | the connection read returns at most one byte          |
-//! | `io.read.error` | the connection read fails with `ConnectionReset`      |
-//! | `queue.pressure`| phantom jobs inflate the dispatch queue depth         |
+//! | site            | effect                                                  |
+//! |-----------------|---------------------------------------------------------|
+//! | `sim.panic`     | a run-control probe panics at a plan-chosen cycle       |
+//! | `io.read.slow`  | the connection read sleeps a few milliseconds           |
+//! | `io.read.short` | the connection read returns at most one byte            |
+//! | `io.read.error` | the connection read fails with `ConnectionReset`        |
+//! | `queue.pressure`| phantom jobs inflate the in-flight count admission sees |
 //!
 //! Rates are expressed in 256ths: a rate of 32 injects on ~12.5% of
 //! draws. The chaos integration test (`tests/chaos.rs`) drives a seeded
@@ -37,7 +37,7 @@ pub enum Site {
     IoReadShort = 2,
     /// Fail a connection read with `ConnectionReset`.
     IoReadError = 3,
-    /// Inflate the dispatch queue depth seen by admission control.
+    /// Inflate the in-flight job count seen by admission control.
     QueuePressure = 4,
 }
 
@@ -164,7 +164,7 @@ impl FaultPlan {
         self.hit(Site::SimPanic).map(|word| word % 32)
     }
 
-    /// Phantom queue depth for admission control: zero most of the time,
+    /// Phantom in-flight jobs for admission control: zero most of the time,
     /// a burst of 1..=32 pretend jobs when the site fires.
     pub fn queue_pressure(&self) -> usize {
         match self.hit(Site::QueuePressure) {

@@ -38,6 +38,7 @@
 //! running.join().unwrap();
 //! ```
 
+pub mod admission;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
 pub mod json;

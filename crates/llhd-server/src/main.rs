@@ -14,10 +14,12 @@
 //!                          (default 30; 0 disables)
 //!   --session-cap N        allow at most N open interactive sessions (default 64)
 //!   --session-idle SECS    destroy sessions idle for SECS seconds (default 600)
-//!   --queue-cap N          shed jobs past N pending with a retryable
-//!                          `overloaded` error (default: unbounded)
-//!   --drain-deadline SECS  abandon in-flight work SECS seconds into a
-//!                          graceful shutdown (default 30)
+//!   --queue-cap N          shed jobs past N in flight (admitted, not yet
+//!                          answered) with a retryable `overloaded` error
+//!                          (default: unbounded)
+//!   --drain-deadline SECS  on a TCP shutdown, wait at most SECS seconds for
+//!                          in-flight jobs, then exit; their clients see the
+//!                          connection close (default 30)
 //!   --server-id ID         identity reported in ping/stats responses
 //!                          (default: derived from pid + start time)
 //! ```

@@ -195,8 +195,8 @@ pub enum ErrorKind {
     /// The request's wall-clock budget (`deadline_ms`) was used up
     /// before the run finished; the error carries the partial progress.
     DeadlineExceeded,
-    /// The server's dispatch queue is over its high-water mark and the
-    /// request was shed; retry after the hinted backoff.
+    /// The server already has its cap of jobs in flight and the request
+    /// was shed; retry after the hinted backoff.
     Overloaded,
     /// The server-side handler panicked. The job is lost but the server
     /// keeps serving; the message carries the panic payload.
@@ -710,11 +710,9 @@ pub fn sim_result_json(
 /// surface of the admission-control and panic-isolation layers.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerLoad {
-    /// Jobs waiting in the dispatch queue right now.
-    pub queue_depth: usize,
-    /// The queue's high-water mark (`None` = unbounded, nothing sheds).
+    /// The cap on jobs in flight (`None` = unbounded, nothing sheds).
     pub queue_cap: Option<usize>,
-    /// Jobs currently executing in micro-batch workers.
+    /// Jobs admitted and not yet answered.
     pub inflight: usize,
     /// Requests shed with `overloaded` since the server started.
     pub shed: usize,
@@ -745,7 +743,10 @@ pub fn stats_json(
         (
             "load",
             Json::obj([
-                ("queue_depth", Json::uint(load.queue_depth as u128)),
+                // Jobs run on the connection thread that read them, so
+                // nothing ever waits in a queue; the field stays because
+                // protocol v1 only adds fields.
+                ("queue_depth", Json::uint(0)),
                 (
                     "queue_cap",
                     load.queue_cap.map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),

@@ -1,33 +1,32 @@
-//! The server runtime: shared state, the dispatcher that fans requests
-//! across [`SimSession::run_batch`], connection handling over TCP and
+//! The server runtime: shared state, connection handling over TCP and
 //! stdio, and graceful shutdown.
 //!
 //! # Architecture
 //!
 //! ```text
-//!  TCP clients ──► connection threads ─┐
-//!                                      ├─► request queue ─► dispatcher ─► SimSession::run_batch
-//!  stdio client ─► connection loop  ───┘        ▲                              │
-//!                                               └── replies (mpsc) ◄───────────┘
-//!                                    shared: DesignCache + module registry
+//!  TCP clients ──► one thread per connection ─┐
+//!                                             ├─► handle_line ─► SimSession::run_batch
+//!  stdio client ─► the serving thread ────────┘    (on the thread that read the line)
+//!           shared: DesignCache + module registry + admission gate
 //! ```
 //!
-//! Each connection is read line by line; simulation jobs are pushed onto
-//! one shared queue and the dispatcher drains it in *micro-batches*: all
-//! jobs pending at that moment become one [`SimSession::run_batch`] call
-//! (one worker thread per core), executing against the server's one
-//! [`DesignCache`]. Concurrent requests for the same design therefore
-//! elaborate and compile exactly once (the cache's per-key locking), and
-//! repeat requests are served from the warmed cache — an engine over a
-//! cached compiled design costs a reference-count bump plus a register
-//! file clone.
+//! Each connection is read line by line and has at most one request
+//! outstanding, so the thread that read a request runs its simulation
+//! jobs itself: a `sim` request is a one-job [`SimSession::run_batch`]
+//! call, which spawns no thread, and a `batch` request fans its jobs out
+//! across cores inside that call. Every job executes against the
+//! server's one [`DesignCache`], so concurrent requests for the same
+//! design elaborate and compile exactly once (the cache's per-key
+//! locking), and repeat requests are served from the warmed cache — an
+//! engine over a cached compiled design costs a reference-count bump plus
+//! a register file clone.
 //!
-//! Shutdown is graceful by construction: the `shutdown` flag and the job
-//! queue share one lock, so every job either (a) was enqueued before
-//! shutdown began and will be executed and answered, or (b) is rejected
-//! with an error of kind `shutdown`. The dispatcher exits only once the
-//! flag is set *and* the queue is empty — bounded by the drain deadline,
-//! after which stuck jobs are abandoned and answered with `shutdown`.
+//! Shutdown is graceful: once it begins, new jobs are refused with an
+//! error of kind `shutdown`, and a job admitted before that runs to
+//! completion on its connection thread. The TCP server waits for its
+//! connection threads up to the drain deadline, then returns and leaves
+//! stragglers running; their clients see the connection close when the
+//! process exits.
 //!
 //! # Failure model
 //!
@@ -35,10 +34,12 @@
 //! panic domain (`catch_unwind`): a panicking engine costs its own
 //! request an `internal_error` response while the server keeps serving.
 //! Poisoned cache entries are evicted, not wedged. Jobs carry an optional
-//! wall-clock deadline enforced between engine step-chunks, and the
-//! dispatch queue can be bounded (`queue_cap`), shedding load with a
-//! retryable `overloaded` error. See `ARCHITECTURE.md`, "Failure model".
+//! wall-clock deadline enforced between engine step-chunks, and the jobs
+//! in flight can be bounded (`queue_cap`, [`Admission`]), shedding load
+//! with a retryable `overloaded` error. See `ARCHITECTURE.md`, "Failure
+//! model".
 
+use crate::admission::Admission;
 use crate::json::Json;
 use crate::protocol::{
     error_response, hex_decode, hex_encode, ok_response, request_id, sim_result_json, stats_json,
@@ -48,15 +49,15 @@ use crate::wire::{write_line, LineReader};
 use llhd::assembly::parse_module;
 use llhd::ir::Module;
 use llhd::value::ConstValue;
-use llhd_sim::api::{panic_message, BatchJob, DesignCache, EngineKind, EngineState, SimSession};
+use llhd_sim::api::{panic_message, BatchJob, DesignCache, EngineState, SimSession};
 use llhd_sim::design::{InstanceId, InstanceKind};
-use llhd_sim::{DesignQuery, RunControl, SimConfig, SimResult};
+use llhd_sim::{DesignQuery, RunControl, SimConfig};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -92,15 +93,13 @@ const DEFAULT_SESSION_CAP: usize = 64;
 /// client that checkpointed can restore).
 const DEFAULT_SESSION_IDLE: Duration = Duration::from_secs(600);
 
-/// The default drain deadline: how long a graceful shutdown waits for
-/// in-flight jobs before abandoning them (they are answered with a
-/// retryable `shutdown` error).
+/// The default drain deadline: how long a graceful TCP shutdown waits for
+/// connection threads (and the jobs running on them) to finish.
 const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
-/// How often a reply wait or the dispatcher's drain re-checks its
-/// deadline. Replies arrive instantly when ready (mpsc wakes the
-/// waiter); this tick only bounds how late a *deadline* is noticed.
-const DRAIN_TICK: Duration = Duration::from_millis(50);
+/// How often the shutdown drain re-checks whether a connection thread
+/// has finished.
+const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Server construction options.
 #[derive(Clone, Debug, Default)]
@@ -117,13 +116,14 @@ pub struct ServerConfig {
     /// Destroy a session that receives no command for this long.
     /// `None`: the built-in default (10 minutes).
     pub session_idle_timeout: Option<Duration>,
-    /// High-water mark on the dispatch queue: a job group that would
-    /// push the queue past this many pending jobs is shed with a
-    /// retryable `overloaded` error carrying a `retry_after_ms` hint.
-    /// `None`: unbounded, nothing sheds.
+    /// Cap on jobs in flight (admitted and not yet answered): a job
+    /// group that would push the count past it is shed with a retryable
+    /// `overloaded` error carrying a `retry_after_ms` hint. `None`:
+    /// unbounded, nothing sheds.
     pub queue_cap: Option<usize>,
-    /// How long shutdown waits for in-flight jobs before abandoning
-    /// them. `None`: the built-in default (30 seconds).
+    /// How long a TCP shutdown waits for connection threads to finish
+    /// their in-flight jobs before returning without them. `None`: the
+    /// built-in default (30 seconds).
     pub drain_deadline: Option<Duration>,
     /// Stable identity this process reports in `ping` and `stats`
     /// responses (`server_id`), so a fleet router can attribute
@@ -133,26 +133,6 @@ pub struct ServerConfig {
     /// no faults. Only present with the `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
-}
-
-/// One queued simulation job plus its reply channel.
-struct PendingJob {
-    module: Arc<Module>,
-    /// The module's cache fingerprint, known from the registry — passed
-    /// through to `run_batch` so the hot path never re-encodes the module.
-    key: u128,
-    top: String,
-    engine: EngineKind,
-    config: SimConfig,
-    reply: mpsc::Sender<Result<SimResult, llhd_sim::api::Error>>,
-}
-
-/// The job queue; `shutting_down` shares this lock so enqueue-vs-shutdown
-/// is race-free (see the module docs).
-#[derive(Default)]
-struct Queue {
-    jobs: Vec<PendingJob>,
-    shutting_down: bool,
 }
 
 /// Parsed modules resident on the server, keyed by content fingerprint,
@@ -246,13 +226,12 @@ struct Sessions {
 }
 
 /// Shared state of one running server: the design cache, the module
-/// registry, the job queue, and the counters behind the `stats` endpoint.
+/// registry, the admission gate, and the counters behind the `stats`
+/// endpoint.
 pub struct ServerState {
     cache: DesignCache,
     registry: Mutex<Registry>,
-    queue: Mutex<Queue>,
-    queue_cv: Condvar,
-    /// Mirror of `Queue::shutting_down` for lock-free reads on hot paths.
+    /// Set once shutdown has begun: new jobs and sessions are refused.
     shutdown_flag: AtomicBool,
     /// Where a shutdown must connect to unblock the TCP accept loop.
     wake_addr: Mutex<Option<SocketAddr>>,
@@ -267,17 +246,10 @@ pub struct ServerState {
     session_cap: usize,
     /// Idle timeout after which a session self-destroys.
     session_idle: Duration,
-    /// High-water mark on the dispatch queue (`None`: unbounded).
-    queue_cap: Option<usize>,
-    /// How long shutdown waits for in-flight work before abandoning it.
+    /// Jobs in flight, their cap (`queue_cap`) and the shed count.
+    admission: Admission,
+    /// How long a TCP shutdown waits for connection threads.
     drain_deadline: Duration,
-    /// Set by [`ServerState::begin_shutdown`]: the instant at which the
-    /// drain gives up and stuck jobs are answered with `shutdown`.
-    drain_until: Mutex<Option<Instant>>,
-    /// Jobs currently executing in micro-batch workers.
-    inflight: AtomicUsize,
-    /// Job groups shed with `overloaded` since start.
-    shed: AtomicUsize,
     /// Panics caught (and answered as `internal_error`) since start.
     panics_caught: AtomicUsize,
     /// The deterministic fault plan, when the chaos harness is armed.
@@ -295,8 +267,6 @@ impl ServerState {
                 capacity: config.cache_capacity,
                 ..Registry::default()
             }),
-            queue: Mutex::default(),
-            queue_cv: Condvar::new(),
             shutdown_flag: AtomicBool::new(false),
             wake_addr: Mutex::new(None),
             started: Instant::now(),
@@ -309,11 +279,8 @@ impl ServerState {
             sessions: Mutex::default(),
             session_cap: config.session_cap.unwrap_or(DEFAULT_SESSION_CAP),
             session_idle: config.session_idle_timeout.unwrap_or(DEFAULT_SESSION_IDLE),
-            queue_cap: config.queue_cap.filter(|&cap| cap > 0),
+            admission: Admission::new(config.queue_cap),
             drain_deadline: config.drain_deadline.unwrap_or(DEFAULT_DRAIN_DEADLINE),
-            drain_until: Mutex::new(None),
-            inflight: AtomicUsize::new(0),
-            shed: AtomicUsize::new(0),
             panics_caught: AtomicUsize::new(0),
             #[cfg(feature = "fault-injection")]
             fault: config.fault_plan.clone(),
@@ -328,7 +295,7 @@ impl ServerState {
         self.cache.sweep_poisoned();
     }
 
-    /// Phantom queue depth injected by the fault plan (`queue.pressure`
+    /// Phantom in-flight jobs injected by the fault plan (`queue.pressure`
     /// site); zero without the `fault-injection` feature.
     fn fault_queue_pressure(&self) -> usize {
         #[cfg(feature = "fault-injection")]
@@ -340,7 +307,7 @@ impl ServerState {
 
     /// Arm the fault plan's `sim.panic` site on a job's run control: the
     /// probe panics at a plan-chosen scheduler cycle, mid-simulation,
-    /// inside the batch worker's panic domain.
+    /// inside `run_batch`'s per-job panic domain.
     #[cfg(feature = "fault-injection")]
     fn arm_fault_probe(&self, config: &mut SimConfig) {
         let Some(plan) = &self.fault else { return };
@@ -373,18 +340,11 @@ impl ServerState {
         self.shutdown_flag.load(Ordering::Relaxed)
     }
 
-    /// Begin graceful shutdown: stop taking new jobs, let the dispatcher
-    /// drain the queue, and unblock the accept loop.
+    /// Begin graceful shutdown: refuse new jobs and sessions, end the
+    /// session threads, and unblock the accept loop. Jobs already
+    /// admitted run to completion on their connection threads.
     pub fn begin_shutdown(&self) {
-        {
-            let mut queue = plock(&self.queue);
-            queue.shutting_down = true;
-            self.shutdown_flag.store(true, Ordering::Relaxed);
-            self.queue_cv.notify_all();
-        }
-        // Start the drain clock: in-flight work gets this long to finish
-        // before waiters are answered with a retryable `shutdown` error.
-        *plock(&self.drain_until) = Some(Instant::now() + self.drain_deadline);
+        self.shutdown_flag.store(true, Ordering::Relaxed);
         // Dropping the command senders ends every session thread after it
         // drains already-queued commands (those replies still arrive).
         plock(&self.sessions).map.clear();
@@ -393,44 +353,6 @@ impl ServerState {
         if let Some(addr) = addr {
             let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
         }
-    }
-
-    /// Enqueue jobs for the dispatcher as one group (one lock acquisition,
-    /// so they land in the same micro-batch). Refused once shutdown has
-    /// begun — the refusal and the dispatcher's drain share the queue
-    /// lock, so no job can slip into the gap and hang unanswered.
-    fn submit(&self, jobs: Vec<PendingJob>) -> Result<(), ProtoError> {
-        let mut queue = plock(&self.queue);
-        if queue.shutting_down {
-            return Err(ProtoError::new(
-                ErrorKind::Shutdown,
-                "server is shutting down; no new simulations are accepted",
-            ));
-        }
-        // Admission control: shed the whole group (never a partial batch)
-        // when it would push the queue past the cap. The hint scales with
-        // the overshoot so heavier overload backs clients off longer.
-        if let Some(cap) = self.queue_cap {
-            let depth = queue.jobs.len() + self.fault_queue_pressure();
-            if depth + jobs.len() > cap {
-                self.shed.fetch_add(1, Ordering::Relaxed);
-                let overshoot = (depth + jobs.len() - cap) as u128;
-                return Err(ProtoError::new(
-                    ErrorKind::Overloaded,
-                    format!(
-                        "dispatch queue is full ({} pending, cap {}); retry later",
-                        depth, cap
-                    ),
-                )
-                .with_data(
-                    "retry_after_ms",
-                    Json::uint((10 * overshoot).clamp(10, 1000)),
-                ));
-            }
-        }
-        queue.jobs.extend(jobs);
-        self.queue_cv.notify_all();
-        Ok(())
     }
 
     /// Resolve a job's design reference to a resident module + key:
@@ -460,102 +382,74 @@ impl ServerState {
         }
     }
 
-    /// Execute one group of jobs (a `sim` request is a group of one) and
-    /// render each job's response payload.
+    /// Execute one group of jobs (a `sim` request is a group of one) on
+    /// the calling thread and render each job's response payload. The
+    /// group is admitted as a whole; a bad design reference fails only
+    /// its own job, and in a batch the other jobs still run.
     fn run_jobs(&self, specs: &[SimJobSpec]) -> Result<Vec<Result<Json, ProtoError>>, ProtoError> {
-        let mut pending = Vec::with_capacity(specs.len());
-        let mut meta = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let (module, key) = match self.resolve_module(spec) {
-                Ok(resolved) => resolved,
+        let resolved: Vec<_> = specs.iter().map(|spec| self.resolve_module(spec)).collect();
+        let jobs: Vec<BatchJob> = specs
+            .iter()
+            .zip(&resolved)
+            .filter_map(|(spec, resolved)| {
+                let (module, key) = resolved.as_ref().ok()?;
+                let mut config = spec.sim_config();
+                if let Some(ms) = spec.deadline_ms {
+                    config.control.deadline = Some(Instant::now() + Duration::from_millis(ms));
+                }
+                self.arm_fault_probe(&mut config);
+                Some(BatchJob {
+                    module,
+                    top: &spec.top,
+                    engine: spec.engine,
+                    config,
+                    cache_key: Some(*key),
+                })
+            })
+            .collect();
+        if self.shutting_down() {
+            return Err(ProtoError::new(
+                ErrorKind::Shutdown,
+                "server is shutting down; no new simulations are accepted",
+            ));
+        }
+        let _permit = self.admission.admit(jobs.len(), self.fault_queue_pressure())?;
+        self.requests.fetch_add(jobs.len(), Ordering::Relaxed);
+        let mut results = SimSession::run_batch(&jobs, Some(&self.cache)).into_iter();
+        drop(jobs);
+        let mut out = Vec::with_capacity(specs.len());
+        for (spec, resolved) in specs.iter().zip(resolved) {
+            let key = match resolved {
+                Ok((_, key)) => key,
                 Err(e) => {
-                    // A bad design reference fails only its own job; in a
-                    // batch the other jobs still run.
-                    meta.push(Err(e));
+                    out.push(Err(e));
                     continue;
                 }
             };
-            let (tx, rx) = mpsc::channel();
-            meta.push(Ok((key, rx)));
-            let mut config = spec.sim_config();
-            // The budget starts at receipt, so time spent queued counts
-            // against it — an overloaded server fails deadlined jobs fast
-            // instead of running them long after the client gave up.
-            if let Some(ms) = spec.deadline_ms {
-                config.control.deadline = Some(Instant::now() + Duration::from_millis(ms));
-            }
-            self.arm_fault_probe(&mut config);
-            pending.push(PendingJob {
-                module,
-                key,
-                top: spec.top.clone(),
-                engine: spec.engine,
-                config,
-                reply: tx,
-            });
-        }
-        let submitted = pending.len();
-        self.submit(pending)?;
-        self.requests.fetch_add(submitted, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(specs.len());
-        for (spec, entry) in specs.iter().zip(meta) {
-            out.push(match entry {
-                Err(e) => Err(e),
-                Ok((key, rx)) => match self.await_reply(&rx) {
-                    Ok(Ok(result)) => Ok(sim_result_json(
-                        &format!("{:032x}", key),
-                        &spec.top,
-                        spec.engine,
-                        spec.trace,
-                        &result,
-                    )),
-                    Ok(Err(e)) => {
-                        // A freshly submitted source that fails to
-                        // elaborate must not stay resident: it would
-                        // occupy registry capacity (evicting designs the
-                        // cache still serves) for a key nobody can use.
-                        if spec.source.is_some()
-                            && matches!(e, llhd_sim::api::Error::Elaborate(_))
-                        {
-                            plock(&self.registry).remove(key);
-                        }
-                        Err(e.into())
+            out.push(match results.next().expect("one result per resolved job") {
+                Ok(result) => Ok(sim_result_json(
+                    &format!("{:032x}", key),
+                    &spec.top,
+                    spec.engine,
+                    spec.trace,
+                    &result,
+                )),
+                Err(e) => {
+                    if matches!(e, llhd_sim::api::Error::Panic(_)) {
+                        self.note_panic();
                     }
-                    Err(e) => Err(e),
-                },
+                    // A freshly submitted source that fails to elaborate
+                    // must not stay resident: it would occupy registry
+                    // capacity (evicting designs the cache still serves)
+                    // for a key nobody can use.
+                    if spec.source.is_some() && matches!(e, llhd_sim::api::Error::Elaborate(_)) {
+                        plock(&self.registry).remove(key);
+                    }
+                    Err(e.into())
+                }
             });
         }
         Ok(out)
-    }
-
-    /// Block on one job reply, bounded by the drain deadline once a
-    /// shutdown has begun. Without that bound a job wedged inside a
-    /// worker would hang its client (and shutdown) forever.
-    fn await_reply(
-        &self,
-        rx: &mpsc::Receiver<Result<SimResult, llhd_sim::api::Error>>,
-    ) -> Result<Result<SimResult, llhd_sim::api::Error>, ProtoError> {
-        loop {
-            match rx.recv_timeout(DRAIN_TICK) {
-                Ok(reply) => return Ok(reply),
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(ProtoError::new(
-                        ErrorKind::Shutdown,
-                        "server shut down before the job completed",
-                    ))
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if let Some(until) = *plock(&self.drain_until) {
-                        if Instant::now() >= until {
-                            return Err(ProtoError::new(
-                                ErrorKind::Shutdown,
-                                "shutdown drain deadline exceeded before the job completed; retry against a live server",
-                            ));
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Open a new interactive session (optionally restoring a checkpoint
@@ -662,10 +556,9 @@ impl ServerState {
                 let uptime = self.started.elapsed();
                 let requests = self.requests.load(Ordering::Relaxed);
                 let load = ServerLoad {
-                    queue_depth: plock(&self.queue).jobs.len(),
-                    queue_cap: self.queue_cap,
-                    inflight: self.inflight.load(Ordering::Relaxed),
-                    shed: self.shed.load(Ordering::Relaxed),
+                    queue_cap: self.admission.cap(),
+                    inflight: self.admission.inflight(),
+                    shed: self.admission.shed(),
                     open_sessions: plock(&self.sessions).map.len(),
                     panics_caught: self.panics_caught.load(Ordering::Relaxed),
                 };
@@ -824,84 +717,6 @@ impl ServerState {
             stats.compile_misses,
             stats.evictions,
         )
-    }
-}
-
-/// The dispatcher: drains the queue in micro-batches and hands each batch
-/// to a runner thread, which executes it through [`SimSession::run_batch`]
-/// with the shared cache. All jobs pending at drain time execute
-/// concurrently (one worker per core inside the batch), and because a
-/// batch goes to an *idle* runner — a new one is started when none is —
-/// a long-running batch never blocks newer short requests behind it (no
-/// head-of-line blocking across batches). Runners are kept for the
-/// server's lifetime: spawning a thread per batch made every request pay
-/// a thread start, and under load spread its allocations over ever more
-/// malloc arenas. In-flight batches are bounded by the number of
-/// connections — each has at most one outstanding request — and runners
-/// by twice that: a runner that has answered but not yet counted itself
-/// idle can miss one batch, which then starts another runner.
-fn dispatch_loop(state: Arc<ServerState>) {
-    let (batch_tx, batch_rx) = mpsc::channel::<Vec<PendingJob>>();
-    let batch_rx = Arc::new(Mutex::new(batch_rx));
-    // Runners blocked on `batch_rx` that no sent batch has claimed yet.
-    let idle = Arc::new(AtomicUsize::new(0));
-    let mut runners: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let batch = {
-            let mut queue = plock(&state.queue);
-            loop {
-                if !queue.jobs.is_empty() {
-                    break Some(std::mem::take(&mut queue.jobs));
-                }
-                if queue.shutting_down {
-                    break None;
-                }
-                queue = state
-                    .queue_cv
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        let batch = match batch {
-            Some(batch) => batch,
-            None => break,
-        };
-        let claimed = idle
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-            .is_ok();
-        if !claimed {
-            runners.retain(|handle| !handle.is_finished());
-            let (state, batch_rx, idle) =
-                (Arc::clone(&state), Arc::clone(&batch_rx), Arc::clone(&idle));
-            runners.push(std::thread::spawn(move || loop {
-                let Ok(batch) = plock(&batch_rx).recv() else {
-                    return;
-                };
-                run_micro_batch(&state, batch);
-                idle.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        // The receiving side lives as long as any runner does, and a
-        // runner was just counted or started for this batch.
-        let _ = batch_tx.send(batch);
-    }
-    // Graceful drain: every accepted job is answered before the
-    // dispatcher (and with it the server) exits — bounded by the drain
-    // deadline, after which stuck batches are abandoned (their waiters
-    // are answered with `shutdown` by `await_reply`'s own deadline).
-    // Closing the channel lets each runner exit once it is idle.
-    drop(batch_tx);
-    let until = plock(&state.drain_until)
-        .unwrap_or_else(|| Instant::now() + state.drain_deadline);
-    while !runners.is_empty() && Instant::now() < until {
-        runners.retain(|handle| !handle.is_finished());
-        if runners.is_empty() {
-            break;
-        }
-        std::thread::sleep(DRAIN_TICK);
-    }
-    for handle in runners.into_iter().filter(|h| h.is_finished()) {
-        let _ = handle.join();
     }
 }
 
@@ -1242,30 +1057,6 @@ fn run_query(
     }
 }
 
-/// Execute one micro-batch and deliver the replies.
-fn run_micro_batch(state: &ServerState, batch: Vec<PendingJob>) {
-    state.inflight.fetch_add(batch.len(), Ordering::Relaxed);
-    let jobs: Vec<BatchJob> = batch
-        .iter()
-        .map(|job| BatchJob {
-            module: &job.module,
-            top: &job.top,
-            engine: job.engine,
-            config: job.config.clone(),
-            cache_key: Some(job.key),
-        })
-        .collect();
-    let results = SimSession::run_batch(&jobs, Some(&state.cache));
-    state.inflight.fetch_sub(batch.len(), Ordering::Relaxed);
-    for (job, result) in batch.iter().zip(results) {
-        if matches!(result, Err(llhd_sim::api::Error::Panic(_))) {
-            state.note_panic();
-        }
-        // A dropped receiver (client went away mid-run) is fine.
-        let _ = job.reply.send(result);
-    }
-}
-
 /// Serve one connection: read request lines, write response lines. Reads
 /// that time out re-check the shutdown flag, so idle TCP connections
 /// unblock during shutdown. An oversized line costs a `protocol` error
@@ -1363,11 +1154,6 @@ impl Server {
         Arc::clone(&self.state)
     }
 
-    fn spawn_dispatcher(&self) -> JoinHandle<()> {
-        let state = self.state();
-        std::thread::spawn(move || dispatch_loop(state))
-    }
-
     fn spawn_stats_logger(&self) -> Option<JoinHandle<()>> {
         let interval = self.stats_interval?;
         let state = self.state();
@@ -1386,17 +1172,15 @@ impl Server {
 
     /// Serve a single session over stdin/stdout (responses on stdout, the
     /// periodic stats line on stderr). Returns after EOF or a `shutdown`
-    /// request, once in-flight work has drained.
+    /// request; every job runs on this thread, so none is left in flight.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures on the stdio streams.
     pub fn serve_stdio(self) -> io::Result<()> {
-        let dispatcher = self.spawn_dispatcher();
         let logger = self.spawn_stats_logger();
         let result = handle_connection(&self.state, io::stdin().lock(), io::stdout().lock());
         self.state.begin_shutdown();
-        let _ = dispatcher.join();
         if let Some(logger) = logger {
             let _ = logger.join();
         }
@@ -1404,15 +1188,15 @@ impl Server {
     }
 
     /// Serve TCP connections on `listener`, one thread per connection,
-    /// until a `shutdown` request arrives; drains in-flight work before
-    /// returning.
+    /// until a `shutdown` request arrives. Then waits for the connection
+    /// threads, and the jobs running on them, up to the drain deadline;
+    /// threads still running past it are left behind.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop I/O failures.
     pub fn serve_tcp(self, listener: TcpListener) -> io::Result<()> {
         *plock(&self.state.wake_addr) = Some(listener.local_addr()?);
-        let dispatcher = self.spawn_dispatcher();
         let logger = self.spawn_stats_logger();
         let mut connections = Vec::new();
         for stream in listener.incoming() {
@@ -1424,7 +1208,6 @@ impl Server {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => {
                     self.state.begin_shutdown();
-                    let _ = dispatcher.join();
                     return Err(e);
                 }
             };
@@ -1435,13 +1218,15 @@ impl Server {
             let state = self.state();
             connections.push(std::thread::spawn(move || serve_one(&state, &stream)));
         }
-        // Drain: connections first (they may still be waiting on replies,
-        // which need the dispatcher alive), then the dispatcher.
+        let until = Instant::now() + self.state.drain_deadline;
         for connection in connections {
-            let _ = connection.join();
+            while !connection.is_finished() && Instant::now() < until {
+                std::thread::sleep(DRAIN_TICK);
+            }
+            if connection.is_finished() {
+                let _ = connection.join();
+            }
         }
-        self.state.queue_cv.notify_all();
-        let _ = dispatcher.join();
         if let Some(logger) = logger {
             let _ = logger.join();
         }
@@ -1585,7 +1370,6 @@ mod tests {
     fn every_response_line_is_one_write() {
         let server = Server::new(ServerConfig::default());
         let state = server.state();
-        let dispatcher = server.spawn_dispatcher();
         let sim = Json::obj([
             ("type", Json::str("sim")),
             ("id", Json::Int(2)),
@@ -1599,8 +1383,6 @@ mod tests {
             .chain(Cursor::new("\n"));
         let mut writer = CountingWriter::default();
         handle_connection(&state, input, &mut writer).unwrap();
-        state.begin_shutdown();
-        dispatcher.join().unwrap();
 
         let text = String::from_utf8(writer.bytes).unwrap();
         let lines: Vec<Json> = text

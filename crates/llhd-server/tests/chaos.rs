@@ -116,6 +116,16 @@ fn chaotic_request(
     None
 }
 
+/// Pull a counter out of a `stats` response's `load` object.
+fn load_counter(stats: &Json, name: &str) -> i128 {
+    stats
+        .get("result")
+        .and_then(|r| r.get("load"))
+        .and_then(|l| l.get(name))
+        .and_then(Json::as_int)
+        .unwrap_or_else(|| panic!("stats lacks load.{}: {}", name, stats))
+}
+
 #[test]
 fn a_seeded_fault_storm_cannot_kill_the_server() {
     let seed = std::env::var("LLHD_CHAOS_SEED")
@@ -201,6 +211,18 @@ fn a_seeded_fault_storm_cannot_kill_the_server() {
         total.other_errors += tally.other_errors;
         total.reconnects += tally.reconnects;
     }
+    // Every storm request has been answered or had its connection die
+    // before it was read, so no job is still counted in flight: a job's
+    // admission is released on every path, injected panics included.
+    let mut client: Option<Client> = None;
+    let stats = chaotic_request(
+        &mut client,
+        addr,
+        &Json::obj([("type", Json::str("stats"))]),
+        &mut Tally::default(),
+    )
+    .expect("post-storm stats went unanswered");
+    assert_eq!(load_counter(&stats, "inflight"), 0, "{}", stats);
 
     // The storm actually stormed: faults fired at three or more distinct
     // sites, including mid-simulation panics the server had to absorb.
@@ -306,12 +328,7 @@ fn a_seeded_fault_storm_cannot_kill_the_server() {
         &mut after,
     )
     .expect("post-chaos stats went unanswered");
-    let panics_caught = stats
-        .get("result")
-        .and_then(|r| r.get("load"))
-        .and_then(|l| l.get("panics_caught"))
-        .and_then(Json::as_int)
-        .unwrap_or_else(|| panic!("stats lacks load.panics_caught: {}", stats));
+    let panics_caught = load_counter(&stats, "panics_caught");
     assert!(
         panics_caught > 0,
         "the server should have counted absorbed panics: {}",
@@ -328,4 +345,44 @@ fn a_seeded_fault_storm_cannot_kill_the_server() {
     );
     running.state().begin_shutdown();
     running.join().expect("server thread must not have panicked");
+}
+
+/// A job whose simulation panics still gives back its admission: on a
+/// server that admits one job at a time, every job panics (`sim.panic`
+/// at rate 256), and each next job is still admitted — answered with
+/// `internal_error`, never shed as `overloaded`.
+#[test]
+fn a_panicked_job_releases_its_admission() {
+    let plan = Arc::new(FaultPlan::new(7).with_rate(Site::SimPanic, 256));
+    let running = Server::spawn_tcp(
+        ServerConfig {
+            queue_cap: Some(1),
+            fault_plan: Some(Arc::clone(&plan)),
+            ..ServerConfig::default()
+        },
+        "127.0.0.1:0",
+    )
+    .expect("bind an ephemeral port");
+    let mut client = Client::connect(running.addr()).unwrap();
+    // Long enough (≥ 32 scheduler cycles) to reach any cycle the plan
+    // picks for the panic.
+    let sim = Json::obj([
+        ("type", Json::str("sim")),
+        ("source", Json::str(BLINK)),
+        ("top", Json::str("blink")),
+        ("engine", Json::str("interpret")),
+        ("until_ns", Json::Int(400)),
+    ]);
+    for _ in 0..3 {
+        let response = client.request(&sim).unwrap();
+        let kind = response.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("internal_error"), "{}", response);
+    }
+    let stats = client.request(&Json::obj([("type", Json::str("stats"))])).unwrap();
+    assert_eq!(load_counter(&stats, "inflight"), 0, "{}", stats);
+    assert_eq!(load_counter(&stats, "shed"), 0, "{}", stats);
+    assert_eq!(load_counter(&stats, "panics_caught"), 3, "{}", stats);
+    assert_eq!(plan.injected(Site::SimPanic), 3);
+    client.request(&Json::obj([("type", Json::str("shutdown"))])).unwrap();
+    running.join().unwrap();
 }

@@ -7,7 +7,9 @@ use llhd_server::json::Json;
 use llhd_server::{Client, Server, ServerConfig};
 use llhd_sim::api::{EngineKind, SimSession};
 use llhd_sim::SimConfig;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const BLINK: &str = r#"
 proc @blink () -> (i1$ %led) {
@@ -434,8 +436,8 @@ fn a_long_request_does_not_block_a_short_one() {
         started.elapsed()
     });
     // Client B: a tiny simulation submitted while A is in flight must be
-    // answered long before A completes — the dispatcher must not
-    // head-of-line-block short requests behind a running batch.
+    // answered long before A completes — each job runs on its own
+    // connection's thread, so nothing queues behind a running job.
     std::thread::sleep(Duration::from_millis(30));
     let started = std::time::Instant::now();
     let mut client = Client::connect(addr).unwrap();
@@ -464,7 +466,7 @@ fn a_long_request_does_not_block_a_short_one() {
 fn requests_after_shutdown_are_refused_not_hung() {
     // Exercised at the state level (no sockets): once shutdown has begun,
     // a sim request must fail fast with the `shutdown` error kind rather
-    // than queue behind a dispatcher that will never run it.
+    // than start a simulation nobody will wait for.
     let server = Server::new(ServerConfig::default());
     let state = server.state();
     state.begin_shutdown();
@@ -482,6 +484,99 @@ fn requests_after_shutdown_are_refused_not_hung() {
         "{}",
         response
     );
+}
+
+/// A job runs on the thread that handles its line: `handle_line` answers
+/// a `sim` and a two-job `batch` on the state of a server that never
+/// started serving. The watchdog turns a hang (a job waiting for a
+/// serving loop that does not exist) into a failure.
+#[test]
+fn handle_line_runs_jobs_on_a_server_that_is_not_serving() {
+    let state = Server::new(ServerConfig::default()).state();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let job = || {
+            vec![
+                ("source", Json::str(BLINK)),
+                ("top", Json::str("blink")),
+                ("until_ns", Json::Int(100)),
+            ]
+        };
+        let (sim, _) = state.handle_line(&sim_request(job()).to_string());
+        let batch = Json::obj([
+            ("type", Json::str("batch")),
+            ("jobs", Json::Arr(vec![Json::obj(job()), Json::obj(job())])),
+        ]);
+        let (batch, _) = state.handle_line(&batch.to_string());
+        let _ = tx.send((sim, batch));
+    });
+    let (sim, batch) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("handle_line did not answer within 60 s");
+    assert_eq!(sim.get("ok"), Some(&Json::Bool(true)), "{}", sim);
+    assert_eq!(batch.get("ok"), Some(&Json::Bool(true)), "{}", batch);
+    let results = batch
+        .get("result")
+        .and_then(|r| r.get("results"))
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("batch response lacks results: {}", batch));
+    assert_eq!(results.len(), 2, "{}", batch);
+    for result in results {
+        assert_eq!(result.get("ok"), Some(&Json::Bool(true)), "{}", batch);
+    }
+}
+
+/// Shutdown waits for in-flight jobs only up to the drain deadline: with
+/// 200 ms, `join` returns while a long job still runs on its connection
+/// thread. That thread is left to finish, so its client (in this
+/// process, which does not exit) still receives the complete result.
+#[test]
+fn shutdown_stops_waiting_for_jobs_at_the_drain_deadline() {
+    let running = spawn(ServerConfig {
+        drain_deadline: Some(Duration::from_millis(200)),
+        ..ServerConfig::default()
+    });
+    let addr = running.addr();
+    let answered = Arc::new(AtomicBool::new(false));
+    let long = {
+        let answered = Arc::clone(&answered);
+        std::thread::spawn(move || {
+            // Five million 2 ns wakeups on the interpreter: seconds in a
+            // debug build, several times the deadline in a release one.
+            let mut client = Client::connect(addr).unwrap();
+            let response = client
+                .request(&sim_request(vec![
+                    ("source", Json::str(BLINK.replace("5ns", "2ns"))),
+                    ("top", Json::str("blink")),
+                    ("engine", Json::str("interpret")),
+                    ("until_ns", Json::Int(5_000_000)),
+                ]))
+                .unwrap();
+            answered.store(true, Ordering::SeqCst);
+            response
+        })
+    };
+    let mut other = Client::connect(addr).unwrap();
+    let stats = Json::obj([("type", Json::str("stats"))]);
+    let inflight = |stats: &Json| {
+        let load = stats.get("result").and_then(|r| r.get("load"));
+        load.and_then(|l| l.get("inflight")).and_then(Json::as_int)
+    };
+    while inflight(&other.request(&stats).unwrap()) != Some(1) {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let started = Instant::now();
+    shutdown(&mut other);
+    running.join().unwrap();
+    let joined = started.elapsed();
+    assert!(
+        !answered.load(Ordering::SeqCst),
+        "join waited {:?} for the long job instead of stopping at the drain deadline",
+        joined
+    );
+    assert!(joined >= Duration::from_millis(200), "join returned after {:?}", joined);
+    let response = long.join().unwrap();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{}", response);
 }
 
 /// A counter process: enough distinct state (a live variable, a resume

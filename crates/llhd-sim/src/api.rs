@@ -469,10 +469,11 @@ pub fn compile_backend() -> Option<&'static CompileBackend> {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
     /// Pick automatically: the compiled engine whenever a backend is
-    /// registered, the interpreter when none is or when the backend
-    /// rejects the module. Compilation repays itself within a few
-    /// simulated cycles on every design measured (the benchmark's
-    /// `blaze.breakeven_cycles`), so module size predicts nothing.
+    /// registered (a module the backend rejects is then a compile error,
+    /// as with `Compile`), the interpreter when none is. Compilation
+    /// repays itself within a few simulated cycles on every design
+    /// measured (the benchmark's `blaze.breakeven_cycles`), so module
+    /// size predicts nothing.
     #[default]
     Auto,
     /// The reference interpreter (`llhd-sim`).
@@ -1429,8 +1430,7 @@ impl<'m> SessionBuilder<'m> {
             // trace *filter* still applies).
             self.config.trace = true;
         }
-        let auto = self.kind == EngineKind::Auto;
-        let mut kind = match self.kind {
+        let kind = match self.kind {
             EngineKind::Auto if compile_backend().is_some() => EngineKind::Compile,
             EngineKind::Auto => EngineKind::Interpret,
             k => k,
@@ -1449,47 +1449,30 @@ impl<'m> SessionBuilder<'m> {
             self.cache_key.is_none() || key == Some(DesignCache::fingerprint(self.module)),
             "SessionBuilder::cache_key does not match the module's fingerprint"
         );
-        let mut compiled = None;
         let mut unit_stats = Vec::new();
-        // Elaboration computed for a failed compile attempt, reused by
-        // the interpreter fallback instead of elaborating twice.
-        let mut elaborated = None;
-        if kind == EngineKind::Compile {
-            let backend = compile_backend().ok_or_else(|| {
-                Error::BackendUnavailable(
-                    "EngineKind::Compile requires llhd_blaze::register()".to_string(),
-                )
-            })?;
-            let attempt = match (self.cache, key) {
-                (Some(cache), Some(key)) => {
-                    cache.compiled_keyed(key, self.module, self.top, backend)
-                }
-                _ => {
-                    let design = Arc::new(elaborate(self.module, self.top)?);
-                    elaborated = Some(Arc::clone(&design));
-                    (backend.compile)(self.module, Arc::clone(&design))
-                        .map(|artifact| (design, artifact))
-                }
-            };
-            match attempt {
-                Ok((design, artifact)) => {
-                    let engine = (backend.instantiate)(&artifact, &self.config)?;
-                    unit_stats = (backend.artifact_stats)(&artifact);
-                    compiled = Some((design, engine));
-                }
-                // `Auto` promises a *working* selection, not a bet on the
-                // compiled subset: designs the backend rejects degrade to
-                // the interpreter. An explicit `Compile` still fails.
-                Err(Error::Compile(_)) if auto => kind = EngineKind::Interpret,
-                Err(e) => return Err(e),
-            }
-        }
-        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine + 'm>) = match compiled {
-            Some(built) => built,
-            None => {
-                let design = match (self.cache, key, elaborated) {
-                    (_, _, Some(design)) => design,
-                    (Some(cache), Some(key), None) => {
+        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine + 'm>) =
+            if kind == EngineKind::Compile {
+                let backend = compile_backend().ok_or_else(|| {
+                    Error::BackendUnavailable(
+                        "EngineKind::Compile requires llhd_blaze::register()".to_string(),
+                    )
+                })?;
+                let (design, artifact) = match (self.cache, key) {
+                    (Some(cache), Some(key)) => {
+                        cache.compiled_keyed(key, self.module, self.top, backend)?
+                    }
+                    _ => {
+                        let design = Arc::new(elaborate(self.module, self.top)?);
+                        let artifact = (backend.compile)(self.module, Arc::clone(&design))?;
+                        (design, artifact)
+                    }
+                };
+                unit_stats = (backend.artifact_stats)(&artifact);
+                let engine = (backend.instantiate)(&artifact, &self.config)?;
+                (design, engine)
+            } else {
+                let design = match (self.cache, key) {
+                    (Some(cache), Some(key)) => {
                         cache.elaborated_keyed(key, self.module, self.top)?
                     }
                     _ => Arc::new(elaborate(self.module, self.top)?),
@@ -1500,8 +1483,7 @@ impl<'m> SessionBuilder<'m> {
                     self.config.clone(),
                 ));
                 (design, engine)
-            }
-        };
+            };
         let mut sinks = self.sinks;
         for sink in sinks.iter_mut() {
             sink.begin(&design.signals);
@@ -1864,8 +1846,8 @@ impl<'m> SimSession<'m> {
         // Fingerprint each distinct module once for the whole batch (jobs
         // routinely share one module), so cached workers don't re-encode
         // it per job. Jobs carrying a precomputed [`BatchJob::cache_key`]
-        // skip even that one encode — the steady state of the server's
-        // dispatcher, which knows every resident design's key already.
+        // skip even that one encode — the steady state of the server,
+        // which knows every resident design's key already.
         let keys: Vec<Option<u128>> = if cache.is_some() {
             let mut memo: HashMap<*const Module, u128> = HashMap::new();
             jobs.iter()
