@@ -18,6 +18,14 @@ if grep -rnE '\bwriteln?!\(' crates/llhd-server/src crates/llhd-router/src --exc
 # not within one, and is not covered).
 if grep -nE 'std::thread' crates/llhd-sim/src/sched.rs crates/llhd-sim/src/driver.rs crates/llhd-sim/src/engine.rs crates/llhd-blaze/src/engine.rs; then echo "ci.sh: std::thread in a run-loop file; a simulation runs on one thread" >&2; exit 1; fi
 
+# One-connection-per-call guard: a router call to a worker checks out a
+# plain `llhd_server::Client` (idle or fresh), writes its line and reads
+# the one reply on the calling thread. No reader thread, reply channel or
+# waiter FIFO may come back, so a health ping never queues behind a sim.
+if grep -nE 'std::thread|mpsc|VecDeque' crates/llhd-router/src/pool.rs; then
+    echo "ci.sh: pool.rs names std::thread/mpsc/VecDeque; a worker call reads its reply on the calling thread" >&2; exit 1
+fi
+
 # One-instruction-set guard: blaze has no lowering knobs and one
 # instruction set. `BlazeOptions`, `compile_design_with` and
 # `compile_unit_with` are inert shims that only the frozen `benchmark/`

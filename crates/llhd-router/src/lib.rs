@@ -8,9 +8,11 @@
 //!   the request's design key (inline-source requests hash the source
 //!   text); batches are split per worker and the per-job results merged
 //!   back in request order ([`ring`]).
-//! - **Connections** are pooled, persistent, and pipelined; a health
-//!   thread pings every worker and marks it down/up, re-placing its keys
-//!   on the next ring candidate while it is out ([`pool`]).
+//! - **Connections**: each worker call checks out a plain connection of
+//!   its own (an idle one, or a fresh one) and reads the reply on the
+//!   calling thread; a health thread pings every worker and marks it
+//!   down/up, re-placing its keys on the next ring candidate while it is
+//!   out ([`pool`]).
 //! - **Retries**: a worker-reported retryable error (`overloaded`,
 //!   `shutdown`) or a broken transport is retried exactly once on the
 //!   next ring candidate; non-retryable errors pass through untouched.
@@ -28,8 +30,9 @@
 //!
 //! Clients need no changes: anything that speaks protocol v1 to a
 //! worker can point at the router instead. The router is also itself a
-//! protocol-v1 server, so routers could in principle stack (though one
-//! tier is the intended shape).
+//! protocol-v1 server — it runs the server's own front end
+//! ([`llhd_server::front`]) — so routers could in principle stack
+//! (though one tier is the intended shape).
 
 pub mod pool;
 pub mod ring;

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! llhd-router --worker [ID=]ADDR [--worker ...] [--stdio | --tcp ADDR]
-//!             [--queue-cap N] [--pool-size N] [--ping-interval SECS]
+//!             [--queue-cap N] [--ping-interval SECS]
 //!             [--call-timeout SECS] [--server-id ID]
 //!
 //!   --worker [ID=]ADDR     a worker to route to (repeatable, at least one;
@@ -15,9 +15,9 @@
 //!   --tcp ADDR             listen on ADDR (e.g. 127.0.0.1:7070; port 0 = ephemeral)
 //!   --queue-cap N          shed requests past N routed jobs in flight with a
 //!                          retryable `overloaded` error (default: unbounded)
-//!   --pool-size N          persistent pipelined connections per worker (default 4)
-//!   --ping-interval SECS   health-ping cadence (default 1)
-//!   --call-timeout SECS    per-request budget against a worker (default 120)
+//!   --ping-interval SECS   health-ping cadence, at least 1 (default 1)
+//!   --call-timeout SECS    per-request budget against a worker, at least 1
+//!                          (default 120)
 //!   --server-id ID         identity reported in the router's own ping/stats
 //!                          (default: derived from pid + start time)
 //! ```
@@ -28,7 +28,7 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: llhd-router --worker [ID=]ADDR [--worker ...] [--stdio | --tcp ADDR] [--queue-cap N] [--pool-size N] [--ping-interval SECS] [--call-timeout SECS] [--server-id ID]"
+        "usage: llhd-router --worker [ID=]ADDR [--worker ...] [--stdio | --tcp ADDR] [--queue-cap N] [--ping-interval SECS] [--call-timeout SECS] [--server-id ID]"
     );
     std::process::exit(2);
 }
@@ -99,26 +99,19 @@ fn main() {
                 }
                 None => usage(),
             },
-            "--pool-size" => match argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(n) if n > 0 => {
-                    config.pool_size = n;
+            "--ping-interval" => match argv.get(i + 1).and_then(|s| s.parse().ok()) {
+                Some(secs) if secs > 0 => {
+                    config.ping_interval = Duration::from_secs(secs);
                     i += 1;
                 }
                 _ => usage(),
             },
-            "--ping-interval" => match argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(secs) => {
-                    config.ping_interval = Duration::from_secs(secs);
-                    i += 1;
-                }
-                None => usage(),
-            },
             "--call-timeout" => match argv.get(i + 1).and_then(|s| s.parse().ok()) {
-                Some(secs) => {
+                Some(secs) if secs > 0 => {
                     config.call_timeout = Duration::from_secs(secs);
                     i += 1;
                 }
-                None => usage(),
+                _ => usage(),
             },
             "--server-id" => match argv.get(i + 1) {
                 Some(id) => {

@@ -1,28 +1,22 @@
-//! Worker connection management: pooled persistent connections with
-//! per-connection request pipelining, plus the health state machine the
-//! router's placement consults.
+//! Worker connections and the health state machine the router's
+//! placement consults.
 //!
-//! A worker processes each connection's requests strictly in order (one
-//! line in, one line out), so a single connection serializes; the pool
-//! holds several pipelines per worker and round-robins across them for
-//! parallelism. Within one pipeline, requests are *pipelined*: the
-//! writer does not wait for the previous reply, and a reader thread
-//! pairs response lines to waiters in FIFO order — the protocol has no
-//! other correlation for a multiplexed connection (ids are client-owned
-//! and forwarded verbatim).
+//! A worker answers each connection's requests strictly in order (one
+//! line in, one line out), so a call checks out a connection of its own:
+//! an idle one from the worker's pool, or a fresh one. It writes its
+//! line, reads the one reply on the calling thread, and returns the
+//! connection to the pool. Concurrent calls to one worker therefore run
+//! on separate connections, and a health ping never waits behind a
+//! running simulation; the worker's own `--queue-cap` bounds how many
+//! jobs it takes at once.
 
 use llhd_server::json::Json;
-use llhd_server::wire::{write_line, LineReader};
-use std::collections::VecDeque;
+use llhd_server::Client;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// How long a reader thread blocks in `read` before re-checking whether
-/// its pipeline was closed.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// How long a fresh connection attempt may take before the worker is
 /// treated as unreachable for this call.
@@ -30,140 +24,6 @@ const CONNECT_TIMEOUT: Duration = Duration::from_millis(1000);
 
 fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The reply channel of one in-flight pipelined request.
-type Waiter = mpsc::Sender<io::Result<Json>>;
-
-/// State shared between a pipeline's callers and its reader thread. One
-/// lock covers the write side *and* the waiter FIFO, so the order lines
-/// hit the wire is exactly the order waiters queue in — the invariant
-/// FIFO reply pairing rests on.
-struct PipeShared {
-    stream: TcpStream,
-    /// The request-line encode buffer, reused across calls.
-    out: Vec<u8>,
-    waiters: VecDeque<Waiter>,
-    dead: bool,
-}
-
-impl PipeShared {
-    /// Mark the pipeline dead and fail everything still waiting on it.
-    fn fail_all(&mut self, why: &str) {
-        self.dead = true;
-        let _ = self.stream.shutdown(Shutdown::Both);
-        for waiter in self.waiters.drain(..) {
-            let _ = waiter.send(Err(io::Error::new(io::ErrorKind::BrokenPipe, why)));
-        }
-    }
-}
-
-/// One persistent, pipelined connection to a worker.
-pub struct Pipeline {
-    shared: Arc<Mutex<PipeShared>>,
-}
-
-impl Pipeline {
-    /// Connect and start the reader thread.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures (refused, timed out after one second).
-    pub fn connect(addr: SocketAddr) -> io::Result<Pipeline> {
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
-        let _ = stream.set_nodelay(true);
-        let reader = stream.try_clone()?;
-        reader.set_read_timeout(Some(READ_TICK))?;
-        let shared = Arc::new(Mutex::new(PipeShared {
-            stream,
-            out: Vec::new(),
-            waiters: VecDeque::new(),
-            dead: false,
-        }));
-        let thread_shared = Arc::clone(&shared);
-        std::thread::spawn(move || reader_loop(reader, &thread_shared));
-        Ok(Pipeline { shared })
-    }
-
-    /// Whether the connection has failed (callers should reconnect).
-    pub fn is_dead(&self) -> bool {
-        plock(&self.shared).dead
-    }
-
-    /// Send one request line and wait up to `timeout` for its (FIFO)
-    /// response. A timeout abandons only this caller; the reply slot
-    /// stays queued, so later responses still pair correctly.
-    ///
-    /// # Errors
-    ///
-    /// `BrokenPipe` when the connection is (or goes) down, `TimedOut`
-    /// when no response arrives in time, `InvalidData` on a non-JSON
-    /// response line.
-    pub fn call(&self, line: &str, timeout: Duration) -> io::Result<Json> {
-        let rx = {
-            let mut guard = plock(&self.shared);
-            let shared = &mut *guard;
-            if shared.dead {
-                return Err(io::Error::new(
-                    io::ErrorKind::BrokenPipe,
-                    "worker connection is down",
-                ));
-            }
-            let (tx, rx) = mpsc::channel();
-            shared.waiters.push_back(tx);
-            // A failed or partial write desynchronizes the line framing:
-            // nothing sent after it can be trusted, so the whole pipeline
-            // dies (callers reconnect).
-            if let Err(e) = write_line(&mut shared.stream, &mut shared.out, line) {
-                shared.fail_all("worker connection failed while writing a request");
-                return Err(e);
-            }
-            rx
-        };
-        match rx.recv_timeout(timeout) {
-            Ok(result) => result,
-            Err(_) => Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "worker did not answer within the call timeout",
-            )),
-        }
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        plock(&self.shared).fail_all("pipeline closed");
-    }
-}
-
-/// Pair response lines to waiters until the connection dies or closes.
-fn reader_loop(reader: TcpStream, shared: &Arc<Mutex<PipeShared>>) {
-    let mut lines = LineReader::new(reader);
-    loop {
-        match lines.next_line() {
-            Ok(Some(line)) => {
-                let waiter = plock(shared).waiters.pop_front();
-                if let Some(waiter) = waiter {
-                    let parsed = Json::parse(&line)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
-                    // The caller may have timed out and gone; that's fine.
-                    let _ = waiter.send(parsed);
-                }
-                // An unsolicited line (no waiter) is dropped: the server
-                // never pushes, so this is a desync artifact at worst.
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if plock(shared).dead {
-                    return;
-                }
-            }
-            Ok(None) | Err(_) => {
-                plock(shared).fail_all("worker closed the connection");
-                return;
-            }
-        }
-    }
 }
 
 /// A worker's health as the router sees it.
@@ -189,16 +49,14 @@ impl Health {
     }
 }
 
-/// One worker: its identity, address, health, and connection pool.
+/// One worker: its identity, address, health, and idle connections.
 pub struct Worker {
     /// The router-side id (ring placement hashes this).
     pub id: String,
     /// The worker's TCP address.
     pub addr: SocketAddr,
-    /// Fixed-size pool of pipelines, lazily (re)connected.
-    pipes: Mutex<Vec<Option<Arc<Pipeline>>>>,
-    /// Round-robin cursor over the pool.
-    next: AtomicUsize,
+    /// Connections with no request outstanding, ready for the next call.
+    idle: Mutex<Vec<Client>>,
     health: Mutex<Health>,
     /// The `server_id` the worker reported on its last successful ping.
     server_id: Mutex<Option<String>>,
@@ -207,14 +65,12 @@ pub struct Worker {
 }
 
 impl Worker {
-    /// A worker handle with `pool_size` pipeline slots; nothing connects
-    /// until the first call.
-    pub fn new(id: String, addr: SocketAddr, pool_size: usize) -> Worker {
+    /// A worker handle; nothing connects until the first call.
+    pub fn new(id: String, addr: SocketAddr) -> Worker {
         Worker {
             id,
             addr,
-            pipes: Mutex::new(vec![None; pool_size.max(1)]),
-            next: AtomicUsize::new(0),
+            idle: Mutex::default(),
             health: Mutex::new(Health::Up),
             server_id: Mutex::new(None),
             markdowns: AtomicUsize::new(0),
@@ -267,39 +123,36 @@ impl Worker {
         }
     }
 
-    /// A live pipeline from the pool (round-robin), reconnecting a dead
-    /// or never-opened slot.
-    ///
-    /// # Errors
-    ///
-    /// Connection failures when the slot needs a fresh connection.
-    fn pipeline(&self) -> io::Result<Arc<Pipeline>> {
-        let mut pipes = plock(&self.pipes);
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % pipes.len();
-        if let Some(pipe) = &pipes[slot] {
-            if !pipe.is_dead() {
-                return Ok(Arc::clone(pipe));
-            }
-        }
-        let pipe = Arc::new(Pipeline::connect(self.addr)?);
-        pipes[slot] = Some(Arc::clone(&pipe));
-        Ok(pipe)
-    }
-
-    /// Send one request line to this worker and wait for the response.
-    /// Transport failures mark the worker down (the health ping marks it
-    /// back up when it recovers).
+    /// Send one request line to this worker and wait up to `timeout` for
+    /// the response, on an idle connection or a fresh one. A timeout
+    /// drops only this connection, whose reply is still pending: it is
+    /// load, not death. Any other transport failure drops the idle
+    /// connections too and marks the worker down (the health ping marks
+    /// it back up when it recovers).
     ///
     /// # Errors
     ///
     /// Connection, write, timeout, or response-parse failures.
     pub fn call(&self, line: &str, timeout: Duration) -> io::Result<Json> {
-        let outcome = self.pipeline().and_then(|pipe| pipe.call(line, timeout));
-        if let Err(e) = &outcome {
-            // A timeout is load, not death: the pipeline stays intact and
-            // the reply will be discarded when it lands. Everything else
-            // is a broken transport.
-            if e.kind() != io::ErrorKind::TimedOut {
+        let idle = plock(&self.idle).pop();
+        let mut client = match idle {
+            Some(client) => client,
+            None => match Client::connect_timeout(self.addr, CONNECT_TIMEOUT) {
+                Ok(client) => client,
+                Err(e) => {
+                    self.mark_down();
+                    return Err(e);
+                }
+            },
+        };
+        let outcome = client
+            .set_timeout(Some(timeout))
+            .and_then(|()| client.request(line));
+        match &outcome {
+            Ok(_) => plock(&self.idle).push(client),
+            Err(e) if e.kind() == io::ErrorKind::TimedOut => {}
+            Err(_) => {
+                self.disconnect();
                 self.mark_down();
             }
         }
@@ -334,9 +187,9 @@ impl Worker {
         }
     }
 
-    /// Drop every pooled connection (used at router shutdown so worker
+    /// Drop every idle connection (also at router shutdown, so worker
     /// processes see EOF promptly).
     pub fn disconnect(&self) {
-        plock(&self.pipes).iter_mut().for_each(|slot| *slot = None);
+        plock(&self.idle).clear();
     }
 }

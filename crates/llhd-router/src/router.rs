@@ -1,5 +1,7 @@
-//! The routing tier itself: protocol-v1 front end, placement, retries,
-//! admission control, sticky sessions, and the fleet stats rollup.
+//! The routing tier itself: placement, retries, admission control,
+//! sticky sessions, and the fleet stats rollup. The protocol-v1 front end
+//! (connection loop, accept loop, drain) is the server's own
+//! [`llhd_server::front`], run over [`RouterState`].
 //!
 //! # Architecture
 //!
@@ -7,7 +9,7 @@
 //!  clients ──► connection threads ──► RouterState::handle_line
 //!                                         │ placement (ring + memo)
 //!                                         ▼
-//!                       Worker pool (pipelined TCP) ──► llhd-server fleet
+//!              Worker::call (one connection per call) ──► llhd-server fleet
 //!                                         ▲
 //!                         health pings ───┘ (mark-down / mark-up)
 //! ```
@@ -24,22 +26,21 @@
 use crate::pool::{Health, Worker};
 use crate::ring::{source_key, Ring};
 use llhd_server::admission::Admission;
+use llhd_server::front::{
+    default_server_id, handle_connection, Running, Service, ShutdownLatch, READ_TICK,
+};
 use llhd_server::json::Json;
 use llhd_server::protocol::{
-    error_response, ok_response, request_id, ErrorKind, ProtoError, Request, SimJobSpec,
+    batch_entry, error_response, ok_response, request_id, ErrorKind, ProtoError, Request,
+    SimJobSpec,
 };
-use llhd_server::wire::{write_line, LineReader};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How long a connection thread blocks in `read` before re-checking the
-/// shutdown flag.
-const READ_TICK: Duration = Duration::from_millis(100);
 
 /// The ceiling on how long the router honors a worker's `retry_after_ms`
 /// hint before retrying on the next candidate: the point of the fleet is
@@ -80,10 +81,6 @@ pub struct RouterConfig {
     /// Admission control: shed requests once this many routed jobs are
     /// in flight through the router. `None`: unbounded.
     pub queue_cap: Option<usize>,
-    /// Persistent pipelined connections kept per worker. A worker
-    /// serializes each connection's requests, so this bounds per-worker
-    /// concurrency from this router.
-    pub pool_size: usize,
     /// How often the health thread pings every worker.
     pub ping_interval: Duration,
     /// How long one forwarded request may take end to end.
@@ -98,7 +95,6 @@ impl Default for RouterConfig {
         RouterConfig {
             workers: Vec::new(),
             queue_cap: None,
-            pool_size: 4,
             ping_interval: Duration::from_secs(1),
             call_timeout: Duration::from_secs(120),
             server_id: None,
@@ -129,9 +125,7 @@ pub struct RouterState {
     started: Instant,
     server_id: String,
     call_timeout: Duration,
-    shutdown_flag: AtomicBool,
-    /// Where a shutdown must connect to unblock the TCP accept loop.
-    wake_addr: Mutex<Option<SocketAddr>>,
+    latch: ShutdownLatch,
     /// Jobs currently being routed, their cap and the shed count.
     admission: Admission,
     /// Jobs forwarded to a worker (batch jobs count individually).
@@ -151,16 +145,6 @@ fn set_field(value: &mut Json, key: &str, new: Json) {
         }
         fields.push((key.to_string(), new));
     }
-}
-
-/// The default router identity: pid plus start time, same convention as
-/// the workers' default `server_id`.
-fn default_router_id() -> String {
-    let epoch_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    format!("router-{:x}-{:x}", std::process::id(), epoch_ms)
 }
 
 /// The error a client sees when the whole fleet is unavailable for new
@@ -193,7 +177,7 @@ impl RouterState {
         let workers: Vec<Arc<Worker>> = config
             .workers
             .iter()
-            .map(|spec| Arc::new(Worker::new(spec.id.clone(), spec.addr, config.pool_size)))
+            .map(|spec| Arc::new(Worker::new(spec.id.clone(), spec.addr)))
             .collect();
         let ids: Vec<String> = workers.iter().map(|w| w.id.clone()).collect();
         RouterState {
@@ -205,10 +189,9 @@ impl RouterState {
                 .server_id
                 .clone()
                 .filter(|id| !id.is_empty())
-                .unwrap_or_else(default_router_id),
+                .unwrap_or_else(|| format!("router-{}", default_server_id())),
             call_timeout: config.call_timeout,
-            shutdown_flag: AtomicBool::new(false),
-            wake_addr: Mutex::new(None),
+            latch: ShutdownLatch::default(),
             admission: Admission::new(config.queue_cap),
             routed: AtomicUsize::new(0),
             retried: AtomicUsize::new(0),
@@ -227,18 +210,14 @@ impl RouterState {
 
     /// Whether shutdown has begun.
     pub fn shutting_down(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Relaxed)
+        self.latch.is_set()
     }
 
-    /// Begin shutdown: stop the serve and health loops and drop worker
-    /// connections. Workers themselves keep running — the router is a
-    /// tier in front of them, not their supervisor.
+    /// Begin shutdown: stop the serve and health loops. Workers
+    /// themselves keep running — the router is a tier in front of them,
+    /// not their supervisor.
     pub fn begin_shutdown(&self) {
-        self.shutdown_flag.store(true, Ordering::Relaxed);
-        let addr = *plock(&self.wake_addr);
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
+        self.latch.set();
     }
 
     /// The placement key of one job: the design's content fingerprint
@@ -338,23 +317,24 @@ impl RouterState {
         }
     }
 
-    /// Route a `sim` (or `session.create`/`session.restore`) line.
-    fn route_one(&self, line: &str, id: Option<Json>, spec: &SimJobSpec) -> Json {
+    /// Route a `sim` (or `session.create`/`session.restore`) line: the
+    /// response, and the worker that gave it (`None`: refused here).
+    fn route_one(&self, line: &str, id: Option<Json>, spec: &SimJobSpec) -> (Json, Option<usize>) {
         let key = match Self::placement_key(spec) {
             Ok(key) => key,
-            Err(e) => return error_response(id, &e),
+            Err(e) => return (error_response(id, &e), None),
         };
         let _guard = match self.admission.admit(1, 0) {
             Ok(guard) => guard,
-            Err(e) => return error_response(id, &e),
+            Err(e) => return (error_response(id, &e), None),
         };
         let candidates = self.candidates(key);
         if candidates.is_empty() {
-            return error_response(id, &no_workers_error());
+            return (error_response(id, &no_workers_error()), None);
         }
         let (response, index) = self.forward_with_retry(line, id, &candidates);
         self.learn_design(&response, index);
-        response
+        (response, Some(index))
     }
 
     /// Route a `batch`: split the jobs by placement, forward one
@@ -380,14 +360,14 @@ impl RouterState {
             let order = match Self::placement_key(spec) {
                 Ok(key) => self.candidates(key),
                 Err(e) => {
-                    entries[position] = Some(job_error_entry(&e));
+                    entries[position] = Some(batch_entry(Err(e)));
                     orders.push(Vec::new());
                     continue;
                 }
             };
             match order.first() {
                 Some(&first) => groups.entry(first).or_default().push(position),
-                None => entries[position] = Some(job_error_entry(&no_workers_error())),
+                None => entries[position] = Some(batch_entry(Err(no_workers_error()))),
             }
             orders.push(order);
         }
@@ -443,7 +423,7 @@ impl RouterState {
         self.routed
             .fetch_add(positions.len().saturating_sub(1), Ordering::Relaxed);
         let (response, index) = self.forward_with_retry(&line, None, &candidates);
-        if response.get("ok") == Some(&Json::Bool(true)) {
+        let error = if response.get("ok") == Some(&Json::Bool(true)) {
             if let Some(results) = response
                 .get("result")
                 .and_then(|r| r.get("results"))
@@ -457,18 +437,21 @@ impl RouterState {
                 }
             }
             // A malformed worker response: answer every job honestly.
-            let error = ProtoError::new(
+            ProtoError::new(
                 ErrorKind::Internal,
                 format!(
                     "worker {:?} returned a malformed batch response",
                     self.workers[index].id
                 ),
-            );
-            return positions.iter().map(|_| job_error_entry(&error)).collect();
-        }
-        // Envelope failure after the retry: spread it over the jobs.
-        let error = envelope_error(&response);
-        positions.iter().map(|_| job_error_entry(&error)).collect()
+            )
+        } else {
+            // Envelope failure after the retry: spread it over the jobs.
+            envelope_error(&response)
+        };
+        positions
+            .iter()
+            .map(|_| batch_entry(Err(error.clone())))
+            .collect()
     }
 
     /// Route a sticky `session.*` command to the worker encoded in its
@@ -511,20 +494,10 @@ impl RouterState {
     /// checkpoint's origin is exactly how sessions migrate across the
     /// fleet.
     fn route_session_open(&self, line: &str, id: Option<Json>, spec: &SimJobSpec) -> Json {
-        let key = match Self::placement_key(spec) {
-            Ok(key) => key,
-            Err(e) => return error_response(id, &e),
+        let (mut response, index) = match self.route_one(line, id, spec) {
+            (response, Some(index)) => (response, index),
+            (refused, None) => return refused,
         };
-        let _guard = match self.admission.admit(1, 0) {
-            Ok(guard) => guard,
-            Err(e) => return error_response(id, &e),
-        };
-        let candidates = self.candidates(key);
-        if candidates.is_empty() {
-            return error_response(id, &no_workers_error());
-        }
-        let (mut response, index) = self.forward_with_retry(line, id, &candidates);
-        self.learn_design(&response, index);
         let prefixed = response
             .get("result")
             .and_then(|r| r.get("session"))
@@ -710,61 +683,39 @@ impl RouterState {
             Ok(request) => request,
             Err(e) => return (error_response(id, &e), false),
         };
-        match request {
-            Request::Ping => (ok_response(id, self.ping_payload()), false),
-            Request::Stats => (ok_response(id, self.stats_payload()), false),
+        let close = matches!(request, Request::Shutdown);
+        let response = match request {
+            Request::Ping => ok_response(id, self.ping_payload()),
+            Request::Stats => ok_response(id, self.stats_payload()),
             Request::Shutdown => {
                 self.begin_shutdown();
-                (
-                    ok_response(id, Json::obj([("shutting_down", Json::Bool(true))])),
-                    true,
-                )
+                ok_response(id, Json::obj([("shutting_down", Json::Bool(true))]))
             }
-            Request::Sim(spec) => (self.route_one(line, id, &spec), false),
-            Request::Batch(specs) => (self.route_batch(&value, id, &specs), false),
-            Request::SessionCreate(spec) => (self.route_session_open(line, id, &spec), false),
-            Request::SessionRestore { spec, .. } => {
-                (self.route_session_open(line, id, &spec), false)
+            Request::Sim(spec) => self.route_one(line, id, &spec).0,
+            Request::Batch(specs) => self.route_batch(&value, id, &specs),
+            Request::SessionCreate(spec) | Request::SessionRestore { spec, .. } => {
+                self.route_session_open(line, id, &spec)
             }
             Request::SessionStep { session, .. }
             | Request::SessionPeek { session, .. }
             | Request::SessionPoke { session, .. }
             | Request::SessionQuery { session, .. }
             | Request::SessionCheckpoint { session }
-            | Request::SessionDestroy { session } => {
-                (self.route_session_cmd(value, id, &session), false)
-            }
-        }
+            | Request::SessionDestroy { session } => self.route_session_cmd(value, id, &session),
+        };
+        (response, close)
     }
-}
-
-/// One per-job error entry in a batch response, mirroring the worker's
-/// own entry shape.
-fn job_error_entry(error: &ProtoError) -> Json {
-    let mut fields = vec![
-        ("kind".to_string(), Json::str(error.kind.wire_name())),
-        ("message".to_string(), Json::str(error.message.clone())),
-        ("retryable".to_string(), Json::Bool(error.kind.retryable())),
-    ];
-    fields.extend(error.data.iter().cloned());
-    Json::obj([("ok", Json::Bool(false)), ("error", Json::Obj(fields))])
 }
 
 /// Reconstruct a [`ProtoError`] from a worker's error response, so an
 /// envelope failure can be spread over a batch's job entries verbatim.
 fn envelope_error(response: &Json) -> ProtoError {
     let error = response.get("error");
-    let kind_name = error
+    let kind = error
         .and_then(|e| e.get("kind"))
         .and_then(Json::as_str)
-        .unwrap_or("internal_error");
-    let kind = match kind_name {
-        "overloaded" => ErrorKind::Overloaded,
-        "shutdown" => ErrorKind::Shutdown,
-        "unknown_design" => ErrorKind::UnknownDesign,
-        "protocol" => ErrorKind::Protocol,
-        _ => ErrorKind::Internal,
-    };
+        .and_then(ErrorKind::from_wire_name)
+        .unwrap_or(ErrorKind::Internal);
     let message = error
         .and_then(|e| e.get("message"))
         .and_then(Json::as_str)
@@ -781,42 +732,13 @@ fn envelope_error(response: &Json) -> ProtoError {
     rebuilt
 }
 
-/// Serve one connection: read request lines, route, write response lines.
-fn handle_connection(
-    state: &Arc<RouterState>,
-    reader: impl Read,
-    mut writer: impl Write,
-) -> io::Result<()> {
-    let mut lines = LineReader::new(reader);
-    let mut out = Vec::new();
-    loop {
-        let line = match lines.next_line() {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if state.shutting_down() {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                let error = ProtoError::new(ErrorKind::Protocol, e.to_string());
-                write_line(&mut writer, &mut out, &error_response(None, &error))?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, close) = state.handle_line(&line);
-        write_line(&mut writer, &mut out, &response)?;
-        if close {
-            return Ok(());
-        }
+impl Service for RouterState {
+    fn answer(self: &Arc<Self>, line: &str) -> (Json, bool) {
+        self.handle_line(line)
+    }
+
+    fn latch(&self) -> &ShutdownLatch {
+        &self.latch
     }
 }
 
@@ -877,51 +799,31 @@ impl Router {
         let health = self.spawn_health();
         let result = handle_connection(&self.state, io::stdin().lock(), io::stdout().lock());
         self.state.begin_shutdown();
-        let _ = health.join();
-        for worker in &*self.state.workers {
-            worker.disconnect();
-        }
+        self.finish(health);
         result
     }
 
     /// Serve TCP connections on `listener`, one thread per connection,
-    /// until a `shutdown` request arrives.
+    /// until a `shutdown` request arrives; then wait for the connection
+    /// threads up to the server's default drain deadline.
     ///
     /// # Errors
     ///
     /// Propagates accept-loop I/O failures.
     pub fn serve_tcp(self, listener: TcpListener) -> io::Result<()> {
-        *plock(&self.state.wake_addr) = Some(listener.local_addr()?);
         let health = self.spawn_health();
-        let mut connections = Vec::new();
-        for stream in listener.incoming() {
-            if self.state.shutting_down() {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.state.begin_shutdown();
-                    let _ = health.join();
-                    return Err(e);
-                }
-            };
-            stream.set_read_timeout(Some(READ_TICK))?;
-            let _ = stream.set_nodelay(true);
-            let state = self.state();
-            connections.push(std::thread::spawn(move || {
-                let _ = handle_connection(&state, &stream, &stream);
-            }));
-        }
-        for connection in connections {
-            let _ = connection.join();
-        }
+        let result = llhd_server::front::serve_tcp(&self.state, listener);
+        self.finish(health);
+        result
+    }
+
+    /// After the front end returns: wait for the health loop, then drop
+    /// the idle worker connections so worker processes see EOF promptly.
+    fn finish(&self, health: JoinHandle<()>) {
         let _ = health.join();
-        for worker in &*self.state.workers {
+        for worker in &self.state.workers {
             worker.disconnect();
         }
-        Ok(())
     }
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and serve on a background
@@ -932,54 +834,21 @@ impl Router {
     /// Propagates bind failures.
     pub fn spawn_tcp(config: RouterConfig, addr: &str) -> io::Result<RunningRouter> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let router = Router::new(config);
-        let state = router.state();
-        let thread = std::thread::spawn(move || router.serve_tcp(listener));
-        Ok(RunningRouter {
-            addr: local,
-            state,
-            thread,
+        Running::spawn(listener, router.state(), move |listener| {
+            router.serve_tcp(listener)
         })
     }
 }
 
 /// A router running on a background thread (see [`Router::spawn_tcp`]).
-pub struct RunningRouter {
-    addr: SocketAddr,
-    state: Arc<RouterState>,
-    thread: JoinHandle<io::Result<()>>,
-}
-
-impl RunningRouter {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared router state.
-    pub fn state(&self) -> &Arc<RouterState> {
-        &self.state
-    }
-
-    /// Wait for the serving thread to finish (after a `shutdown`
-    /// request).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the serving thread's I/O error, if any.
-    pub fn join(self) -> io::Result<()> {
-        self.thread
-            .join()
-            .unwrap_or_else(|_| Err(io::Error::other("router thread panicked")))
-    }
-}
+pub type RunningRouter = Running<RouterState>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llhd_server::{Client, Server, ServerConfig, MAX_LINE_BYTES};
-    use std::io::Cursor;
+    use std::io::{Cursor, Read, Write};
 
     /// Counts `write` calls: on a `TCP_NODELAY` socket each is a segment.
     #[derive(Default)]

@@ -4,12 +4,13 @@
 //! admission control — against real `llhd-server` instances on real TCP
 //! sockets.
 
-use llhd_router::{Ring, Router, RouterConfig, RunningRouter, WorkerSpec};
+use llhd_router::{Health, Ring, Router, RouterConfig, RunningRouter, WorkerSpec};
 use llhd_server::json::Json;
 use llhd_server::protocol::{error_response, ok_response, ErrorKind, ProtoError};
 use llhd_server::{Client, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc;
 use std::time::Duration;
 
 const BLINK: &str = r#"
@@ -505,6 +506,81 @@ fn spawn_overloaded_stub() -> SocketAddr {
         }
     });
     addr
+}
+
+/// A stub worker that answers pings at once but answers a `sim` only
+/// after sleeping for a second: a worker busy with long simulations.
+/// The receiver gets one message per `sim` line as it arrives.
+fn spawn_slow_stub() -> (SocketAddr, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind the stub");
+    let addr = listener.local_addr().unwrap();
+    let (arrived, arrivals) = mpsc::channel();
+    std::thread::spawn(move || {
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { return };
+            let arrived = arrived.clone();
+            std::thread::spawn(move || {
+                let mut writer = stream.try_clone().expect("clone");
+                let reader = BufReader::new(stream);
+                for line in reader.lines() {
+                    let Ok(line) = line else { return };
+                    let value = Json::parse(&line).unwrap_or(Json::Null);
+                    let id = value.get("id").cloned();
+                    let result = if value.get("type").and_then(Json::as_str) == Some("sim") {
+                        let _ = arrived.send(());
+                        std::thread::sleep(Duration::from_secs(1));
+                        Json::obj([("end_time_fs", Json::Int(0))])
+                    } else {
+                        Json::obj([
+                            ("pong", Json::Bool(true)),
+                            ("server_id", Json::str("slow")),
+                        ])
+                    };
+                    if writeln!(writer, "{}", ok_response(id, result)).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    (addr, arrivals)
+}
+
+/// A health ping must not wait behind the simulations a worker is
+/// running: with four sims in flight, `check` still answers in time and
+/// the worker stays up.
+#[test]
+fn a_health_check_does_not_queue_behind_running_sims() {
+    let (stub, arrivals) = spawn_slow_stub();
+    let router = spawn_router(vec![spec("slow", stub)], |_| {});
+    let addr = router.addr();
+    let sims: Vec<_> = (0..4)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr).unwrap();
+                client.request(&source_sim(BLINK)).unwrap()
+            })
+        })
+        .collect();
+    for _ in 0..4 {
+        arrivals
+            .recv_timeout(Duration::from_secs(10))
+            .expect("every sim reaches the worker");
+    }
+    let worker = &router.state().workers()[0];
+    assert!(
+        worker.check(Duration::from_millis(300)),
+        "a ping must not wait behind running sims"
+    );
+    assert_eq!(worker.health(), Health::Up);
+    for sim in sims {
+        let response = sim.join().unwrap();
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{}", response);
+    }
+    assert_eq!(worker.health(), Health::Up);
+    let mut client = Client::connect(addr).unwrap();
+    shutdown(&mut client);
+    router.join().unwrap();
 }
 
 #[test]

@@ -41,6 +41,7 @@
 pub mod admission;
 #[cfg(feature = "fault-injection")]
 pub mod fault;
+pub mod front;
 pub mod json;
 pub mod protocol;
 pub mod retry;

@@ -225,6 +225,29 @@ impl ErrorKind {
         }
     }
 
+    /// The kind a wire name denotes; the inverse of
+    /// [`wire_name`](ErrorKind::wire_name).
+    pub fn from_wire_name(name: &str) -> Option<ErrorKind> {
+        Some(match name {
+            "parse" => ErrorKind::Parse,
+            "protocol" => ErrorKind::Protocol,
+            "source" => ErrorKind::Source,
+            "elaborate" => ErrorKind::Elaborate,
+            "compile" => ErrorKind::Compile,
+            "runtime" => ErrorKind::Runtime,
+            "backend" => ErrorKind::Backend,
+            "unknown_signal" => ErrorKind::UnknownSignal,
+            "unknown_design" => ErrorKind::UnknownDesign,
+            "unknown_session" => ErrorKind::UnknownSession,
+            "session_limit" => ErrorKind::SessionLimit,
+            "shutdown" => ErrorKind::Shutdown,
+            "deadline_exceeded" => ErrorKind::DeadlineExceeded,
+            "overloaded" => ErrorKind::Overloaded,
+            "internal_error" => ErrorKind::Internal,
+            _ => return None,
+        })
+    }
+
     /// Whether a client may retry the identical request and reasonably
     /// expect it to succeed. `Overloaded` (transient queue pressure) and
     /// `Shutdown` (another replica of a fleet can take the request) are
@@ -651,18 +674,32 @@ pub fn ok_response(id: Option<Json>, result: Json) -> Json {
     Json::Obj(fields)
 }
 
-/// A failure response carrying the error's kind, message, retryability,
-/// and any extra machine-readable fields ([`ProtoError::data`]).
-pub fn error_response(id: Option<Json>, error: &ProtoError) -> Json {
-    let mut fields = envelope(id, false);
+/// The `error` object: the error's kind, message, retryability, and any
+/// extra machine-readable fields ([`ProtoError::data`]).
+fn error_body(error: &ProtoError) -> Json {
     let mut body = vec![
         ("kind".to_string(), Json::str(error.kind.wire_name())),
         ("message".to_string(), Json::str(error.message.clone())),
         ("retryable".to_string(), Json::Bool(error.kind.retryable())),
     ];
     body.extend(error.data.iter().cloned());
-    fields.push(("error".to_string(), Json::Obj(body)));
+    Json::Obj(body)
+}
+
+/// A failure response carrying the error's `error` object.
+pub fn error_response(id: Option<Json>, error: &ProtoError) -> Json {
+    let mut fields = envelope(id, false);
+    fields.push(("error".to_string(), error_body(error)));
     Json::Obj(fields)
+}
+
+/// One job's entry in a `batch` response's `results`: the job's result
+/// payload, or its `error` object.
+pub fn batch_entry(outcome: Result<Json, ProtoError>) -> Json {
+    match outcome {
+        Ok(result) => Json::obj([("ok", Json::Bool(true)), ("result", result)]),
+        Err(error) => Json::obj([("ok", Json::Bool(false)), ("error", error_body(&error))]),
+    }
 }
 
 /// The engine names of the wire (`EngineKind` without `Auto`, which a
@@ -1063,5 +1100,27 @@ mod tests {
         }
         assert!(ErrorKind::Overloaded.retryable());
         assert!(ErrorKind::Shutdown.retryable());
+    }
+
+    #[test]
+    fn every_error_kind_round_trips_through_its_wire_name() {
+        use ErrorKind::*;
+        let all = [
+            Parse, Protocol, Source, Elaborate, Compile, Runtime, Backend, UnknownSignal,
+            UnknownDesign, UnknownSession, SessionLimit, Shutdown, DeadlineExceeded, Overloaded,
+            Internal,
+        ];
+        for kind in all {
+            // Exhaustive on purpose: a new kind stops this compiling
+            // until it is listed above.
+            match kind {
+                Parse | Protocol | Source | Elaborate | Compile | Runtime | Backend
+                | UnknownSignal | UnknownDesign | UnknownSession | SessionLimit | Shutdown
+                | DeadlineExceeded | Overloaded | Internal => {}
+            }
+            assert_eq!(ErrorKind::from_wire_name(kind.wire_name()), Some(kind));
+        }
+        assert_eq!(ErrorKind::from_wire_name("internal"), None);
+        assert_eq!(ErrorKind::from_wire_name(""), None);
     }
 }

@@ -26,7 +26,8 @@
 //! completion on its connection thread. The TCP server waits for its
 //! connection threads up to the drain deadline, then returns and leaves
 //! stragglers running; their clients see the connection close when the
-//! process exits.
+//! process exits. The connection and accept loops are the shared front
+//! end in [`front`](crate::front), which the fleet router runs too.
 //!
 //! # Failure model
 //!
@@ -40,10 +41,14 @@
 //! model".
 
 use crate::admission::Admission;
+use crate::front::{
+    default_server_id, handle_connection, Running, Service, ShutdownLatch, DEFAULT_DRAIN_DEADLINE,
+    READ_TICK,
+};
 use crate::json::Json;
 use crate::protocol::{
-    error_response, hex_decode, hex_encode, ok_response, request_id, sim_result_json, stats_json,
-    ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec,
+    batch_entry, error_response, hex_decode, hex_encode, ok_response, request_id, sim_result_json,
+    stats_json, ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec,
 };
 use crate::wire::{write_line, LineReader};
 use llhd::assembly::parse_module;
@@ -53,10 +58,11 @@ use llhd_sim::api::{panic_message, BatchJob, DesignCache, EngineState, SimSessio
 use llhd_sim::design::{InstanceId, InstanceKind};
 use llhd_sim::{DesignQuery, RunControl, SimConfig};
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::fmt::Display;
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,21 +76,6 @@ fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The default `server_id` when none is configured: pid plus start time,
-/// so restarts of the same process slot (same pid reused, same `--tcp`
-/// address) still read as distinct workers in a fleet rollup.
-fn default_server_id() -> String {
-    let epoch_ms = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis())
-        .unwrap_or(0);
-    format!("{:x}-{:x}", std::process::id(), epoch_ms)
-}
-
-/// How long a connection thread blocks in `read` before re-checking the
-/// shutdown flag (TCP only; stdio cannot portably time out).
-const READ_TICK: Duration = Duration::from_millis(100);
-
 /// The default cap on concurrently open interactive sessions.
 const DEFAULT_SESSION_CAP: usize = 64;
 
@@ -92,14 +83,6 @@ const DEFAULT_SESSION_CAP: usize = 64;
 /// command for this long is destroyed (its engine state is dropped; a
 /// client that checkpointed can restore).
 const DEFAULT_SESSION_IDLE: Duration = Duration::from_secs(600);
-
-/// The default drain deadline: how long a graceful TCP shutdown waits for
-/// connection threads (and the jobs running on them) to finish.
-const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(30);
-
-/// How often the shutdown drain re-checks whether a connection thread
-/// has finished.
-const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Server construction options.
 #[derive(Clone, Debug, Default)]
@@ -232,9 +215,7 @@ pub struct ServerState {
     cache: DesignCache,
     registry: Mutex<Registry>,
     /// Set once shutdown has begun: new jobs and sessions are refused.
-    shutdown_flag: AtomicBool,
-    /// Where a shutdown must connect to unblock the TCP accept loop.
-    wake_addr: Mutex<Option<SocketAddr>>,
+    latch: ShutdownLatch,
     started: Instant,
     /// The identity reported in `ping`/`stats` (`server_id`).
     server_id: String,
@@ -267,8 +248,7 @@ impl ServerState {
                 capacity: config.cache_capacity,
                 ..Registry::default()
             }),
-            shutdown_flag: AtomicBool::new(false),
-            wake_addr: Mutex::new(None),
+            latch: ShutdownLatch::default(),
             started: Instant::now(),
             server_id: config
                 .server_id
@@ -285,14 +265,6 @@ impl ServerState {
             #[cfg(feature = "fault-injection")]
             fault: config.fault_plan.clone(),
         }
-    }
-
-    /// Record a caught panic: bump the counter and evict any cache
-    /// entries the unwind left poisoned, so the next request for the
-    /// same design recompiles instead of wedging.
-    fn note_panic(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-        self.cache.sweep_poisoned();
     }
 
     /// Phantom in-flight jobs injected by the fault plan (`queue.pressure`
@@ -337,22 +309,17 @@ impl ServerState {
 
     /// Whether shutdown has begun.
     pub fn shutting_down(&self) -> bool {
-        self.shutdown_flag.load(Ordering::Relaxed)
+        self.latch.is_set()
     }
 
     /// Begin graceful shutdown: refuse new jobs and sessions, end the
     /// session threads, and unblock the accept loop. Jobs already
     /// admitted run to completion on their connection threads.
     pub fn begin_shutdown(&self) {
-        self.shutdown_flag.store(true, Ordering::Relaxed);
+        self.latch.set();
         // Dropping the command senders ends every session thread after it
         // drains already-queued commands (those replies still arrive).
         plock(&self.sessions).map.clear();
-        // Unblock the accept loop with one throwaway connection.
-        let addr = *plock(&self.wake_addr);
-        if let Some(addr) = addr {
-            let _ = TcpStream::connect_timeout(&addr, Duration::from_millis(250));
-        }
     }
 
     /// Resolve a job's design reference to a resident module + key:
@@ -539,22 +506,14 @@ impl ServerState {
             Ok(request) => request,
             Err(e) => return (error_response(id, &e), false),
         };
-        match request {
-            Request::Ping => (
-                ok_response(
-                    id,
-                    Json::obj([
-                        ("pong", Json::Bool(true)),
-                        ("server_id", Json::str(self.server_id.clone())),
-                        ("uptime_ms", Json::uint(self.started.elapsed().as_millis())),
-                    ]),
-                ),
-                false,
-            ),
+        let close = matches!(request, Request::Shutdown);
+        let outcome = match request {
+            Request::Ping => Ok(Json::obj([
+                ("pong", Json::Bool(true)),
+                ("server_id", Json::str(self.server_id.clone())),
+                ("uptime_ms", Json::uint(self.started.elapsed().as_millis())),
+            ])),
             Request::Stats => {
-                let resident = plock(&self.registry).modules.len();
-                let uptime = self.started.elapsed();
-                let requests = self.requests.load(Ordering::Relaxed);
                 let load = ServerLoad {
                     queue_cap: self.admission.cap(),
                     inflight: self.admission.inflight(),
@@ -562,140 +521,70 @@ impl ServerState {
                     open_sessions: plock(&self.sessions).map.len(),
                     panics_caught: self.panics_caught.load(Ordering::Relaxed),
                 };
-                (
-                    ok_response(
-                        id,
-                        stats_json(
-                            &self.cache.stats(),
-                            &self.server_id,
-                            resident,
-                            uptime,
-                            requests,
-                            &load,
-                        ),
-                    ),
-                    false,
-                )
+                Ok(stats_json(
+                    &self.cache.stats(),
+                    &self.server_id,
+                    plock(&self.registry).modules.len(),
+                    self.started.elapsed(),
+                    self.requests.load(Ordering::Relaxed),
+                    &load,
+                ))
             }
             Request::Shutdown => {
                 self.begin_shutdown();
-                (
-                    ok_response(id, Json::obj([("shutting_down", Json::Bool(true))])),
-                    true,
-                )
+                Ok(Json::obj([("shutting_down", Json::Bool(true))]))
             }
-            Request::Sim(spec) => match self.run_jobs(std::slice::from_ref(&spec)) {
-                Ok(mut results) => match results.remove(0) {
-                    Ok(result) => (ok_response(id, result), false),
-                    Err(e) => (error_response(id, &e), false),
-                },
-                Err(e) => (error_response(id, &e), false),
-            },
-            Request::SessionCreate(spec) => {
-                (respond(id, self.create_session(spec, None)), false)
-            }
-            Request::SessionRestore { spec, state_hex } => {
-                let outcome = hex_decode(&state_hex)
-                    .and_then(|bytes| {
-                        EngineState::from_bytes(bytes).map_err(|e| {
-                            ProtoError::new(
-                                ErrorKind::Protocol,
-                                format!("invalid checkpoint: {}", e),
-                            )
-                        })
+            Request::Sim(spec) => self
+                .run_jobs(std::slice::from_ref(&spec))
+                .and_then(|mut results| results.remove(0)),
+            Request::Batch(specs) => self.run_jobs(&specs).map(|results| {
+                let entries = results.into_iter().map(batch_entry).collect();
+                Json::obj([("results", Json::Arr(entries))])
+            }),
+            Request::SessionCreate(spec) => self.create_session(spec, None),
+            Request::SessionRestore { spec, state_hex } => hex_decode(&state_hex)
+                .and_then(|bytes| {
+                    EngineState::from_bytes(bytes).map_err(|e| {
+                        ProtoError::new(ErrorKind::Protocol, format!("invalid checkpoint: {}", e))
                     })
-                    .and_then(|snapshot| self.create_session(spec, Some(snapshot)));
-                (respond(id, outcome), false)
-            }
+                })
+                .and_then(|snapshot| self.create_session(spec, Some(snapshot))),
             Request::SessionStep {
                 session,
                 steps,
                 deadline_ms,
-            } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Step {
-                        steps,
-                        deadline_ms,
-                        reply,
-                    }),
-                ),
-                false,
-            ),
-            Request::SessionPeek { session, signal } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Peek { signal, reply }),
-                ),
-                false,
-            ),
+            } => self.session_request(&session, |reply| SessionCmd::Step {
+                steps,
+                deadline_ms,
+                reply,
+            }),
+            Request::SessionPeek { session, signal } => {
+                self.session_request(&session, |reply| SessionCmd::Peek { signal, reply })
+            }
             Request::SessionPoke {
                 session,
                 signal,
                 value,
-            } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Poke {
-                        signal,
-                        value,
-                        reply,
-                    }),
-                ),
-                false,
-            ),
-            Request::SessionQuery { session, query } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Query { query, reply }),
-                ),
-                false,
-            ),
-            Request::SessionCheckpoint { session } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Checkpoint { reply }),
-                ),
-                false,
-            ),
-            Request::SessionDestroy { session } => (
-                respond(
-                    id,
-                    self.session_request(&session, |reply| SessionCmd::Destroy { reply }),
-                ),
-                false,
-            ),
-            Request::Batch(specs) => match self.run_jobs(&specs) {
-                Ok(results) => {
-                    let rendered: Vec<Json> = results
-                        .into_iter()
-                        .map(|r| match r {
-                            Ok(result) => Json::obj([
-                                ("ok", Json::Bool(true)),
-                                ("result", result),
-                            ]),
-                            Err(e) => {
-                                let mut fields = vec![
-                                    ("kind".to_string(), Json::str(e.kind.wire_name())),
-                                    ("message".to_string(), Json::str(e.message)),
-                                    ("retryable".to_string(), Json::Bool(e.kind.retryable())),
-                                ];
-                                fields.extend(e.data);
-                                Json::obj([
-                                    ("ok", Json::Bool(false)),
-                                    ("error", Json::Obj(fields)),
-                                ])
-                            }
-                        })
-                        .collect();
-                    (
-                        ok_response(id, Json::obj([("results", Json::Arr(rendered))])),
-                        false,
-                    )
-                }
-                Err(e) => (error_response(id, &e), false),
-            },
-        }
+            } => self.session_request(&session, |reply| SessionCmd::Poke {
+                signal,
+                value,
+                reply,
+            }),
+            Request::SessionQuery { session, query } => {
+                self.session_request(&session, |reply| SessionCmd::Query { query, reply })
+            }
+            Request::SessionCheckpoint { session } => {
+                self.session_request(&session, |reply| SessionCmd::Checkpoint { reply })
+            }
+            Request::SessionDestroy { session } => {
+                self.session_request(&session, |reply| SessionCmd::Destroy { reply })
+            }
+        };
+        let response = match outcome {
+            Ok(result) => ok_response(id, result),
+            Err(e) => error_response(id, &e),
+        };
+        (response, close)
     }
 
     /// One human-readable observability line (the periodic server log).
@@ -717,14 +606,6 @@ impl ServerState {
             stats.compile_misses,
             stats.evictions,
         )
-    }
-}
-
-/// Render a session-request outcome into its response line.
-fn respond(id: Option<Json>, outcome: Result<Json, ProtoError>) -> Json {
-    match outcome {
-        Ok(result) => ok_response(id, result),
-        Err(e) => error_response(id, &e),
     }
 }
 
@@ -1057,76 +938,42 @@ fn run_query(
     }
 }
 
-/// Serve one connection: read request lines, write response lines. Reads
-/// that time out re-check the shutdown flag, so idle TCP connections
-/// unblock during shutdown. An oversized line costs a `protocol` error
-/// response, and a panicking handler an `internal_error` — the
-/// connection itself survives both.
-fn handle_connection(
-    state: &Arc<ServerState>,
-    reader: impl Read,
-    mut writer: impl Write,
-) -> io::Result<()> {
-    let mut lines = LineReader::new(reader);
-    let mut out = Vec::new();
-    loop {
-        let line = match lines.next_line() {
-            Ok(Some(line)) => line,
-            Ok(None) => return Ok(()),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if state.shutting_down() {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Oversized line: the reader has switched to discarding
-                // its tail, so answer and keep serving this connection.
-                let error = ProtoError::new(ErrorKind::Protocol, e.to_string());
-                write_line(&mut writer, &mut out, &error_response(None, &error))?;
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (response, close) =
-            match catch_unwind(AssertUnwindSafe(|| state.handle_line(&line))) {
-                Ok(handled) => handled,
-                Err(payload) => {
-                    state.note_panic();
-                    // Salvage the request id so the client can correlate
-                    // the failure, even though its handler died.
-                    let id = Json::parse(&line).ok().and_then(|v| request_id(&v));
-                    let error = ProtoError::new(
-                        ErrorKind::Internal,
-                        format!("request handler panicked: {}", panic_message(&*payload)),
-                    );
-                    (error_response(id, &error), false)
-                }
-            };
-        write_line(&mut writer, &mut out, &response)?;
-        if close {
-            return Ok(());
-        }
+impl Service for ServerState {
+    fn answer(self: &Arc<Self>, line: &str) -> (Json, bool) {
+        self.handle_line(line)
     }
-}
 
-/// One TCP connection's read side, optionally wrapped in the fault
-/// plan's faulty reader (`io.read` sites) when the chaos harness is
-/// armed.
-fn serve_one(state: &Arc<ServerState>, stream: &TcpStream) {
-    #[cfg(feature = "fault-injection")]
-    if let Some(plan) = state.fault.clone() {
-        let reader = crate::fault::FaultyReader::new(stream, plan);
-        let _ = handle_connection(state, reader, stream);
-        return;
+    fn latch(&self) -> &ShutdownLatch {
+        &self.latch
     }
-    let _ = handle_connection(state, stream, stream);
+
+    fn stop(&self) {
+        self.begin_shutdown();
+    }
+
+    /// Bump the counter and evict any cache entries the unwind left
+    /// poisoned, so the next request for the same design recompiles
+    /// instead of wedging.
+    fn note_panic(&self) {
+        self.panics_caught.fetch_add(1, Ordering::Relaxed);
+        self.cache.sweep_poisoned();
+    }
+
+    fn drain_deadline(&self) -> Duration {
+        self.drain_deadline
+    }
+
+    /// The read side goes through the fault plan's faulty reader
+    /// (`io.read` sites) when the chaos harness is armed.
+    fn serve_stream(self: &Arc<Self>, stream: &TcpStream) {
+        #[cfg(feature = "fault-injection")]
+        if let Some(plan) = self.fault.clone() {
+            let reader = crate::fault::FaultyReader::new(stream, plan);
+            let _ = handle_connection(self, reader, stream);
+            return;
+        }
+        let _ = handle_connection(self, stream, stream);
+    }
 }
 
 /// A persistent simulation server. Construct with [`Server::new`], then
@@ -1196,41 +1043,12 @@ impl Server {
     ///
     /// Propagates accept-loop I/O failures.
     pub fn serve_tcp(self, listener: TcpListener) -> io::Result<()> {
-        *plock(&self.state.wake_addr) = Some(listener.local_addr()?);
         let logger = self.spawn_stats_logger();
-        let mut connections = Vec::new();
-        for stream in listener.incoming() {
-            if self.state.shutting_down() {
-                break;
-            }
-            let stream = match stream {
-                Ok(stream) => stream,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    self.state.begin_shutdown();
-                    return Err(e);
-                }
-            };
-            stream.set_read_timeout(Some(READ_TICK))?;
-            // One-line request/response round trips: Nagle's algorithm
-            // would add artificial latency to every response.
-            let _ = stream.set_nodelay(true);
-            let state = self.state();
-            connections.push(std::thread::spawn(move || serve_one(&state, &stream)));
-        }
-        let until = Instant::now() + self.state.drain_deadline;
-        for connection in connections {
-            while !connection.is_finished() && Instant::now() < until {
-                std::thread::sleep(DRAIN_TICK);
-            }
-            if connection.is_finished() {
-                let _ = connection.join();
-            }
-        }
+        let result = crate::front::serve_tcp(&self.state, listener);
         if let Some(logger) = logger {
             let _ = logger.join();
         }
-        Ok(())
+        result
     }
 
     /// Bind `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and serve
@@ -1242,60 +1060,26 @@ impl Server {
     /// Propagates bind failures.
     pub fn spawn_tcp(config: ServerConfig, addr: &str) -> io::Result<RunningServer> {
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
         let server = Server::new(config);
-        let state = server.state();
-        let thread = std::thread::spawn(move || server.serve_tcp(listener));
-        Ok(RunningServer {
-            addr: local,
-            state,
-            thread,
+        Running::spawn(listener, server.state(), move |listener| {
+            server.serve_tcp(listener)
         })
     }
 }
 
 /// A server running on a background thread (see [`Server::spawn_tcp`]).
-pub struct RunningServer {
-    addr: SocketAddr,
-    state: Arc<ServerState>,
-    thread: JoinHandle<io::Result<()>>,
-}
-
-impl RunningServer {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The shared server state (cache counters etc.).
-    pub fn state(&self) -> &Arc<ServerState> {
-        &self.state
-    }
-
-    /// Wait for the serving thread to finish (it finishes after a
-    /// `shutdown` request has drained).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the serving thread's I/O error, if any.
-    pub fn join(self) -> io::Result<()> {
-        self.thread.join().unwrap_or_else(|payload| {
-            Err(io::Error::other(format!(
-                "server thread panicked: {}",
-                panic_message(&*payload)
-            )))
-        })
-    }
-}
+pub type RunningServer = Running<ServerState>;
 
 /// A minimal blocking client for the wire protocol: one request out, one
-/// response in. Used by the tests, the benchmark, and
-/// `examples/server_client.rs`; real clients in any language follow the
-/// same shape (`docs/PROTOCOL.md`).
+/// response in. Used by the tests, `examples/server_client.rs`, and the
+/// fleet router's worker connections; real clients in any language
+/// follow the same shape (`docs/PROTOCOL.md`).
 pub struct Client {
     writer: TcpStream,
     out: Vec<u8>,
     lines: LineReader<TcpStream>,
+    /// The read timeout currently set on the socket.
+    timeout: Option<Duration>,
 }
 
 impl Client {
@@ -1305,7 +1089,19 @@ impl Client {
     ///
     /// Propagates connection failures.
     pub fn connect(addr: SocketAddr) -> io::Result<Client> {
-        let writer = TcpStream::connect(addr)?;
+        Client::over(TcpStream::connect(addr)?)
+    }
+
+    /// Connect, giving up after `timeout`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connection failures, `TimedOut` included.
+    pub fn connect_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
+        Client::over(TcpStream::connect_timeout(&addr, timeout)?)
+    }
+
+    fn over(writer: TcpStream) -> io::Result<Client> {
         // Requests are single small lines; don't let Nagle batch them.
         let _ = writer.set_nodelay(true);
         let reader = writer.try_clone()?;
@@ -1313,24 +1109,48 @@ impl Client {
             writer,
             out: Vec::new(),
             lines: LineReader::new(reader),
+            timeout: None,
         })
     }
 
-    /// Send one request (serialized compactly onto one line) and block
-    /// for the one response line.
+    /// Bound how long [`request`](Client::request) waits for its
+    /// response (`None`: forever). The socket option is set only when
+    /// the bound changes.
     ///
     /// # Errors
     ///
-    /// I/O failures, or `InvalidData` if the response is not JSON.
-    pub fn request(&mut self, request: &Json) -> io::Result<Json> {
+    /// Propagates the socket option's failure (a zero duration included).
+    pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
+        if self.timeout != timeout {
+            self.writer.set_read_timeout(timeout)?;
+            self.timeout = timeout;
+        }
+        Ok(())
+    }
+
+    /// Send one request — a [`Json`] value, or a line already serialized
+    /// without its newline — and block for the one response line.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures; `TimedOut` when the [timeout](Client::set_timeout)
+    /// passes first, after which the response is still pending and the
+    /// client should be dropped; `InvalidData` if the response is not
+    /// JSON.
+    pub fn request<T: Display + ?Sized>(&mut self, request: &T) -> io::Result<Json> {
         write_line(&mut self.writer, &mut self.out, request)?;
-        match self.lines.next_line()? {
-            Some(line) => Json::parse(&line)
+        match self.lines.next_line() {
+            Ok(Some(line)) => Json::parse(&line)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
-            None => Err(io::Error::new(
+            Ok(None) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
             )),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Err(io::Error::new(
+                io::ErrorKind::TimedOut,
+                "no response within the client's timeout",
+            )),
+            Err(e) => Err(e),
         }
     }
 }
@@ -1339,7 +1159,7 @@ impl Client {
 mod tests {
     use super::*;
     use crate::wire::MAX_LINE_BYTES;
-    use std::io::Cursor;
+    use std::io::{Cursor, Read, Write};
 
     /// Counts `write` calls: on a `TCP_NODELAY` socket each is a segment.
     #[derive(Default)]
