@@ -174,10 +174,7 @@ pub fn dnf_of(unit: &UnitData, value: Value, negated: bool) -> Dnf {
     let dnf = expand(unit, value, negated, 0);
     if dnf.terms().len() > MAX_TERMS {
         // Too large: fall back to an opaque literal.
-        Dnf::literal(Literal {
-            value,
-            negated,
-        })
+        Dnf::literal(Literal { value, negated })
     } else {
         dnf
     }
@@ -197,9 +194,7 @@ fn expand(unit: &UnitData, value: Value, negated: bool, depth: usize) -> Dnf {
         _ => return Dnf::literal(Literal { value, negated }),
     };
     let data = unit.inst_data(inst);
-    let is_bool = |v: Value| {
-        matches!(unit.value_type(v).kind(), llhd::ty::TypeKind::Int(1))
-    };
+    let is_bool = |v: Value| matches!(unit.value_type(v).kind(), llhd::ty::TypeKind::Int(1));
     match data.opcode {
         Opcode::And | Opcode::Or => {
             let a = expand(unit, data.args[0], negated, depth + 1);

@@ -6,6 +6,7 @@
 
 use llhd::eval::eval_pure;
 use llhd::ir::{InstData, Opcode, UnitData};
+use llhd::value::ConstValue;
 
 /// Run constant folding on a unit. Returns `true` if anything changed.
 pub fn run(unit: &mut UnitData) -> bool {
@@ -13,36 +14,27 @@ pub fn run(unit: &mut UnitData) -> bool {
     loop {
         let mut local_change = false;
         for inst in unit.all_insts() {
-            let data = unit.inst_data(inst).clone();
+            let data = unit.inst_data(inst);
             if !data.opcode.is_pure() || data.opcode == Opcode::Const {
                 continue;
             }
-            // Collect constant operands.
-            let mut const_args = Vec::with_capacity(data.args.len());
-            let mut all_const = true;
-            for &arg in &data.args {
-                match unit.get_const(arg) {
-                    Some(c) => const_args.push(c.clone()),
-                    None => {
-                        all_const = false;
-                        break;
-                    }
-                }
-            }
-            if !all_const {
+            if !data.args.iter().all(|&arg| unit.get_const(arg).is_some()) {
                 continue;
             }
-            let folded = match eval_pure(data.opcode, &const_args, &data.imms) {
-                Some(v) => v,
-                None => continue,
+            let const_args: Vec<ConstValue> = data
+                .args
+                .iter()
+                .filter_map(|&arg| unit.get_const(arg).cloned())
+                .collect();
+            let Some(folded) = eval_pure(data.opcode, &const_args, &data.imms) else {
+                continue;
             };
-            let result = match unit.get_inst_result(inst) {
-                Some(r) => r,
-                None => continue,
+            let Some(result) = unit.get_inst_result(inst) else {
+                continue;
             };
             // Replace the instruction with a constant.
-            let const_inst =
-                unit.insert_inst_before(inst, InstData::constant(folded.clone()), Some(folded.ty()));
+            let ty = folded.ty();
+            let const_inst = unit.insert_inst_before(inst, InstData::constant(folded), Some(ty));
             let new_value = unit.inst_result(const_inst);
             unit.replace_value_uses(result, new_value);
             unit.remove_inst(inst);

@@ -5,17 +5,9 @@
 //! immediates, and constant payload.
 
 use llhd::analysis::{ControlFlowGraph, DominatorTree};
-use llhd::ir::{Block, Inst, Opcode, UnitData, Value};
-use llhd::value::ConstValue;
+use llhd::ir::{Inst, InstData, UnitData};
 use std::collections::HashMap;
-
-#[derive(PartialEq, Eq, Hash, Clone)]
-struct ExprKey {
-    opcode: Opcode,
-    args: Vec<Value>,
-    imms: Vec<usize>,
-    konst: Option<ConstValue>,
-}
+use std::hash::{Hash, Hasher};
 
 /// Run common subexpression elimination on a unit. Returns `true` if
 /// anything changed.
@@ -23,71 +15,64 @@ pub fn run(unit: &mut UnitData) -> bool {
     let cfg = ControlFlowGraph::new(unit);
     let domtree = DominatorTree::new(unit, &cfg);
     let mut changed = false;
-    let mut seen: HashMap<ExprKey, Vec<(Block, Inst, Value)>> = HashMap::new();
+    // Earlier instructions by the hash of their identity. Looked up, never
+    // iterated; a bucket's candidates are compared field by field.
+    let mut seen: HashMap<u64, Vec<Inst>> = HashMap::new();
 
-    for block in unit.blocks() {
-        for inst in unit.insts(block) {
+    for bi in 0..unit.blocks_slice().len() {
+        let block = unit.blocks_slice()[bi];
+        let mut ii = 0;
+        while let Some(&inst) = unit.insts_slice(block).get(ii) {
+            ii += 1;
             let data = unit.inst_data(inst);
             if !data.opcode.is_pure() {
                 continue;
             }
-            let result = match unit.get_inst_result(inst) {
-                Some(r) => r,
-                None => continue,
+            let Some(result) = unit.get_inst_result(inst) else {
+                continue;
             };
-            let key = ExprKey {
-                opcode: data.opcode,
-                args: data.args.clone(),
-                imms: data.imms.clone(),
-                konst: data.konst.clone(),
-            };
-            let candidates = seen.entry(key).or_default();
-            let mut replaced = false;
-            for (other_block, _, other_value) in candidates.iter() {
-                let dominates = if *other_block == block {
-                    // Same block: the earlier instruction (already in the
-                    // candidate list) dominates the later one.
-                    true
-                } else {
-                    domtree.dominates(*other_block, block)
-                };
-                if dominates {
-                    unit.replace_value_uses(result, *other_value);
+            let candidates = seen.entry(identity_hash(data)).or_default();
+            let earlier = candidates.iter().find_map(|&other| {
+                let other_block = unit.inst_block(other).expect("a candidate stays placed");
+                // In the same block the earlier instruction dominates.
+                let dominates = other_block == block || domtree.dominates(other_block, block);
+                (dominates && same_identity(unit.inst_data(other), data))
+                    .then(|| unit.inst_result(other))
+            });
+            match earlier {
+                Some(value) => {
+                    unit.replace_value_uses(result, value);
                     unit.remove_inst(inst);
+                    ii -= 1;
                     changed = true;
-                    replaced = true;
-                    break;
                 }
-            }
-            if !replaced {
-                seen.entry(ExprKey {
-                    opcode: data_key(unit, inst).0,
-                    args: data_key(unit, inst).1,
-                    imms: data_key(unit, inst).2,
-                    konst: data_key(unit, inst).3,
-                })
-                .or_default()
-                .push((block, inst, result));
+                None => candidates.push(inst),
             }
         }
     }
     changed
 }
 
-fn data_key(unit: &UnitData, inst: Inst) -> (Opcode, Vec<Value>, Vec<usize>, Option<ConstValue>) {
-    let data = unit.inst_data(inst);
-    (
-        data.opcode,
-        data.args.clone(),
-        data.imms.clone(),
-        data.konst.clone(),
-    )
+/// The hash of the fields that make two pure instructions the same
+/// expression: opcode, operands, immediates and constant payload.
+fn identity_hash(data: &InstData) -> u64 {
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    data.opcode.hash(&mut hasher);
+    data.args.hash(&mut hasher);
+    data.imms.hash(&mut hasher);
+    data.konst.hash(&mut hasher);
+    hasher.finish()
+}
+
+fn same_identity(a: &InstData, b: &InstData) -> bool {
+    a.opcode == b.opcode && a.args == b.args && a.imms == b.imms && a.konst == b.konst
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use llhd::assembly::parse_module;
+    use llhd::ir::Opcode;
 
     #[test]
     fn merges_identical_expressions_in_one_block() {

@@ -4,8 +4,7 @@
 //! are unreachable from the entry block.
 
 use llhd::analysis::ControlFlowGraph;
-use llhd::ir::{Opcode, UnitData, UnitKind};
-use std::collections::HashSet;
+use llhd::ir::{Inst, Opcode, UnitData, UnitKind, ValueDef};
 
 /// Run dead code elimination on a unit. Returns `true` if anything changed.
 pub fn run(unit: &mut UnitData) -> bool {
@@ -36,36 +35,43 @@ pub fn remove_unreachable_blocks(unit: &mut UnitData) -> bool {
 }
 
 /// Remove pure instructions (and unused probes, which have no side effects)
-/// with no remaining uses. Iterates to a fixed point so chains of dead
-/// computations disappear entirely.
+/// with no remaining uses, and then whatever only they used, so chains of
+/// dead computations disappear entirely.
 pub fn remove_dead_instructions(unit: &mut UnitData) -> bool {
-    let mut changed = false;
-    loop {
-        // Collect all used values.
-        let mut used: HashSet<_> = HashSet::new();
-        for inst in unit.all_insts() {
-            for value in unit.inst_data(inst).all_args() {
-                used.insert(value);
+    let mut uses = vec![0u32; unit.num_value_slots()];
+    for &block in unit.blocks_slice() {
+        for &inst in unit.insts_slice(block) {
+            for value in unit.inst_data(inst).operands() {
+                uses[value.index()] += 1;
             }
         }
-        let mut removed_any = false;
-        for inst in unit.all_insts() {
-            let data = unit.inst_data(inst);
-            if !(data.opcode.is_pure() || data.opcode == Opcode::Prb) {
+    }
+    let unused = |unit: &UnitData, uses: &[u32], inst: Inst| {
+        let opcode = unit.inst_data(inst).opcode;
+        (opcode.is_pure() || opcode == Opcode::Prb)
+            && unit
+                .get_inst_result(inst)
+                .is_some_and(|r| uses[r.index()] == 0)
+    };
+    let mut dead: Vec<Inst> = unit
+        .all_insts()
+        .into_iter()
+        .filter(|&inst| unused(unit, &uses, inst))
+        .collect();
+    let changed = !dead.is_empty();
+    while let Some(inst) = dead.pop() {
+        for value in unit.inst_data(inst).operands() {
+            uses[value.index()] -= 1;
+            if uses[value.index()] > 0 || !unit.has_value(value) {
                 continue;
             }
-            match unit.get_inst_result(inst) {
-                Some(result) if !used.contains(&result) => {
-                    unit.remove_inst(inst);
-                    removed_any = true;
+            if let ValueDef::Inst(def) = unit.value_def(value) {
+                if unused(unit, &uses, def) {
+                    dead.push(def);
                 }
-                _ => {}
             }
         }
-        changed |= removed_any;
-        if !removed_any {
-            break;
-        }
+        unit.remove_inst(inst);
     }
     changed
 }

@@ -11,10 +11,8 @@
 
 use crate::dnf::{dnf_of, Literal};
 use llhd::analysis::{ControlFlowGraph, TemporalRegionGraph};
-use llhd::ir::{
-    Block, InstData, Opcode, RegMode, RegTrigger, UnitData, UnitKind, Value, ValueDef,
-};
-use std::collections::HashMap;
+use llhd::ir::{Block, InstData, Opcode, RegMode, RegTrigger, UnitData, UnitKind, Value, ValueDef};
+use std::collections::BTreeMap;
 
 /// Try to desequentialize a process into an entity containing `reg`
 /// storage elements. Returns `None` if the process does not match the
@@ -23,7 +21,7 @@ pub fn desequentialize(unit: &UnitData) -> Option<UnitData> {
     if unit.kind() != UnitKind::Process {
         return None;
     }
-    let blocks = unit.blocks();
+    let blocks = unit.blocks_slice();
     if blocks.len() != 2 {
         return None;
     }
@@ -33,12 +31,12 @@ pub fn desequentialize(unit: &UnitData) -> Option<UnitData> {
         return None;
     }
     // Identify the "past" block (ends in the wait) and the "present" block.
-    let (past, present) = classify_blocks(unit, &blocks)?;
+    let (past, present) = classify_blocks(unit, blocks)?;
 
     // Reject anything but pure computation, probes, constants, drives, and
     // the terminators.
-    for &block in &blocks {
-        for inst in unit.insts(block) {
+    for &block in blocks {
+        for &inst in unit.insts_slice(block) {
             let op = unit.inst_data(inst).opcode;
             let ok = op.is_pure()
                 || matches!(
@@ -61,18 +59,18 @@ pub fn desequentialize(unit: &UnitData) -> Option<UnitData> {
     let mut entity = UnitData::new(UnitKind::Entity, unit.name().clone(), unit.sig().clone());
     let mut importer = Importer {
         unit,
-        map: HashMap::new(),
+        map: vec![None; unit.num_value_slots()],
         present,
     };
     for (old, new) in unit.args().into_iter().zip(entity.args()) {
-        importer.map.insert(old, new);
+        importer.map[old.index()] = Some(new);
         if let Some(name) = unit.value_name(old) {
             entity.set_value_name(new, name.to_string());
         }
     }
 
     let mut lowered_any = false;
-    for inst in unit.insts(present) {
+    for &inst in unit.insts_slice(present) {
         let data = unit.inst_data(inst);
         let (signal, value, condition) = match data.opcode {
             Opcode::Drv => (data.args[0], data.args[1], None),
@@ -117,12 +115,8 @@ pub fn desequentialize(unit: &UnitData) -> Option<UnitData> {
 /// Identify the past (pre-wait) and present (post-wait) blocks.
 fn classify_blocks(unit: &UnitData, blocks: &[Block]) -> Option<(Block, Block)> {
     let is_wait = |b: Block| {
-        unit.terminator(b).is_some_and(|t| {
-            matches!(
-                unit.inst_data(t).opcode,
-                Opcode::Wait | Opcode::WaitTime
-            )
-        })
+        unit.terminator(b)
+            .is_some_and(|t| matches!(unit.inst_data(t).opcode, Opcode::Wait | Opcode::WaitTime))
     };
     match (is_wait(blocks[0]), is_wait(blocks[1])) {
         (true, false) => Some((blocks[0], blocks[1])),
@@ -162,8 +156,9 @@ fn analyse_term(
         }
     };
 
-    let mut past_samples: HashMap<Value, &Literal> = HashMap::new();
-    let mut present_samples: HashMap<Value, &Literal> = HashMap::new();
+    // Samples by signal, in signal order: the emitted gate follows it.
+    let mut past_samples: BTreeMap<Value, &Literal> = BTreeMap::new();
+    let mut present_samples: BTreeMap<Value, &Literal> = BTreeMap::new();
     let mut others: Vec<&Literal> = vec![];
     for literal in term.literals() {
         match probe_info(literal.value) {
@@ -257,7 +252,9 @@ fn analyse_term(
 /// Imports value DFGs from the process into the entity.
 struct Importer<'a> {
     unit: &'a UnitData,
-    map: HashMap<Value, Value>,
+    /// The entity value of each process value imported so far, indexed by
+    /// the process value's slot.
+    map: Vec<Option<Value>>,
     present: Block,
 }
 
@@ -266,7 +263,7 @@ impl<'a> Importer<'a> {
     /// Only constants, probes of the present region, pure operations, and
     /// unit arguments can be imported.
     fn import(&mut self, entity: &mut UnitData, value: Value) -> Option<Value> {
-        if let Some(&mapped) = self.map.get(&value) {
+        if let Some(mapped) = self.map[value.index()] {
             return Some(mapped);
         }
         let inst = match self.unit.value_def(value) {
@@ -274,7 +271,7 @@ impl<'a> Importer<'a> {
             ValueDef::Inst(inst) => inst,
             ValueDef::Invalid => return None,
         };
-        let data = self.unit.inst_data(inst).clone();
+        let data = self.unit.inst_data(inst);
         let new_value = match data.opcode {
             Opcode::Const => {
                 let body = entity.entry_block().unwrap();
@@ -318,7 +315,7 @@ impl<'a> Importer<'a> {
                 entity.set_value_name(new_value, name.to_string());
             }
         }
-        self.map.insert(value, new_value);
+        self.map[value.index()] = Some(new_value);
         Some(new_value)
     }
 
@@ -329,7 +326,7 @@ impl<'a> Importer<'a> {
         let body = entity.entry_block().unwrap();
         // Reuse an existing probe of the same signal if one was already
         // imported.
-        for inst in entity.insts(body) {
+        for &inst in entity.insts_slice(body) {
             let data = entity.inst_data(inst);
             if data.opcode == Opcode::Prb && data.args[0] == signal_in_entity {
                 return Some(entity.inst_result(inst));
@@ -472,7 +469,10 @@ mod tests {
         let data = entity.inst_data(reg);
         assert_eq!(data.triggers.len(), 1);
         assert_eq!(data.triggers[0].mode, RegMode::Fall);
-        assert!(data.triggers[0].gate.is_some(), "enable must gate the trigger");
+        assert!(
+            data.triggers[0].gate.is_some(),
+            "enable must gate the trigger"
+        );
     }
 
     #[test]

@@ -26,14 +26,16 @@ pub fn run(unit: &mut UnitData) -> bool {
         let trg = TemporalRegionGraph::new(unit, &cfg);
         let mut local = false;
 
-        for block in domtree.reverse_post_order().to_vec() {
+        for &block in domtree.reverse_post_order() {
             let Some(idom) = domtree.idom(block) else {
                 continue;
             };
             if idom == block {
                 continue;
             }
-            for inst in unit.insts(block) {
+            let mut ii = 0;
+            while let Some(&inst) = unit.insts_slice(block).get(ii) {
+                ii += 1;
                 let data = unit.inst_data(inst);
                 let opcode = data.opcode;
                 let hoistable = opcode.is_pure() || opcode == Opcode::Prb;
@@ -58,6 +60,7 @@ pub fn run(unit: &mut UnitData) -> bool {
                     continue;
                 }
                 unit.move_inst_before_terminator(inst, idom);
+                ii -= 1;
                 local = true;
             }
         }

@@ -9,7 +9,6 @@
 //! process is rejected".
 
 use llhd::ir::{InstData, Module, Opcode, UnitData, UnitId, UnitKind, Value};
-use std::collections::HashMap;
 
 /// Inline eligible calls in all processes and functions of a module.
 /// Returns the number of call sites inlined.
@@ -33,7 +32,11 @@ pub fn run(module: &mut Module) -> usize {
 /// function defined in the module.
 fn find_inlinable_call(module: &Module, caller: UnitId) -> Option<(llhd::ir::Inst, UnitId)> {
     let unit = module.unit(caller);
-    for inst in unit.all_insts() {
+    let insts = unit
+        .blocks_slice()
+        .iter()
+        .flat_map(|&bb| unit.insts_slice(bb));
+    for &inst in insts {
         let data = unit.inst_data(inst);
         if data.opcode != Opcode::Call {
             continue;
@@ -47,7 +50,7 @@ fn find_inlinable_call(module: &Module, caller: UnitId) -> Option<(llhd::ir::Ins
             continue;
         }
         let callee = module.unit(callee_id);
-        if callee.kind() != UnitKind::Function || callee.blocks().len() != 1 {
+        if callee.kind() != UnitKind::Function || callee.blocks_slice().len() != 1 {
             continue;
         }
         return Some((inst, callee_id));
@@ -57,25 +60,32 @@ fn find_inlinable_call(module: &Module, caller: UnitId) -> Option<(llhd::ir::Ins
 
 /// Splice the single-block `callee` into `caller` at `call_inst`.
 fn inline_call(caller: &mut UnitData, call_inst: llhd::ir::Inst, callee: &UnitData) {
-    let call_data = caller.inst_data(call_inst).clone();
-    let mut value_map: HashMap<Value, Value> = HashMap::new();
-    for (i, &arg) in callee.args().iter().enumerate() {
-        value_map.insert(arg, call_data.args[i]);
+    // The caller value of each callee value, indexed by the callee's slot.
+    let mut value_map: Vec<Option<Value>> = vec![None; callee.num_value_slots()];
+    for (arg, &actual) in callee
+        .args()
+        .into_iter()
+        .zip(&caller.inst_data(call_inst).args)
+    {
+        value_map[arg.index()] = Some(actual);
     }
+    let map = |value_map: &[Option<Value>], v: Value| {
+        value_map[v.index()].expect("a callee value is mapped before its use")
+    };
     let callee_block = callee.entry_block().unwrap();
     let mut return_value: Option<Value> = None;
-    for inst in callee.insts(callee_block) {
+    for &inst in callee.insts_slice(callee_block) {
         let data = callee.inst_data(inst);
         match data.opcode {
             Opcode::Ret => break,
             Opcode::RetValue => {
-                return_value = Some(value_map[&data.args[0]]);
+                return_value = Some(map(&value_map, data.args[0]));
                 break;
             }
             _ => {}
         }
         let mut new_data = InstData::new(data.opcode, vec![]);
-        new_data.args = data.args.iter().map(|a| value_map[a]).collect();
+        new_data.args = data.args.iter().map(|&a| map(&value_map, a)).collect();
         new_data.imms = data.imms.clone();
         new_data.konst = data.konst.clone();
         new_data.num_inputs = data.num_inputs;
@@ -89,7 +99,7 @@ fn inline_call(caller: &mut UnitData, call_inst: llhd::ir::Inst, callee: &UnitDa
             callee.get_inst_result(inst),
             caller.get_inst_result(new_inst),
         ) {
-            value_map.insert(old, new);
+            value_map[old.index()] = Some(new);
         }
     }
     if let (Some(result), Some(replacement)) = (caller.get_inst_result(call_inst), return_value) {

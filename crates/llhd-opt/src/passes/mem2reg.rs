@@ -9,7 +9,6 @@
 //! matches the paper's treatment of non-promotable memory.
 
 use llhd::ir::{Opcode, UnitData, Value};
-use std::collections::HashMap;
 
 /// Run variable-to-value promotion on a unit. Returns `true` if anything
 /// changed.
@@ -24,33 +23,38 @@ pub fn run(unit: &mut UnitData) -> bool {
 /// variable within the same basic block.
 fn forward_stores_to_loads(unit: &mut UnitData) -> bool {
     let mut changed = false;
-    for block in unit.blocks() {
-        // Current known value per pointer.
-        let mut current: HashMap<Value, Value> = HashMap::new();
-        for inst in unit.insts(block) {
-            let data = unit.inst_data(inst).clone();
+    // Current known value per pointer, indexed by the pointer's value slot.
+    let mut current: Vec<Option<Value>> = vec![None; unit.num_value_slots()];
+    for bi in 0..unit.blocks_slice().len() {
+        let block = unit.blocks_slice()[bi];
+        current.fill(None);
+        let mut ii = 0;
+        while let Some(&inst) = unit.insts_slice(block).get(ii) {
+            ii += 1;
+            let data = unit.inst_data(inst);
             match data.opcode {
                 Opcode::Var => {
                     // A fresh variable holds its initialiser.
                     if let Some(result) = unit.get_inst_result(inst) {
-                        current.insert(result, data.args[0]);
+                        current[result.index()] = Some(data.args[0]);
                     }
                 }
                 Opcode::St => {
-                    current.insert(data.args[0], data.args[1]);
+                    current[data.args[0].index()] = Some(data.args[1]);
                 }
                 Opcode::Ld => {
-                    if let Some(&value) = current.get(&data.args[0]) {
+                    if let Some(value) = current[data.args[0].index()] {
                         let result = unit.inst_result(inst);
                         unit.replace_value_uses(result, value);
                         unit.remove_inst(inst);
+                        ii -= 1;
                         changed = true;
                     }
                 }
                 Opcode::Call => {
                     // A call may modify memory through pointers passed to it.
                     for arg in &data.args {
-                        current.remove(arg);
+                        current[arg.index()] = None;
                     }
                 }
                 _ => {}
@@ -142,7 +146,10 @@ mod tests {
             .find(|&i| unit.inst_data(i).opcode == Opcode::Add)
             .unwrap();
         let value = unit.inst_data(add).args[0];
-        assert_eq!(unit.get_const(value), Some(&llhd::value::ConstValue::int(32, 1)));
+        assert_eq!(
+            unit.get_const(value),
+            Some(&llhd::value::ConstValue::int(32, 1))
+        );
     }
 
     #[test]

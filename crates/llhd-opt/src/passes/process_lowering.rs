@@ -7,7 +7,6 @@
 //! name and signature.
 
 use llhd::ir::{InstData, Opcode, UnitData, UnitKind, Value};
-use std::collections::HashMap;
 
 /// Try to lower a process to an entity. Returns the replacement entity, or
 /// `None` if the process does not have the required shape.
@@ -16,11 +15,9 @@ pub fn lower_process(unit: &UnitData) -> Option<UnitData> {
         return None;
     }
     // Shape check: exactly one block, terminated by a plain wait.
-    let blocks = unit.blocks();
-    if blocks.len() != 1 {
+    let &[block] = unit.blocks_slice() else {
         return None;
-    }
-    let block = blocks[0];
+    };
     let term = unit.terminator(block)?;
     let term_data = unit.inst_data(term);
     if term_data.opcode != Opcode::Wait {
@@ -30,14 +27,13 @@ pub fn lower_process(unit: &UnitData) -> Option<UnitData> {
         return None;
     }
     // The wait must be sensitive to every probed signal.
-    let observed: Vec<Value> = term_data.args.clone();
-    for inst in unit.insts(block) {
+    let observed = &term_data.args;
+    for &inst in unit.insts_slice(block) {
         let data = unit.inst_data(inst);
         match data.opcode {
-            Opcode::Prb
-                if !observed.contains(&data.args[0]) => {
-                    return None;
-                }
+            Opcode::Prb if !observed.contains(&data.args[0]) => {
+                return None;
+            }
             // Anything outside the entity data flow subset disqualifies the
             // process.
             Opcode::Wait => {}
@@ -49,20 +45,24 @@ pub fn lower_process(unit: &UnitData) -> Option<UnitData> {
     // Build the replacement entity.
     let mut entity = UnitData::new(UnitKind::Entity, unit.name().clone(), unit.sig().clone());
     let body = entity.entry_block().unwrap();
-    let mut value_map: HashMap<Value, Value> = HashMap::new();
+    // The entity value of each process value, indexed by the process slot.
+    let mut value_map: Vec<Option<Value>> = vec![None; unit.num_value_slots()];
+    let map = |value_map: &[Option<Value>], v: Value| {
+        value_map[v.index()].expect("a process value is mapped before its use")
+    };
     for (old, new) in unit.args().into_iter().zip(entity.args()) {
-        value_map.insert(old, new);
+        value_map[old.index()] = Some(new);
         if let Some(name) = unit.value_name(old) {
             entity.set_value_name(new, name.to_string());
         }
     }
-    for inst in unit.insts(block) {
+    for &inst in unit.insts_slice(block) {
         let data = unit.inst_data(inst);
         if data.opcode == Opcode::Wait {
             continue;
         }
         let mut new_data = InstData::new(data.opcode, vec![]);
-        new_data.args = data.args.iter().map(|a| value_map[a]).collect();
+        new_data.args = data.args.iter().map(|&a| map(&value_map, a)).collect();
         new_data.imms = data.imms.clone();
         new_data.konst = data.konst.clone();
         new_data.num_inputs = data.num_inputs;
@@ -70,10 +70,10 @@ pub fn lower_process(unit: &UnitData) -> Option<UnitData> {
             .triggers
             .iter()
             .map(|t| llhd::ir::RegTrigger {
-                value: value_map[&t.value],
+                value: map(&value_map, t.value),
                 mode: t.mode,
-                trigger: value_map[&t.trigger],
-                gate: t.gate.map(|g| value_map[&g]),
+                trigger: map(&value_map, t.trigger),
+                gate: t.gate.map(|g| map(&value_map, g)),
             })
             .collect();
         if let Some(ext) = data.ext_unit {
@@ -85,7 +85,7 @@ pub fn lower_process(unit: &UnitData) -> Option<UnitData> {
         if let (Some(old_result), Some(new_result)) =
             (unit.get_inst_result(inst), entity.get_inst_result(new_inst))
         {
-            value_map.insert(old_result, new_result);
+            value_map[old_result.index()] = Some(new_result);
             if let Some(name) = unit.value_name(old_result) {
                 entity.set_value_name(new_result, name.to_string());
             }

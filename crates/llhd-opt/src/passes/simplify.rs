@@ -52,7 +52,7 @@ fn is_const_one(unit: &UnitData, value: Value) -> bool {
 }
 
 fn simplify_inst(unit: &mut UnitData, inst: llhd::ir::Inst) -> bool {
-    let data = unit.inst_data(inst).clone();
+    let data = unit.inst_data(inst);
     match data.opcode {
         Opcode::Add | Opcode::Or | Opcode::Xor | Opcode::Sub | Opcode::Shl | Opcode::Shr => {
             let (a, b) = (data.args[0], data.args[1]);
@@ -70,8 +70,7 @@ fn simplify_inst(unit: &mut UnitData, inst: llhd::ir::Inst) -> bool {
             if matches!(data.opcode, Opcode::Sub | Opcode::Xor) && a == b {
                 let ty = unit.value_type(a);
                 let zero = ConstValue::zero_of(&ty);
-                let zero_inst =
-                    unit.insert_inst_before(inst, InstData::constant(zero), Some(ty));
+                let zero_inst = unit.insert_inst_before(inst, InstData::constant(zero), Some(ty));
                 let zero_value = unit.inst_result(zero_inst);
                 return replace_with_value(unit, inst, zero_value);
             }
@@ -140,11 +139,8 @@ fn simplify_inst(unit: &mut UnitData, inst: llhd::ir::Inst) -> bool {
             let (a, b) = (data.args[0], data.args[1]);
             if a == b {
                 let value = ConstValue::bool(data.opcode == Opcode::Eq);
-                let const_inst = unit.insert_inst_before(
-                    inst,
-                    InstData::constant(value.clone()),
-                    Some(value.ty()),
-                );
+                let ty = value.ty();
+                let const_inst = unit.insert_inst_before(inst, InstData::constant(value), Some(ty));
                 let const_value = unit.inst_result(const_inst);
                 return replace_with_value(unit, inst, const_value);
             }
@@ -200,10 +196,8 @@ fn simplify_inst(unit: &mut UnitData, inst: llhd::ir::Inst) -> bool {
             match unit.get_const(cond) {
                 Some(c) if c.is_truthy() => {
                     let block = unit.inst_block(inst).unwrap();
-                    let drv = InstData::new(
-                        Opcode::Drv,
-                        vec![data.args[0], data.args[1], data.args[2]],
-                    );
+                    let drv =
+                        InstData::new(Opcode::Drv, vec![data.args[0], data.args[1], data.args[2]]);
                     let new_inst = unit.append_inst(block, drv, None);
                     unit.move_inst_before(new_inst, inst);
                     unit.remove_inst(inst);

@@ -33,11 +33,12 @@ pub fn run(unit: &mut UnitData) -> bool {
 /// Turn `br %c, %bb, %bb` into `br %bb`.
 fn simplify_branches(unit: &mut UnitData) -> bool {
     let mut changed = false;
-    for block in unit.blocks() {
+    for bi in 0..unit.blocks_slice().len() {
+        let block = unit.blocks_slice()[bi];
         let Some(term) = unit.terminator(block) else {
             continue;
         };
-        let data = unit.inst_data(term).clone();
+        let data = unit.inst_data(term);
         if data.opcode == Opcode::BrCond && data.blocks[0] == data.blocks[1] {
             let target = data.blocks[0];
             unit.remove_inst(term);
@@ -58,12 +59,10 @@ fn remove_forwarding_blocks(unit: &mut UnitData) -> bool {
         if Some(block) == unit.entry_block() {
             continue;
         }
-        let insts = unit.insts(block);
-        if insts.len() != 1 {
+        let &[term] = unit.insts_slice(block) else {
             continue;
-        }
-        let term = insts[0];
-        let data = unit.inst_data(term).clone();
+        };
+        let data = unit.inst_data(term);
         if data.opcode != Opcode::Br {
             continue;
         }
@@ -74,18 +73,18 @@ fn remove_forwarding_blocks(unit: &mut UnitData) -> bool {
         // Phi nodes referencing this block as a predecessor would need their
         // edges rewritten per predecessor; keep it simple and leave such
         // blocks in place.
-        let referenced_by_phi = unit.all_insts().iter().any(|&i| {
-            let d = unit.inst_data(i);
-            d.opcode == Opcode::Phi && d.blocks.contains(&block)
+        let referenced_by_phi = unit.blocks_slice().iter().any(|&bb| {
+            unit.insts_slice(bb).iter().any(|&i| {
+                let d = unit.inst_data(i);
+                d.opcode == Opcode::Phi && d.blocks.contains(&block)
+            })
         });
         if referenced_by_phi {
             continue;
         }
-        // Redirect all predecessors.
-        let cfg = ControlFlowGraph::new(unit);
-        let preds: Vec<Block> = cfg.preds(block).to_vec();
-        for pred in preds {
-            if let Some(pred_term) = unit.terminator(pred) {
+        // Redirect all predecessors: every terminator naming the block.
+        for bi in 0..unit.blocks_slice().len() {
+            if let Some(pred_term) = unit.terminator(unit.blocks_slice()[bi]) {
                 unit.inst_data_mut(pred_term).replace_block(block, target);
             }
         }
@@ -101,53 +100,46 @@ fn merge_straight_line_blocks(unit: &mut UnitData) -> bool {
     let mut changed = false;
     loop {
         let cfg = ControlFlowGraph::new(unit);
-        let mut merged = false;
-        for block in unit.blocks() {
+        let mergeable = unit.blocks_slice().iter().find_map(|&block| {
             if Some(block) == unit.entry_block() {
-                continue;
+                return None;
             }
-            let preds = cfg.preds(block);
-            if preds.len() != 1 {
-                continue;
-            }
-            let pred = preds[0];
-            if pred == block {
-                continue;
-            }
-            let Some(pred_term) = unit.terminator(pred) else {
-                continue;
+            let &[pred] = cfg.preds(block) else {
+                return None;
             };
-            let pred_data = unit.inst_data(pred_term).clone();
-            if pred_data.opcode != Opcode::Br || pred_data.blocks[0] != block {
-                continue;
+            if pred == block {
+                return None;
             }
-            // Single-predecessor phis collapse to their only operand.
-            for inst in unit.insts(block) {
-                let data = unit.inst_data(inst).clone();
-                if data.opcode == Opcode::Phi && data.args.len() == 1 {
-                    let result = unit.inst_result(inst);
-                    unit.replace_value_uses(result, data.args[0]);
-                    unit.remove_inst(inst);
-                }
-            }
-            // Move the block's instructions into the predecessor.
-            unit.remove_inst(pred_term);
-            for inst in unit.insts(block) {
-                unit.move_inst_to_end(inst, pred);
-            }
-            // Any remaining references to the block (e.g. phi predecessor
-            // lists in successors) now refer to the predecessor.
-            for inst in unit.all_insts() {
-                unit.inst_data_mut(inst).replace_block(block, pred);
-            }
-            unit.remove_block(block);
-            merged = true;
+            let pred_term = unit.terminator(pred)?;
+            let pred_data = unit.inst_data(pred_term);
+            (pred_data.opcode == Opcode::Br && pred_data.blocks[0] == block)
+                .then_some((block, pred, pred_term))
+        });
+        let Some((block, pred, pred_term)) = mergeable else {
             break;
+        };
+        // Single-predecessor phis collapse to their only operand.
+        for inst in unit.insts(block) {
+            let data = unit.inst_data(inst);
+            if data.opcode == Opcode::Phi && data.args.len() == 1 {
+                let operand = data.args[0];
+                let result = unit.inst_result(inst);
+                unit.replace_value_uses(result, operand);
+                unit.remove_inst(inst);
+            }
         }
-        changed |= merged;
-        if !merged {
-            break;
+        // Move the block's instructions into the predecessor.
+        unit.remove_inst(pred_term);
+        while let Some(&inst) = unit.insts_slice(block).first() {
+            unit.move_inst_to_end(inst, pred);
         }
+        // Any remaining references to the block (e.g. phi predecessor
+        // lists in successors) now refer to the predecessor.
+        for inst in unit.all_insts() {
+            unit.inst_data_mut(inst).replace_block(block, pred);
+        }
+        unit.remove_block(block);
+        changed = true;
     }
     changed
 }
@@ -159,18 +151,22 @@ fn phis_to_muxes(unit: &mut UnitData) -> bool {
     let domtree = DominatorTree::new(unit, &cfg);
     let mut changed = false;
     for inst in unit.all_insts() {
-        let data = unit.inst_data(inst).clone();
+        let data = unit.inst_data(inst);
         if data.opcode != Opcode::Phi || data.args.len() != 2 {
             continue;
         }
+        let (args, blocks) = (
+            [data.args[0], data.args[1]],
+            [data.blocks[0], data.blocks[1]],
+        );
         let block = unit.inst_block(inst).unwrap();
-        let Some(dominator) = domtree.common_dominator(data.blocks[0], data.blocks[1]) else {
+        let Some(dominator) = domtree.common_dominator(blocks[0], blocks[1]) else {
             continue;
         };
         let Some(dom_term) = unit.terminator(dominator) else {
             continue;
         };
-        let dom_data = unit.inst_data(dom_term).clone();
+        let dom_data = unit.inst_data(dom_term);
         if dom_data.opcode != Opcode::BrCond {
             continue;
         }
@@ -178,7 +174,7 @@ fn phis_to_muxes(unit: &mut UnitData) -> bool {
         let if_true = dom_data.blocks[1];
         // Check that the phi operands dominate the join block so the mux can
         // use them directly.
-        let operands_dominate = data.args.iter().all(|&v| match unit.value_def(v) {
+        let operands_dominate = args.iter().all(|&v| match unit.value_def(v) {
             ValueDef::Arg(_) => true,
             ValueDef::Inst(def) => unit
                 .inst_block(def)
@@ -199,16 +195,16 @@ fn phis_to_muxes(unit: &mut UnitData) -> bool {
         }
         // Which incoming edge corresponds to the true branch?
         let edge_reaches = |edge: Block, pred: Block| edge == pred || domtree.dominates(edge, pred);
-        let true_index = if edge_reaches(if_true, data.blocks[0]) && !edge_reaches(if_true, data.blocks[1]) {
+        let true_index = if edge_reaches(if_true, blocks[0]) && !edge_reaches(if_true, blocks[1]) {
             0
-        } else if edge_reaches(if_true, data.blocks[1]) && !edge_reaches(if_true, data.blocks[0]) {
+        } else if edge_reaches(if_true, blocks[1]) && !edge_reaches(if_true, blocks[0]) {
             1
         } else {
             continue;
         };
         let false_index = 1 - true_index;
-        let false_value = data.args[false_index];
-        let true_value = data.args[true_index];
+        let false_value = args[false_index];
+        let true_value = args[true_index];
         // Build `mux([false, true], cond)` right before the phi.
         let array_inst = unit.insert_inst_before(
             inst,
@@ -262,7 +258,12 @@ mod tests {
         assert!(run(module.unit_mut(id)));
         let unit = module.unit(id);
         assert!(llhd::verifier::verify_unit(unit).is_ok());
-        assert_eq!(unit.blocks().len(), 1, "{}", llhd::assembly::write_unit(unit));
+        assert_eq!(
+            unit.blocks().len(),
+            1,
+            "{}",
+            llhd::assembly::write_unit(unit)
+        );
         let ops: Vec<_> = unit
             .all_insts()
             .iter()
@@ -302,7 +303,12 @@ mod tests {
         assert!(run(module.unit_mut(id)));
         let unit = module.unit(id);
         assert!(llhd::verifier::verify_unit(unit).is_ok());
-        assert_eq!(unit.blocks().len(), 2, "{}", llhd::assembly::write_unit(unit));
+        assert_eq!(
+            unit.blocks().len(),
+            2,
+            "{}",
+            llhd::assembly::write_unit(unit)
+        );
         // The drive survived with its condition.
         assert!(unit
             .all_insts()

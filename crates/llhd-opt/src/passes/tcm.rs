@@ -11,7 +11,7 @@
 
 use llhd::analysis::{ControlFlowGraph, DominatorTree, TemporalRegion, TemporalRegionGraph};
 use llhd::ir::{Block, Inst, InstData, Opcode, UnitData, UnitKind, Value, ValueDef};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Run temporal code motion on a process. Returns `true` if anything
 /// changed.
@@ -34,8 +34,9 @@ fn ensure_single_exit_blocks(unit: &mut UnitData) -> bool {
     let mut changed = false;
     for region_idx in 0..trg.num_regions() {
         let region = TemporalRegion(region_idx as u32);
-        // Collect branch arcs that leave the region, grouped by target block.
-        let mut arcs: HashMap<Block, Vec<Block>> = HashMap::new();
+        // Collect branch arcs that leave the region, grouped by target block
+        // in block index order.
+        let mut arcs: BTreeMap<Block, Vec<Block>> = BTreeMap::new();
         let mut has_wait_exit = false;
         for block in trg.blocks_in(unit, region) {
             let Some(term) = unit.terminator(block) else {
@@ -78,21 +79,19 @@ fn ensure_single_exit_blocks(unit: &mut UnitData) -> bool {
     changed
 }
 
-/// The single exiting block of each region, if it exists.
+/// The single exiting block of each region, if it exists, indexed by
+/// region.
 fn exit_block_per_region(
     unit: &UnitData,
     cfg: &ControlFlowGraph,
     trg: &TemporalRegionGraph,
-) -> HashMap<TemporalRegion, Block> {
-    let mut exits = HashMap::new();
-    for region_idx in 0..trg.num_regions() {
-        let region = TemporalRegion(region_idx as u32);
-        let exiting = trg.exiting_blocks(unit, cfg, region);
-        if exiting.len() == 1 {
-            exits.insert(region, exiting[0]);
-        }
-    }
-    exits
+) -> Vec<Option<Block>> {
+    (0..trg.num_regions())
+        .map(|region_idx| {
+            let exiting = trg.exiting_blocks(unit, cfg, TemporalRegion(region_idx as u32));
+            (exiting.len() == 1).then(|| exiting[0])
+        })
+        .collect()
 }
 
 /// Move `drv` instructions into the single exiting block of their temporal
@@ -111,7 +110,7 @@ fn move_drives(unit: &mut UnitData) -> bool {
         }
         let block = unit.inst_block(inst).unwrap();
         let region = trg.region(block);
-        let Some(&exit) = exits.get(&region) else {
+        let Some(exit) = exits[region.index()] else {
             continue;
         };
         if block == exit {
@@ -128,30 +127,22 @@ fn move_drives(unit: &mut UnitData) -> bool {
             continue;
         };
         // Combine with an existing drive condition.
-        let data = unit.inst_data(inst).clone();
-        let combined = match (condition, data.opcode) {
-            (None, _) => {
-                if data.opcode == Opcode::DrvCond {
-                    Some(data.args[3])
-                } else {
-                    None
-                }
-            }
-            (Some(cond), Opcode::DrvCond) => {
-                let existing = data.args[3];
-                let and =
-                    insert_before_terminator(unit, exit, InstData::new(Opcode::And, vec![cond, existing]));
-                Some(and)
-            }
-            (Some(cond), _) => Some(cond),
+        let data = unit.inst_data(inst);
+        let (signal, value, delay) = (data.args[0], data.args[1], data.args[2]);
+        let existing = (data.opcode == Opcode::DrvCond).then(|| data.args[3]);
+        let combined = match (condition, existing) {
+            (None, existing) => existing,
+            (Some(cond), Some(existing)) => Some(insert_before_terminator(
+                unit,
+                exit,
+                InstData::new(Opcode::And, vec![cond, existing]),
+            )),
+            (Some(cond), None) => Some(cond),
         };
         // Rebuild the drive in the exit block.
         let new_data = match combined {
-            Some(cond) => InstData::new(
-                Opcode::DrvCond,
-                vec![data.args[0], data.args[1], data.args[2], cond],
-            ),
-            None => InstData::new(Opcode::Drv, vec![data.args[0], data.args[1], data.args[2]]),
+            Some(cond) => InstData::new(Opcode::DrvCond, vec![signal, value, delay, cond]),
+            None => InstData::new(Opcode::Drv, vec![signal, value, delay]),
         };
         let term = unit.terminator(exit);
         let new_inst = unit.append_inst(exit, new_data, None);
@@ -185,16 +176,11 @@ fn path_condition(
     }
     // The condition for a block is the OR over its in-region predecessors of
     // (condition of predecessor AND edge condition).
+    // No such predecessor leaves the result `None`.
     let mut result: Option<Option<Value>> = None;
-    let preds: Vec<Block> = cfg
-        .preds(target)
-        .iter()
-        .copied()
-        .filter(|&p| trg.region(p) == region && (p == dominator || domtree.dominates(dominator, p)))
-        .collect();
-    if preds.is_empty() {
-        return None;
-    }
+    let preds = cfg.preds(target).iter().copied().filter(|&p| {
+        trg.region(p) == region && (p == dominator || domtree.dominates(dominator, p))
+    });
     for pred in preds {
         let pred_cond = path_condition(unit, cfg, domtree, trg, region, dominator, pred, exit)?;
         let edge_cond = edge_condition(unit, domtree, pred, target, exit)?;
@@ -212,11 +198,9 @@ fn path_condition(
         result = Some(match result {
             None => combined,
             Some(None) => None,
-            Some(Some(prev)) => combined.map(|c| insert_before_terminator(
-                    unit,
-                    exit,
-                    InstData::new(Opcode::Or, vec![prev, c]),
-                )),
+            Some(Some(prev)) => combined.map(|c| {
+                insert_before_terminator(unit, exit, InstData::new(Opcode::Or, vec![prev, c]))
+            }),
         });
         if result == Some(None) {
             // Unconditionally reachable; no point accumulating more.
@@ -237,11 +221,11 @@ fn edge_condition(
     exit: Block,
 ) -> Option<Option<Value>> {
     let term = unit.terminator(pred)?;
-    let data = unit.inst_data(term).clone();
+    let data = unit.inst_data(term);
     match data.opcode {
         Opcode::Br => Some(None),
         Opcode::BrCond => {
-            let cond = data.args[0];
+            let (cond, if_false, if_true) = (data.args[0], data.blocks[0], data.blocks[1]);
             // The condition must be available in the exit block.
             let def_block = match unit.value_def(cond) {
                 ValueDef::Arg(_) => None,
@@ -253,14 +237,14 @@ fn edge_condition(
                     return None;
                 }
             }
-            let (if_false, if_true) = (data.blocks[0], data.blocks[1]);
             if if_false == if_true {
                 return Some(None);
             }
             if target == if_true {
                 Some(Some(cond))
             } else if target == if_false {
-                let not = insert_before_terminator(unit, exit, InstData::new(Opcode::Not, vec![cond]));
+                let not =
+                    insert_before_terminator(unit, exit, InstData::new(Opcode::Not, vec![cond]));
                 Some(Some(not))
             } else {
                 None
@@ -274,7 +258,13 @@ fn edge_condition(
 /// returning its result.
 fn insert_before_terminator(unit: &mut UnitData, block: Block, data: InstData) -> Value {
     let result_ty = data.opcode.has_result().then(|| {
-        unit.default_result_type(data.opcode, &data.args, &data.imms, data.konst.as_ref(), None)
+        unit.default_result_type(
+            data.opcode,
+            &data.args,
+            &data.imms,
+            data.konst.as_ref(),
+            None,
+        )
     });
     let inst = match unit.terminator(block) {
         Some(term) => unit.insert_inst_before(term, data, result_ty),
@@ -283,75 +273,83 @@ fn insert_before_terminator(unit: &mut UnitData, block: Block, data: InstData) -
     unit.inst_result(inst)
 }
 
+/// The drives of one `(signal, delay)` pair in a block: the accumulated
+/// value, the accumulated drive condition, and the original drive
+/// instructions it replaces.
+struct DriveAccumulator {
+    signal: Value,
+    delay: Value,
+    value: Value,
+    cond: Option<Value>,
+    insts: Vec<Inst>,
+}
+
 /// Coalesce multiple drives of the same signal (with the same delay) within
 /// one block into a single drive whose value is selected by `mux`
 /// instructions (§4.3.3, Figure 5f/g).
-/// Per `(signal, delay)`: the accumulated value, the accumulated drive
-/// condition, and the original drive instructions it replaces.
-type DriveAccumulator = HashMap<(Value, Value), (Value, Option<Value>, Vec<Inst>)>;
-
 fn coalesce_drives(unit: &mut UnitData) -> bool {
     let mut changed = false;
-    for block in unit.blocks() {
-        // Accumulated (value, condition, contributing drives) per
-        // (signal, delay).
-        let mut acc: DriveAccumulator = HashMap::new();
-        let mut order: Vec<(Value, Value)> = vec![];
-        for inst in unit.insts(block) {
-            let data = unit.inst_data(inst).clone();
+    for bi in 0..unit.blocks_slice().len() {
+        let block = unit.blocks_slice()[bi];
+        // One accumulator per (signal, delay), in order of the first drive.
+        let mut acc: Vec<DriveAccumulator> = vec![];
+        let mut ii = 0;
+        while let Some(&inst) = unit.insts_slice(block).get(ii) {
+            ii += 1;
+            let data = unit.inst_data(inst);
             let (signal, value, delay, cond) = match data.opcode {
                 Opcode::Drv => (data.args[0], data.args[1], data.args[2], None),
                 Opcode::DrvCond => (data.args[0], data.args[1], data.args[2], Some(data.args[3])),
                 _ => continue,
             };
-            let key = (signal, delay);
-            match acc.get_mut(&key) {
+            let Some(prev) = acc
+                .iter_mut()
+                .find(|a| (a.signal, a.delay) == (signal, delay))
+            else {
+                acc.push(DriveAccumulator {
+                    signal,
+                    delay,
+                    value,
+                    cond,
+                    insts: vec![inst],
+                });
+                continue;
+            };
+            prev.insts.push(inst);
+            match cond {
                 None => {
-                    order.push(key);
-                    acc.insert(key, (value, cond, vec![inst]));
+                    // Unconditional drive overrides everything before.
+                    prev.value = value;
+                    prev.cond = None;
                 }
-                Some((acc_value, acc_cond, insts)) => {
-                    insts.push(inst);
-                    match cond {
-                        None => {
-                            // Unconditional drive overrides everything before.
-                            *acc_value = value;
-                            *acc_cond = None;
-                        }
-                        Some(c) => {
-                            // value := c ? value : acc_value
-                            let choices = insert_before_terminator(
-                                unit,
-                                block,
-                                InstData::new(Opcode::Array, vec![*acc_value, value]),
-                            );
-                            let mux = insert_before_terminator(
-                                unit,
-                                block,
-                                InstData::new(Opcode::Mux, vec![choices, c]),
-                            );
-                            *acc_value = mux;
-                            *acc_cond = (*acc_cond).map(|prev| insert_before_terminator(
-                                    unit,
-                                    block,
-                                    InstData::new(Opcode::Or, vec![prev, c]),
-                                ));
-                        }
-                    }
+                Some(c) => {
+                    // value := c ? value : prev.value
+                    let choices = insert_before_terminator(
+                        unit,
+                        block,
+                        InstData::new(Opcode::Array, vec![prev.value, value]),
+                    );
+                    prev.value = insert_before_terminator(
+                        unit,
+                        block,
+                        InstData::new(Opcode::Mux, vec![choices, c]),
+                    );
+                    prev.cond = prev.cond.map(|p| {
+                        insert_before_terminator(unit, block, InstData::new(Opcode::Or, vec![p, c]))
+                    });
                 }
             }
         }
-        for key in order {
-            let (value, cond, insts) = acc.remove(&key).unwrap();
-            if insts.len() < 2 {
+        for drives in acc {
+            if drives.insts.len() < 2 {
                 continue;
             }
             // Remove the original drives and emit the coalesced one.
-            for inst in insts {
+            for inst in drives.insts {
                 unit.remove_inst(inst);
             }
-            let (signal, delay) = key;
-            let data = match cond {
+            let (signal, value, delay) = (drives.signal, drives.value, drives.delay);
+            let data = match drives.cond {
                 Some(c) => InstData::new(Opcode::DrvCond, vec![signal, value, delay, c]),
                 None => InstData::new(Opcode::Drv, vec![signal, value, delay]),
             };
@@ -415,18 +413,17 @@ mod tests {
         let id = module.units()[0];
         assert!(run(module.unit_mut(id)));
         let unit = module.unit(id);
-        assert!(llhd::verifier::verify_unit(unit).is_ok(), "{}", write_unit(unit));
+        assert!(
+            llhd::verifier::verify_unit(unit).is_ok(),
+            "{}",
+            write_unit(unit)
+        );
         // Exactly one drive remains, it is unconditional, sits in the block
         // with the wait, and its value is a mux.
         let drives: Vec<_> = unit
             .all_insts()
             .into_iter()
-            .filter(|&i| {
-                matches!(
-                    unit.inst_data(i).opcode,
-                    Opcode::Drv | Opcode::DrvCond
-                )
-            })
+            .filter(|&i| matches!(unit.inst_data(i).opcode, Opcode::Drv | Opcode::DrvCond))
             .collect();
         assert_eq!(drives.len(), 1);
         let drv = drives[0];
@@ -454,7 +451,11 @@ mod tests {
         let id = module.units()[0];
         assert!(run(module.unit_mut(id)));
         let unit = module.unit(id);
-        assert!(llhd::verifier::verify_unit(unit).is_ok(), "{}", write_unit(unit));
+        assert!(
+            llhd::verifier::verify_unit(unit).is_ok(),
+            "{}",
+            write_unit(unit)
+        );
         // An auxiliary block was inserted; the drive moved there and is now
         // conditional on the posedge value.
         let drives: Vec<_> = unit

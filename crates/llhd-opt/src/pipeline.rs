@@ -176,13 +176,21 @@ mod tests {
         let mut module = parse_module(FIGURE5_BEHAVIOURAL).unwrap();
         assert_eq!(module_dialect(&module), Dialect::Behavioural);
         let report = lower_to_structural(&mut module, &LoweringOptions::default());
-        assert!(report.is_fully_structural(), "rejected: {:?}", report.rejected);
+        assert!(
+            report.is_fully_structural(),
+            "rejected: {:?}",
+            report.rejected
+        );
         assert_eq!(report.lowered_processes, 1, "acc_comb lowers via PL");
         assert_eq!(
             report.desequentialized_processes, 1,
             "acc_ff lowers via Deseq"
         );
-        assert!(verify_module(&module).is_ok(), "{:?}", verify_module(&module));
+        assert!(
+            verify_module(&module).is_ok(),
+            "{:?}",
+            verify_module(&module)
+        );
         assert_eq!(module_dialect(&module), Dialect::Structural);
 
         // The flip-flop became an entity with a rising-edge register.

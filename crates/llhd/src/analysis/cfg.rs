@@ -1,28 +1,28 @@
 //! Control flow graph analysis.
 
 use crate::ir::{Block, UnitData};
-use std::collections::HashMap;
 
-/// The predecessor/successor relation between the basic blocks of a unit.
+/// The predecessor/successor relation between the basic blocks of a unit,
+/// in dense tables indexed by [`Block::index`].
 #[derive(Clone, Debug, Default)]
 pub struct ControlFlowGraph {
-    preds: HashMap<Block, Vec<Block>>,
-    succs: HashMap<Block, Vec<Block>>,
+    preds: Vec<Vec<Block>>,
+    succs: Vec<Vec<Block>>,
 }
 
 impl ControlFlowGraph {
     /// Compute the control flow graph of a unit.
     pub fn new(unit: &UnitData) -> Self {
-        let mut cfg = ControlFlowGraph::default();
-        for block in unit.blocks() {
-            cfg.preds.entry(block).or_default();
-            cfg.succs.entry(block).or_default();
-        }
-        for block in unit.blocks() {
+        let slots = unit.num_block_slots();
+        let mut cfg = ControlFlowGraph {
+            preds: vec![vec![]; slots],
+            succs: vec![vec![]; slots],
+        };
+        for &block in unit.blocks_slice() {
             if let Some(term) = unit.terminator(block) {
                 for &target in &unit.inst_data(term).blocks {
-                    cfg.succs.entry(block).or_default().push(target);
-                    cfg.preds.entry(target).or_default().push(block);
+                    cfg.succs[block.index()].push(target);
+                    cfg.preds[target.index()].push(block);
                 }
             }
         }
@@ -31,31 +31,28 @@ impl ControlFlowGraph {
 
     /// The predecessors of a block.
     pub fn preds(&self, block: Block) -> &[Block] {
-        self.preds.get(&block).map(|v| v.as_slice()).unwrap_or(&[])
+        self.preds.get(block.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The successors of a block.
     pub fn succs(&self, block: Block) -> &[Block] {
-        self.succs.get(&block).map(|v| v.as_slice()).unwrap_or(&[])
+        self.succs.get(block.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// Blocks with no predecessors other than the entry block.
+    /// The blocks that no path from the entry block reaches, in layout
+    /// order.
     pub fn unreachable_blocks(&self, unit: &UnitData) -> Vec<Block> {
-        let entry = match unit.entry_block() {
-            Some(e) => e,
-            None => return vec![],
-        };
-        // Breadth-first search from the entry block.
-        let mut reachable = std::collections::HashSet::new();
-        let mut queue = vec![entry];
-        while let Some(bb) = queue.pop() {
-            if reachable.insert(bb) {
-                queue.extend(self.succs(bb).iter().copied());
+        let mut reachable = vec![false; unit.num_block_slots()];
+        let mut stack: Vec<Block> = unit.entry_block().into_iter().collect();
+        while let Some(bb) = stack.pop() {
+            if !std::mem::replace(&mut reachable[bb.index()], true) {
+                stack.extend_from_slice(self.succs(bb));
             }
         }
-        unit.blocks()
-            .into_iter()
-            .filter(|b| !reachable.contains(b))
+        unit.blocks_slice()
+            .iter()
+            .copied()
+            .filter(|b| !reachable[b.index()])
             .collect()
     }
 }

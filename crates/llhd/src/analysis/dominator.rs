@@ -8,13 +8,13 @@
 
 use super::ControlFlowGraph;
 use crate::ir::{Block, UnitData};
-use std::collections::HashMap;
 
 /// The dominator tree of a unit's control flow graph.
 #[derive(Clone, Debug)]
 pub struct DominatorTree {
-    /// Immediate dominator of each block; the entry block maps to itself.
-    idom: HashMap<Block, Block>,
+    /// Immediate dominator per block slot; the entry block maps to itself,
+    /// unreachable blocks to `None`.
+    idom: Vec<Option<Block>>,
     /// Reverse post-order of the reachable blocks.
     rpo: Vec<Block>,
 }
@@ -22,27 +22,22 @@ pub struct DominatorTree {
 impl DominatorTree {
     /// Compute the dominator tree for a unit.
     pub fn new(unit: &UnitData, cfg: &ControlFlowGraph) -> Self {
-        let entry = match unit.entry_block() {
-            Some(e) => e,
-            None => {
-                return DominatorTree {
-                    idom: HashMap::new(),
-                    rpo: vec![],
-                }
-            }
+        let slots = unit.num_block_slots();
+        let mut idom: Vec<Option<Block>> = vec![None; slots];
+        let Some(entry) = unit.entry_block() else {
+            return DominatorTree { idom, rpo: vec![] };
         };
 
         // Compute reverse post-order.
-        let mut visited = std::collections::HashSet::new();
+        let mut visited = vec![false; slots];
         let mut post = Vec::new();
         let mut stack = vec![(entry, 0usize)];
-        visited.insert(entry);
-        while let Some(&(bb, next)) = stack.last() {
-            let succs = cfg.succs(bb);
-            if next < succs.len() {
-                stack.last_mut().unwrap().1 += 1;
-                let succ = succs[next];
-                if visited.insert(succ) {
+        visited[entry.index()] = true;
+        while let Some((bb, next)) = stack.last_mut() {
+            let bb = *bb;
+            if let Some(&succ) = cfg.succs(bb).get(*next) {
+                *next += 1;
+                if !std::mem::replace(&mut visited[succ.index()], true) {
                     stack.push((succ, 0));
                 }
             } else {
@@ -51,17 +46,20 @@ impl DominatorTree {
             }
         }
         let rpo: Vec<Block> = post.into_iter().rev().collect();
-        let order: HashMap<Block, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        // Position of each block slot in `rpo`.
+        let mut order = vec![usize::MAX; slots];
+        for (i, &bb) in rpo.iter().enumerate() {
+            order[bb.index()] = i;
+        }
 
-        let mut idom: HashMap<Block, Block> = HashMap::new();
-        idom.insert(entry, entry);
+        idom[entry.index()] = Some(entry);
         let mut changed = true;
         while changed {
             changed = false;
             for &bb in rpo.iter().skip(1) {
                 let mut new_idom: Option<Block> = None;
                 for &pred in cfg.preds(bb) {
-                    if !idom.contains_key(&pred) {
+                    if idom[pred.index()].is_none() {
                         continue;
                     }
                     new_idom = Some(match new_idom {
@@ -69,29 +67,23 @@ impl DominatorTree {
                         Some(cur) => Self::intersect(&idom, &order, pred, cur),
                     });
                 }
-                if let Some(ni) = new_idom {
-                    if idom.get(&bb) != Some(&ni) {
-                        idom.insert(bb, ni);
-                        changed = true;
-                    }
+                if new_idom.is_some() && idom[bb.index()] != new_idom {
+                    idom[bb.index()] = new_idom;
+                    changed = true;
                 }
             }
         }
         DominatorTree { idom, rpo }
     }
 
-    fn intersect(
-        idom: &HashMap<Block, Block>,
-        order: &HashMap<Block, usize>,
-        mut a: Block,
-        mut b: Block,
-    ) -> Block {
+    fn intersect(idom: &[Option<Block>], order: &[usize], mut a: Block, mut b: Block) -> Block {
+        let up = |bb: Block| idom[bb.index()].expect("a processed block has an idom");
         while a != b {
-            while order[&a] > order[&b] {
-                a = idom[&a];
+            while order[a.index()] > order[b.index()] {
+                a = up(a);
             }
-            while order[&b] > order[&a] {
-                b = idom[&b];
+            while order[b.index()] > order[a.index()] {
+                b = up(b);
             }
         }
         a
@@ -100,10 +92,11 @@ impl DominatorTree {
     /// The immediate dominator of a block. The entry block is its own
     /// immediate dominator; unreachable blocks have none.
     pub fn idom(&self, block: Block) -> Option<Block> {
-        self.idom.get(&block).copied()
+        self.idom.get(block.index()).copied().flatten()
     }
 
-    /// Whether `a` dominates `b` (reflexively).
+    /// Whether `a` dominates `b` (reflexively). An unreachable block is
+    /// dominated only by itself.
     pub fn dominates(&self, a: Block, b: Block) -> bool {
         let mut cur = b;
         loop {
@@ -119,9 +112,7 @@ impl DominatorTree {
 
     /// The closest block dominating both `a` and `b`.
     pub fn common_dominator(&self, a: Block, b: Block) -> Option<Block> {
-        if !self.idom.contains_key(&a) || !self.idom.contains_key(&b) {
-            return None;
-        }
+        self.idom(b)?;
         let mut cur = a;
         loop {
             if self.dominates(cur, b) {

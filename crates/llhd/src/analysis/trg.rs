@@ -12,7 +12,6 @@
 
 use super::ControlFlowGraph;
 use crate::ir::{Block, Opcode, UnitData};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A handle to a temporal region.
@@ -38,31 +37,39 @@ impl fmt::Display for TemporalRegion {
     }
 }
 
-/// The assignment of basic blocks to temporal regions for one unit.
+/// The assignment of basic blocks to temporal regions for one unit, in
+/// dense tables indexed by [`Block::index`].
 #[derive(Clone, Debug, Default)]
 pub struct TemporalRegionGraph {
-    regions: HashMap<Block, TemporalRegion>,
+    regions: Vec<Option<TemporalRegion>>,
+    /// Whether control enters a block from another region, or the block is
+    /// the unit's entry.
+    entered: Vec<bool>,
     num_regions: usize,
 }
 
 impl TemporalRegionGraph {
     /// Compute the temporal regions of a unit.
     pub fn new(unit: &UnitData, cfg: &ControlFlowGraph) -> Self {
-        let mut trg = TemporalRegionGraph::default();
-        let entry = match unit.entry_block() {
-            Some(e) => e,
-            None => return trg,
+        let slots = unit.num_block_slots();
+        let mut trg = TemporalRegionGraph {
+            regions: vec![None; slots],
+            entered: vec![false; slots],
+            num_regions: 0,
+        };
+        let Some(entry) = unit.entry_block() else {
+            return trg;
         };
 
-        // Process blocks in an order where predecessors come first whenever
-        // possible (reverse post-order via simple worklist iteration).
-        let blocks = unit.blocks();
+        // Assign blocks whose predecessors are decided, sweeping the layout
+        // order until nothing changes.
+        let blocks = unit.blocks_slice();
         let mut changed = true;
         trg.assign_new(entry);
         while changed {
             changed = false;
-            for &bb in &blocks {
-                if trg.regions.contains_key(&bb) {
+            for &bb in blocks {
+                if trg.regions[bb.index()].is_some() {
                     continue;
                 }
                 let preds = cfg.preds(bb);
@@ -72,10 +79,7 @@ impl TemporalRegionGraph {
                 // Rule 1: a predecessor ending in `wait` forces a new TR.
                 let after_wait = preds.iter().any(|&p| {
                     unit.terminator(p).is_some_and(|t| {
-                        matches!(
-                            unit.inst_data(t).opcode,
-                            Opcode::Wait | Opcode::WaitTime
-                        )
+                        matches!(unit.inst_data(t).opcode, Opcode::Wait | Opcode::WaitTime)
                     })
                 });
                 if after_wait {
@@ -84,17 +88,14 @@ impl TemporalRegionGraph {
                     continue;
                 }
                 // Need all predecessors assigned to decide rules 2 and 3.
-                let pred_regions: Vec<_> = preds
-                    .iter()
-                    .filter_map(|p| trg.regions.get(p).copied())
-                    .collect();
-                if pred_regions.len() != preds.len() {
+                let pred_region = |p: &Block| trg.regions[p.index()];
+                if preds.iter().any(|p| pred_region(p).is_none()) {
                     continue;
                 }
-                let first = pred_regions[0];
-                if pred_regions.iter().all(|&r| r == first) {
+                let first = pred_region(&preds[0]);
+                if preds.iter().all(|p| pred_region(p) == first) {
                     // Rule 2.
-                    trg.regions.insert(bb, first);
+                    trg.regions[bb.index()] = first;
                 } else {
                     // Rule 3.
                     trg.assign_new(bb);
@@ -104,10 +105,18 @@ impl TemporalRegionGraph {
         }
         // Any remaining blocks (unreachable or in cycles without an assigned
         // predecessor) get their own region.
-        for &bb in &blocks {
-            if !trg.regions.contains_key(&bb) {
+        for &bb in blocks {
+            if trg.regions[bb.index()].is_none() {
                 trg.assign_new(bb);
             }
+        }
+        for &bb in blocks {
+            let region = trg.regions[bb.index()];
+            trg.entered[bb.index()] = bb == entry
+                || cfg
+                    .preds(bb)
+                    .iter()
+                    .any(|p| trg.regions[p.index()] != region);
         }
         trg
     }
@@ -115,13 +124,22 @@ impl TemporalRegionGraph {
     fn assign_new(&mut self, block: Block) -> TemporalRegion {
         let tr = TemporalRegion(self.num_regions as u32);
         self.num_regions += 1;
-        self.regions.insert(block, tr);
+        self.regions[block.index()] = Some(tr);
         tr
     }
 
     /// The temporal region of a block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block was not part of the unit the graph was computed
+    /// for.
     pub fn region(&self, block: Block) -> TemporalRegion {
-        self.regions[&block]
+        self.regions
+            .get(block.index())
+            .copied()
+            .flatten()
+            .unwrap_or_else(|| panic!("block {} has no temporal region", block))
     }
 
     /// The number of temporal regions.
@@ -129,12 +147,21 @@ impl TemporalRegionGraph {
         self.num_regions
     }
 
+    /// The blocks of `unit` in `region`, in layout order.
+    fn blocks_of<'a>(
+        &'a self,
+        unit: &'a UnitData,
+        region: TemporalRegion,
+    ) -> impl Iterator<Item = Block> + 'a {
+        unit.blocks_slice()
+            .iter()
+            .copied()
+            .filter(move |b| self.regions.get(b.index()) == Some(&Some(region)))
+    }
+
     /// The blocks belonging to a region, in unit layout order.
     pub fn blocks_in(&self, unit: &UnitData, region: TemporalRegion) -> Vec<Block> {
-        unit.blocks()
-            .into_iter()
-            .filter(|b| self.regions.get(b) == Some(&region))
-            .collect()
+        self.blocks_of(unit, region).collect()
     }
 
     /// The blocks of a region whose terminator leaves the region: either a
@@ -145,8 +172,7 @@ impl TemporalRegionGraph {
         cfg: &ControlFlowGraph,
         region: TemporalRegion,
     ) -> Vec<Block> {
-        self.blocks_in(unit, region)
-            .into_iter()
+        self.blocks_of(unit, region)
             .filter(|&bb| {
                 let term = match unit.terminator(bb) {
                     Some(t) => t,
@@ -167,16 +193,9 @@ impl TemporalRegionGraph {
     /// The unique entry block of a region: the block that control transfers
     /// to from other regions (or the unit entry block for the first region).
     pub fn entry_block_of(&self, unit: &UnitData, region: TemporalRegion) -> Option<Block> {
-        let blocks = self.blocks_in(unit, region);
-        let cfg = ControlFlowGraph::new(unit);
-        blocks
-            .iter()
-            .copied()
-            .find(|&bb| {
-                Some(bb) == unit.entry_block()
-                    || cfg.preds(bb).iter().any(|p| self.region(*p) != region)
-            })
-            .or_else(|| blocks.first().copied())
+        self.blocks_of(unit, region)
+            .find(|bb| self.entered[bb.index()])
+            .or_else(|| self.blocks_of(unit, region).next())
     }
 }
 

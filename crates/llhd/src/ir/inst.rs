@@ -581,15 +581,17 @@ impl InstData {
 
     /// All values referenced by this instruction, including trigger values.
     pub fn all_args(&self) -> Vec<Value> {
-        let mut out = self.args.clone();
-        for t in &self.triggers {
-            out.push(t.value);
-            out.push(t.trigger);
-            if let Some(g) = t.gate {
-                out.push(g);
-            }
-        }
-        out
+        self.operands().collect()
+    }
+
+    /// The values of [`Self::all_args`], in the same order, without
+    /// allocating.
+    pub fn operands(&self) -> impl Iterator<Item = Value> + '_ {
+        self.args.iter().copied().chain(
+            self.triggers
+                .iter()
+                .flat_map(|t| [t.value, t.trigger].into_iter().chain(t.gate)),
+        )
     }
 
     /// Replace every use of `from` with `to` in the operands of this

@@ -237,6 +237,13 @@ impl UnitData {
         self.insts.len()
     }
 
+    /// An exclusive upper bound on the raw indices of this unit's blocks,
+    /// for dense side tables indexed by [`Block::index`] (holes from
+    /// removed blocks are included).
+    pub fn num_block_slots(&self) -> usize {
+        self.blocks.len()
+    }
+
     /// All live values of the unit.
     pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
         self.values
@@ -265,7 +272,7 @@ impl UnitData {
     pub fn value_uses(&self, value: Value) -> Vec<Inst> {
         let mut uses = vec![];
         for inst in self.all_insts() {
-            if self.inst_data(inst).all_args().contains(&value) {
+            if self.inst_data(inst).operands().any(|v| v == value) {
                 uses.push(inst);
             }
         }
@@ -321,6 +328,11 @@ impl UnitData {
     /// The blocks of the unit in layout order.
     pub fn blocks(&self) -> Vec<Block> {
         self.block_order.clone()
+    }
+
+    /// The blocks of the unit in layout order, without copying.
+    pub fn blocks_slice(&self) -> &[Block] {
+        &self.block_order
     }
 
     /// The entry block (the first block in layout order).

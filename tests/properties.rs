@@ -665,3 +665,115 @@ fn json_string_encoding_matches_per_char_reference() {
         Ok(())
     });
 }
+
+/// The dense CFG, dominator and reachability tables agree with the
+/// definitions, computed by brute force over the terminators, on random
+/// control flow: 1–12 blocks ending in `br`, `br cond`, `wait` or `halt`,
+/// some removed (leaving holes in the block slots) and some unreachable.
+#[test]
+fn dense_analyses_match_their_definitions() {
+    use llhd::analysis::{ControlFlowGraph, DominatorTree};
+    use llhd::ir::{Block, Signature, UnitBuilder, UnitData, UnitKind, UnitName};
+    use llhd::ty::{int_ty, signal_ty};
+    use std::collections::BTreeSet;
+
+    /// The blocks reachable from `entry` along terminator targets, never
+    /// entering `avoid`.
+    fn reach(unit: &UnitData, entry: Block, avoid: Option<Block>) -> BTreeSet<Block> {
+        let mut seen = BTreeSet::new();
+        let mut stack = vec![entry];
+        while let Some(bb) = stack.pop() {
+            if Some(bb) == avoid || !seen.insert(bb) {
+                continue;
+            }
+            stack.extend(targets(unit, bb));
+        }
+        seen
+    }
+    fn targets(unit: &UnitData, bb: Block) -> Vec<Block> {
+        unit.terminator(bb)
+            .map(|t| unit.inst_data(t).blocks.clone())
+            .unwrap_or_default()
+    }
+
+    forall("dense analyses match their definitions", |rng| {
+        let mut unit = UnitData::new(
+            UnitKind::Process,
+            UnitName::global("p"),
+            Signature::new_entity(vec![signal_ty(int_ty(1))], vec![]),
+        );
+        let sig = unit.arg_value(0);
+        let n = rng.range_usize(1, 12);
+        let mut b = UnitBuilder::new(&mut unit);
+        let slots: Vec<Block> = (0..n).map(|i| b.block(format!("b{}", i))).collect();
+        // Remove some non-entry blocks before anything branches to them.
+        let mut live = vec![slots[0]];
+        let mut removed = vec![];
+        for &bb in &slots[1..] {
+            if rng.range_usize(0, 3) == 0 {
+                removed.push(bb);
+            } else {
+                live.push(bb);
+            }
+        }
+        for &bb in &live {
+            let pick = |rng: &mut llhd_workspace::propcheck::Rng| {
+                live[rng.range_usize(0, live.len() - 1)]
+            };
+            b.append_to(bb);
+            match rng.range_usize(0, 3) {
+                0 => {
+                    let target = pick(rng);
+                    b.br(target);
+                }
+                1 => {
+                    let cond = b.prb(sig);
+                    let (if_false, if_true) = (pick(rng), pick(rng));
+                    b.br_cond(cond, if_false, if_true);
+                }
+                2 => {
+                    let target = pick(rng);
+                    b.wait(target, vec![sig]);
+                }
+                _ => {
+                    b.halt();
+                }
+            }
+        }
+        for bb in removed {
+            unit.remove_block(bb);
+        }
+
+        let cfg = ControlFlowGraph::new(&unit);
+        let domtree = DominatorTree::new(&unit, &cfg);
+        let layout = unit.blocks();
+        let entry = layout[0];
+        for &bb in &layout {
+            prop_assert_eq!(cfg.succs(bb).to_vec(), targets(&unit, bb));
+            let preds: Vec<Block> = layout
+                .iter()
+                .flat_map(|&p| targets(&unit, p).into_iter().filter(move |&t| t == bb).map(move |_| p))
+                .collect();
+            prop_assert_eq!(cfg.preds(bb).to_vec(), preds);
+        }
+        let reachable = reach(&unit, entry, None);
+        let unreachable: Vec<Block> =
+            layout.iter().copied().filter(|bb| !reachable.contains(bb)).collect();
+        prop_assert_eq!(cfg.unreachable_blocks(&unit), unreachable);
+        for &a in &layout {
+            let without_a = reach(&unit, entry, Some(a));
+            for &bb in &layout {
+                // An unreachable block is dominated only by itself.
+                let expected = a == bb || (reachable.contains(&bb) && !without_a.contains(&bb));
+                prop_assert!(
+                    domtree.dominates(a, bb) == expected,
+                    "dominates({}, {}) should be {}",
+                    a,
+                    bb,
+                    expected
+                );
+            }
+        }
+        Ok(())
+    });
+}
