@@ -43,13 +43,15 @@ if grep -rnE '\benum Op\b|\bSuperOp::(Sel|CmpBr|BinDrv)\b' crates/llhd-blaze/src
     echo "ci.sh: a second blaze instruction set or a value-form fusion is back; emit SuperOps and fuse in words" >&2; exit 1
 fi
 
-# Format gate for the lowering layer: `llhd::analysis` and every
-# `llhd-opt` source stay rustfmt-clean. The rest of the workspace is not
-# rustfmt-clean yet, so `cargo fmt --check` cannot be the gate; a file
-# joins this list once it is formatted.
+# Format gate for the lowering layer and the simulator: `llhd::analysis`,
+# every `llhd-opt` source and every `llhd-sim` source stay rustfmt-clean.
+# The rest of the workspace is not rustfmt-clean yet, so `cargo fmt
+# --check` cannot be the gate; a file joins this list once it is
+# formatted.
 rustfmt --edition 2021 --check crates/llhd/src/analysis/*.rs \
-    crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs || {
-    echo "ci.sh: the lowering layer is not rustfmt-clean; run rustfmt --edition 2021 on it" >&2
+    crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs \
+    crates/llhd-sim/src/*.rs || {
+    echo "ci.sh: a formatted layer is not rustfmt-clean; run rustfmt --edition 2021 on it" >&2
     exit 1
 }
 

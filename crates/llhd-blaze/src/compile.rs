@@ -5,7 +5,6 @@ use llhd::ir::{Module, Opcode, RegMode, UnitId, UnitKind, Value};
 use llhd::ty::{void_ty, Type, TypeKind};
 use llhd::value::ConstValue;
 use llhd_sim::design::{ElaboratedDesign, InstanceKind, SignalId};
-use llhd_sim::IslandPlan;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -213,10 +212,6 @@ pub struct CompiledDesign {
     /// (see [`llhd_sim::sched::module_allows_drive_dropping`]), decided
     /// once at compile time.
     pub allow_drive_drop: bool,
-    /// The sensitivity-island partition of the design, computed once at
-    /// compile time. Its digest is stamped into checkpoints as a design
-    /// fingerprint (see [`llhd_sim::IslandPlan`]).
-    pub island_plan: IslandPlan,
 }
 
 impl CompiledDesign {
@@ -231,19 +226,18 @@ impl CompiledDesign {
             .units
             .values()
             .map(|u| {
+                let l = u.lowered();
                 u.name.len()
                     + u.signal_slot_of_value.len() * size_of::<u32>()
                     + u.const_regs.len() * size_of::<(u32, ConstValue)>()
-                    + u.lowered.as_ref().map_or(0, |l| {
-                        l.ops.len() * size_of::<SuperOp>()
-                            + l.block_ranges.len() * size_of::<(u32, u32)>()
-                            + l.pool.len() * size_of::<u32>()
-                            + l.dropped.len() * size_of::<bool>()
-                            + (l.consts.len() + l.init_regs.len()) * size_of::<ConstValue>()
-                            + l.init_words.len() * size_of::<u64>()
-                            + l.widths.len()
-                            + l.mem_widths.len()
-                    })
+                    + l.ops.len() * size_of::<SuperOp>()
+                    + l.block_ranges.len() * size_of::<(u32, u32)>()
+                    + l.pool.len() * size_of::<u32>()
+                    + l.dropped.len() * size_of::<bool>()
+                    + (l.consts.len() + l.init_regs.len()) * size_of::<ConstValue>()
+                    + l.init_words.len() * size_of::<u64>()
+                    + l.widths.len()
+                    + l.mem_widths.len()
             })
             .sum();
         let code = |c: &SpecializedCode| {
@@ -281,7 +275,7 @@ impl CompiledDesign {
                         UnitKind::Function => "function",
                     },
                     base_ops: unit.base_ops,
-                    superops: unit.lowered.as_ref().map_or(0, |l| l.ops.len()),
+                    superops: unit.lowered().ops.len(),
                     instances,
                     specialized_instances: instances,
                 }
@@ -345,14 +339,12 @@ pub fn compile_design(
             code,
         });
     }
-    let island_plan = IslandPlan::build(module, &design);
     Ok(CompiledDesign {
         units,
         instances,
         functions,
         design,
         allow_drive_drop,
-        island_plan,
     })
 }
 

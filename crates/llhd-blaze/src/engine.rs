@@ -29,7 +29,7 @@ use llhd_sim::driver::{
     Scratch, MAX_CALL_DEPTH,
 };
 use llhd_sim::sched::{read_byte, read_const, read_usize, SchedCore};
-use llhd_sim::{ElaboratedDesign, IslandPlan, SimConfig, SimError};
+use llhd_sim::{ElaboratedDesign, SimConfig, SimError};
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -176,10 +176,6 @@ impl Executor for BlazeExec {
 
     fn allow_drive_drop(&self) -> bool {
         self.compiled.allow_drive_drop
-    }
-
-    fn island_plan(&self) -> &IslandPlan {
-        &self.compiled.island_plan
     }
 
     fn build_states(&self, core: &mut SchedCore) -> Vec<InstanceState> {

@@ -4,7 +4,7 @@
 //! entirely), streaming VCD output, and the parallel batch runner.
 
 use llhd_designs::{accumulator_example, all_designs};
-use llhd_sim::api::{BatchJob, DesignCache, EngineKind, SimSession, VcdSink};
+use llhd_sim::api::{BatchJob, DesignCache, EngineKind, SimSession};
 use llhd_sim::SimConfig;
 
 /// A session stepped in arbitrary chunks produces a trace byte-identical
@@ -172,35 +172,6 @@ fn cached_repeat_run_skips_compilation() {
     // ("acc" has ports, so elaboration succeeds; both entries coexist.)
     assert!(err.is_ok());
     assert_eq!(cache.len(), 2);
-}
-
-/// The streaming VCD sink produces byte-identical output to the
-/// post-hoc `Trace::to_vcd`, on both engines.
-#[test]
-fn streaming_vcd_equals_in_memory_vcd() {
-    llhd_blaze::register();
-    let design = &all_designs()[2]; // LFSR
-    let module = design.build().unwrap();
-    let config = SimConfig::until_nanos(design.sim_time_ns(10));
-    for engine in [EngineKind::Interpret, EngineKind::Compile] {
-        let mut vcd = VcdSink::new("1fs");
-        let result = SimSession::builder(&module, design.top)
-            .engine(engine)
-            .config(config.clone())
-            .sink(&mut vcd)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(!result.trace.is_empty(), "{}: no activity", design.name);
-        assert_eq!(
-            vcd.into_string(),
-            result.trace.to_vcd("1fs"),
-            "{} ({:?}): streamed VCD diverges from Trace::to_vcd",
-            design.name,
-            engine
-        );
-    }
 }
 
 /// `run_batch` over every benchmark design produces exactly the traces of

@@ -251,12 +251,13 @@ fn word_and_value_signals_agree_across_engines_and_cuts() {
     }
 }
 
-/// The blobs of the first cut, written before signals of 64 bits or
-/// fewer were kept in machine words: a word is checkpointed as a
-/// constant of its signal's width, so the bytes did not change, and a
-/// blob written then restores now.
+/// The blobs of the first cut. Their bodies were written before signals
+/// of 64 bits or fewer were kept in machine words: a word is checkpointed
+/// as a constant of its signal's width, so the body bytes did not change.
+/// The headers are version 3, which carries the design's structural hash
+/// in place of version 2's island-plan digest.
 const PINNED_INTERPRET: &str = concat!(
-    "4c48434b0206696e74657270110396d09addb4df9ce09101c0843d01001102010101021001effd02024001c5",
+    "4c48434b0306696e746572701103d2e1b0e3a0a8bbddb501c0843d01001102010101021001effd02024001c5",
     "ffffffffffffffff01024102ffffffffffffffffff0101025002d1feffffffffffffff01ffff030408070602",
     "030104020305040208012502080100020801250208012506020208012502200181bcc1960b02100100024001",
     "c5ffffffffffffffff0102410299feffffffffffffff01010408070602030104020305040208012502080100",
@@ -289,7 +290,7 @@ const PINNED_INTERPRET: &str = concat!(
     "0208010007022001000805040208010002080100020801000208010009060202080100022001000000",
 );
 const PINNED_COMPILE: &str = concat!(
-    "4c48434b0205626c617a65110396d09addb4df9ce09101c0843d01001102010101021001effd02024001c5ff",
+    "4c48434b0305626c617a651103d2e1b0e3a0a8bbddb501c0843d01001102010101021001effd02024001c5ff",
     "ffffffffffffff01024102ffffffffffffffffff0101025002d1feffffffffffffff01ffff03040807060203",
     "0104020305040208012502080100020801250208012506020208012502200181bcc1960b02100100024001c5",
     "ffffffffffffffff0102410299feffffffffffffff0101040807060203010402030504020801250208010002",

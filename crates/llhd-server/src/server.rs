@@ -986,7 +986,7 @@ pub struct Server {
 
 impl Server {
     /// Create a server (and register the blaze compile backend, so
-    /// `"engine":"compile"` and the `auto` heuristic work).
+    /// `"engine":"compile"` works and `"engine":"auto"` compiles).
     pub fn new(config: ServerConfig) -> Server {
         llhd_blaze::register();
         Server {

@@ -45,9 +45,13 @@
 //!   crate (it already depends on us), so it plugs itself in through
 //!   [`register_compile_backend`]; `llhd_blaze::register()` does exactly
 //!   that.
-//! * [`TraceSink`] — streaming trace consumers fed after every step:
-//!   the in-memory [`Trace`], an incremental [`VcdSink`], a [`NullSink`],
-//!   and a [`ChangeCounter`].
+//! * [`SimResult::trace`] — the one trace a run produces, recorded by the
+//!   engine and rendered with [`Trace::to_vcd`](crate::Trace::to_vcd);
+//!   [`SessionBuilder::without_trace`] turns recording off and keeps the
+//!   run statistics.
+//! * [`EngineState`] — a checkpoint of an engine's execution state,
+//!   stamped with a structural hash of the elaborated design so a blob is
+//!   refused by a design whose signals or instances differ.
 //! * [`DesignCache`] — memoizes elaborated and compiled designs keyed by
 //!   module content hash, so repeat simulations of the same module skip
 //!   elaboration and `compile_design` entirely.
@@ -56,7 +60,6 @@
 
 use crate::design::{elaborate, ElaborateError, ElaboratedDesign, SignalId, SignalInfo};
 use crate::engine::{RunControl, SimConfig, SimError, SimResult, Simulator};
-use crate::trace::{write_vcd_change, Trace, TraceEvent};
 use llhd::ir::Module;
 use llhd::value::{ConstValue, TimeValue};
 use std::any::Any;
@@ -212,13 +215,11 @@ pub trait Engine {
     fn peek(&self, signal: SignalId) -> ConstValue;
     /// Schedule an external drive, taking effect at the next delta step.
     fn poke(&mut self, signal: SignalId, value: ConstValue);
-    /// Drain trace events recorded since the last drain into `buf`.
-    fn drain_trace_into(&mut self, buf: &mut Vec<TraceEvent>);
-    /// Assemble the result of the run so far (stats plus remaining trace).
+    /// Assemble the result of the run so far (stats plus the trace).
     fn finish(&mut self) -> SimResult;
     /// Serialize the engine's complete execution state — signal values,
-    /// event queue, per-instance state, counters, and undrained trace
-    /// events — into an [`EngineState`]. Continuing from a restored
+    /// event queue, per-instance state, counters, and the trace recorded
+    /// so far — into an [`EngineState`]. Continuing from a restored
     /// checkpoint produces the identical remaining trace, byte for byte,
     /// to never having checkpointed.
     ///
@@ -236,7 +237,7 @@ pub trait Engine {
     /// # Errors
     ///
     /// Fails when the checkpoint belongs to a different engine kind or a
-    /// design of a different shape, or on corrupt bytes.
+    /// design of a different structure, or on corrupt bytes.
     fn restore(&mut self, state: &EngineState) -> Result<(), SimError>;
     /// Replace the cooperative [`RunControl`] (wall-clock deadline,
     /// instrumentation probe) consulted between scheduler cycles.
@@ -251,19 +252,19 @@ pub trait Engine {
 pub const ENGINE_STATE_MAGIC: &[u8; 4] = b"LHCK";
 /// The checkpoint format version produced by [`Engine::checkpoint`].
 ///
-/// The header carries the design's island-plan digest
-/// ([`IslandPlan::hash`](crate::islands::IslandPlan::hash)) as a design
-/// fingerprint, so a restore of a blob taken over a different design
-/// fails cleanly instead of resuming foreign state. It is the only
-/// version [`Engine::restore`] accepts.
-pub const ENGINE_STATE_VERSION: u8 = 2;
+/// The header carries a structural hash of the elaborated design — signal
+/// names, types and alias targets, instance names, units and kinds — so a
+/// restore of a blob taken over a design of another structure fails
+/// cleanly instead of resuming foreign state. Unit bodies are not
+/// covered. It is the only version [`Engine::restore`] accepts.
+pub const ENGINE_STATE_VERSION: u8 = 3;
 
 /// A serialized engine execution state, produced by [`Engine::checkpoint`]
 /// and consumed by [`Engine::restore`].
 ///
 /// The payload is an opaque binary blob built on the bitcode primitives
 /// (varints and the constant codec of [`llhd::bitcode`]): a common header
-/// — magic, version, engine name, design shape — followed by the shared
+/// — magic, version, engine name, design shape and hash — followed by the shared
 /// scheduler-core section and an engine-specific section. It is
 /// self-describing enough to be stored, sent over the wire (the server's
 /// `session.checkpoint` hex-encodes it), and validated on restore, but it
@@ -274,13 +275,12 @@ pub struct EngineState(Vec<u8>);
 
 impl EngineState {
     /// Assemble a checkpoint: the common header identifying `engine`, the
-    /// design shape, and the island-plan digest, then whatever `body`
-    /// appends.
+    /// design shape, and the design hash, then whatever `body` appends.
     pub fn encode(
         engine: &str,
         num_signals: usize,
         num_instances: usize,
-        island_plan_hash: u64,
+        design_hash: u64,
         body: impl FnOnce(&mut Vec<u8>),
     ) -> EngineState {
         use llhd::bitcode::write_varint;
@@ -291,7 +291,7 @@ impl EngineState {
         out.extend_from_slice(engine.as_bytes());
         write_varint(&mut out, num_signals as u128);
         write_varint(&mut out, num_instances as u128);
-        write_varint(&mut out, island_plan_hash as u128);
+        write_varint(&mut out, design_hash as u128);
         body(&mut out);
         EngineState(out)
     }
@@ -341,17 +341,20 @@ impl EngineState {
         }
         let mut pos = 5;
         let name_len = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as usize;
-        let name_end = pos.checked_add(name_len).filter(|&e| e <= bytes.len()).ok_or_else(corrupt)?;
+        let name_end = pos
+            .checked_add(name_len)
+            .filter(|&e| e <= bytes.len())
+            .ok_or_else(corrupt)?;
         let name = std::str::from_utf8(&bytes[pos..name_end]).map_err(|_| corrupt())?;
         pos = name_end;
         let num_signals = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as usize;
         let num_instances = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as usize;
-        let plan_hash = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as u64;
-        Ok((name, num_signals, num_instances, plan_hash, pos))
+        let design_hash = read_varint(bytes, &mut pos).ok_or_else(corrupt)? as u64;
+        Ok((name, num_signals, num_instances, design_hash, pos))
     }
 
     /// Validate the header against the restoring engine and design and
-    /// return the offset of the body plus the recorded island-plan digest.
+    /// return the offset of the body plus the recorded design hash.
     ///
     /// # Errors
     ///
@@ -363,7 +366,7 @@ impl EngineState {
         num_signals: usize,
         num_instances: usize,
     ) -> Result<(usize, u64), SimError> {
-        let (name, signals, instances, plan_hash, body) = self.header()?;
+        let (name, signals, instances, design_hash, body) = self.header()?;
         if name != engine {
             return Err(SimError::Runtime(format!(
                 "checkpoint was taken by engine '{}', cannot restore into '{}'",
@@ -377,15 +380,15 @@ impl EngineState {
                 signals, instances, num_signals, num_instances
             )));
         }
-        Ok((body, plan_hash))
+        Ok((body, design_hash))
     }
 
-    /// The island-plan digest recorded in the header.
+    /// The design hash recorded in the header.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Runtime`] on a corrupt header.
-    pub fn island_plan_hash(&self) -> Result<u64, SimError> {
+    pub fn design_hash(&self) -> Result<u64, SimError> {
         Ok(self.header()?.3)
     }
 }
@@ -420,8 +423,8 @@ pub struct UnitArtifactStats {
     pub kind: &'static str,
     /// Generic compiled operations (the base op stream).
     pub base_ops: usize,
-    /// Superinstructions after lowering (0 when the unit is not lowered,
-    /// e.g. functions).
+    /// Superinstructions after lowering (every unit lowers, functions
+    /// included).
     pub superops: usize,
     /// Instances of this unit in the elaborated design.
     pub instances: usize,
@@ -487,241 +490,6 @@ pub enum EngineKind {
 /// callers that mirror `Auto`'s rule by hand as `insts >= this`, which at
 /// zero says what `Auto` does.
 pub const AUTO_COMPILE_MIN_INSTS: usize = 0;
-
-// ---------------------------------------------------------------------------
-// Trace sinks
-// ---------------------------------------------------------------------------
-
-/// A streaming consumer of trace events.
-///
-/// Sinks attached to a session receive every recorded change *during* the
-/// run (after each step), not as a post-processing pass over an in-memory
-/// trace — with [`SessionBuilder::keep_trace`]`(false)`, the events
-/// themselves never accumulate in memory. What a sink retains is its own
-/// business: [`ChangeCounter`] keeps counters only, [`VcdSink`] keeps the
-/// *formatted text* (write it to a file yourself if the document outgrows
-/// memory), and a custom sink can stream to any destination:
-///
-/// ```
-/// use llhd_sim::api::{SimSession, TraceSink};
-/// use llhd_sim::design::SignalId;
-/// use llhd::value::{ConstValue, TimeValue};
-///
-/// /// Records only the time of the last change it sees.
-/// #[derive(Default)]
-/// struct LastChange(Option<u128>);
-///
-/// impl TraceSink for LastChange {
-///     fn event(&mut self, time: &TimeValue, _: SignalId, _: &str, _: &ConstValue) {
-///         self.0 = Some(time.as_femtos());
-///     }
-/// }
-///
-/// let module = llhd::assembly::parse_module(
-///     "proc @pulse () -> (i1$ %q) {
-///     entry:
-///         %on = const i1 1
-///         %t = const time 2ns
-///         drv i1$ %q, %on after %t
-///         halt
-///     }",
-/// )
-/// .unwrap();
-/// let mut last = LastChange::default();
-/// SimSession::builder(&module, "pulse")
-///     .until_nanos(10)
-///     .sink(&mut last)
-///     .build()
-///     .unwrap()
-///     .run()
-///     .unwrap();
-/// assert_eq!(last.0, Some(2_000_000)); // 2 ns, in femtoseconds
-/// ```
-pub trait TraceSink {
-    /// Called once before any event, with the elaborated signal table
-    /// (indexed by resolved [`SignalId`]).
-    fn begin(&mut self, signals: &[SignalInfo]) {
-        let _ = signals;
-    }
-    /// One recorded value change. `name` is the hierarchical signal name
-    /// (the same string every time for a given `signal`).
-    fn event(&mut self, time: &TimeValue, signal: SignalId, name: &str, value: &ConstValue);
-    /// Called once after the last event.
-    fn finish(&mut self) {}
-}
-
-/// The in-memory trace is itself a sink: streaming into it produces
-/// exactly what the engine would have recorded internally.
-impl TraceSink for Trace {
-    fn begin(&mut self, signals: &[SignalInfo]) {
-        // One trace per run: every session restarts simulation time at
-        // zero, so appending a second run's events would produce a
-        // time-disordered list (and an invalid VCD). Start fresh, seeded
-        // with this design's name table (events arrive by resolved id).
-        *self = Trace::with_names(signals.iter().map(|s| s.name.clone()).collect());
-    }
-    fn event(&mut self, time: &TimeValue, signal: SignalId, _name: &str, value: &ConstValue) {
-        self.record_id(*time, signal.0 as u32, value.clone());
-    }
-}
-
-/// A sink that discards every event. Useful to measure the streaming path
-/// itself, or as a placeholder in generic drivers.
-#[derive(Default, Debug)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn event(&mut self, _: &TimeValue, _: SignalId, _: &str, _: &ConstValue) {}
-}
-
-/// Counts value changes per signal without storing them.
-#[derive(Default, Debug)]
-pub struct ChangeCounter {
-    total: usize,
-    /// Per-signal counts, dense by resolved signal id (sized in `begin`,
-    /// so the per-event path is an array increment, not a string hash).
-    counts: Vec<usize>,
-    /// Signal names, parallel to `counts` (resolved lazily by accessors).
-    names: Vec<String>,
-}
-
-impl ChangeCounter {
-    /// Create a counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total number of changes observed.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Changes observed on one signal (by exact hierarchical name).
-    pub fn count_of(&self, name: &str) -> usize {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.counts[i])
-            .unwrap_or(0)
-    }
-
-    /// All nonzero per-signal counts, by hierarchical name.
-    pub fn counts(&self) -> HashMap<String, usize> {
-        self.names
-            .iter()
-            .zip(&self.counts)
-            .filter(|&(_, &count)| count > 0)
-            .map(|(name, &count)| (name.clone(), count))
-            .collect()
-    }
-}
-
-impl TraceSink for ChangeCounter {
-    fn begin(&mut self, signals: &[SignalInfo]) {
-        // One run per counter, like the other sinks: reuse across
-        // sessions starts over instead of silently merging counts.
-        self.total = 0;
-        self.names = signals.iter().map(|s| s.name.clone()).collect();
-        self.counts = vec![0; signals.len()];
-    }
-
-    fn event(&mut self, _: &TimeValue, signal: SignalId, name: &str, _: &ConstValue) {
-        self.total += 1;
-        if signal.0 >= self.counts.len() {
-            // Standalone use without a `begin` call.
-            self.counts.resize(signal.0 + 1, 0);
-            self.names.resize(signal.0 + 1, String::new());
-        }
-        if self.names[signal.0].is_empty() {
-            self.names[signal.0] = name.to_string();
-        }
-        self.counts[signal.0] += 1;
-    }
-}
-
-/// An incremental VCD writer: every event is formatted as it arrives, so
-/// the change body never lives in memory as events — only as text. The
-/// final document ([`VcdSink::into_string`]) is byte-identical to
-/// [`Trace::to_vcd`] over the same events.
-#[derive(Debug)]
-pub struct VcdSink {
-    timescale: String,
-    /// Formatted value-change lines, appended as events arrive.
-    body: String,
-    /// Identifier code per resolved signal id (dense, no hashing on the
-    /// per-event path), assigned on first appearance.
-    code_of: Vec<Option<usize>>,
-    /// `(name, width)` per code, in first-appearance order.
-    defs: Vec<(String, usize)>,
-    current_time: Option<u128>,
-}
-
-impl VcdSink {
-    /// Create a sink emitting the given `$timescale`.
-    pub fn new(timescale: &str) -> Self {
-        VcdSink {
-            timescale: timescale.to_string(),
-            body: String::new(),
-            code_of: Vec::new(),
-            defs: Vec::new(),
-            current_time: None,
-        }
-    }
-
-    /// Render the full VCD document (header plus the body streamed so far).
-    pub fn to_vcd(&self) -> String {
-        let mut out = String::with_capacity(self.body.len() + 256);
-        crate::trace::write_vcd_header(
-            &mut out,
-            &self.timescale,
-            self.defs.iter().map(|(name, width)| (name.as_str(), *width)),
-        );
-        out.push_str(&self.body);
-        out
-    }
-
-    /// Consume the sink, rendering the full VCD document.
-    pub fn into_string(self) -> String {
-        self.to_vcd()
-    }
-}
-
-impl TraceSink for VcdSink {
-    fn begin(&mut self, signals: &[SignalInfo]) {
-        // A VCD document cannot coherently span designs (identifier codes
-        // are per resolved signal id, timestamps restart): each session
-        // starts a fresh document.
-        self.body.clear();
-        self.code_of.clear();
-        self.code_of.resize(signals.len(), None);
-        self.defs.clear();
-        self.current_time = None;
-    }
-
-    fn event(&mut self, time: &TimeValue, signal: SignalId, name: &str, value: &ConstValue) {
-        use std::fmt::Write;
-        if signal.0 >= self.code_of.len() {
-            // Standalone use without a `begin` call.
-            self.code_of.resize(signal.0 + 1, None);
-        }
-        let code = match self.code_of[signal.0] {
-            Some(code) => code,
-            None => {
-                let code = self.defs.len();
-                self.code_of[signal.0] = Some(code);
-                self.defs
-                    .push((name.to_string(), value.ty().bit_size().max(1)));
-                code
-            }
-        };
-        let femtos = time.as_femtos();
-        if self.current_time != Some(femtos) {
-            writeln!(self.body, "#{}", femtos).unwrap();
-            self.current_time = Some(femtos);
-        }
-        write_vcd_change(&mut self.body, value, code);
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Design cache
@@ -803,7 +571,9 @@ fn approx_elaborated_bytes(design: &ElaboratedDesign) -> usize {
         .instances
         .iter()
         .map(|i| {
-            std::mem::size_of_val(i) + i.name.len() + i.signal_map.len() * 4 * std::mem::size_of::<usize>()
+            std::mem::size_of_val(i)
+                + i.name.len()
+                + i.signal_map.len() * 4 * std::mem::size_of::<usize>()
         })
         .sum();
     // The alias table is one usize per signal.
@@ -939,9 +709,7 @@ impl DesignCache {
             let victim = map
                 .slots
                 .iter()
-                .filter(|&(key, slot)| {
-                    keep != Some(key) && Arc::strong_count(&slot.entry) == 1
-                })
+                .filter(|&(key, slot)| keep != Some(key) && Arc::strong_count(&slot.entry) == 1)
                 .min_by_key(|(_, slot)| slot.last_used)
                 .map(|(key, _)| key.clone());
             match victim {
@@ -1036,16 +804,8 @@ impl DesignCache {
         }
     }
 
-    /// The elaborated design for `(module, top)`, elaborating on a miss.
-    ///
-    /// # Errors
-    ///
-    /// Propagates elaboration failures (which are not cached).
-    pub fn elaborated(&self, module: &Module, top: &str) -> Result<Arc<ElaboratedDesign>, Error> {
-        self.elaborated_keyed(Self::fingerprint(module), module, top)
-    }
-
-    /// [`DesignCache::elaborated`] with a precomputed [`DesignCache::fingerprint`].
+    /// The elaborated design for `(module, top)` under the module's
+    /// [`DesignCache::fingerprint`], elaborating on a miss.
     ///
     /// # Errors
     ///
@@ -1094,24 +854,11 @@ impl DesignCache {
         }
     }
 
-    /// The compiled artifact for `(module, top)` under `backend`,
-    /// elaborating and compiling on a miss. On a hit the backend's
-    /// `compile` hook is **not** invoked — asserted by the
-    /// [`DesignCache::compile_hits`] counter in the test suite.
-    ///
-    /// # Errors
-    ///
-    /// Propagates elaboration and compilation failures (not cached).
-    pub fn compiled(
-        &self,
-        module: &Module,
-        top: &str,
-        backend: &CompileBackend,
-    ) -> Result<(Arc<ElaboratedDesign>, CompiledArtifact), Error> {
-        self.compiled_keyed(Self::fingerprint(module), module, top, backend)
-    }
-
-    /// [`DesignCache::compiled`] with a precomputed [`DesignCache::fingerprint`].
+    /// The compiled artifact for `(module, top)` under `backend` and the
+    /// module's [`DesignCache::fingerprint`], elaborating and compiling on
+    /// a miss. On a hit the backend's `compile` hook is **not** invoked —
+    /// asserted by the [`DesignCache::compile_hits`] counter in the test
+    /// suite.
     ///
     /// # Errors
     ///
@@ -1282,7 +1029,7 @@ impl DesignCache {
 /// limits, trace configuration, caching. Methods chain:
 ///
 /// ```
-/// use llhd_sim::api::{ChangeCounter, DesignCache, EngineKind, SimSession};
+/// use llhd_sim::api::{DesignCache, EngineKind, SimSession};
 ///
 /// let module = llhd::assembly::parse_module(
 ///     "proc @blink () -> (i1$ %led) {
@@ -1299,18 +1046,16 @@ impl DesignCache {
 /// )
 /// .unwrap();
 /// let cache = DesignCache::new();
-/// let mut changes = ChangeCounter::new();
 /// let result = SimSession::builder(&module, "blink")
 ///     .engine(EngineKind::Interpret)   // default: EngineKind::Auto
 ///     .until_nanos(50)                 // run limit
 ///     .trace_filter(&["led"])          // record only matching signals
 ///     .cache(&cache)                   // reuse elaboration across runs
-///     .sink(&mut changes)              // stream events during the run
 ///     .build()
 ///     .unwrap()
 ///     .run()
 ///     .unwrap();
-/// assert_eq!(changes.total(), result.trace.len());
+/// assert_eq!(result.signal_changes, result.trace.len());
 /// assert_eq!(cache.elaborate_misses(), 1);
 /// ```
 pub struct SessionBuilder<'m> {
@@ -1320,8 +1065,6 @@ pub struct SessionBuilder<'m> {
     config: SimConfig,
     cache: Option<&'m DesignCache>,
     cache_key: Option<u128>,
-    sinks: Vec<&'m mut dyn TraceSink>,
-    keep_trace: bool,
 }
 
 impl<'m> SessionBuilder<'m> {
@@ -1389,47 +1132,15 @@ impl<'m> SessionBuilder<'m> {
         self
     }
 
-    /// Attach a streaming trace sink; may be called repeatedly. Sinks
-    /// receive every recorded change after each step, in order, and
-    /// imply trace recording even if the run config disabled it (the
-    /// trace filter still applies).
-    pub fn sink(mut self, sink: &'m mut dyn TraceSink) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Whether the session keeps the events in memory for
-    /// [`SimResult::trace`] (default `true`). With `false`, events are
-    /// handed to the attached sinks and dropped — memory stays bounded on
-    /// arbitrarily long runs and the returned result carries an empty
-    /// trace; with `false` and no sinks, trace recording is disabled
-    /// entirely (only the run statistics survive).
-    pub fn keep_trace(mut self, keep: bool) -> Self {
-        self.keep_trace = keep;
-        self
-    }
-
     /// Resolve the engine kind, elaborate (through the cache when one is
-    /// attached), construct the engine, and wire up the sinks.
+    /// attached), and construct the engine.
     ///
     /// # Errors
     ///
     /// Fails on elaboration or compilation errors, and with
     /// [`Error::BackendUnavailable`] when [`EngineKind::Compile`] is
     /// requested without a registered backend.
-    pub fn build(mut self) -> Result<SimSession<'m>, Error> {
-        if self.sinks.is_empty() {
-            if !self.keep_trace {
-                // No sink wants the events and the caller doesn't want
-                // them in memory either: don't record them at all.
-                self.config.trace = false;
-            }
-        } else {
-            // Attached sinks are an explicit request for the event
-            // stream; they override a `without_trace()` run config (the
-            // trace *filter* still applies).
-            self.config.trace = true;
-        }
+    pub fn build(self) -> Result<SimSession<'m>, Error> {
         let kind = match self.kind {
             EngineKind::Auto if compile_backend().is_some() => EngineKind::Compile,
             EngineKind::Auto => EngineKind::Interpret,
@@ -1450,66 +1161,51 @@ impl<'m> SessionBuilder<'m> {
             "SessionBuilder::cache_key does not match the module's fingerprint"
         );
         let mut unit_stats = Vec::new();
-        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine + 'm>) =
-            if kind == EngineKind::Compile {
-                let backend = compile_backend().ok_or_else(|| {
-                    Error::BackendUnavailable(
-                        "EngineKind::Compile requires llhd_blaze::register()".to_string(),
-                    )
-                })?;
-                let (design, artifact) = match (self.cache, key) {
-                    (Some(cache), Some(key)) => {
-                        cache.compiled_keyed(key, self.module, self.top, backend)?
-                    }
-                    _ => {
-                        let design = Arc::new(elaborate(self.module, self.top)?);
-                        let artifact = (backend.compile)(self.module, Arc::clone(&design))?;
-                        (design, artifact)
-                    }
-                };
-                unit_stats = (backend.artifact_stats)(&artifact);
-                let engine = (backend.instantiate)(&artifact, &self.config)?;
-                (design, engine)
-            } else {
-                let design = match (self.cache, key) {
-                    (Some(cache), Some(key)) => {
-                        cache.elaborated_keyed(key, self.module, self.top)?
-                    }
-                    _ => Arc::new(elaborate(self.module, self.top)?),
-                };
-                let engine = Box::new(Simulator::new(
-                    self.module,
-                    Arc::clone(&design),
-                    self.config.clone(),
-                ));
-                (design, engine)
+        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine + 'm>) = if kind
+            == EngineKind::Compile
+        {
+            let backend = compile_backend().ok_or_else(|| {
+                Error::BackendUnavailable(
+                    "EngineKind::Compile requires llhd_blaze::register()".to_string(),
+                )
+            })?;
+            let (design, artifact) = match (self.cache, key) {
+                (Some(cache), Some(key)) => {
+                    cache.compiled_keyed(key, self.module, self.top, backend)?
+                }
+                _ => {
+                    let design = Arc::new(elaborate(self.module, self.top)?);
+                    let artifact = (backend.compile)(self.module, Arc::clone(&design))?;
+                    (design, artifact)
+                }
             };
-        let mut sinks = self.sinks;
-        for sink in sinks.iter_mut() {
-            sink.begin(&design.signals);
-        }
-        let session_trace = if !sinks.is_empty() && self.keep_trace {
-            Some(Trace::with_names(
-                design.signals.iter().map(|s| s.name.clone()).collect(),
-            ))
+            unit_stats = (backend.artifact_stats)(&artifact);
+            let engine = (backend.instantiate)(&artifact, &self.config)?;
+            (design, engine)
         } else {
-            None
+            let design = match (self.cache, key) {
+                (Some(cache), Some(key)) => cache.elaborated_keyed(key, self.module, self.top)?,
+                _ => Arc::new(elaborate(self.module, self.top)?),
+            };
+            let engine = Box::new(Simulator::new(
+                self.module,
+                Arc::clone(&design),
+                self.config.clone(),
+            ));
+            (design, engine)
         };
         Ok(SimSession {
             engine,
             design,
             kind,
-            sinks,
-            session_trace,
-            drain_buf: Vec::new(),
             failed: None,
             unit_stats,
         })
     }
 }
 
-/// One prepared simulation: an engine plus its elaborated design, run
-/// limits, and trace plumbing, behind a single engine-agnostic surface.
+/// One prepared simulation: an engine plus its elaborated design and run
+/// limits, behind a single engine-agnostic surface.
 ///
 /// Use [`SimSession::run`] for a complete run, or drive it incrementally
 /// with [`SimSession::step`]/[`SimSession::peek`]/[`SimSession::poke`] and
@@ -1549,10 +1245,6 @@ pub struct SimSession<'m> {
     engine: Box<dyn Engine + 'm>,
     design: Arc<ElaboratedDesign>,
     kind: EngineKind,
-    sinks: Vec<&'m mut dyn TraceSink>,
-    /// In-memory copy of streamed events (sinks attached + keep_trace).
-    session_trace: Option<Trace>,
-    drain_buf: Vec<TraceEvent>,
     /// The first `initialize`/`step` failure; `finish` replays it rather
     /// than assembling a half-applied result.
     failed: Option<Error>,
@@ -1571,8 +1263,6 @@ impl<'m> SimSession<'m> {
             config: SimConfig::default(),
             cache: None,
             cache_key: None,
-            sinks: Vec::new(),
-            keep_trace: true,
         }
     }
 
@@ -1628,25 +1318,20 @@ impl<'m> SimSession<'m> {
         Ok(())
     }
 
-    /// Advance by one scheduler cycle, feeding any attached sinks.
-    /// Returns `false` once the run is exhausted (queue empty or end time
-    /// reached).
+    /// Advance by one scheduler cycle. Returns `false` once the run is
+    /// exhausted (queue empty or end time reached).
     ///
     /// # Errors
     ///
     /// Propagates engine runtime errors.
     pub fn step(&mut self) -> Result<bool, Error> {
         match self.engine.step() {
-            Ok(more) => {
-                self.pump_sinks();
-                Ok(more)
-            }
+            Ok(more) => Ok(more),
             Err(SimError::DeadlineExceeded) => {
                 // A deadline abort happens between cycles, with the
                 // engine state fully consistent: the session stays
                 // usable and can resume under a fresh budget, so it is
                 // deliberately NOT recorded as a permanent failure.
-                self.pump_sinks();
                 Err(Error::DeadlineExceeded {
                     time_fs: self.engine.time().as_femtos(),
                 })
@@ -1722,9 +1407,7 @@ impl<'m> SimSession<'m> {
 
     /// Serialize the engine's complete execution state. Continuing a
     /// restored session produces the identical remaining trace to never
-    /// having checkpointed. The checkpoint covers the *engine-internal*
-    /// trace only: with sinks attached, events already streamed out are
-    /// the sinks' business and are not replayed on restore.
+    /// having checkpointed.
     ///
     /// # Errors
     ///
@@ -1761,7 +1444,7 @@ impl<'m> SimSession<'m> {
         self.finish()
     }
 
-    /// Flush the sinks and assemble the final [`SimResult`].
+    /// Assemble the final [`SimResult`].
     ///
     /// # Errors
     ///
@@ -1773,35 +1456,7 @@ impl<'m> SimSession<'m> {
         if let Some(e) = self.failed.take() {
             return Err(e);
         }
-        self.pump_sinks();
-        for sink in self.sinks.iter_mut() {
-            sink.finish();
-        }
-        let mut result = self.engine.finish();
-        if let Some(trace) = self.session_trace.take() {
-            result.trace = trace;
-        }
-        Ok(result)
-    }
-
-    /// Forward freshly recorded events to the sinks (and the in-memory
-    /// session trace, when kept).
-    fn pump_sinks(&mut self) {
-        if self.sinks.is_empty() {
-            return;
-        }
-        self.drain_buf.clear();
-        self.engine.drain_trace_into(&mut self.drain_buf);
-        for event in &self.drain_buf {
-            let id = SignalId(event.signal as usize);
-            let name = &self.design.signals[id.0].name;
-            for sink in self.sinks.iter_mut() {
-                sink.event(&event.time, id, name, &event.value);
-            }
-        }
-        if let Some(trace) = &mut self.session_trace {
-            trace.extend_events(self.drain_buf.drain(..));
-        }
+        Ok(self.engine.finish())
     }
 
     /// Run a batch of simulation jobs across std threads, one worker per
@@ -2167,77 +1822,33 @@ mod tests {
             .build()
             .err()
             .unwrap();
-        assert!(matches!(err, Error::Elaborate(ElaborateError::UnknownTop(_))));
+        assert!(matches!(
+            err,
+            Error::Elaborate(ElaborateError::UnknownTop(_))
+        ));
         assert!(err.to_string().contains("missing"));
         assert!(std::error::Error::source(&err).is_some());
     }
 
     #[test]
-    fn memory_sink_and_change_counter_observe_the_run() {
+    fn untraced_run_reports_the_same_signal_changes() {
         let module = parse_module(BLINK).unwrap();
-        let mut copy = Trace::new();
-        let mut counter = ChangeCounter::new();
-        let result = SimSession::builder(&module, "blink")
-            .engine(EngineKind::Interpret)
-            .until_nanos(50)
-            .sink(&mut copy)
-            .sink(&mut counter)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert_eq!(result.trace, copy);
-        assert_eq!(counter.total(), result.trace.len());
-        assert_eq!(counter.count_of("blink.led"), result.trace.len());
-    }
-
-    #[test]
-    fn keep_trace_false_streams_without_accumulating() {
-        let module = parse_module(BLINK).unwrap();
-        let mut counter = ChangeCounter::new();
-        // `without_trace()` in the config is overridden by the attached
-        // sink: sinks imply event recording.
-        let result = SimSession::builder(&module, "blink")
-            .engine(EngineKind::Interpret)
-            .config(SimConfig::until_nanos(50).without_trace())
-            .sink(&mut counter)
-            .keep_trace(false)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(result.trace.is_empty());
-        assert!(counter.total() >= 9);
-        // The statistics still reflect the full run.
-        assert_eq!(result.signal_changes, counter.total());
-        // With no sinks either, recording is disabled outright: the run
-        // statistics survive, the trace stays empty.
-        let stats_only = SimSession::builder(&module, "blink")
-            .engine(EngineKind::Interpret)
-            .until_nanos(50)
-            .keep_trace(false)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(stats_only.trace.is_empty());
-        assert_eq!(stats_only.signal_changes, counter.total());
-    }
-
-    #[test]
-    fn vcd_sink_matches_in_memory_vcd() {
-        let module = parse_module(BLINK).unwrap();
-        let mut vcd = VcdSink::new("1fs");
-        let result = SimSession::builder(&module, "blink")
-            .engine(EngineKind::Interpret)
-            .until_nanos(60)
-            .sink(&mut vcd)
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(!result.trace.is_empty());
-        assert_eq!(vcd.into_string(), result.trace.to_vcd("1fs"));
+        let run = |config: SimConfig| {
+            SimSession::builder(&module, "blink")
+                .engine(EngineKind::Interpret)
+                .config(config)
+                .build()
+                .unwrap()
+                .run()
+                .unwrap()
+        };
+        let traced = run(SimConfig::until_nanos(50));
+        let untraced = run(SimConfig::until_nanos(50).without_trace());
+        assert!(traced.signal_changes >= 9);
+        assert_eq!(traced.signal_changes, traced.trace.len());
+        // The statistics reflect the full run; only the trace is empty.
+        assert!(untraced.trace.is_empty());
+        assert_eq!(untraced.signal_changes, traced.signal_changes);
     }
 
     #[test]
@@ -2311,15 +1922,24 @@ mod tests {
         // The most recently used designs survived: looking them up again
         // hits; the coldest design was evicted and must re-elaborate.
         let hot = blink_with_delay(10);
-        SimSession::builder(&hot, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&hot, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         assert_eq!(cache.elaborate_hits(), 1);
         let cold = blink_with_delay(1);
-        SimSession::builder(&cold, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&cold, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         assert_eq!(cache.elaborate_misses(), 11, "evicted design must miss");
         // Recency, not insertion order, decides the victim: keep touching
         // one design while inserting others and it must survive.
         let pinned = blink_with_delay(100);
-        SimSession::builder(&pinned, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&pinned, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         for i in 20..=25 {
             let module = blink_with_delay(i);
             SimSession::builder(&module, "blink")
@@ -2327,11 +1947,21 @@ mod tests {
                 .cache(&cache)
                 .build()
                 .unwrap();
-            SimSession::builder(&pinned, "blink").cache(&cache).build().unwrap();
+            SimSession::builder(&pinned, "blink")
+                .cache(&cache)
+                .build()
+                .unwrap();
         }
         let hits_before = cache.elaborate_hits();
-        SimSession::builder(&pinned, "blink").cache(&cache).build().unwrap();
-        assert_eq!(cache.elaborate_hits(), hits_before + 1, "pinned design was evicted");
+        SimSession::builder(&pinned, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
+        assert_eq!(
+            cache.elaborate_hits(),
+            hits_before + 1,
+            "pinned design was evicted"
+        );
     }
 
     #[test]
@@ -2358,7 +1988,10 @@ mod tests {
             session.step().unwrap();
         }
         let other = blink_with_delay(9);
-        SimSession::builder(&other, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&other, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         assert_eq!(cache.evictions(), 1);
         cache.clear();
         while session.step().unwrap() {}
@@ -2373,9 +2006,15 @@ mod tests {
         let a = blink_with_delay(3);
         let b = blink_with_delay(4);
         for _ in 0..3 {
-            SimSession::builder(&a, "blink").cache(&cache).build().unwrap();
+            SimSession::builder(&a, "blink")
+                .cache(&cache)
+                .build()
+                .unwrap();
         }
-        SimSession::builder(&b, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&b, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.capacity, Some(8));
@@ -2390,7 +2029,10 @@ mod tests {
         assert!(!stats.designs[0].compiled);
         // Shrinking the capacity evicts immediately, least recently used
         // first (touch the hot design so recency and run count agree).
-        SimSession::builder(&a, "blink").cache(&cache).build().unwrap();
+        SimSession::builder(&a, "blink")
+            .cache(&cache)
+            .build()
+            .unwrap();
         cache.set_capacity(Some(1));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 1);
@@ -2402,14 +2044,12 @@ mod tests {
     fn batch_runner_matches_individual_runs() {
         let module = parse_module(BLINK).unwrap();
         let jobs: Vec<BatchJob> = (1..=4)
-            .map(|i| {
-                BatchJob {
-                    module: &module,
-                    top: "blink",
-                    engine: EngineKind::Interpret,
-                    config: SimConfig::until_nanos(10 * i),
-                    cache_key: None,
-                }
+            .map(|i| BatchJob {
+                module: &module,
+                top: "blink",
+                engine: EngineKind::Interpret,
+                config: SimConfig::until_nanos(10 * i),
+                cache_key: None,
             })
             .collect();
         let cache = DesignCache::new();
@@ -2448,7 +2088,11 @@ mod tests {
         });
         let jobs = [BatchJob::new(&module, "blink", config)];
         let results = SimSession::run_batch(&jobs, None);
-        assert_eq!(*ran_on.lock().unwrap(), Some(caller), "one job spawns no thread");
+        assert_eq!(
+            *ran_on.lock().unwrap(),
+            Some(caller),
+            "one job spawns no thread"
+        );
         match &results[..] {
             [Err(Error::Panic(message))] => assert!(message.contains("injected probe panic")),
             other => panic!("expected one Error::Panic, got {:?}", other),

@@ -13,9 +13,7 @@
 use crate::api::{Engine, EngineState};
 use crate::design::{ElaboratedDesign, SignalId};
 use crate::engine::{RunControl, SimConfig, SimError, SimResult};
-use crate::islands::IslandPlan;
 use crate::sched::{read_byte, read_const, read_usize, SchedCore};
-use crate::trace::TraceEvent;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::ir::RegMode;
 use llhd::ty::Type;
@@ -89,10 +87,6 @@ pub trait Executor {
     /// Whether the scheduler may drop redundant drives before enqueueing
     /// (see [`crate::sched::module_allows_drive_dropping`]).
     fn allow_drive_drop(&self) -> bool;
-    /// The design's sensitivity-island partition. Its digest goes into
-    /// every checkpoint as a design fingerprint, so a blob from another
-    /// design is rejected on restore.
-    fn island_plan(&self) -> &IslandPlan;
     /// Build the initial state of every instance, in instance order, and
     /// register each entity's static sensitivity with `core`.
     fn build_states(&self, core: &mut SchedCore) -> Vec<Self::State>;
@@ -368,12 +362,6 @@ impl<X: Executor> Driver<X> {
         self.core.schedule_drive(signal, value, &TimeValue::ZERO);
     }
 
-    /// Drain the trace events recorded since the last drain into `buf`
-    /// (streaming sinks pull these after every step).
-    pub fn drain_trace_into(&mut self, buf: &mut Vec<TraceEvent>) {
-        self.core.drain_trace_into(buf);
-    }
-
     /// Serialize the complete execution state: the common header, the
     /// shared scheduler core, the run counters, then every instance's
     /// state in the executor's own layout. See [`Engine::checkpoint`] for
@@ -394,7 +382,7 @@ impl<X: Executor> Driver<X> {
             X::NAME,
             design.num_signals(),
             design.num_instances(),
-            self.exec.island_plan().hash(),
+            design_hash(design),
             |out| {
                 self.core.snapshot(out);
                 out.push(self.initialized as u8);
@@ -416,16 +404,16 @@ impl<X: Executor> Driver<X> {
     /// # Errors
     ///
     /// Returns [`SimError::Runtime`] on an engine, design-shape or
-    /// island-plan mismatch, or on corrupt bytes.
+    /// design-hash mismatch, or on corrupt bytes.
     pub fn restore(&mut self, state: &EngineState) -> Result<(), SimError> {
         let design = self.exec.design();
         let bytes = state.as_bytes();
-        let (mut pos, plan_hash) =
+        let (mut pos, hash) =
             state.validate(X::NAME, design.num_signals(), design.num_instances())?;
-        if plan_hash != self.exec.island_plan().hash() {
+        if hash != design_hash(design) {
             return Err(SimError::Runtime(
-                "engine checkpoint was taken with a different island plan \
-                 (design or partitioner version mismatch)"
+                "engine checkpoint was taken over a different design \
+                 (its signal or instance names, types or units differ)"
                     .to_string(),
             ));
         }
@@ -441,6 +429,50 @@ impl<X: Executor> Driver<X> {
         }
         Ok(())
     }
+}
+
+/// The structural hash a checkpoint header carries: FNV-1a 64 over the
+/// signals' names, types and alias targets and the instances' names,
+/// units and kinds, in table order. It reads no `HashMap`, so a design
+/// hashes the same in every process. Unit bodies are not covered: designs
+/// that differ only inside a unit's instructions hash equal.
+fn design_hash(design: &ElaboratedDesign) -> u64 {
+    struct Fnv(u64);
+    impl Fnv {
+        fn bytes(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0 ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        fn word(&mut self, word: usize) {
+            self.bytes(&(word as u64).to_le_bytes());
+        }
+        fn name(&mut self, name: &str) {
+            self.word(name.len());
+            self.bytes(name.as_bytes());
+        }
+    }
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.bytes(s.as_bytes());
+            Ok(())
+        }
+    }
+    use std::fmt::Write;
+    let mut hash = Fnv(0xcbf2_9ce4_8422_2325);
+    hash.word(design.num_signals());
+    for (idx, signal) in design.signals.iter().enumerate() {
+        hash.name(&signal.name);
+        write!(hash, "{};", signal.ty).expect("hashing a type cannot fail");
+        hash.word(design.resolve(SignalId(idx)).0);
+    }
+    hash.word(design.num_instances());
+    for instance in &design.instances {
+        hash.name(&instance.name);
+        hash.word(instance.unit.index());
+        hash.word(instance.kind as usize);
+    }
+    hash.0
 }
 
 impl<X: Executor> Engine for Driver<X> {
@@ -461,9 +493,6 @@ impl<X: Executor> Engine for Driver<X> {
     }
     fn poke(&mut self, signal: SignalId, value: ConstValue) {
         Driver::poke(self, signal, value)
-    }
-    fn drain_trace_into(&mut self, buf: &mut Vec<TraceEvent>) {
-        Driver::drain_trace_into(self, buf)
     }
     fn finish(&mut self) -> SimResult {
         Driver::finish(self)
@@ -491,7 +520,6 @@ mod tests {
     /// fails instead. Pins the driver's contract once, for every engine.
     struct Fake {
         design: ElaboratedDesign,
-        plan: IslandPlan,
         seen: AtomicUsize,
         fail_at: usize,
     }
@@ -504,9 +532,6 @@ mod tests {
         }
         fn allow_drive_drop(&self) -> bool {
             false
-        }
-        fn island_plan(&self) -> &IslandPlan {
-            &self.plan
         }
         fn build_states(&self, _: &mut SchedCore) -> Vec<usize> {
             vec![0; self.design.num_instances()]
@@ -567,10 +592,8 @@ mod tests {
             4,
             "three processes under the top entity"
         );
-        let plan = IslandPlan::build(&module, &design);
         let fake = Fake {
             design,
-            plan,
             seen: AtomicUsize::new(0),
             fail_at,
         };
@@ -614,7 +637,7 @@ mod tests {
         }
         let good = donor.checkpoint().unwrap();
         let (signals, instances) = (donor.design().num_signals(), donor.design().num_instances());
-        let hash = good.island_plan_hash().unwrap();
+        let hash = good.design_hash().unwrap();
         let body = |_: &mut Vec<u8>| {};
         let rejected = |state: EngineState, needle: &str| {
             let err = driver(0, config.clone())
@@ -637,7 +660,7 @@ mod tests {
         );
         rejected(
             EngineState::encode("fake", signals, instances, hash ^ 1, body),
-            "island plan",
+            "different design",
         );
         for cut in [1, 3, good.as_bytes().len() / 2] {
             let bytes = good.as_bytes()[..good.as_bytes().len() - cut].to_vec();

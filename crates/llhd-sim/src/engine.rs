@@ -20,7 +20,6 @@ use crate::driver::{
     call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
     Scratch, MAX_CALL_DEPTH,
 };
-use crate::islands::IslandPlan;
 use crate::sched::{read_byte, read_const, read_usize, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
@@ -194,7 +193,10 @@ impl fmt::Display for SimError {
             SimError::Elaborate(e) => write!(f, "elaboration error: {}", e),
             SimError::Runtime(msg) => write!(f, "runtime error: {}", msg),
             SimError::DeadlineExceeded => {
-                write!(f, "deadline exceeded: the run used up its wall-clock budget")
+                write!(
+                    f,
+                    "deadline exceeded: the run used up its wall-clock budget"
+                )
             }
         }
     }
@@ -296,9 +298,6 @@ pub struct Interp<'a> {
     execs: Vec<UnitExec>,
     /// By instance: index into `execs`.
     exec_of: Vec<usize>,
-    /// The sensitivity-island partition, computed at construction (a
-    /// linear scan).
-    plan: IslandPlan,
     max_steps: usize,
 }
 
@@ -329,13 +328,11 @@ impl<'a> Driver<Interp<'a>> {
                 })
             })
             .collect();
-        let plan = IslandPlan::build(module, &design);
         let interp = Interp {
             module,
             design,
             execs,
             exec_of,
-            plan,
             max_steps: config.max_steps_per_activation,
         };
         Driver::with_executor(interp, config)
@@ -352,10 +349,6 @@ impl Executor for Interp<'_> {
 
     fn allow_drive_drop(&self) -> bool {
         crate::sched::module_allows_drive_dropping(self.module)
-    }
-
-    fn island_plan(&self) -> &IslandPlan {
-        &self.plan
     }
 
     fn build_states(&self, core: &mut SchedCore) -> Vec<InstState> {
@@ -475,14 +468,26 @@ impl Executor for Interp<'_> {
             let value = Value::from_index(i);
             unit.has_value(value).then(|| unit.value_type(value))
         };
-        decode_live(&mut st.slots, &mut st.stamps, st.epoch, bytes, pos, |i, v| {
-            type_of(i).is_some_and(|ty| v.has_type(&ty))
-        })?;
-        decode_live(&mut st.mem, &mut st.mem_stamps, st.epoch, bytes, pos, |i, v| {
-            type_of(i).is_some_and(
-                |ty| matches!(ty.kind(), TypeKind::Pointer(pointee) if v.has_type(pointee)),
-            )
-        })?;
+        decode_live(
+            &mut st.slots,
+            &mut st.stamps,
+            st.epoch,
+            bytes,
+            pos,
+            |i, v| type_of(i).is_some_and(|ty| v.has_type(&ty)),
+        )?;
+        decode_live(
+            &mut st.mem,
+            &mut st.mem_stamps,
+            st.epoch,
+            bytes,
+            pos,
+            |i, v| {
+                type_of(i).is_some_and(
+                    |ty| matches!(ty.kind(), TypeKind::Pointer(pointee) if v.has_type(pointee)),
+                )
+            },
+        )?;
         let info = &self.execs[self.exec_of[idx]];
         decode_reg_history(&mut st.reg_prev, &info.trigger_types, bytes, pos)
     }
@@ -1057,7 +1062,7 @@ fn eval_entity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{Error, EngineKind, SimSession};
+    use crate::api::{EngineKind, Error, SimSession};
     use llhd::assembly::parse_module;
 
     /// Interpreter runs constructed through the unified session surface.

@@ -6,31 +6,27 @@
 //! sensitivity or a process `wait`), or they drive the same signal (their
 //! drives must merge last-writer-wins in one queue bucket). Instances in
 //! different islands never wake each other within an instant. The plan
-//! is an analysis of the design's structure; the engines run every
-//! activation on one thread.
+//! is a standalone analysis of the design's structure, read by the
+//! benchmark's probes and the design generators' structure tests; the
+//! engines run every activation on one thread and never build it.
 //!
 //! The edges are exactly the scan [`DesignQuery`](crate::query::DesignQuery)
 //! performs, with one deliberate exception: a **process probe** (`prb`
 //! outside the wait sensitivity list) is a plain value *read* and does not
 //! merge islands: signal values are frozen during an instant's activation
 //! phase — drives apply only at the next `next_cycle` — so such a read
-//! cannot wake anything within the instant. Signals read across island
-//! lines this way are reported as [`IslandPlan::boundary_signals`], the
-//! seams a client inspecting the partition cares about. (Entity probes *do* merge: an
+//! cannot wake anything within the instant. (Entity probes *do* merge: an
 //! entity re-runs whenever a probed signal changes, so its probes are
 //! sensitivity, not just reads.)
 //!
 //! The plan is deterministic for a given module + top: islands are
-//! numbered by first appearance in instance order, and the whole
-//! assignment is digested into [`IslandPlan::hash`], which checkpoints
-//! embed as a design fingerprint so a restore of a blob taken over a
-//! different design fails cleanly.
+//! numbered by first appearance in instance order.
 
 use crate::design::{ElaboratedDesign, InstanceId, InstanceKind, SignalId};
 use llhd::ir::{Module, Opcode, Value};
 
 /// One island of the partition.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IslandInfo {
     /// The instances in this island, in instance order.
     pub instances: Vec<InstanceId>,
@@ -45,24 +41,11 @@ pub struct IslandInfo {
 /// The island assignment of one elaborated design.
 ///
 /// Built by [`IslandPlan::build`] as a union-find over the same static
-/// scan that powers [`DesignQuery`](crate::query::DesignQuery) and
-/// exposed through that query type; both engines embed its
-/// [`hash`](IslandPlan::hash) in their checkpoints.
+/// scan that powers [`DesignQuery`](crate::query::DesignQuery).
 #[derive(Clone, Debug, Default)]
 pub struct IslandPlan {
-    /// Island id per instance, by `InstanceId.0`.
-    island_of_instance: Vec<u32>,
-    /// Island id per signal, by `SignalId.0` (aliases carry their
-    /// canonical signal's island).
-    island_of_signal: Vec<u32>,
     /// Per-island membership and weight, by island id.
     islands: Vec<IslandInfo>,
-    /// Canonical signals probed by a process outside its own island,
-    /// sorted. Safe to read across the line (values are frozen during
-    /// activation), but the seam a partition inspector wants to see.
-    boundary_signals: Vec<SignalId>,
-    /// FNV-1a digest of the complete assignment.
-    hash: u64,
 }
 
 /// Union-find with path halving.
@@ -98,21 +81,14 @@ impl UnionFind {
 
 impl IslandPlan {
     /// Compute the island partition of `design` by a static scan of every
-    /// instance's unit body (a linear pass; both engines run it at
-    /// construction time).
+    /// instance's unit body (a linear pass).
     pub fn build(module: &Module, design: &ElaboratedDesign) -> Self {
         let num_instances = design.num_instances();
         let num_signals = design.num_signals();
-        let canon: Vec<usize> = (0..num_signals)
-            .map(|i| design.resolve(SignalId(i)).0)
-            .collect();
         // Union-find nodes: instances first, then canonical signals.
         let mut uf = UnionFind::new(num_instances + num_signals);
         let sig_node = |s: usize| (num_instances + s) as u32;
         let mut ops_of: Vec<usize> = vec![0; num_instances];
-        // (instance, canonical signal) probe reads by processes — boundary
-        // candidates, resolved against the final assignment below.
-        let mut process_reads: Vec<(u32, usize)> = Vec::new();
 
         for (idx, instance) in design.instances.iter().enumerate() {
             let unit = module.unit(instance.unit);
@@ -149,13 +125,9 @@ impl IslandPlan {
                         }
                         // Entity probes are sensitivity (the entity
                         // re-runs on change); process probes are reads.
-                        Opcode::Prb => {
+                        Opcode::Prb if is_entity => {
                             if let Some(sig) = sig_of(data.args[0]) {
-                                if is_entity {
-                                    uf.union(idx as u32, sig_node(sig));
-                                } else {
-                                    process_reads.push((idx as u32, sig));
-                                }
+                                uf.union(idx as u32, sig_node(sig));
                             }
                         }
                         // Wait sensitivity wakes the process on change.
@@ -180,77 +152,29 @@ impl IslandPlan {
         // Number islands by first appearance: instance-bearing components
         // in instance order, then any signal-only components in signal
         // order (unconnected nets still get a stable id).
-        let mut island_of_root: Vec<u32> = vec![u32::MAX; num_instances + num_signals];
+        let mut island_of_root: Vec<usize> = vec![usize::MAX; num_instances + num_signals];
         let mut islands: Vec<IslandInfo> = Vec::new();
-        let mut island_of_instance = vec![0u32; num_instances];
-        for idx in 0..num_instances {
-            let root = uf.find(idx as u32) as usize;
-            let island = if island_of_root[root] == u32::MAX {
-                let id = islands.len() as u32;
-                island_of_root[root] = id;
+        let mut island_of = |node: u32, islands: &mut Vec<IslandInfo>| {
+            let root = uf.find(node) as usize;
+            if island_of_root[root] == usize::MAX {
+                island_of_root[root] = islands.len();
                 islands.push(IslandInfo::default());
-                id
-            } else {
-                island_of_root[root]
-            };
-            island_of_instance[idx] = island;
-            let info = &mut islands[island as usize];
-            info.instances.push(InstanceId(idx));
-            info.ops += ops_of[idx];
-        }
-        let mut island_of_signal = vec![0u32; num_signals];
-        for s in 0..num_signals {
-            let c = canon[s];
-            let root = uf.find(sig_node(c)) as usize;
-            let island = if island_of_root[root] == u32::MAX {
-                let id = islands.len() as u32;
-                island_of_root[root] = id;
-                islands.push(IslandInfo::default());
-                id
-            } else {
-                island_of_root[root]
-            };
-            island_of_signal[s] = island;
-            if s == c {
-                islands[island as usize].signals.push(SignalId(s));
             }
-        }
-
-        let mut boundary_signals: Vec<SignalId> = process_reads
-            .into_iter()
-            .filter(|&(inst, sig)| {
-                island_of_instance[inst as usize] != island_of_signal[sig]
-            })
-            .map(|(_, sig)| SignalId(sig))
-            .collect();
-        boundary_signals.sort_unstable();
-        boundary_signals.dedup();
-
-        // FNV-1a over the shape and the assignment. Checkpoints embed
-        // this digest; see `api::EngineState`.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |word: u64| {
-            for byte in word.to_le_bytes() {
-                hash ^= byte as u64;
-                hash = hash.wrapping_mul(0x100_0000_01b3);
-            }
+            island_of_root[root]
         };
-        mix(num_instances as u64);
-        mix(num_signals as u64);
-        for &i in &island_of_instance {
-            mix(i as u64);
+        for (idx, &ops) in ops_of.iter().enumerate() {
+            let island = island_of(idx as u32, &mut islands);
+            islands[island].instances.push(InstanceId(idx));
+            islands[island].ops += ops;
         }
-        for &s in &island_of_signal {
-            mix(s as u64);
+        for s in 0..num_signals {
+            let canon = design.resolve(SignalId(s)).0;
+            let island = island_of(sig_node(canon), &mut islands);
+            if canon == s {
+                islands[island].signals.push(SignalId(s));
+            }
         }
-
-        IslandPlan {
-            island_of_instance,
-            island_of_signal,
-            islands,
-            boundary_signals,
-            hash,
-        }
+        IslandPlan { islands }
     }
 
     /// The number of islands (including signal-only ones).
@@ -262,34 +186,6 @@ impl IslandPlan {
     pub fn islands(&self) -> &[IslandInfo] {
         &self.islands
     }
-
-    /// The island id of `instance`.
-    pub fn instance_island(&self, instance: InstanceId) -> u32 {
-        self.island_of_instance[instance.0]
-    }
-
-    /// The island id of `signal` (aliases report their canonical
-    /// signal's island).
-    pub fn signal_island(&self, signal: SignalId) -> u32 {
-        self.island_of_signal[signal.0]
-    }
-
-    /// The canonical signals probed by a process outside its own island,
-    /// sorted. These cross-island reads are safe — signal values are
-    /// frozen during an instant's activation phase — but they are the
-    /// places where the partition's independence is *read-only* rather
-    /// than total.
-    pub fn boundary_signals(&self) -> &[SignalId] {
-        &self.boundary_signals
-    }
-
-    /// FNV-1a digest of the complete assignment. Checkpoint headers
-    /// embed it as a design fingerprint, so a restore of a blob taken
-    /// over a different design (or partitioner version) is rejected
-    /// instead of resuming foreign state.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
 }
 
 #[cfg(test)]
@@ -297,6 +193,24 @@ mod tests {
     use super::*;
     use crate::design::elaborate;
     use llhd::assembly::parse_module;
+
+    /// The id of the island holding instance `idx`.
+    fn instance_island(plan: &IslandPlan, idx: usize) -> usize {
+        let id = InstanceId(idx);
+        plan.islands()
+            .iter()
+            .position(|i| i.instances.contains(&id))
+            .unwrap()
+    }
+
+    /// The id of the island holding `signal`'s canonical signal.
+    fn signal_island(plan: &IslandPlan, design: &ElaboratedDesign, signal: SignalId) -> usize {
+        let canon = design.resolve(signal);
+        plan.islands()
+            .iter()
+            .position(|i| i.signals.contains(&canon))
+            .unwrap()
+    }
 
     /// Two disconnected blink processes plus a third watching the first's
     /// output: blink0+watcher share an island, blink1 is alone.
@@ -343,25 +257,24 @@ mod tests {
             .collect();
         assert_eq!(blinks.len(), 2);
         let (blink0, blink1) = (
-            plan.instance_island(InstanceId(blinks[0])),
-            plan.instance_island(InstanceId(blinks[1])),
+            instance_island(&plan, blinks[0]),
+            instance_island(&plan, blinks[1]),
         );
         let watcher = design
             .instances
             .iter()
             .position(|i| i.name == "top.watcher")
             .unwrap();
-        let watcher = plan.instance_island(InstanceId(watcher));
+        let watcher = instance_island(&plan, watcher);
         assert_eq!(blink0, watcher, "watcher waits on blink0's led");
         assert_ne!(blink0, blink1, "the two blinkers are independent");
         let led0 = design.signal_by_name("top.led0").unwrap();
         let led1 = design.signal_by_name("top.led1").unwrap();
-        assert_eq!(plan.signal_island(led0), blink0);
-        assert_eq!(plan.signal_island(led1), blink1);
+        assert_eq!(signal_island(&plan, &design, led0), blink0);
+        assert_eq!(signal_island(&plan, &design, led1), blink1);
         // Deterministic numbering by first appearance.
         let plan2 = IslandPlan::build(&module, &design);
-        assert_eq!(plan.island_of_instance, plan2.island_of_instance);
-        assert_eq!(plan.hash(), plan2.hash());
+        assert_eq!(plan.islands(), plan2.islands());
     }
 
     #[test]
@@ -405,13 +318,15 @@ mod tests {
             .position(|i| i.name == "top.sampler")
             .unwrap();
         // The sampler only *reads* led (probe outside its wait list), so
-        // it stays in its own island and led is a boundary signal.
-        assert_ne!(
-            plan.instance_island(InstanceId(blink)),
-            plan.instance_island(InstanceId(sampler))
+        // it stays in its own island and led, in blink's island, is read
+        // across the boundary.
+        let (blink, sampler) = (
+            instance_island(&plan, blink),
+            instance_island(&plan, sampler),
         );
+        assert_ne!(blink, sampler);
         let led = design.signal_by_name("top.led").unwrap();
-        assert_eq!(plan.boundary_signals(), &[design.resolve(led)]);
+        assert_eq!(signal_island(&plan, &design, led), blink);
     }
 
     #[test]
@@ -454,11 +369,10 @@ mod tests {
             .unwrap();
         // The mirror entity re-runs whenever led changes: sensitivity,
         // same island, no boundary.
-        assert_eq!(
-            plan.instance_island(InstanceId(blink)),
-            plan.instance_island(InstanceId(mirror))
-        );
-        assert!(plan.boundary_signals().is_empty());
+        let mirror = instance_island(&plan, mirror);
+        assert_eq!(instance_island(&plan, blink), mirror);
+        let led = design.signal_by_name("top.led").unwrap();
+        assert_eq!(signal_island(&plan, &design, led), mirror);
     }
 
     #[test]

@@ -50,11 +50,11 @@ pub mod query;
 pub mod sched;
 pub mod trace;
 
-pub use api::{BatchJob, DesignCache, EngineKind, EngineState, SimSession, TraceSink};
+pub use api::{BatchJob, DesignCache, EngineKind, EngineState, SimSession};
 pub use design::{elaborate, ElaborateError, ElaboratedDesign, SignalId};
 pub use driver::{Driver, Executor, MAX_CALL_DEPTH};
+pub use engine::{RunControl, SimConfig, SimError, SimResult, Simulator};
 pub use islands::{IslandInfo, IslandPlan};
 pub use query::DesignQuery;
-pub use engine::{RunControl, SimConfig, SimError, SimResult, Simulator};
 pub use sched::{EventQueue, SchedCore};
 pub use trace::{Trace, TraceEvent};

@@ -36,7 +36,6 @@
 //! ```
 
 use crate::design::{ElaboratedDesign, InstanceId, InstanceKind, SignalId};
-use crate::islands::IslandPlan;
 use llhd::ir::{Module, Opcode, Value};
 
 /// One instance in the flattened hierarchy listing.
@@ -70,8 +69,6 @@ pub struct DesignQuery {
     watchers: Vec<Vec<InstanceId>>,
     /// The hierarchy listing, in elaboration order.
     hierarchy: Vec<HierarchyNode>,
-    /// The sensitivity-island partition (see [`crate::islands`]).
-    islands: IslandPlan,
 }
 
 impl DesignQuery {
@@ -156,7 +153,6 @@ impl DesignQuery {
             drivers,
             watchers,
             hierarchy,
-            islands: IslandPlan::build(module, design),
         }
     }
 
@@ -181,15 +177,6 @@ impl DesignQuery {
     /// signals), as cached at build time.
     pub fn canonical(&self, signal: SignalId) -> SignalId {
         SignalId(self.canon[signal.0])
-    }
-
-    /// The sensitivity-island partition of the design: which instances
-    /// and signals can simulate independently within one instant, the
-    /// cross-island boundary signals, and the assignment digest that
-    /// checkpoints embed. See [`crate::islands`] for the graph
-    /// construction.
-    pub fn islands(&self) -> &IslandPlan {
-        &self.islands
     }
 }
 
@@ -281,8 +268,7 @@ mod tests {
         // clk is driven by the testbench only.
         let clk = design.signal_by_name("top.clk").unwrap();
         assert_eq!(names(&design, query.drivers_of(clk)), vec!["top.acc_tb"]);
-        assert!(names(&design, query.watchers_of(clk))
-            .contains(&"top.acc.acc_ff".to_string()));
+        assert!(names(&design, query.watchers_of(clk)).contains(&"top.acc.acc_ff".to_string()));
 
         // The internal d net: driven by the comb cloud, watched by the ff.
         let d = design.signal_by_name("top.acc.d").unwrap();

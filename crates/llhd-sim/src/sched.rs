@@ -513,7 +513,13 @@ impl SchedCore {
         let values = signals
             .iter()
             .zip(&word_width)
-            .map(|(s, &w)| if w == 0 { s.init.clone() } else { ConstValue::Void })
+            .map(|(s, &w)| {
+                if w == 0 {
+                    s.init.clone()
+                } else {
+                    ConstValue::Void
+                }
+            })
             .collect();
         let names: Vec<String> = signals.iter().map(|s| s.name.clone()).collect();
         let traced = names
@@ -603,13 +609,6 @@ impl SchedCore {
     pub fn take_trace(&mut self) -> Trace {
         let names = self.trace.shared_names();
         std::mem::replace(&mut self.trace, Trace::with_shared_names(names))
-    }
-
-    /// Move the events recorded since the last drain into `buf`, leaving
-    /// the trace's interned name table in place so recording continues.
-    /// Streaming trace sinks pull events through this after every step.
-    pub fn drain_trace_into(&mut self, buf: &mut Vec<crate::trace::TraceEvent>) {
-        self.trace.drain_events_into(buf);
     }
 
     /// The absolute time `delay` from now, clamped forward to the next
@@ -854,15 +853,15 @@ impl SchedCore {
         Ok(true)
     }
 
-    /// The trace events recorded since the last drain, without consuming
-    /// them (checkpointing serializes these so a restored engine's final
+    /// The trace events recorded so far, without consuming them
+    /// (checkpointing serializes these so a restored engine's final
     /// trace is byte-identical to an uninterrupted run's).
     pub fn trace_events(&self) -> &[TraceEvent] {
         self.trace.events()
     }
 
     /// Serialize the core's complete dynamic state — time, signal values,
-    /// pending counters, wait registrations, undrained trace events, and
+    /// pending counters, wait registrations, recorded trace events, and
     /// the event queue — into `out`. Static state (sensitivity lists,
     /// trace filters, limits) is *not* included: it is a pure function of
     /// design + config and is rebuilt by engine construction, which is
@@ -977,7 +976,9 @@ impl SchedCore {
             let value = read_const(bytes, pos)?;
             let shaped = match core.word_width[signal] {
                 0 => same_shape(&value, &core.values[signal]),
-                width => value.as_int().is_some_and(|a| a.width() == usize::from(width)),
+                width => value
+                    .as_int()
+                    .is_some_and(|a| a.width() == usize::from(width)),
             };
             if !shaped {
                 return Err(corrupt("value does not match its signal's type"));
@@ -1086,7 +1087,9 @@ impl SchedCore {
             }
         }
         if queued != self.pending {
-            return Err(corrupt("pending-drive counters do not match the event queue"));
+            return Err(corrupt(
+                "pending-drive counters do not match the event queue",
+            ));
         }
         Ok(())
     }
@@ -1262,8 +1265,15 @@ mod tests {
         core.schedule_drive(sig(0), ConstValue::int(16, 7), &delta);
         core.schedule_drive(sig(1), ConstValue::int(80, 9), &delta);
         assert!(core.queue.is_empty());
-        let changes: Vec<_> = core.trace_events().iter().map(|e| e.value.clone()).collect();
-        assert_eq!(changes, vec![ConstValue::int(16, 7), ConstValue::int(80, 9)]);
+        let changes: Vec<_> = core
+            .trace_events()
+            .iter()
+            .map(|e| e.value.clone())
+            .collect();
+        assert_eq!(
+            changes,
+            vec![ConstValue::int(16, 7), ConstValue::int(80, 9)]
+        );
     }
 
     #[test]

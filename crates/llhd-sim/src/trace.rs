@@ -139,31 +139,6 @@ impl Trace {
         &self.events
     }
 
-    /// Move all recorded events out of the trace, leaving the name table in
-    /// place so recording can continue. Streaming trace sinks drain the
-    /// engine trace through this after every step.
-    pub fn drain_events_into(&mut self, buf: &mut Vec<TraceEvent>) {
-        buf.append(&mut self.events);
-    }
-
-    /// Append pre-recorded events (from the same name table) to this trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event's id is outside this trace's name table — the
-    /// same fail-fast contract as [`Trace::record_id`].
-    pub fn extend_events(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
-        let names = self.names.len() as TraceId;
-        self.events.extend(events.into_iter().inspect(|event| {
-            assert!(
-                event.signal < names,
-                "extend_events: signal id {} out of range ({} interned names)",
-                event.signal,
-                names
-            );
-        }));
-    }
-
     /// The interned name table, indexed by [`TraceId`].
     pub fn names(&self) -> &[String] {
         &self.names
@@ -243,26 +218,23 @@ impl Trace {
     /// Emit the trace in Value Change Dump (VCD) format.
     pub fn to_vcd(&self, timescale: &str) -> String {
         let mut out = String::new();
-        // Collect signals in order of first appearance and assign
-        // identifier codes.
+        writeln!(out, "$timescale {} $end", timescale).unwrap();
+        writeln!(out, "$scope module top $end").unwrap();
+        // Identifier codes in order of first appearance.
         let mut code_of: Vec<Option<usize>> = vec![None; self.names.len()];
-        let mut signals: Vec<TraceId> = vec![];
-        let mut widths: Vec<usize> = vec![];
+        let mut codes = 0;
         for event in &self.events {
-            if code_of[event.signal as usize].is_none() {
-                code_of[event.signal as usize] = Some(signals.len());
-                signals.push(event.signal);
-                widths.push(event.value.ty().bit_size().max(1));
+            let code = &mut code_of[event.signal as usize];
+            if code.is_none() {
+                *code = Some(codes);
+                let width = event.value.ty().bit_size().max(1);
+                let name = self.name_of(event.signal);
+                writeln!(out, "$var wire {} s{} {} $end", width, codes, name).unwrap();
+                codes += 1;
             }
         }
-        write_vcd_header(
-            &mut out,
-            timescale,
-            signals
-                .iter()
-                .zip(widths.iter())
-                .map(|(&signal, &width)| (self.name_of(signal), width)),
-        );
+        writeln!(out, "$upscope $end").unwrap();
+        writeln!(out, "$enddefinitions $end").unwrap();
         let mut current_time = None;
         for event in &self.events {
             let femtos = event.time.as_femtos();
@@ -277,27 +249,8 @@ impl Trace {
     }
 }
 
-/// Format the VCD prologue (`$timescale` through `$enddefinitions`), with
-/// `vars` as `(name, width)` in identifier-code order. Shared by
-/// [`Trace::to_vcd`] and the streaming VCD sink, which must produce
-/// byte-identical documents.
-pub(crate) fn write_vcd_header<'a>(
-    out: &mut String,
-    timescale: &str,
-    vars: impl Iterator<Item = (&'a str, usize)>,
-) {
-    writeln!(out, "$timescale {} $end", timescale).unwrap();
-    writeln!(out, "$scope module top $end").unwrap();
-    for (i, (name, width)) in vars.enumerate() {
-        writeln!(out, "$var wire {} s{} {} $end", width, i, name).unwrap();
-    }
-    writeln!(out, "$upscope $end").unwrap();
-    writeln!(out, "$enddefinitions $end").unwrap();
-}
-
-/// Format one VCD value-change line. Shared by [`Trace::to_vcd`] and the
-/// streaming VCD sink, which must produce byte-identical output.
-pub(crate) fn write_vcd_change(out: &mut String, value: &ConstValue, code: usize) {
+/// Format one VCD value-change line.
+fn write_vcd_change(out: &mut String, value: &ConstValue, code: usize) {
     let bits = match value {
         ConstValue::Int(v) => {
             let mut s = String::new();
@@ -322,15 +275,11 @@ pub(crate) fn write_vcd_change(out: &mut String, value: &ConstValue, code: usize
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
         self.events.len() == other.events.len()
-            && self
-                .events
-                .iter()
-                .zip(other.events.iter())
-                .all(|(a, b)| {
-                    a.time == b.time
-                        && a.value == b.value
-                        && self.name_of(a.signal) == other.name_of(b.signal)
-                })
+            && self.events.iter().zip(other.events.iter()).all(|(a, b)| {
+                a.time == b.time
+                    && a.value == b.value
+                    && self.name_of(a.signal) == other.name_of(b.signal)
+            })
     }
 }
 
@@ -360,10 +309,7 @@ mod tests {
 
     #[test]
     fn preseeded_and_interned_traces_compare_equal() {
-        let mut seeded = Trace::with_names(vec![
-            "top.unused".to_string(),
-            "top.clk".to_string(),
-        ]);
+        let mut seeded = Trace::with_names(vec!["top.unused".to_string(), "top.clk".to_string()]);
         seeded.record_id(t(1), 1, ConstValue::bool(true));
         let mut adhoc = Trace::new();
         adhoc.record(t(1), "top.clk", ConstValue::bool(true));
@@ -403,20 +349,6 @@ mod tests {
         trace.record(t(2), "top.clk", ConstValue::bool(true));
         // "clk" must not match "sclk" (no '.' boundary).
         assert_eq!(trace.changes_of("clk").count(), 1);
-    }
-
-    #[test]
-    fn draining_keeps_the_name_table() {
-        let mut trace = Trace::with_names(vec!["a".to_string()]);
-        trace.record_id(t(1), 0, ConstValue::bool(true));
-        let mut buf = vec![];
-        trace.drain_events_into(&mut buf);
-        assert_eq!(buf.len(), 1);
-        assert!(trace.is_empty());
-        // Recording continues against the same table.
-        trace.record_id(t(2), 0, ConstValue::bool(false));
-        assert_eq!(trace.len(), 1);
-        assert_eq!(trace.name_of(0), "a");
     }
 
     #[test]

@@ -540,12 +540,14 @@ fn checkpoint_restore_is_invisible_at_any_cut_point() {
     });
 }
 
-/// Checkpoint header rejection: a version-1 header (the pre-island format,
-/// no digest) and a version-2 header whose digest does not match the live
-/// partition are both refused with a clear message — never restored over
-/// a different design — and the refusal leaves a fresh session usable.
+/// Checkpoint header rejection: a version-1 header (no design hash), a
+/// version-2 header (the island-plan digest), a version-3 header whose
+/// design hash does not match the live design, and a blob taken over a
+/// design of the same shape with one signal renamed are all refused with
+/// a clear message — never restored over a different design — and the
+/// refusal leaves a fresh session usable.
 #[test]
-fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
+fn checkpoint_v1_v2_and_foreign_design_hash_are_rejected_cleanly() {
     use llhd::bitcode::{read_varint, write_varint};
     use llhd_designs::fir_bank;
     use llhd_sim::api::{EngineKind, EngineState, SimSession};
@@ -569,52 +571,98 @@ fn checkpoint_v1_and_mismatched_plan_hash_are_rejected_cleanly() {
         for _ in 0..5 {
             session.step().unwrap();
         }
-        let v2 = session.checkpoint().unwrap();
+        let v3 = session.checkpoint().unwrap();
         drop(session);
-        let bytes = v2.as_bytes();
+        let bytes = v3.as_bytes();
         assert_eq!(&bytes[..4], b"LHCK");
-        assert_eq!(bytes[4], 2, "checkpoints are version 2");
+        assert_eq!(bytes[4], 3, "checkpoints are version 3");
         let mut pos = 5;
         let name_len = read_varint(bytes, &mut pos).unwrap() as usize;
         pos += name_len;
         read_varint(bytes, &mut pos).unwrap(); // num_signals
         read_varint(bytes, &mut pos).unwrap(); // num_instances
-        let digest_start = pos;
+        let hash_start = pos;
         let hash = read_varint(bytes, &mut pos).unwrap();
-        let digest_end = pos;
-        assert_eq!(v2.island_plan_hash().unwrap() as u128, hash);
+        let hash_end = pos;
+        assert_eq!(v3.design_hash().unwrap() as u128, hash);
 
-        // Version 1: same header without the digest varint. Refused at
-        // the door, before any engine sees it.
+        // Versions 1 (no hash varint) and 2 (the same header layout as
+        // version 3): refused at the door, before any engine sees them.
         let mut v1 = bytes[..4].to_vec();
         v1.push(1);
-        v1.extend_from_slice(&bytes[5..digest_start]);
-        v1.extend_from_slice(&bytes[digest_end..]);
-        let err = EngineState::from_bytes(v1).unwrap_err();
-        assert!(
-            err.to_string().contains("unsupported engine checkpoint version 1"),
-            "unexpected error: {}",
-            err
-        );
+        v1.extend_from_slice(&bytes[5..hash_start]);
+        v1.extend_from_slice(&bytes[hash_end..]);
+        let mut v2 = bytes.to_vec();
+        v2[4] = 2;
+        for (version, old) in [(1, v1), (2, v2)] {
+            let err = EngineState::from_bytes(old).unwrap_err();
+            assert!(
+                err.to_string()
+                    .contains(&format!("unsupported engine checkpoint version {}", version)),
+                "unexpected error: {}",
+                err
+            );
+        }
 
-        // Foreign digest: same design shape, different partition
-        // fingerprint. Restore must fail, and say why.
-        let mut tampered = bytes[..digest_start].to_vec();
+        // Foreign hash: same design shape, different design hash.
+        // Restore must fail, and say why.
+        let mut tampered = bytes[..hash_start].to_vec();
         write_varint(&mut tampered, hash ^ 1);
-        tampered.extend_from_slice(&bytes[digest_end..]);
+        tampered.extend_from_slice(&bytes[hash_end..]);
         let tampered = EngineState::from_bytes(tampered).expect("tampered header still parses");
         let err = build().restore(&tampered).unwrap_err();
         assert!(
-            err.to_string().contains("island plan"),
+            err.to_string().contains("different design"),
             "unexpected error: {}",
             err
         );
 
         // The untampered blob still resumes byte-identically.
         let mut resumed = build();
-        resumed.restore(&v2).unwrap();
+        resumed.restore(&v3).unwrap();
         while resumed.step().unwrap() {}
         assert_eq!(serial.trace.events(), resumed.finish().unwrap().trace.events());
+    }
+
+    // Two designs of one shape — one signal, one instance, the same unit
+    // body — that differ only in the signal's name: a blob of one is
+    // refused by the other.
+    let blink = |name: &str| {
+        llhd::assembly::parse_module(&format!(
+            "proc @blink () -> (i1$ %{name}) {{
+            entry:
+                %on = const i1 1
+                %off = const i1 0
+                %t = const time 5ns
+                drv i1$ %{name}, %on after %t
+                wait %next for %t
+            next:
+                drv i1$ %{name}, %off after %t
+                wait %entry for %t
+            }}"
+        ))
+        .unwrap()
+    };
+    let (led, lamp) = (blink("led"), blink("lamp"));
+    for engine in [EngineKind::Interpret, EngineKind::Compile] {
+        let build = |module| {
+            SimSession::builder(module, "blink")
+                .engine(engine)
+                .until_nanos(100)
+                .build()
+                .unwrap()
+        };
+        let mut donor = build(&led);
+        for _ in 0..3 {
+            donor.step().unwrap();
+        }
+        let state = donor.checkpoint().unwrap();
+        let err = build(&lamp).restore(&state).unwrap_err();
+        assert!(
+            err.to_string().contains("different design"),
+            "{engine:?}: unexpected error: {err}"
+        );
+        build(&led).restore(&state).unwrap();
     }
 }
 
