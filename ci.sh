@@ -42,15 +42,22 @@ fi
 if grep -rnE '\benum Op\b|\bSuperOp::(Sel|CmpBr|BinDrv)\b' crates/llhd-blaze/src; then
     echo "ci.sh: a second blaze instruction set or a value-form fusion is back; emit SuperOps and fuse in words" >&2; exit 1
 fi
+# One-dispatcher guard for the interpreter: one loop (`run_body`) runs
+# process, entity and function bodies over one slot layout, so no second
+# function-body dispatcher (`function_inst`), frame (`Frame`) or control
+# result (`Flow`) may come back.
+if grep -nE '\bfn function_inst\b|\bstruct Frame\b|\benum Flow\b' crates/llhd-sim/src/engine.rs; then
+    echo "ci.sh: a second interpreter dispatcher is back; run every body through run_body" >&2; exit 1
+fi
 
-# Format gate for the lowering layer and the simulator: `llhd::analysis`,
-# every `llhd-opt` source and every `llhd-sim` source stay rustfmt-clean.
-# The rest of the workspace is not rustfmt-clean yet, so `cargo fmt
-# --check` cannot be the gate; a file joins this list once it is
-# formatted.
+# Format gate for the lowering layer and both engines: `llhd::analysis`,
+# every `llhd-opt` source and every `llhd-sim` and `llhd-blaze` source
+# stay rustfmt-clean. The rest of the workspace is not rustfmt-clean yet,
+# so `cargo fmt --check` cannot be the gate; a file joins this list once
+# it is formatted.
 rustfmt --edition 2021 --check crates/llhd/src/analysis/*.rs \
     crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs \
-    crates/llhd-sim/src/*.rs || {
+    crates/llhd-sim/src/*.rs crates/llhd-blaze/src/*.rs || {
     echo "ci.sh: a formatted layer is not rustfmt-clean; run rustfmt --edition 2021 on it" >&2
     exit 1
 }

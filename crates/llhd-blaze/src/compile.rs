@@ -170,7 +170,9 @@ pub struct CompiledUnit {
 impl CompiledUnit {
     /// The superinstruction stream, which every compiled unit has.
     pub fn lowered(&self) -> &crate::superop::LoweredUnit {
-        self.lowered.as_ref().expect("compile_unit lowers every unit")
+        self.lowered
+            .as_ref()
+            .expect("compile_unit lowers every unit")
     }
 }
 
@@ -453,7 +455,8 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
         .filter(|&&inst| unit.inst_data(inst).opcode == Opcode::Const)
         .count();
     let mut const_regs: Vec<(u32, ConstValue)> = Vec::with_capacity(num_consts);
-    let mut block_index = vec![u32::MAX; block_list.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
+    let mut block_index =
+        vec![u32::MAX; block_list.iter().map(|b| b.index() + 1).max().unwrap_or(0)];
     for (i, &b) in block_list.iter().enumerate() {
         block_index[b.index()] = i as u32;
     }
@@ -757,10 +760,7 @@ mod tests {
         for instance in &compiled.instances {
             let unit = &compiled.units[&instance.unit];
             if unit.num_signals > 0 && instance.kind == InstanceKind::Process {
-                assert!(instance
-                    .signal_table
-                    .iter()
-                    .all(|s| s.0 != usize::MAX));
+                assert!(instance.signal_table.iter().all(|s| s.0 != usize::MAX));
             }
         }
     }

@@ -66,9 +66,7 @@ impl Cells {
         let slot = slot as usize;
         match widths[slot] {
             0 => self.values[slot] = value,
-            width => {
-                self.words[slot] = value.as_int().map_or(0, ApInt::to_u64) & word_mask(width)
-            }
+            width => self.words[slot] = value.as_int().map_or(0, ApInt::to_u64) & word_mask(width),
         }
     }
 
@@ -261,8 +259,22 @@ impl Executor for BlazeExec {
             }
         };
         let (code, unit, frame) = (&st.code, &st.unit, &mut st.frame);
-        decode_cells(&mut frame.regs, &code.widths, &unit.reg_types, "register", bytes, pos)?;
-        decode_cells(&mut frame.mems, &code.mem_widths, &unit.mem_types, "memory", bytes, pos)?;
+        decode_cells(
+            &mut frame.regs,
+            &code.widths,
+            &unit.reg_types,
+            "register",
+            bytes,
+            pos,
+        )?;
+        decode_cells(
+            &mut frame.mems,
+            &code.mem_widths,
+            &unit.mem_types,
+            "memory",
+            bytes,
+            pos,
+        )?;
         decode_reg_history(&mut frame.states, &unit.state_types, bytes, pos)
     }
 }
@@ -520,8 +532,7 @@ fn step<E: Env>(
             b,
         } => {
             let words = &mut frame.regs.words;
-            words[*dst as usize] =
-                kind.eval_word(*width, words[*a as usize], words[*b as usize]);
+            words[*dst as usize] = kind.eval_word(*width, words[*a as usize], words[*b as usize]);
         }
         SuperOp::WUn {
             opcode,
@@ -657,8 +668,8 @@ fn step<E: Env>(
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::ExtF { dst, a, index } => {
-            let value = eval_ext_field(&frame.regs.get(widths, *a), *index as usize)
-                .ok_or_else(|| {
+            let value =
+                eval_ext_field(&frame.regs.get(widths, *a), *index as usize).ok_or_else(|| {
                     SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtField))
                 })?;
             frame.regs.set(widths, *dst, value);
@@ -674,18 +685,17 @@ fn step<E: Env>(
                 *offset as usize,
                 *length as usize,
             )
-            .ok_or_else(|| {
-                SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice))
-            })?;
+            .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", Opcode::ExtSlice)))?;
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::InsF { dst, a, b, index } => {
             let regs = &frame.regs;
-            let value =
-                eval_ins_field(&regs.get(widths, *a), &regs.get(widths, *b), *index as usize)
-                    .ok_or_else(|| {
-                        SimError::Runtime(format!("cannot evaluate {}", Opcode::InsField))
-                    })?;
+            let value = eval_ins_field(
+                &regs.get(widths, *a),
+                &regs.get(widths, *b),
+                *index as usize,
+            )
+            .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", Opcode::InsField)))?;
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::InsS { dst, a, b, offset } => {
@@ -696,17 +706,13 @@ fn step<E: Env>(
                 *offset as usize,
                 0,
             )
-            .ok_or_else(|| {
-                SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice))
-            })?;
+            .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", Opcode::InsSlice)))?;
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::Mux { dst, choices, sel } => {
             let regs = &frame.regs;
             let value = eval_mux(&regs.get(widths, *choices), &regs.get(widths, *sel))
-                .ok_or_else(|| {
-                    SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux))
-                })?;
+                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate {}", Opcode::Mux)))?;
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::Pure {
@@ -1125,7 +1131,10 @@ mod tests {
         let mut resumed = build();
         resumed.restore(&state).unwrap();
         while resumed.step().unwrap() {}
-        assert_eq!(resumed.finish().unwrap().trace.events(), blaze.trace.events());
+        assert_eq!(
+            resumed.finish().unwrap().trace.events(),
+            blaze.trace.events()
+        );
     }
 
     /// An `i80` selector of 2^64 or 2^64 + 1 is past the last element, so
@@ -1173,7 +1182,11 @@ mod tests {
         let blaze = simulate(&module, "pick", &config).unwrap();
         assert_eq!(reference.trace.events(), blaze.trace.events());
         for signal in ["q", "r"] {
-            let values: Vec<_> = blaze.trace.changes_of(signal).map(|c| c.value.clone()).collect();
+            let values: Vec<_> = blaze
+                .trace
+                .changes_of(signal)
+                .map(|c| c.value.clone())
+                .collect();
             assert_eq!(values.last(), Some(&ConstValue::int(8, 30)), "{signal}");
             for low_limb in [10, 20] {
                 assert!(!values.contains(&ConstValue::int(8, low_limb)), "{signal}");
@@ -1243,12 +1256,19 @@ mod tests {
         llhd::verifier::verify_module(&module).unwrap();
         let design = llhd_sim::elaborate(&module, "top").unwrap();
         let compiled = crate::compile_design(&module, design).unwrap();
-        let wide = compiled.instances.iter().find(|i| i.name.contains("wide")).unwrap();
+        let wide = compiled
+            .instances
+            .iter()
+            .find(|i| i.name.contains("wide"))
+            .unwrap();
         // The 80-bit computes run unfused; both selections fuse under
         // their `i2` word selector.
         let count = |pred: fn(&SuperOp) -> bool| wide.code.ops.iter().filter(|op| pred(op)).count();
         assert_eq!(count(|op| matches!(op, SuperOp::Bin { .. })), 5);
-        assert_eq!(count(|op| matches!(op, SuperOp::WCmpBr { .. } | SuperOp::WBinDrv { .. })), 0);
+        assert_eq!(
+            count(|op| matches!(op, SuperOp::WCmpBr { .. } | SuperOp::WBinDrv { .. })),
+            0
+        );
         assert_eq!(count(|op| matches!(op, SuperOp::WSel { .. })), 2);
         const SIGNALS: [&str; 6] = ["in", "dyn", "on", "off", "tab", "pick"];
         let run = |engine: EngineKind, cut: Option<usize>| {
@@ -1374,39 +1394,147 @@ mod tests {
         assert_eq!(reference.signal_changes, blaze.signal_changes);
         assert_eq!(reference.assertions_checked, blaze.assertions_checked);
         assert_eq!(reference.assertion_failures, blaze.assertion_failures);
-        assert!(blaze.assertion_failures > 0 && blaze.assertion_failures < blaze.assertions_checked);
+        assert!(
+            blaze.assertion_failures > 0 && blaze.assertion_failures < blaze.assertions_checked
+        );
         assert!(blaze.trace.changes_of("c").count() > 20);
     }
 
-    /// A signal op in a function body, which the verifier would reject,
-    /// fails the activation instead of reading an unbound signal.
+    /// An entity body may call a function too: a clocked counter feeds an
+    /// entity that sums `1..=n` in a `var` loop of a callee, which asserts
+    /// on its result, at every change of its inputs.
     #[test]
-    fn signal_op_in_a_function_is_an_error() {
+    fn entity_calls_match_the_interpreter() {
         let module = parse_module(
             r#"
-            func @peek (i1$ %s) i1 {
+            func @sum8 (i8 %n) i8 {
             entry:
-                %v = prb i1$ %s
-                ret i1 %v
+                %zero = const i8 0
+                %one = const i8 1
+                %acc = var i8 %zero
+                %i = var i8 %zero
+                br %head
+            head:
+                %iv = ld i8* %i
+                %done = uge i8 %iv, %n
+                br %done, %body, %exit
+            body:
+                %next = add i8 %iv, %one
+                st i8* %i, %next
+                %av = ld i8* %acc
+                %a2 = add i8 %av, %next
+                st i8* %acc, %a2
+                br %head
+            exit:
+                %sum = ld i8* %acc
+                %limit = const i8 100
+                %ok = ult i8 %sum, %limit
+                call void @llhd.assert (%ok)
+                ret i8 %sum
             }
-            proc @tb (i1$ %s) -> () {
+            entity @acc (i1$ %clk, i8$ %n) -> (i8$ %q) {
+                %clkp = prb i1$ %clk
+                %np = prb i8$ %n
+                %s = call i8 @sum8 (%np)
+                %d = const time 1ns
+                drv i8$ %q, %s after %d
+            }
+            proc @clock () -> (i1$ %clk, i8$ %n) {
             entry:
-                %v = call i1 @peek (%s)
-                halt
+                %z8 = const i8 0
+                %i = var i8 %z8
+                br %tick
+            tick:
+                %one = const i1 1
+                %zero = const i1 0
+                %half = const time 1ns
+                %iv = ld i8* %i
+                %one8 = const i8 1
+                %next = add i8 %iv, %one8
+                st i8* %i, %next
+                drv i1$ %clk, %one after %half
+                drv i8$ %n, %next after %half
+                wait %low for %half
+            low:
+                drv i1$ %clk, %zero after %half
+                wait %tick for %half
             }
             entity @top () -> () {
-                %zero = const i1 0
-                %s = sig i1 %zero
-                inst @tb (%s) -> ()
+                %z1 = const i1 0
+                %z8 = const i8 0
+                %clk = sig i1 %z1
+                %n = sig i8 %z8
+                %q = sig i8 %z8
+                inst @clock () -> (%clk, %n)
+                inst @acc (%clk, %n) -> (%q)
             }
             "#,
         )
         .unwrap();
-        let design = llhd_sim::elaborate(&module, "top").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
-        let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
-        let err = sim.initialize().unwrap_err();
-        assert_eq!(err.to_string(), "runtime error: unsupported operation in function");
+        let config = SimConfig::until_nanos(40);
+        let reference = simulate_reference(&module, "top", &config).unwrap();
+        let blaze = simulate(&module, "top", &config).unwrap();
+        assert_eq!(reference.trace.events(), blaze.trace.events());
+        assert_eq!(reference.signal_changes, blaze.signal_changes);
+        assert_eq!(reference.assertions_checked, blaze.assertions_checked);
+        assert_eq!(reference.assertion_failures, blaze.assertion_failures);
+        assert!(
+            blaze.assertion_failures > 0 && blaze.assertion_failures < blaze.assertions_checked
+        );
+        assert!(blaze.trace.changes_of("q").count() > 10);
+    }
+
+    /// An op a function body may not hold — a signal op, or an op only a
+    /// process or an entity may hold — which the verifier would reject,
+    /// fails the activation on both engines instead of touching a signal
+    /// or the caller's state.
+    #[test]
+    fn signal_op_in_a_function_is_an_error() {
+        let ops = [
+            ("prb", "%v = prb i1$ %s"),
+            ("drv", "drv i1$ %s, %one after %t"),
+            // A `wait` with a delay is the `waitt` opcode.
+            ("waitt", "wait %next for %t\nnext:"),
+            ("halt", "halt"),
+            ("reg", "reg i1$ %s, %one rise %one"),
+            ("del", "%d = del i1$ %s, %t"),
+        ];
+        for (op, inst) in ops {
+            let module = parse_module(&format!(
+                r#"
+                func @f (i1$ %s) void {{
+                entry:
+                    %one = const i1 1
+                    %t = const time 1ns
+                    {inst}
+                    ret
+                }}
+                proc @tb (i1$ %s) -> () {{
+                entry:
+                    call void @f (%s)
+                    halt
+                }}
+                entity @top () -> () {{
+                    %zero = const i1 0
+                    %s = sig i1 %zero
+                    inst @tb (%s) -> ()
+                }}
+                "#
+            ))
+            .unwrap();
+            let config = SimConfig::until_nanos(10);
+            let reference = simulate_reference(&module, "top", &config).unwrap_err();
+            assert_eq!(
+                reference.to_string(),
+                format!("runtime error: unsupported instruction {op} in function @f")
+            );
+            let blaze = simulate(&module, "top", &config).unwrap_err();
+            assert_eq!(
+                blaze.to_string(),
+                "runtime error: unsupported operation in function",
+                "{op}"
+            );
+        }
     }
 
     /// A failed step poisons the engine: the error replays on every later
@@ -1481,7 +1609,10 @@ mod tests {
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
         let first = sim.initialize().unwrap_err();
         assert!(matches!(first, SimError::Runtime(_)));
-        assert_eq!(first.to_string(), "runtime error: ret outside of a function");
+        assert_eq!(
+            first.to_string(),
+            "runtime error: ret outside of a function"
+        );
         assert_eq!(sim.initialize().unwrap_err(), first);
         assert_eq!(sim.step().unwrap_err(), first);
     }

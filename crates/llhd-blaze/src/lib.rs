@@ -75,7 +75,10 @@ pub fn register() {
                 .map_err(|_| {
                     Error::Compile("cached artifact is not a blaze CompiledDesign".to_string())
                 })?;
-            Ok(Box::new(BlazeSimulator::new(compiled, config.clone()).into_driver()) as Box<dyn Engine>)
+            Ok(
+                Box::new(BlazeSimulator::new(compiled, config.clone()).into_driver())
+                    as Box<dyn Engine>,
+            )
         },
         artifact_bytes: |artifact| {
             artifact

@@ -859,7 +859,10 @@ fn fold_unit(lowered: &mut LoweredUnit, unit: &CompiledUnit) {
             break;
         }
     }
-    lowered.init_regs = consts.iter().map(|c| c.clone().unwrap_or(ConstValue::Void)).collect();
+    lowered.init_regs = consts
+        .iter()
+        .map(|c| c.clone().unwrap_or(ConstValue::Void))
+        .collect();
     lowered.dropped = dropped;
     lowered.consts = consts;
 }
@@ -883,7 +886,10 @@ fn fuse(lowered: &mut LoweredUnit, reads: &[u32]) {
     let mut block_ranges = std::mem::take(&mut lowered.block_ranges);
     for range in &mut block_ranges {
         let start = ops.len() as u32;
-        let mut block = source.by_ref().take((range.1 - range.0) as usize).peekable();
+        let mut block = source
+            .by_ref()
+            .take((range.1 - range.0) as usize)
+            .peekable();
         while let Some((op, folded)) = block.next() {
             let next = block.peek().filter(|(_, next_folded)| !next_folded);
             if let Some(fused) =
@@ -1046,7 +1052,11 @@ impl SpecializedCode {
 /// becomes `u32::MAX`, which the engine never reads.
 pub fn specialize(lowered: &LoweredUnit, signal_table: &[SignalId]) -> SpecializedCode {
     let consts = &lowered.consts;
-    let resolve = |slot: u32| signal_table.get(slot as usize).map_or(u32::MAX, |s| s.0 as u32);
+    let resolve = |slot: u32| {
+        signal_table
+            .get(slot as usize)
+            .map_or(u32::MAX, |s| s.0 as u32)
+    };
     let bake = |delay: &mut Delay| {
         // Non-time constants keep the register path so the runtime error
         // ("expected a time value") replays identically.
@@ -1398,10 +1408,16 @@ mod tests {
             .find(|i| i.name.contains("both"))
             .unwrap();
         let ops = &both.code.ops;
-        assert!(ops.iter().any(|op| matches!(op, SuperOp::WPrb { width: 8, .. })));
         assert!(ops
             .iter()
-            .any(|op| matches!(op, SuperOp::WBinDrv { kind: IntBin::Add, .. })));
+            .any(|op| matches!(op, SuperOp::WPrb { width: 8, .. })));
+        assert!(ops.iter().any(|op| matches!(
+            op,
+            SuperOp::WBinDrv {
+                kind: IntBin::Add,
+                ..
+            }
+        )));
         assert!(ops.iter().any(|op| matches!(op, SuperOp::Prb { .. })));
         let wide = ops
             .windows(2)
@@ -1414,7 +1430,11 @@ mod tests {
                 _ => None,
             })
             .collect::<Vec<_>>();
-        assert!(matches!(wide[..], [(dst, value)] if dst == value), "{:?}", ops);
+        assert!(
+            matches!(wide[..], [(dst, value)] if dst == value),
+            "{:?}",
+            ops
+        );
         let lowered = design.units[&both.unit].lowered.as_ref().unwrap();
         assert!(lowered.init_words.contains(&1));
         assert!(lowered.init_regs.contains(&ConstValue::int(80, 1)));
@@ -1497,7 +1517,11 @@ mod tests {
         assert_eq!(count_ops(|op| matches!(op, SuperOp::WSel { .. })), 2);
         assert_eq!(count_ops(|op| matches!(op, SuperOp::Mux { .. })), 0);
         assert_eq!(count_ops(|op| matches!(op, SuperOp::WCmpBr { .. })), 1);
-        let alu = fused.instances.iter().find(|i| i.name.contains("alu")).unwrap();
+        let alu = fused
+            .instances
+            .iter()
+            .find(|i| i.name.contains("alu"))
+            .unwrap();
         let lowered = fused.units[&alu.unit].lowered();
         assert!(lowered.init_regs.iter().all(|v| v.as_array().is_none()));
     }
@@ -1627,7 +1651,13 @@ mod tests {
         }
         let inc = module.unit_by_ident("inc").unwrap();
         let code = &design.functions[&inc];
-        assert!(code.ops.iter().any(|op| matches!(op, SuperOp::Ret { value: Some(_) })));
-        assert!(design.unit_stats().iter().all(|s| s.specialized_instances == s.instances));
+        assert!(code
+            .ops
+            .iter()
+            .any(|op| matches!(op, SuperOp::Ret { value: Some(_) })));
+        assert!(design
+            .unit_stats()
+            .iter()
+            .all(|s| s.specialized_instances == s.instances));
     }
 }

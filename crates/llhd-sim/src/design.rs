@@ -103,11 +103,16 @@ impl ElaboratedDesign {
         self.instances.len()
     }
 
-    /// Find a signal by hierarchical name suffix.
+    /// Find a signal by hierarchical name suffix: the first whose name is
+    /// `name` or ends in `.name`.
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
         self.signals
             .iter()
-            .position(|s| s.name == name || s.name.ends_with(&format!(".{}", name)))
+            .position(|s| {
+                s.name
+                    .strip_suffix(name)
+                    .is_some_and(|head| head.is_empty() || head.ends_with('.'))
+            })
             .map(SignalId)
     }
 }

@@ -8,19 +8,19 @@
 //! processes resume when a signal in their current sensitivity list
 //! changes or their wait timeout expires.
 //!
-//! Instead of hashing SSA [`Value`]s on every instruction, each instance
-//! keeps dense state slots indexed by [`Value::index`]: SSA values,
-//! process-local memory, and `reg` trigger history are all flat vectors,
-//! with an epoch stamp marking which slots are live (processes keep one
-//! epoch for their whole life, entities bump it per evaluation to get
-//! fresh scratch without clearing).
+//! One loop runs process, entity and function bodies over one slot
+//! layout, [`InstState`]: dense vectors indexed by [`Value::index`] for
+//! SSA values, local memory and `reg` trigger history, with an epoch stamp
+//! marking which slots are live (processes keep one epoch for their whole
+//! life, entities bump it per evaluation to get fresh scratch without
+//! clearing, and each call runs over a fresh state with no signal bound).
 
 use crate::design::{ElaborateError, ElaboratedDesign, InstanceKind, SignalId};
 use crate::driver::{
     call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
     Scratch, MAX_CALL_DEPTH,
 };
-use crate::sched::{read_byte, read_const, read_usize, SchedCore};
+use crate::sched::{read_byte, read_const, read_u128, read_usize, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
@@ -290,6 +290,23 @@ pub struct InstState {
     epoch: u32,
 }
 
+impl InstState {
+    /// A state with every slot and memory cell dead, no signal bound and
+    /// `regs` empty `reg` samples.
+    fn new(num_values: usize, regs: usize) -> Self {
+        InstState {
+            status: ProcStatus::Ready,
+            slots: vec![ConstValue::Void; num_values],
+            stamps: vec![0; num_values],
+            mem: vec![ConstValue::Void; num_values],
+            mem_stamps: vec![0; num_values],
+            reg_prev: vec![None; regs],
+            sig_of: vec![NO_SIGNAL; num_values],
+            epoch: 1,
+        }
+    }
+}
+
 /// The reference interpreter as an [`Executor`]: everything an activation
 /// reads that is not its own instance state or the scheduling core.
 pub struct Interp<'a> {
@@ -356,9 +373,9 @@ impl Executor for Interp<'_> {
         for (idx, instance) in self.design.instances.iter().enumerate() {
             let unit = self.module.unit(instance.unit);
             let info = &self.execs[self.exec_of[idx]];
-            let mut sig_of = vec![NO_SIGNAL; info.num_values];
+            let mut state = InstState::new(info.num_values, info.trigger_types.len());
             for (value, &sig) in &instance.signal_map {
-                sig_of[value.index()] = self.design.resolve(sig);
+                state.sig_of[value.index()] = self.design.resolve(sig);
             }
             // Static entity sensitivity: every signal probed (or delayed)
             // by the entity body, pre-resolved.
@@ -367,7 +384,7 @@ impl Executor for Interp<'_> {
                     for inst in unit.insts(body) {
                         let data = unit.inst_data(inst);
                         if matches!(data.opcode, Opcode::Prb | Opcode::Del) {
-                            let sig = sig_of[data.args[0].index()];
+                            let sig = state.sig_of[data.args[0].index()];
                             if sig != NO_SIGNAL {
                                 core.add_entity_sensitivity(sig, idx);
                             }
@@ -375,16 +392,7 @@ impl Executor for Interp<'_> {
                     }
                 }
             }
-            states.push(InstState {
-                status: ProcStatus::Ready,
-                slots: vec![ConstValue::Void; info.num_values],
-                stamps: vec![0; info.num_values],
-                mem: vec![ConstValue::Void; info.num_values],
-                mem_stamps: vec![0; info.num_values],
-                reg_prev: vec![None; info.trigger_types.len()],
-                sig_of,
-                epoch: 1,
-            });
+            states.push(state);
         }
         states
     }
@@ -396,10 +404,31 @@ impl Executor for Interp<'_> {
         idx: usize,
         core: &mut SchedCore,
     ) -> Result<(), SimError> {
-        match self.design.instances[idx].kind {
-            InstanceKind::Process => run_process(self, st, scr, idx, core),
-            InstanceKind::Entity => eval_entity(self, st, scr, idx, core),
-        }
+        scr.counters.activations += 1;
+        let unit = self.module.unit(self.design.instances[idx].unit);
+        let Some(entry) = unit.entry_block() else {
+            return Ok(());
+        };
+        let block = if self.design.instances[idx].kind == InstanceKind::Entity {
+            // Fresh scratch: bumping the epoch invalidates all slots at once.
+            st.epoch = st.epoch.wrapping_add(1);
+            if st.epoch == 0 {
+                // 0 is never used as an epoch, so resetting the stamps to it
+                // can never alias a live epoch later on.
+                st.stamps.iter_mut().for_each(|s| *s = 0);
+                st.epoch = 1;
+            }
+            entry
+        } else {
+            let block = match st.status {
+                ProcStatus::Ready => entry,
+                ProcStatus::Suspended { resume } => resume,
+                ProcStatus::Halted => return Ok(()),
+            };
+            st.status = ProcStatus::Ready;
+            block
+        };
+        run_body(self, st, scr, idx, unit, block, core, 0).map(drop)
     }
 
     fn is_halted(st: &InstState) -> bool {
@@ -454,7 +483,13 @@ impl Executor for Interp<'_> {
                 )))
             }
         };
-        st.epoch = read_usize(bytes, pos)? as u32;
+        // A live epoch is a `u32`, and never 0, which marks dead cells.
+        st.epoch = u32::try_from(read_u128(bytes, pos)?).unwrap_or(0);
+        if st.epoch == 0 {
+            return Err(SimError::Runtime(
+                "corrupt engine checkpoint: epoch out of range".into(),
+            ));
+        }
         if read_usize(bytes, pos)? != st.slots.len() {
             return Err(SimError::Runtime(
                 "corrupt engine checkpoint: slot count mismatch".to_string(),
@@ -541,13 +576,14 @@ fn decode_live(
 // Activation execution
 // ---------------------------------------------------------------------------
 //
-// The execution core is a set of free functions over the instance state
-// and the [`SchedCore`], which they read signals from and schedule drives
-// and suspensions into.
+// Free functions over a body's state and the [`SchedCore`], which they
+// read signals from and schedule drives and suspensions into. A function
+// body never reaches the core: no signal is bound in its state, and its
+// kind admits no signal op.
 
 // ----- dense state access ----------------------------------------------
 
-/// Look up the runtime value of an SSA value within an instance.
+/// Look up the runtime value of an SSA value within a body.
 fn value_of(
     cx: &Interp,
     st: &InstState,
@@ -568,16 +604,25 @@ fn value_of(
     if sig != NO_SIGNAL {
         return Ok(core.value(sig));
     }
-    Err(SimError::Runtime(format!(
-        "use of a value before definition ({:?} in {})",
-        value, cx.design.instances[idx].name
-    )))
+    Err(fault(
+        cx,
+        idx,
+        unit,
+        format_args!("use of a value before definition ({:?})", value),
+    ))
 }
 
 fn set_value(st: &mut InstState, value: Value, v: ConstValue) {
     let i = value.index();
     st.slots[i] = v;
     st.stamps[i] = st.epoch;
+}
+
+/// Write a local memory cell.
+fn store(st: &mut InstState, cell: Value, value: ConstValue) {
+    let i = cell.index();
+    st.mem[i] = value;
+    st.mem_stamps[i] = st.epoch;
 }
 
 fn signal_of(cx: &Interp, st: &InstState, idx: usize, value: Value) -> Result<SignalId, SimError> {
@@ -607,456 +652,327 @@ fn time_value(
         .ok_or_else(|| SimError::Runtime(format!("{} is not a time value", what)))
 }
 
-// ----- process execution ------------------------------------------------
-
-fn run_process(
-    cx: &Interp,
-    st: &mut InstState,
-    scr: &mut Scratch,
-    idx: usize,
-    core: &mut SchedCore,
-) -> Result<(), SimError> {
-    scr.counters.activations += 1;
-    let unit = cx.module.unit(cx.design.instances[idx].unit);
-    let mut block = match &st.status {
-        ProcStatus::Ready => match unit.entry_block() {
-            Some(b) => b,
-            None => return Ok(()),
-        },
-        ProcStatus::Suspended { resume } => *resume,
-        ProcStatus::Halted => return Ok(()),
-    };
-    st.status = ProcStatus::Ready;
-    let mut steps = 0usize;
-    'outer: loop {
-        let insts = unit.insts_slice(block);
-        let mut next_block: Option<Block> = None;
-        for &inst in insts {
-            steps += 1;
-            if steps > cx.max_steps {
-                return Err(SimError::Runtime(format!(
-                    "process {} exceeded the step limit without suspending",
-                    cx.design.instances[idx].name
-                )));
-            }
-            let data = unit.inst_data(inst);
-            match data.opcode {
-                Opcode::Wait | Opcode::WaitTime => {
-                    let (time_arg, signal_args) = if data.opcode == Opcode::WaitTime {
-                        (Some(data.args[0]), &data.args[1..])
-                    } else {
-                        (None, &data.args[..])
-                    };
-                    scr.observed.clear();
-                    for &arg in signal_args {
-                        let sig = st.sig_of[arg.index()];
-                        if sig != NO_SIGNAL {
-                            scr.observed.push(sig);
-                        }
-                    }
-                    let timeout = match time_arg {
-                        Some(arg) => Some(time_value(cx, st, core, idx, unit, arg, "wait delay")?),
-                        None => None,
-                    };
-                    st.status = ProcStatus::Suspended {
-                        resume: data.blocks[0],
-                    };
-                    core.suspend(idx, &scr.observed, timeout.as_ref());
-                    return Ok(());
-                }
-                Opcode::Halt => {
-                    st.status = ProcStatus::Halted;
-                    return Ok(());
-                }
-                Opcode::Br => {
-                    next_block = Some(data.blocks[0]);
-                    break;
-                }
-                Opcode::BrCond => {
-                    let cond = value_of(cx, st, core, idx, unit, data.args[0])?;
-                    let target = if cond.is_truthy() {
-                        data.blocks[1]
-                    } else {
-                        data.blocks[0]
-                    };
-                    next_block = Some(target);
-                    break;
-                }
-                Opcode::Ret | Opcode::RetValue => {
-                    return Err(SimError::Runtime(
-                        "ret is not allowed in a process".to_string(),
-                    ));
-                }
-                _ => {
-                    execute_simple_inst(cx, st, scr, idx, unit, inst, data, core)?;
-                }
-            }
-        }
-        match next_block {
-            Some(b) => {
-                block = b;
-                continue 'outer;
-            }
-            None => {
-                // Fell off the end of a block without a terminator.
-                return Err(SimError::Runtime(format!(
-                    "process {} ran past the end of a block",
-                    cx.design.instances[idx].name
-                )));
-            }
-        }
-    }
+/// A runtime error in `unit`'s body: `what`, then where the body runs —
+/// the called function, or the instance `idx`.
+fn fault(cx: &Interp, idx: usize, unit: &UnitData, what: impl fmt::Display) -> SimError {
+    let name = &cx.design.instances[idx].name;
+    SimError::Runtime(match unit.kind() {
+        UnitKind::Function => format!("{} in function {}", what, unit.name()),
+        UnitKind::Process => format!("{} in process {}", what, name),
+        UnitKind::Entity => format!("{} in entity {}", what, name),
+    })
 }
 
-/// Execute an instruction that means the same in process and entity
-/// bodies: constants, probes, drives, memory, calls, pure ops.
+// ----- the body loop ------------------------------------------------------
+
+/// Run `unit`'s body over `st` from `block` until it ends: a process at a
+/// `wait` or `halt` (recorded in `st.status`), an entity at the end of its
+/// one block, a function at a `ret`, whose value is the result. Each kind
+/// admits only its own ops — branches outside entities, `wait`/`halt` in
+/// processes, `ret` in functions, signal ops outside functions,
+/// `del`/`reg`/`sig`/`inst`/`con` in entities. `idx` is the instance being
+/// activated, `depth` the number of function frames already active. A
+/// `call` recurses into this loop, so its frame is kept small: every op
+/// longer than a line runs in a helper, and most arms share one `?`.
 #[allow(clippy::too_many_arguments)]
-fn execute_simple_inst(
+fn run_body(
     cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
     unit: &UnitData,
-    inst: llhd::ir::Inst,
-    data: &InstData,
+    mut block: Block,
     core: &mut SchedCore,
-) -> Result<(), SimError> {
-    match data.opcode {
-        Opcode::Const => {
-            let result = unit.inst_result(inst);
-            set_value(st, result, data.konst.clone().unwrap());
-        }
-        Opcode::Prb => {
-            let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = core.value(signal);
-            let result = unit.inst_result(inst);
-            set_value(st, result, value);
-        }
-        Opcode::Drv | Opcode::DrvCond => {
-            if data.opcode == Opcode::DrvCond {
-                let cond = value_of(cx, st, core, idx, unit, data.args[3])?;
-                if !cond.is_truthy() {
-                    return Ok(());
-                }
-            }
-            let signal = signal_of(cx, st, idx, data.args[0])?;
-            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
-            let delay = time_value(cx, st, core, idx, unit, data.args[2], "drive delay")?;
-            core.schedule_drive(signal, value, &delay);
-        }
-        Opcode::Var | Opcode::Halloc => {
-            let init = value_of(cx, st, core, idx, unit, data.args[0])?;
-            let result = unit.inst_result(inst);
-            st.mem[result.index()] = init;
-            st.mem_stamps[result.index()] = st.epoch;
-        }
-        Opcode::Ld => {
-            let i = data.args[0].index();
-            if st.mem_stamps[i] != st.epoch {
-                return Err(SimError::Runtime(
-                    "load from unallocated memory".to_string(),
-                ));
-            }
-            let value = st.mem[i].clone();
-            let result = unit.inst_result(inst);
-            set_value(st, result, value);
-        }
-        Opcode::St => {
-            let value = value_of(cx, st, core, idx, unit, data.args[1])?;
-            st.mem[data.args[0].index()] = value;
-            st.mem_stamps[data.args[0].index()] = st.epoch;
-        }
-        Opcode::Free => {
-            st.mem_stamps[data.args[0].index()] = 0;
-        }
-        Opcode::Call => {
-            let mut args = Vec::with_capacity(data.args.len());
-            for &a in &data.args {
-                args.push(value_of(cx, st, core, idx, unit, a)?);
-            }
-            let result = call(cx, scr, unit, data, &args, 0)?;
-            if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
-                set_value(st, result_value, value);
-            }
-        }
-        op if op.is_pure() => {
-            let mut args = Vec::with_capacity(data.args.len());
-            for &a in &data.args {
-                args.push(value_of(cx, st, core, idx, unit, a)?);
-            }
-            let value = eval_pure(op, &args, &data.imms)
-                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
-            let result = unit.inst_result(inst);
-            set_value(st, result, value);
-        }
-        op => {
-            return Err(SimError::Runtime(format!(
-                "unsupported instruction {} in {}",
-                op, cx.design.instances[idx].name
-            )));
-        }
-    }
-    Ok(())
-}
-
-// ----- function calls ---------------------------------------------------
-
-/// Execute a `call`. `depth` is the number of function frames already
-/// active (0 from a process or entity body).
-fn call(
-    cx: &Interp,
-    scr: &mut Scratch,
-    caller: &UnitData,
-    data: &InstData,
-    args: &[ConstValue],
     depth: usize,
 ) -> Result<Option<ConstValue>, SimError> {
-    let ext = data
-        .ext_unit
-        .ok_or_else(|| SimError::Runtime("call without a target".to_string()))?;
-    let name = caller.ext_unit_data(ext).name.clone();
-    // Intrinsics.
-    if let Some(ident) = name.ident() {
-        if let Some(rest) = ident.strip_prefix("llhd.") {
-            return intrinsic(scr, rest, args);
-        }
-    }
-    let callee_id = cx
-        .module
-        .unit_by_name(&name)
-        .ok_or_else(|| SimError::Runtime(format!("call to undefined function {}", name)))?;
-    let callee = cx.module.unit(callee_id);
-    if callee.kind() != UnitKind::Function {
-        return Err(SimError::Runtime(format!(
-            "call target {} is not a function",
-            name
-        )));
-    }
-    if depth >= MAX_CALL_DEPTH {
-        return Err(call_depth_exceeded(&name));
-    }
-    call_function(cx, scr, callee, args, depth + 1)
-}
-
-fn intrinsic(
-    scr: &mut Scratch,
-    name: &str,
-    args: &[ConstValue],
-) -> Result<Option<ConstValue>, SimError> {
-    match name {
-        "assert" => {
-            scr.counters.assertions_checked += 1;
-            if !args.first().map(|a| a.is_truthy()).unwrap_or(false) {
-                scr.counters.assertion_failures += 1;
-            }
-            Ok(None)
-        }
-        // Unknown intrinsics are ignored, matching the paper's treatment
-        // of simulation-only hooks.
-        _ => Ok(None),
-    }
-}
-
-/// Where a function body goes after one instruction.
-enum Flow {
-    Next,
-    Jump(Block),
-    Return(Option<ConstValue>),
-}
-
-/// A function activation's frame: the same dense slot layout as
-/// instances, indexed by `Value::index()`.
-struct Frame {
-    slots: Vec<Option<ConstValue>>,
-    memory: Vec<Option<ConstValue>>,
-}
-
-impl Frame {
-    fn lookup(&self, unit: &UnitData, v: Value) -> Result<ConstValue, SimError> {
-        self.slots[v.index()]
-            .clone()
-            .or_else(|| unit.get_const(v).cloned())
-            .ok_or_else(|| SimError::Runtime(format!("use of undefined value {:?}", v)))
-    }
-}
-
-/// Interpret a function call. Functions execute immediately and may not
-/// interact with signals or time. Only `call` recurses from here; every
-/// other instruction runs in [`function_inst`], which keeps the host
-/// stack frame per nested call small enough that [`MAX_CALL_DEPTH`]
-/// levels fit a default thread stack in an unoptimized build.
-fn call_function(
-    cx: &Interp,
-    scr: &mut Scratch,
-    unit: &UnitData,
-    args: &[ConstValue],
-    depth: usize,
-) -> Result<Option<ConstValue>, SimError> {
-    let n = unit.num_value_slots();
-    let mut frame = Frame {
-        slots: vec![None; n],
-        memory: vec![None; n],
-    };
-    for (arg, value) in unit.args().into_iter().zip(args.iter()) {
-        frame.slots[arg.index()] = Some(value.clone());
-    }
-    let mut block = unit
-        .entry_block()
-        .ok_or_else(|| SimError::Runtime("function without entry block".to_string()))?;
+    let kind = unit.kind();
     let mut steps = 0usize;
     loop {
         let mut next_block = None;
         for &inst in unit.insts_slice(block) {
             steps += 1;
             if steps > cx.max_steps {
-                return Err(SimError::Runtime(format!(
-                    "function {} exceeded the step limit",
-                    unit.name()
-                )));
+                return Err(fault(cx, idx, unit, "step limit exceeded"));
             }
             let data = unit.inst_data(inst);
-            if data.opcode == Opcode::Call {
-                let mut call_args = Vec::with_capacity(data.args.len());
-                for &a in &data.args {
-                    call_args.push(frame.lookup(unit, a)?);
+            match data.opcode {
+                Opcode::Const => {
+                    set_value(st, unit.inst_result(inst), data.konst.clone().unwrap());
+                    Ok(())
                 }
-                let result = call(cx, scr, unit, data, &call_args, depth)?;
-                if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
-                    frame.slots[result_value.index()] = Some(value);
-                }
-                continue;
-            }
-            match function_inst(&mut frame, unit, inst, data)? {
-                Flow::Next => {}
-                Flow::Jump(target) => {
-                    next_block = Some(target);
+                Opcode::Br if kind != UnitKind::Entity => {
+                    next_block = Some(data.blocks[0]);
                     break;
                 }
-                Flow::Return(value) => return Ok(value),
-            }
+                Opcode::BrCond if kind != UnitKind::Entity => {
+                    let cond = value_of(cx, st, core, idx, unit, data.args[0])?;
+                    next_block = Some(data.blocks[cond.is_truthy() as usize]);
+                    break;
+                }
+                Opcode::Wait | Opcode::WaitTime if kind == UnitKind::Process => {
+                    return suspend(cx, st, scr, idx, unit, data, core).map(|()| None);
+                }
+                Opcode::Halt if kind == UnitKind::Process => {
+                    st.status = ProcStatus::Halted;
+                    return Ok(None);
+                }
+                Opcode::Ret if kind == UnitKind::Function => return Ok(None),
+                Opcode::RetValue if kind == UnitKind::Function => {
+                    return value_of(cx, st, core, idx, unit, data.args[0]).map(Some);
+                }
+                Opcode::Prb if kind != UnitKind::Function => signal_of(cx, st, idx, data.args[0])
+                    .map(|sig| set_value(st, unit.inst_result(inst), core.value(sig))),
+                Opcode::Drv | Opcode::DrvCond if kind != UnitKind::Function => {
+                    drive(cx, st, idx, unit, data, core)
+                }
+                // Elaboration-time constructs.
+                Opcode::Sig | Opcode::Inst | Opcode::Con if kind == UnitKind::Entity => Ok(()),
+                Opcode::Del if kind == UnitKind::Entity => {
+                    delay(cx, st, idx, unit, inst, data, core)
+                }
+                Opcode::Reg if kind == UnitKind::Entity => {
+                    register(cx, st, idx, unit, inst, data, core)
+                }
+                Opcode::Var | Opcode::Halloc => value_of(cx, st, core, idx, unit, data.args[0])
+                    .map(|init| store(st, unit.inst_result(inst), init)),
+                Opcode::St => value_of(cx, st, core, idx, unit, data.args[1])
+                    .map(|value| store(st, data.args[0], value)),
+                Opcode::Ld if st.mem_stamps[data.args[0].index()] == st.epoch => {
+                    let value = st.mem[data.args[0].index()].clone();
+                    set_value(st, unit.inst_result(inst), value);
+                    Ok(())
+                }
+                Opcode::Ld => Err(SimError::Runtime("load from unallocated memory".into())),
+                Opcode::Free => {
+                    st.mem_stamps[data.args[0].index()] = 0;
+                    Ok(())
+                }
+                Opcode::Call => call(cx, st, scr, idx, unit, inst, data, core, depth),
+                op if op.is_pure() => {
+                    operands(cx, st, core, idx, unit, &data.args).and_then(|args| {
+                        let value = eval_pure(op, &args, &data.imms).ok_or_else(|| {
+                            SimError::Runtime(format!("cannot evaluate instruction {}", op))
+                        })?;
+                        set_value(st, unit.inst_result(inst), value);
+                        Ok(())
+                    })
+                }
+                op => Err(fault(
+                    cx,
+                    idx,
+                    unit,
+                    format_args!("unsupported instruction {op}"),
+                )),
+            }?;
         }
         match next_block {
             Some(b) => block = b,
+            // A process fell off the end of a block without a terminator.
+            None if kind == UnitKind::Process => {
+                return Err(fault(cx, idx, unit, "ran past the end of a block"));
+            }
             None => return Ok(None),
         }
     }
 }
 
-/// Execute one non-`call` instruction of a function body.
-fn function_inst(
-    frame: &mut Frame,
+/// The runtime values of `values`, in order.
+fn operands(
+    cx: &Interp,
+    st: &InstState,
+    core: &SchedCore,
+    idx: usize,
+    unit: &UnitData,
+    values: &[Value],
+) -> Result<Vec<ConstValue>, SimError> {
+    let mut args = Vec::with_capacity(values.len());
+    for &a in values {
+        args.push(value_of(cx, st, core, idx, unit, a)?);
+    }
+    Ok(args)
+}
+
+/// Schedule a `drv`, or a `drv` whose condition holds.
+fn drive(
+    cx: &Interp,
+    st: &InstState,
+    idx: usize,
+    unit: &UnitData,
+    data: &InstData,
+    core: &mut SchedCore,
+) -> Result<(), SimError> {
+    if data.opcode == Opcode::DrvCond
+        && !value_of(cx, st, core, idx, unit, data.args[3])?.is_truthy()
+    {
+        return Ok(());
+    }
+    let signal = signal_of(cx, st, idx, data.args[0])?;
+    let value = value_of(cx, st, core, idx, unit, data.args[1])?;
+    let delay = time_value(cx, st, core, idx, unit, data.args[2], "drive delay")?;
+    core.schedule_drive(signal, value, &delay);
+    Ok(())
+}
+
+/// Execute an entity's `del`: drive the source's current value onto the
+/// delayed signal after the delay.
+fn delay(
+    cx: &Interp,
+    st: &InstState,
+    idx: usize,
     unit: &UnitData,
     inst: llhd::ir::Inst,
     data: &InstData,
-) -> Result<Flow, SimError> {
-    match data.opcode {
-        Opcode::Const => {
-            frame.slots[unit.inst_result(inst).index()] = Some(data.konst.clone().unwrap());
-        }
-        Opcode::Ret => return Ok(Flow::Return(None)),
-        Opcode::RetValue => return Ok(Flow::Return(Some(frame.lookup(unit, data.args[0])?))),
-        Opcode::Br => return Ok(Flow::Jump(data.blocks[0])),
-        Opcode::BrCond => {
-            let cond = frame.lookup(unit, data.args[0])?;
-            return Ok(Flow::Jump(data.blocks[cond.is_truthy() as usize]));
-        }
-        Opcode::Var | Opcode::Halloc => {
-            let init = frame.lookup(unit, data.args[0])?;
-            frame.memory[unit.inst_result(inst).index()] = Some(init);
-        }
-        Opcode::Ld => {
-            let value = frame.memory[data.args[0].index()]
-                .clone()
-                .ok_or_else(|| SimError::Runtime("load from unallocated memory".to_string()))?;
-            frame.slots[unit.inst_result(inst).index()] = Some(value);
-        }
-        Opcode::St => {
-            let value = frame.lookup(unit, data.args[1])?;
-            frame.memory[data.args[0].index()] = Some(value);
-        }
-        Opcode::Free => {
-            frame.memory[data.args[0].index()] = None;
-        }
-        op if op.is_pure() => {
-            let mut eval_args = Vec::with_capacity(data.args.len());
-            for &a in &data.args {
-                eval_args.push(frame.lookup(unit, a)?);
-            }
-            let value = eval_pure(op, &eval_args, &data.imms)
-                .ok_or_else(|| SimError::Runtime(format!("cannot evaluate instruction {}", op)))?;
-            frame.slots[unit.inst_result(inst).index()] = Some(value);
-        }
-        op => {
-            return Err(SimError::Runtime(format!(
-                "unsupported instruction {} in function",
-                op
-            )));
-        }
-    }
-    Ok(Flow::Next)
+    core: &mut SchedCore,
+) -> Result<(), SimError> {
+    let source = signal_of(cx, st, idx, data.args[0])?;
+    let target = signal_of(cx, st, idx, unit.inst_result(inst))?;
+    let delay = time_value(cx, st, core, idx, unit, data.args[1], "del delay")?;
+    let value = core.value(source);
+    core.schedule_drive(target, value, &delay);
+    Ok(())
 }
 
-// ----- entity evaluation --------------------------------------------------
-
-fn eval_entity(
+/// Suspend a process at a `wait`: it resumes at the wait's target block
+/// once its delay passes or a signal it names changes.
+fn suspend(
     cx: &Interp,
     st: &mut InstState,
     scr: &mut Scratch,
     idx: usize,
+    unit: &UnitData,
+    data: &InstData,
     core: &mut SchedCore,
 ) -> Result<(), SimError> {
-    scr.counters.activations += 1;
-    let unit = cx.module.unit(cx.design.instances[idx].unit);
-    let body = match unit.entry_block() {
-        Some(b) => b,
-        None => return Ok(()),
+    let timed = data.opcode == Opcode::WaitTime;
+    let timeout = timed
+        .then(|| time_value(cx, st, core, idx, unit, data.args[0], "wait delay"))
+        .transpose()?;
+    scr.observed.clear();
+    scr.observed.extend(
+        data.args[timed as usize..]
+            .iter()
+            .map(|arg| st.sig_of[arg.index()])
+            .filter(|&sig| sig != NO_SIGNAL),
+    );
+    st.status = ProcStatus::Suspended {
+        resume: data.blocks[0],
     };
-    // Fresh scratch: bumping the epoch invalidates all slots at once.
-    st.epoch = st.epoch.wrapping_add(1);
-    if st.epoch == 0 {
-        // 0 is never used as an epoch, so resetting the stamps to it can
-        // never alias a live epoch later on.
-        st.stamps.iter_mut().for_each(|s| *s = 0);
-        st.epoch = 1;
-    }
-    for &inst in unit.insts_slice(body) {
-        let data = unit.inst_data(inst);
-        match data.opcode {
-            Opcode::Sig | Opcode::Inst | Opcode::Con => {
-                // Elaboration-time constructs.
-            }
-            Opcode::Del => {
-                let source = signal_of(cx, st, idx, data.args[0])?;
-                let target = signal_of(cx, st, idx, unit.inst_result(inst))?;
-                let delay = time_value(cx, st, core, idx, unit, data.args[1], "del delay")?;
-                let value = core.value(source);
-                core.schedule_drive(target, value, &delay);
-            }
-            Opcode::Reg => {
-                let signal = signal_of(cx, st, idx, data.args[0])?;
-                let base = cx.execs[cx.exec_of[idx]].reg_base[inst.index()] as usize;
-                for (trigger_index, trigger) in data.triggers.iter().enumerate() {
-                    let current = value_of(cx, st, core, idx, unit, trigger.trigger)?;
-                    let previous = st.reg_prev[base + trigger_index].take();
-                    let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
-                    st.reg_prev[base + trigger_index] = Some(current);
-                    if !fire {
-                        continue;
-                    }
-                    if let Some(gate) = trigger.gate {
-                        if !value_of(cx, st, core, idx, unit, gate)?.is_truthy() {
-                            continue;
-                        }
-                    }
-                    let value = value_of(cx, st, core, idx, unit, trigger.value)?;
-                    core.schedule_drive(signal, value, &TimeValue::from_delta(1));
-                }
-            }
-            // Everything else means the same in a process body.
-            _ => execute_simple_inst(cx, st, scr, idx, unit, inst, data, core)?,
+    core.suspend(idx, &scr.observed, timeout.as_ref());
+    Ok(())
+}
+
+/// Execute an entity's `reg`: sample every trigger against its previous
+/// sample, and drive the stored value one delta later for each that fires.
+fn register(
+    cx: &Interp,
+    st: &mut InstState,
+    idx: usize,
+    unit: &UnitData,
+    inst: llhd::ir::Inst,
+    data: &InstData,
+    core: &mut SchedCore,
+) -> Result<(), SimError> {
+    let signal = signal_of(cx, st, idx, data.args[0])?;
+    let base = cx.execs[cx.exec_of[idx]].reg_base[inst.index()] as usize;
+    for (trigger_index, trigger) in data.triggers.iter().enumerate() {
+        let current = value_of(cx, st, core, idx, unit, trigger.trigger)?;
+        let previous = st.reg_prev[base + trigger_index].take();
+        let fire = reg_fires(trigger.mode, previous.as_ref(), &current);
+        st.reg_prev[base + trigger_index] = Some(current);
+        if !fire {
+            continue;
         }
+        if let Some(gate) = trigger.gate {
+            if !value_of(cx, st, core, idx, unit, gate)?.is_truthy() {
+                continue;
+            }
+        }
+        let value = value_of(cx, st, core, idx, unit, trigger.value)?;
+        core.schedule_drive(signal, value, &TimeValue::from_delta(1));
     }
     Ok(())
+}
+
+// ----- function calls ---------------------------------------------------
+
+/// Execute a `call` in `unit`'s body: an intrinsic, or a function body
+/// run by [`run_body`] over a fresh [`InstState`] with no signal bound.
+/// `depth` is the number of function frames already active (0 from a
+/// process or entity body). Functions execute immediately and may not
+/// interact with signals or time. Only `call` recurses, and the callee is
+/// looked up in [`callee`], which keeps the host stack frame per nested
+/// call small enough that [`MAX_CALL_DEPTH`] levels fit a default thread
+/// stack in an unoptimized build.
+#[allow(clippy::too_many_arguments)]
+fn call(
+    cx: &Interp,
+    st: &mut InstState,
+    scr: &mut Scratch,
+    idx: usize,
+    unit: &UnitData,
+    inst: llhd::ir::Inst,
+    data: &InstData,
+    core: &mut SchedCore,
+    depth: usize,
+) -> Result<(), SimError> {
+    let args = operands(cx, st, core, idx, unit, &data.args)?;
+    let Some((callee, entry)) = callee(cx, scr, unit, data, &args, depth)? else {
+        return Ok(());
+    };
+    let mut frame = InstState::new(callee.num_value_slots(), 0);
+    for (arg, value) in callee.args().into_iter().zip(args) {
+        set_value(&mut frame, arg, value);
+    }
+    let result = run_body(cx, &mut frame, scr, idx, callee, entry, core, depth + 1)?;
+    if let (Some(result_value), Some(value)) = (unit.get_inst_result(inst), result) {
+        set_value(st, result_value, value);
+    }
+    Ok(())
+}
+
+/// Resolve a `call`'s target to a function and its entry block, or run
+/// it here if it is an intrinsic, which has no result.
+fn callee<'m>(
+    cx: &Interp<'m>,
+    scr: &mut Scratch,
+    caller: &UnitData,
+    data: &InstData,
+    args: &[ConstValue],
+    depth: usize,
+) -> Result<Option<(&'m UnitData, Block)>, SimError> {
+    let ext = data
+        .ext_unit
+        .ok_or_else(|| SimError::Runtime("call without a target".to_string()))?;
+    let name = &caller.ext_unit_data(ext).name;
+    if let Some(intrinsic) = name.ident().and_then(|ident| ident.strip_prefix("llhd.")) {
+        // Only `assert` does anything; other intrinsics are ignored,
+        // matching the paper's treatment of simulation-only hooks.
+        if intrinsic == "assert" {
+            scr.counters.assertions_checked += 1;
+            if !args.first().is_some_and(|a| a.is_truthy()) {
+                scr.counters.assertion_failures += 1;
+            }
+        }
+        return Ok(None);
+    }
+    let Some(id) = cx.module.unit_by_name(name) else {
+        return Err(SimError::Runtime(format!(
+            "call to undefined function {name}"
+        )));
+    };
+    let callee = cx.module.unit(id);
+    if callee.kind() != UnitKind::Function {
+        return Err(SimError::Runtime(format!(
+            "call target {name} is not a function"
+        )));
+    }
+    if depth >= MAX_CALL_DEPTH {
+        return Err(call_depth_exceeded(name));
+    }
+    let entry = callee
+        .entry_block()
+        .ok_or_else(|| SimError::Runtime("function without entry block".to_string()))?;
+    Ok(Some((callee, entry)))
 }
 
 #[cfg(test)]
@@ -1380,5 +1296,38 @@ mod tests {
         let result = simulate(&module, "top", &SimConfig::until_nanos(40)).unwrap();
         // q changes exactly once (0 -> 42) and never again.
         assert_eq!(result.trace.changes_of("q").count(), 1);
+    }
+
+    /// A restored epoch must be one a live state can have: 0 marks dead
+    /// cells, so with epoch 0 every cell the blob does not list would read
+    /// as live, and an epoch past `u32::MAX` would be truncated.
+    #[test]
+    fn restore_rejects_an_epoch_that_is_zero_or_past_u32() {
+        let module = parse_module("proc @p () -> () {\nentry:\n    halt\n}\n").unwrap();
+        let design = Arc::new(crate::elaborate(&module, "p").unwrap());
+        let fresh = || Simulator::new(&module, Arc::clone(&design), SimConfig::until_nanos(10));
+        let mut sim = fresh();
+        sim.initialize().unwrap();
+        let blob = sim.checkpoint().unwrap().as_bytes().to_vec();
+        // The one instance's state ends the blob: halted, epoch 1, the slot
+        // count, no live slot, no live memory cell, no `reg` sample.
+        let n = blob.len();
+        assert_eq!(
+            (blob[n - 6], blob[n - 5], &blob[n - 3..]),
+            (2, 1, &[0, 0, 0][..])
+        );
+        for epoch in [0, (1u128 << 32) + 1] {
+            let mut bytes = blob[..n - 5].to_vec();
+            write_varint(&mut bytes, epoch);
+            bytes.extend_from_slice(&blob[n - 4..]);
+            let state = crate::EngineState::from_bytes(bytes).unwrap();
+            let err = fresh().restore(&state).unwrap_err();
+            assert!(
+                err.to_string().contains("corrupt engine checkpoint"),
+                "{epoch}: {err}"
+            );
+        }
+        let state = crate::EngineState::from_bytes(blob).unwrap();
+        fresh().restore(&state).unwrap();
     }
 }
