@@ -82,10 +82,7 @@ impl Ring {
             return Vec::new();
         }
         let point = fnv64(&key.to_be_bytes());
-        let start = self
-            .points
-            .partition_point(|&(p, _)| p < point)
-            % self.points.len();
+        let start = self.points.partition_point(|&(p, _)| p < point) % self.points.len();
         let mut seen = vec![false; self.workers];
         let mut order = Vec::with_capacity(self.workers);
         for offset in 0..self.points.len() {
@@ -134,7 +131,11 @@ mod tests {
             // Fair share is 2500; virtual nodes keep every worker within
             // a factor-of-two band (the property that matters — no worker
             // starves, none takes the bulk).
-            assert!((1_000..=5_000).contains(&count), "skewed split: {:?}", counts);
+            assert!(
+                (1_000..=5_000).contains(&count),
+                "skewed split: {:?}",
+                counts
+            );
         }
     }
 
@@ -147,8 +148,7 @@ mod tests {
             let key = i * 0x1234_5678_9abc_def1;
             let order = five.candidates(key);
             if order[0] != 4 {
-                let fallback: Vec<usize> =
-                    order.iter().copied().filter(|&w| w != 4).collect();
+                let fallback: Vec<usize> = order.iter().copied().filter(|&w| w != 4).collect();
                 assert_eq!(order[0], fallback[0], "stable keys moved");
             }
         }

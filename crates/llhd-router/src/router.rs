@@ -230,10 +230,7 @@ impl RouterState {
                     format!("\"design\" must be a hex key, got {:?}", text),
                 )
             }),
-            None => Ok(source_key(
-                spec.source.as_deref().unwrap_or(""),
-                &spec.top,
-            )),
+            None => Ok(source_key(spec.source.as_deref().unwrap_or(""), &spec.top)),
         }
     }
 
@@ -377,15 +374,16 @@ impl RouterState {
                 .map(|(first, positions)| {
                     let orders = &orders[..];
                     scope.spawn(move || {
-                        let sub: Vec<Json> =
-                            positions.iter().map(|&p| jobs[p].clone()).collect();
-                        let entries =
-                            self.route_sub_batch(first, &positions, orders, sub);
+                        let sub: Vec<Json> = positions.iter().map(|&p| jobs[p].clone()).collect();
+                        let entries = self.route_sub_batch(first, &positions, orders, sub);
                         (positions, entries)
                     })
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("sub-batch thread")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("sub-batch thread"))
+                .collect()
         });
         for (positions, sub_entries) in results {
             for (position, entry) in positions.into_iter().zip(sub_entries) {
@@ -409,11 +407,8 @@ impl RouterState {
         orders: &[Vec<usize>],
         sub_jobs: Vec<Json>,
     ) -> Vec<Json> {
-        let line = Json::obj([
-            ("type", Json::str("batch")),
-            ("jobs", Json::Arr(sub_jobs)),
-        ])
-        .to_string();
+        let line =
+            Json::obj([("type", Json::str("batch")), ("jobs", Json::Arr(sub_jobs))]).to_string();
         let retry_to = orders[positions[0]]
             .iter()
             .copied()
@@ -550,9 +545,7 @@ impl RouterState {
                         let mut payload = None;
                         if worker.health() != Health::Down {
                             match worker.call("{\"type\":\"stats\"}", STATS_TIMEOUT) {
-                                Ok(response)
-                                    if response.get("ok") == Some(&Json::Bool(true)) =>
-                                {
+                                Ok(response) if response.get("ok") == Some(&Json::Bool(true)) => {
                                     let result = response.get("result").cloned();
                                     if let Some(sid) = result
                                         .as_ref()
@@ -569,10 +562,7 @@ impl RouterState {
                                 }
                             }
                         }
-                        fields.push((
-                            "state".to_string(),
-                            Json::str(worker.health().wire_name()),
-                        ));
+                        fields.push(("state".to_string(), Json::str(worker.health().wire_name())));
                         if let Some(sid) = worker.server_id() {
                             fields.push(("server_id".to_string(), Json::str(sid)));
                         }
@@ -609,14 +599,23 @@ impl RouterState {
                     ("uptime_ms", Json::uint(self.started.elapsed().as_millis())),
                     ("workers", Json::uint(self.workers.len() as u128)),
                     ("workers_up", Json::uint(up as u128)),
-                    ("routed", Json::uint(self.routed.load(Ordering::Relaxed) as u128)),
-                    ("retried", Json::uint(self.retried.load(Ordering::Relaxed) as u128)),
+                    (
+                        "routed",
+                        Json::uint(self.routed.load(Ordering::Relaxed) as u128),
+                    ),
+                    (
+                        "retried",
+                        Json::uint(self.retried.load(Ordering::Relaxed) as u128),
+                    ),
                     ("shed", Json::uint(self.admission.shed() as u128)),
                     ("markdowns", Json::uint(markdowns as u128)),
                     ("inflight", Json::uint(self.admission.inflight() as u128)),
                     (
                         "queue_cap",
-                        self.admission.cap().map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),
+                        self.admission
+                            .cap()
+                            .map(|c| Json::uint(c as u128))
+                            .unwrap_or(Json::Null),
                     ),
                 ]),
             ),

@@ -27,7 +27,9 @@ pub struct Permit<'a> {
 
 impl Drop for Permit<'_> {
     fn drop(&mut self) {
-        self.admission.inflight.fetch_sub(self.jobs, Ordering::Relaxed);
+        self.admission
+            .inflight
+            .fetch_sub(self.jobs, Ordering::Relaxed);
     }
 }
 
@@ -65,15 +67,23 @@ impl Admission {
     pub fn admit(&self, jobs: usize, phantom: usize) -> Result<Permit<'_>, ProtoError> {
         let Some(cap) = self.cap else {
             self.inflight.fetch_add(jobs, Ordering::Relaxed);
-            return Ok(Permit { admission: self, jobs });
+            return Ok(Permit {
+                admission: self,
+                jobs,
+            });
         };
         let mut depth = 0;
-        let admitted = self.inflight.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-            depth = n + phantom;
-            (depth + jobs <= cap).then_some(n + jobs)
-        });
+        let admitted = self
+            .inflight
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                depth = n + phantom;
+                (depth + jobs <= cap).then_some(n + jobs)
+            });
         if admitted.is_ok() {
-            return Ok(Permit { admission: self, jobs });
+            return Ok(Permit {
+                admission: self,
+                jobs,
+            });
         }
         self.shed.fetch_add(1, Ordering::Relaxed);
         let overshoot = (depth + jobs - cap) as u128;
@@ -81,7 +91,10 @@ impl Admission {
             ErrorKind::Overloaded,
             format!("{} jobs in flight (cap {}); retry later", depth, cap),
         )
-        .with_data("retry_after_ms", Json::uint((10 * overshoot).clamp(10, 1000))))
+        .with_data(
+            "retry_after_ms",
+            Json::uint((10 * overshoot).clamp(10, 1000)),
+        ))
     }
 }
 
@@ -100,8 +113,14 @@ mod tests {
         assert_eq!(hint.map(|(_, v)| v), Some(&Json::uint(30)));
         drop(permit);
         assert_eq!(gate.inflight(), 0);
-        assert!(gate.admit(1, 1).is_ok(), "phantom depth fills the cap exactly");
-        assert!(gate.admit(1, 2).is_err(), "phantom depth pushes past the cap");
+        assert!(
+            gate.admit(1, 1).is_ok(),
+            "phantom depth fills the cap exactly"
+        );
+        assert!(
+            gate.admit(1, 2).is_err(),
+            "phantom depth pushes past the cap"
+        );
         assert_eq!(gate.shed(), 2);
         let unbounded = Admission::new(Some(0));
         let _held = unbounded.admit(1000, 1000).unwrap();

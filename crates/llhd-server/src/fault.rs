@@ -180,10 +180,7 @@ impl FaultPlan {
 
     /// Faults injected so far across all sites.
     pub fn injected_total(&self) -> u64 {
-        SITES
-            .iter()
-            .map(|&(site, _)| self.injected(site))
-            .sum()
+        SITES.iter().map(|&(site, _)| self.injected(site)).sum()
     }
 }
 
@@ -233,9 +230,18 @@ mod tests {
         let seq_a: Vec<_> = (0..64).map(|_| a.sim_panic_cycle()).collect();
         let seq_b: Vec<_> = (0..64).map(|_| b.sim_panic_cycle()).collect();
         assert_eq!(seq_a, seq_b);
-        assert!(seq_a.iter().any(Option::is_some), "rate 64/256 over 64 draws must fire");
-        assert!(seq_a.iter().any(Option::is_none), "rate 64/256 must not always fire");
-        assert_eq!(a.injected(Site::SimPanic), seq_a.iter().flatten().count() as u64);
+        assert!(
+            seq_a.iter().any(Option::is_some),
+            "rate 64/256 over 64 draws must fire"
+        );
+        assert!(
+            seq_a.iter().any(Option::is_none),
+            "rate 64/256 must not always fire"
+        );
+        assert_eq!(
+            a.injected(Site::SimPanic),
+            seq_a.iter().flatten().count() as u64
+        );
     }
 
     #[test]
@@ -252,7 +258,11 @@ mod tests {
         let plan = FaultPlan::parse("seed=42, sim.panic=16, io.read.error=300").unwrap();
         assert_eq!(plan.seed, 42);
         assert_eq!(plan.rates[Site::SimPanic as usize], 16);
-        assert_eq!(plan.rates[Site::IoReadError as usize], 256, "rates clamp at 256");
+        assert_eq!(
+            plan.rates[Site::IoReadError as usize],
+            256,
+            "rates clamp at 256"
+        );
         assert!(FaultPlan::parse("bogus.site=1").is_err());
         assert!(FaultPlan::parse("seed=notanumber").is_err());
         assert!(FaultPlan::parse("sim.panic").is_err());
@@ -268,7 +278,11 @@ mod tests {
         let data = b"hello".to_vec();
         let mut reader = FaultyReader::new(&data[..], Arc::clone(&plan));
         let mut buf = [0u8; 8];
-        assert_eq!(reader.read(&mut buf).unwrap(), 1, "short site truncates to one byte");
+        assert_eq!(
+            reader.read(&mut buf).unwrap(),
+            1,
+            "short site truncates to one byte"
+        );
 
         let plan = Arc::new(FaultPlan::new(9).with_rate(Site::IoReadError, 256));
         let mut reader = FaultyReader::new(&data[..], Arc::clone(&plan));

@@ -166,7 +166,10 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self, depth: usize) -> Result<Json, String> {
         if depth > MAX_DEPTH {
-            return Err(format!("nesting deeper than {} at byte {}", MAX_DEPTH, self.pos));
+            return Err(format!(
+                "nesting deeper than {} at byte {}",
+                MAX_DEPTH, self.pos
+            ));
         }
         match self.peek() {
             Some(b'n') => self.lit("null", Json::Null),
@@ -420,7 +423,10 @@ mod tests {
         let value = Json::parse(text).unwrap();
         assert_eq!(value.to_string(), text);
         assert_eq!(value.get("b").unwrap().as_arr().unwrap().len(), 4);
-        assert_eq!(value.get("c").unwrap().get("d").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(
+            value.get("c").unwrap().get("d").unwrap().as_str(),
+            Some("x\ny")
+        );
     }
 
     #[test]
@@ -441,7 +447,10 @@ mod tests {
         // Writing re-escapes the mandatory characters.
         let text = Json::Str("a\"b\\c\nd\u{0001}".to_string()).to_string();
         assert_eq!(text, r#""a\"b\\c\nd\u0001""#);
-        assert_eq!(Json::parse(&text).unwrap().as_str(), Some("a\"b\\c\nd\u{0001}"));
+        assert_eq!(
+            Json::parse(&text).unwrap().as_str(),
+            Some("a\"b\\c\nd\u{0001}")
+        );
         // Raw multi-byte UTF-8 passes through unescaped.
         let unicode = Json::parse("\"héllo → wörld\"").unwrap();
         assert_eq!(unicode.as_str(), Some("héllo → wörld"));
@@ -455,29 +464,59 @@ mod tests {
         assert_eq!(Json::parse(r#""𐀀""#).unwrap().as_str(), Some("\u{10000}"));
         assert_eq!(Json::parse(r#""􏿿""#).unwrap().as_str(), Some("\u{10ffff}"));
         // A lone high surrogate at end of string.
-        assert!(Json::parse(r#""\ud83d""#).unwrap_err().contains("lone surrogate"));
+        assert!(Json::parse(r#""\ud83d""#)
+            .unwrap_err()
+            .contains("lone surrogate"));
         // A high surrogate followed by a non-escape character.
-        assert!(Json::parse(r#""\ud83dx""#).unwrap_err().contains("lone surrogate"));
+        assert!(Json::parse(r#""\ud83dx""#)
+            .unwrap_err()
+            .contains("lone surrogate"));
         // A high surrogate followed by a non-\u escape.
-        assert!(Json::parse(r#""\ud83d\n""#).unwrap_err().contains("lone surrogate"));
+        assert!(Json::parse(r#""\ud83d\n""#)
+            .unwrap_err()
+            .contains("lone surrogate"));
         // A high surrogate followed by a \u unit that is not a low half
         // (another high surrogate, and a plain BMP unit).
-        assert!(Json::parse(r#""\ud83d\ud83d""#).unwrap_err().contains("lone surrogate"));
-        assert!(Json::parse("\"\\ud83d\\u0041\"").unwrap_err().contains("lone surrogate"));
+        assert!(Json::parse(r#""\ud83d\ud83d""#)
+            .unwrap_err()
+            .contains("lone surrogate"));
+        assert!(Json::parse("\"\\ud83d\\u0041\"")
+            .unwrap_err()
+            .contains("lone surrogate"));
         // A lone *low* surrogate never had a high half to pair with.
-        assert!(Json::parse(r#""\ude00\ud83d""#).unwrap_err().contains("invalid \\u escape"));
+        assert!(Json::parse(r#""\ude00\ud83d""#)
+            .unwrap_err()
+            .contains("invalid \\u escape"));
         // A truncated second unit dies in the hex reader, not the pairing.
-        assert!(Json::parse(r#""\ud83d\ude0""#).unwrap_err().contains("hex digit"));
+        assert!(Json::parse(r#""\ud83d\ude0""#)
+            .unwrap_err()
+            .contains("hex digit"));
     }
 
     #[test]
     fn malformed_input_is_rejected_with_positions() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "\"unterminated",
-            "1 2", "{\"a\":1,}", "[]]", "\"\\q\"", "\"\\ud800\"", "nan",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{\"a\":1,}",
+            "[]]",
+            "\"\\q\"",
+            "\"\\ud800\"",
+            "nan",
         ] {
             let err = Json::parse(bad).unwrap_err();
-            assert!(err.contains("byte"), "error for {:?} lacks a position: {}", bad, err);
+            assert!(
+                err.contains("byte"),
+                "error for {:?} lacks a position: {}",
+                bad,
+                err
+            );
         }
     }
 

@@ -386,7 +386,10 @@ fn parse_job(obj: &Json) -> Result<SimJobSpec, ProtoError> {
         ));
     }
     let top = field_str(obj, "top")?.ok_or_else(|| {
-        ProtoError::new(ErrorKind::Protocol, "a sim job needs \"top\" (the unit to elaborate)")
+        ProtoError::new(
+            ErrorKind::Protocol,
+            "a sim job needs \"top\" (the unit to elaborate)",
+        )
     })?;
     let engine = match obj.get("engine") {
         None | Some(Json::Null) => EngineKind::Auto,
@@ -446,12 +449,8 @@ fn parse_job(obj: &Json) -> Result<SimJobSpec, ProtoError> {
         // The bounds make the narrowing casts lossless.
         max_deltas_per_instant: field_uint(obj, "max_deltas_per_instant", u32::MAX as u128)?
             .map(|n| n as u32),
-        max_steps_per_activation: field_uint(
-            obj,
-            "max_steps_per_activation",
-            usize::MAX as u128,
-        )?
-        .map(|n| n as usize),
+        max_steps_per_activation: field_uint(obj, "max_steps_per_activation", usize::MAX as u128)?
+            .map(|n| n as usize),
         deadline_ms: field_deadline(obj)?,
     })
 }
@@ -522,13 +521,18 @@ impl Request {
             Some(other) => {
                 return Err(ProtoError::new(
                     ErrorKind::Protocol,
-                    format!("protocol version {} not supported (this server speaks v{})",
-                        other, PROTOCOL_VERSION),
+                    format!(
+                        "protocol version {} not supported (this server speaks v{})",
+                        other, PROTOCOL_VERSION
+                    ),
                 ))
             }
         }
         let kind = value.get("type").and_then(Json::as_str).ok_or_else(|| {
-            ProtoError::new(ErrorKind::Protocol, "a request needs a string \"type\" field")
+            ProtoError::new(
+                ErrorKind::Protocol,
+                "a request needs a string \"type\" field",
+            )
         })?;
         match kind {
             "ping" => Ok(Request::Ping),
@@ -647,7 +651,10 @@ pub fn hex_decode(text: &str) -> Result<Vec<u8>, ProtoError> {
             })
         })
         .collect();
-    Ok(digits?.chunks(2).map(|pair| (pair[0] << 4) | pair[1]).collect())
+    Ok(digits?
+        .chunks(2)
+        .map(|pair| (pair[0] << 4) | pair[1])
+        .collect())
 }
 
 /// The client-supplied request id, echoed verbatim into the response (any
@@ -724,10 +731,22 @@ pub fn sim_result_json(
         ("design".to_string(), Json::str(design_key)),
         ("top".to_string(), Json::str(top)),
         ("engine".to_string(), Json::str(engine_wire_name(engine))),
-        ("end_time_fs".to_string(), Json::uint(result.end_time.as_femtos())),
-        ("signal_changes".to_string(), Json::uint(result.signal_changes as u128)),
-        ("activations".to_string(), Json::uint(result.activations as u128)),
-        ("halted_processes".to_string(), Json::uint(result.halted_processes as u128)),
+        (
+            "end_time_fs".to_string(),
+            Json::uint(result.end_time.as_femtos()),
+        ),
+        (
+            "signal_changes".to_string(),
+            Json::uint(result.signal_changes as u128),
+        ),
+        (
+            "activations".to_string(),
+            Json::uint(result.activations as u128),
+        ),
+        (
+            "halted_processes".to_string(),
+            Json::uint(result.halted_processes as u128),
+        ),
         (
             "assertions_checked".to_string(),
             Json::uint(result.assertions_checked as u128),
@@ -738,7 +757,10 @@ pub fn sim_result_json(
         ),
     ];
     if spec_trace == TraceMode::Vcd {
-        fields.push(("trace_vcd".to_string(), Json::str(result.trace.to_vcd("1fs"))));
+        fields.push((
+            "trace_vcd".to_string(),
+            Json::str(result.trace.to_vcd("1fs")),
+        ));
     }
     Json::Obj(fields)
 }
@@ -786,7 +808,9 @@ pub fn stats_json(
                 ("queue_depth", Json::uint(0)),
                 (
                     "queue_cap",
-                    load.queue_cap.map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),
+                    load.queue_cap
+                        .map(|c| Json::uint(c as u128))
+                        .unwrap_or(Json::Null),
                 ),
                 ("inflight", Json::uint(load.inflight as u128)),
                 ("shed", Json::uint(load.shed as u128)),
@@ -798,14 +822,20 @@ pub fn stats_json(
             "cache",
             Json::obj([
                 ("elaborate_hits", Json::uint(stats.elaborate_hits as u128)),
-                ("elaborate_misses", Json::uint(stats.elaborate_misses as u128)),
+                (
+                    "elaborate_misses",
+                    Json::uint(stats.elaborate_misses as u128),
+                ),
                 ("compile_hits", Json::uint(stats.compile_hits as u128)),
                 ("compile_misses", Json::uint(stats.compile_misses as u128)),
                 ("evictions", Json::uint(stats.evictions as u128)),
                 ("entries", Json::uint(stats.entries as u128)),
                 (
                     "capacity",
-                    stats.capacity.map(|c| Json::uint(c as u128)).unwrap_or(Json::Null),
+                    stats
+                        .capacity
+                        .map(|c| Json::uint(c as u128))
+                        .unwrap_or(Json::Null),
                 ),
                 ("approx_bytes", Json::uint(stats.approx_bytes as u128)),
                 (
@@ -843,7 +873,10 @@ mod tests {
     fn parses_the_request_types() {
         assert!(matches!(parse(r#"{"type":"ping"}"#), Ok(Request::Ping)));
         assert!(matches!(parse(r#"{"type":"stats"}"#), Ok(Request::Stats)));
-        assert!(matches!(parse(r#"{"type":"shutdown"}"#), Ok(Request::Shutdown)));
+        assert!(matches!(
+            parse(r#"{"type":"shutdown"}"#),
+            Ok(Request::Shutdown)
+        ));
         let sim = parse(r#"{"type":"sim","source":"proc @p...","top":"p","engine":"compile","until_ns":50,"trace":"vcd"}"#).unwrap();
         match sim {
             Request::Sim(job) => {
@@ -875,8 +908,14 @@ mod tests {
             (r#"{"type":"nope"}"#, "unknown request type"),
             (r#"{"type":"sim","top":"p"}"#, "\"source\""),
             (r#"{"type":"sim","source":"x"}"#, "\"top\""),
-            (r#"{"type":"sim","source":"x","top":"p","engine":"jit"}"#, "\"engine\""),
-            (r#"{"type":"sim","source":"x","top":"p","until_ns":-4}"#, "non-negative"),
+            (
+                r#"{"type":"sim","source":"x","top":"p","engine":"jit"}"#,
+                "\"engine\"",
+            ),
+            (
+                r#"{"type":"sim","source":"x","top":"p","until_ns":-4}"#,
+                "non-negative",
+            ),
             // Out-of-range values are rejected, not silently truncated:
             // 2^32 would wrap a u32 delta guard to 0, and an until_ns
             // past 2^64 would overflow the femtosecond conversion.
@@ -888,7 +927,10 @@ mod tests {
                 r#"{"type":"sim","source":"x","top":"p","until_ns":99999999999999999999999}"#,
                 "at most",
             ),
-            (r#"{"type":"sim","source":"x","top":"p","trace":"all"}"#, "\"trace\""),
+            (
+                r#"{"type":"sim","source":"x","top":"p","trace":"all"}"#,
+                "\"trace\"",
+            ),
             (r#"{"type":"batch"}"#, "\"jobs\""),
             (r#"{"type":"batch","jobs":[]}"#, "at least one"),
             (r#"{"v":2,"type":"ping"}"#, "version"),
@@ -902,10 +944,8 @@ mod tests {
     #[test]
     fn trace_signals_imply_vcd_delivery() {
         // A filter without an explicit mode delivers the (filtered) VCD.
-        let implied = parse(
-            r#"{"type":"sim","source":"x","top":"p","trace_signals":["led"]}"#,
-        )
-        .unwrap();
+        let implied =
+            parse(r#"{"type":"sim","source":"x","top":"p","trace_signals":["led"]}"#).unwrap();
         match implied {
             Request::Sim(job) => {
                 assert_eq!(job.trace, TraceMode::Vcd);
@@ -917,10 +957,9 @@ mod tests {
         }
         // An explicit "off" alongside a filter is contradictory: the
         // trace would be recorded but never delivered.
-        let err = parse(
-            r#"{"type":"sim","source":"x","top":"p","trace":"off","trace_signals":["led"]}"#,
-        )
-        .unwrap_err();
+        let err =
+            parse(r#"{"type":"sim","source":"x","top":"p","trace":"off","trace_signals":["led"]}"#)
+                .unwrap_err();
         assert_eq!(err.kind, ErrorKind::Protocol);
         assert!(err.message.contains("trace_signals"), "{}", err.message);
     }
@@ -958,7 +997,9 @@ mod tests {
             Request::SessionPoke { value, .. } => assert_eq!(value, 42),
             other => panic!("not a poke request: {:?}", other),
         }
-        match parse(r#"{"type":"session.query","session":"s1","query":"drivers","signal":"top.a"}"#).unwrap() {
+        match parse(r#"{"type":"session.query","session":"s1","query":"drivers","signal":"top.a"}"#)
+            .unwrap()
+        {
             Request::SessionQuery { query, .. } => {
                 assert_eq!(query, QueryKind::Drivers("top.a".to_string()));
             }
@@ -966,14 +1007,16 @@ mod tests {
         }
         assert!(matches!(
             parse(r#"{"type":"session.query","session":"s1","query":"hierarchy"}"#).unwrap(),
-            Request::SessionQuery { query: QueryKind::Hierarchy, .. }
+            Request::SessionQuery {
+                query: QueryKind::Hierarchy,
+                ..
+            }
         ));
         assert!(matches!(
             parse(r#"{"type":"session.checkpoint","session":"s1"}"#).unwrap(),
             Request::SessionCheckpoint { .. }
         ));
-        match parse(r#"{"type":"session.restore","source":"x","top":"p","state":"4c48"}"#)
-            .unwrap()
+        match parse(r#"{"type":"session.restore","source":"x","top":"p","state":"4c48"}"#).unwrap()
         {
             Request::SessionRestore { state_hex, .. } => assert_eq!(state_hex, "4c48"),
             other => panic!("not a restore request: {:?}", other),
@@ -988,13 +1031,28 @@ mod tests {
     fn malformed_session_requests_are_protocol_errors() {
         for (text, needle) in [
             (r#"{"type":"session.step"}"#, "\"session\""),
-            (r#"{"type":"session.step","session":"s1","steps":0}"#, "at least 1"),
+            (
+                r#"{"type":"session.step","session":"s1","steps":0}"#,
+                "at least 1",
+            ),
             (r#"{"type":"session.peek","session":"s1"}"#, "\"signal\""),
-            (r#"{"type":"session.poke","session":"s1","signal":"a"}"#, "\"value\""),
+            (
+                r#"{"type":"session.poke","session":"s1","signal":"a"}"#,
+                "\"value\"",
+            ),
             (r#"{"type":"session.query","session":"s1"}"#, "\"query\""),
-            (r#"{"type":"session.query","session":"s1","query":"nope"}"#, "unknown \"query\""),
-            (r#"{"type":"session.query","session":"s1","query":"drivers"}"#, "\"signal\""),
-            (r#"{"type":"session.restore","source":"x","top":"p"}"#, "\"state\""),
+            (
+                r#"{"type":"session.query","session":"s1","query":"nope"}"#,
+                "unknown \"query\"",
+            ),
+            (
+                r#"{"type":"session.query","session":"s1","query":"drivers"}"#,
+                "\"signal\"",
+            ),
+            (
+                r#"{"type":"session.restore","source":"x","top":"p"}"#,
+                "\"state\"",
+            ),
             (r#"{"type":"session.create","top":"p"}"#, "\"source\""),
         ] {
             let err = parse(text).unwrap_err();
@@ -1025,7 +1083,10 @@ mod tests {
     #[test]
     fn responses_carry_the_envelope() {
         let ok = ok_response(Some(Json::Int(7)), Json::obj([("pong", Json::Bool(true))]));
-        assert_eq!(ok.to_string(), r#"{"v":1,"ok":true,"id":7,"result":{"pong":true}}"#);
+        assert_eq!(
+            ok.to_string(),
+            r#"{"v":1,"ok":true,"id":7,"result":{"pong":true}}"#
+        );
         let err = error_response(None, &ProtoError::new(ErrorKind::Parse, "bad"));
         assert_eq!(
             err.to_string(),
@@ -1072,9 +1133,15 @@ mod tests {
     fn retired_threads_field_is_ignored() {
         // Old clients may still send `threads`; it selects nothing, in any
         // form, and parses like the same request without it.
-        let plain = format!("{:?}", parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap());
+        let plain = format!(
+            "{:?}",
+            parse(r#"{"type":"sim","source":"x","top":"p"}"#).unwrap()
+        );
         for value in ["4", "65", r#""all""#] {
-            let text = format!(r#"{{"type":"sim","source":"x","top":"p","threads":{}}}"#, value);
+            let text = format!(
+                r#"{{"type":"sim","source":"x","top":"p","threads":{}}}"#,
+                value
+            );
             assert_eq!(format!("{:?}", parse(&text).unwrap()), plain, "{}", text);
         }
     }
@@ -1106,8 +1173,20 @@ mod tests {
     fn every_error_kind_round_trips_through_its_wire_name() {
         use ErrorKind::*;
         let all = [
-            Parse, Protocol, Source, Elaborate, Compile, Runtime, Backend, UnknownSignal,
-            UnknownDesign, UnknownSession, SessionLimit, Shutdown, DeadlineExceeded, Overloaded,
+            Parse,
+            Protocol,
+            Source,
+            Elaborate,
+            Compile,
+            Runtime,
+            Backend,
+            UnknownSignal,
+            UnknownDesign,
+            UnknownSession,
+            SessionLimit,
+            Shutdown,
+            DeadlineExceeded,
+            Overloaded,
             Internal,
         ];
         for kind in all {

@@ -48,7 +48,9 @@ pub struct Backoff {
 impl Backoff {
     /// A fresh schedule at the floor.
     pub fn new() -> Backoff {
-        Backoff { next: BACKOFF_FLOOR }
+        Backoff {
+            next: BACKOFF_FLOOR,
+        }
     }
 
     /// The sleep for the next retry: the server's hint when given,
@@ -76,11 +78,7 @@ impl Default for Backoff {
 ///
 /// Propagates transport failures from [`Client::request`] immediately
 /// (a broken connection is not cured by resending on it).
-pub fn request_with_retry(
-    client: &mut Client,
-    request: &Json,
-    attempts: u32,
-) -> io::Result<Json> {
+pub fn request_with_retry(client: &mut Client, request: &Json, attempts: u32) -> io::Result<Json> {
     let mut backoff = Backoff::new();
     let mut attempt = 1;
     loop {
@@ -98,15 +96,23 @@ mod tests {
     use super::*;
 
     fn error_response(fields: &[(&str, Json)]) -> Json {
-        let body: Vec<(String, Json)> =
-            fields.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+        let body: Vec<(String, Json)> = fields
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.clone()))
+            .collect();
         Json::obj([("ok", Json::Bool(false)), ("error", Json::Obj(body))])
     }
 
     #[test]
     fn classifies_retryability() {
-        assert!(is_retryable(&error_response(&[("retryable", Json::Bool(true))])));
-        assert!(!is_retryable(&error_response(&[("retryable", Json::Bool(false))])));
+        assert!(is_retryable(&error_response(&[(
+            "retryable",
+            Json::Bool(true)
+        )])));
+        assert!(!is_retryable(&error_response(&[(
+            "retryable",
+            Json::Bool(false)
+        )])));
         assert!(!is_retryable(&error_response(&[])));
         assert!(!is_retryable(&Json::obj([("ok", Json::Bool(true))])));
     }
@@ -127,7 +133,10 @@ mod tests {
         assert_eq!(backoff.delay(None), Duration::from_millis(10));
         assert_eq!(backoff.delay(None), Duration::from_millis(20));
         // A hint overrides this sleep but the schedule keeps advancing.
-        assert_eq!(backoff.delay(Some(Duration::from_millis(5))), Duration::from_millis(5));
+        assert_eq!(
+            backoff.delay(Some(Duration::from_millis(5))),
+            Duration::from_millis(5)
+        );
         assert_eq!(backoff.delay(None), Duration::from_millis(80));
         for _ in 0..10 {
             assert!(backoff.delay(None) <= BACKOFF_CAP);

@@ -289,7 +289,10 @@ impl ServerState {
         let cycles = AtomicUsize::new(0);
         config.control.probe = Some(Arc::new(move || {
             if cycles.fetch_add(1, Ordering::Relaxed) as u64 == at_cycle {
-                panic!("injected fault: simulation panic at cycle {} (site sim.panic)", at_cycle);
+                panic!(
+                    "injected fault: simulation panic at cycle {} (site sim.panic)",
+                    at_cycle
+                );
             }
         }));
     }
@@ -333,7 +336,10 @@ impl ServerState {
             plock(&self.registry).insert(key, Arc::clone(&module));
             return Ok((module, key));
         }
-        let text = spec.design.as_deref().expect("parser requires source or design");
+        let text = spec
+            .design
+            .as_deref()
+            .expect("parser requires source or design");
         let key = u128::from_str_radix(text, 16).map_err(|_| {
             ProtoError::new(
                 ErrorKind::Protocol,
@@ -380,7 +386,9 @@ impl ServerState {
                 "server is shutting down; no new simulations are accepted",
             ));
         }
-        let _permit = self.admission.admit(jobs.len(), self.fault_queue_pressure())?;
+        let _permit = self
+            .admission
+            .admit(jobs.len(), self.fault_queue_pressure())?;
         self.requests.fetch_add(jobs.len(), Ordering::Relaxed);
         let mut results = SimSession::run_batch(&jobs, Some(&self.cache)).into_iter();
         drop(jobs);
@@ -481,7 +489,11 @@ impl ServerState {
                 ),
             )
         };
-        let tx = plock(&self.sessions).map.get(id).cloned().ok_or_else(unknown)?;
+        let tx = plock(&self.sessions)
+            .map
+            .get(id)
+            .cloned()
+            .ok_or_else(unknown)?;
         let (reply_tx, reply_rx) = mpsc::channel();
         // A send/recv failure means the session exited between the table
         // lookup and the command (idle timeout or destroy won the race).
@@ -692,8 +704,8 @@ fn session_thread(
             SessionCmd::Query { query, reply } => (
                 reply,
                 catch_unwind(AssertUnwindSafe(|| {
-                    let index = index
-                        .get_or_insert_with(|| DesignQuery::build(&module, session.design()));
+                    let index =
+                        index.get_or_insert_with(|| DesignQuery::build(&module, session.design()));
                     run_query(&session, index, &query)
                 })),
             ),
@@ -722,12 +734,15 @@ fn session_thread(
     plock(&state.sessions).map.remove(&id);
     if let Some(reply) = destroy_reply {
         let kind = session.engine_kind();
-        let outcome = session
-            .finish()
-            .map_err(ProtoError::from)
-            .map(|result| {
-                sim_result_json(&format!("{:032x}", key), &spec.top, kind, spec.trace, &result)
-            });
+        let outcome = session.finish().map_err(ProtoError::from).map(|result| {
+            sim_result_json(
+                &format!("{:032x}", key),
+                &spec.top,
+                kind,
+                spec.trace,
+                &result,
+            )
+        });
         let _ = reply.send(outcome);
     }
 }
@@ -809,11 +824,7 @@ fn peek_session(session: &SimSession, signal: &str) -> Result<Json, ProtoError> 
 }
 
 /// `session.poke`: drive one signal with an integer value of its width.
-fn poke_session(
-    session: &mut SimSession,
-    signal: &str,
-    value: u128,
-) -> Result<Json, ProtoError> {
+fn poke_session(session: &mut SimSession, signal: &str, value: u128) -> Result<Json, ProtoError> {
     let current = session.peek(signal)?;
     let width = current.as_int().map(|i| i.width()).ok_or_else(|| {
         ProtoError::new(
@@ -828,7 +839,10 @@ fn poke_session(
     if !fits {
         return Err(ProtoError::new(
             ErrorKind::Protocol,
-            format!("value {} does not fit signal {:?} (i{})", value, signal, width),
+            format!(
+                "value {} does not fit signal {:?} (i{})",
+                value, signal, width
+            ),
         ));
     }
     session.poke(signal, ConstValue::int(width, value as u64))?;
@@ -1140,8 +1154,9 @@ impl Client {
     pub fn request<T: Display + ?Sized>(&mut self, request: &T) -> io::Result<Json> {
         write_line(&mut self.writer, &mut self.out, request)?;
         match self.lines.next_line() {
-            Ok(Some(line)) => Json::parse(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e)),
+            Ok(Some(line)) => {
+                Json::parse(&line).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+            }
             Ok(None) => Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "server closed the connection",
