@@ -26,6 +26,14 @@ if grep -nE 'std::thread|mpsc|VecDeque' crates/llhd-router/src/pool.rs; then
     echo "ci.sh: pool.rs names std::thread/mpsc/VecDeque; a worker call reads its reply on the calling thread" >&2; exit 1
 fi
 
+# One-session-table guard: an interactive session is an entry in the
+# server's session table, and a session command runs on the thread of
+# the connection that sent it, under the entry's lock. No session
+# thread, command enum or reply channel may come back.
+if grep -nE '\bSessionCmd\b|\bfn session_thread\b|mpsc' crates/llhd-server/src/server.rs; then
+    echo "ci.sh: server.rs names SessionCmd/session_thread/mpsc; run session commands on the connection thread" >&2; exit 1
+fi
+
 # One-instruction-set guard: blaze has no lowering knobs and one
 # instruction set. `BlazeOptions`, `compile_design_with` and
 # `compile_unit_with` are inert shims that only the frozen `benchmark/`
@@ -50,14 +58,16 @@ if grep -nE '\bfn function_inst\b|\bstruct Frame\b|\benum Flow\b' crates/llhd-si
     echo "ci.sh: a second interpreter dispatcher is back; run every body through run_body" >&2; exit 1
 fi
 
-# Format gate for the lowering layer and both engines: `llhd::analysis`,
-# every `llhd-opt` source and every `llhd-sim` and `llhd-blaze` source
+# Format gate for the lowering layer, both engines and the serving
+# stack: `llhd::analysis`, every `llhd-opt` source, every `llhd-sim` and
+# `llhd-blaze` source and every `llhd-server` and `llhd-router` source
 # stay rustfmt-clean. The rest of the workspace is not rustfmt-clean yet,
 # so `cargo fmt --check` cannot be the gate; a file joins this list once
 # it is formatted.
 rustfmt --edition 2021 --check crates/llhd/src/analysis/*.rs \
     crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs \
-    crates/llhd-sim/src/*.rs crates/llhd-blaze/src/*.rs || {
+    crates/llhd-sim/src/*.rs crates/llhd-blaze/src/*.rs \
+    crates/llhd-server/src/*.rs crates/llhd-router/src/*.rs || {
     echo "ci.sh: a formatted layer is not rustfmt-clean; run rustfmt --edition 2021 on it" >&2
     exit 1
 }

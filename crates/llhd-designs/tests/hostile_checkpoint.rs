@@ -109,3 +109,34 @@ fn corrupt_checkpoints_never_panic_inside_restore() {
         );
     }
 }
+
+/// A checkpoint count is a varint of up to 128 bits, so one past
+/// `usize::MAX` must be refused, not wrapped: slot count 2^64 + n in a
+/// halted process's interpreter blob would otherwise read back as n and
+/// restore.
+#[test]
+fn a_count_past_usize_max_is_refused_not_wrapped() {
+    let module = llhd::assembly::parse_module("proc @p () -> () {\nentry:\n    halt\n}\n").unwrap();
+    let design = Arc::new(llhd_sim::elaborate(&module, "p").unwrap());
+    let fresh = || Simulator::new(&module, Arc::clone(&design), SimConfig::until_nanos(10));
+    let mut sim = fresh();
+    sim.initialize().unwrap();
+    let blob = sim.checkpoint().unwrap().as_bytes().to_vec();
+    // The one instance's state ends the blob: halted, epoch 1, the slot
+    // count, no live slot, no live memory cell, no `reg` sample.
+    let n = blob.len();
+    assert_eq!(
+        (blob[n - 6], blob[n - 5], &blob[n - 3..]),
+        (2, 1, &[0, 0, 0][..])
+    );
+    let mut bytes = blob[..n - 4].to_vec();
+    llhd::bitcode::write_varint(&mut bytes, (1u128 << 64) + u128::from(blob[n - 4]));
+    bytes.extend_from_slice(&blob[n - 3..]);
+    let err = fresh()
+        .restore(&EngineState::from_bytes(bytes).unwrap())
+        .unwrap_err();
+    assert!(err.to_string().contains("corrupt engine checkpoint"), "{err}");
+    fresh()
+        .restore(&EngineState::from_bytes(blob).unwrap())
+        .unwrap();
+}

@@ -141,7 +141,7 @@ pub fn run_spec(
         )),
         EngineSpec::Interp => None,
     };
-    let make_engine = || -> Box<dyn Engine + '_> {
+    let make_engine = || -> Box<dyn Engine> {
         match &compiled {
             Some(c) => Box::new(BlazeSimulator::new(c.clone(), config()).into_driver()),
             None => Box::new(Simulator::new(module, elaborated.clone(), config())),

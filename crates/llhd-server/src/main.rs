@@ -13,7 +13,8 @@
 //!   --stats-interval SECS  log a stats line to stderr every SECS seconds
 //!                          (default 30; 0 disables)
 //!   --session-cap N        allow at most N open interactive sessions (default 64)
-//!   --session-idle SECS    destroy sessions idle for SECS seconds (default 600)
+//!   --session-idle SECS    expire sessions idle for SECS seconds (default 600;
+//!                          checked on touch, session.create and stats)
 //!   --queue-cap N          shed jobs past N in flight (admitted, not yet
 //!                          answered) with a retryable `overloaded` error
 //!                          (default: unbounded)

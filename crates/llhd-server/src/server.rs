@@ -4,10 +4,11 @@
 //! # Architecture
 //!
 //! ```text
-//!  TCP clients ──► one thread per connection ─┐
-//!                                             ├─► handle_line ─► SimSession::run_batch
-//!  stdio client ─► the serving thread ────────┘    (on the thread that read the line)
-//!           shared: DesignCache + module registry + admission gate
+//!  TCP clients ──► one thread per connection ─┐    ┌─► SimSession::run_batch
+//!                                             ├─► handle_line
+//!  stdio client ─► the serving thread ────────┘    └─► session table entry, locked
+//!                                                   (on the thread that read the line)
+//!           shared: DesignCache + module registry + admission gate + session table
 //! ```
 //!
 //! Each connection is read line by line and has at most one request
@@ -20,6 +21,13 @@
 //! locking), and repeat requests are served from the warmed cache — an
 //! engine over a cached compiled design costs a reference-count bump plus
 //! a register file clone.
+//!
+//! An interactive session is an entry in the session table, not a
+//! thread: it owns its engine and its module, and a `session.*` command
+//! runs on the thread of the connection that sent it, under the entry's
+//! lock, so commands to one session run one at a time. Idle
+//! expiry is checked when a session is touched, on `session.create` and
+//! on `stats`.
 //!
 //! Shutdown is graceful: once it begins, new jobs are refused with an
 //! error of kind `shutdown`, and a job admitted before that runs to
@@ -48,7 +56,7 @@ use crate::front::{
 use crate::json::Json;
 use crate::protocol::{
     batch_entry, error_response, hex_decode, hex_encode, ok_response, request_id, sim_result_json,
-    stats_json, ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec,
+    stats_json, ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec, TraceMode,
 };
 use crate::wire::{write_line, LineReader};
 use llhd::assembly::parse_module;
@@ -63,7 +71,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -79,9 +87,9 @@ fn plock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The default cap on concurrently open interactive sessions.
 const DEFAULT_SESSION_CAP: usize = 64;
 
-/// The default per-session idle timeout: a session that receives no
-/// command for this long is destroyed (its engine state is dropped; a
-/// client that checkpointed can restore).
+/// The default per-session idle timeout: a session that has received no
+/// command for this long expires (its engine state is dropped; a client
+/// that checkpointed can restore).
 const DEFAULT_SESSION_IDLE: Duration = Duration::from_secs(600);
 
 /// Server construction options.
@@ -96,8 +104,11 @@ pub struct ServerConfig {
     /// built-in default (64). Unlike `cache_capacity`, sessions hold a
     /// live engine each, so there is always *some* cap.
     pub session_cap: Option<usize>,
-    /// Destroy a session that receives no command for this long.
-    /// `None`: the built-in default (10 minutes).
+    /// Expire a session that has received no command for this long.
+    /// Expiry is checked when the session is next touched, on every
+    /// `session.create` and on every `stats`; until then an abandoned
+    /// session's engine stays resident, and `session_cap` bounds how many
+    /// do. `None`: the built-in default (10 minutes).
     pub session_idle_timeout: Option<Duration>,
     /// Cap on jobs in flight (admitted and not yet answered): a job
     /// group that would push the count past it is shed with a retryable
@@ -163,49 +174,73 @@ impl Registry {
             Arc::clone(module)
         })
     }
+}
 
-    fn remove(&mut self, key: u128) {
-        self.modules.remove(&key);
+/// One open interactive session: its engine and what its commands and
+/// `finish` read.
+struct Session {
+    sim: SimSession,
+    /// The module the session was built from, for the query index.
+    module: Arc<Module>,
+    key: u128,
+    top: String,
+    trace: TraceMode,
+    /// The connectivity index, built on the first `session.query`: pure
+    /// step/peek/poke sessions never pay for it.
+    index: Option<DesignQuery>,
+    last_used: Instant,
+}
+
+/// A session table entry. Its lock serializes the session's commands;
+/// `None` once the session has ended (destroy, idle expiry, a panic), so
+/// a command that looked it up before that answers `unknown_session`.
+type SessionEntry = Arc<Mutex<Option<Session>>>;
+
+/// The open-session table: id → session. A command runs on the thread of
+/// the connection that sent it, under its entry's lock; a removed entry
+/// (destroy, idle expiry, shutdown) is dropped once no command holds it.
+#[derive(Default)]
+struct Sessions {
+    map: HashMap<String, SessionEntry>,
+    counter: u64,
+}
+
+impl Sessions {
+    /// Look up `id`; an entry idle past `idle` is removed instead.
+    fn get(&mut self, id: &str, idle: Duration) -> Result<SessionEntry, ProtoError> {
+        let entry = self.map.get(id).ok_or_else(|| unknown_session(id))?;
+        if expire(entry, idle) {
+            self.map.remove(id);
+            return Err(unknown_session(id));
+        }
+        Ok(Arc::clone(entry))
+    }
+
+    /// Remove every entry idle past `idle`; the number left open.
+    fn sweep(&mut self, idle: Duration) -> usize {
+        self.map.retain(|_, entry| !expire(entry, idle));
+        self.map.len()
     }
 }
 
-/// One command to an interactive session's thread. Every command carries
-/// its own reply channel; the connection thread blocks on it, so each
-/// session processes its commands strictly in order.
-enum SessionCmd {
-    Step {
-        steps: usize,
-        deadline_ms: Option<u64>,
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
-    Peek {
-        signal: String,
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
-    Poke {
-        signal: String,
-        value: u128,
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
-    Query {
-        query: QueryKind,
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
-    Checkpoint {
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
-    Destroy {
-        reply: mpsc::Sender<Result<Json, ProtoError>>,
-    },
+/// Whether a session is over: ended, or unlocked and untouched for
+/// `idle`, in which case it ends here. A locked session is busy, so it
+/// never counts as idle.
+fn expire(entry: &Mutex<Option<Session>>, idle: Duration) -> bool {
+    let mut slot = match entry.try_lock() {
+        Ok(slot) => slot,
+        Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        Err(TryLockError::WouldBlock) => return false,
+    };
+    if slot.as_ref().is_some_and(|s| s.last_used.elapsed() >= idle) {
+        *slot = None;
+    }
+    slot.is_none()
 }
 
-/// The open-session table: id → command channel. A session's thread owns
-/// its engine; dropping the sender here (idle timeout, destroy, server
-/// shutdown) makes the thread exit after draining queued commands.
-#[derive(Default)]
-struct Sessions {
-    map: HashMap<String, mpsc::Sender<SessionCmd>>,
-    counter: u64,
+fn unknown_session(id: &str) -> ProtoError {
+    let message = format!("session {id:?} does not exist (expired, destroyed, or never created)");
+    ProtoError::new(ErrorKind::UnknownSession, message)
 }
 
 /// Shared state of one running server: the design cache, the module
@@ -225,7 +260,7 @@ pub struct ServerState {
     sessions: Mutex<Sessions>,
     /// Cap on concurrently open sessions.
     session_cap: usize,
-    /// Idle timeout after which a session self-destroys.
+    /// Idle timeout after which a session expires.
     session_idle: Duration,
     /// Jobs in flight, their cap (`queue_cap`) and the shed count.
     admission: Admission,
@@ -300,28 +335,17 @@ impl ServerState {
     #[cfg(not(feature = "fault-injection"))]
     fn arm_fault_probe(&self, _config: &mut SimConfig) {}
 
-    /// The shared design cache (exposed for tests and benchmarks).
-    pub fn cache(&self) -> &DesignCache {
-        &self.cache
-    }
-
-    /// The identity this server reports in `ping`/`stats` responses.
-    pub fn server_id(&self) -> &str {
-        &self.server_id
-    }
-
     /// Whether shutdown has begun.
     pub fn shutting_down(&self) -> bool {
         self.latch.is_set()
     }
 
-    /// Begin graceful shutdown: refuse new jobs and sessions, end the
-    /// session threads, and unblock the accept loop. Jobs already
-    /// admitted run to completion on their connection threads.
+    /// Begin graceful shutdown: refuse new jobs and sessions, drop the
+    /// session table, and unblock the accept loop. Jobs already admitted,
+    /// and session commands already running (each holds its own session),
+    /// run to completion on their connection threads.
     pub fn begin_shutdown(&self) {
         self.latch.set();
-        // Dropping the command senders ends every session thread after it
-        // drains already-queued commands (those replies still arrive).
         plock(&self.sessions).map.clear();
     }
 
@@ -418,7 +442,7 @@ impl ServerState {
                     // capacity (evicting designs the cache still serves)
                     // for a key nobody can use.
                     if spec.source.is_some() && matches!(e, llhd_sim::api::Error::Elaborate(_)) {
-                        plock(&self.registry).remove(key);
+                        plock(&self.registry).modules.remove(&key);
                     }
                     Err(e.into())
                 }
@@ -429,8 +453,10 @@ impl ServerState {
 
     /// Open a new interactive session (optionally restoring a checkpoint
     /// into it) and return the `session.create`/`session.restore` payload.
+    /// The engine is built on the calling thread; idle sessions are swept
+    /// before the cap check.
     fn create_session(
-        self: &Arc<Self>,
+        &self,
         spec: SimJobSpec,
         restore: Option<EngineState>,
     ) -> Result<Json, ProtoError> {
@@ -441,64 +467,98 @@ impl ServerState {
             ));
         }
         let (module, key) = self.resolve_module(&spec)?;
-        let (tx, rx) = mpsc::channel();
-        let id = {
-            let mut sessions = plock(&self.sessions);
-            if sessions.map.len() >= self.session_cap {
-                return Err(ProtoError::new(
-                    ErrorKind::SessionLimit,
-                    format!(
-                        "session cap of {} reached; destroy a session first",
-                        self.session_cap
-                    ),
-                ));
-            }
-            sessions.counter += 1;
-            let id = format!("s{}", sessions.counter);
-            sessions.map.insert(id.clone(), tx);
-            id
-        };
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let state = Arc::clone(self);
-        let thread_id = id.clone();
-        std::thread::spawn(move || {
-            session_thread(state, thread_id, module, key, spec, restore, rx, ready_tx)
-        });
-        // The thread reports either the session payload or a build/restore
-        // failure (in which case it has already removed itself).
-        ready_rx.recv().unwrap_or_else(|_| {
-            Err(ProtoError::new(
-                ErrorKind::Runtime,
-                "session thread died during startup",
-            ))
-        })
+        let mut sim = SimSession::builder(&module, &spec.top)
+            .engine(spec.engine)
+            .config(spec.sim_config())
+            .cache(&self.cache)
+            .cache_key(key)
+            .build()?;
+        if let Some(snapshot) = &restore {
+            sim.restore(snapshot)?;
+        }
+        let engine = sim.engine_name();
+        let mut sessions = plock(&self.sessions);
+        if sessions.sweep(self.session_idle) >= self.session_cap {
+            return Err(ProtoError::new(
+                ErrorKind::SessionLimit,
+                format!(
+                    "session cap of {} reached; destroy a session first",
+                    self.session_cap
+                ),
+            ));
+        }
+        sessions.counter += 1;
+        let id = format!("s{}", sessions.counter);
+        let entry = Arc::new(Mutex::new(Some(Session {
+            sim,
+            module,
+            key,
+            top: spec.top,
+            trace: spec.trace,
+            index: None,
+            last_used: Instant::now(),
+        })));
+        sessions.map.insert(id.clone(), entry);
+        Ok(Json::obj([
+            ("session", Json::str(id)),
+            ("design", Json::str(format!("{:032x}", key))),
+            ("engine", Json::str(engine)),
+            ("restored", Json::Bool(restore.is_some())),
+        ]))
     }
 
-    /// Route one command to a session's thread and wait for the reply.
-    fn session_request(
+    /// Run one command on session `id` on the calling thread, under the
+    /// session's lock and inside its own panic domain. A panic ends the
+    /// session (its engine may be mid-update) and answers
+    /// `internal_error`; the server and every other session keep running.
+    fn with_session(
         &self,
         id: &str,
-        make: impl FnOnce(mpsc::Sender<Result<Json, ProtoError>>) -> SessionCmd,
+        command: impl FnOnce(&mut Session) -> Result<Json, ProtoError>,
     ) -> Result<Json, ProtoError> {
-        let unknown = || {
-            ProtoError::new(
-                ErrorKind::UnknownSession,
-                format!(
-                    "session {:?} does not exist (expired, destroyed, or never created)",
-                    id
-                ),
-            )
+        let entry = plock(&self.sessions).get(id, self.session_idle)?;
+        let mut slot = plock(&entry);
+        let session = slot.as_mut().ok_or_else(|| unknown_session(id))?;
+        match catch_unwind(AssertUnwindSafe(|| command(session))) {
+            Ok(outcome) => {
+                session.last_used = Instant::now();
+                outcome
+            }
+            Err(payload) => {
+                *slot = None;
+                drop(slot);
+                plock(&self.sessions).map.remove(id);
+                self.note_panic();
+                Err(ProtoError::new(
+                    ErrorKind::Internal,
+                    format!(
+                        "session command panicked: {} (the session has been destroyed)",
+                        panic_message(&*payload)
+                    ),
+                ))
+            }
+        }
+    }
+
+    /// `session.destroy`: take the session out of the table, wait for a
+    /// command still running on it, and render its final result.
+    fn destroy_session(&self, id: &str) -> Result<Json, ProtoError> {
+        let entry = {
+            let mut sessions = plock(&self.sessions);
+            let entry = sessions.get(id, self.session_idle)?;
+            sessions.map.remove(id);
+            entry
         };
-        let tx = plock(&self.sessions)
-            .map
-            .get(id)
-            .cloned()
-            .ok_or_else(unknown)?;
-        let (reply_tx, reply_rx) = mpsc::channel();
-        // A send/recv failure means the session exited between the table
-        // lookup and the command (idle timeout or destroy won the race).
-        tx.send(make(reply_tx)).map_err(|_| unknown())?;
-        reply_rx.recv().unwrap_or_else(|_| Err(unknown()))
+        let session = plock(&entry).take().ok_or_else(|| unknown_session(id))?;
+        let (key, kind) = (format!("{:032x}", session.key), session.sim.engine_kind());
+        let result = session.sim.finish()?;
+        Ok(sim_result_json(
+            &key,
+            &session.top,
+            kind,
+            session.trace,
+            &result,
+        ))
     }
 
     /// Handle one request line, returning the response and whether the
@@ -530,7 +590,7 @@ impl ServerState {
                     queue_cap: self.admission.cap(),
                     inflight: self.admission.inflight(),
                     shed: self.admission.shed(),
-                    open_sessions: plock(&self.sessions).map.len(),
+                    open_sessions: plock(&self.sessions).sweep(self.session_idle),
                     panics_caught: self.panics_caught.load(Ordering::Relaxed),
                 };
                 Ok(stats_json(
@@ -565,32 +625,25 @@ impl ServerState {
                 session,
                 steps,
                 deadline_ms,
-            } => self.session_request(&session, |reply| SessionCmd::Step {
-                steps,
-                deadline_ms,
-                reply,
-            }),
+            } => self.with_session(&session, |s| step_session(&mut s.sim, steps, deadline_ms)),
             Request::SessionPeek { session, signal } => {
-                self.session_request(&session, |reply| SessionCmd::Peek { signal, reply })
+                self.with_session(&session, |s| peek_session(&s.sim, &signal))
             }
             Request::SessionPoke {
                 session,
                 signal,
                 value,
-            } => self.session_request(&session, |reply| SessionCmd::Poke {
-                signal,
-                value,
-                reply,
+            } => self.with_session(&session, |s| poke_session(&mut s.sim, &signal, value)),
+            Request::SessionQuery { session, query } => self.with_session(&session, |s| {
+                let index = s
+                    .index
+                    .get_or_insert_with(|| DesignQuery::build(&s.module, s.sim.design()));
+                run_query(&s.sim, index, &query)
             }),
-            Request::SessionQuery { session, query } => {
-                self.session_request(&session, |reply| SessionCmd::Query { query, reply })
-            }
             Request::SessionCheckpoint { session } => {
-                self.session_request(&session, |reply| SessionCmd::Checkpoint { reply })
+                self.with_session(&session, |s| checkpoint_session(&s.sim))
             }
-            Request::SessionDestroy { session } => {
-                self.session_request(&session, |reply| SessionCmd::Destroy { reply })
-            }
+            Request::SessionDestroy { session } => self.destroy_session(&session),
         };
         let response = match outcome {
             Ok(result) => ok_response(id, result),
@@ -621,171 +674,27 @@ impl ServerState {
     }
 }
 
-/// The body of one interactive session: build the engine on this thread's
-/// stack (optionally restoring a checkpoint), report readiness, then
-/// serve commands until destroy, idle timeout, or server shutdown. The
-/// thread owns its `Arc<Module>`, so cache eviction never disturbs it.
-#[allow(clippy::too_many_arguments)]
-fn session_thread(
-    state: Arc<ServerState>,
-    id: String,
-    module: Arc<Module>,
-    key: u128,
-    spec: SimJobSpec,
-    restore: Option<EngineState>,
-    rx: mpsc::Receiver<SessionCmd>,
-    ready: mpsc::Sender<Result<Json, ProtoError>>,
-) {
-    let built = (|| -> Result<SimSession, ProtoError> {
-        let mut session = SimSession::builder(&module, &spec.top)
-            .engine(spec.engine)
-            .config(spec.sim_config())
-            .cache(&state.cache)
-            .cache_key(key)
-            .build()?;
-        if let Some(snapshot) = &restore {
-            session.restore(snapshot)?;
-        }
-        Ok(session)
-    })();
-    let mut session = match built {
-        Ok(session) => session,
-        Err(e) => {
-            plock(&state.sessions).map.remove(&id);
-            let _ = ready.send(Err(e));
-            return;
-        }
-    };
-    let _ = ready.send(Ok(Json::obj([
-        ("session", Json::str(id.clone())),
-        ("design", Json::str(format!("{:032x}", key))),
-        ("engine", Json::str(session.engine_name())),
-        ("restored", Json::Bool(restore.is_some())),
-    ])));
-    // The connectivity index is built on first use: pure step/peek/poke
-    // sessions never pay for it.
-    let mut index: Option<DesignQuery> = None;
-    let destroy_reply = loop {
-        let cmd = match rx.recv_timeout(state.session_idle) {
-            Ok(cmd) => cmd,
-            // Idle timeout, or the server dropped the handle (shutdown).
-            Err(_) => break None,
-        };
-        // Each command runs inside its own panic domain. A panicking
-        // handler costs this session its life (the engine may be mid-
-        // update), but the command is still answered and the server —
-        // and every other session — keeps running.
-        let (reply, outcome) = match cmd {
-            SessionCmd::Destroy { reply } => break Some(reply),
-            SessionCmd::Step {
-                steps,
-                deadline_ms,
-                reply,
-            } => (
-                reply,
-                catch_unwind(AssertUnwindSafe(|| {
-                    step_session(&mut session, steps, deadline_ms)
-                })),
-            ),
-            SessionCmd::Peek { signal, reply } => (
-                reply,
-                catch_unwind(AssertUnwindSafe(|| peek_session(&session, &signal))),
-            ),
-            SessionCmd::Poke {
-                signal,
-                value,
-                reply,
-            } => (
-                reply,
-                catch_unwind(AssertUnwindSafe(|| {
-                    poke_session(&mut session, &signal, value)
-                })),
-            ),
-            SessionCmd::Query { query, reply } => (
-                reply,
-                catch_unwind(AssertUnwindSafe(|| {
-                    let index =
-                        index.get_or_insert_with(|| DesignQuery::build(&module, session.design()));
-                    run_query(&session, index, &query)
-                })),
-            ),
-            SessionCmd::Checkpoint { reply } => (
-                reply,
-                catch_unwind(AssertUnwindSafe(|| checkpoint_session(&session))),
-            ),
-        };
-        match outcome {
-            Ok(result) => {
-                let _ = reply.send(result);
-            }
-            Err(payload) => {
-                state.note_panic();
-                let _ = reply.send(Err(ProtoError::new(
-                    ErrorKind::Internal,
-                    format!(
-                        "session command panicked: {} (the session has been destroyed)",
-                        panic_message(&*payload)
-                    ),
-                )));
-                break None;
-            }
-        }
-    };
-    plock(&state.sessions).map.remove(&id);
-    if let Some(reply) = destroy_reply {
-        let kind = session.engine_kind();
-        let outcome = session.finish().map_err(ProtoError::from).map(|result| {
-            sim_result_json(
-                &format!("{:032x}", key),
-                &spec.top,
-                kind,
-                spec.trace,
-                &result,
-            )
-        });
-        let _ = reply.send(outcome);
-    }
-}
-
 /// `session.step`: advance up to `steps` scheduler cycles, optionally
 /// bounded by a wall-clock budget. A blown budget is reported with the
 /// progress made (`steps_taken`, `end_time_fs`) and does *not* destroy
-/// the session — the abort happens between cycles, where engine state is
+/// the session — the engine checks it between cycles, where its state is
 /// consistent, so the client can simply step again.
 fn step_session(
     session: &mut SimSession,
     steps: usize,
     deadline_ms: Option<u64>,
 ) -> Result<Json, ProtoError> {
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    if let Some(deadline) = deadline {
-        session.set_control(RunControl::with_deadline(deadline));
+    if let Some(ms) = deadline_ms {
+        session.set_control(RunControl::deadline_in(Duration::from_millis(ms)));
     }
-    let mut taken = 0usize;
-    let mut more = true;
-    let outcome = loop {
-        if taken >= steps || !more {
-            break Ok(());
+    let (mut taken, mut more) = (0usize, true);
+    let outcome = (|| {
+        while taken < steps && more {
+            (more, taken) = (session.step()?, taken + 1);
         }
-        // Belt and braces: the engine checks the deadline at the top of
-        // each cycle too; this check keeps the `steps` loop bounded on
-        // its own.
-        if let Some(deadline) = deadline {
-            if Instant::now() >= deadline {
-                break Err(llhd_sim::api::Error::DeadlineExceeded {
-                    time_fs: session.time().as_femtos(),
-                });
-            }
-        }
-        match session.step() {
-            Ok(m) => {
-                more = m;
-                taken += 1;
-            }
-            Err(e) => break Err(e),
-        }
-    };
-    if deadline.is_some() {
+        Ok(())
+    })();
+    if deadline_ms.is_some() {
         session.set_control(RunControl::default());
     }
     match outcome {
@@ -801,26 +710,17 @@ fn step_session(
     }
 }
 
-/// A signal value on the wire: always the printed form, plus the plain
-/// integer when the value is one.
-fn value_fields(value: &ConstValue) -> Vec<(String, Json)> {
-    let mut fields = vec![("value".to_string(), Json::str(value.to_string()))];
-    if let Some(n) = value.to_u64() {
-        fields.push(("value_int".to_string(), Json::uint(n as u128)));
-    }
-    fields
-}
-
-/// `session.peek`: read one signal.
+/// `session.peek`: read one signal. The value is always in its printed
+/// form, plus the plain integer when it is one.
 fn peek_session(session: &SimSession, signal: &str) -> Result<Json, ProtoError> {
     let value = session.peek(signal)?;
-    let mut fields = vec![("signal".to_string(), Json::str(signal))];
-    fields.extend(value_fields(&value));
-    fields.push((
-        "time_fs".to_string(),
-        Json::uint(session.time().as_femtos()),
-    ));
-    Ok(Json::Obj(fields))
+    let mut fields = vec![("signal", Json::str(signal))];
+    fields.push(("value", Json::str(value.to_string())));
+    if let Some(n) = value.to_u64() {
+        fields.push(("value_int", Json::uint(n as u128)));
+    }
+    fields.push(("time_fs", Json::uint(session.time().as_femtos())));
+    Ok(Json::obj(fields))
 }
 
 /// `session.poke`: drive one signal with an integer value of its width.

@@ -1460,3 +1460,100 @@ fn unbounded_recursion_is_an_error_response_not_a_dead_server() {
     shutdown(&mut client);
     running.join().unwrap();
 }
+
+/// Commands to one session from two connections run one at a time, on
+/// the threads that read them: 50 single steps from each of two
+/// concurrent connections leave the session where 100 steps from one
+/// connection leave a fresh session of the same design.
+#[test]
+fn concurrent_steps_to_one_session_run_one_at_a_time() {
+    let running = spawn(ServerConfig::default());
+    let addr = running.addr();
+    fn create(client: &mut Client) -> String {
+        session_id(&ok_result(
+            client,
+            vec![
+                ("type", Json::str("session.create")),
+                ("source", Json::str(COUNTER)),
+                ("top", Json::str("counter")),
+                ("engine", Json::str("interpret")),
+                ("until_ns", Json::Int(1_000_000)),
+            ],
+        ))
+    }
+    fn step(client: &mut Client, id: &str) {
+        let stepped = ok_result(
+            client,
+            vec![
+                ("type", Json::str("session.step")),
+                ("session", Json::str(id)),
+                ("steps", Json::Int(1)),
+            ],
+        );
+        assert_eq!(stepped.get("steps"), Some(&Json::Int(1)), "{}", stepped);
+    }
+    fn peek(client: &mut Client, id: &str) -> (Json, Json) {
+        let peeked = ok_result(
+            client,
+            vec![
+                ("type", Json::str("session.peek")),
+                ("session", Json::str(id)),
+                ("signal", Json::str("counter.out")),
+            ],
+        );
+        let field = |name| peeked.get(name).cloned().unwrap();
+        (field("time_fs"), field("value"))
+    }
+    let mut client = Client::connect(addr).unwrap();
+    let shared = create(&mut client);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                let mut client = Client::connect(addr).unwrap();
+                for _ in 0..50 {
+                    step(&mut client, &shared);
+                }
+            });
+        }
+    });
+    let fresh = create(&mut client);
+    for _ in 0..100 {
+        step(&mut client, &fresh);
+    }
+    let expected = peek(&mut client, &fresh);
+    assert_ne!(expected.0, Json::Int(0), "100 steps did not advance time");
+    assert_eq!(peek(&mut client, &shared), expected);
+    shutdown(&mut client);
+    running.join().unwrap();
+}
+
+/// A session left idle past the idle timeout no longer counts as open in
+/// `stats`: the stats request itself sweeps it out of the table.
+#[test]
+fn an_idle_session_leaves_the_open_session_count() {
+    let running = spawn(ServerConfig {
+        session_idle_timeout: Some(Duration::from_millis(500)),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(running.addr()).unwrap();
+    ok_result(
+        &mut client,
+        vec![
+            ("type", Json::str("session.create")),
+            ("source", Json::str(BLINK)),
+            ("top", Json::str("blink")),
+            ("engine", Json::str("interpret")),
+            ("until_ns", Json::Int(100)),
+        ],
+    );
+    let open_sessions = |client: &mut Client| {
+        let stats = ok_result(client, vec![("type", Json::str("stats"))]);
+        let load = stats.get("load").and_then(|l| l.get("open_sessions"));
+        load.and_then(Json::as_int)
+    };
+    assert_eq!(open_sessions(&mut client), Some(1));
+    std::thread::sleep(Duration::from_millis(1000));
+    assert_eq!(open_sessions(&mut client), Some(0));
+    shutdown(&mut client);
+    running.join().unwrap();
+}

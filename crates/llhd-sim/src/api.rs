@@ -174,6 +174,9 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// uninterrupted run — both engines share the scheduling core in
 /// [`crate::sched`], which is what makes this guarantee cheap.
 ///
+/// An engine owns everything it reads (`Send`), so a session can live in
+/// a table and be driven from whichever thread holds it next.
+///
 /// Most callers never touch this trait directly — [`SimSession`] wraps it
 /// — but generic drivers can hold any engine behind `Box<dyn Engine>`:
 ///
@@ -202,7 +205,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// while engine.step().unwrap() {}
 /// assert_eq!(engine.finish().signal_changes, 1);
 /// ```
-pub trait Engine {
+pub trait Engine: Send {
     /// A short name for diagnostics ("interp", "blaze").
     fn engine_name(&self) -> &'static str;
     /// Run the initialization phase (idempotent; `step` calls it).
@@ -1140,7 +1143,7 @@ impl<'m> SessionBuilder<'m> {
     /// Fails on elaboration or compilation errors, and with
     /// [`Error::BackendUnavailable`] when [`EngineKind::Compile`] is
     /// requested without a registered backend.
-    pub fn build(self) -> Result<SimSession<'m>, Error> {
+    pub fn build(self) -> Result<SimSession, Error> {
         let kind = match self.kind {
             EngineKind::Auto if compile_backend().is_some() => EngineKind::Compile,
             EngineKind::Auto => EngineKind::Interpret,
@@ -1161,7 +1164,7 @@ impl<'m> SessionBuilder<'m> {
             "SessionBuilder::cache_key does not match the module's fingerprint"
         );
         let mut unit_stats = Vec::new();
-        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine + 'm>) = if kind
+        let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine>) = if kind
             == EngineKind::Compile
         {
             let backend = compile_backend().ok_or_else(|| {
@@ -1213,6 +1216,11 @@ impl<'m> SessionBuilder<'m> {
 /// deterministic: any chunking reproduces the uninterrupted trace byte
 /// for byte.
 ///
+/// A built session borrows nothing: the interpreter keeps its own copy of
+/// the module, the compiled engine its artifact. It is `Send`, so it can
+/// outlive the module it was built from, sit in a table and be driven
+/// from whichever thread holds it next, one command at a time.
+///
 /// ```
 /// use llhd_sim::api::{EngineKind, SimSession};
 /// use llhd::value::ConstValue;
@@ -1241,8 +1249,8 @@ impl<'m> SessionBuilder<'m> {
 /// while session.step().unwrap() {}                      // one cycle at a time
 /// assert_eq!(session.peek("q").unwrap(), ConstValue::int(8, 42));
 /// ```
-pub struct SimSession<'m> {
-    engine: Box<dyn Engine + 'm>,
+pub struct SimSession {
+    engine: Box<dyn Engine>,
     design: Arc<ElaboratedDesign>,
     kind: EngineKind,
     /// The first `initialize`/`step` failure; `finish` replays it rather
@@ -1253,9 +1261,9 @@ pub struct SimSession<'m> {
     unit_stats: Vec<UnitArtifactStats>,
 }
 
-impl<'m> SimSession<'m> {
+impl SimSession {
     /// Start configuring a session for `top` in `module`.
-    pub fn builder(module: &'m Module, top: &'m str) -> SessionBuilder<'m> {
+    pub fn builder<'m>(module: &'m Module, top: &'m str) -> SessionBuilder<'m> {
         SessionBuilder {
             module,
             top,

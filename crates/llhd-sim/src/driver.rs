@@ -74,13 +74,14 @@ fn fold_scratch(totals: &mut Counters, scratch: &mut Scratch) {
 ///
 /// An activation touches the executor itself (immutable), its own
 /// instance's [`Executor::State`], the driver's [`Scratch`] and the
-/// scheduler core.
-pub trait Executor {
+/// scheduler core. An executor and its states are `Send`, as an
+/// [`Engine`] is.
+pub trait Executor: Send {
     /// The engine name stamped into checkpoints and reported by
     /// [`Engine::engine_name`].
     const NAME: &'static str;
     /// The execution state of one unit instance.
-    type State;
+    type State: Send;
 
     /// The elaborated design being executed.
     fn design(&self) -> &ElaboratedDesign;

@@ -20,7 +20,7 @@ use crate::driver::{
     call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
     Scratch, MAX_CALL_DEPTH,
 };
-use crate::sched::{read_byte, read_const, read_u128, read_usize, SchedCore};
+use crate::sched::{read_byte, read_const, read_count, read_u128, read_usize, SchedCore};
 use crate::trace::Trace;
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::eval_pure;
@@ -308,9 +308,11 @@ impl InstState {
 }
 
 /// The reference interpreter as an [`Executor`]: everything an activation
-/// reads that is not its own instance state or the scheduling core.
-pub struct Interp<'a> {
-    module: &'a Module,
+/// reads that is not its own instance state or the scheduling core. It
+/// owns its module, so a simulator borrows nothing and can move between
+/// threads.
+pub struct Interp {
+    module: Arc<Module>,
     design: Arc<ElaboratedDesign>,
     execs: Vec<UnitExec>,
     /// By instance: index into `execs`.
@@ -320,15 +322,15 @@ pub struct Interp<'a> {
 
 /// The event-driven reference simulator: the shared [`Driver`] run loop
 /// over the [`Interp`] executor.
-pub type Simulator<'a> = Driver<Interp<'a>>;
+pub type Simulator = Driver<Interp>;
 
-impl<'a> Driver<Interp<'a>> {
+impl Driver<Interp> {
     /// Create a simulator for an elaborated design. The design is shared
     /// (`Arc`), so sessions served from a [`DesignCache`](crate::api::DesignCache)
     /// reuse one elaboration; a plain [`ElaboratedDesign`] converts
-    /// implicitly.
+    /// implicitly. The simulator keeps its own copy of `module`.
     pub fn new(
-        module: &'a Module,
+        module: &Module,
         design: impl Into<Arc<ElaboratedDesign>>,
         config: SimConfig,
     ) -> Self {
@@ -346,7 +348,7 @@ impl<'a> Driver<Interp<'a>> {
             })
             .collect();
         let interp = Interp {
-            module,
+            module: Arc::new(module.clone()),
             design,
             execs,
             exec_of,
@@ -356,7 +358,7 @@ impl<'a> Driver<Interp<'a>> {
     }
 }
 
-impl Executor for Interp<'_> {
+impl Executor for Interp {
     const NAME: &'static str = "interp";
     type State = InstState;
 
@@ -365,7 +367,7 @@ impl Executor for Interp<'_> {
     }
 
     fn allow_drive_drop(&self) -> bool {
-        crate::sched::module_allows_drive_dropping(self.module)
+        crate::sched::module_allows_drive_dropping(&self.module)
     }
 
     fn build_states(&self, core: &mut SchedCore) -> Vec<InstState> {
@@ -552,7 +554,7 @@ fn decode_live(
 ) -> Result<(), SimError> {
     stamps.iter_mut().for_each(|s| *s = 0);
     cells.iter_mut().for_each(|c| *c = ConstValue::Void);
-    for _ in 0..read_usize(bytes, pos)? {
+    for _ in 0..read_count(bytes, pos)? {
         let i = read_usize(bytes, pos)?;
         if i >= cells.len() {
             return Err(SimError::Runtime(
@@ -933,7 +935,7 @@ fn call(
 /// Resolve a `call`'s target to a function and its entry block, or run
 /// it here if it is an intrinsic, which has no result.
 fn callee<'m>(
-    cx: &Interp<'m>,
+    cx: &'m Interp,
     scr: &mut Scratch,
     caller: &UnitData,
     data: &InstData,

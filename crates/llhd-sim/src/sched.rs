@@ -66,8 +66,8 @@ pub(crate) fn write_time(out: &mut Vec<u8>, t: &TimeValue) {
 
 pub(crate) fn read_time(bytes: &[u8], pos: &mut usize) -> Result<TimeValue, SimError> {
     let femtos = read_u128(bytes, pos)?;
-    let delta = read_usize(bytes, pos)? as u32;
-    let epsilon = read_usize(bytes, pos)? as u32;
+    let delta = read_int(bytes, pos)?;
+    let epsilon = read_int(bytes, pos)?;
     Ok(TimeValue::new(femtos, delta, epsilon))
 }
 
@@ -76,13 +76,35 @@ pub(crate) fn read_u128(bytes: &[u8], pos: &mut usize) -> Result<u128, SimError>
         .ok_or_else(|| SimError::Runtime("truncated engine checkpoint".to_string()))
 }
 
+/// Read a varint that must fit a `T`: a larger one is corrupt, never
+/// truncated.
+fn read_int<T: TryFrom<u128>>(bytes: &[u8], pos: &mut usize) -> Result<T, SimError> {
+    T::try_from(read_u128(bytes, pos)?).map_err(|_| {
+        SimError::Runtime("corrupt engine checkpoint: number out of range".to_string())
+    })
+}
+
 /// Read a varint as a `usize`.
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Runtime`] on truncated input.
+/// Returns [`SimError::Runtime`] on truncated input or a value past
+/// `usize::MAX`.
 pub fn read_usize(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
-    Ok(read_u128(bytes, pos)? as usize)
+    read_int(bytes, pos)
+}
+
+/// Read the length of a list whose every element takes at least one
+/// byte, so a length past the bytes that remain is corrupt: no loop or
+/// allocation is sized by more than the input holds.
+pub(crate) fn read_count(bytes: &[u8], pos: &mut usize) -> Result<usize, SimError> {
+    let n = read_usize(bytes, pos)?;
+    if n > bytes.len().saturating_sub(*pos) {
+        return Err(SimError::Runtime(
+            "corrupt engine checkpoint: count past the end of the input".to_string(),
+        ));
+    }
+    Ok(n)
 }
 
 /// Read one constant in the bitcode constant encoding.
@@ -991,19 +1013,18 @@ impl SchedCore {
             self.apply_value(s, value);
         }
         for pending in &mut self.pending {
-            *pending = read_usize(bytes, pos)? as u32;
+            *pending = read_int(bytes, pos)?;
         }
         for list in &mut self.watchers {
-            let n = read_usize(bytes, pos)?;
+            let n = read_count(bytes, pos)?;
             list.clear();
-            list.reserve(n.min(4096));
+            list.reserve(n);
             for _ in 0..n {
                 let inst = read_usize(bytes, pos)?;
                 if inst >= num_instances {
                     return Err(corrupt("watcher instance out of range"));
                 }
-                let token = read_u128(bytes, pos)? as u64;
-                list.push((inst as u32, token));
+                list.push((inst as u32, read_int(bytes, pos)?));
             }
         }
         let stored_instances = read_usize(bytes, pos)?;
@@ -1017,10 +1038,10 @@ impl SchedCore {
             *waiting = read_byte(bytes, pos)? != 0;
         }
         for token in &mut self.token {
-            *token = read_u128(bytes, pos)? as u64;
+            *token = read_int(bytes, pos)?;
         }
         self.signal_changes = read_usize(bytes, pos)?;
-        self.deltas_in_instant = read_usize(bytes, pos)? as u32;
+        self.deltas_in_instant = read_int(bytes, pos)?;
         self.last_physical = read_u128(bytes, pos)?;
         // Dedup stamps are meaningful only *within* one `next_cycle`; at a
         // checkpoint boundary they are stale by construction, so restore
@@ -1028,7 +1049,7 @@ impl SchedCore {
         self.epoch = 0;
         self.run_stamp.iter_mut().for_each(|s| *s = 0);
         self.change_stamp.iter_mut().for_each(|s| *s = 0);
-        let num_events = read_usize(bytes, pos)?;
+        let num_events = read_count(bytes, pos)?;
         self.trace = Trace::with_shared_names(self.trace.shared_names());
         for _ in 0..num_events {
             let time = read_time(bytes, pos)?;
@@ -1039,8 +1060,8 @@ impl SchedCore {
             let value = read_signal_value(self, signal, pos)?;
             self.trace.record_id(time, signal as u32, value);
         }
-        let queue_seq = read_u128(bytes, pos)? as u64;
-        let num_entries = read_usize(bytes, pos)?;
+        let queue_seq = read_int(bytes, pos)?;
+        let num_entries = read_count(bytes, pos)?;
         self.queue = EventQueue::new();
         self.queue.seq = queue_seq;
         self.queue.near_femtos = self.time.as_femtos();
@@ -1051,9 +1072,9 @@ impl SchedCore {
         for _ in 0..num_entries {
             let near = read_byte(bytes, pos)? != 0;
             let entry_time = read_time(bytes, pos)?;
-            let seq = read_u128(bytes, pos)? as u64;
+            let seq = read_int(bytes, pos)?;
             let mut bucket = EventBucket::default();
-            let num_drives = read_usize(bytes, pos)?;
+            let num_drives = read_count(bytes, pos)?;
             for _ in 0..num_drives {
                 let signal = read_usize(bytes, pos)?;
                 if signal >= num_signals {
@@ -1068,14 +1089,13 @@ impl SchedCore {
                     value => bucket.push_value(SignalId(signal), value),
                 }
             }
-            let num_wakes = read_usize(bytes, pos)?;
+            let num_wakes = read_count(bytes, pos)?;
             for _ in 0..num_wakes {
                 let inst = read_usize(bytes, pos)?;
                 if inst >= num_instances {
                     return Err(corrupt("wake instance out of range"));
                 }
-                let token = read_u128(bytes, pos)? as u64;
-                bucket.wakes.push((inst as u32, token));
+                bucket.wakes.push((inst as u32, read_int(bytes, pos)?));
             }
             self.queue.events += bucket.drives.len() + bucket.wakes.len();
             let b = self.queue.buckets.len() as u32;

@@ -400,6 +400,8 @@ impl<'a> Parser<'a> {
             .parse()
             .map_err(|_| self.error(format!("invalid type '{}'", s)))?;
         match prefix {
+            // An integer has at least one bit; `i0` has no values.
+            "i" if width == 0 => Err(self.error(format!("invalid type '{}'", s))),
             "i" => Ok(ty::int_ty(width)),
             "n" => Ok(ty::enum_ty(width)),
             "l" => Ok(ty::logic_ty(width)),
