@@ -476,11 +476,7 @@ impl<'a> Parser<'a> {
         Ok(args)
     }
 
-    fn parse_body(
-        &mut self,
-        unit: &mut UnitData,
-        ctx: &mut UnitContext,
-    ) -> Result<(), ParseError> {
+    fn parse_body(&mut self, unit: &mut UnitData, ctx: &mut UnitContext) -> Result<(), ParseError> {
         let is_entity = unit.kind() == UnitKind::Entity;
         let mut builder = UnitBuilder::new(unit);
         // Phi operand patches: (inst, operand index, value name).
@@ -567,15 +563,14 @@ impl<'a> Parser<'a> {
         patches: &mut Vec<(crate::ir::Inst, usize, &'a str)>,
     ) -> Result<(), ParseError> {
         // Optional result binding.
-        let result_name = if let (Some(Tok::Local(_)), Some(Tok::Punct('='))) =
-            (self.peek(), self.peek_at(1))
-        {
-            let name = self.parse_local()?;
-            self.expect_punct('=')?;
-            Some(name)
-        } else {
-            None
-        };
+        let result_name =
+            if let (Some(Tok::Local(_)), Some(Tok::Punct('='))) = (self.peek(), self.peek_at(1)) {
+                let name = self.parse_local()?;
+                self.expect_punct('=')?;
+                Some(name)
+            } else {
+                None
+            };
 
         let mnemonic = match self.next() {
             Some(Tok::Ident(s)) => s,
@@ -924,7 +919,10 @@ impl<'a> Parser<'a> {
                 loop {
                     match self.peek() {
                         Some(Tok::Ident(s))
-                            if s.chars().next().map(|c| c.is_ascii_digit()).unwrap_or(false) =>
+                            if s.chars()
+                                .next()
+                                .map(|c| c.is_ascii_digit())
+                                .unwrap_or(false) =>
                         {
                             if !text.is_empty() {
                                 text.push(' ');
@@ -999,7 +997,11 @@ mod tests {
         "#;
         let module = parse_module(src).unwrap();
         assert_eq!(module.num_units(), 2);
-        assert!(verify_module(&module).is_ok(), "{:?}", verify_module(&module));
+        assert!(
+            verify_module(&module).is_ok(),
+            "{:?}",
+            verify_module(&module)
+        );
         let comb = module.unit(module.unit_by_ident("acc_comb").unwrap());
         assert_eq!(comb.blocks().len(), 3);
         let acc = module.unit(module.unit_by_ident("acc").unwrap());
@@ -1145,8 +1147,14 @@ mod tests {
         );
         assert_eq!(
             unit.inst_data(insts[1]).konst,
-            Some(ConstValue::Enum { states: 5, value: 3 })
+            Some(ConstValue::Enum {
+                states: 5,
+                value: 3
+            })
         );
-        assert_eq!(unit.inst_data(insts[3]).konst, Some(ConstValue::int(8, 255)));
+        assert_eq!(
+            unit.inst_data(insts[3]).konst,
+            Some(ConstValue::int(8, 255))
+        );
     }
 }

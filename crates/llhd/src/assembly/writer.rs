@@ -125,8 +125,7 @@ impl<'a> Writer<'a> {
                 match konst {
                     ConstValue::Time(t) => write!(self.out, "const time {}", t).unwrap(),
                     ConstValue::Int(v) => {
-                        write!(self.out, "const i{} {}", v.width(), v.to_string_unsigned())
-                            .unwrap()
+                        write!(self.out, "const i{} {}", v.width(), v.to_string_unsigned()).unwrap()
                     }
                     ConstValue::Logic(v) => {
                         write!(self.out, "const l{} \"{}\"", v.width(), v).unwrap()

@@ -116,7 +116,9 @@ pub fn decode_const_value(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, D
         }
     }
     fn byte(bytes: &[u8], pos: &mut usize) -> Result<u8, DecodeError> {
-        let b = *bytes.get(*pos).ok_or_else(|| fail("unexpected end of input"))?;
+        let b = *bytes
+            .get(*pos)
+            .ok_or_else(|| fail("unexpected end of input"))?;
         *pos += 1;
         Ok(b)
     }
@@ -157,7 +159,11 @@ pub fn decode_const_value(bytes: &[u8], pos: &mut usize) -> Result<ConstValue, D
             let mut bits = Vec::with_capacity(width.min(4096));
             for _ in 0..width {
                 let idx = byte(bytes, pos)? as usize;
-                bits.push(*LogicBit::ALL.get(idx).ok_or_else(|| fail("invalid logic digit"))?);
+                bits.push(
+                    *LogicBit::ALL
+                        .get(idx)
+                        .ok_or_else(|| fail("invalid logic digit"))?,
+                );
             }
             ConstValue::Logic(LogicVector::from_bits(bits))
         }

@@ -225,7 +225,9 @@ impl<'a> Decoder<'a> {
             let inputs = self.ty_list()?;
             let outputs = self.ty_list()?;
             let ret = self.ty()?;
-            let sig = if outputs.is_empty() && (!ret.is_void() || inputs.iter().all(|t| !t.is_signal())) {
+            let sig = if outputs.is_empty()
+                && (!ret.is_void() || inputs.iter().all(|t| !t.is_signal()))
+            {
                 Signature::new_func(inputs, ret)
             } else {
                 Signature::new_entity(inputs, outputs)
