@@ -34,6 +34,14 @@ if grep -nE '\bSessionCmd\b|\bfn session_thread\b|mpsc' crates/llhd-server/src/s
     echo "ci.sh: server.rs names SessionCmd/session_thread/mpsc; run session commands on the connection thread" >&2; exit 1
 fi
 
+# One-design-store guard: the server keeps its designs in one store,
+# the `DesignCache`, whose entries own the module, the source text and
+# the artifacts under one key, with one capacity and one LRU order. No
+# second module table with its own clock and eviction may come back.
+if grep -nE '\bstruct Registry\b' crates/llhd-server/src/server.rs; then
+    echo "ci.sh: server.rs defines a struct Registry; keep modules in the DesignCache store" >&2; exit 1
+fi
+
 # One-instruction-set guard: blaze has no lowering knobs and one
 # instruction set. `BlazeOptions`, `compile_design_with` and
 # `compile_unit_with` are inert shims that only the frozen `benchmark/`
@@ -58,13 +66,14 @@ if grep -nE '\bfn function_inst\b|\bstruct Frame\b|\benum Flow\b' crates/llhd-si
     echo "ci.sh: a second interpreter dispatcher is back; run every body through run_body" >&2; exit 1
 fi
 
-# Format gate for the lowering layer, both engines and the serving
-# stack: `llhd::analysis`, every `llhd-opt` source, every `llhd-sim` and
-# `llhd-blaze` source and every `llhd-server` and `llhd-router` source
-# stay rustfmt-clean. The rest of the workspace is not rustfmt-clean yet,
-# so `cargo fmt --check` cannot be the gate; a file joins this list once
-# it is formatted.
-rustfmt --edition 2021 --check crates/llhd/src/analysis/*.rs \
+# Format gate for the readers, the lowering layer, both engines and the
+# serving stack: `llhd::assembly`, `llhd::bitcode`, `llhd::analysis`,
+# every `llhd-opt` source, every `llhd-sim` and `llhd-blaze` source and
+# every `llhd-server` and `llhd-router` source stay rustfmt-clean. The
+# rest of the workspace is not rustfmt-clean yet, so `cargo fmt --check`
+# cannot be the gate; a file joins this list once it is formatted.
+rustfmt --edition 2021 --check crates/llhd/src/assembly/*.rs \
+    crates/llhd/src/bitcode/*.rs crates/llhd/src/analysis/*.rs \
     crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs \
     crates/llhd-sim/src/*.rs crates/llhd-blaze/src/*.rs \
     crates/llhd-server/src/*.rs crates/llhd-router/src/*.rs || {

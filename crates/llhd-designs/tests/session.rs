@@ -164,14 +164,15 @@ fn cached_repeat_run_skips_compilation() {
     assert_eq!(cache.elaborate_hits(), 1);
     assert_eq!(cache.compile_misses(), 1);
 
-    // A different top or module is a different key.
+    // A different top is a different artifact of the same stored design.
     let err = SimSession::builder(&module, "acc")
         .engine(EngineKind::Compile)
         .cache(&cache)
         .build();
-    // ("acc" has ports, so elaboration succeeds; both entries coexist.)
+    // ("acc" has ports, so elaboration succeeds; both tops coexist.)
     assert!(err.is_ok());
-    assert_eq!(cache.len(), 2);
+    assert_eq!(cache.len(), 1);
+    assert_eq!(cache.stats().designs.len(), 2);
 }
 
 /// `run_batch` over every benchmark design produces exactly the traces of

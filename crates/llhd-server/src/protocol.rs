@@ -788,7 +788,6 @@ pub struct ServerLoad {
 pub fn stats_json(
     stats: &CacheStats,
     server_id: &str,
-    resident_modules: usize,
     uptime: std::time::Duration,
     requests: usize,
     load: &ServerLoad,
@@ -798,7 +797,7 @@ pub fn stats_json(
         ("uptime_secs", Json::uint(uptime.as_secs() as u128)),
         ("uptime_ms", Json::uint(uptime.as_millis())),
         ("requests", Json::uint(requests as u128)),
-        ("resident_modules", Json::uint(resident_modules as u128)),
+        ("resident_modules", Json::uint(stats.modules as u128)),
         (
             "load",
             Json::obj([

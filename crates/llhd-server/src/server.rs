@@ -8,7 +8,7 @@
 //!                                             ├─► handle_line
 //!  stdio client ─► the serving thread ────────┘    └─► session table entry, locked
 //!                                                   (on the thread that read the line)
-//!           shared: DesignCache + module registry + admission gate + session table
+//!           shared: design store (DesignCache) + admission gate + session table
 //! ```
 //!
 //! Each connection is read line by line and has at most one request
@@ -16,11 +16,15 @@
 //! jobs itself: a `sim` request is a one-job [`SimSession::run_batch`]
 //! call, which spawns no thread, and a `batch` request fans its jobs out
 //! across cores inside that call. Every job executes against the
-//! server's one [`DesignCache`], so concurrent requests for the same
-//! design elaborate and compile exactly once (the cache's per-key
-//! locking), and repeat requests are served from the warmed cache — an
-//! engine over a cached compiled design costs a reference-count bump plus
-//! a register file clone.
+//! server's one design store, a [`DesignCache`]: it holds each design's
+//! module, the source text it was submitted as and its artifacts under
+//! the design key, and one capacity and one LRU order decide what stays.
+//! A resent inline source is found by its text and is neither parsed nor
+//! fingerprinted again, and a `design` key names a module in the store.
+//! Concurrent requests for the same design elaborate and compile exactly
+//! once (the store's per-`(design, top)` locking), and repeat requests
+//! are served from the warmed store — an engine over a cached compiled
+//! design costs a reference-count bump plus a register file clone.
 //!
 //! An interactive session is an entry in the session table, not a
 //! thread: it owns its engine and its module, and a `session.*` command
@@ -42,11 +46,11 @@
 //! Every simulation job, session command, and request line runs inside a
 //! panic domain (`catch_unwind`): a panicking engine costs its own
 //! request an `internal_error` response while the server keeps serving.
-//! Poisoned cache entries are evicted, not wedged. Jobs carry an optional
-//! wall-clock deadline enforced between engine step-chunks, and the jobs
-//! in flight can be bounded (`queue_cap`, [`Admission`]), shedding load
-//! with a retryable `overloaded` error. See `ARCHITECTURE.md`, "Failure
-//! model".
+//! A fill that panicked loses its artifacts, not its design. Jobs carry
+//! an optional wall-clock deadline enforced between engine step-chunks,
+//! and the jobs in flight can be bounded (`queue_cap`, [`Admission`]),
+//! shedding load with a retryable `overloaded` error. See
+//! `ARCHITECTURE.md`, "Failure model".
 
 use crate::admission::Admission;
 use crate::front::{
@@ -59,7 +63,6 @@ use crate::protocol::{
     stats_json, ErrorKind, ProtoError, QueryKind, Request, ServerLoad, SimJobSpec, TraceMode,
 };
 use crate::wire::{write_line, LineReader};
-use llhd::assembly::parse_module;
 use llhd::ir::Module;
 use llhd::value::ConstValue;
 use llhd_sim::api::{panic_message, BatchJob, DesignCache, EngineState, SimSession};
@@ -95,8 +98,10 @@ const DEFAULT_SESSION_IDLE: Duration = Duration::from_secs(600);
 /// Server construction options.
 #[derive(Clone, Debug, Default)]
 pub struct ServerConfig {
-    /// Bound the [`DesignCache`] (and the module registry) to this many
-    /// designs, LRU-evicted beyond it. `None`: unbounded.
+    /// Bound the design store ([`DesignCache`]) to this many designs,
+    /// LRU-evicted beyond it; an evicted design takes its module, its
+    /// source text and its artifacts with it, and its key then answers
+    /// `unknown_design`. `None`: unbounded.
     pub cache_capacity: Option<usize>,
     /// Emit a stats log line to stderr at this interval. `None`: silent.
     pub stats_interval: Option<Duration>,
@@ -127,53 +132,6 @@ pub struct ServerConfig {
     /// no faults. Only present with the `fault-injection` feature.
     #[cfg(feature = "fault-injection")]
     pub fault_plan: Option<Arc<crate::fault::FaultPlan>>,
-}
-
-/// Parsed modules resident on the server, keyed by content fingerprint,
-/// so `design`-keyed requests can re-run (and even re-elaborate after a
-/// cache eviction) without resending source. Bounded like the cache.
-#[derive(Default)]
-struct Registry {
-    modules: HashMap<u128, (Arc<Module>, u64)>,
-    tick: u64,
-    capacity: Option<usize>,
-}
-
-impl Registry {
-    fn insert(&mut self, key: u128, module: Arc<Module>) {
-        self.tick += 1;
-        let tick = self.tick;
-        self.modules.insert(key, (module, tick));
-        // Same capacity convention as `DesignCache`: `None`/`Some(0)` is
-        // unbounded — the registry and the cache must agree on which
-        // designs stay resident.
-        let capacity = match self.capacity {
-            Some(capacity) if capacity > 0 => capacity,
-            _ => return,
-        };
-        while self.modules.len() > capacity {
-            let coldest = self
-                .modules
-                .iter()
-                .min_by_key(|(_, (_, tick))| *tick)
-                .map(|(&key, _)| key);
-            match coldest {
-                Some(key) => {
-                    self.modules.remove(&key);
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn get(&mut self, key: u128) -> Option<Arc<Module>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.modules.get_mut(&key).map(|(module, used)| {
-            *used = tick;
-            Arc::clone(module)
-        })
-    }
 }
 
 /// One open interactive session: its engine and what its commands and
@@ -243,12 +201,11 @@ fn unknown_session(id: &str) -> ProtoError {
     ProtoError::new(ErrorKind::UnknownSession, message)
 }
 
-/// Shared state of one running server: the design cache, the module
-/// registry, the admission gate, and the counters behind the `stats`
-/// endpoint.
+/// Shared state of one running server: the design store, the admission
+/// gate, the session table, and the counters behind the `stats` endpoint.
 pub struct ServerState {
+    /// The one design store: modules, their source texts and artifacts.
     cache: DesignCache,
-    registry: Mutex<Registry>,
     /// Set once shutdown has begun: new jobs and sessions are refused.
     latch: ShutdownLatch,
     started: Instant,
@@ -279,10 +236,6 @@ impl ServerState {
         cache.set_capacity(config.cache_capacity);
         ServerState {
             cache,
-            registry: Mutex::new(Registry {
-                capacity: config.cache_capacity,
-                ..Registry::default()
-            }),
             latch: ShutdownLatch::default(),
             started: Instant::now(),
             server_id: config
@@ -349,16 +302,14 @@ impl ServerState {
         plock(&self.sessions).map.clear();
     }
 
-    /// Resolve a job's design reference to a resident module + key:
-    /// inline source is parsed and registered, a key must be resident.
+    /// Resolve a job's design reference to a stored module + key: inline
+    /// source goes through the store (parsed and fingerprinted only when
+    /// the text is new to it), a key must name a stored module.
     fn resolve_module(&self, spec: &SimJobSpec) -> Result<(Arc<Module>, u128), ProtoError> {
         if let Some(source) = &spec.source {
-            let module = Arc::new(parse_module(source).map_err(|e| {
+            return self.cache.module_for_source(source).map_err(|e| {
                 ProtoError::new(ErrorKind::Source, format!("invalid LLHD assembly: {}", e))
-            })?);
-            let key = DesignCache::fingerprint(&module);
-            plock(&self.registry).insert(key, Arc::clone(&module));
-            return Ok((module, key));
+            });
         }
         let text = spec
             .design
@@ -370,7 +321,7 @@ impl ServerState {
                 format!("\"design\" must be a hex key, got {:?}", text),
             )
         })?;
-        match plock(&self.registry).get(key) {
+        match self.cache.module(key) {
             Some(module) => Ok((module, key)),
             None => Err(ProtoError::new(
                 ErrorKind::UnknownDesign,
@@ -436,13 +387,6 @@ impl ServerState {
                 Err(e) => {
                     if matches!(e, llhd_sim::api::Error::Panic(_)) {
                         self.note_panic();
-                    }
-                    // A freshly submitted source that fails to elaborate
-                    // must not stay resident: it would occupy registry
-                    // capacity (evicting designs the cache still serves)
-                    // for a key nobody can use.
-                    if spec.source.is_some() && matches!(e, llhd_sim::api::Error::Elaborate(_)) {
-                        plock(&self.registry).modules.remove(&key);
                     }
                     Err(e.into())
                 }
@@ -596,7 +540,6 @@ impl ServerState {
                 Ok(stats_json(
                     &self.cache.stats(),
                     &self.server_id,
-                    plock(&self.registry).modules.len(),
                     self.started.elapsed(),
                     self.requests.load(Ordering::Relaxed),
                     &load,
@@ -865,9 +808,9 @@ impl Service for ServerState {
         self.begin_shutdown();
     }
 
-    /// Bump the counter and evict any cache entries the unwind left
-    /// poisoned, so the next request for the same design recompiles
-    /// instead of wedging.
+    /// Bump the counter and drop the artifacts of any fill the unwind
+    /// left poisoned, so the next request for the same design recompiles
+    /// instead of wedging; the design and its module stay in the store.
     fn note_panic(&self) {
         self.panics_caught.fetch_add(1, Ordering::Relaxed);
         self.cache.sweep_poisoned();

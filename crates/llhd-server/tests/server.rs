@@ -349,7 +349,8 @@ fn bounded_server_cache_evicts_and_reports() {
     assert_eq!(cache_counter(&stats, "evictions"), 1);
     assert_eq!(cache_counter(&stats, "capacity"), 2);
     // The evicted (least recently used) design's key is gone from the
-    // registry too: referring to it demands a resend of the source.
+    // store with its module: referring to it demands a resend of the
+    // source.
     let evicted = client
         .request(&sim_request(vec![
             ("design", Json::str(keys[0].clone())),
@@ -371,6 +372,161 @@ fn bounded_server_cache_evicts_and_reports() {
         ]))
         .unwrap();
     assert_eq!(hot.get("ok"), Some(&Json::Bool(true)), "{}", hot);
+    shutdown(&mut client);
+    running.join().unwrap();
+}
+
+/// Check the one-store invariant against `stats`: a key is servable by
+/// `design` if and only if `cache.designs` lists it, `resident_modules`
+/// counts exactly the listed keys, and the store stays within its
+/// capacity of 2. Returns the listed keys.
+fn assert_one_store(client: &mut Client, keys: &[String]) -> Vec<String> {
+    let stats = client
+        .request(&Json::obj([("type", Json::str("stats"))]))
+        .unwrap();
+    let result = stats.get("result").unwrap();
+    let mut listed: Vec<String> = result
+        .get("cache")
+        .and_then(|c| c.get("designs"))
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .map(|d| d.get("design").and_then(Json::as_str).unwrap().to_string())
+        .collect();
+    listed.sort();
+    listed.dedup();
+    let resident = result
+        .get("resident_modules")
+        .and_then(Json::as_int)
+        .unwrap();
+    assert_eq!(resident as usize, listed.len(), "{}", stats);
+    assert!(listed.len() <= 2, "{}", stats);
+    for key in keys {
+        let response = client
+            .request(&sim_request(vec![
+                ("design", Json::str(key.clone())),
+                ("top", Json::str("blink")),
+                ("until_ns", Json::Int(20)),
+            ]))
+            .unwrap();
+        let servable = response.get("ok") == Some(&Json::Bool(true));
+        assert_eq!(servable, listed.contains(key), "{}: {}", key, response);
+        if !servable {
+            let kind = response.get("error").and_then(|e| e.get("kind"));
+            assert_eq!(kind.and_then(Json::as_str), Some("unknown_design"));
+        }
+    }
+    listed
+}
+
+#[test]
+fn one_store_serves_exactly_the_designs_it_lists() {
+    let running = spawn(ServerConfig {
+        cache_capacity: Some(2),
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(running.addr()).unwrap();
+    let mut keys: Vec<String> = Vec::new();
+    let inline = |client: &mut Client, delay: &str, top: &str| {
+        client
+            .request(&sim_request(vec![
+                ("source", Json::str(BLINK.replace("5ns", delay))),
+                ("top", Json::str(top)),
+                ("until_ns", Json::Int(20)),
+            ]))
+            .unwrap()
+    };
+    let key_of = |response: &Json| {
+        let result = response
+            .get("result")
+            .unwrap_or_else(|| panic!("{}", response));
+        result
+            .get("design")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    };
+    // Three designs through a two-design store, each resent once.
+    for delay in ["3ns", "7ns", "11ns", "3ns", "7ns", "11ns"] {
+        let response = inline(&mut client, delay, "blink");
+        let key = key_of(&response);
+        if !keys.contains(&key) {
+            keys.push(key.clone());
+        }
+        let listed = assert_one_store(&mut client, &keys);
+        assert!(listed.contains(&key), "a served design is resident");
+    }
+    assert_eq!(keys.len(), 3);
+    // A fresh source whose top fails to elaborate leaves nothing behind.
+    let failed = inline(&mut client, "13ns", "nonexistent");
+    assert_eq!(failed.get("ok"), Some(&Json::Bool(false)), "{}", failed);
+    let fresh = llhd::assembly::parse_module(&BLINK.replace("5ns", "13ns")).unwrap();
+    keys.push(format!(
+        "{:032x}",
+        llhd_sim::DesignCache::fingerprint(&fresh)
+    ));
+    let listed = assert_one_store(&mut client, &keys);
+    assert!(!listed.contains(&keys[3]));
+    // A resident design keeps its module when a request names a top it
+    // lacks, and a resent source brings an evicted design back.
+    let resident = listed[0].clone();
+    let delay = ["3ns", "7ns", "11ns"][keys.iter().position(|k| *k == resident).unwrap()];
+    inline(&mut client, delay, "nonexistent");
+    assert!(assert_one_store(&mut client, &keys).contains(&resident));
+    let evicted = keys[..3].iter().position(|k| !listed.contains(k)).unwrap();
+    let back = inline(&mut client, ["3ns", "7ns", "11ns"][evicted], "blink");
+    assert!(assert_one_store(&mut client, &keys).contains(&key_of(&back)));
+    // A batch of three fresh sources resolves all three before it builds
+    // any: a design resolved and not yet built is not evicted, so no
+    // build lands in a store entry that has lost its module.
+    let jobs = ["17ns", "19ns", "23ns"].map(|delay| {
+        Json::obj([
+            ("source", Json::str(BLINK.replace("5ns", delay))),
+            ("top", Json::str("blink")),
+            ("until_ns", Json::Int(20)),
+        ])
+    });
+    let batch = client
+        .request(&Json::obj([
+            ("type", Json::str("batch")),
+            ("jobs", Json::Arr(jobs.to_vec())),
+        ]))
+        .unwrap();
+    let results = batch.get("result").and_then(|r| r.get("results"));
+    for entry in results.and_then(Json::as_arr).unwrap() {
+        assert_eq!(entry.get("ok"), Some(&Json::Bool(true)), "{}", batch);
+        keys.push(key_of(entry));
+    }
+    assert!(!assert_one_store(&mut client, &keys).is_empty());
+    shutdown(&mut client);
+    running.join().unwrap();
+}
+
+#[test]
+fn an_overwide_type_is_a_source_error_not_an_allocation() {
+    let running = spawn(ServerConfig::default());
+    let mut client = Client::connect(running.addr()).unwrap();
+    let overwide = "proc @p () -> () { entry: %c = const i4000000000 0 halt }";
+    let response = client
+        .request(&sim_request(vec![
+            ("source", Json::str(overwide)),
+            ("top", Json::str("p")),
+        ]))
+        .unwrap();
+    assert_eq!(response.get("ok"), Some(&Json::Bool(false)), "{}", response);
+    let error = response.get("error").unwrap();
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("source"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("i4000000000"), "{}", message);
+    // The server keeps serving.
+    let next = client
+        .request(&sim_request(vec![
+            ("source", Json::str(BLINK)),
+            ("top", Json::str("blink")),
+            ("until_ns", Json::Int(20)),
+        ]))
+        .unwrap();
+    assert_eq!(next.get("ok"), Some(&Json::Bool(true)), "{}", next);
     shutdown(&mut client);
     running.join().unwrap();
 }

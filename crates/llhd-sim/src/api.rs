@@ -60,11 +60,13 @@
 
 use crate::design::{elaborate, ElaborateError, ElaboratedDesign, SignalId, SignalInfo};
 use crate::engine::{RunControl, SimConfig, SimError, SimResult, Simulator};
+use llhd::assembly::{parse_module, ParseError};
 use llhd::ir::Module;
 use llhd::value::{ConstValue, TimeValue};
 use std::any::Any;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -513,13 +515,14 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
     hash
 }
 
+/// The artifacts built for one `(design, top)`, behind the fill lock.
 #[derive(Default)]
 struct CacheEntry {
     elaborated: Option<Arc<ElaboratedDesign>>,
     compiled: Option<CompiledArtifact>,
 }
 
-/// One lockable cache slot per `(fingerprint, top)` key.
+/// One lockable fill slot per `(design, top)`.
 type SharedCacheEntry = Arc<Mutex<CacheEntry>>;
 
 /// Lock a mutex, recovering from poison. Used for bookkeeping locks
@@ -532,15 +535,14 @@ fn lock_recover<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Map-level bookkeeping for one cached design. Lives *outside* the
-/// per-entry lock so the eviction scan and [`DesignCache::stats`] never
-/// have to take entry locks that may be held across an elaboration or
+/// Map-level bookkeeping for one `(design, top)`. Lives *outside* the
+/// fill lock so the eviction scan and [`DesignCache::stats`] never have
+/// to take fill locks that may be held across an elaboration or
 /// compilation.
+#[derive(Default)]
 struct CacheSlot {
     entry: SharedCacheEntry,
-    /// Logical timestamp of the most recent lookup (LRU order).
-    last_used: u64,
-    /// Number of lookups that resolved to this design (each lookup is one
+    /// Number of lookups that resolved to this top (each lookup is one
     /// prospective simulation run).
     runs: usize,
     /// Rough retained size, updated after each fill (see
@@ -550,12 +552,82 @@ struct CacheSlot {
     compiled: bool,
 }
 
-/// The map behind the cache: slots plus the logical clock that orders
-/// them for eviction.
+/// One design in the store, under its key: the module, the text it was
+/// submitted as, and what was built from it for each top. The module and
+/// the text live at the map level, outside every fill lock, so a fill
+/// that panics loses only its own artifacts.
+#[derive(Default)]
+struct StoredDesign {
+    /// The parsed module, when one was handed to the store
+    /// ([`DesignCache::module_for_source`]); `None` for a design only ever
+    /// built from a module its caller owns.
+    module: Option<Arc<Module>>,
+    /// The source text the module was last submitted as, with its memo
+    /// hash.
+    source: Option<(u64, Box<str>)>,
+    /// The per-top artifacts.
+    tops: HashMap<String, CacheSlot>,
+    /// Logical timestamp of the most recent lookup (LRU order).
+    last_used: u64,
+}
+
+impl StoredDesign {
+    /// Whether a lookup holds this design, so evicting it now would
+    /// orphan work in progress: a fill slot is handed out (its `Arc` has
+    /// a second owner until the fill completes), or the design is fresh —
+    /// nothing built yet — and a caller holds its module between
+    /// resolving it and building from it.
+    fn held(&self) -> bool {
+        self.tops
+            .values()
+            .any(|slot| Arc::strong_count(&slot.entry) > 1)
+            || (self.tops.is_empty()
+                && self
+                    .module
+                    .as_ref()
+                    .is_some_and(|module| Arc::strong_count(module) > 1))
+    }
+}
+
+/// The map behind the store: the designs, the source memo, and the
+/// logical clock that orders the designs for eviction.
 #[derive(Default)]
 struct CacheMap {
-    slots: HashMap<(u128, String), CacheSlot>,
+    designs: HashMap<u128, StoredDesign>,
+    /// Source memo: the hash of a stored text → the key of its design.
+    /// Removed with the design.
+    memo: HashMap<u64, u128>,
     tick: u64,
+}
+
+impl CacheMap {
+    /// The design under `key`, created empty if absent, stamped as the
+    /// most recently used.
+    fn touch(&mut self, key: u128) -> &mut StoredDesign {
+        self.tick += 1;
+        let design = self.designs.entry(key).or_default();
+        design.last_used = self.tick;
+        design
+    }
+
+    /// Drop the design under `key` and its memo entry.
+    fn remove(&mut self, key: u128) {
+        let source = self.designs.remove(&key).and_then(|design| design.source);
+        if let Some((hash, _)) = source {
+            if self.memo.get(&hash) == Some(&key) {
+                self.memo.remove(&hash);
+            }
+        }
+    }
+}
+
+/// The memo hash of a source text (64-bit SipHash with fixed keys). A
+/// memo hit is confirmed by comparing the whole text, so two texts that
+/// share a hash only cost the second one a parse.
+fn source_hash(text: &str) -> u64 {
+    let mut hasher = std::hash::DefaultHasher::new();
+    text.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// A rough retained-size estimate for an elaborated design: struct sizes
@@ -583,24 +655,24 @@ fn approx_elaborated_bytes(design: &ElaboratedDesign) -> usize {
     signals + instances + design.signals.len() * std::mem::size_of::<usize>()
 }
 
-/// Per-design cache statistics, part of [`CacheStats`].
+/// Per-`(design, top)` store statistics, part of [`CacheStats`].
 #[derive(Clone, Debug)]
 pub struct DesignStats {
     /// The design's content hash ([`DesignCache::fingerprint`]).
     pub fingerprint: u128,
     /// The top-level unit the design was elaborated for.
     pub top: String,
-    /// Number of lookups served for this design (hits + the filling miss).
+    /// Number of lookups served for this top (hits + the filling miss).
     pub runs: usize,
-    /// Rough retained bytes for this design's artifacts.
+    /// Rough retained bytes for this top's artifacts.
     pub approx_bytes: usize,
     /// Whether a compiled artifact is cached alongside the elaboration.
     pub compiled: bool,
 }
 
 /// A point-in-time snapshot of a [`DesignCache`]'s observability surface:
-/// hit/miss/eviction counters, live-entry count, a bytes-ish retained-size
-/// estimate, and per-design run counts (sorted most-used first). This is
+/// hit/miss/eviction counters, live-design count, a bytes-ish retained-size
+/// estimate, and per-top run counts (sorted most-used first). This is
 /// what a long-running server logs periodically and serves from its
 /// `stats` endpoint.
 #[derive(Clone, Debug, Default)]
@@ -613,30 +685,45 @@ pub struct CacheStats {
     pub compile_hits: usize,
     /// Lookups that had to compile.
     pub compile_misses: usize,
-    /// Designs evicted to keep the cache within its capacity.
+    /// Designs evicted to keep the store within its capacity, plus fills
+    /// dropped because they panicked.
     pub evictions: usize,
-    /// Designs currently cached.
+    /// Designs currently stored.
     pub entries: usize,
-    /// Maximum number of cached designs (`None` = unbounded).
+    /// Stored designs that hold their module, so a lookup by key
+    /// ([`DesignCache::module`]) finds them.
+    pub modules: usize,
+    /// Maximum number of stored designs (`None` = unbounded).
     pub capacity: Option<usize>,
-    /// Rough retained bytes across all live entries.
+    /// Rough retained bytes across all live artifacts.
     pub approx_bytes: usize,
-    /// Per-design statistics, sorted by `runs` descending.
+    /// Per-`(design, top)` statistics, sorted by `runs` descending.
     pub designs: Vec<DesignStats>,
 }
 
-/// Memoizes elaborated and ahead-of-time-compiled designs, keyed by
-/// `(module content hash, top unit)`.
+/// The design store: one entry per design key
+/// ([`DesignCache::fingerprint`]), holding the module, the source text it
+/// was submitted as, and the elaborated and ahead-of-time-compiled
+/// artifacts built from it for each top unit.
 ///
 /// A session built with [`SessionBuilder::cache`] looks its design up
 /// here first: on a hit, elaboration (and for the compiled engine, the
 /// whole `compile_design` step) is skipped and the shared artifact is
-/// reused. The cache is `Sync` — one instance can serve
-/// [`SimSession::run_batch`] workers concurrently and is the seed of the
-/// ROADMAP's long-running server mode. Each key has its own lock, held
-/// across the fill: concurrent lookups of the *same* design elaborate
-/// and compile exactly once (the second caller blocks briefly, then
-/// hits), while different designs proceed in parallel.
+/// reused. The store is `Sync` — one instance can serve
+/// [`SimSession::run_batch`] workers concurrently, and the server keeps
+/// exactly one. Each `(design, top)` has its own fill lock, held across
+/// the fill: concurrent lookups of the *same* design elaborate and
+/// compile exactly once (the second caller blocks briefly, then hits),
+/// while different designs proceed in parallel.
+///
+/// A module handed to the store ([`DesignCache::module_for_source`]) is
+/// kept with its design, so a later request can name the design by key
+/// alone ([`DesignCache::module`]). The text it came from is kept too,
+/// under a source memo: the 64-bit hash of a stored text maps to its key,
+/// and a resent text whose hash and whole text match is served without
+/// being parsed or fingerprinted again. Capacity, least-recently-used
+/// order and eviction are per design: an evicted design takes its
+/// module, its text, its memo entry and all its artifacts with it.
 #[derive(Default)]
 pub struct DesignCache {
     entries: Mutex<CacheMap>,
@@ -658,12 +745,12 @@ impl DesignCache {
     /// Create a cache that holds at most `capacity` designs, evicting the
     /// least recently used one beyond that.
     ///
-    /// Eviction only drops the cache's *reference* to a design's artifacts:
-    /// sessions already running on an evicted design keep their own
-    /// [`Arc`]s and are unaffected. A design some lookup currently holds —
-    /// from the moment `entry()` hands out its slot until the fill
-    /// completes — is never evicted, so the live count can transiently
-    /// exceed the capacity by the number of concurrent lookups.
+    /// Eviction only drops the store's *reference* to a design: sessions
+    /// already running on an evicted design keep their own [`Arc`]s and
+    /// are unaffected. A design some lookup currently holds (mid-fill, or
+    /// resolved by [`DesignCache::module_for_source`] and not yet built)
+    /// is never evicted, so the live count can transiently exceed the
+    /// capacity by the number of concurrent lookups.
     ///
     /// ```
     /// use llhd_sim::api::DesignCache;
@@ -696,43 +783,41 @@ impl DesignCache {
     }
 
     /// Evict least-recently-used designs until the map is within capacity,
-    /// skipping `keep` (the key being served right now) and any slot a
-    /// lookup currently holds. "Held" is judged by the slot's `Arc` count,
-    /// not its lock: `entry()` hands the `Arc` out under the map lock, so
-    /// a count above one means some thread is between receiving the slot
-    /// and finishing its fill — evicting it then would orphan the fill
-    /// (the artifacts and stats would land in a detached entry and the
-    /// next lookup would redo the work). Called with the map lock held.
-    fn evict_over_capacity(&self, map: &mut CacheMap, keep: Option<&(u128, String)>) {
+    /// skipping `keep` (the design being served right now) and any design
+    /// a lookup holds: evicting a fill in progress would orphan it (the
+    /// artifacts and stats would land in a detached slot and the next
+    /// lookup would redo the work). Called with the map lock held.
+    fn evict_over_capacity(&self, map: &mut CacheMap, keep: Option<u128>) {
         let capacity = self.capacity.load(Ordering::Relaxed);
         if capacity == 0 {
             return;
         }
-        while map.slots.len() > capacity {
+        while map.designs.len() > capacity {
             let victim = map
-                .slots
+                .designs
                 .iter()
-                .filter(|&(key, slot)| keep != Some(key) && Arc::strong_count(&slot.entry) == 1)
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone());
+                .filter(|&(&key, design)| keep != Some(key) && !design.held())
+                .min_by_key(|(_, design)| design.last_used)
+                .map(|(&key, _)| key);
             match victim {
                 Some(key) => {
-                    map.slots.remove(&key);
+                    map.remove(key);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                // Everything else is mid-fill: leave the overshoot in
-                // place rather than spin; the next lookup retries.
+                // Everything else is held: leave the overshoot in place
+                // rather than spin; the next lookup retries.
                 None => break,
             }
         }
     }
 
-    /// Lock a cache entry, recovering from poison by evicting its
-    /// contents: a poisoned entry means a fill (or a panic injected by
+    /// Lock a fill slot, recovering from poison by dropping its
+    /// artifacts: a poisoned slot means a fill (or a panic injected by
     /// the fault harness) unwound while holding the lock, so the
     /// possibly half-built artifacts are discarded and the caller
     /// refills from scratch instead of wedging every future lookup of
-    /// this design behind a `PoisonError`.
+    /// this design behind a `PoisonError`. The design's module and text
+    /// sit outside the lock and are untouched.
     fn lock_entry<'a>(&self, slot: &'a SharedCacheEntry) -> std::sync::MutexGuard<'a, CacheEntry> {
         match slot.lock() {
             Ok(guard) => guard,
@@ -746,22 +831,27 @@ impl DesignCache {
         }
     }
 
-    /// Evict every design whose entry lock is poisoned (a fill panicked
-    /// while holding it and nobody has re-requested the design since).
-    /// The batch runner and the server call this after catching a
-    /// panic; a no-op when nothing is poisoned.
+    /// Drop the artifacts of every fill whose lock is poisoned (a fill
+    /// panicked while holding it and nobody has re-requested that top
+    /// since). The design itself stays, with its module and text, so a
+    /// request by key still resolves. The batch runner and the server
+    /// call this after catching a panic; a no-op when nothing is
+    /// poisoned.
     pub fn sweep_poisoned(&self) {
         let mut map = lock_recover(&self.entries);
-        let poisoned: Vec<_> = map
-            .slots
-            .iter()
-            .filter(|(_, slot)| slot.entry.is_poisoned())
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in poisoned {
-            map.slots.remove(&key);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+        let mut dropped = 0;
+        for design in map.designs.values_mut() {
+            design.tops.retain(|_, slot| {
+                let poisoned = slot.entry.is_poisoned();
+                dropped += usize::from(poisoned);
+                !poisoned
+            });
         }
+        // A design built only from caller-owned modules is nothing
+        // without its artifacts.
+        map.designs
+            .retain(|_, design| design.module.is_some() || !design.tops.is_empty());
+        self.evictions.fetch_add(dropped, Ordering::Relaxed);
     }
 
     /// The content hash used as the cache key for `module`. This encodes
@@ -772,36 +862,93 @@ impl DesignCache {
         fnv1a_128(&llhd::bitcode::encode_module(module))
     }
 
-    /// The per-key entry, creating it if needed, bumping its LRU stamp and
-    /// run count, and evicting over-capacity cold designs. The outer map
-    /// lock is held only for this probe; the returned entry carries its
-    /// own lock.
+    /// The stored module and key for a source text in LLHD assembly.
+    ///
+    /// A text the store holds (a source memo hit: same hash, same whole
+    /// text) is served as is, with no parse and no fingerprint. Any other
+    /// text is parsed and fingerprinted, then stored with its design,
+    /// which becomes the most recently used; the least recently used
+    /// design beyond capacity is evicted. Two texts that parse to the
+    /// same module share one key and one stored module; the memo keeps
+    /// the text that came last.
+    ///
+    /// # Errors
+    ///
+    /// The parse error of a text that is not valid LLHD assembly; nothing
+    /// is stored then.
+    pub fn module_for_source(&self, source: &str) -> Result<(Arc<Module>, u128), ParseError> {
+        let hash = source_hash(source);
+        {
+            let mut map = lock_recover(&self.entries);
+            let hit = map.memo.get(&hash).and_then(|&key| {
+                let design = map.designs.get(&key)?;
+                match (&design.module, &design.source) {
+                    (Some(module), Some((_, text))) if **text == *source => {
+                        Some((Arc::clone(module), key))
+                    }
+                    _ => None,
+                }
+            });
+            if let Some((module, key)) = hit {
+                map.touch(key);
+                return Ok((module, key));
+            }
+        }
+        let module = parse_module(source)?;
+        let key = Self::fingerprint(&module);
+        let mut map = lock_recover(&self.entries);
+        let design = map.touch(key);
+        let module = Arc::clone(design.module.get_or_insert_with(|| Arc::new(module)));
+        if let Some((old, _)) = design.source.replace((hash, source.into())) {
+            if old != hash && map.memo.get(&old) == Some(&key) {
+                map.memo.remove(&old);
+            }
+        }
+        map.memo.insert(hash, key);
+        self.evict_over_capacity(&mut map, Some(key));
+        Ok((module, key))
+    }
+
+    /// The stored module under `key`, marking its design as the most
+    /// recently used; `None` when the store holds no module under that
+    /// key (never submitted, or evicted).
+    pub fn module(&self, key: u128) -> Option<Arc<Module>> {
+        let mut map = lock_recover(&self.entries);
+        let module = Arc::clone(map.designs.get(&key)?.module.as_ref()?);
+        map.touch(key);
+        Some(module)
+    }
+
+    /// The `(design, top)` fill slot, creating it if needed, bumping the
+    /// design's LRU stamp and the top's run count, and evicting
+    /// over-capacity cold designs. The outer map lock is held only for
+    /// this probe; the returned slot carries its own lock. A design
+    /// evicted after its caller resolved it comes back here without its
+    /// module, until its source is sent again.
     fn entry(&self, fingerprint: u128, top: &str) -> SharedCacheEntry {
         let mut map = lock_recover(&self.entries);
-        map.tick += 1;
-        let tick = map.tick;
-        let key = (fingerprint, top.to_string());
-        let slot = map.slots.entry(key.clone()).or_insert_with(|| CacheSlot {
-            entry: SharedCacheEntry::default(),
-            last_used: 0,
-            runs: 0,
-            approx_bytes: 0,
-            compiled: false,
-        });
-        slot.last_used = tick;
+        let slot = map
+            .touch(fingerprint)
+            .tops
+            .entry(top.to_string())
+            .or_default();
         slot.runs += 1;
         let entry = Arc::clone(&slot.entry);
-        self.evict_over_capacity(&mut map, Some(&key));
+        self.evict_over_capacity(&mut map, Some(fingerprint));
         entry
     }
 
-    /// Record a completed fill's size estimate at the map level (no entry
-    /// lock needed for stats or eviction decisions afterwards). The slot
+    /// Record a completed fill's size estimate at the map level (no fill
+    /// lock needed for stats or eviction decisions afterwards). The design
     /// may have been evicted while the fill ran; that is fine — the caller
     /// still holds its own `Arc` and the estimate dies with the slot.
     fn note_fill(&self, fingerprint: u128, top: &str, approx_bytes: usize, compiled: bool) {
         let mut map = lock_recover(&self.entries);
-        if let Some(slot) = map.slots.get_mut(&(fingerprint, top.to_string())) {
+        let slot = map
+            .designs
+            .get_mut(&fingerprint)
+            .and_then(|design| design.tops.get_mut(top));
+        if let Some(slot) = slot {
             slot.approx_bytes = slot.approx_bytes.max(approx_bytes);
             slot.compiled |= compiled;
         }
@@ -840,20 +987,33 @@ impl DesignCache {
         Ok(design)
     }
 
-    /// Drop the `(fingerprint, top)` entry if it holds nothing — failed
-    /// elaborations/compilations must not leak placeholder entries into
-    /// `len()` or grow the map in a long-running server.
+    /// After a failed fill, drop the `(fingerprint, top)` slot if it
+    /// holds nothing, so failed elaborations do not leak placeholder
+    /// slots into a long-running server. A design left with no slot at
+    /// all goes too, unless a caller other than the failing one holds its
+    /// module: a fresh source whose only top fails to elaborate leaves
+    /// nothing resident.
     fn discard_if_empty(&self, fingerprint: u128, top: &str) {
         let mut map = lock_recover(&self.entries);
-        let key = (fingerprint, top.to_string());
-        let empty = map.slots.get(&key).is_some_and(|slot| {
+        let Some(design) = map.designs.get_mut(&fingerprint) else {
+            return;
+        };
+        let empty = design.tops.get(top).is_some_and(|slot| {
             slot.entry
                 .try_lock()
                 .map(|entry| entry.elaborated.is_none() && entry.compiled.is_none())
                 .unwrap_or(false)
         });
         if empty {
-            map.slots.remove(&key);
+            design.tops.remove(top);
+        }
+        // Two owners: the store and the failing caller.
+        let unheld = design
+            .module
+            .as_ref()
+            .is_none_or(|module| Arc::strong_count(module) <= 2);
+        if design.tops.is_empty() && unheld {
+            map.remove(fingerprint);
         }
     }
 
@@ -945,9 +1105,9 @@ impl DesignCache {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// The number of cached designs.
+    /// The number of stored designs.
     pub fn len(&self) -> usize {
-        lock_recover(&self.entries).slots.len()
+        lock_recover(&self.entries).designs.len()
     }
 
     /// Whether the cache is empty.
@@ -955,14 +1115,16 @@ impl DesignCache {
         self.len() == 0
     }
 
-    /// Drop all cached designs (counters are kept; in-flight sessions keep
+    /// Drop all stored designs (counters are kept; in-flight sessions keep
     /// their own `Arc`s and are unaffected, like eviction).
     pub fn clear(&self) {
-        lock_recover(&self.entries).slots.clear();
+        let mut map = lock_recover(&self.entries);
+        map.designs.clear();
+        map.memo.clear();
     }
 
-    /// Snapshot the observability surface: counters, live entries, the
-    /// bytes-ish retained-size estimate, and per-design run counts (sorted
+    /// Snapshot the observability surface: counters, live designs, the
+    /// bytes-ish retained-size estimate, and per-top run counts (sorted
     /// most-used first).
     ///
     /// ```
@@ -991,14 +1153,16 @@ impl DesignCache {
     pub fn stats(&self) -> CacheStats {
         let map = lock_recover(&self.entries);
         let mut designs: Vec<DesignStats> = map
-            .slots
+            .designs
             .iter()
-            .map(|((fingerprint, top), slot)| DesignStats {
-                fingerprint: *fingerprint,
-                top: top.clone(),
-                runs: slot.runs,
-                approx_bytes: slot.approx_bytes,
-                compiled: slot.compiled,
+            .flat_map(|(&fingerprint, design)| {
+                design.tops.iter().map(move |(top, slot)| DesignStats {
+                    fingerprint,
+                    top: top.clone(),
+                    runs: slot.runs,
+                    approx_bytes: slot.approx_bytes,
+                    compiled: slot.compiled,
+                })
             })
             .collect();
         designs.sort_by(|a, b| {
@@ -1013,7 +1177,8 @@ impl DesignCache {
             compile_hits: self.compile_hits(),
             compile_misses: self.compile_misses(),
             evictions: self.evictions(),
-            entries: map.slots.len(),
+            entries: map.designs.len(),
+            modules: map.designs.values().filter(|d| d.module.is_some()).count(),
             capacity: self.capacity(),
             approx_bytes: designs.iter().map(|d| d.approx_bytes).sum(),
             designs,
@@ -1548,10 +1713,10 @@ impl SimSession {
                 builder.build().and_then(|session| session.run())
             }))
             .unwrap_or_else(|payload| {
-                // A panic mid-build may have poisoned the job's cache
-                // slot; evict poisoned entries so the next request for the
-                // same design recompiles instead of wedging on the poison
-                // forever.
+                // A panic mid-build may have poisoned the job's fill
+                // slot; drop poisoned artifacts so the next request for
+                // the same design recompiles instead of wedging on the
+                // poison forever.
                 if let Some(cache) = cache {
                     cache.sweep_poisoned();
                 }
@@ -2046,6 +2211,125 @@ mod tests {
         assert_eq!(cache.evictions(), 1);
         let survivor = cache.stats();
         assert_eq!(survivor.designs[0].runs, 4, "LRU kept the hot design");
+    }
+
+    /// Build (and drop) a `blink` session over a stored module, so the
+    /// design holds an artifact.
+    fn build_stored(cache: &DesignCache, module: &Module, key: u128) {
+        SimSession::builder(module, "blink")
+            .engine(EngineKind::Interpret)
+            .cache(cache)
+            .cache_key(key)
+            .build()
+            .unwrap();
+    }
+
+    #[test]
+    fn a_resent_text_is_served_from_the_store() {
+        let cache = DesignCache::new();
+        let (first, key) = cache.module_for_source(BLINK).unwrap();
+        assert_eq!(key, DesignCache::fingerprint(&parse_module(BLINK).unwrap()));
+        let (second, again) = cache.module_for_source(BLINK).unwrap();
+        assert_eq!(again, key);
+        assert!(Arc::ptr_eq(&first, &second), "a memo hit must not parse");
+        assert!(Arc::ptr_eq(&cache.module(key).unwrap(), &first));
+        assert!(cache.module(key ^ 1).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.modules), (1, 1));
+    }
+
+    #[test]
+    fn a_text_one_byte_off_is_not_a_memo_hit() {
+        let cache = DesignCache::new();
+        let (stored, key) = cache.module_for_source(BLINK).unwrap();
+        // One byte off and invalid: it is parsed, not served.
+        assert!(cache
+            .module_for_source(&BLINK.replacen("entry:", "entry;", 1))
+            .is_err());
+        // One byte off and a different module: a different design.
+        let (other, other_key) = cache
+            .module_for_source(&BLINK.replacen("5ns", "6ns", 1))
+            .unwrap();
+        assert_ne!(other_key, key);
+        assert!(!Arc::ptr_eq(&other, &stored));
+        // One byte off and the same module: the same design and module,
+        // and the memo now holds the newer text.
+        let spaced = BLINK.replacen("entry:", "entry: ", 1);
+        let (same, same_key) = cache.module_for_source(&spaced).unwrap();
+        assert_eq!(same_key, key);
+        assert!(Arc::ptr_eq(&same, &stored));
+        assert_eq!(cache.len(), 2);
+        // A text whose memo hash points at another design's key is
+        // confirmed against the stored text, so it is never served that
+        // design's module.
+        let other_text = BLINK.replacen("5ns", "6ns", 1);
+        lock_recover(&cache.entries)
+            .memo
+            .insert(source_hash(&other_text), key);
+        let (confirmed, confirmed_key) = cache.module_for_source(&other_text).unwrap();
+        assert_eq!(confirmed_key, other_key);
+        assert!(Arc::ptr_eq(&confirmed, &other));
+    }
+
+    #[test]
+    fn an_evicted_design_is_parsed_again() {
+        let cache = DesignCache::with_capacity(1);
+        let (first, key) = cache.module_for_source(BLINK).unwrap();
+        build_stored(&cache, &first, key);
+        let other = BLINK.replacen("5ns", "6ns", 1);
+        let (module, other_key) = cache.module_for_source(&other).unwrap();
+        build_stored(&cache, &module, other_key);
+        assert_eq!(cache.evictions(), 1);
+        assert!(cache.module(key).is_none(), "evicted with its design");
+        assert_eq!(lock_recover(&cache.entries).memo.len(), 1);
+        let (again, again_key) = cache.module_for_source(BLINK).unwrap();
+        assert_eq!(again_key, key);
+        assert!(!Arc::ptr_eq(&again, &first), "a resubmission parses again");
+    }
+
+    #[test]
+    fn a_fresh_source_that_fails_to_elaborate_leaves_nothing() {
+        let cache = DesignCache::new();
+        let (module, key) = cache.module_for_source(BLINK).unwrap();
+        assert!(SimSession::builder(&module, "missing_top")
+            .cache(&cache)
+            .cache_key(key)
+            .build()
+            .is_err());
+        assert!(cache.is_empty());
+        assert!(cache.module(key).is_none());
+        assert!(lock_recover(&cache.entries).memo.is_empty());
+        // A design that holds an artifact survives a failing top.
+        let (module, key) = cache.module_for_source(BLINK).unwrap();
+        build_stored(&cache, &module, key);
+        assert!(SimSession::builder(&module, "missing_top")
+            .cache(&cache)
+            .cache_key(key)
+            .build()
+            .is_err());
+        assert!(cache.module(key).is_some());
+        assert_eq!(cache.stats().designs.len(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_fill_drops_only_its_artifacts() {
+        let cache = DesignCache::new();
+        let (module, key) = cache.module_for_source(BLINK).unwrap();
+        build_stored(&cache, &module, key);
+        let slot = cache.entry(key, "blink");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _fill = slot.lock().unwrap();
+            panic!("injected fill panic");
+        }));
+        assert!(unwound.is_err());
+        drop(slot);
+        cache.sweep_poisoned();
+        assert!(cache.stats().designs.is_empty(), "the artifacts go");
+        assert!(Arc::ptr_eq(&cache.module(key).unwrap(), &module));
+        let (resent, _) = cache.module_for_source(BLINK).unwrap();
+        assert!(Arc::ptr_eq(&resent, &module), "the memo stays");
+        build_stored(&cache, &module, key);
+        assert_eq!(cache.elaborate_misses(), 2, "the fill runs again");
     }
 
     #[test]

@@ -399,6 +399,13 @@ impl<'a> Parser<'a> {
         let width: usize = rest
             .parse()
             .map_err(|_| self.error(format!("invalid type '{}'", s)))?;
+        if width > ty::MAX_WIDTH {
+            return Err(self.error(format!(
+                "invalid type '{}': wider than {} bits",
+                s,
+                ty::MAX_WIDTH
+            )));
+        }
         match prefix {
             // An integer has at least one bit; `i0` has no values.
             "i" if width == 0 => Err(self.error(format!("invalid type '{}'", s))),
@@ -947,6 +954,25 @@ mod tests {
     use super::*;
     use crate::assembly::write_module;
     use crate::verifier::verify_module;
+
+    #[test]
+    fn type_widths_are_bounded() {
+        let constant =
+            |ty: &str| format!("proc @p () -> () {{\nentry:\n %c = const {ty} 0\n halt\n}}");
+        let widest = format!("i{}", ty::MAX_WIDTH);
+        assert!(parse_module(&constant(&widest)).is_ok());
+        for prefix in ["i", "l", "n"] {
+            for width in [ty::MAX_WIDTH + 1, 4_000_000_000] {
+                let e = parse_module(&constant(&format!("{prefix}{width}"))).unwrap_err();
+                assert!(
+                    e.to_string()
+                        .contains(&format!("wider than {} bits", ty::MAX_WIDTH)),
+                    "{}",
+                    e
+                );
+            }
+        }
+    }
 
     #[test]
     fn parse_simple_function() {

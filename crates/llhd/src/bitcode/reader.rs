@@ -71,6 +71,20 @@ impl<'a> Decoder<'a> {
         Ok(self.varint()? as usize)
     }
 
+    /// A type width (`iN`/`lN` bits, `nN` states), at most
+    /// [`ty::MAX_WIDTH`].
+    fn width(&mut self) -> Result<usize, DecodeError> {
+        let width = self.varint()?;
+        if width > ty::MAX_WIDTH as u128 {
+            return Err(err(format!(
+                "type width {} exceeds the maximum of {}",
+                width,
+                ty::MAX_WIDTH
+            )));
+        }
+        Ok(width as usize)
+    }
+
     /// An element count. Every counted element occupies at least one byte
     /// of input, so a count larger than the bytes left is hostile; rejecting
     /// it here keeps `Vec::with_capacity` and the decode loops bounded by
@@ -154,9 +168,9 @@ impl<'a> Decoder<'a> {
         Ok(match tag {
             0 => ty::void_ty(),
             1 => ty::time_ty(),
-            2 => ty::int_ty(self.varint_usize()?),
-            3 => ty::enum_ty(self.varint_usize()?),
-            4 => ty::logic_ty(self.varint_usize()?),
+            2 => ty::int_ty(self.width()?),
+            3 => ty::enum_ty(self.width()?),
+            4 => ty::logic_ty(self.width()?),
             5 => ty::pointer_ty(self.ty()?),
             6 => ty::signal_ty(self.ty()?),
             7 => {
@@ -483,6 +497,28 @@ mod tests {
         let mut bytes = encode_module(&module);
         bytes.truncate(bytes.len() / 2);
         assert!(decode_module(&bytes).is_err());
+    }
+
+    #[test]
+    fn type_widths_are_bounded() {
+        let src = |width: usize| format!("func @f (i{width} %x) void {{\nentry:\n ret\n}}");
+        let narrow = encode_module(&parse_module(&src(8)).unwrap());
+        let wider = encode_module(&parse_module(&src(9)).unwrap());
+        // The one byte that differs is the width's varint.
+        let at = narrow.iter().zip(&wider).position(|(a, b)| a != b).unwrap();
+        assert_eq!(narrow.len(), wider.len());
+        assert_eq!(narrow[at + 1..], wider[at + 1..]);
+        let with_width = |width: u128| {
+            let mut bytes = narrow[..at].to_vec();
+            crate::bitcode::write_varint(&mut bytes, width);
+            bytes.extend_from_slice(&narrow[at + 1..]);
+            decode_module(&bytes)
+        };
+        assert!(with_width(ty::MAX_WIDTH as u128).is_ok());
+        for width in [ty::MAX_WIDTH as u128 + 1, 4_000_000_000, u128::MAX] {
+            let e = with_width(width).unwrap_err();
+            assert!(e.to_string().contains("exceeds the maximum"), "{}", e);
+        }
     }
 
     #[test]

@@ -356,6 +356,13 @@ impl fmt::Debug for Type {
     }
 }
 
+/// The widest `iN`/`lN` and the most states of an `nN` that the assembly
+/// and bitcode readers accept: 2^16, 512 times the widest type any design,
+/// generator, test or corpus file in this workspace uses (`i128`). A
+/// value of this width takes 8 KiB; without the bound one constant of
+/// type `i4000000000` would ask for ≈ 500 MB.
+pub const MAX_WIDTH: usize = 1 << 16;
+
 /// Create a `void` type.
 pub fn void_ty() -> Type {
     Type::new(TypeKind::Void)
