@@ -16,7 +16,7 @@ if grep -rnE '\bwriteln?!\(' crates/llhd-server/src crates/llhd-router/src --exc
 # activation loop shared by both engines. No run-loop file spawns or
 # scopes threads (`run_batch` in api.rs parallelizes across whole jobs,
 # not within one, and is not covered).
-if grep -nE 'std::thread' crates/llhd-sim/src/sched.rs crates/llhd-sim/src/driver.rs crates/llhd-sim/src/engine.rs crates/llhd-blaze/src/engine.rs; then echo "ci.sh: std::thread in a run-loop file; a simulation runs on one thread" >&2; exit 1; fi
+if grep -nE 'std::thread' crates/llhd-sim/src/sched.rs crates/llhd-sim/src/driver.rs crates/llhd-sim/src/engine.rs crates/llhd-sim/src/blaze/engine.rs; then echo "ci.sh: std::thread in a run-loop file; a simulation runs on one thread" >&2; exit 1; fi
 
 # One-connection-per-call guard: a router call to a worker checks out a
 # plain `llhd_server::Client` (idle or fresh), writes its line and reads
@@ -46,16 +46,17 @@ fi
 # instruction set. `BlazeOptions`, `compile_design_with` and
 # `compile_unit_with` are inert shims that only the frozen `benchmark/`
 # package still calls (ROADMAP item 1); nothing in the workspace names
-# them outside their definitions in compile.rs and their one re-export.
+# them outside their definitions in blaze/compile.rs and the façade's one
+# re-export.
 # The compile walk emits `SuperOp`s directly and fusion happens only in
 # words, so no second op enum (`enum Op`) and no value-form fusion
 # (`SuperOp::Sel`/`CmpBr`/`BinDrv`) may come back.
 if grep -rnE '\b(BlazeOptions|compile_design_with|compile_unit_with)\b' crates tests examples |
-    grep -v '^crates/llhd-blaze/src/compile\.rs:' |
-    grep -vE '^crates/llhd-blaze/src/lib\.rs:[0-9]+:pub use compile::\{compile_design_with, BlazeOptions\};$'; then
-    echo "ci.sh: a blaze knob shim is named outside llhd-blaze; call compile_design" >&2; exit 1
+    grep -v '^crates/llhd-sim/src/blaze/compile\.rs:' |
+    grep -vE '^crates/llhd-blaze/src/lib\.rs:[0-9]+:pub use llhd_sim::blaze::compile::\{compile_design_with, BlazeOptions\};$'; then
+    echo "ci.sh: a blaze knob shim is named outside blaze/compile.rs; call compile_design" >&2; exit 1
 fi
-if grep -rnE '\benum Op\b|\bSuperOp::(Sel|CmpBr|BinDrv)\b' crates/llhd-blaze/src; then
+if grep -rnE '\benum Op\b|\bSuperOp::(Sel|CmpBr|BinDrv)\b' crates/llhd-sim/src/blaze; then
     echo "ci.sh: a second blaze instruction set or a value-form fusion is back; emit SuperOps and fuse in words" >&2; exit 1
 fi
 # One-dispatcher guard for the interpreter: one loop (`run_body`) runs
@@ -66,16 +67,26 @@ if grep -nE '\bfn function_inst\b|\bstruct Frame\b|\benum Flow\b' crates/llhd-si
     echo "ci.sh: a second interpreter dispatcher is back; run every body through run_body" >&2; exit 1
 fi
 
+# One-engine-path guard: blaze is a module of llhd-sim, so sessions and
+# the design store call it directly and `Auto` compiles in every process.
+# No process-global backend registry (a `OnceLock` of function pointers
+# over type-erased artifacts) may come back into api.rs, and the
+# llhd-blaze façade holds re-exports and its no-op `register()` only.
+if grep -nE '\b(CompileBackend|CompiledArtifact|register_compile_backend|OnceLock)\b' crates/llhd-sim/src/api.rs ||
+    grep -nE '\bfn\s+[A-Za-z_]' crates/llhd-blaze/src/lib.rs | grep -vE '\bfn register\(\)'; then
+    echo "ci.sh: a compile-backend registry is back in api.rs, or the llhd-blaze façade defines a function; call llhd_sim::blaze directly" >&2; exit 1
+fi
+
 # Format gate for the readers, the lowering layer, both engines and the
 # serving stack: `llhd::assembly`, `llhd::bitcode`, `llhd::analysis`,
-# every `llhd-opt` source, every `llhd-sim` and `llhd-blaze` source and
-# every `llhd-server` and `llhd-router` source stay rustfmt-clean. The
-# rest of the workspace is not rustfmt-clean yet, so `cargo fmt --check`
+# every `llhd-opt` source, every `llhd-sim` source (`blaze/` included),
+# the `llhd-blaze` façade and every `llhd-server` and `llhd-router`
+# source stay rustfmt-clean. The rest of the workspace is not rustfmt-clean yet, so `cargo fmt --check`
 # cannot be the gate; a file joins this list once it is formatted.
 rustfmt --edition 2021 --check crates/llhd/src/assembly/*.rs \
     crates/llhd/src/bitcode/*.rs crates/llhd/src/analysis/*.rs \
     crates/llhd-opt/src/*.rs crates/llhd-opt/src/passes/*.rs \
-    crates/llhd-sim/src/*.rs crates/llhd-blaze/src/*.rs \
+    crates/llhd-sim/src/*.rs crates/llhd-sim/src/blaze/*.rs crates/llhd-blaze/src/*.rs \
     crates/llhd-server/src/*.rs crates/llhd-router/src/*.rs || {
     echo "ci.sh: a formatted layer is not rustfmt-clean; run rustfmt --edition 2021 on it" >&2
     exit 1

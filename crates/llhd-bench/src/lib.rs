@@ -59,7 +59,6 @@ impl Table2Row {
 /// Panics if a design fails to build or simulate; that indicates a bug in
 /// the design suite rather than a measurement outcome.
 pub fn measure_design(design: &Design, cycles: u64) -> Table2Row {
-    llhd_blaze::register();
     let module = design.build_for(cycles).expect("design must build");
     let config = SimConfig::until_nanos(design.sim_time_ns(cycles))
         .with_trace_filter(&[design.probe_signal]);

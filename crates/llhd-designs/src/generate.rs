@@ -440,7 +440,7 @@ mod tests {
             let module = design.build().unwrap();
             let mut reference = None;
             for engine in [EngineKind::Interpret, EngineKind::Compile] {
-                let result = llhd_blaze::session(&module, &design.top)
+                let result = llhd_sim::api::SimSession::builder(&module, &design.top)
                     .engine(engine)
                     .until_nanos(design.sim_time_ns(24))
                     .build()

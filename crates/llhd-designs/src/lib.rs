@@ -162,7 +162,6 @@ mod tests {
     use llhd_sim::{SimConfig, SimResult};
 
     fn run(module: &Module, top: &str, config: &SimConfig, engine: EngineKind) -> SimResult {
-        llhd_blaze::register();
         SimSession::builder(module, top)
             .engine(engine)
             .config(config.clone())

@@ -18,7 +18,6 @@ use llhd_sim::api::{EngineKind, SimSession};
 use llhd_sim::{SimConfig, SimResult};
 
 fn run(module: &Module, top: &str, config: &SimConfig, engine: EngineKind) -> SimResult {
-    llhd_blaze::register();
     SimSession::builder(module, top)
         .engine(engine)
         .config(config.clone())
@@ -122,7 +121,6 @@ fn call_chain(depth: usize) -> Module {
 /// `catch_unwind`).
 #[test]
 fn unbounded_recursion_is_the_same_runtime_error_on_both_engines() {
-    llhd_blaze::register();
     let module = call_chain(0);
     let errors: Vec<String> = [EngineKind::Interpret, EngineKind::Compile]
         .into_iter()
@@ -146,7 +144,6 @@ fn unbounded_recursion_is_the_same_runtime_error_on_both_engines() {
 /// what a server worker has — on both engines, and one frame more fails.
 #[test]
 fn call_chain_at_the_depth_limit_fits_a_default_thread_stack() {
-    llhd_blaze::register();
     let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
         let config = SimConfig::until_nanos(10);
         let at_limit = call_chain(llhd_sim::MAX_CALL_DEPTH);

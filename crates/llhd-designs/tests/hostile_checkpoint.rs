@@ -10,7 +10,7 @@
 //! well-formed but wrongly typed is refused by `restore` instead of
 //! panicking a width-checked operator later.
 
-use llhd_blaze::{compile_design, BlazeSimulator};
+use llhd_sim::blaze::{compile_design, BlazeSimulator};
 use llhd_designs::all_designs;
 use llhd_sim::{Driver, EngineState, Executor, SimConfig, Simulator};
 use std::panic::{catch_unwind, AssertUnwindSafe};

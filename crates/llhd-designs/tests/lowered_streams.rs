@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 /// One line per design: `ops=<specialized ops> base_ops=<sum> | <variant> <count>, …`.
 fn streams(module: &Module, top: &str) -> String {
     let design = llhd_sim::elaborate(module, top).expect("elaborates");
-    let compiled = llhd_blaze::compile_design(module, design).expect("compiles");
+    let compiled = llhd_sim::blaze::compile_design(module, design).expect("compiles");
     let mut census: BTreeMap<String, usize> = BTreeMap::new();
     let codes = compiled
         .instances

@@ -11,7 +11,6 @@ use llhd_sim::SimConfig;
 /// to an uninterrupted run — on both engines, over real designs.
 #[test]
 fn chunked_stepping_is_deterministic_on_both_engines() {
-    llhd_blaze::register();
     for design in all_designs().into_iter().take(3) {
         let module = design.build().unwrap();
         let config = SimConfig::until_nanos(design.sim_time_ns(10));
@@ -62,7 +61,6 @@ fn chunked_stepping_is_deterministic_on_both_engines() {
 /// uninterrupted run — on both engines, over real designs.
 #[test]
 fn checkpoint_restore_resumes_byte_identical_on_both_engines() {
-    llhd_blaze::register();
     for design in all_designs().into_iter().take(3) {
         let module = design.build().unwrap();
         let config = SimConfig::until_nanos(design.sim_time_ns(10));
@@ -113,11 +111,10 @@ fn checkpoint_restore_resumes_byte_identical_on_both_engines() {
 
 /// A cached repeat run of a moore-built testbench skips `compile_design`
 /// entirely: the second session is served from the cache, observable
-/// through the compile-hit counter (the backend's compile hook only runs
-/// on misses).
+/// through the compile-hit counter (`compile_design` only runs on
+/// misses).
 #[test]
 fn cached_repeat_run_skips_compilation() {
-    llhd_blaze::register();
     let module = accumulator_example().unwrap();
     let cache = DesignCache::new();
     let config = SimConfig::until_nanos(60);
@@ -179,7 +176,6 @@ fn cached_repeat_run_skips_compilation() {
 /// the equivalent individual sessions, in job order.
 #[test]
 fn batch_runner_matches_individual_sessions() {
-    llhd_blaze::register();
     let built: Vec<_> = all_designs()
         .into_iter()
         .map(|design| {
@@ -232,7 +228,6 @@ fn batch_runner_matches_individual_sessions() {
 /// uncached solo run.
 #[test]
 fn eviction_mid_batch_leaves_traces_unchanged() {
-    llhd_blaze::register();
     let built: Vec<_> = all_designs()
         .into_iter()
         .take(6)
@@ -283,11 +278,11 @@ fn eviction_mid_batch_leaves_traces_unchanged() {
     }
 }
 
-/// `EngineKind::Auto` picks the compiled engine whenever the backend is
-/// registered, whatever the module's size, and reports the resolved kind.
+/// `EngineKind::Auto` picks the compiled engine, whatever the module's
+/// size, and reports the resolved kind. (Nothing registers blaze any
+/// more; the name predates that.)
 #[test]
 fn auto_engine_compiles_whenever_a_backend_is_registered() {
-    llhd_blaze::register();
     let module = accumulator_example().unwrap();
     let session = SimSession::builder(&module, "acc_tb").build().unwrap();
     assert_eq!(session.engine_kind(), EngineKind::Compile);
@@ -308,14 +303,12 @@ fn auto_engine_compiles_whenever_a_backend_is_registered() {
     assert_eq!(session.engine_kind(), EngineKind::Compile);
 }
 
-/// With a backend registered, `Auto` is `Compile`: when the backend
-/// rejects the module (blaze compiles *every* unit, and phi nodes are
-/// outside its subset), `Auto` reports the compile error just as an
-/// explicit `Compile` does. The interpreter still runs the module when
+/// `Auto` is `Compile`: when blaze rejects the module (blaze compiles
+/// *every* unit, and phi nodes are outside its subset), `Auto` reports the
+/// compile error just as an explicit `Compile` does. The interpreter still runs the module when
 /// asked for by name.
 #[test]
 fn auto_reports_a_compile_error_when_blaze_rejects() {
-    llhd_blaze::register();
     // A blinker plus an unrelated function containing a phi, which blaze
     // refuses to compile even though nothing instantiates it.
     let src = r#"
@@ -363,7 +356,6 @@ fn auto_reports_a_compile_error_when_blaze_rejects() {
 /// Peek/poke work identically through both engines.
 #[test]
 fn peek_and_poke_are_engine_agnostic() {
-    llhd_blaze::register();
     let module = llhd::assembly::parse_module(
         r#"
         entity @follower (i8$ %a) -> (i8$ %q) {
@@ -406,7 +398,6 @@ fn peek_and_poke_are_engine_agnostic() {
 /// next delta step.
 #[test]
 fn a_delay_past_the_end_of_time_never_fires() {
-    llhd_blaze::register();
     let module = llhd::assembly::parse_module(
         r#"
         proc @p () -> (i8$ %s) {

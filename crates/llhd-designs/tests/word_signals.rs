@@ -230,7 +230,6 @@ fn run_from(
 
 #[test]
 fn word_and_value_signals_agree_across_engines_and_cuts() {
-    llhd_blaze::register();
     let module = llhd::assembly::parse_module(MIXED).unwrap();
     llhd::verifier::verify_module(&module).unwrap();
     let reference = run(&module, EngineKind::Interpret, &[]);
@@ -328,7 +327,6 @@ fn hex(bytes: &[u8]) -> String {
 
 #[test]
 fn checkpoint_bytes_are_pinned() {
-    llhd_blaze::register();
     let module = llhd::assembly::parse_module(MIXED).unwrap();
     for (engine, pinned) in [
         (EngineKind::Interpret, PINNED_INTERPRET),
@@ -394,7 +392,6 @@ entity @top () -> () {
 
 #[test]
 fn drives_of_another_type_apply_alike_on_both_engines() {
-    llhd_blaze::register();
     let module = llhd::assembly::parse_module(MISMATCHED).unwrap();
     assert!(llhd::verifier::verify_module(&module).is_err());
     let mut runs = vec![];

@@ -22,7 +22,7 @@ use crate::gen::FuzzDesign;
 use crate::stim::{mask, Schedule, StimOp};
 use llhd::ir::Module;
 use llhd::value::ConstValue;
-use llhd_blaze::{compile_design, BlazeSimulator};
+use llhd_sim::blaze::{compile_design, BlazeSimulator};
 use llhd_sim::api::Engine;
 use llhd_sim::{elaborate, ElaboratedDesign, SimConfig, Simulator};
 use std::sync::Arc;

@@ -695,7 +695,7 @@ mod tests {
                 llhd_sim::EngineKind::Interpret,
                 llhd_sim::EngineKind::Compile,
             ] {
-                let result = llhd_blaze::session(&module, &design.top)
+                let result = llhd_sim::api::SimSession::builder(&module, &design.top)
                     .engine(engine)
                     .until_nanos(design.until_ns)
                     .build()
@@ -722,7 +722,7 @@ mod tests {
             .find(|p| p.clusters.iter().any(|c| !c.racers.is_empty()))
             .expect("some seed in 0..64 has a racer");
         let (design, module) = plan.build().unwrap();
-        let result = llhd_blaze::session(&module, &design.top)
+        let result = llhd_sim::api::SimSession::builder(&module, &design.top)
             .engine(llhd_sim::EngineKind::Interpret)
             .until_nanos(design.until_ns)
             .build()

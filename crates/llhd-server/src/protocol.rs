@@ -179,8 +179,6 @@ pub enum ErrorKind {
     Compile,
     /// The simulation hit a runtime error.
     Runtime,
-    /// No compile backend is registered.
-    Backend,
     /// A `peek`/`poke`-style signal reference did not resolve.
     UnknownSignal,
     /// The referenced design key is not resident (evicted or never seen).
@@ -213,7 +211,6 @@ impl ErrorKind {
             ErrorKind::Elaborate => "elaborate",
             ErrorKind::Compile => "compile",
             ErrorKind::Runtime => "runtime",
-            ErrorKind::Backend => "backend",
             ErrorKind::UnknownSignal => "unknown_signal",
             ErrorKind::UnknownDesign => "unknown_design",
             ErrorKind::UnknownSession => "unknown_session",
@@ -235,7 +232,6 @@ impl ErrorKind {
             "elaborate" => ErrorKind::Elaborate,
             "compile" => ErrorKind::Compile,
             "runtime" => ErrorKind::Runtime,
-            "backend" => ErrorKind::Backend,
             "unknown_signal" => ErrorKind::UnknownSignal,
             "unknown_design" => ErrorKind::UnknownDesign,
             "unknown_session" => ErrorKind::UnknownSession,
@@ -297,7 +293,6 @@ impl From<api::Error> for ProtoError {
             api::Error::Elaborate(_) => ErrorKind::Elaborate,
             api::Error::Compile(_) => ErrorKind::Compile,
             api::Error::Runtime(_) => ErrorKind::Runtime,
-            api::Error::BackendUnavailable(_) => ErrorKind::Backend,
             api::Error::UnknownSignal(_) => ErrorKind::UnknownSignal,
             api::Error::DeadlineExceeded { .. } => ErrorKind::DeadlineExceeded,
             api::Error::Panic(_) => ErrorKind::Internal,
@@ -1154,7 +1149,6 @@ mod tests {
             ErrorKind::Elaborate,
             ErrorKind::Compile,
             ErrorKind::Runtime,
-            ErrorKind::Backend,
             ErrorKind::UnknownSignal,
             ErrorKind::UnknownDesign,
             ErrorKind::UnknownSession,
@@ -1178,7 +1172,6 @@ mod tests {
             Elaborate,
             Compile,
             Runtime,
-            Backend,
             UnknownSignal,
             UnknownDesign,
             UnknownSession,
@@ -1192,9 +1185,9 @@ mod tests {
             // Exhaustive on purpose: a new kind stops this compiling
             // until it is listed above.
             match kind {
-                Parse | Protocol | Source | Elaborate | Compile | Runtime | Backend
-                | UnknownSignal | UnknownDesign | UnknownSession | SessionLimit | Shutdown
-                | DeadlineExceeded | Overloaded | Internal => {}
+                Parse | Protocol | Source | Elaborate | Compile | Runtime | UnknownSignal
+                | UnknownDesign | UnknownSession | SessionLimit | Shutdown | DeadlineExceeded
+                | Overloaded | Internal => {}
             }
             assert_eq!(ErrorKind::from_wire_name(kind.wire_name()), Some(kind));
         }

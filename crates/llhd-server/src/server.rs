@@ -842,10 +842,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Create a server (and register the blaze compile backend, so
-    /// `"engine":"compile"` works and `"engine":"auto"` compiles).
+    /// Create a server.
     pub fn new(config: ServerConfig) -> Server {
-        llhd_blaze::register();
         Server {
             state: Arc::new(ServerState::new(&config)),
             stats_interval: config.stats_interval,

@@ -12,7 +12,7 @@
 use llhd_fuzz::{case_seed, DesignPlan};
 use llhd_server::json::Json;
 use llhd_server::{Client, Server, ServerConfig};
-use llhd_sim::api::EngineKind;
+use llhd_sim::api::{EngineKind, SimSession};
 use llhd_sim::SimConfig;
 
 fn sim_request(fields: Vec<(&'static str, Json)>) -> Json {
@@ -50,7 +50,7 @@ fn generated_designs_return_identical_vcd_across_engines_and_threads() {
         let (design, module) = plan.build().unwrap();
 
         // In-process reference: the interpreter.
-        let reference = llhd_blaze::session(&module, &design.top)
+        let reference = SimSession::builder(&module, &design.top)
             .engine(EngineKind::Interpret)
             .config(SimConfig::until_nanos(design.until_ns))
             .build()

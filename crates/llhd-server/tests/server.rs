@@ -142,7 +142,6 @@ fn a_real_design_round_trips_through_the_compiled_engine() {
         .unwrap();
     assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{}", response);
 
-    llhd_blaze::register();
     let reference = SimSession::builder(&module, design.top)
         .engine(EngineKind::Compile)
         .config(SimConfig::until_nanos(until).without_trace())

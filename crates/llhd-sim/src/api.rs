@@ -41,10 +41,9 @@
 //!   then `step`/`peek`/`poke` with deterministic resume (a run advanced
 //!   in chunks is byte-identical to an uninterrupted one).
 //! * [`EngineKind`] — `Interpret`, `Compile`, or `Auto`. The compiled
-//!   engine lives in `llhd-blaze`, which cannot be a dependency of this
-//!   crate (it already depends on us), so it plugs itself in through
-//!   [`register_compile_backend`]; `llhd_blaze::register()` does exactly
-//!   that.
+//!   engine is this crate's [`blaze`](crate::blaze) module, so `Auto`
+//!   compiles in every process, and a module blaze rejects is a
+//!   [`Error::Compile`].
 //! * [`SimResult::trace`] — the one trace a run produces, recorded by the
 //!   engine and rendered with [`Trace::to_vcd`](crate::Trace::to_vcd);
 //!   [`SessionBuilder::without_trace`] turns recording off and keeps the
@@ -58,6 +57,7 @@
 //! * [`SimSession::run_batch`] — fans a slice of [`BatchJob`]s across std
 //!   threads, one worker per core.
 
+use crate::blaze::{compile_design, BlazeSimulator, CompileError, CompiledDesign};
 use crate::design::{elaborate, ElaborateError, ElaboratedDesign, SignalId, SignalInfo};
 use crate::engine::{RunControl, SimConfig, SimError, SimResult, Simulator};
 use llhd::assembly::{parse_module, ParseError};
@@ -68,7 +68,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -85,9 +85,6 @@ pub enum Error {
     Compile(String),
     /// The simulation hit an unsupported construct or ran away.
     Runtime(String),
-    /// [`EngineKind::Compile`] was requested but no compile backend is
-    /// registered (call `llhd_blaze::register()` first).
-    BackendUnavailable(String),
     /// A `peek`/`poke` named a signal the design does not contain.
     UnknownSignal(String),
     /// The run used up its wall-clock budget
@@ -111,7 +108,6 @@ impl fmt::Display for Error {
             Error::Elaborate(e) => write!(f, "elaboration error: {}", e),
             Error::Compile(msg) => write!(f, "compile error: {}", msg),
             Error::Runtime(msg) => write!(f, "runtime error: {}", msg),
-            Error::BackendUnavailable(msg) => write!(f, "no compile backend: {}", msg),
             Error::UnknownSignal(name) => write!(f, "unknown signal '{}'", name),
             Error::DeadlineExceeded { time_fs } => write!(
                 f,
@@ -135,6 +131,12 @@ impl std::error::Error for Error {
 impl From<ElaborateError> for Error {
     fn from(e: ElaborateError) -> Self {
         Error::Elaborate(e)
+    }
+}
+
+impl From<CompileError> for Error {
+    fn from(e: CompileError) -> Self {
+        Error::Compile(e.0)
     }
 }
 
@@ -164,7 +166,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// The engine trait and backend registry
+// The engine trait
 // ---------------------------------------------------------------------------
 
 /// The common surface of both simulation engines.
@@ -398,28 +400,10 @@ impl EngineState {
     }
 }
 
-/// An engine-specific compiled design, type-erased so this crate does not
-/// have to know the backend's types. `Send + Sync` so a [`DesignCache`]
-/// can serve it across the batch runner's threads.
-pub type CompiledArtifact = Arc<dyn Any + Send + Sync>;
-
-/// The `compile` hook of a [`CompileBackend`].
-pub type CompileFn = fn(&Module, Arc<ElaboratedDesign>) -> Result<CompiledArtifact, Error>;
-
-/// The `instantiate` hook of a [`CompileBackend`].
-pub type InstantiateFn = fn(&CompiledArtifact, &SimConfig) -> Result<Box<dyn Engine>, Error>;
-
-/// The `artifact_bytes` hook of a [`CompileBackend`]: a rough retained-size
-/// estimate of a compiled artifact, feeding the [`DesignCache`]'s
-/// bytes-ish observability counter. Exactness is not required — return 0
-/// if the backend cannot estimate.
-pub type ArtifactBytesFn = fn(&CompiledArtifact) -> usize;
-
-/// Per-unit statistics of a compiled artifact, reported through the
-/// backend's [`artifact_stats`](CompileBackend::artifact_stats) hook so
-/// introspection surfaces (the server's `session.query` stats request)
-/// can show what compilation actually did without depending on the
-/// backend crate.
+/// Per-unit statistics of a compiled design
+/// ([`CompiledDesign::unit_stats`]), so introspection surfaces (the
+/// server's `session.query` stats request) can show what compilation
+/// actually did.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitArtifactStats {
     /// The unit name.
@@ -437,56 +421,19 @@ pub struct UnitArtifactStats {
     pub specialized_instances: usize,
 }
 
-/// The `artifact_stats` hook of a [`CompileBackend`]: per-unit compilation
-/// statistics of an artifact. Return an empty vector if the backend keeps
-/// none.
-pub type ArtifactStatsFn = fn(&CompiledArtifact) -> Vec<UnitArtifactStats>;
-
-/// A pluggable ahead-of-time compilation backend. The compiled engine
-/// lives in `llhd-blaze` (which depends on this crate), so the dependency
-/// is inverted: blaze registers this vtable via
-/// [`register_compile_backend`] and sessions resolve it at build time.
-#[derive(Clone, Copy)]
-pub struct CompileBackend {
-    /// Backend name, for diagnostics.
-    pub name: &'static str,
-    /// Compile an elaborated design into a reusable, cacheable artifact.
-    pub compile: CompileFn,
-    /// Instantiate a fresh engine over a (possibly cached) artifact.
-    pub instantiate: InstantiateFn,
-    /// Estimate an artifact's retained size in bytes (for cache stats).
-    pub artifact_bytes: ArtifactBytesFn,
-    /// Report per-unit compilation statistics of an artifact.
-    pub artifact_stats: ArtifactStatsFn,
-}
-
-static COMPILE_BACKEND: OnceLock<CompileBackend> = OnceLock::new();
-
-/// Install the compile backend. Idempotent: the first registration wins,
-/// later calls are no-ops (there is one compiled engine in this system).
-pub fn register_compile_backend(backend: CompileBackend) {
-    let _ = COMPILE_BACKEND.set(backend);
-}
-
-/// The registered compile backend, if any.
-pub fn compile_backend() -> Option<&'static CompileBackend> {
-    COMPILE_BACKEND.get()
-}
-
 /// Which engine a session runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EngineKind {
-    /// Pick automatically: the compiled engine whenever a backend is
-    /// registered (a module the backend rejects is then a compile error,
-    /// as with `Compile`), the interpreter when none is. Compilation
-    /// repays itself within a few simulated cycles on every design
-    /// measured (the benchmark's `blaze.breakeven_cycles`), so module
-    /// size predicts nothing.
+    /// Pick automatically: the compiled engine, always (a module blaze
+    /// rejects is a compile error, as with `Compile`). Compilation repays
+    /// itself within a few simulated cycles on every design measured (the
+    /// benchmark's `blaze.breakeven_cycles`), so module size predicts
+    /// nothing.
     #[default]
     Auto,
-    /// The reference interpreter (`llhd-sim`).
+    /// The reference interpreter ([`crate::engine`]).
     Interpret,
-    /// The ahead-of-time compiled engine (`llhd-blaze`).
+    /// The ahead-of-time compiled engine ([`crate::blaze`]).
     Compile,
 }
 
@@ -519,7 +466,7 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
 #[derive(Default)]
 struct CacheEntry {
     elaborated: Option<Arc<ElaboratedDesign>>,
-    compiled: Option<CompiledArtifact>,
+    compiled: Option<Arc<CompiledDesign>>,
 }
 
 /// One lockable fill slot per `(design, top)`.
@@ -1017,11 +964,10 @@ impl DesignCache {
         }
     }
 
-    /// The compiled artifact for `(module, top)` under `backend` and the
-    /// module's [`DesignCache::fingerprint`], elaborating and compiling on
-    /// a miss. On a hit the backend's `compile` hook is **not** invoked —
-    /// asserted by the [`DesignCache::compile_hits`] counter in the test
-    /// suite.
+    /// The compiled design for `(module, top)` under the module's
+    /// [`DesignCache::fingerprint`], elaborating and compiling on a miss.
+    /// On a hit `compile_design` is **not** run — asserted by the
+    /// [`DesignCache::compile_hits`] counter in the test suite.
     ///
     /// # Errors
     ///
@@ -1031,8 +977,7 @@ impl DesignCache {
         fingerprint: u128,
         module: &Module,
         top: &str,
-        backend: &CompileBackend,
-    ) -> Result<(Arc<ElaboratedDesign>, CompiledArtifact), Error> {
+    ) -> Result<(Arc<ElaboratedDesign>, Arc<CompiledDesign>), Error> {
         let slot = self.entry(fingerprint, top);
         let mut entry = self.lock_entry(&slot);
         if let (Some(design), Some(artifact)) = (&entry.elaborated, &entry.compiled) {
@@ -1060,24 +1005,24 @@ impl DesignCache {
                 }
             }
         };
-        // Store the elaboration before compiling: if the backend rejects
-        // the design, the (valid) elaboration stays cached for retries
+        // Store the elaboration before compiling: if blaze rejects the
+        // design, the (valid) elaboration stays cached for retries
         // and interpreter sessions.
         entry.elaborated = Some(Arc::clone(&design));
         self.compile_misses.fetch_add(1, Ordering::Relaxed);
-        let artifact = match (backend.compile)(module, Arc::clone(&design)) {
-            Ok(artifact) => artifact,
+        let compiled = match compile_design(module, Arc::clone(&design)) {
+            Ok(compiled) => Arc::new(compiled),
             Err(e) => {
                 drop(entry);
                 self.note_fill(fingerprint, top, approx_elaborated_bytes(&design), false);
-                return Err(e);
+                return Err(e.into());
             }
         };
-        entry.compiled = Some(Arc::clone(&artifact));
+        entry.compiled = Some(Arc::clone(&compiled));
         drop(entry);
-        let bytes = approx_elaborated_bytes(&design) + (backend.artifact_bytes)(&artifact);
+        let bytes = approx_elaborated_bytes(&design) + compiled.approx_bytes();
         self.note_fill(fingerprint, top, bytes, true);
-        Ok((design, artifact))
+        Ok((design, compiled))
     }
 
     /// Cache hits on the elaboration table.
@@ -1146,7 +1091,8 @@ impl DesignCache {
     ///     SimSession::builder(&module, "p").cache(&cache).build().unwrap();
     /// }
     /// let stats = cache.stats();
-    /// assert_eq!((stats.elaborate_misses, stats.elaborate_hits), (1, 2));
+    /// // The default engine compiles: one compilation, two reuses.
+    /// assert_eq!((stats.compile_misses, stats.compile_hits), (1, 2));
     /// assert_eq!(stats.designs[0].runs, 3);
     /// assert!(stats.approx_bytes > 0);
     /// ```
@@ -1305,13 +1251,10 @@ impl<'m> SessionBuilder<'m> {
     ///
     /// # Errors
     ///
-    /// Fails on elaboration or compilation errors, and with
-    /// [`Error::BackendUnavailable`] when [`EngineKind::Compile`] is
-    /// requested without a registered backend.
+    /// Fails on elaboration or compilation errors.
     pub fn build(self) -> Result<SimSession, Error> {
         let kind = match self.kind {
-            EngineKind::Auto if compile_backend().is_some() => EngineKind::Compile,
-            EngineKind::Auto => EngineKind::Interpret,
+            EngineKind::Auto => EngineKind::Compile,
             k => k,
         };
         let key = match self.cache {
@@ -1332,23 +1275,16 @@ impl<'m> SessionBuilder<'m> {
         let (design, engine): (Arc<ElaboratedDesign>, Box<dyn Engine>) = if kind
             == EngineKind::Compile
         {
-            let backend = compile_backend().ok_or_else(|| {
-                Error::BackendUnavailable(
-                    "EngineKind::Compile requires llhd_blaze::register()".to_string(),
-                )
-            })?;
-            let (design, artifact) = match (self.cache, key) {
-                (Some(cache), Some(key)) => {
-                    cache.compiled_keyed(key, self.module, self.top, backend)?
-                }
+            let (design, compiled) = match (self.cache, key) {
+                (Some(cache), Some(key)) => cache.compiled_keyed(key, self.module, self.top)?,
                 _ => {
                     let design = Arc::new(elaborate(self.module, self.top)?);
-                    let artifact = (backend.compile)(self.module, Arc::clone(&design))?;
-                    (design, artifact)
+                    let compiled = compile_design(self.module, Arc::clone(&design))?;
+                    (design, Arc::new(compiled))
                 }
             };
-            unit_stats = (backend.artifact_stats)(&artifact);
-            let engine = (backend.instantiate)(&artifact, &self.config)?;
+            unit_stats = compiled.unit_stats();
+            let engine = Box::new(BlazeSimulator::new(compiled, self.config.clone()).into_driver());
             (design, engine)
         } else {
             let design = match (self.cache, key) {
@@ -1421,8 +1357,8 @@ pub struct SimSession {
     /// The first `initialize`/`step` failure; `finish` replays it rather
     /// than assembling a half-applied result.
     failed: Option<Error>,
-    /// Per-unit compilation statistics from the backend's
-    /// `artifact_stats` hook (empty for interpreted sessions).
+    /// Per-unit compilation statistics of the compiled design (empty for
+    /// interpreted sessions).
     unit_stats: Vec<UnitArtifactStats>,
 }
 
@@ -1455,8 +1391,8 @@ impl SimSession {
     }
 
     /// Per-unit compilation statistics (base ops, fused superops,
-    /// specialized instance counts) reported by the compile backend.
-    /// Empty for interpreted sessions or backends without the hook.
+    /// specialized instance counts) of the compiled design. Empty for
+    /// interpreted sessions.
     pub fn unit_stats(&self) -> &[UnitArtifactStats] {
         &self.unit_stats
     }
@@ -1652,15 +1588,15 @@ impl SimSession {
     ///     }",
     /// )
     /// .unwrap();
-    /// // Four runs of one design, different end times, one elaboration.
+    /// // Four runs of one design, different end times, one compilation.
     /// let jobs: Vec<BatchJob> = (1..=4)
     ///     .map(|i| BatchJob::new(&module, "pulse", SimConfig::until_nanos(10 * i)))
     ///     .collect();
     /// let cache = DesignCache::new();
     /// let results = SimSession::run_batch(&jobs, Some(&cache));
     /// assert!(results.iter().all(|r| r.is_ok()));
-    /// assert_eq!(cache.elaborate_misses(), 1);
-    /// assert_eq!(cache.elaborate_hits(), 3);
+    /// assert_eq!(cache.compile_misses(), 1);
+    /// assert_eq!(cache.compile_hits(), 3);
     /// ```
     pub fn run_batch(
         jobs: &[BatchJob<'_>],
@@ -1805,6 +1741,23 @@ mod tests {
         assert_eq!(session.engine_name(), "interp");
         let result = session.run().unwrap();
         assert!(result.trace.changes_of("led").count() >= 18);
+    }
+
+    /// `Auto` compiles in every process: nothing here installs or names
+    /// the compiled engine before the default session and batch run.
+    #[test]
+    fn auto_runs_on_blaze_by_default() {
+        let module = parse_module(BLINK).unwrap();
+        let session = SimSession::builder(&module, "blink").build().unwrap();
+        assert_eq!(session.engine_kind(), EngineKind::Compile);
+        assert_eq!(session.engine_name(), "blaze");
+        assert!(!session.unit_stats().is_empty());
+        let cache = DesignCache::new();
+        let jobs = [BatchJob::new(&module, "blink", SimConfig::until_nanos(20))];
+        let results = SimSession::run_batch(&jobs, Some(&cache));
+        assert!(results[0].is_ok());
+        assert_eq!(cache.compile_misses(), 1, "the batch job compiled");
+        assert!(cache.stats().designs[0].compiled);
     }
 
     #[test]
@@ -1969,29 +1922,10 @@ mod tests {
     }
 
     #[test]
-    fn compile_without_backend_is_a_clean_error() {
-        // The backend registry is process-global and another test (or the
-        // blaze crate) may have registered one; only assert the negative
-        // when none is present.
-        if compile_backend().is_some() {
-            return;
-        }
-        let module = parse_module(BLINK).unwrap();
-        let err = SimSession::builder(&module, "blink")
-            .engine(EngineKind::Compile)
-            .build()
-            .err()
-            .expect("no backend registered in llhd-sim's own tests");
-        assert!(matches!(err, Error::BackendUnavailable(_)));
-        // Auto degrades to the interpreter instead of failing.
-        let session = SimSession::builder(&module, "blink").build().unwrap();
-        assert_eq!(session.engine_kind(), EngineKind::Interpret);
-    }
-
-    #[test]
     fn unknown_top_surfaces_as_elaborate_error() {
         let module = parse_module(BLINK).unwrap();
         let err = SimSession::builder(&module, "missing")
+            .engine(EngineKind::Interpret)
             .build()
             .err()
             .unwrap();
@@ -2060,6 +1994,7 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // A failed elaboration must not leak a placeholder entry.
         assert!(SimSession::builder(&module, "missing_top")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .is_err());
@@ -2096,12 +2031,14 @@ mod tests {
         // hits; the coldest design was evicted and must re-elaborate.
         let hot = blink_with_delay(10);
         SimSession::builder(&hot, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
         assert_eq!(cache.elaborate_hits(), 1);
         let cold = blink_with_delay(1);
         SimSession::builder(&cold, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2110,6 +2047,7 @@ mod tests {
         // one design while inserting others and it must survive.
         let pinned = blink_with_delay(100);
         SimSession::builder(&pinned, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2121,12 +2059,14 @@ mod tests {
                 .build()
                 .unwrap();
             SimSession::builder(&pinned, "blink")
+                .engine(EngineKind::Interpret)
                 .cache(&cache)
                 .build()
                 .unwrap();
         }
         let hits_before = cache.elaborate_hits();
         SimSession::builder(&pinned, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2162,6 +2102,7 @@ mod tests {
         }
         let other = blink_with_delay(9);
         SimSession::builder(&other, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2180,11 +2121,13 @@ mod tests {
         let b = blink_with_delay(4);
         for _ in 0..3 {
             SimSession::builder(&a, "blink")
+                .engine(EngineKind::Interpret)
                 .cache(&cache)
                 .build()
                 .unwrap();
         }
         SimSession::builder(&b, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2203,6 +2146,7 @@ mod tests {
         // Shrinking the capacity evicts immediately, least recently used
         // first (touch the hot design so recency and run count agree).
         SimSession::builder(&a, "blink")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .build()
             .unwrap();
@@ -2292,6 +2236,7 @@ mod tests {
         let cache = DesignCache::new();
         let (module, key) = cache.module_for_source(BLINK).unwrap();
         assert!(SimSession::builder(&module, "missing_top")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .cache_key(key)
             .build()
@@ -2303,6 +2248,7 @@ mod tests {
         let (module, key) = cache.module_for_source(BLINK).unwrap();
         build_stored(&cache, &module, key);
         assert!(SimSession::builder(&module, "missing_top")
+            .engine(EngineKind::Interpret)
             .cache(&cache)
             .cache_key(key)
             .build()
@@ -2378,7 +2324,10 @@ mod tests {
                 panic!("injected probe panic");
             })
         });
-        let jobs = [BatchJob::new(&module, "blink", config)];
+        let jobs = [BatchJob {
+            engine: EngineKind::Interpret,
+            ..BatchJob::new(&module, "blink", config)
+        }];
         let results = SimSession::run_batch(&jobs, None);
         assert_eq!(
             *ran_on.lock().unwrap(),

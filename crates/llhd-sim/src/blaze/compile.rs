@@ -1,10 +1,10 @@
 //! Compilation of LLHD units into the pre-resolved execution form.
 
-use crate::superop::{specialize, Delay, LoweredUnit, SpecializedCode, SuperOp};
+use crate::blaze::superop::{specialize, Delay, LoweredUnit, SpecializedCode, SuperOp};
+use crate::design::{ElaboratedDesign, InstanceKind, SignalId};
 use llhd::ir::{Module, Opcode, RegMode, UnitId, UnitKind, Value};
 use llhd::ty::{void_ty, Type, TypeKind};
 use llhd::value::ConstValue;
-use llhd_sim::design::{ElaboratedDesign, InstanceKind, SignalId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ pub struct CompiledTrigger {
 }
 
 /// A compact reference to a run of operand slots in a stream's operand
-/// pool ([`LoweredUnit::pool`](crate::superop::LoweredUnit::pool)).
+/// pool ([`LoweredUnit::pool`](crate::blaze::superop::LoweredUnit::pool)).
 /// Replaces a per-op `Vec` so compiling an instruction allocates nothing.
 #[derive(Clone, Copy, Debug)]
 pub struct ArgRange {
@@ -69,7 +69,7 @@ impl ArgRange {
 /// that caller in ROADMAP item 1.
 ///
 /// ```
-/// use llhd_blaze::{compile_design, compile_design_with, BlazeOptions};
+/// use llhd_sim::blaze::compile::{compile_design, compile_design_with, BlazeOptions};
 /// use std::sync::Arc;
 ///
 /// let module = llhd::assembly::parse_module(
@@ -147,7 +147,7 @@ pub struct CompiledUnit {
     pub const_regs: Vec<(u32, ConstValue)>,
     /// The IR type of each register slot. It decides the slot's storage
     /// class in the lowered form (see
-    /// [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)), and a
+    /// [`LoweredUnit::widths`](crate::blaze::superop::LoweredUnit::widths)), and a
     /// restored checkpoint must give the slot a value of this type.
     pub reg_types: Vec<Type>,
     /// The type of each memory slot's contents (its `var`'s pointee).
@@ -157,19 +157,19 @@ pub struct CompiledUnit {
     /// The superinstruction stream, which [`compile_unit`] builds for every
     /// unit (the `Option` stays only for the `benchmark/` package, which
     /// matches on it). [`compile_design`] specializes it per instance and
-    /// once per function; see [`crate::superop`].
-    pub lowered: Option<crate::superop::LoweredUnit>,
+    /// once per function; see [`crate::blaze::superop`].
+    pub lowered: Option<crate::blaze::superop::LoweredUnit>,
     /// Whether any `const time` in this unit carries an epsilon component.
     /// Collected during the one compile walk so [`compile_design`]
     /// can decide enqueue-time drive dropping without re-walking the
-    /// module (see [`llhd_sim::sched::module_allows_drive_dropping`] for
+    /// module (see [`crate::sched::module_allows_drive_dropping`] for
     /// the soundness argument).
     pub has_epsilon_time_const: bool,
 }
 
 impl CompiledUnit {
     /// The superinstruction stream, which every compiled unit has.
-    pub fn lowered(&self) -> &crate::superop::LoweredUnit {
+    pub fn lowered(&self) -> &crate::blaze::superop::LoweredUnit {
         self.lowered
             .as_ref()
             .expect("compile_unit lowers every unit")
@@ -195,7 +195,7 @@ pub struct CompiledInstance {
 }
 
 /// A fully compiled design ready for execution by
-/// [`BlazeSimulator`](crate::engine::BlazeSimulator).
+/// [`BlazeSimulator`](crate::blaze::engine::BlazeSimulator).
 #[derive(Clone, Debug)]
 pub struct CompiledDesign {
     /// Compiled units, indexed by their module handle. Shared pointers keep
@@ -211,7 +211,7 @@ pub struct CompiledDesign {
     /// elaborated it — typically a session or a design cache.
     pub design: Arc<ElaboratedDesign>,
     /// Whether the scheduler may drop redundant drives before enqueueing
-    /// (see [`llhd_sim::sched::module_allows_drive_dropping`]), decided
+    /// (see [`crate::sched::module_allows_drive_dropping`]), decided
     /// once at compile time.
     pub allow_drive_drop: bool,
 }
@@ -220,8 +220,8 @@ impl CompiledDesign {
     /// A rough retained-size estimate in bytes: each unit's lowered stream
     /// with its constant and word files, and the specialized code of every
     /// instance and function, by struct size — intentionally cheap rather
-    /// than allocator-exact. Feeds the `DesignCache` observability counters
-    /// through the backend's `artifact_bytes` hook.
+    /// than allocator-exact. Feeds the `DesignCache` observability
+    /// counters.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let units: usize = self
@@ -260,16 +260,16 @@ impl CompiledDesign {
 
     /// Per-unit compilation statistics — executing IR instructions,
     /// superops after fusion, and how many instances run specialized code
-    /// (all of them). Feeds the introspection surface through the
-    /// backend's `artifact_stats` hook; sorted by unit name for a stable
-    /// listing.
-    pub fn unit_stats(&self) -> Vec<llhd_sim::api::UnitArtifactStats> {
+    /// (all of them). Feeds the introspection surface
+    /// ([`SimSession::unit_stats`](crate::api::SimSession::unit_stats));
+    /// sorted by unit name for a stable listing.
+    pub fn unit_stats(&self) -> Vec<crate::api::UnitArtifactStats> {
         let mut stats: Vec<_> = self
             .units
             .iter()
             .map(|(&id, unit)| {
                 let instances = self.instances.iter().filter(|i| i.unit == id).count();
-                llhd_sim::api::UnitArtifactStats {
+                crate::api::UnitArtifactStats {
                     name: unit.name.clone(),
                     kind: match unit.kind {
                         UnitKind::Process => "process",
@@ -305,7 +305,7 @@ pub fn compile_design(
     // Drive dropping is sound iff no time constant anywhere carries an
     // epsilon component; the per-unit compile walk collects that, so no
     // second walk over the module is needed (the criterion matches
-    // `llhd_sim::sched::module_allows_drive_dropping`, asserted below).
+    // `crate::sched::module_allows_drive_dropping`, asserted below).
     let mut allow_drive_drop = true;
     for id in module.units() {
         let compiled = compile_unit(module, id)?;
@@ -317,7 +317,7 @@ pub fn compile_design(
     }
     debug_assert_eq!(
         allow_drive_drop,
-        llhd_sim::sched::module_allows_drive_dropping(module)
+        crate::sched::module_allows_drive_dropping(module)
     );
     let mut instances = Vec::with_capacity(design.instances.len());
     for instance in &design.instances {
@@ -422,7 +422,7 @@ pub fn compile_unit_with(
 
 /// Compile a single unit: one walk over its instructions emits a
 /// [`SuperOp`] for each one that executes, then the unit-level passes of
-/// [`crate::superop`] fold, move narrow integers into words and fuse.
+/// [`crate::blaze::superop`] fold, move narrow integers into words and fuse.
 ///
 /// # Errors
 ///
@@ -656,7 +656,7 @@ pub fn compile_unit(module: &Module, id: UnitId) -> Result<CompiledUnit, Compile
         pool,
         ..LoweredUnit::default()
     };
-    crate::superop::optimize(&mut lowered, &compiled, &reg_of.reads);
+    crate::blaze::superop::optimize(&mut lowered, &compiled, &reg_of.reads);
     compiled.lowered = Some(lowered);
     Ok(compiled)
 }
@@ -712,8 +712,8 @@ fn pure_op(opcode: Opcode, dst: u32, args: &[u32], imms: &[usize], pool: &mut Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::elaborate;
     use llhd::assembly::parse_module;
-    use llhd_sim::elaborate;
 
     #[test]
     fn compiles_process_and_entity() {

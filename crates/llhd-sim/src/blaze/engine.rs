@@ -1,20 +1,29 @@
 //! The execution engine operating on compiled designs.
 //!
 //! Scheduling (event queue, delta cycles, sensitivity) comes from the
-//! shared hot-path core in [`llhd_sim::sched`] — exactly the code the
+//! shared hot-path core in [`crate::sched`] — exactly the code the
 //! reference interpreter runs on, which is what makes the two engines'
 //! traces byte-identical. The difference is that unit bodies execute a
 //! specialized superinstruction stream over dense register files with
 //! pre-resolved operand indices instead of interpreting the IR data
 //! structures: SSA values, memory cells, signal references, and `reg`
 //! histories are all flat-array accesses whose indices were computed ahead
-//! of time by [`crate::compile`] and [`crate::superop`]. Every narrow
-//! integer is a machine word (see
-//! [`LoweredUnit::widths`](crate::superop::LoweredUnit::widths)). One
-//! dispatch loop runs instance bodies and function calls alike.
+//! of time by [`crate::blaze::compile`] and [`crate::blaze::superop`].
+//! Every narrow integer is a machine word (see
+//! [`LoweredUnit::widths`](crate::blaze::superop::LoweredUnit::widths)).
+//! One dispatch loop runs instance bodies and function calls alike.
 
-use crate::compile::{CompiledDesign, CompiledUnit, Intrinsic};
-use crate::superop::{eval_cast_word, eval_un_word, word_mask, Delay, SpecializedCode, SuperOp};
+use crate::blaze::compile::{CompiledDesign, CompiledUnit, Intrinsic};
+use crate::blaze::superop::{
+    eval_cast_word, eval_un_word, word_mask, Delay, SpecializedCode, SuperOp,
+};
+use crate::design::{InstanceKind, SignalId};
+use crate::driver::{
+    call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
+    Scratch, MAX_CALL_DEPTH,
+};
+use crate::sched::{read_byte, read_const, read_usize, SchedCore};
+use crate::{ElaboratedDesign, SimConfig, SimError};
 use llhd::bitcode::{encode_const_value, write_varint};
 use llhd::eval::{
     eval_binary, eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice,
@@ -23,13 +32,6 @@ use llhd::eval::{
 use llhd::ir::{Opcode, UnitId};
 use llhd::ty::Type;
 use llhd::value::{ApInt, ConstValue, TimeValue};
-use llhd_sim::design::{InstanceKind, SignalId};
-use llhd_sim::driver::{
-    call_depth_exceeded, decode_reg_history, encode_reg_history, reg_fires, Driver, Executor,
-    Scratch, MAX_CALL_DEPTH,
-};
-use llhd_sim::sched::{read_byte, read_const, read_usize, SchedCore};
-use llhd_sim::{ElaboratedDesign, SimConfig, SimError};
 use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -145,7 +147,7 @@ impl BlazeSimulator {
     }
 
     /// Unwrap the driver, e.g. to box it as a
-    /// [`dyn Engine`](llhd_sim::api::Engine).
+    /// [`dyn Engine`](crate::api::Engine).
     pub fn into_driver(self) -> Driver<BlazeExec> {
         self.0
     }
@@ -330,9 +332,9 @@ fn decode_cells(
 
 /// What a run of the dispatch loop reaches beyond its frame.
 trait Env {
-    /// The scheduler, or the error a signal or time op raises where there
-    /// is none.
-    fn core(&mut self) -> Result<&mut SchedCore, SimError>;
+    /// The scheduler, or the error the signal or time op `op` raises
+    /// where there is none.
+    fn core(&mut self, op: Opcode) -> Result<&mut SchedCore, SimError>;
     /// The error for a run past the per-activation step limit.
     fn step_limit(&self, cx: &BlazeExec) -> SimError;
 }
@@ -345,7 +347,7 @@ struct InstanceEnv<'a> {
 
 impl Env for InstanceEnv<'_> {
     #[inline]
-    fn core(&mut self) -> Result<&mut SchedCore, SimError> {
+    fn core(&mut self, _op: Opcode) -> Result<&mut SchedCore, SimError> {
         Ok(self.core)
     }
 
@@ -365,8 +367,8 @@ struct FunctionEnv<'a> {
 }
 
 impl Env for FunctionEnv<'_> {
-    fn core(&mut self) -> Result<&mut SchedCore, SimError> {
-        Err(unsupported_in_function())
+    fn core(&mut self, op: Opcode) -> Result<&mut SchedCore, SimError> {
+        Err(unsupported_in_function(op, self.name))
     }
 
     fn step_limit(&self, _cx: &BlazeExec) -> SimError {
@@ -374,8 +376,18 @@ impl Env for FunctionEnv<'_> {
     }
 }
 
-fn unsupported_in_function() -> SimError {
-    SimError::Runtime("unsupported operation in function".to_string())
+/// The interpreter's error for `op` in function `name`.
+fn unsupported_in_function(op: Opcode, name: &str) -> SimError {
+    SimError::Runtime(format!("unsupported instruction {op} in function {name}"))
+}
+
+/// The opcode of a drive: conditional or not.
+fn drv_opcode(cond: Option<u32>) -> Opcode {
+    if cond.is_some() {
+        Opcode::DrvCond
+    } else {
+        Opcode::Drv
+    }
 }
 
 /// How a run of the dispatch loop ended.
@@ -595,7 +607,7 @@ fn step<E: Env>(
             delay,
             cond,
         } => {
-            let core = env.core()?;
+            let core = env.core(drv_opcode(*cond))?;
             // The compute happens unconditionally, exactly like
             // the unfused pure op preceding the drive.
             let words = &frame.regs.words;
@@ -607,7 +619,7 @@ fn step<E: Env>(
             core.schedule_word(SignalId(*sig as usize), *out, value, &delay);
         }
         SuperOp::WPrb { dst, sig, width } => {
-            let word = env.core()?.word(SignalId(*sig as usize));
+            let word = env.core(Opcode::Prb)?.word(SignalId(*sig as usize));
             frame.regs.words[*dst as usize] = word & word_mask(*width);
         }
         SuperOp::WDrv {
@@ -617,7 +629,7 @@ fn step<E: Env>(
             delay,
             cond,
         } => {
-            let core = env.core()?;
+            let core = env.core(drv_opcode(*cond))?;
             let words = &frame.regs.words;
             if cond.is_some_and(|c| words[c as usize] == 0) {
                 return Ok(Next::Op);
@@ -735,7 +747,7 @@ fn step<E: Env>(
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::Prb { dst, sig } => {
-            let value = env.core()?.value(SignalId(*sig as usize));
+            let value = env.core(Opcode::Prb)?.value(SignalId(*sig as usize));
             frame.regs.set(widths, *dst, value);
         }
         SuperOp::Drv {
@@ -744,7 +756,7 @@ fn step<E: Env>(
             delay,
             cond,
         } => {
-            let core = env.core()?;
+            let core = env.core(drv_opcode(*cond))?;
             if cond.is_some_and(|c| !frame.regs.truthy(widths, c)) {
                 return Ok(Next::Op);
             }
@@ -757,13 +769,13 @@ fn step<E: Env>(
             source,
             delay,
         } => {
-            let core = env.core()?;
+            let core = env.core(Opcode::Del)?;
             let delay = delay_value(&frame.regs, delay)?;
             let value = core.value(SignalId(*source as usize));
             core.schedule_drive(SignalId(*target as usize), value, &delay);
         }
         SuperOp::Reg { sig, triggers } => {
-            let core = env.core()?;
+            let core = env.core(Opcode::Reg)?;
             let signal = SignalId(*sig as usize);
             for trigger in triggers {
                 let current = frame.regs.get(widths, trigger.trigger).into_owned();
@@ -894,25 +906,26 @@ fn call_function(
     match exec(cx, code, &mut frame, &mut env, scr, unit.entry, depth)? {
         Flow::Return(value) => Ok(value),
         Flow::End => Ok(None),
-        Flow::Wait { .. } | Flow::Halt => Err(unsupported_in_function()),
+        Flow::Wait { timeout: None, .. } => Err(unsupported_in_function(Opcode::Wait, &unit.name)),
+        Flow::Wait { .. } => Err(unsupported_in_function(Opcode::WaitTime, &unit.name)),
+        Flow::Halt => Err(unsupported_in_function(Opcode::Halt, &unit.name)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session;
+    use crate::api::{EngineKind, SimSession};
+    use crate::SimResult;
     use llhd::assembly::parse_module;
-    use llhd_sim::api::{EngineKind, SimSession};
-    use llhd_sim::SimResult;
 
     /// Compiled runs constructed through the unified session surface.
     fn simulate(
         module: &llhd::ir::Module,
         top: &str,
         config: &SimConfig,
-    ) -> Result<SimResult, llhd_sim::api::Error> {
-        session(module, top)
+    ) -> Result<SimResult, crate::api::Error> {
+        SimSession::builder(module, top)
             .engine(EngineKind::Compile)
             .config(config.clone())
             .build()?
@@ -924,7 +937,7 @@ mod tests {
         module: &llhd::ir::Module,
         top: &str,
         config: &SimConfig,
-    ) -> Result<SimResult, llhd_sim::api::Error> {
+    ) -> Result<SimResult, crate::api::Error> {
         SimSession::builder(module, top)
             .engine(EngineKind::Interpret)
             .config(config.clone())
@@ -989,7 +1002,7 @@ mod tests {
         .unwrap();
         let config = SimConfig::until_nanos(50);
         let full = simulate(&module, "counter", &config).unwrap();
-        let mut first = session(&module, "counter")
+        let mut first = SimSession::builder(&module, "counter")
             .engine(EngineKind::Compile)
             .config(config.clone())
             .build()
@@ -1000,7 +1013,7 @@ mod tests {
         let state = first.checkpoint().unwrap();
         assert_eq!(state.engine_name().unwrap(), "blaze");
         drop(first);
-        let mut resumed = session(&module, "counter")
+        let mut resumed = SimSession::builder(&module, "counter")
             .engine(EngineKind::Compile)
             .config(config.clone())
             .build()
@@ -1105,8 +1118,8 @@ mod tests {
         assert_eq!(reference.trace.events(), blaze.trace.events());
         assert_eq!(reference.signal_changes, blaze.signal_changes);
         // The loop really runs both kinds of code.
-        let design = llhd_sim::elaborate(&module, "top").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
+        let design = crate::elaborate(&module, "top").unwrap();
+        let compiled = crate::blaze::compile_design(&module, design).unwrap();
         let mix = compiled
             .instances
             .iter()
@@ -1117,7 +1130,7 @@ mod tests {
         assert!(ops.iter().any(|op| matches!(op, SuperOp::Bin { .. })));
         // A checkpoint cut through both files resumes byte-identically.
         let build = || {
-            session(&module, "top")
+            SimSession::builder(&module, "top")
                 .engine(EngineKind::Compile)
                 .config(config.clone())
                 .build()
@@ -1173,8 +1186,8 @@ mod tests {
         )
         .unwrap();
         let config = SimConfig::until_nanos(3);
-        let design = llhd_sim::elaborate(&module, "pick").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
+        let design = crate::elaborate(&module, "pick").unwrap();
+        let compiled = crate::blaze::compile_design(&module, design).unwrap();
         let ops = &compiled.instances[0].code.ops;
         let muxes = ops.iter().filter(|op| matches!(op, SuperOp::Mux { .. }));
         assert_eq!(muxes.count(), 2);
@@ -1254,8 +1267,8 @@ mod tests {
         )
         .unwrap();
         llhd::verifier::verify_module(&module).unwrap();
-        let design = llhd_sim::elaborate(&module, "top").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
+        let design = crate::elaborate(&module, "top").unwrap();
+        let compiled = crate::blaze::compile_design(&module, design).unwrap();
         let wide = compiled
             .instances
             .iter()
@@ -1273,7 +1286,7 @@ mod tests {
         const SIGNALS: [&str; 6] = ["in", "dyn", "on", "off", "tab", "pick"];
         let run = |engine: EngineKind, cut: Option<usize>| {
             let build = || {
-                session(&module, "top")
+                SimSession::builder(&module, "top")
                     .engine(engine)
                     .config(SimConfig::until_nanos(30))
                     .build()
@@ -1523,17 +1536,11 @@ mod tests {
             ))
             .unwrap();
             let config = SimConfig::until_nanos(10);
+            let expected = format!("runtime error: unsupported instruction {op} in function @f");
             let reference = simulate_reference(&module, "top", &config).unwrap_err();
-            assert_eq!(
-                reference.to_string(),
-                format!("runtime error: unsupported instruction {op} in function @f")
-            );
+            assert_eq!(reference.to_string(), expected);
             let blaze = simulate(&module, "top", &config).unwrap_err();
-            assert_eq!(
-                blaze.to_string(),
-                "runtime error: unsupported operation in function",
-                "{op}"
-            );
+            assert_eq!(blaze.to_string(), expected);
         }
     }
 
@@ -1561,8 +1568,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let design = llhd_sim::elaborate(&module, "top").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
+        let design = crate::elaborate(&module, "top").unwrap();
+        let compiled = crate::blaze::compile_design(&module, design).unwrap();
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
         let first = loop {
             match sim.step() {
@@ -1604,8 +1611,8 @@ mod tests {
             "#,
         )
         .unwrap();
-        let design = llhd_sim::elaborate(&module, "top").unwrap();
-        let compiled = crate::compile_design(&module, design).unwrap();
+        let design = crate::elaborate(&module, "top").unwrap();
+        let compiled = crate::blaze::compile_design(&module, design).unwrap();
         let mut sim = BlazeSimulator::new(compiled, SimConfig::until_nanos(10));
         let first = sim.initialize().unwrap_err();
         assert!(matches!(first, SimError::Runtime(_)));

@@ -1,7 +1,7 @@
 //! The superinstruction stream: unit-level passes and per-instance
 //! specialization.
 //!
-//! [`crate::compile`] walks each unit once and emits one [`SuperOp`] per
+//! [`crate::blaze::compile`] walks each unit once and emits one [`SuperOp`] per
 //! executing IR instruction, naming signals by per-unit slot. Pure ops are
 //! split there into by-reference evaluation variants (`Bin`, `Un`, `Cast`,
 //! `ExtF`, `ExtS`, `InsF`, `InsS`, `Mux`, and the generic `Pure`), so no
@@ -34,7 +34,7 @@
 //!      Compares and computes wider than 64 bits run as plain, unfused
 //!      value ops.
 //! 2. **Instance specialization** (per instance, at instance-bind time):
-//!    every [`CompiledInstance`](crate::compile::CompiledInstance) gets its
+//!    every [`CompiledInstance`](crate::blaze::compile::CompiledInstance) gets its
 //!    own copy of the lowered stream with its bindings baked in — signal
 //!    slots become resolved [`SignalId`]s (no table chase per probe/drive),
 //!    constant delays become inline [`TimeValue`]s, and the folded ops are
@@ -49,7 +49,8 @@
 //! longer execute and therefore no longer count — exactly like the
 //! materialized `const` instructions, which never enter the stream.
 
-use crate::compile::{ArgRange, CompiledTrigger, CompiledUnit, Intrinsic};
+use crate::blaze::compile::{ArgRange, CompiledTrigger, CompiledUnit, Intrinsic};
+use crate::design::SignalId;
 use llhd::eval::{
     eval_binary, eval_cast, eval_ext_field, eval_ext_slice, eval_ins_field, eval_ins_slice,
     eval_mux, eval_pure, eval_unary,
@@ -57,7 +58,6 @@ use llhd::eval::{
 use llhd::ir::{Opcode, UnitId};
 use llhd::ty::{Type, TypeKind};
 use llhd::value::{ConstValue, TimeValue};
-use llhd_sim::design::SignalId;
 use std::sync::Arc;
 
 /// A pre-decoded binary operation on word operands: the operation of
@@ -645,7 +645,7 @@ impl LoweredUnit {
 }
 
 /// Run the unit-level passes over the stream
-/// [`compile_unit`](crate::compile::compile_unit) emitted: fold constants,
+/// [`compile_unit`](crate::blaze::compile::compile_unit) emitted: fold constants,
 /// move narrow integers into words, fuse. `reads` counts the reads of each
 /// register slot by the unit's executing instructions.
 pub(crate) fn optimize(lowered: &mut LoweredUnit, unit: &CompiledUnit, reads: &[u32]) {
@@ -1046,7 +1046,7 @@ impl SpecializedCode {
 /// the folded ops, bakes the signal bindings from `signal_table` into the
 /// stream, and inlines constant delays (the constant analysis itself is
 /// unit-level and already done by
-/// [`compile_unit`](crate::compile::compile_unit)). See the module docs
+/// [`compile_unit`](crate::blaze::compile::compile_unit)). See the module docs
 /// for the invariants this preserves. A slot the table does not bind —
 /// every slot of a function, which is specialized with an empty table —
 /// becomes `u32::MAX`, which the engine never reads.
@@ -1263,9 +1263,9 @@ fn fold_op(op: &SuperOp, pool: &[u32], consts: &[Option<ConstValue>]) -> Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::compile_design;
+    use crate::blaze::compile::compile_design;
+    use crate::elaborate;
     use llhd::assembly::parse_module;
-    use llhd_sim::elaborate;
 
     /// Every word operation computes exactly what the shared evaluator
     /// computes on integers of its width, up to the 64 bits a word holds.
@@ -1441,7 +1441,7 @@ mod tests {
         assert!(!lowered.init_regs.contains(&ConstValue::int(8, 1)));
     }
 
-    fn compiled_for(src: &str, top: &str) -> crate::CompiledDesign {
+    fn compiled_for(src: &str, top: &str) -> crate::blaze::CompiledDesign {
         let module = parse_module(src).unwrap();
         let design = elaborate(&module, top).unwrap();
         compile_design(&module, design).unwrap()
@@ -1611,7 +1611,7 @@ mod tests {
             "#,
             "top",
         );
-        crate::BlazeSimulator::new(design, llhd_sim::SimConfig::until_nanos(10))
+        crate::blaze::BlazeSimulator::new(design, crate::SimConfig::until_nanos(10))
             .run()
             .unwrap();
     }

@@ -5,9 +5,9 @@
 //! table, the run counters, initialization, the poison-on-error rule and
 //! the checkpoint framing (header, scheduler-core section, counters).
 //! What differs between the reference interpreter and the compiled
-//! `llhd-blaze` engine is an [`Executor`]: how to build one instance's
-//! state, how to activate it against the [`SchedCore`], and how that
-//! state is laid out in a checkpoint. The driver is monomorphized per
+//! [`blaze`](crate::blaze) engine is an [`Executor`]: how to build one
+//! instance's state, how to activate it against the [`SchedCore`], and
+//! how that state is laid out in a checkpoint. The driver is monomorphized per
 //! executor, so the activation loop dispatches statically.
 
 use crate::api::{Engine, EngineState};
@@ -190,8 +190,8 @@ pub fn decode_reg_history(
 
 /// A simulation engine: an [`Executor`] driven over the shared scheduler
 /// core. [`Simulator`](crate::engine::Simulator) is this driver over the
-/// interpreter; `llhd_blaze::BlazeSimulator` wraps one over the compiled
-/// executor.
+/// interpreter; [`BlazeSimulator`](crate::blaze::BlazeSimulator) wraps
+/// one over the compiled executor.
 pub struct Driver<X: Executor> {
     exec: X,
     config: SimConfig,

@@ -2,8 +2,8 @@
 //!
 //! The engine interprets unit bodies directly from the IR, but all
 //! scheduling — the event queue, delta cycles, sensitivity, tracing — is
-//! delegated to the shared [`crate::sched::SchedCore`], the
-//! same core the compiled `llhd-blaze` engine runs on. Entities are
+//! delegated to the shared [`crate::sched::SchedCore`], the same core the
+//! compiled [`blaze`](crate::blaze) engine runs on. Entities are
 //! re-evaluated whenever one of the signals they probe *changes value*;
 //! processes resume when a signal in their current sensitivity list
 //! changes or their wait timeout expires.

@@ -1,8 +1,8 @@
 //! The shared hot-path scheduling core of both simulation engines.
 //!
 //! The reference interpreter ([`Simulator`](crate::engine::Simulator)) and
-//! the compiled simulator (`llhd-blaze`) execute unit bodies very
-//! differently, but share the exact same event-driven scheduling model.
+//! the compiled simulator ([`blaze`](crate::blaze)) execute unit bodies
+//! very differently, but share the exact same event-driven scheduling model.
 //! This module implements that model once, tuned for the hot path:
 //!
 //! * **Calendar event queue** ([`EventQueue`]): a binary min-heap over

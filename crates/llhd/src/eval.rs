@@ -2,9 +2,9 @@
 //!
 //! This module is the single source of truth for the semantics of the pure
 //! data flow instructions. It is shared by the constant folding pass in
-//! `llhd-opt`, by the reference interpreter `llhd-sim`, and by the compiled
-//! simulator `llhd-blaze`, guaranteeing that all three agree on the meaning
-//! of every operation.
+//! `llhd-opt`, by the reference interpreter in `llhd-sim`, and by the
+//! compiled simulator `llhd_sim::blaze`, guaranteeing that all three agree
+//! on the meaning of every operation.
 
 use crate::ir::Opcode;
 use crate::value::{ApInt, ConstValue, LogicVector};

@@ -244,6 +244,26 @@ pub fn verify_unit(unit: &UnitData) -> VerifierResult {
                     errors.push(err(unit, "con requires two signals of identical type"));
                 }
             }
+            // A slice must lie within its operand: the bits of an int, the
+            // elements of an array, or either behind a signal.
+            Opcode::ExtSlice | Opcode::InsSlice => {
+                let ty = unit.value_type(data.args[0]);
+                let width = match ty.strip().kind() {
+                    TypeKind::Int(w) | TypeKind::Array(w, _) => Some(*w),
+                    _ => None,
+                };
+                if let (Some(width), &[offset, length, ..]) = (width, &data.imms[..]) {
+                    if offset.checked_add(length).is_none_or(|end| end > width) {
+                        errors.push(err(
+                            unit,
+                            format!(
+                                "{} slice at offset {} of length {} exceeds the width {} of {}",
+                                op, offset, length, width, ty
+                            ),
+                        ));
+                    }
+                }
+            }
             _ => {}
         }
         // Binary arithmetic requires matching operand types.
@@ -394,6 +414,77 @@ mod tests {
         b.halt();
         let errors = verify_unit(&unit).unwrap_err();
         assert!(errors.iter().any(|e| e.message.contains("does not match")));
+    }
+
+    /// A function `f(i8, [4 x i8]$) -> i8` whose body is one slice
+    /// instruction over argument `arg` with the given offset and length.
+    fn slice_unit(op: crate::ir::Opcode, arg: usize, offset: usize, length: usize) -> UnitData {
+        let mut unit = UnitData::new(
+            UnitKind::Function,
+            UnitName::global("f"),
+            Signature::new_func(
+                vec![int_ty(8), signal_ty(array_ty(4, int_ty(8)))],
+                int_ty(8),
+            ),
+        );
+        let target = unit.arg_value(arg);
+        let value = unit.arg_value(0);
+        let mut b = UnitBuilder::new(&mut unit);
+        let entry = b.block("entry");
+        b.append_to(entry);
+        let args = match op {
+            crate::ir::Opcode::InsSlice => vec![target, value],
+            _ => vec![target],
+        };
+        let mut data = InstData::new(op, args);
+        data.imms = vec![offset, length];
+        b.build(data);
+        b.ret_value(value);
+        unit
+    }
+
+    #[test]
+    fn slices_past_their_operand_are_reported() {
+        use crate::ir::Opcode::{ExtSlice, InsSlice};
+        // Past the end of an int, the first case of which both engines
+        // used to fail only at run time.
+        let errors = verify_unit(&slice_unit(ExtSlice, 0, 0, 100000)).unwrap_err();
+        assert_eq!(errors.len(), 1);
+        assert!(
+            errors[0]
+                .message
+                .contains("exts slice at offset 0 of length 100000 exceeds the width 8 of i8"),
+            "{}",
+            errors[0]
+        );
+        assert!(verify_unit(&slice_unit(ExtSlice, 0, 4, 8)).is_err());
+        let errors = verify_unit(&slice_unit(InsSlice, 0, 4, 8)).unwrap_err();
+        assert!(errors[0]
+            .message
+            .contains("inss slice at offset 4 of length 8 exceeds the width 8 of i8"));
+        // Past the end of an array behind a signal, and an offset so large
+        // that offset + length overflows.
+        let errors = verify_unit(&slice_unit(ExtSlice, 1, 3, 2)).unwrap_err();
+        assert!(errors[0]
+            .message
+            .contains("exts slice at offset 3 of length 2 exceeds the width 4 of [4 x i8]$"));
+        assert!(verify_unit(&slice_unit(InsSlice, 1, usize::MAX, 2)).is_err());
+        // The same from assembly text.
+        let module = crate::assembly::parse_module(
+            "func @f (i8 %c) i8 {
+            entry:
+                %s = exts i8 %c, 0, 100000
+                ret i8 %c
+            }",
+        )
+        .unwrap();
+        assert!(verify_module(&module).unwrap_err()[0]
+            .message
+            .contains("offset 0 of length 100000 exceeds the width 8"));
+        // Slices that end exactly at the operand's end verify.
+        assert!(verify_unit(&slice_unit(ExtSlice, 0, 4, 4)).is_ok());
+        assert!(verify_unit(&slice_unit(ExtSlice, 1, 1, 3)).is_ok());
+        assert!(verify_unit(&slice_unit(InsSlice, 0, 0, 8)).is_ok());
     }
 
     #[test]

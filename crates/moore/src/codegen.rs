@@ -811,7 +811,6 @@ mod tests {
     type Canonical = Vec<(u128, String, ConstValue)>;
 
     fn canonical_on(source: &str, engine: EngineKind) -> Canonical {
-        llhd_blaze::register();
         let module = compile(source).unwrap();
         verify_module(&module).unwrap();
         SimSession::builder(&module, "tb")

@@ -165,11 +165,9 @@ fn main() {
     llhd::verifier::verify_module(&module).expect("module verifies");
     println!("=== LLHD assembly ===\n{}", write_module(&module));
 
-    // One engine-agnostic surface drives both simulators:
-    // `llhd_blaze::session` registers the compiled backend and returns a
-    // `SimSession` builder; `EngineKind::Auto` then picks the engine by
-    // design size (this little accumulator stays on the interpreter).
-    let session = llhd_blaze::session(&module, "acc_tb")
+    // One engine-agnostic surface drives both simulators; the default
+    // `EngineKind::Auto` runs the compiled engine, blaze.
+    let session = llhd_sim::SimSession::builder(&module, "acc_tb")
         .until_nanos(40)
         .build()
         .expect("session builds");

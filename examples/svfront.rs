@@ -8,12 +8,12 @@ use llhd::assembly::write_module;
 use llhd::ir::Module;
 use llhd::verifier::module_dialect;
 use llhd_opt::pipeline::{lower_to_structural, LoweringOptions};
-use llhd_sim::{SimConfig, SimResult};
+use llhd_sim::{SimConfig, SimResult, SimSession};
 
-/// Simulate through the unified session surface; `EngineKind::Auto` picks
-/// the engine (the blaze backend is registered by `llhd_blaze::session`).
+/// Simulate through the unified session surface; `EngineKind::Auto` runs
+/// the compiled engine.
 fn simulate(module: &Module, top: &str, config: &SimConfig) -> SimResult {
-    llhd_blaze::session(module, top)
+    SimSession::builder(module, top)
         .config(config.clone())
         .build()
         .expect("session builds")

@@ -9,7 +9,6 @@ use llhd_sim::{EngineKind, SimSession};
 
 fn main() {
     let module = accumulator_example().expect("accumulator compiles");
-    llhd_blaze::register();
     let result = SimSession::builder(&module, "acc_tb")
         .engine(EngineKind::Auto)
         .until_nanos(200)

@@ -12,7 +12,6 @@ use llhd_sim::{SimConfig, SimResult};
 use llhd_workspace::*;
 
 fn run(module: &Module, top: &str, config: &SimConfig, engine: EngineKind) -> SimResult {
-    llhd_blaze::register();
     SimSession::builder(module, top)
         .engine(engine)
         .config(config.clone())

@@ -38,7 +38,7 @@ fn apint_matches_u64_model() {
 /// shared evaluator, at every width a machine word holds.
 #[test]
 fn word_file_arithmetic_matches_the_evaluator() {
-    use llhd_blaze::superop::IntBin;
+    use llhd_sim::blaze::superop::IntBin;
     const OPCODES: [Opcode; 25] = [
         Opcode::Add,
         Opcode::Sub,
@@ -339,7 +339,7 @@ fn event_queue_pops_in_nondecreasing_time_order() {
 fn blaze_and_interpreter_agree_under_random_schedules() {
     use llhd::assembly::parse_module;
     use llhd::value::ConstValue;
-    use llhd_blaze::{compile_design, BlazeSimulator};
+    use llhd_sim::blaze::{compile_design, BlazeSimulator};
     use llhd_sim::{elaborate, SimConfig, Simulator};
     use std::sync::Arc;
 
@@ -462,7 +462,6 @@ fn checkpoint_restore_is_invisible_at_any_cut_point() {
     use llhd_sim::api::{EngineKind, SimSession};
     use llhd_sim::SimConfig;
 
-    llhd_blaze::register();
     // A process with live variables and a resume point, feeding an entity,
     // so the checkpoint has to carry instance state, pending events, and
     // scheduler bookkeeping — not just signal values.
@@ -553,7 +552,6 @@ fn checkpoint_v1_v2_and_foreign_design_hash_are_rejected_cleanly() {
     use llhd_sim::api::{EngineKind, EngineState, SimSession};
     use llhd_sim::SimConfig;
 
-    llhd_blaze::register();
     let design = fir_bank(3, 6, 13);
     let module = design.build().unwrap();
     let config = SimConfig::until_nanos(60);
